@@ -20,14 +20,15 @@ Production pipeline for a batch of ell bits owned by P:
      batched equality check compares the folded MACs against the folded
      keys. A sender that used an inconsistent offset in a pair survives only
      by guessing that pair's choice bit.
-  3. The surviving tau columns are transposed: bit j of G becomes an
-     authenticated bit with a tau-bit MAC under the weak global key
-     (y_1..y_tau).
-  4. Privacy amplification: the key holder samples a random psi x tau GF(2)
-     matrix and both sides project MACs/keys (and the weak key) through it,
-     leaving psi-bit MACs with no exploitable leakage.
+  3. Privacy amplification: the key holder samples a random kappa x tau
+     GF(2) matrix, and both sides project the surviving tau columns (and
+     the weak global key y_1..y_tau) through it. Row r of the matrix selects
+     the columns whose XOR is output slice r; this commutes with the
+     transpose below and leaves kappa-bit MACs with no exploitable leakage.
+  4. The kappa slices are transposed: bit j of G becomes an authenticated
+     bit whose MAC is bit j of each slice.
 
-tau = ceil(22*psi/3) makes step 4 sound at security level psi.
+tau = ceil(22*kappa/3) makes step 3 sound for kappa-bit MACs.
 """
 
 from __future__ import annotations
@@ -37,15 +38,17 @@ import struct
 from dataclasses import dataclass
 
 from .base_ot import extend_ot_receive, extend_ot_send
-from .bitlinalg import BitMatrix, BitVec, Pairing, mat_vec_mul, mat_vec_mul_batch, random_pairing, transpose_bits
+from .bitlinalg import (BitMatrix, BitVec, Pairing, mat_mul_rows, mat_vec_mul,
+                        random_pairing, transpose_bits)
+from .bitlinalg import mat_vec_mul_batch  # noqa: F401 - the benchmark still wraps it here
 from .eq_box import eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, ProtocolError, UsageError
 from .transport import Channel, MsgType, Role
 
 
-def tau_for(psi: int) -> int:
-    """Column count needed to amplify down to psi-bit keys."""
-    return math.ceil(22 * psi / 3)
+def tau_for(kappa: int) -> int:
+    """Column count needed to amplify down to kappa-bit MACs."""
+    return math.ceil(22 * kappa / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,39 @@ def labit_receiver(ch: Channel, tau: int, ell: int, rng, backend):
 
 
 # ---------------------------------------------------------------------------
-# transpose to bit-sliced form (step 3)
+# privacy amplification, then transpose (steps 3-4)
+
+
+def amplify_macs_with(matrix: BitMatrix, gamma: BitVec, keys: list) -> AbitBatchMac:
+    """Holder side: bit j of gamma, MACed by bit j of each amplified column."""
+    return AbitBatchMac(bits=gamma.bits(), macs=transpose_bits(mat_mul_rows(matrix, keys)))
+
+
+def amplify_keys_with(matrix: BitMatrix, ys: list, macs: list, owner: Role) -> AbitBatchKey:
+    """Key side: the amplified weak key y_1..y_tau and per-bit keys."""
+    gk = GlobalKey(owner, mat_vec_mul(matrix, BitVec.from_bits(ys)))
+    return AbitBatchKey(gk=gk, keys=transpose_bits(mat_mul_rows(matrix, macs)))
+
+
+def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int) -> AbitBatchMac:
+    if len(keys) != tau_for(kappa):
+        raise UsageError(f"tau {len(keys)} does not fit {kappa}-bit MACs")
+    raw = ch.recv(MsgType.AMPLIFY_MATRIX)
+    matrix = BitMatrix.from_bytes(kappa, len(keys), raw)
+    return amplify_macs_with(matrix, gamma, keys)
+
+
+def wabit_amplify_key_side(ch: Channel, ys: list, macs: list, kappa: int, owner: Role,
+                           rng) -> AbitBatchKey:
+    if len(macs) != tau_for(kappa):
+        raise UsageError(f"tau {len(macs)} does not fit {kappa}-bit MACs")
+    matrix = BitMatrix.random(kappa, len(macs), rng)
+    ch.send(MsgType.AMPLIFY_MATRIX, matrix.to_bytes())
+    return amplify_keys_with(matrix, ys, macs, owner)
+
+
+# ---------------------------------------------------------------------------
+# un-amplified bit-sliced form (random OT extension)
 
 
 @dataclass
@@ -210,53 +245,20 @@ def labit_to_wabit_keys(ys: list, macs: list) -> WabitKeyView:
 
 
 # ---------------------------------------------------------------------------
-# privacy amplification (step 4)
-
-
-def amplify_macs_with(matrix: BitMatrix, view: WabitMacView) -> AbitBatchMac:
-    if matrix.cols != view.tau:
-        raise UsageError("amplification matrix width must match tau")
-    return AbitBatchMac(bits=list(view.bits), macs=mat_vec_mul_batch(matrix, view.macs))
-
-
-def amplify_keys_with(matrix: BitMatrix, view: WabitKeyView, owner: Role) -> AbitBatchKey:
-    if matrix.cols != view.tau:
-        raise UsageError("amplification matrix width must match tau")
-    gk = GlobalKey(owner, mat_vec_mul(matrix, view.gamma))
-    return AbitBatchKey(gk=gk, keys=mat_vec_mul_batch(matrix, view.keys))
-
-
-def wabit_amplify_mac_side(ch: Channel, view: WabitMacView, psi: int) -> AbitBatchMac:
-    if view.tau != tau_for(psi):
-        raise UsageError(f"tau {view.tau} does not fit target security {psi}")
-    raw = ch.recv(MsgType.AMPLIFY_MATRIX)
-    matrix = BitMatrix.from_bytes(psi, view.tau, raw)
-    return amplify_macs_with(matrix, view)
-
-
-def wabit_amplify_key_side(ch: Channel, view: WabitKeyView, psi: int, owner: Role, rng) -> AbitBatchKey:
-    if view.tau != tau_for(psi):
-        raise UsageError(f"tau {view.tau} does not fit target security {psi}")
-    matrix = BitMatrix.random(psi, view.tau, rng)
-    ch.send(MsgType.AMPLIFY_MATRIX, matrix.to_bytes())
-    return amplify_keys_with(matrix, view, owner)
-
-
-# ---------------------------------------------------------------------------
 # full pipeline
 
 
-def produce_abits(ch: Channel, role: Role, owner: Role, count: int, psi: int, rng, backend):
-    """Produce `count` authenticated bits owned by `owner` with psi-bit MACs.
+def produce_abits(ch: Channel, role: Role, owner: Role, count: int, kappa: int, rng, backend):
+    """Produce `count` authenticated bits owned by `owner` with kappa-bit MACs.
 
     The owner ends with an AbitBatchMac; the peer ends with an AbitBatchKey
     whose global key is born here (derived, never sampled directly).
     """
     if count <= 0:
         raise UsageError("count must be positive")
-    tau = tau_for(psi)
+    tau = tau_for(kappa)
     if role == owner:
         gamma, keys = labit_sender(ch, tau, count, rng, backend)
-        return wabit_amplify_mac_side(ch, labit_to_wabit_macs(gamma, keys), psi)
+        return wabit_amplify_mac_side(ch, gamma, keys, kappa)
     ys, macs = labit_receiver(ch, tau, count, rng, backend)
-    return wabit_amplify_key_side(ch, labit_to_wabit_keys(ys, macs), psi, owner, rng)
+    return wabit_amplify_key_side(ch, ys, macs, kappa, owner, rng)

@@ -218,15 +218,24 @@ class MaterialStore:
             raise ParseError("not a material file (bad magic)")
         if version != STORE_VERSION:
             raise ParseError(f"unsupported material version {version}")
+        if role_v not in (r.value for r in Role):
+            raise ParseError(f"unknown role byte {role_v}")
+        if kappa % 8 or not 8 <= kappa <= 256:
+            raise ParseError(f"bad MAC length {kappa}")
         sid, commit = blob[16:32], blob[32:64]
         role = Role(role_v)
-        kb = kappa // 8
-        off = HEADER_BYTES
-        delta = GlobalKey(role.other, BitVec.from_bytes(kappa, blob[off:off + kb]))
-        off += kb
-        counts = struct.unpack(">6Q", blob[off:off + 48])
-        off += 48
+        counts_at = HEADER_BYTES + kappa // 8
+        off = counts_at + 48
+        if len(blob) < off:
+            raise ParseError("material file too short for its record counts")
+        delta = GlobalKey(role.other, BitVec.from_bytes(kappa, blob[HEADER_BYTES:counts_at]))
+        counts = struct.unpack(">6Q", blob[counts_at:off])
         n_am, n_at, n_nm, n_nt, n_qs, n_qr = counts
+        # record widths in bits, in STREAMS order
+        widths = (1 + kappa, kappa, 3 + 3 * kappa, 3 * kappa, 2 + 4 * kappa, 2 + 4 * kappa)
+        body_bits = sum(n * w for n, w in zip(counts, widths))
+        if len(blob) - off != (body_bits + 7) // 8:
+            raise ParseError("material body length does not match its record counts")
         rd = BitReader(blob[off:])
         take_mac = lambda: AuthBitMac(rd.take_bit(), rd.take(kappa))
         take_key = lambda: AuthBitKey(rd.take(kappa))

@@ -1,10 +1,10 @@
 """Domain-separated hashing, PRG expansion, masking, and MAC accumulators.
 
-All randomness-extraction and commitment in the engine flows through one
-SHA-256-based family, keyed by an explicit domain tag. The tag is prepended
-with a length prefix so distinct (tag, input) pairs can never collide as byte
-streams. A process-global counter records calls per tag; the cost-accounting
-tests assert exact per-instance hash budgets from it.
+Hashing and commitment use SHA-256 and the PRG uses SHAKE-128, both keyed
+by an explicit domain tag. The tag is prepended with a length prefix so
+distinct (tag, input) pairs can never collide as byte streams. A
+process-global counter records calls per tag; the cost-accounting tests
+assert exact per-instance hash budgets from it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .errors import UsageError
 DIGEST_BYTES = 32
 KAPPA_DEFAULT = 128
 PSI_DEFAULT = 40
+
+_PRG_PREFIX = len(b"prg").to_bytes(2, "big") + b"prg"
 
 _counter_lock = threading.Lock()
 _hash_calls: Counter = Counter()
@@ -62,30 +64,17 @@ def reset_hash_calls() -> None:
 
 
 def expand(seed, out_bits: int) -> BitVec:
-    """Deterministic PRG: counter-mode hashing of the seed.
+    """Deterministic PRG: SHAKE-128 of the length-prefixed "prg" tag and seed.
 
     Prefix property: expand(s, a) equals the first a bits of expand(s, b) for
-    a <= b. Block hashes are counted in bulk under the "prg" tag.
+    a <= b. Output is counted under the "prg" tag in 256-bit blocks.
     """
     if out_bits < 0:
         raise UsageError("negative expansion length")
-    if out_bits == 0:
-        return BitVec(0)
-    data = _as_bytes(seed)
-    nblocks = (out_bits + 8 * DIGEST_BYTES - 1) // (8 * DIGEST_BYTES)
-    base = hashlib.sha256()
-    tag = b"prg"
-    base.update(len(tag).to_bytes(2, "big"))
-    base.update(tag)
-    base.update(data)
-    out = bytearray()
-    for ctr in range(nblocks):
-        h = base.copy()
-        h.update(ctr.to_bytes(8, "big"))
-        out += h.digest()
+    h = hashlib.shake_128(_PRG_PREFIX + _as_bytes(seed))
     with _counter_lock:
-        _hash_calls["prg"] += nblocks
-    return BitVec(out_bits, int.from_bytes(out, "little"))
+        _hash_calls["prg"] += -(-out_bits // 256)
+    return BitVec(out_bits, int.from_bytes(h.digest((out_bits + 7) // 8), "little"))
 
 
 def mask(tag: str, key_material, message: BitVec) -> BitVec:

@@ -236,25 +236,26 @@ def tcp_connect(host: str, port: int, timeout: float = 120.0, retry_for: float =
             time.sleep(0.05)
 
 
+_HELLO = struct.Struct(f">HBHH{SESSION_ID_BYTES}sH")
+
+
 def _pack_hello(role: Role, kappa: int, psi: int, session_id: bytes, extra: bytes) -> bytes:
     if len(session_id) != SESSION_ID_BYTES:
         raise UsageError("session id must be 16 bytes")
     if len(extra) > 0xFFFF:
         raise UsageError("hello extra too large")
-    return (
-        struct.pack(">HBHH", PROTOCOL_VERSION, role.value, kappa, psi)
-        + session_id
-        + struct.pack(">H", len(extra))
-        + extra
-    )
+    return _HELLO.pack(PROTOCOL_VERSION, role.value, kappa, psi, session_id, len(extra)) + extra
 
 
 def _unpack_hello(payload: bytes):
-    version, role_v, kappa, psi = struct.unpack(">HBHH", payload[:7])
-    sid = payload[7 : 7 + SESSION_ID_BYTES]
-    (elen,) = struct.unpack(">H", payload[23:25])
-    extra = payload[25 : 25 + elen]
-    return version, Role(role_v), kappa, psi, sid, extra
+    if len(payload) < _HELLO.size:
+        raise ProtocolError(f"hello too short: {len(payload)} bytes")
+    version, role_v, kappa, psi, sid, elen = _HELLO.unpack_from(payload)
+    if len(payload) != _HELLO.size + elen:
+        raise ProtocolError(f"hello length {len(payload)} does not match its extra length {elen}")
+    if role_v not in (r.value for r in Role):
+        raise ProtocolError(f"hello names unknown role {role_v}")
+    return version, Role(role_v), kappa, psi, sid, payload[_HELLO.size:]
 
 
 def perform_hello(ch: Channel, role: Role, kappa: int, psi: int,

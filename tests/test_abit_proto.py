@@ -12,8 +12,7 @@ from macbits.abit_proto import (AbitBatchKey, AbitBatchMac, AuthBitKey,
                                 labit_to_wabit_keys, labit_to_wabit_macs,
                                 produce_abits, tau_for, verify_abit,
                                 wabit_amplify_key_side,
-                                wabit_amplify_mac_side, WabitKeyView,
-                                WabitMacView)
+                                wabit_amplify_mac_side)
 from macbits.base_ot import DealerOt, extend_ot_receive
 from macbits.bitlinalg import BitMatrix, BitVec, Pairing, mat_vec_mul
 from macbits.eq_box import eq_respond_side
@@ -173,35 +172,53 @@ def test_wabit_zero_offset_means_zero_bits():
 # privacy amplification
 
 
-def synthetic_views(tau, ell, rng):
-    gamma_weak = BitVec.random(tau, rng)
-    bits = [rng.getrandbits(1) for _ in range(ell)]
-    keys = [BitVec.random(tau, rng) for _ in range(ell)]
-    macs = [keys[j] ^ gamma_weak.times(bits[j]) for j in range(ell)]
-    return (WabitMacView(tau=tau, bits=bits, macs=macs),
-            WabitKeyView(tau=tau, gamma=gamma_weak, keys=keys))
+def synthetic_columns(tau, ell, rng):
+    """labit outputs: the holder's (G, L_i), the key side's (y_i, N_i)."""
+    gamma = BitVec.random(ell, rng)
+    keys = [BitVec.random(ell, rng) for _ in range(tau)]
+    ys = [rng.getrandbits(1) for _ in range(tau)]
+    macs = [keys[i] ^ gamma.times(ys[i]) for i in range(tau)]
+    return (gamma, keys), (ys, macs)
 
 
 def test_amplify_identity_matrix_is_noop():
     rng = random.Random(5)
-    mv, kv = synthetic_views(6, 10, rng)
-    out_m = amplify_macs_with(BitMatrix.identity(6), mv)
-    out_k = amplify_keys_with(BitMatrix.identity(6), kv, Role.ALICE)
+    (gamma, keys), (ys, macs) = synthetic_columns(6, 10, rng)
+    mv, kv = labit_to_wabit_macs(gamma, keys), labit_to_wabit_keys(ys, macs)
+    out_m = amplify_macs_with(BitMatrix.identity(6), gamma, keys)
+    out_k = amplify_keys_with(BitMatrix.identity(6), ys, macs, Role.ALICE)
     assert out_m.macs == mv.macs and out_m.bits == mv.bits
     assert out_k.keys == kv.keys and out_k.gk.delta == kv.gamma
 
 
 def test_amplify_preserves_mac_relation():
     rng = random.Random(6)
-    mv, kv = synthetic_views(59, 40, rng)
+    (gamma, keys), (ys, macs) = synthetic_columns(59, 40, rng)
+    kv = labit_to_wabit_keys(ys, macs)
     mat = BitMatrix.random(8, 59, rng)
-    out_m = amplify_macs_with(mat, mv)
-    out_k = amplify_keys_with(mat, kv, Role.ALICE)
+    out_m = amplify_macs_with(mat, gamma, keys)
+    out_k = amplify_keys_with(mat, ys, macs, Role.ALICE)
     gk = out_k.gk
     assert gk.delta == mat_vec_mul(mat, kv.gamma)
     for i in range(40):
         assert verify_abit(AuthBitMac(out_m.bits[i], out_m.macs[i]),
                            AuthBitKey(out_k.keys[i]), gk)
+
+
+@pytest.mark.parametrize("identity", [False, True])
+@pytest.mark.parametrize("ell", [1, 7, 9, 1000])
+@pytest.mark.parametrize("tau", [3, 22, 59])
+def test_amplify_then_transpose_matches_transpose_then_multiply(tau, ell, identity):
+    rng = random.Random(tau * 10_000 + ell)
+    (gamma, keys), (ys, macs) = synthetic_columns(tau, ell, rng)
+    mat = BitMatrix.identity(tau) if identity else BitMatrix.random(8, tau, rng)
+    mv, kv = labit_to_wabit_macs(gamma, keys), labit_to_wabit_keys(ys, macs)
+    out_m = amplify_macs_with(mat, gamma, keys)
+    out_k = amplify_keys_with(mat, ys, macs, Role.BOB)
+    assert out_m.bits == mv.bits
+    assert out_m.macs == [mat_vec_mul(mat, m) for m in mv.macs]
+    assert out_k.keys == [mat_vec_mul(mat, k) for k in kv.keys]
+    assert out_k.gk == GlobalKey(Role.BOB, mat_vec_mul(mat, kv.gamma))
 
 
 def test_amplify_linearity():
@@ -213,9 +230,11 @@ def test_amplify_linearity():
 
 def test_amplify_checks_width():
     rng = random.Random(8)
-    mv, _ = synthetic_views(10, 4, rng)
+    (gamma, keys), (ys, macs) = synthetic_columns(10, 4, rng)
     with pytest.raises(UsageError):
-        amplify_macs_with(BitMatrix.random(4, 9, rng), mv)
+        amplify_macs_with(BitMatrix.random(4, 9, rng), gamma, keys)
+    with pytest.raises(UsageError):
+        amplify_keys_with(BitMatrix.random(4, 11, rng), ys, macs, Role.ALICE)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,13 @@ def test_bytes_round_trip(n, seed):
     assert BitVec.from_bytes(n, v.to_bytes()) == v
 
 
+@given(st.integers(0, 300), st.integers(0, 2**32))
+def test_bits_match_indexing(n, seed):
+    v = BitVec.random(n, random.Random(seed))
+    assert v.bits() == [v[i] for i in range(n)]
+    assert BitVec.from_bits(v.bits()) == v
+
+
 def test_popcount():
     assert bv("1101").popcount() == 3
     assert BitVec.zeros(100).popcount() == 0

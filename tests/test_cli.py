@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +159,20 @@ def test_eval_rejects_garbage_store(tmp_path):
                    "--material", str(junk), "--input", "00",
                    "--peer", "127.0.0.1:1"])
     assert rc == 3
+
+
+def test_eval_rejects_truncated_or_relabelled_store(dealt, tmp_path, capsys):
+    pa, _ = dealt
+    blob = Path(pa).read_bytes()
+    bad = tmp_path / "bad.store"
+    for data in (blob[:2], blob[:70], blob[:-1], blob[:10] + b"\x07" + blob[11:]):
+        bad.write_bytes(data)
+        rc = cli_main(["eval", "--role", "A", "--circuit", "unused.txt",
+                       "--material", str(bad), "--input", "00",
+                       "--peer", "127.0.0.1:1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad_input", ["zz", "0102", ""])

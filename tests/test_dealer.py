@@ -130,6 +130,21 @@ def test_load_rejects_garbage(tmp_path):
         MaterialStore.load(bad)
 
 
+def test_load_rejects_truncated_or_relabelled_store(tmp_path):
+    sa, _ = run_deal(SMALL, seed=5)
+    good = tmp_path / "good.mat"
+    sa.save(good)
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.mat"
+    cuts = sorted({*range(0, 130), *range(130, len(blob), 7), len(blob) - 1})
+    corrupt = [blob[:n] for n in cuts] + [blob + b"\0"]
+    corrupt += [blob[:10] + bytes([r]) + blob[11:] for r in (2, 7, 255)]  # role byte
+    for data in corrupt:
+        bad.write_bytes(data)
+        with pytest.raises(ParseError):
+            MaterialStore.load(bad)
+
+
 def test_cursors_and_exhaustion():
     sa, sb = run_deal(SMALL, seed=4)
     for _ in range(8):

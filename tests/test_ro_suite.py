@@ -51,6 +51,23 @@ def test_expand_prefix_property():
     big = expand(b"seed", 256)
     small = expand(b"seed", 64)
     assert small == BitVec.from_bits(big[i] for i in range(64))
+    longest = expand(b"seed", 10_001).bits()
+    for n in (1, 7, 255, 257, 10_001):
+        assert expand(b"seed", n) == BitVec.from_bits(longest[:n])
+
+
+def test_expand_pad_bits_are_zero():
+    for n in (1, 7, 255, 257, 10_001):
+        raw = expand(b"pad", n).to_bytes()
+        assert len(raw) == (n + 7) // 8
+        assert int.from_bytes(raw, "little") >> n == 0
+
+
+def test_expand_counts_256_bit_blocks():
+    for n in (0, 1, 255, 256, 257, 10_001):
+        before = hash_calls("prg")
+        expand(b"count", n)
+        assert hash_calls("prg") - before == math.ceil(n / 256)
 
 
 def test_expand_rejects_negative():

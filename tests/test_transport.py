@@ -5,9 +5,9 @@ import pytest
 
 from helpers import free_port
 from macbits.errors import ProtocolError, TransportError
-from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Role, memory_pair,
-                               perform_hello, run_pair, tcp_connect,
-                               tcp_listen)
+from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Role, _pack_hello,
+                               memory_pair, perform_hello, run_pair,
+                               tcp_connect, tcp_listen)
 
 
 def test_loopback_round_trip():
@@ -161,6 +161,22 @@ def test_hello_same_role_aborts():
         run_pair(lambda: perform_hello(a, Role.ALICE, 16, 8, rng=rng),
                  lambda: perform_hello(b, Role.ALICE, 16, 8, rng=rng),
                  channels=(a, b))
+
+
+GOOD_HELLO = _pack_hello(Role.ALICE, 16, 8, bytes(16), b"extra")
+
+
+@pytest.mark.parametrize("payload", [
+    GOOD_HELLO[:2],                              # shorter than the fixed part
+    GOOD_HELLO[:-1],                             # extra cut short
+    GOOD_HELLO + b"!",                           # trailing bytes past extra
+    GOOD_HELLO[:2] + bytes([7]) + GOOD_HELLO[3:],  # unknown role byte
+], ids=["short", "truncated-extra", "trailing", "role-7"])
+def test_malformed_hello_is_protocol_error(payload):
+    a, b = memory_pair(timeout=5.0)
+    a.send(MsgType.HELLO, payload)
+    with pytest.raises(ProtocolError):
+        perform_hello(b, Role.BOB, 16, 8)
 
 
 def test_run_pair_propagates_failure():
