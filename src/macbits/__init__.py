@@ -2,8 +2,8 @@
 
 An offline dealer phase stretches a handful of seed OTs into a store of
 authenticated bits, AND triples, and OT quadruples; the online phase then
-evaluates any Boolean circuit gate by gate, deferring MAC verification
-into accumulators that are checked before any output is released.
+evaluates any Boolean circuit in batches of independent AND gates, deferring
+MAC verification into accumulators checked before any output is released.
 """
 
 from .abit_proto import AuthBitMac, AuthBitKey, GlobalKey

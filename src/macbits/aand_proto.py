@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abit_proto import AuthBitKey, AuthBitMac, GlobalKey
-from .bitlinalg import BitVec, random_permutation
+from .aot_proto import bucket_combine
+from .bitlinalg import BitVec
 from .eq_box import eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, ProtocolError, UsageError
 from .ro_suite import DIGEST_BYTES, MacAccumulator, ro_hash
@@ -126,54 +127,13 @@ def fold_triple_key(acc: TripleKey, nxt: TripleKey, d: int) -> TripleKey:
 
 
 def aand_combine_mac(ch: Channel, triples, bucket: int, rng, acc: MacAccumulator):
-    """Bucket and fold as the MAC side. This side samples the bucketing (it
-    is the one whose bits the leak targets) and reveals the per-fold y sums
-    with their MACs deferred into `acc`."""
-    if bucket < 2 or len(triples) % bucket:
-        raise UsageError("triple count must be a positive multiple of the bucket size")
-    n_out = len(triples) // bucket
-    perm = random_permutation(len(triples), rng)
-    ch.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
-    shuffled = [triples[p] for p in perm]
-    cur = [shuffled[b * bucket] for b in range(n_out)]
-    for r in range(1, bucket):
-        ds, macs = [], []
-        for b in range(n_out):
-            nxt = shuffled[b * bucket + r]
-            ds.append(cur[b].y.bit ^ nxt.y.bit)
-            macs.append(cur[b].y.mac ^ nxt.y.mac)
-        ch.send(MsgType.COMB_D, BitVec.from_bits(ds).to_bytes())
-        for m in macs:
-            acc = acc.absorb(m)
-        cur = [fold_triple_mac(cur[b], shuffled[b * bucket + r], ds[b])
-               for b in range(n_out)]
-    return cur, acc
+    """The MAC side samples the bucketing (its bits are the ones the leak
+    targets) and reveals d = y + y' per fold, MACs deferred into `acc`."""
+    return bucket_combine(ch, triples, bucket, acc, fold_triple_mac, "aand-comb", rng=rng,
+                          reveal=lambda a, n: (a.y.bit ^ n.y.bit, a.y.mac ^ n.y.mac))
 
 
 def aand_combine_key(ch: Channel, triples, bucket: int, gk: GlobalKey,
                      acc: MacAccumulator):
-    if bucket < 2 or len(triples) % bucket:
-        raise UsageError("triple count must be a positive multiple of the bucket size")
-    n_out = len(triples) // bucket
-    raw = ch.recv(MsgType.COMB_PERM)
-    if len(raw) != 4 * len(triples):
-        raise ProtocolError("bad combiner permutation length")
-    perm = [int.from_bytes(raw[4 * i : 4 * i + 4], "big") for i in range(len(triples))]
-    if sorted(perm) != list(range(len(triples))):
-        raise ProtocolAbort("aand-comb", "peer sent a non-permutation")
-    shuffled = [triples[p] for p in perm]
-    cur = [shuffled[b * bucket] for b in range(n_out)]
-    delta = gk.delta
-    for r in range(1, bucket):
-        raw = ch.recv(MsgType.COMB_D)
-        if len(raw) != (n_out + 7) // 8:
-            raise ProtocolError("bad combiner reveal length")
-        ds = BitVec.from_bytes(n_out, raw)
-        nxt_round = []
-        for b in range(n_out):
-            a, n = cur[b], shuffled[b * bucket + r]
-            expect = a.ky.key ^ n.ky.key ^ delta.times(ds[b])
-            acc = acc.absorb(expect)
-            nxt_round.append(fold_triple_key(a, n, ds[b]))
-        cur = nxt_round
-    return cur, acc
+    return bucket_combine(ch, triples, bucket, acc, fold_triple_key, "aand-comb",
+                          key=lambda a, n: a.ky.key ^ n.ky.key, delta=gk.delta)

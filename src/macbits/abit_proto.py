@@ -201,6 +201,8 @@ def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int) -
     if len(keys) != tau_for(kappa):
         raise UsageError(f"tau {len(keys)} does not fit {kappa}-bit MACs")
     raw = ch.recv(MsgType.AMPLIFY_MATRIX)
+    if len(raw) != kappa * ((len(keys) + 7) // 8):
+        raise ProtocolError("bad amplification matrix length")
     matrix = BitMatrix.from_bytes(kappa, len(keys), raw)
     return amplify_macs_with(matrix, gamma, keys)
 
@@ -215,7 +217,11 @@ def wabit_amplify_key_side(ch: Channel, ys: list, macs: list, kappa: int, owner:
 
 
 # ---------------------------------------------------------------------------
-# un-amplified bit-sliced form (random OT extension)
+# un-amplified bit-sliced form (reference view)
+#
+# Off the product path: the tests build these transposed views to check the
+# column-form amplification against, and the benchmark's trace still wraps
+# labit_to_wabit_macs/keys.
 
 
 @dataclass

@@ -5,7 +5,8 @@ receiver) by z = x_c. Generation transfers the receiver's branch under pads
 derived from the receiver's choice-bit key, which is exactly what makes it
 leaky: a sender can garble one branch and learn c from whether the receiver
 survives. Combining B leaky quads under a random bucketing leaves the output
-correlation clean unless an entire bucket was leaky.
+correlation clean unless an entire bucket was leaky; `bucket_combine` does
+that bucketing for aAND triples too.
 
 Per leaky instance the generator spends 6 hash calls (4 sender, 2 receiver),
 asserted by the cost-accounting tests. The final pad-pair comparison is one
@@ -189,61 +190,69 @@ def fold_receiver(acc: QuadReceiver, nxt: QuadReceiver, d: int) -> QuadReceiver:
     )
 
 
-def _fold_d(acc: QuadSender, nxt: QuadSender):
-    bit = acc.x0.bit ^ acc.x1.bit ^ nxt.x0.bit ^ nxt.x1.bit
-    mac = acc.x0.mac ^ acc.x1.mac ^ nxt.x0.mac ^ nxt.x1.mac
-    return bit, mac
+def bucket_combine(ch: Channel, items, bucket: int, acc: MacAccumulator, fold,
+                   where: str, *, rng=None, reveal=None, key=None, delta: BitVec = None):
+    """Cut-and-choose bucketing shared by aOT quads and aAND triples.
+
+    The side given `rng` samples the bucketing permutation and sends it; the
+    other side receives it and aborts (tagged `where`) on a non-permutation.
+    Each bucket is then folded left to right, one COMB_D frame per round: the
+    side given `reveal(a, n) -> (d, mac)` announces d and absorbs its MAC into
+    `acc`; the side given `key(a, n)` absorbs the expected MAC
+    key ^ delta*d instead. Returns (combined, acc).
+    """
+    n = len(items)
+    if bucket < 2 or n % bucket:
+        raise UsageError("item count must be a positive multiple of the bucket size")
+    n_out = n // bucket
+    if rng is not None:
+        perm = random_permutation(n, rng)
+        ch.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
+    else:
+        raw = ch.recv(MsgType.COMB_PERM)
+        if len(raw) != 4 * n:
+            raise ProtocolError("bad combiner permutation length")
+        perm = [int.from_bytes(raw[i : i + 4], "big") for i in range(0, 4 * n, 4)]
+        if sorted(perm) != list(range(n)):
+            raise ProtocolAbort(where, "peer sent a non-permutation")
+    shuffled = [items[p] for p in perm]
+    cur = shuffled[::bucket]
+    for r in range(1, bucket):
+        nxt = shuffled[r::bucket]
+        if reveal is not None:
+            opened = [reveal(a, b) for a, b in zip(cur, nxt)]
+            ds = [d for d, _ in opened]
+            ch.send(MsgType.COMB_D, BitVec.from_bits(ds).to_bytes())
+            for _, mac in opened:
+                acc = acc.absorb(mac)
+        else:
+            raw = ch.recv(MsgType.COMB_D)
+            if len(raw) != (n_out + 7) // 8:
+                raise ProtocolError("bad combiner reveal length")
+            ds = BitVec.from_bytes(n_out, raw).bits()
+            for a, b, d in zip(cur, nxt, ds):
+                acc = acc.absorb(key(a, b) ^ delta.times(d))
+        cur = [fold(a, b, d) for a, b, d in zip(cur, nxt, ds)]
+    return cur, acc
+
+
+def _quad_d(acc: QuadSender, nxt: QuadSender):
+    return (acc.x0.bit ^ acc.x1.bit ^ nxt.x0.bit ^ nxt.x1.bit,
+            acc.x0.mac ^ acc.x1.mac ^ nxt.x0.mac ^ nxt.x1.mac)
+
+
+def _quad_d_key(acc: QuadReceiver, nxt: QuadReceiver) -> BitVec:
+    return acc.kx0.key ^ acc.kx1.key ^ nxt.kx0.key ^ nxt.kx1.key
 
 
 def aot_combine_sender(ch: Channel, quads, bucket: int, acc: MacAccumulator):
-    """Fold buckets of `bucket` quads left to right; this side reveals the
-    d bits (MACs deferred into `acc`). Returns (combined, acc)."""
-    if bucket < 2 or len(quads) % bucket:
-        raise UsageError("quad count must be a positive multiple of the bucket size")
-    n_out = len(quads) // bucket
-    raw = ch.recv(MsgType.COMB_PERM)
-    if len(raw) != 4 * len(quads):
-        raise ProtocolError("bad combiner permutation length")
-    perm = [int.from_bytes(raw[4 * i : 4 * i + 4], "big") for i in range(len(quads))]
-    if sorted(perm) != list(range(len(quads))):
-        raise ProtocolAbort("aot-comb", "peer sent a non-permutation")
-    shuffled = [quads[p] for p in perm]
-    cur = [shuffled[b * bucket] for b in range(n_out)]
-    for r in range(1, bucket):
-        ds, macs = [], []
-        for b in range(n_out):
-            d, m = _fold_d(cur[b], shuffled[b * bucket + r])
-            ds.append(d)
-            macs.append(m)
-        ch.send(MsgType.COMB_D, BitVec.from_bits(ds).to_bytes())
-        for m in macs:
-            acc = acc.absorb(m)
-        cur = [fold_sender(cur[b], shuffled[b * bucket + r], ds[b]) for b in range(n_out)]
-    return cur, acc
+    """The sender reveals d = x0+x1+x0'+x1' per fold, MACs deferred into `acc`."""
+    return bucket_combine(ch, quads, bucket, acc, fold_sender, "aot-comb",
+                          reveal=_quad_d)
 
 
 def aot_combine_receiver(ch: Channel, quads, bucket: int, gk_send: GlobalKey, rng,
                          acc: MacAccumulator):
-    """Receiver folds the same buckets; it samples the bucketing permutation
-    and absorbs the expected MAC of every revealed d."""
-    if bucket < 2 or len(quads) % bucket:
-        raise UsageError("quad count must be a positive multiple of the bucket size")
-    n_out = len(quads) // bucket
-    perm = random_permutation(len(quads), rng)
-    ch.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
-    shuffled = [quads[p] for p in perm]
-    cur = [shuffled[b * bucket] for b in range(n_out)]
-    delta = gk_send.delta
-    for r in range(1, bucket):
-        raw = ch.recv(MsgType.COMB_D)
-        if len(raw) != (n_out + 7) // 8:
-            raise ProtocolError("bad combiner reveal length")
-        ds = BitVec.from_bytes(n_out, raw)
-        nxt_round = []
-        for b in range(n_out):
-            a, n = cur[b], shuffled[b * bucket + r]
-            expect = a.kx0.key ^ a.kx1.key ^ n.kx0.key ^ n.kx1.key ^ delta.times(ds[b])
-            acc = acc.absorb(expect)
-            nxt_round.append(fold_receiver(a, n, ds[b]))
-        cur = nxt_round
-    return cur, acc
+    """The receiver samples the bucketing and checks the sender's d reveals."""
+    return bucket_combine(ch, quads, bucket, acc, fold_receiver, "aot-comb",
+                          rng=rng, key=_quad_d_key, delta=gk_send.delta)

@@ -28,7 +28,8 @@ from .aot_proto import (QuadReceiver, QuadSender, aot_combine_receiver,
 from .base_ot import DealerOt
 from .bitlinalg import BitReader, BitVec, BitWriter
 from .errors import OutOfMaterial, ParseError, ProtocolAbort, UsageError
-from .ro_suite import (KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator, ro_hash)
+from .ro_suite import (KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
+                       flush_accumulators, ro_hash)
 from .transport import Channel, MsgType, Role, perform_hello
 
 MAGIC = b"MACBITS\x00"
@@ -251,22 +252,6 @@ class MaterialStore:
         store.aots_receiver = [QuadReceiver(take_mac(), take_mac(), take_key(), take_key())
                                for _ in range(n_qr)]
         return store
-
-
-def flush_accumulators(ch: Channel, role: Role, sent: MacAccumulator,
-                       expect: MacAccumulator) -> None:
-    """Exchange deferred-MAC digests; my sent chain must equal what the peer
-    expected of my reveals, and vice versa. Alice transmits first."""
-    mine = struct.pack(">Q", sent.count) + sent.state
-    if role is Role.ALICE:
-        ch.send(MsgType.RT_ACC_FLUSH, mine)
-        theirs = ch.recv(MsgType.RT_ACC_FLUSH)
-    else:
-        theirs = ch.recv(MsgType.RT_ACC_FLUSH)
-        ch.send(MsgType.RT_ACC_FLUSH, mine)
-    want = struct.pack(">Q", expect.count) + expect.state
-    if theirs != want:
-        raise ProtocolAbort("flush", "deferred check failed")
 
 
 def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:

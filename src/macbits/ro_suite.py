@@ -1,4 +1,5 @@
-"""Domain-separated hashing, PRG expansion, masking, and MAC accumulators.
+"""Domain-separated hashing, PRG expansion, masking, and MAC accumulators
+with the digest exchange that checks them.
 
 Hashing and commitment use SHA-256 and the PRG uses SHAKE-128, both keyed
 by an explicit domain tag. The tag is prepended with a length prefix so
@@ -10,12 +11,14 @@ assert exact per-instance hash budgets from it.
 from __future__ import annotations
 
 import hashlib
+import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass
 
 from .bitlinalg import BitVec
-from .errors import UsageError
+from .errors import ProtocolAbort, UsageError
+from .transport import Channel, MsgType, Role
 
 DIGEST_BYTES = 32
 KAPPA_DEFAULT = 128
@@ -104,3 +107,19 @@ class MacAccumulator:
 
     def digest(self) -> bytes:
         return self.state
+
+
+def flush_accumulators(ch: Channel, role: Role, sent: MacAccumulator,
+                       expect: MacAccumulator) -> None:
+    """Exchange deferred-MAC digests; my sent chain must equal what the peer
+    expected of my reveals, and vice versa. Alice transmits first."""
+    mine = struct.pack(">Q", sent.count) + sent.state
+    if role is Role.ALICE:
+        ch.send(MsgType.RT_ACC_FLUSH, mine)
+        theirs = ch.recv(MsgType.RT_ACC_FLUSH)
+    else:
+        theirs = ch.recv(MsgType.RT_ACC_FLUSH)
+        ch.send(MsgType.RT_ACC_FLUSH, mine)
+    want = struct.pack(">Q", expect.count) + expect.state
+    if theirs != want:
+        raise ProtocolAbort("flush", "deferred check failed")

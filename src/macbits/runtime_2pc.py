@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from .abit_proto import AuthBitKey, AuthBitMac, const_key, const_mac
 from .bitlinalg import BitReader, BitVec, BitWriter
 from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, chunks
-from .dealer import MaterialStore, flush_accumulators
+from .dealer import MaterialStore
 from .errors import ProtocolAbort, ProtocolError, UsageError
-from .ro_suite import MacAccumulator
+from .ro_suite import MacAccumulator, flush_accumulators
 from .transport import Channel, MsgType, Role, perform_hello
 
 
@@ -146,31 +146,7 @@ class Runtime:
         self._expect = MacAccumulator()
         self.stats.flushes += 1
 
-    # -- gate API -------------------------------------------------------------
-
-    def input_gate(self, owner: Role, x: int = None) -> AuthShare:
-        if owner is self.role:
-            if x is None:
-                raise UsageError("input owner must supply the bit")
-            a = self.store.take_abit(owner)
-            m = (x & 1) ^ a.bit
-            self.ch.send(MsgType.RT_ANNOUNCE_BATCH, bytes([m]))
-            self.stats.input_bits_sent += 1
-            return AuthShare(a, const_key(m, self.delta))
-        k = self.store.take_abit(owner)
-        payload = self.ch.recv(MsgType.RT_ANNOUNCE_BATCH)
-        if len(payload) != 1 or payload[0] > 1:
-            raise ProtocolError("malformed input announcement")
-        self.stats.input_bits_received += 1
-        return AuthShare(const_mac(payload[0], self.kappa), k)
-
-    def rand_gate(self) -> AuthShare:
-        return AuthShare(self.store.take_abit(self.role),
-                         self.store.take_abit(self.role.other))
-
-    @staticmethod
-    def xor_gate(a: AuthShare, b: AuthShare) -> AuthShare:
-        return a ^ b
+    # -- local gates ----------------------------------------------------------
 
     def xor_const(self, a: AuthShare, c: int) -> AuthShare:
         # by convention Alice's share absorbs public constants
@@ -179,45 +155,6 @@ class Runtime:
         if self.role is Role.ALICE:
             return AuthShare(a.my_half.xor_const(1), a.peer_key)
         return AuthShare(a.my_half, a.peer_key.xor_const(1, self.delta))
-
-    def and_gate(self, a: AuthShare, b: AuthShare) -> AuthShare:
-        return self._and_batch([(a, b)])[0]
-
-    def output_gate(self, share: AuthShare, to) -> int:
-        """Reveal a wire to `to` (a Role or "both"); flushes first. Returns
-        the bit when this party learns it, else None."""
-        self.flush()
-        result = None
-        for receiver in (Role.ALICE, Role.BOB):
-            if to != "both" and to is not receiver:
-                continue
-            if self.role is receiver:
-                result = self._recv_output(share)
-            else:
-                self._send_output(share)
-        return result
-
-    # -- output plumbing ------------------------------------------------------
-
-    def _send_output(self, share: AuthShare) -> None:
-        b, mac = self._maybe_tamper(share.my_half.bit, share.my_half.mac)
-        w = BitWriter()
-        w.append_bit(b)
-        w.append(mac)
-        self.ch.send(MsgType.RT_OUTPUT, w.getvalue())
-        self.stats.output_reveals_sent += 1
-
-    def _recv_output(self, share: AuthShare) -> int:
-        payload = self.ch.recv(MsgType.RT_OUTPUT)
-        if len(payload) != (1 + self.kappa + 7) // 8:
-            raise ProtocolError("bad output reveal length")
-        r = BitReader(payload)
-        b = r.take_bit()
-        mac = r.take(self.kappa)
-        if mac != share.peer_key.key ^ self.delta.delta.times(b):
-            raise ProtocolAbort("output", "MAC check failed")
-        self.stats.output_reveals_received += 1
-        return share.my_half.bit ^ b
 
     # -- batched AND level ----------------------------------------------------
 

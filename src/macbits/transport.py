@@ -47,8 +47,7 @@ class MsgType(enum.IntEnum):
     LABIT_PAIRING = 8
     LABIT_D = 9
     AMPLIFY_MATRIX = 10
-    ROT_MASK0 = 11
-    ROT_MASK1 = 12
+    # 11 and 12 are retired wire values; leave them unassigned
     LAOT_X0 = 13
     LAOT_X1 = 14
     LAOT_D = 15

@@ -16,7 +16,7 @@ from macbits.abit_proto import (AbitBatchKey, AbitBatchMac, AuthBitKey,
 from macbits.base_ot import DealerOt, extend_ot_receive
 from macbits.bitlinalg import BitMatrix, BitVec, Pairing, mat_vec_mul
 from macbits.eq_box import eq_respond_side
-from macbits.errors import ProtocolAbort, UsageError
+from macbits.errors import ProtocolAbort, ProtocolError, UsageError
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 
@@ -235,6 +235,19 @@ def test_amplify_checks_width():
         amplify_macs_with(BitMatrix.random(4, 9, rng), gamma, keys)
     with pytest.raises(UsageError):
         amplify_keys_with(BitMatrix.random(4, 11, rng), ys, macs, Role.ALICE)
+
+
+@pytest.mark.parametrize("extra", [None, 1])
+def test_amplify_rejects_wrong_length_matrix(extra):
+    # a malformed peer frame is a protocol error, not a caller bug
+    kappa = 16
+    tau = tau_for(kappa)
+    (gamma, keys), _ = synthetic_columns(tau, 10, random.Random(9))
+    raw = bytes(2) if extra is None else bytes(kappa * ((tau + 7) // 8) + extra)
+    a, b = memory_pair(timeout=5.0)
+    b.send(MsgType.AMPLIFY_MATRIX, raw)
+    with pytest.raises(ProtocolError):
+        wabit_amplify_mac_side(a, gamma, keys, kappa)
 
 
 # ---------------------------------------------------------------------------

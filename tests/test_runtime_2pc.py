@@ -2,23 +2,23 @@ import random
 
 import pytest
 
+import helpers
 from helpers import (OracleDealer, eval_two, oracle_store_pair,
                      random_circuit, random_inputs)
-from macbits.abit_proto import verify_abit
 from macbits.bitlinalg import BitVec
-from macbits.circuit import DEST_A, DEST_B, Circuit, plain_eval
+from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, plain_eval
 from macbits.dealer import DealerConfig
 from macbits.errors import (OutOfMaterial, ProtocolAbort, TransportError,
                             UsageError)
-from macbits.runtime_2pc import (Runtime, TamperPlan, count_reveal_sites,
-                                 reconstruct_pair)
-from macbits.transport import Role, memory_pair, run_pair
+from macbits.runtime_2pc import Runtime, TamperPlan, count_reveal_sites
+from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
 
 AND_1 = Circuit.from_text("1 3\n1 1 1\n2 1 0 1 2 AND\n")
 XOR_1 = Circuit.from_text("1 3\n1 1 1\n2 1 0 1 2 XOR\n")
 SELF_XOR = Circuit.from_text("1 2\n1 1\n1 1\n2 1 0 0 1 XOR\n")
+EQW_1 = Circuit.from_text("1 2\n1 1\n1 1\n1 1 0 1 EQW\n")
 
 
 def eval_bits(circuit, xa_bits, xb_bits, seed=0, **kw):
@@ -186,61 +186,41 @@ def test_exact_wire_bytes_follow_level_schedule():
 
 
 # ---------------------------------------------------------------------------
-# single-gate sessions
-
-
-def micro_pair(cfg_kwargs, seed=0):
-    rng = random.Random(seed)
-    od = OracleDealer(16, rng)
-    cfg = DealerConfig(kappa=16, psi=8, **cfg_kwargs)
-    sa, sb = od.store_pair(cfg)
-    ca, cb = memory_pair(timeout=30.0)
-    return od, Runtime(ca, A, sa), Runtime(cb, B, sb)
+# input and output phases
 
 
 def test_input_and_output_gates_round_trip():
-    _, rt_a, rt_b = micro_pair(dict(n_abits_A=1))
-    sh_a, sh_b = run_pair(lambda: rt_a.input_gate(A, 1),
-                          lambda: rt_b.input_gate(A), timeout=30)
-    assert reconstruct_pair(sh_a, sh_b) == 1
-    got_a, got_b = run_pair(lambda: rt_a.output_gate(sh_a, "both"),
-                            lambda: rt_b.output_gate(sh_b, "both"), timeout=30)
-    assert got_a == got_b == 1
+    assert EQW_1.header.output_dest == (DEST_BOTH,)
+    out_a, out_b, rt_a, _ = eval_bits(EQW_1, [1], [])
+    assert out_a.bits() == out_b.bits() == [1]
     assert rt_a.stats.flushes == 1
 
 
-def test_input_gate_requires_owner_bit():
-    _, rt_a, _ = micro_pair(dict(n_abits_A=1))
-    with pytest.raises(UsageError):
-        rt_a.input_gate(A)
-
-
-def test_input_announcements_are_masked():
+def test_input_announcements_are_masked(monkeypatch):
     # the announced bit is x ^ mask; over many fresh masks it is unbiased
     trials = 400
-    od, rt_a, rt_b = micro_pair(dict(n_abits_A=trials), seed=1)
+    c = Circuit.from_text(f"1 {trials + 1}\n1 {trials}\n1 1\n"
+                          f"1 1 0 {trials} EQW\n")
+    sent_by_alice = []
 
-    def alice():
-        return [rt_a.input_gate(A, 1) for _ in range(trials)]
+    def recording_pair(timeout):
+        ca, cb = memory_pair(timeout=timeout)
+        send = ca.send
 
-    def bob():
-        return [rt_b.input_gate(A) for _ in range(trials)]
+        def record(msg_type, payload):
+            sent_by_alice.append((msg_type, payload))
+            send(msg_type, payload)
 
-    shares_a, shares_b = run_pair(alice, bob, timeout=30)
-    announced = [sb.my_half.bit for sb in shares_b]
-    assert all(reconstruct_pair(sa, sb) == 1
-               for sa, sb in zip(shares_a, shares_b))
-    ones = sum(announced)
+        ca.send = record
+        return ca, cb
+
+    monkeypatch.setattr(helpers, "memory_pair", recording_pair)
+    out_a, out_b, _, _ = eval_bits(c, [1] * trials, [], seed=1)
+    assert out_a.bits() == out_b.bits() == [1]
+    announced = [p for t, p in sent_by_alice if t == MsgType.RT_ANNOUNCE_BATCH]
+    assert len(announced) == 1
+    ones = BitVec.from_bytes(trials, announced[0]).popcount()
     assert abs(ones - trials / 2) <= 3 * (trials * 0.25) ** 0.5
-
-
-def test_rand_gate_shares_verify():
-    od, rt_a, rt_b = micro_pair(dict(n_abits_A=4, n_abits_B=4), seed=2)
-    for _ in range(4):
-        sh_a = rt_a.rand_gate()
-        sh_b = rt_b.rand_gate()
-        assert verify_abit(sh_a.my_half, sh_b.peer_key, od.delta[A])
-        assert verify_abit(sh_b.my_half, sh_a.peer_key, od.delta[B])
 
 
 def test_store_role_must_match():
