@@ -19,7 +19,7 @@ from .abit_proto import AuthBitKey, AuthBitMac, GlobalKey
 from .aot_proto import bucket_combine
 from .bitlinalg import BitVec
 from .eq_box import eq_commit_side, eq_respond_side
-from .errors import ProtocolAbort, ProtocolError, UsageError
+from .errors import ProtocolAbort, UsageError
 from .ro_suite import DIGEST_BYTES, MacAccumulator, ro_hash
 from .transport import Channel, MsgType
 
@@ -57,9 +57,7 @@ def laand_mac_side(ch: Channel, xs, ys, rs, rng, *, d_tamper=None):
     ch.send(MsgType.LAAND_D, BitVec.from_bits(ds).to_bytes())
     zs = [rs[i].xor_const(ds[i]) for i in range(ell)]
 
-    u_raw = ch.recv(MsgType.LAAND_U)
-    if len(u_raw) != DIGEST_BYTES * ell:
-        raise ProtocolError("bad challenge batch length")
+    u_raw = ch.recv(MsgType.LAAND_U, DIGEST_BYTES * ell)
     vs = []
     for i in range(ell):
         if xs[i].bit == 0:
@@ -81,10 +79,7 @@ def laand_key_side(ch: Channel, kxs, kys, krs, gk: GlobalKey, *, u_tamper=None):
     ell = len(kxs)
     if not (len(kys) == len(krs) == ell):
         raise UsageError("input batches must align")
-    d_raw = ch.recv(MsgType.LAAND_D)
-    if len(d_raw) != (ell + 7) // 8:
-        raise ProtocolError("bad product correction length")
-    ds = BitVec.from_bytes(ell, d_raw)
+    ds = BitVec.from_bytes(ell, ch.recv(MsgType.LAAND_D, (ell + 7) // 8))
     delta = gk.delta
 
     kzs = [krs[i].xor_const(ds[i], gk) for i in range(ell)]

@@ -42,7 +42,7 @@ from .bitlinalg import (BitMatrix, BitVec, Pairing, mat_mul_rows, mat_vec_mul,
                         random_pairing, transpose_bits)
 from .bitlinalg import mat_vec_mul_batch  # noqa: F401 - the benchmark still wraps it here
 from .eq_box import eq_commit_side, eq_respond_side
-from .errors import ProtocolAbort, ProtocolError, UsageError
+from .errors import ProtocolAbort, UsageError
 from .transport import Channel, MsgType, Role
 
 
@@ -142,18 +142,13 @@ def labit_sender(ch: Channel, tau: int, ell: int, rng, backend, *, offer_tamper=
         pairs = [offer_tamper(i, m0, m1) for i, (m0, m1) in enumerate(pairs)]
     extend_ot_send(ch, backend, pairs, rng)
 
-    raw = ch.recv(MsgType.LABIT_PAIRING)
-    if len(raw) != 4 * t:
-        raise ProtocolError("bad pairing length")
+    raw = ch.recv(MsgType.LABIT_PAIRING, 4 * t)
     try:
         pairing = Pairing(struct.unpack(f">{t}I", raw))
     except UsageError:
         raise ProtocolAbort("labit", "peer sent an invalid pairing") from None
     reps = pairing.smaller_indices()
-    d_raw = ch.recv(MsgType.LABIT_D)
-    if len(d_raw) != (tau + 7) // 8:
-        raise ProtocolError("bad pair-difference length")
-    d = BitVec.from_bytes(tau, d_raw)
+    d = BitVec.from_bytes(tau, ch.recv(MsgType.LABIT_D, (tau + 7) // 8))
 
     folded = []
     for k, i in enumerate(reps):
@@ -200,9 +195,7 @@ def amplify_keys_with(matrix: BitMatrix, ys: list, macs: list, owner: Role) -> A
 def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int) -> AbitBatchMac:
     if len(keys) != tau_for(kappa):
         raise UsageError(f"tau {len(keys)} does not fit {kappa}-bit MACs")
-    raw = ch.recv(MsgType.AMPLIFY_MATRIX)
-    if len(raw) != kappa * ((len(keys) + 7) // 8):
-        raise ProtocolError("bad amplification matrix length")
+    raw = ch.recv(MsgType.AMPLIFY_MATRIX, kappa * ((len(keys) + 7) // 8))
     matrix = BitMatrix.from_bytes(kappa, len(keys), raw)
     return amplify_macs_with(matrix, gamma, keys)
 

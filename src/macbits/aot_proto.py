@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .abit_proto import AuthBitKey, AuthBitMac, GlobalKey
 from .bitlinalg import BitVec, random_permutation
 from .eq_box import eq_commit_side, eq_respond_side
-from .errors import ProtocolAbort, ProtocolError, UsageError
+from .errors import ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, mask
 from .transport import Channel, MsgType
 
@@ -91,10 +91,7 @@ def laot_sender(ch: Channel, x0s, x1s, kcs, krs, gk_recv: GlobalKey, rng,
     ch.send(MsgType.LAOT_X0, bytes(f0))
     ch.send(MsgType.LAOT_X1, bytes(f1))
 
-    d_raw = ch.recv(MsgType.LAOT_D)
-    if len(d_raw) != (ell + 7) // 8:
-        raise ProtocolError("bad blind-difference length")
-    ds = BitVec.from_bytes(ell, d_raw)
+    ds = BitVec.from_bytes(ell, ch.recv(MsgType.LAOT_D, (ell + 7) // 8))
 
     quads = []
     eq_parts = []
@@ -124,10 +121,8 @@ def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *, d_tamp
     plen = 1 + 2 * kappa
     pb = (plen + 7) // 8
 
-    f0 = ch.recv(MsgType.LAOT_X0)
-    f1 = ch.recv(MsgType.LAOT_X1)
-    if len(f0) != pb * ell or len(f1) != pb * ell:
-        raise ProtocolError("bad transfer batch length")
+    f0 = ch.recv(MsgType.LAOT_X0, pb * ell)
+    f1 = ch.recv(MsgType.LAOT_X1, pb * ell)
 
     zs = []
     t_first = []
@@ -146,11 +141,9 @@ def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *, d_tamp
         ds = [d_tamper(i, d) for i, d in enumerate(ds)]
     ch.send(MsgType.LAOT_D, BitVec.from_bits(ds).to_bytes())
 
-    g0 = ch.recv(MsgType.LAOT_I0)
-    g1 = ch.recv(MsgType.LAOT_I1)
     kb = (kappa + 7) // 8
-    if len(g0) != kb * ell or len(g1) != kb * ell:
-        raise ProtocolError("bad recommit batch length")
+    g0 = ch.recv(MsgType.LAOT_I0, kb * ell)
+    g1 = ch.recv(MsgType.LAOT_I1, kb * ell)
 
     quads = []
     eq_parts = []
@@ -209,9 +202,7 @@ def bucket_combine(ch: Channel, items, bucket: int, acc: MacAccumulator, fold,
         perm = random_permutation(n, rng)
         ch.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
     else:
-        raw = ch.recv(MsgType.COMB_PERM)
-        if len(raw) != 4 * n:
-            raise ProtocolError("bad combiner permutation length")
+        raw = ch.recv(MsgType.COMB_PERM, 4 * n)
         perm = [int.from_bytes(raw[i : i + 4], "big") for i in range(0, 4 * n, 4)]
         if sorted(perm) != list(range(n)):
             raise ProtocolAbort(where, "peer sent a non-permutation")
@@ -226,10 +217,7 @@ def bucket_combine(ch: Channel, items, bucket: int, acc: MacAccumulator, fold,
             for _, mac in opened:
                 acc = acc.absorb(mac)
         else:
-            raw = ch.recv(MsgType.COMB_D)
-            if len(raw) != (n_out + 7) // 8:
-                raise ProtocolError("bad combiner reveal length")
-            ds = BitVec.from_bytes(n_out, raw).bits()
+            ds = BitVec.from_bytes(n_out, ch.recv(MsgType.COMB_D, (n_out + 7) // 8)).bits()
             for a, b, d in zip(cur, nxt, ds):
                 acc = acc.absorb(key(a, b) ^ delta.times(d))
         cur = [fold(a, b, d) for a, b, d in zip(cur, nxt, ds)]

@@ -15,7 +15,7 @@ behind the same interface.
 from __future__ import annotations
 
 from .bitlinalg import BitVec
-from .errors import ProtocolError, UsageError
+from .errors import UsageError
 from .ro_suite import KAPPA_DEFAULT, expand, mask, ro_hash
 from .transport import Channel, MsgType
 
@@ -67,16 +67,12 @@ class DealerOt:
     def receive(self, choices, n_bits: int):
         """Receive one message per instance according to the choice bits."""
         if self._seed is None:
-            self._seed = self._ch.recv(MsgType.OT_SETUP)
-            if len(self._seed) != 16:
-                raise ProtocolError("bad dealer seed length")
+            self._seed = self._ch.recv(MsgType.OT_SETUP, 16)
         if not choices:
             return []
-        f0 = self._ch.recv(MsgType.OT_MASKED0)
-        f1 = self._ch.recv(MsgType.OT_MASKED1)
         nb = (n_bits + 7) // 8
-        if len(f0) != nb * len(choices) or len(f1) != nb * len(choices):
-            raise ProtocolError("bad OT batch length")
+        f0 = self._ch.recv(MsgType.OT_MASKED0, nb * len(choices))
+        f1 = self._ch.recv(MsgType.OT_MASKED1, nb * len(choices))
         out = []
         for k, c in enumerate(choices):
             i = self._ctr + k
@@ -121,11 +117,9 @@ def extend_ot_receive(ch: Channel, backend, choices, n_bits: int):
     if not choices:
         return []
     seeds = seed_ot_receive(backend, choices)
-    f0 = ch.recv(MsgType.OT_MASKED0)
-    f1 = ch.recv(MsgType.OT_MASKED1)
     nb = (n_bits + 7) // 8
-    if len(f0) != nb * len(choices) or len(f1) != nb * len(choices):
-        raise ProtocolError("bad extended-OT batch length")
+    f0 = ch.recv(MsgType.OT_MASKED0, nb * len(choices))
+    f1 = ch.recv(MsgType.OT_MASKED1, nb * len(choices))
     out = []
     for k, (c, s) in enumerate(zip(choices, seeds)):
         blob = (f1 if c else f0)[k * nb : (k + 1) * nb]

@@ -28,7 +28,7 @@ from .aot_proto import (QuadReceiver, QuadSender, aot_combine_receiver,
 from .base_ot import DealerOt
 from .bitlinalg import BitReader, BitVec, BitWriter
 from .errors import OutOfMaterial, ParseError, ProtocolAbort, UsageError
-from .ro_suite import (KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
+from .ro_suite import (DIGEST_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
                        flush_accumulators, ro_hash)
 from .transport import Channel, MsgType, Role, perform_hello
 
@@ -334,10 +334,10 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     my_commit = ro_hash("gkc", sid, bytes([role.value]), my_delta.delta.to_bytes())
     if role is Role.ALICE:
         ch.send(MsgType.GK_COMMIT, my_commit)
-        peer_commit = ch.recv(MsgType.GK_COMMIT)
+        peer_commit = ch.recv(MsgType.GK_COMMIT, DIGEST_BYTES)
         commit_a, commit_b = my_commit, peer_commit
     else:
-        peer_commit = ch.recv(MsgType.GK_COMMIT)
+        peer_commit = ch.recv(MsgType.GK_COMMIT, DIGEST_BYTES)
         ch.send(MsgType.GK_COMMIT, my_commit)
         commit_a, commit_b = peer_commit, my_commit
     gk_commit = ro_hash("gkc/joint", commit_a, commit_b)

@@ -30,21 +30,23 @@ def _pack_value(v: BitVec) -> bytes:
     return struct.pack(">I", v.n) + v.to_bytes()
 
 
+def _value_bytes(n: int) -> int:
+    return 4 + (n + 7) // 8
+
+
 def _unpack_value(payload: bytes, expect_bits: int) -> BitVec:
-    (n,) = struct.unpack(">I", payload[:4])
+    """Parse a packed value; `Channel.recv` has already checked the size."""
+    (n,) = struct.unpack_from(">I", payload)
     if n != expect_bits:
         raise ProtocolError(f"equality value length {n}, expected {expect_bits}")
-    nbytes = (n + 7) // 8
-    if len(payload) < 4 + nbytes:
-        raise ProtocolError("truncated equality value")
-    return BitVec.from_bytes(n, payload[4 : 4 + nbytes])
+    return BitVec.from_bytes(n, payload[4 : _value_bytes(n)])
 
 
 def eq_commit_side(ch: Channel, x: BitVec, rng) -> bool:
     """Run the committing role. Returns True iff the values matched."""
     r = BitVec.random(ch.kappa, rng)
     ch.send(MsgType.EQ_COMMIT, _commitment(ch.kappa, x, r))
-    y = _unpack_value(ch.recv(MsgType.EQ_VALUE), x.n)
+    y = _unpack_value(ch.recv(MsgType.EQ_VALUE, _value_bytes(x.n)), x.n)
     ch.send(MsgType.EQ_OPEN, _pack_value(x) + r.to_bytes())
     return x == y
 
@@ -52,14 +54,9 @@ def eq_commit_side(ch: Channel, x: BitVec, rng) -> bool:
 def eq_respond_side(ch: Channel, y: BitVec) -> bool:
     """Run the responding role. Returns True iff the commitment opened
     correctly and the values matched."""
-    c = ch.recv(MsgType.EQ_COMMIT)
-    if len(c) != ch.kappa // 8:
-        raise ProtocolError("bad commitment length")
+    c = ch.recv(MsgType.EQ_COMMIT, ch.kappa // 8)
     ch.send(MsgType.EQ_VALUE, _pack_value(y))
-    opening = ch.recv(MsgType.EQ_OPEN)
+    opening = ch.recv(MsgType.EQ_OPEN, _value_bytes(y.n) + ch.kappa // 8)
     x = _unpack_value(opening, y.n)
-    tail = opening[4 + len(x.to_bytes()):]
-    if len(tail) != (ch.kappa + 7) // 8:
-        raise ProtocolError("bad opening length")
-    r = BitVec.from_bytes(ch.kappa, tail)
+    r = BitVec.from_bytes(ch.kappa, opening[_value_bytes(y.n):])
     return _commitment(ch.kappa, x, r) == c and x == y

@@ -116,9 +116,9 @@ def flush_accumulators(ch: Channel, role: Role, sent: MacAccumulator,
     mine = struct.pack(">Q", sent.count) + sent.state
     if role is Role.ALICE:
         ch.send(MsgType.RT_ACC_FLUSH, mine)
-        theirs = ch.recv(MsgType.RT_ACC_FLUSH)
+        theirs = ch.recv(MsgType.RT_ACC_FLUSH, len(mine))
     else:
-        theirs = ch.recv(MsgType.RT_ACC_FLUSH)
+        theirs = ch.recv(MsgType.RT_ACC_FLUSH, len(mine))
         ch.send(MsgType.RT_ACC_FLUSH, mine)
     want = struct.pack(">Q", expect.count) + expect.state
     if theirs != want:

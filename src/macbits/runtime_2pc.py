@@ -23,7 +23,7 @@ from .abit_proto import AuthBitKey, AuthBitMac, const_key, const_mac
 from .bitlinalg import BitReader, BitVec, BitWriter
 from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, chunks
 from .dealer import MaterialStore
-from .errors import ProtocolAbort, ProtocolError, UsageError
+from .errors import ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, flush_accumulators
 from .transport import Channel, MsgType, Role, perform_hello
 
@@ -178,9 +178,7 @@ class Runtime:
             self.ch.send(MsgType.RT_REVEAL_BATCH, BitVec.from_bits(bits).to_bytes())
 
         def recv_bits(count):
-            payload = self.ch.recv(MsgType.RT_REVEAL_BATCH)
-            if len(payload) != (count + 7) // 8:
-                raise ProtocolError("bad reveal batch length")
+            payload = self.ch.recv(MsgType.RT_REVEAL_BATCH, (count + 7) // 8)
             v = BitVec.from_bytes(count, payload)
             return [v[j] for j in range(count)]
 
@@ -311,9 +309,7 @@ class Runtime:
                                                 const_key(ms[i], self.delta))
             else:
                 keys = [self.store.take_abit(owner) for _ in range(count)]
-                payload = self.ch.recv(MsgType.RT_ANNOUNCE_BATCH)
-                if len(payload) != (count + 7) // 8:
-                    raise ProtocolError("bad input announcement length")
+                payload = self.ch.recv(MsgType.RT_ANNOUNCE_BATCH, (count + 7) // 8)
                 ms = BitVec.from_bytes(count, payload)
                 self.stats.input_bits_received += count
                 for i in range(count):
@@ -339,10 +335,8 @@ class Runtime:
             if not batch:
                 continue
             if self.role is receiver:
-                payload = self.ch.recv(MsgType.RT_OUTPUT)
                 need = len(batch) * (1 + self.kappa)
-                if len(payload) != (need + 7) // 8:
-                    raise ProtocolError("bad output batch length")
+                payload = self.ch.recv(MsgType.RT_OUTPUT, (need + 7) // 8)
                 r = BitReader(payload)
                 for w in batch:
                     b = r.take_bit()

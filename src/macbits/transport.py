@@ -1,9 +1,10 @@
 """Message framing and duplex channels (in-memory pair and TCP).
 
 Frame layout on the wire: 1 byte message type, 4 bytes big-endian payload
-length, payload. Both channel flavors count frames and bytes per direction;
-the online phase asserts its exact communication footprint from these
-counters.
+length, payload. `Channel.recv` checks each frame's type and size, so
+protocol code parses only payloads of the length it expects. Both channel
+flavors count frames and bytes per direction; the online phase asserts its
+exact communication footprint from these counters.
 """
 
 from __future__ import annotations
@@ -98,13 +99,19 @@ class Channel:
         self.stats.frames_sent += 1
         self.stats.bytes_sent += FRAME_HEADER_BYTES + len(payload)
 
-    def recv(self, expected: MsgType) -> bytes:
+    def recv(self, expected: MsgType, nbytes: int = None) -> bytes:
+        """The next frame's payload; it must be of type `expected` and, unless
+        nbytes is None, exactly nbytes long."""
         msg = self._recv_frame()
         self.stats.frames_received += 1
         self.stats.bytes_received += FRAME_HEADER_BYTES + len(msg.payload)
         if msg.msg_type != expected:
             raise ProtocolError(
                 f"expected {MsgType(expected).name}, got {msg.msg_type.name}"
+            )
+        if nbytes is not None and len(msg.payload) != nbytes:
+            raise ProtocolError(
+                f"{msg.msg_type.name} frame of {len(msg.payload)} bytes, expected {nbytes}"
             )
         return msg.payload
 

@@ -123,3 +123,23 @@ def test_truncated_opening_rejected():
     with pytest.raises(ProtocolError):
         run_pair(sender, lambda: eq_respond_side(b, BitVec(8, 3)),
                  channels=(a, b))
+
+
+SHORT = [b"", b"\x00", b"\x00\x00", b"\x00\x00\x00"]  # shorter than the length field
+
+
+@pytest.mark.parametrize("short", SHORT)
+def test_short_value_frame_is_protocol_error(short):
+    a, b = pair16()
+    b.send(MsgType.EQ_VALUE, short)
+    with pytest.raises(ProtocolError):
+        eq_commit_side(a, BitVec(8, 3), random.Random(0))
+
+
+@pytest.mark.parametrize("short", SHORT)
+def test_short_opening_frame_is_protocol_error(short):
+    a, b = pair16()
+    a.send(MsgType.EQ_COMMIT, bytes(2))
+    a.send(MsgType.EQ_OPEN, short)
+    with pytest.raises(ProtocolError):
+        eq_respond_side(b, BitVec(8, 3))

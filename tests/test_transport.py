@@ -1,13 +1,16 @@
+import ast
+import pathlib
 import random
+import socket
 import threading
 
 import pytest
 
 from helpers import free_port
 from macbits.errors import ProtocolError, TransportError
-from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Role, _pack_hello,
-                               memory_pair, perform_hello, run_pair,
-                               tcp_connect, tcp_listen)
+from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Role, TcpChannel,
+                               _pack_hello, memory_pair, perform_hello,
+                               run_pair, tcp_connect, tcp_listen)
 
 
 def test_loopback_round_trip():
@@ -188,3 +191,73 @@ def test_run_pair_propagates_failure():
 
     with pytest.raises(ValueError):
         run_pair(fine, broken, timeout=5)
+
+
+# ---------------------------------------------------------------------------
+# the frame-size contract
+
+
+def _socket_pair():
+    s1, s2 = socket.socketpair()
+    return TcpChannel(s1, 5.0), TcpChannel(s2, 5.0)
+
+
+@pytest.fixture(params=["memory", "tcp"])
+def channel_pair(request):
+    a, b = memory_pair(timeout=5.0) if request.param == "memory" else _socket_pair()
+    yield a, b
+    a.close()
+    b.close()
+
+
+def test_recv_exact_size_returns_payload(channel_pair):
+    a, b = channel_pair
+    a.send(MsgType.LAOT_D, b"abc")
+    assert b.recv(MsgType.LAOT_D, 3) == b"abc"
+    a.send(MsgType.LAOT_D, b"")
+    assert b.recv(MsgType.LAOT_D, 0) == b""
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_recv_wrong_size_is_protocol_error(channel_pair, size):
+    a, b = channel_pair
+    a.send(MsgType.LAOT_D, bytes(size))
+    with pytest.raises(ProtocolError, match=f"LAOT_D frame of {size} bytes, expected 3"):
+        b.recv(MsgType.LAOT_D, 3)
+
+
+def test_recv_wrong_type_is_protocol_error_before_size(channel_pair):
+    a, b = channel_pair
+    a.send(MsgType.LAOT_X0, b"abc")
+    with pytest.raises(ProtocolError, match="expected LAOT_D, got LAOT_X0"):
+        b.recv(MsgType.LAOT_D, 3)
+
+
+def test_recv_without_size_accepts_any_length(channel_pair):
+    a, b = channel_pair
+    for n in (0, 1, 1000):
+        a.send(MsgType.HELLO, bytes(n))
+        assert b.recv(MsgType.HELLO) == bytes(n)
+
+
+def test_every_protocol_recv_passes_its_size():
+    """Every frame but HELLO has a size the receiver knows, so every
+    protocol receive hands it to Channel.recv instead of checking by hand."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "macbits"
+    typed = 0
+    for path in sorted(src.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "recv"):
+                continue
+            where = f"{path.name}:{call.lineno}"
+            first = call.args[0] if call.args else None
+            if not (isinstance(first, ast.Attribute) and isinstance(first.value, ast.Name)
+                    and first.value.id == "MsgType"):
+                # the only other receive is the TCP socket's own
+                assert ast.unparse(call.func) == "self._sock.recv", where
+                continue
+            typed += 1
+            sized = len(call.args) > 1 or any(k.arg == "nbytes" for k in call.keywords)
+            assert sized == (first.attr != "HELLO"), where
+    assert typed >= 25
