@@ -190,9 +190,9 @@ def bucket_combine(ch: Channel, items, bucket: int, acc: MacAccumulator, fold,
     The side given `rng` samples the bucketing permutation and sends it; the
     other side receives it and aborts (tagged `where`) on a non-permutation.
     Each bucket is then folded left to right, one COMB_D frame per round: the
-    side given `reveal(a, n) -> (d, mac)` announces d and absorbs its MAC into
-    `acc`; the side given `key(a, n)` absorbs the expected MAC
-    key ^ delta*d instead. Returns (combined, acc).
+    side given `reveal(a, n) -> (d, mac)` announces the round's d and absorbs
+    its MACs into `acc` in one call; the side given `key(a, n)` absorbs the
+    expected MACs key ^ delta*d instead. Returns (combined, acc).
     """
     n = len(items)
     if bucket < 2 or n % bucket:
@@ -214,12 +214,10 @@ def bucket_combine(ch: Channel, items, bucket: int, acc: MacAccumulator, fold,
             opened = [reveal(a, b) for a, b in zip(cur, nxt)]
             ds = [d for d, _ in opened]
             ch.send(MsgType.COMB_D, BitVec.from_bits(ds).to_bytes())
-            for _, mac in opened:
-                acc = acc.absorb(mac)
+            acc = acc.absorb(*(mac for _, mac in opened))
         else:
             ds = BitVec.from_bytes(n_out, ch.recv(MsgType.COMB_D, (n_out + 7) // 8)).bits()
-            for a, b, d in zip(cur, nxt, ds):
-                acc = acc.absorb(key(a, b) ^ delta.times(d))
+            acc = acc.absorb(*(key(a, b) ^ delta.times(d) for a, b, d in zip(cur, nxt, ds)))
         cur = [fold(a, b, d) for a, b, d in zip(cur, nxt, ds)]
     return cur, acc
 

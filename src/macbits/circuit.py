@@ -1,4 +1,4 @@
-"""Boolean circuit model, Bristol-format parsing, and chunked iteration.
+"""Boolean circuit model, Bristol-format parsing, and the AND-level schedule.
 
 Supports both Bristol layouts: the classic three-number header line and the
 newer value-list form (input value widths on line two, output widths on line
@@ -9,6 +9,7 @@ of the file in declaration order, per the format convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitlinalg import BitVec
 from .errors import ParseError, UsageError
@@ -42,11 +43,6 @@ class CircuitHeader:
         return self.inputs_a + self.inputs_b
 
 
-@dataclass(frozen=True)
-class Chunk:
-    gates: tuple
-
-
 class Circuit:
     """Materialized circuit; gates are in topological file order."""
 
@@ -65,9 +61,30 @@ class Circuit:
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_text(fh.read())
 
+    @cached_property
+    def levels(self) -> tuple:
+        """The online schedule: one (ands, frees) pair of gate tuples per AND
+        depth k = 0..D, each in file order. An AND sits one level above its
+        deepest input; XOR, INV and EQW stay at their deepest input's level,
+        so every AND of a level can be opened in the same rounds."""
+        depth = [0] * self.header.n_wires
+        ands, frees = [[]], [[]]
+        for g in self.gates:
+            k = max(depth[w] for w in g.ins)
+            if g.kind == "AND":
+                k += 1
+                if k == len(ands):
+                    ands.append([])
+                    frees.append([])
+                ands[k].append(g)
+            else:
+                frees[k].append(g)
+            depth[g.out] = k
+        return tuple((tuple(a), tuple(f)) for a, f in zip(ands, frees))
+
     @property
     def n_and(self) -> int:
-        return sum(1 for g in self.gates if g.kind == "AND")
+        return sum(len(a) for a, _ in self.levels)
 
     @property
     def output_wires(self) -> range:
@@ -224,10 +241,3 @@ def plain_eval(circuit: Circuit, inputs_a: BitVec, inputs_b: BitVec) -> BitVec:
             wires[g.out] = wires[g.ins[0]]
     return BitVec.from_bits(wires[w] for w in circuit.output_wires)
 
-
-def chunks(circuit: Circuit, chunk_size: int = 1024):
-    """Split the gate stream into Chunks of at most chunk_size gates."""
-    if chunk_size < 1:
-        raise UsageError("chunk_size must be at least 1")
-    for lo in range(0, len(circuit.gates), chunk_size):
-        yield Chunk(circuit.gates[lo : lo + chunk_size])

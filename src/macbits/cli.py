@@ -112,7 +112,7 @@ def cmd_eval(args) -> int:
     host, port = _parse_addr(args.peer)
     ch = tcp_listen(host, port) if role is Role.ALICE else tcp_connect(host, port)
     try:
-        rt = Runtime(ch, role, store, chunk_size=args.chunk)
+        rt = Runtime(ch, role, store)
         t0 = time.time()
         out = rt.evaluate(circuit, my_inputs)
         elapsed = time.time() - t0
@@ -148,8 +148,8 @@ def cmd_bench_aes(args) -> int:
             timeout=600.0)
         t_off = time.time() - t0
         ca2, cb2 = memory_pair(timeout=600.0)
-        ra = Runtime(ca2, Role.ALICE, sa, chunk_size=args.chunk)
-        rb = Runtime(cb2, Role.BOB, sb, chunk_size=args.chunk)
+        ra = Runtime(ca2, Role.ALICE, sa)
+        rb = Runtime(cb2, Role.BOB, sb)
         t1 = time.time()
         out_a, out_b = run_pair(
             lambda: ra.evaluate(circuit, block_to_bits(key)),
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--input", required=True, help="this party's input, hex")
     e.add_argument("--peer", required=True, metavar="HOST:PORT",
                    help="role A listens here, role B connects")
-    e.add_argument("--chunk", type=int, default=1024)
     e.add_argument("--json", action="store_true")
     e.set_defaults(fn=cmd_eval)
 
@@ -280,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kappa", type=int, default=128)
     b.add_argument("--bucket", type=int, default=4,
                    help="bucket size (default 4, the benchmark configuration)")
-    b.add_argument("--chunk", type=int, default=1024)
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--json", action="store_true")
     b.set_defaults(fn=cmd_bench_aes)

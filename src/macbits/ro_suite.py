@@ -94,16 +94,21 @@ def mask(tag: str, key_material, message: BitVec) -> BitVec:
 class MacAccumulator:
     """Chained digest of a sequence of revealed MACs.
 
-    Both sides of a reveal feed what they believe the MAC is; equal inputs in
-    equal order give equal states. Starts at the all-zero digest.
+    Both sides of a reveal feed what they believe the MACs are, one call per
+    reveal round; equal rounds in equal order give equal states. Starts at
+    the all-zero digest.
     """
 
     state: bytes = bytes(DIGEST_BYTES)
     count: int = 0
 
-    def absorb(self, mac: BitVec) -> "MacAccumulator":
-        leaf = ro_hash("acc/leaf", mac)
-        return MacAccumulator(ro_hash("acc/chain", self.state, leaf), self.count + 1)
+    def absorb(self, *macs: BitVec) -> "MacAccumulator":
+        """Chain one round with a single hash over (state, MAC count, the MACs
+        in order); an empty round leaves the accumulator unchanged."""
+        if not macs:
+            return self
+        state = ro_hash("acc/round", self.state, struct.pack(">Q", len(macs)), *macs)
+        return MacAccumulator(state, self.count + len(macs))
 
     def digest(self) -> bytes:
         return self.state

@@ -2,17 +2,19 @@
 
 Wire values are additively shared; each party's share bit is authenticated
 toward the peer (MAC under the peer's global key). XOR and constants are
-local. An AND gate burns two triples, two OT quads, and two fresh bits and
-announces ten bits across three rounds per dependency level:
+local. The circuit's AND-level schedule (`Circuit.levels`) drives the
+evaluation: each level's AND gates run as one batch, then that level's free
+gates. An AND gate burns two triples, two OT quads, and two fresh bits and
+announces ten bits across the three rounds of its level:
 
   round 1 (B -> A): d for the A-sender cross term, plus B's local f,g
   round 2 (A -> B): d for the B-sender cross term, A's local f,g, and
                     A's cross f,g (which need round 1's d)
   round 3 (B -> A): B's cross f,g
 
-Every announced bit's MAC is deferred into running accumulators; the chains
-are compared once before any output is revealed, and output MACs themselves
-are checked immediately.
+Every announced bit's MAC is deferred into running accumulators, one absorb
+per reveal round on each side; the chains are compared once before any
+output is revealed, and output MACs themselves are checked immediately.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .abit_proto import AuthBitKey, AuthBitMac, const_key, const_mac
 from .bitlinalg import BitReader, BitVec, BitWriter
-from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, chunks
+from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
 from .dealer import MaterialStore
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, flush_accumulators
@@ -39,11 +41,6 @@ class AuthShare:
     def __xor__(self, other: "AuthShare") -> "AuthShare":
         return AuthShare(self.my_half ^ other.my_half,
                          self.peer_key ^ other.peer_key)
-
-
-def reconstruct_pair(a: AuthShare, b: AuthShare) -> int:
-    """Test helper: combine the two parties' shares of one wire."""
-    return a.my_half.bit ^ b.my_half.bit
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class Runtime:
     """One party's online evaluator bound to a channel and a material store."""
 
     def __init__(self, ch: Channel, role: Role, store: MaterialStore, *,
-                 chunk_size: int = 1024, tamper: TamperPlan = None):
+                 tamper: TamperPlan = None):
         if store.role is not role:
             raise UsageError("material store was dealt for the other role")
         self.ch = ch
@@ -101,7 +98,6 @@ class Runtime:
         self.store = store
         self.kappa = store.kappa
         self.delta = store.delta  # global key I hold on the peer's bits
-        self.chunk_size = chunk_size
         self.tamper = tamper
         self.stats = RuntimeStats()
         self._sent = MacAccumulator()
@@ -130,15 +126,29 @@ class Runtime:
         self._site += 1
         return bit, mac
 
-    def _reveal(self, bit: int, mac: BitVec) -> int:
-        bit, mac = self._maybe_tamper(bit, mac)
-        self._sent = self._sent.absorb(mac)
-        self.stats.bits_revealed += 1
-        return bit
+    def _send_round(self, opened) -> list:
+        """Announce one round of (bit, mac) reveals in one frame and absorb
+        their MACs in one call; returns the bits as sent."""
+        bits, macs = [], []
+        for bit, mac in opened:
+            bit, mac = self._maybe_tamper(bit, mac)
+            bits.append(bit)
+            macs.append(mac)
+        self.ch.send(MsgType.RT_REVEAL_BATCH, BitVec.from_bits(bits).to_bytes())
+        self._sent = self._sent.absorb(*macs)
+        self.stats.bits_revealed += len(bits)
+        return bits
 
-    def _expect_reveal(self, bit: int, key: BitVec) -> None:
-        self._expect = self._expect.absorb(key ^ self.delta.delta.times(bit))
-        self.stats.bits_expected += 1
+    def _recv_round(self, keys) -> list:
+        """Read the peer's round, one bit per key on it, and absorb the MACs
+        those bits must carry (key ^ delta*bit) in one call."""
+        n = len(keys)
+        payload = self.ch.recv(MsgType.RT_REVEAL_BATCH, (n + 7) // 8)
+        bits = BitVec.from_bytes(n, payload).bits()
+        delta = self.delta.delta
+        self._expect = self._expect.absorb(*(k ^ delta.times(b) for k, b in zip(keys, bits)))
+        self.stats.bits_expected += n
+        return bits
 
     def flush(self) -> None:
         flush_accumulators(self.ch, self.role, self._sent, self._expect)
@@ -159,7 +169,7 @@ class Runtime:
     # -- batched AND level ----------------------------------------------------
 
     def _and_batch(self, pairs) -> list:
-        """Evaluate AND on a batch of share pairs (one dependency level)."""
+        """Evaluate AND on a batch of share pairs (one AND level)."""
         n = len(pairs)
         st = self.store
         me, peer = self.role, self.role.other
@@ -174,100 +184,62 @@ class Runtime:
         self.stats.and_gates += n
         self.stats.levels.append(n)
 
-        def send_bits(bits):
-            self.ch.send(MsgType.RT_REVEAL_BATCH, BitVec.from_bits(bits).to_bytes())
-
-        def recv_bits(count):
-            payload = self.ch.recv(MsgType.RT_REVEAL_BATCH, (count + 7) // 8)
-            v = BitVec.from_bytes(count, payload)
-            return [v[j] for j in range(count)]
-
-        # my reveals
+        # my reveals, as (bit, mac)
         def rv_d(i):
-            return self._reveal(qr[i].c.bit ^ ys[i].my_half.bit,
-                                qr[i].c.mac ^ ys[i].my_half.mac)
+            return (qr[i].c.bit ^ ys[i].my_half.bit,
+                    qr[i].c.mac ^ ys[i].my_half.mac)
 
         def rv_floc(i):
-            return self._reveal(tm[i].x.bit ^ xs[i].my_half.bit,
-                                tm[i].x.mac ^ xs[i].my_half.mac)
+            return (tm[i].x.bit ^ xs[i].my_half.bit,
+                    tm[i].x.mac ^ xs[i].my_half.mac)
 
         def rv_gloc(i):
-            return self._reveal(tm[i].y.bit ^ ys[i].my_half.bit,
-                                tm[i].y.mac ^ ys[i].my_half.mac)
+            return (tm[i].y.bit ^ ys[i].my_half.bit,
+                    tm[i].y.mac ^ ys[i].my_half.mac)
 
         def rv_fx(i):
-            return self._reveal(qs[i].x0.bit ^ qs[i].x1.bit ^ xs[i].my_half.bit,
-                                qs[i].x0.mac ^ qs[i].x1.mac ^ xs[i].my_half.mac)
+            return (qs[i].x0.bit ^ qs[i].x1.bit ^ xs[i].my_half.bit,
+                    qs[i].x0.mac ^ qs[i].x1.mac ^ xs[i].my_half.mac)
 
         def rv_gx(i, d):
-            return self._reveal(
-                rm[i].bit ^ qs[i].x0.bit ^ (d & xs[i].my_half.bit),
-                rm[i].mac ^ qs[i].x0.mac ^ xs[i].my_half.mac.times(d))
+            return (rm[i].bit ^ qs[i].x0.bit ^ (d & xs[i].my_half.bit),
+                    rm[i].mac ^ qs[i].x0.mac ^ xs[i].my_half.mac.times(d))
 
-        # peer reveals I verify
-        def ex_d(i, b):
-            self._expect_reveal(b, qs[i].kc.key ^ ys[i].peer_key.key)
+        # peer reveals I verify, as my key on the announced bit
+        def ky_d(i):
+            return qs[i].kc.key ^ ys[i].peer_key.key
 
-        def ex_floc(i, b):
-            self._expect_reveal(b, tk[i].kx.key ^ xs[i].peer_key.key)
+        def ky_floc(i):
+            return tk[i].kx.key ^ xs[i].peer_key.key
 
-        def ex_gloc(i, b):
-            self._expect_reveal(b, tk[i].ky.key ^ ys[i].peer_key.key)
+        def ky_gloc(i):
+            return tk[i].ky.key ^ ys[i].peer_key.key
 
-        def ex_fx(i, b):
-            self._expect_reveal(b, qr[i].kx0.key ^ qr[i].kx1.key
-                                ^ xs[i].peer_key.key)
+        def ky_fx(i):
+            return qr[i].kx0.key ^ qr[i].kx1.key ^ xs[i].peer_key.key
 
-        def ex_gx(i, b, d):
-            self._expect_reveal(b, rk[i].key ^ qr[i].kx0.key
-                                ^ xs[i].peer_key.key.times(d))
+        def ky_gx(i, d):
+            return rk[i].key ^ qr[i].kx0.key ^ xs[i].peer_key.key.times(d)
 
         if self.role is Role.BOB:
-            bits = []
-            for i in range(n):
-                bits += [rv_d(i), rv_floc(i), rv_gloc(i)]
-            send_bits(bits)
-            d_sent = bits[0::3]
-            my_floc, my_gloc = bits[1::3], bits[2::3]
-
-            r2 = recv_bits(5 * n)
-            for i in range(n):
-                ex_d(i, r2[5 * i])
-                ex_floc(i, r2[5 * i + 1])
-                ex_gloc(i, r2[5 * i + 2])
-                ex_fx(i, r2[5 * i + 3])
-                ex_gx(i, r2[5 * i + 4], d_sent[i])
-            d_recv = r2[0::5]
-            peer_floc, peer_gloc = r2[1::5], r2[2::5]
-            peer_fx, peer_gx = r2[3::5], r2[4::5]
-
-            bits = []
-            for i in range(n):
-                bits += [rv_fx(i), rv_gx(i, d_recv[i])]
-            send_bits(bits)
+            bits = self._send_round(r for i in range(n)
+                                    for r in (rv_d(i), rv_floc(i), rv_gloc(i)))
+            d_sent, my_floc, my_gloc = bits[0::3], bits[1::3], bits[2::3]
+            r2 = self._recv_round([k for i in range(n) for k in (
+                ky_d(i), ky_floc(i), ky_gloc(i), ky_fx(i), ky_gx(i, d_sent[i]))])
+            d_recv, peer_floc, peer_gloc, peer_fx, peer_gx = (r2[j::5] for j in range(5))
+            bits = self._send_round(r for i in range(n)
+                                    for r in (rv_fx(i), rv_gx(i, d_recv[i])))
             my_fx, my_gx = bits[0::2], bits[1::2]
         else:
-            r1 = recv_bits(3 * n)
-            for i in range(n):
-                ex_d(i, r1[3 * i])
-                ex_floc(i, r1[3 * i + 1])
-                ex_gloc(i, r1[3 * i + 2])
-            d_recv = r1[0::3]
-            peer_floc, peer_gloc = r1[1::3], r1[2::3]
-
-            bits = []
-            for i in range(n):
-                bits += [rv_d(i), rv_floc(i), rv_gloc(i),
-                         rv_fx(i), rv_gx(i, d_recv[i])]
-            send_bits(bits)
-            d_sent = bits[0::5]
-            my_floc, my_gloc = bits[1::5], bits[2::5]
-            my_fx, my_gx = bits[3::5], bits[4::5]
-
-            r3 = recv_bits(2 * n)
-            for i in range(n):
-                ex_fx(i, r3[2 * i])
-                ex_gx(i, r3[2 * i + 1], d_sent[i])
+            r1 = self._recv_round([k for i in range(n)
+                                   for k in (ky_d(i), ky_floc(i), ky_gloc(i))])
+            d_recv, peer_floc, peer_gloc = r1[0::3], r1[1::3], r1[2::3]
+            bits = self._send_round(r for i in range(n) for r in (
+                rv_d(i), rv_floc(i), rv_gloc(i), rv_fx(i), rv_gx(i, d_recv[i])))
+            d_sent, my_floc, my_gloc, my_fx, my_gx = (bits[j::5] for j in range(5))
+            r3 = self._recv_round([k for i in range(n)
+                                   for k in (ky_fx(i), ky_gx(i, d_sent[i]))])
             peer_fx, peer_gx = r3[0::2], r3[1::2]
 
         out = []
@@ -316,14 +288,6 @@ class Runtime:
                     wires[base + i] = AuthShare(const_mac(ms[i], self.kappa),
                                                 keys[i])
 
-    def _run_level(self, gates, wires) -> None:
-        if not gates:
-            return
-        shares = self._and_batch([(wires[g.ins[0]], wires[g.ins[1]])
-                                  for g in gates])
-        for g, s in zip(gates, shares):
-            wires[g.out] = s
-
     def _output_phase(self, wires, circuit) -> BitVec:
         h = circuit.header
         self.flush()
@@ -369,22 +333,17 @@ class Runtime:
             self.handshake()
         wires = [None] * h.n_wires
         self._input_phase(wires, circuit, my_inputs)
-        for ck in chunks(circuit, self.chunk_size):
-            batch = []
-            pending = set()
-            for g in ck.gates:
-                if any(w in pending for w in g.ins):
-                    self._run_level(batch, wires)
-                    batch = []
-                    pending = set()
-                if g.kind == "AND":
-                    batch.append(g)
-                    pending.add(g.out)
-                elif g.kind == "XOR":
+        for ands, frees in circuit.levels:
+            if ands:
+                shares = self._and_batch([(wires[g.ins[0]], wires[g.ins[1]])
+                                          for g in ands])
+                for g, sh in zip(ands, shares):
+                    wires[g.out] = sh
+            for g in frees:
+                if g.kind == "XOR":
                     wires[g.out] = wires[g.ins[0]] ^ wires[g.ins[1]]
                 elif g.kind == "INV":
                     wires[g.out] = self.xor_const(wires[g.ins[0]], 1)
                 else:
                     wires[g.out] = wires[g.ins[0]]
-            self._run_level(batch, wires)
         return self._output_phase(wires, circuit)

@@ -156,20 +156,22 @@ def run_two(fn_a, fn_b, timeout: float = 60.0):
 
 
 def eval_two(circuit: Circuit, store_a, store_b, xa: BitVec, xb: BitVec,
-             timeout: float = 60.0, tamper_a=None, tamper_b=None,
-             chunk_size: int = 1024):
+             timeout: float = 60.0, tamper_a=None, tamper_b=None):
     """Evaluate circuit with both runtimes; returns (out_a, out_b, rt_a, rt_b)."""
     from macbits.runtime_2pc import Runtime
 
     ca, cb = memory_pair(timeout=timeout)
-    rt_a = Runtime(ca, Role.ALICE, store_a, tamper=tamper_a,
-                   chunk_size=chunk_size)
-    rt_b = Runtime(cb, Role.BOB, store_b, tamper=tamper_b,
-                   chunk_size=chunk_size)
+    rt_a = Runtime(ca, Role.ALICE, store_a, tamper=tamper_a)
+    rt_b = Runtime(cb, Role.BOB, store_b, tamper=tamper_b)
     out_a, out_b = run_pair(lambda: rt_a.evaluate(circuit, xa),
                             lambda: rt_b.evaluate(circuit, xb),
                             timeout=timeout, channels=(ca, cb))
     return out_a, out_b, rt_a, rt_b
+
+
+def reconstruct_pair(a, b) -> int:
+    """Combine the two parties' AuthShares of one wire into its value."""
+    return a.my_half.bit ^ b.my_half.bit
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import time
 from aes_oracle import KNOWN_VECTORS, aes128_encrypt
 from helpers import (OracleDealer, eval_two, labit_cheat_survivals,
                      laand_u_tamper_outcomes, laot_probe_outcomes,
-                     oracle_store_pair, random_circuit, random_inputs)
+                     oracle_store_pair, random_circuit, random_inputs,
+                     reconstruct_pair)
 from macbits.abit_proto import (AuthBitKey, AuthBitMac, GlobalKey, const_key,
                                 const_mac, verify_abit)
 from macbits.aand_proto import aand_combine_key, aand_combine_mac
@@ -28,7 +29,7 @@ from macbits.leakage_lab import (alpha_prime, bucket_fail_mc,
                                  bucket_fail_prob, span_fail_rate)
 from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
 from macbits.runtime_2pc import (AuthShare, Runtime, TamperPlan,
-                                 count_reveal_sites, reconstruct_pair)
+                                 count_reveal_sites)
 from macbits.transport import Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB

@@ -22,6 +22,14 @@ def test_shape():
     assert c.n_and == 7200  # 36 ANDs per S-box, 200 S-boxes
 
 
+def test_and_levels():
+    c = generate_aes_circuit()
+    widths = [len(a) for a, _ in c.levels if a]
+    assert len(widths) == 40
+    assert max(widths) == 360
+    assert sum(widths) == c.n_and == 7200
+
+
 @pytest.mark.parametrize("key,pt,ct", KNOWN_VECTORS)
 def test_known_vectors(key, pt, ct):
     c = generate_aes_circuit()

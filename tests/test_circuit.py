@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import random_circuit, random_inputs
 from macbits.bitlinalg import BitVec
-from macbits.circuit import (DEST_A, DEST_B, DEST_BOTH, Circuit, chunks,
-                             plain_eval)
+from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, plain_eval
 from macbits.errors import ParseError, UsageError
 
 OLD_STYLE = """\
@@ -124,17 +123,27 @@ def test_output_destinations():
         c.with_output_dest(["C"])
 
 
-def test_chunks_partition_gate_stream():
-    rng = random.Random(1)
-    c = random_circuit(rng, 100)
-    parts = list(chunks(c, 7))
-    assert len(parts) == 15
-    assert len(parts[-1].gates) == 2
-    assert all(len(p.gates) <= 7 for p in parts)
-    rejoined = tuple(g for p in parts for g in p.gates)
-    assert rejoined == c.gates
-    with pytest.raises(UsageError):
-        list(chunks(c, 0))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 150))
+def test_levels_schedule_each_gate_once_after_its_inputs(seed, n_gates):
+    c = random_circuit(random.Random(seed), n_gates)
+    pos = {g: i for i, g in enumerate(c.gates)}
+    made = dict.fromkeys(range(c.header.n_inputs), 0)  # wire -> its level
+    scheduled = []
+    for k, (ands, frees) in enumerate(c.levels):
+        for part in (ands, frees):
+            assert [pos[g] for g in part] == sorted(pos[g] for g in part)
+        for g in ands:
+            assert g.kind == "AND" and all(w in made for w in g.ins)
+            assert max(made[w] for w in g.ins) == k - 1
+        made.update((g.out, k) for g in ands)
+        for g in frees:
+            assert g.kind != "AND" and all(w in made for w in g.ins)
+            assert max(made[w] for w in g.ins) == k
+            made[g.out] = k
+        scheduled += ands + frees
+    assert len(scheduled) == len(c.gates) and set(scheduled) == set(c.gates)
+    assert c.n_and == sum(g.kind == "AND" for g in c.gates)
 
 
 @settings(max_examples=30, deadline=None)

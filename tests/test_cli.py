@@ -258,7 +258,7 @@ def test_bench_aes_smoke(monkeypatch, capsys):
     monkeypatch.setattr("macbits.cli.generate_aes_circuit", lambda: tiny)
 
     rc = cli_main(["bench-aes", "--blocks", "1", "--kappa", "16",
-                   "--psi", "3", "--bucket", "2", "--chunk", "64",
+                   "--psi", "3", "--bucket", "2",
                    "--seed", "0", "--json"])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)

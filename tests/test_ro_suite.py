@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import eval_two, oracle_store_pair, random_circuit, random_inputs
 from macbits.bitlinalg import BitVec
 from macbits.errors import UsageError
 from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, expand,
@@ -138,6 +139,53 @@ def test_accumulator_distinguishes_single_change():
     for m in macs:
         b = b.absorb(m)
     assert a.state != b.state
+
+
+def test_accumulator_round_is_order_sensitive():
+    rng = random.Random(8)
+    m1, m2 = BitVec.random(128, rng), BitVec.random(128, rng)
+    assert m1 != m2
+    assert MacAccumulator().absorb(m1, m2).state != MacAccumulator().absorb(m2, m1).state
+
+
+def test_accumulator_round_distinguishes_single_bit():
+    rng = random.Random(9)
+    macs = [BitVec.random(64, rng) for _ in range(10)]
+    a = MacAccumulator().absorb(*macs)
+    macs[4] = macs[4] ^ BitVec(64, 1 << 17)
+    b = MacAccumulator().absorb(*macs)
+    assert a.count == b.count == 10
+    assert a.state != b.state
+
+
+def test_accumulator_empty_round_is_identity():
+    acc = MacAccumulator().absorb(BitVec(16, 5))
+    before = hash_calls("acc/")
+    same = acc.absorb()
+    assert (same.state, same.count) == (acc.state, acc.count)
+    assert hash_calls("acc/") == before
+
+
+def test_accumulator_round_costs_one_hash():
+    rng = random.Random(10)
+    for n in (1, 2, 50):
+        macs = [BitVec.random(128, rng) for _ in range(n)]
+        before = hash_calls("acc/")
+        MacAccumulator().absorb(*macs)
+        assert hash_calls("acc/") - before == 1
+
+
+def test_online_phase_absorbs_once_per_reveal_round():
+    rng = random.Random(11)
+    c = random_circuit(rng, 120)
+    n_levels = sum(1 for a, _ in c.levels if a)
+    assert n_levels > 1
+    sa, sb = oracle_store_pair(c, rng)
+    xa, xb = random_inputs(c, rng)
+    before = hash_calls("acc/")
+    eval_two(c, sa, sb, xa, xb)
+    # the counter is process-wide: both parties, three rounds per level each
+    assert hash_calls("acc/") - before <= 6 * n_levels
 
 
 def test_hash_call_counter():

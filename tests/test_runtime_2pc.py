@@ -3,13 +3,16 @@ import random
 import pytest
 
 import helpers
+from aes_oracle import KNOWN_VECTORS
 from helpers import (OracleDealer, eval_two, oracle_store_pair,
                      random_circuit, random_inputs)
+from macbits.aescircuit import bits_to_block, block_to_bits, generate_aes_circuit
 from macbits.bitlinalg import BitVec
 from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, plain_eval
 from macbits.dealer import DealerConfig
 from macbits.errors import (OutOfMaterial, ProtocolAbort, TransportError,
                             UsageError)
+from macbits.ro_suite import hash_calls
 from macbits.runtime_2pc import Runtime, TamperPlan, count_reveal_sites
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
@@ -71,17 +74,31 @@ def test_matches_cleartext_on_random_circuits():
         assert rt_a.stats.and_gates == rt_b.stats.and_gates == c.n_and
 
 
-def test_chunk_size_does_not_change_results():
+def test_one_and_batch_per_level():
     rng = random.Random(7)
-    c = random_circuit(rng, 80)
-    xa, xb = random_inputs(c, rng)
-    want = plain_eval(c, xa, xb)
-    for chunk in (1, 7, 1024):
-        sa, sb = oracle_store_pair(c, random.Random(8))
-        out_a, _, rt_a, _ = eval_two(c, sa, sb, xa, xb, chunk_size=chunk)
-        assert out_a == want
-        if chunk == 1:
-            assert all(n == 1 for n in rt_a.stats.levels)
+    for _ in range(5):
+        c = random_circuit(rng, 80)
+        sa, sb = oracle_store_pair(c, rng)
+        xa, xb = random_inputs(c, rng)
+        out_a, out_b, rt_a, rt_b = eval_two(c, sa, sb, xa, xb)
+        want = [len(a) for a, _ in c.levels if a]
+        assert len(want) > 1
+        assert rt_a.stats.levels == rt_b.stats.levels == want
+        assert out_a == out_b == plain_eval(c, xa, xb)
+
+
+def test_aes_runs_its_40_and_levels():
+    c = generate_aes_circuit()
+    key, pt, ct = KNOWN_VECTORS[0]
+    sa, sb = oracle_store_pair(c, random.Random(14))
+    before = hash_calls("acc/")
+    out_a, out_b, rt_a, rt_b = eval_two(c, sa, sb, block_to_bits(key),
+                                        block_to_bits(pt), timeout=300.0)
+    # one absorb per reveal round: three per level on each side
+    assert hash_calls("acc/") - before == 2 * 3 * 40
+    assert len(rt_a.stats.levels) == len(rt_b.stats.levels) == 40
+    assert out_a == out_b == plain_eval(c, block_to_bits(key), block_to_bits(pt))
+    assert bits_to_block(out_a) == ct
 
 
 def test_routed_outputs():
