@@ -12,14 +12,16 @@ K = b * Delta_P.
 
 Production pipeline for a batch of ell bits owned by P:
 
-  1. P plays sender in T = 2*tau extended OTs, offering (L_i, L_i xor G)
-     for a fixed ell-bit offset G; the peer picks choice bits y_i and learns
-     N_i = L_i xor y_i*G. Each instance is one candidate "column".
+  1. P plays sender in T = 2*tau correlated OTs with a fixed ell-bit offset
+     G. The keys L_i are not sampled: each is the expansion of the seed OT's
+     branch-0 seed, so one correction per column crosses the wire. The peer
+     picks choice bits y_i and learns N_i = L_i xor y_i*G. Each instance is
+     one candidate "column".
   2. Cut-and-choose pairing: the peer reveals the XOR of choice bits inside
      each pair of a random matching, both sides fold the pairs, and a single
-     batched equality check compares the folded MACs against the folded
-     keys. A sender that used an inconsistent offset in a pair survives only
-     by guessing that pair's choice bit.
+     batched equality check compares digests of the folded MACs and the
+     folded keys. A sender that used an inconsistent offset in a pair
+     survives only by guessing that pair's choice bit.
   3. Privacy amplification: the key holder samples a random kappa x tau
      GF(2) matrix, and both sides project the surviving tau columns (and
      the weak global key y_1..y_tau) through it. Row r of the matrix selects
@@ -132,15 +134,12 @@ class AbitBatchKey:
 def labit_sender(ch: Channel, tau: int, ell: int, rng, backend, *, offer_tamper=None):
     """OT-sender side; ends holding (G, surviving keys L_i).
 
-    offer_tamper(i, m0, m1) -> (m0, m1) lets tests model a cheating sender.
+    offer_tamper(i, m0, m1) -> (m0, m1) lets tests model a cheating sender;
+    m0 is the seed-fixed key L_i, so only m1 may change.
     """
     t = 2 * tau
     gamma = BitVec.random(ell, rng)
-    keys = [BitVec.random(ell, rng) for _ in range(t)]
-    pairs = [(l, l ^ gamma) for l in keys]
-    if offer_tamper is not None:
-        pairs = [offer_tamper(i, m0, m1) for i, (m0, m1) in enumerate(pairs)]
-    extend_ot_send(ch, backend, pairs, rng)
+    keys = extend_ot_send(ch, backend, gamma, t, rng, offer_tamper=offer_tamper)
 
     raw = ch.recv(MsgType.LABIT_PAIRING, 4 * t)
     try:

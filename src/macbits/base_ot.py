@@ -1,8 +1,11 @@
 """Seed oblivious transfers and their PRG length extension.
 
 The engine consumes a small, fixed budget of seed OTs per session and
-stretches them to long strings: each seed OT transfers a fresh kappa-bit
-seed, and the long messages travel masked under the seed's expansion.
+stretches them to long strings as correlated OTs, IKNP-style: each seed OT
+transfers one of two fresh kappa-bit seeds (s0, s1). Branch 0 of the long
+OT is never sent - it *is* the expansion of s0, which the sender keeps as
+its key L. Only branch 1 crosses the wire, once, masked under the expansion
+of s1, so a receiver holding s_c computes L xor c*offset.
 
 The default backend is a deliberately insecure trusted-dealer stand-in for
 lab use: both endpoints derive the transfer pads from a seed that is shared
@@ -94,34 +97,38 @@ def seed_ot_receive(backend, choices):
     return backend.receive(choices, SEED_BITS)
 
 
-def extend_ot_send(ch: Channel, backend, pairs, rng) -> None:
-    """Send arbitrary-length message pairs: seed OTs carry fresh seeds, and
-    the long messages follow masked under each seed's expansion."""
-    if not pairs:
-        return
-    n = pairs[0][0].n
-    if any(m0.n != n or m1.n != n for m0, m1 in pairs):
-        raise UsageError("ragged extended-OT batch")
-    seeds = [(BitVec.random(SEED_BITS, rng), BitVec.random(SEED_BITS, rng)) for _ in pairs]
+def extend_ot_send(ch: Channel, backend, offset: BitVec, count: int, rng, *,
+                   offer_tamper=None) -> list:
+    """Correlated OT: instance k offers (L_k, L_k xor offset), where L_k is
+    the expansion of its branch-0 seed. Sends one OT_MASKED1 frame holding
+    every masked branch 1, and returns the keys L_k.
+
+    offer_tamper(k, m0, m1) -> (m0, m1) lets tests model a cheating sender.
+    It may change m1 only: m0 is fixed by the seed.
+    """
+    n = offset.n
+    seeds = [(BitVec.random(SEED_BITS, rng), BitVec.random(SEED_BITS, rng))
+             for _ in range(count)]
     seed_ot_send(backend, seeds)
-    f0, f1 = bytearray(), bytearray()
-    for (m0, m1), (s0, s1) in zip(pairs, seeds):
-        f0 += mask("otx", s0, m0).to_bytes()
-        f1 += mask("otx", s1, m1).to_bytes()
-    ch.send(MsgType.OT_MASKED0, bytes(f0))
-    ch.send(MsgType.OT_MASKED1, bytes(f1))
+    keys, frame = [], bytearray()
+    for k, (s0, s1) in enumerate(seeds):
+        m0 = expand(ro_hash("otx", s0), n)
+        m1 = m0 ^ offset
+        if offer_tamper is not None:
+            t0, m1 = offer_tamper(k, m0, m1)
+            if t0 != m0:
+                raise UsageError("branch 0 of a correlated OT is fixed by its seed")
+        keys.append(m0)
+        frame += mask("otx", s1, m1).to_bytes()
+    ch.send(MsgType.OT_MASKED1, bytes(frame))
+    return keys
 
 
 def extend_ot_receive(ch: Channel, backend, choices, n_bits: int):
-    """Receive the chosen branch of each extended instance."""
-    if not choices:
-        return []
+    """Receive L_k xor c_k*offset per instance: the chosen seed s_c's
+    expansion xor c_k times the instance's slice of the branch-1 frame."""
     seeds = seed_ot_receive(backend, choices)
     nb = (n_bits + 7) // 8
-    f0 = ch.recv(MsgType.OT_MASKED0, nb * len(choices))
-    f1 = ch.recv(MsgType.OT_MASKED1, nb * len(choices))
-    out = []
-    for k, (c, s) in enumerate(zip(choices, seeds)):
-        blob = (f1 if c else f0)[k * nb : (k + 1) * nb]
-        out.append(mask("otx", s, BitVec.from_bytes(n_bits, blob)))
-    return out
+    frame = ch.recv(MsgType.OT_MASKED1, nb * len(choices))
+    return [mask("otx", s, BitVec.from_bytes(n_bits, frame[k * nb : (k + 1) * nb]).times(c))
+            for k, (c, s) in enumerate(zip(choices, seeds))]

@@ -9,6 +9,7 @@ built straight from the defining MAC relation M = K xor bit*Delta.
 
 from __future__ import annotations
 
+import queue
 import random
 import socket
 
@@ -19,7 +20,7 @@ from macbits.bitlinalg import BitVec
 from macbits.circuit import Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.ro_suite import ro_hash
-from macbits.transport import Role, memory_pair, run_pair
+from macbits.transport import MemoryChannel, Role, memory_pair, run_pair
 
 
 def free_port() -> int:
@@ -153,6 +154,24 @@ def run_two(fn_a, fn_b, timeout: float = 60.0):
     """Run the two closures over a fresh in-memory channel pair."""
     ca, cb = memory_pair(timeout=timeout)
     return run_pair(lambda: fn_a(ca), lambda: fn_b(cb), timeout=timeout)
+
+
+class CountingChannel(MemoryChannel):
+    """A MemoryChannel that logs every frame it sends as (MsgType, payload)."""
+
+    def __init__(self, inbox, outbox, timeout):
+        super().__init__(inbox, outbox, timeout)
+        self.sent = []
+
+    def _send_frame(self, msg_type, payload):
+        self.sent.append((msg_type, payload))
+        super()._send_frame(msg_type, payload)
+
+
+def counting_pair(timeout: float = 120.0):
+    """memory_pair whose two endpoints log what they send."""
+    ab, ba = queue.Queue(), queue.Queue()
+    return CountingChannel(ba, ab, timeout), CountingChannel(ab, ba, timeout)
 
 
 def eval_two(circuit: Circuit, store_a, store_b, xa: BitVec, xb: BitVec,

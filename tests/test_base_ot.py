@@ -1,27 +1,56 @@
 import random
 import time
 
+import pytest
+
+from helpers import counting_pair
 from macbits.base_ot import (SEED_BITS, DealerOt, extend_ot_receive,
                              extend_ot_send, seed_ot_receive, seed_ot_send)
 from macbits.bitlinalg import BitVec
-from macbits.transport import memory_pair, run_pair
+from macbits.errors import UsageError
+from macbits.ro_suite import expand, ro_hash
+from macbits.transport import MsgType, memory_pair, run_pair
 
 
 def bv(s: str) -> BitVec:
     return BitVec.from_bits(int(c) for c in s)
 
 
-def run_ot(pairs, choices, n_bits, extended=False):
+def run_ot(pairs, choices, n_bits):
     a, b = memory_pair(timeout=30.0)
     rng = random.Random(0)
-    if extended:
-        send = lambda: extend_ot_send(a, DealerOt(a, rng), pairs, rng)
-        recv = lambda: extend_ot_receive(b, DealerOt(b), choices, n_bits)
-    else:
-        send = lambda: DealerOt(a, rng).send(pairs)
-        recv = lambda: DealerOt(b).receive(choices, n_bits)
-    _, got = run_pair(send, recv, timeout=30)
+    _, got = run_pair(lambda: DealerOt(a, rng).send(pairs),
+                      lambda: DealerOt(b).receive(choices, n_bits), timeout=30)
     return got
+
+
+class RecordingOt(DealerOt):
+    """DealerOt that keeps the seed pairs it was asked to send."""
+
+    def send(self, pairs):
+        self.pairs = pairs
+        super().send(pairs)
+
+
+def run_extended(offset, choices, offer_tamper=None):
+    """Correlated OTs under offset. Returns (sender keys, received messages,
+    seed pairs, frames the sender sent)."""
+    a, b = counting_pair(timeout=60.0)
+    rng = random.Random(0)
+    backend = RecordingOt(a, rng)
+    keys, got = run_pair(
+        lambda: extend_ot_send(a, backend, offset, len(choices), rng,
+                               offer_tamper=offer_tamper),
+        lambda: extend_ot_receive(b, DealerOt(b), choices, offset.n), timeout=60)
+    return keys, got, backend.pairs, a.sent
+
+
+def assert_one_correction_frame(sent, count, n_bits):
+    """The seed OTs' frames, then one OT_MASKED1 frame of count*ceil(n/8) bytes."""
+    seed = count * SEED_BITS // 8
+    assert [(t, len(p)) for t, p in sent] == [
+        (MsgType.OT_SETUP, 16), (MsgType.OT_MASKED0, seed), (MsgType.OT_MASKED1, seed),
+        (MsgType.OT_MASKED1, count * ((n_bits + 7) // 8))]
 
 
 def test_choice_zero_selects_first():
@@ -82,30 +111,50 @@ def test_batch_sequencing_across_calls():
 
 
 def test_extended_ot_kappa_sized():
+    # a cheating sender may pick m1 freely: the receiver gets m0 ^ c*(m0 ^ m1),
+    # and m0 is the sender's returned expansion of its branch-0 seed
     rng = random.Random(4)
-    pairs = [(BitVec.random(SEED_BITS, rng), BitVec.random(SEED_BITS, rng))
-             for _ in range(8)]
-    choices = [rng.getrandbits(1) for _ in range(8)]
-    got = run_ot(pairs, choices, SEED_BITS, extended=True)
-    assert got == [p[c] for p, c in zip(pairs, choices)]
+    offset = BitVec.random(SEED_BITS, rng)
+    choices = [i & 1 for i in range(8)]
+    offered = []
+
+    def any_m1(k, m0, m1):
+        m1 = BitVec.random(SEED_BITS, rng) if k % 3 else m1
+        offered.append((m0, m1))
+        return m0, m1
+
+    keys, got, seeds, sent = run_extended(offset, choices, offer_tamper=any_m1)
+    assert keys == [m0 for m0, _ in offered]
+    assert keys == [expand(ro_hash("otx", s0), SEED_BITS) for s0, _ in seeds]
+    assert got == [m0 ^ (m0 ^ m1).times(c) for (m0, m1), c in zip(offered, choices)]
+    assert offered[0][1] == keys[0] ^ offset
+    assert_one_correction_frame(sent, 8, SEED_BITS)
 
 
 def test_extended_ot_long_messages():
     n = 1 << 16
-    rng = random.Random(5)
-    pairs = [(BitVec.random(n, rng), BitVec.random(n, rng)) for _ in range(2)]
-    choices = [0, 1]
-    got = run_ot(pairs, choices, n, extended=True)
-    assert got == [pairs[0][0], pairs[1][1]]
+    offset = BitVec.random(n, random.Random(5))
+    keys, got, _, sent = run_extended(offset, [0, 1])
+    assert got == [keys[0], keys[1] ^ offset]
+    assert_one_correction_frame(sent, 2, n)
+
+
+def test_offer_tamper_cannot_change_branch_zero():
+    rng = random.Random(7)
+    offset = BitVec.random(16, rng)
+    a, _ = memory_pair(timeout=5.0)
+    with pytest.raises(UsageError):
+        extend_ot_send(a, DealerOt(a, rng), offset, 4, rng,
+                       offer_tamper=lambda k, m0, m1: (m0 ^ BitVec(16, 1), m1))
 
 
 def test_nonchosen_message_guess_rate():
-    """Guessing the message the receiver did not pick means guessing a
-    fresh 16-bit value; expect about 2^-16."""
-    rng = random.Random(6)
-    trials = 200_000
-    hits = sum(
-        1 for _ in range(trials)
-        if rng.getrandbits(16) == rng.getrandbits(16)
-    )
+    """With c = 0 the receiver holds L and sees the masked L ^ offset; their
+    XOR is the offset only when the unchosen seed's pad is zero, about 2^-16."""
+    n, trials = 16, 1 << 16
+    offset = BitVec.random(n, random.Random(6))
+    _, got, _, sent = run_extended(offset, [0] * trials)
+    frame = sent[-1][1]
+    hits = sum(1 for k, m in enumerate(got)
+               if m ^ BitVec.from_bytes(n, frame[2 * k : 2 * k + 2]) == offset)
     assert hits / trials <= 10 * 2**-16

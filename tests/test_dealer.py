@@ -1,15 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
-from macbits.abit_proto import AuthBitKey
+from helpers import counting_pair
+from macbits.abit_proto import AuthBitKey, tau_for
+from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import BitVec
 from macbits.dealer import (DealerConfig, MaterialStore, deal,
                             flush_accumulators, verify_stores)
 from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort,
                             UsageError)
 from macbits.ro_suite import MacAccumulator
-from macbits.transport import Role, memory_pair, run_pair
+from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
 
@@ -84,6 +87,35 @@ def test_deal_produces_verified_material():
     assert len(sa.aots_receiver) == 5 and len(sb.aots_receiver) == 2
     checked = verify_stores(sa, sb)
     assert checked == (8 + 4 * 4 + 5 * 2) + (6 + 4 * 3 + 5 * 5)
+
+
+def test_offline_byte_budget():
+    """Per owner, the aBit extension is one OT_MASKED1 frame of
+    2*tau*ceil(ell/8) bytes after the seed OTs, and each of the six EQ
+    exchanges (labit and laAND per owner, laOT per direction) costs
+    kappa/8 + 32 + 32 + kappa/8 bytes."""
+    kappa = 128
+    cfg = DealerConfig.for_gates(300, 8, 8, kappa=kappa, psi=40)
+    a, b = counting_pair(timeout=300.0)
+    sa, sb = run_pair(lambda: deal(a, A, cfg, random.Random(21)),
+                      lambda: deal(b, B, cfg, random.Random(22)),
+                      timeout=300, channels=(a, b))
+    assert verify_stores(sa, sb) > 0
+
+    t = 2 * tau_for(kappa)
+    seed = t * SEED_BITS // 8
+    for owner, ch in ((A, a), (B, b)):
+        ot = [(m, len(p)) for m, p in ch.sent if m.name.startswith("OT_")]
+        setup = [(MsgType.OT_SETUP, 16)] if owner is A else []
+        ext = t * ((cfg.abit_demand(owner) + 7) // 8)
+        assert ot == setup + [(MsgType.OT_MASKED0, seed), (MsgType.OT_MASKED1, seed),
+                              (MsgType.OT_MASKED1, ext)]
+
+    size = {MsgType.EQ_COMMIT: kappa // 8, MsgType.EQ_VALUE: 32,
+            MsgType.EQ_OPEN: 32 + kappa // 8}
+    eq = [(m, len(p)) for ch in (a, b) for m, p in ch.sent if m in size]
+    assert all(n == size[m] for m, n in eq)
+    assert Counter(m for m, _ in eq) == {m: 6 for m in size}
 
 
 def test_deal_is_deterministic(tmp_path):

@@ -1,10 +1,13 @@
 import random
+import struct
 
 import pytest
 
+from helpers import counting_pair
 from macbits.bitlinalg import BitVec
 from macbits.eq_box import _commitment, eq_commit_side, eq_respond_side
 from macbits.errors import ProtocolError
+from macbits.ro_suite import ro_hash
 from macbits.transport import MsgType, memory_pair, run_pair
 
 
@@ -45,26 +48,42 @@ def test_commitment_deterministic():
     assert _commitment(16, x, r) != _commitment(16, x ^ BitVec(16, 1), r)
 
 
-def test_mismatch_reveals_committed_value():
-    # on mismatch the responder has seen the opened value; the box contract
-    # is that both strings leak
+def digest(v: BitVec) -> bytes:
+    return ro_hash("eq/value", struct.pack(">I", v.n), v)
+
+
+def test_frame_sizes():
+    # EQ_COMMIT kappa/8, EQ_VALUE one digest, EQ_OPEN digest plus kappa/8
+    a, b = counting_pair(timeout=10.0)
+    a.kappa = b.kappa = 16
+    v = BitVec.random(1000, random.Random(4))
+    assert run_pair(lambda: eq_commit_side(a, v, random.Random(0)),
+                    lambda: eq_respond_side(b, v)) == (True, True)
+    assert [(t, len(p)) for t, p in a.sent] == [(MsgType.EQ_COMMIT, 2),
+                                                (MsgType.EQ_OPEN, 32 + 2)]
+    assert [(t, len(p)) for t, p in b.sent] == [(MsgType.EQ_VALUE, 32)]
+
+
+def test_mismatch_reveals_only_the_digest():
+    # on mismatch the responder has seen the opening: the committed value's
+    # 32-byte digest and the commitment randomness, never the value
     x = BitVec(8, 0b10110010)
     a, b = pair16()
     seen = {}
 
     def responder():
         b.recv(MsgType.EQ_COMMIT)
-        b.send(MsgType.EQ_VALUE, b"\x00\x00\x00\x08\x55")
-        opening = b.recv(MsgType.EQ_OPEN)
-        seen["x"] = BitVec.from_bytes(8, opening[4:5])
-        return None
+        b.send(MsgType.EQ_VALUE, digest(BitVec(8, 0x55)))
+        seen["opening"] = b.recv(MsgType.EQ_OPEN)
 
-    run_pair(lambda: eq_commit_side(a, x, random.Random(1)), responder)
-    assert seen["x"] == x
+    verdict, _ = run_pair(lambda: eq_commit_side(a, x, random.Random(1)), responder)
+    assert verdict is False
+    r = BitVec.random(16, random.Random(1))
+    assert seen["opening"] == digest(x) + r.to_bytes()
 
 
 def test_forged_opening_rejected():
-    # commit to x but open to x' with fresh randomness: responder says no
+    # commit to H(x) but open to H(x') with fresh randomness: responder says no
     rng = random.Random(2)
     for _ in range(300):
         x = BitVec.random(16, rng)
@@ -73,10 +92,10 @@ def test_forged_opening_rejected():
 
         def cheat():
             r = BitVec.random(16, rng)
-            a.send(MsgType.EQ_COMMIT, _commitment(16, x, r))
+            a.send(MsgType.EQ_COMMIT, _commitment(16, digest(x), r))
             a.recv(MsgType.EQ_VALUE)
             r2 = BitVec.random(16, rng)
-            a.send(MsgType.EQ_OPEN, b"\x00\x00\x00\x10" + x2.to_bytes() + r2.to_bytes())
+            a.send(MsgType.EQ_OPEN, digest(x2) + r2.to_bytes())
 
         _, verdict = run_pair(cheat, lambda: eq_respond_side(b, x2))
         assert verdict is False
