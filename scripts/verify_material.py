@@ -1,4 +1,4 @@
-"""Cross-check a dealt material store pair record by record.
+"""Cross-check a dealt material store pair.
 
 Loads both parties' store files and verifies every MAC relation, triple
 product, and OT quad against the two global keys. This inspects both

@@ -12,7 +12,7 @@ from .circuit import Circuit, CircuitHeader, Gate, parse_bristol, plain_eval
 from .dealer import DealerConfig, MaterialStore, deal, verify_stores
 from .errors import (OutOfMaterial, ParseError, ProtocolAbort, ProtocolError,
                      TransportError, UsageError)
-from .runtime_2pc import AuthShare, Runtime, RuntimeStats
+from .runtime_2pc import Runtime, RuntimeStats
 from .transport import (Channel, Role, memory_pair, run_pair, tcp_connect,
                         tcp_listen)
 
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuthBitKey",
     "AuthBitMac",
-    "AuthShare",
     "BitVec",
     "Channel",
     "Circuit",

@@ -22,7 +22,7 @@ from .abit_proto import AuthBitKey, AuthBitMac, GlobalKey
 from .bitlinalg import BitVec, random_permutation
 from .eq_box import eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, UsageError
-from .ro_suite import MacAccumulator, mask
+from .ro_suite import MacAccumulator, mac_rows, mask
 from .transport import Channel, MsgType
 
 
@@ -214,10 +214,11 @@ def bucket_combine(ch: Channel, items, bucket: int, acc: MacAccumulator, fold,
             opened = [reveal(a, b) for a, b in zip(cur, nxt)]
             ds = [d for d, _ in opened]
             ch.send(MsgType.COMB_D, BitVec.from_bits(ds).to_bytes())
-            acc = acc.absorb(*(mac for _, mac in opened))
+            acc = acc.absorb(mac_rows(mac for _, mac in opened))
         else:
             ds = BitVec.from_bytes(n_out, ch.recv(MsgType.COMB_D, (n_out + 7) // 8)).bits()
-            acc = acc.absorb(*(key(a, b) ^ delta.times(d) for a, b, d in zip(cur, nxt, ds)))
+            acc = acc.absorb(mac_rows(key(a, b) ^ delta.times(d)
+                                      for a, b, d in zip(cur, nxt, ds)))
         cur = [fold(a, b, d) for a, b, d in zip(cur, nxt, ds)]
     return cur, acc
 

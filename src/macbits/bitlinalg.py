@@ -330,44 +330,3 @@ def random_pairing(t: int, rng) -> Pairing:
         part[a], part[b] = b, a
     return Pairing(part)
 
-
-class BitWriter:
-    """Append-only bit stream; packs little-endian like BitVec.to_bytes."""
-
-    def __init__(self):
-        self._parts = []
-        self.bit_len = 0
-
-    def append(self, piece: BitVec):
-        self._parts.append(piece)
-        self.bit_len += piece.n
-
-    def append_bit(self, b: int):
-        self.append(BitVec(1, b))
-
-    def getvalue(self) -> bytes:
-        return BitVec.join(self._parts).to_bytes()
-
-
-class BitReader:
-    """Sequential reads from a packed bit stream produced by BitWriter."""
-
-    def __init__(self, data: bytes, n_bits: int = None):
-        self._data = data
-        self.n_bits = 8 * len(data) if n_bits is None else n_bits
-        if self.n_bits > 8 * len(data):
-            raise UsageError("declared bit length exceeds the data")
-        self.pos = 0
-
-    def take(self, n: int) -> BitVec:
-        if self.pos + n > self.n_bits:
-            raise UsageError("bit stream exhausted")
-        lo_byte = self.pos >> 3
-        hi_byte = (self.pos + n + 7) >> 3
-        chunk = int.from_bytes(self._data[lo_byte:hi_byte], "little")
-        chunk >>= self.pos & 7
-        self.pos += n
-        return BitVec(n, chunk)
-
-    def take_bit(self) -> int:
-        return self.take(1).v

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .bitlinalg import BitVec
 from .errors import ParseError, UsageError
 
@@ -81,6 +83,36 @@ class Circuit:
                 frees[k].append(g)
             depth[g.out] = k
         return tuple((tuple(a), tuple(f)) for a, f in zip(ands, frees))
+
+    @cached_property
+    def level_indices(self) -> tuple:
+        """`levels` as numpy index arrays, for an evaluator that keeps its
+        wires as array rows. Per level: the ANDs' (inputs as an (n, 2)
+        array, outputs), or None for a level without ANDs, then the free
+        gates as steps of (first inputs, second inputs, outputs), where no
+        step reads a wire written in the same step. Every free gate is an XOR
+        of two wires: EQW's second input is the constant-0 wire `n_wires`
+        and INV's the constant-1 wire `n_wires + 1`."""
+        second = {"EQW": self.header.n_wires, "INV": self.header.n_wires + 1}
+
+        def arrays(cols):
+            return tuple(np.array(c, dtype=np.intp) for c in cols)
+
+        out = []
+        for ands, frees in self.levels:
+            step_of, steps = {}, []
+            for g in frees:
+                s = 1 + max(step_of.get(w, -1) for w in g.ins)
+                step_of[g.out] = s
+                if s == len(steps):
+                    steps.append(([], [], []))
+                ins0, ins1, outs = steps[s]
+                ins0.append(g.ins[0])
+                ins1.append(second.get(g.kind, g.ins[-1]))
+                outs.append(g.out)
+            ia = arrays(([g.ins for g in ands], [g.out for g in ands])) if ands else None
+            out.append((ia, tuple(arrays(st) for st in steps)))
+        return tuple(out)
 
     @property
     def n_and(self) -> int:

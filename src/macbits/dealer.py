@@ -3,8 +3,13 @@
 deal() runs the whole offline phase on one channel: a handshake, the
 authenticated-bit pipeline once per bit owner, then triple and quadruple
 generation with bucketed combining, all under the two session global keys
-born in the pipeline. The outcome is a MaterialStore per party: bit-packed
-streams of records the online phase consumes through monotone cursors.
+born in the pipeline. The offline protocols pass record types around; deal
+packs its outputs once, at the end, into a MaterialStore per party: six
+streams of uint8 row arrays (a MAC-side row is the MAC's kappa/8 bytes, then
+one byte for the bit; a key row is kappa/8 bytes) that the online phase
+slices one AND level at a time through monotone cursors. A store file
+(version 2) is a 64-byte header, the global key, the six record counts, and
+each stream's MAC rows then key rows as raw bytes.
 
 Material demand per owner follows from the combiners: every secure triple
 eats 3 owner bits per leaky instance, every secure quadruple 2 sender bits
@@ -18,22 +23,22 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .aand_proto import (TripleKey, TripleMac, aand_combine_key,
-                         aand_combine_mac, laand_key_side, laand_mac_side)
-from .abit_proto import (AuthBitKey, AuthBitMac, GlobalKey, produce_abits,
-                         verify_abit)
-from .aot_proto import (QuadReceiver, QuadSender, aot_combine_receiver,
-                        aot_combine_sender, bucket_size, laot_receiver,
-                        laot_sender)
+import numpy as np
+
+from .aand_proto import (aand_combine_key, aand_combine_mac, laand_key_side,
+                         laand_mac_side)
+from .abit_proto import AuthBitKey, AuthBitMac, GlobalKey, produce_abits
+from .aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
+                        laot_receiver, laot_sender)
 from .base_ot import DealerOt
-from .bitlinalg import BitReader, BitVec, BitWriter
+from .bitlinalg import BitVec
 from .errors import OutOfMaterial, ParseError, ProtocolAbort, UsageError
 from .ro_suite import (DIGEST_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
                        flush_accumulators, ro_hash)
 from .transport import Channel, MsgType, Role, perform_hello
 
 MAGIC = b"MACBITS\x00"
-STORE_VERSION = 1
+STORE_VERSION = 2
 HEADER_BYTES = 64
 
 
@@ -116,10 +121,25 @@ class _Pool:
 
 
 class MaterialStore:
-    """One party's preprocessed records plus consumption cursors."""
+    """One party's preprocessed material, as arrays, plus consumption cursors.
+
+    Each stream is a pair of uint8 arrays with one record per leading index:
+    MAC-side rows of shape (n, w_mac, kappa/8 + 1), each the MAC's bytes in
+    `BitVec.to_bytes` order followed by one byte for the bit, and key rows of
+    shape (n, w_key, kappa/8). WIDTHS gives each stream's (w_mac, w_key); its
+    comments name the record fields the rows hold, in order.
+    """
 
     STREAMS = ("abits_mine", "abits_theirs", "aands_mine", "aands_theirs",
                "aots_sender", "aots_receiver")
+    WIDTHS = {
+        "abits_mine": (1, 0),     # bit
+        "abits_theirs": (0, 1),   # key
+        "aands_mine": (3, 0),     # x, y, z
+        "aands_theirs": (0, 3),   # kx, ky, kz
+        "aots_sender": (2, 2),    # x0, x1 | kc, kz
+        "aots_receiver": (2, 2),  # c, z | kx0, kx1
+    }
 
     def __init__(self, role: Role, kappa: int, psi: int, session_id: bytes,
                  gk_commit: bytes, delta: GlobalKey,
@@ -131,38 +151,67 @@ class MaterialStore:
         self.session_id = session_id
         self.gk_commit = gk_commit
         self.delta = delta
-        self.abits_mine = list(abits_mine)
-        self.abits_theirs = list(abits_theirs)
-        self.aands_mine = list(aands_mine)
-        self.aands_theirs = list(aands_theirs)
-        self.aots_sender = list(aots_sender)
-        self.aots_receiver = list(aots_receiver)
+        given = (abits_mine, abits_theirs, aands_mine, aands_theirs,
+                 aots_sender, aots_receiver)
+        for name, stream in zip(self.STREAMS, given):
+            setattr(self, name, tuple(stream) or self._rows(name, 0, b""))
         self._cursors = {name: 0 for name in self.STREAMS}
+
+    def _rows(self, name, n, raw, off=0):
+        """Stream `name` of n records read from raw at off, as (macs, keys)."""
+        (wm, wk), kb = self.WIDTHS[name], self.kappa // 8
+        macs = np.frombuffer(raw, np.uint8, n * wm * (kb + 1), off)
+        keys = np.frombuffer(raw, np.uint8, n * wk * kb, off + macs.size)
+        return macs.reshape(n, wm, kb + 1), keys.reshape(n, wk, kb)
+
+    @classmethod
+    def from_records(cls, role: Role, kappa: int, psi: int, session_id: bytes,
+                     gk_commit: bytes, delta: GlobalKey, **streams):
+        """A store from record lists, one keyword per stream: AuthBitMac or
+        AuthBitKey halves for the abits, TripleMac/TripleKey for the aands,
+        QuadSender/QuadReceiver for the aots."""
+        store = cls(role, kappa, psi, session_id, gk_commit, delta)
+        for name, records in streams.items():
+            halves = [h for r in records
+                      for h in ((r,) if isinstance(r, (AuthBitMac, AuthBitKey))
+                                else vars(r).values())]
+            raw = b"".join([h.mac.to_bytes() + bytes((h.bit,)) for h in halves
+                            if isinstance(h, AuthBitMac)]
+                           + [h.key.to_bytes() for h in halves
+                              if isinstance(h, AuthBitKey)])
+            setattr(store, name, store._rows(name, len(records), raw))
+        return store
+
+    @property
+    def delta_row(self) -> np.ndarray:
+        """The global key I hold, as a uint8 row like a key row."""
+        return np.frombuffer(self.delta.delta.to_bytes(), np.uint8)
 
     # -- consumption --------------------------------------------------------
 
-    def _take(self, name):
-        records = getattr(self, name)
+    def _take(self, name, n):
+        macs, keys = getattr(self, name)
         pos = self._cursors[name]
-        if pos >= len(records):
-            raise OutOfMaterial(f"{name} exhausted after {pos} records")
-        self._cursors[name] = pos + 1
-        return records[pos]
+        if pos + n > len(macs):
+            raise OutOfMaterial(f"{name} exhausted after {pos} records, "
+                                f"{n} more wanted")
+        self._cursors[name] = pos + n
+        return macs[pos : pos + n], keys[pos : pos + n]
 
-    def take_abit(self, owner: Role):
-        return self._take("abits_mine" if owner is self.role else "abits_theirs")
+    def take_abit(self, owner: Role, n: int):
+        return self._take("abits_mine" if owner is self.role else "abits_theirs", n)
 
-    def take_aand(self, owner: Role):
-        return self._take("aands_mine" if owner is self.role else "aands_theirs")
+    def take_aand(self, owner: Role, n: int):
+        return self._take("aands_mine" if owner is self.role else "aands_theirs", n)
 
-    def take_aot(self, sender: Role):
-        return self._take("aots_sender" if sender is self.role else "aots_receiver")
+    def take_aot(self, sender: Role, n: int):
+        return self._take("aots_sender" if sender is self.role else "aots_receiver", n)
 
     def consumed(self) -> dict:
         return dict(self._cursors)
 
     def remaining(self, name: str) -> int:
-        return len(getattr(self, name)) - self._cursors[name]
+        return len(getattr(self, name)[0]) - self._cursors[name]
 
     # -- persistence --------------------------------------------------------
 
@@ -174,41 +223,19 @@ class MaterialStore:
         return hdr
 
     def save(self, path):
-        k = self.kappa
-        w = BitWriter()
-        for r in self.abits_mine:
-            w.append(BitVec(1, r.bit))
-            w.append(r.mac)
-        for r in self.abits_theirs:
-            w.append(r.key)
-        for t in self.aands_mine:
-            for half in (t.x, t.y, t.z):
-                w.append(BitVec(1, half.bit))
-                w.append(half.mac)
-        for t in self.aands_theirs:
-            for key in (t.kx, t.ky, t.kz):
-                w.append(key.key)
-        for q in self.aots_sender:
-            for half in (q.x0, q.x1):
-                w.append(BitVec(1, half.bit))
-                w.append(half.mac)
-            w.append(q.kc.key)
-            w.append(q.kz.key)
-        for q in self.aots_receiver:
-            for half in (q.c, q.z):
-                w.append(BitVec(1, half.bit))
-                w.append(half.mac)
-            w.append(q.kx0.key)
-            w.append(q.kx1.key)
-        counts = struct.pack(">6Q", *(len(getattr(self, n)) for n in self.STREAMS))
+        counts = struct.pack(">6Q", *(len(getattr(self, n)[0]) for n in self.STREAMS))
         with open(path, "wb") as fh:
             fh.write(self.header_bytes())
             fh.write(self.delta.delta.to_bytes())
             fh.write(counts)
-            fh.write(w.getvalue())
+            for name in self.STREAMS:
+                for rows in getattr(self, name):
+                    fh.write(rows.tobytes())
 
     @classmethod
     def load(cls, path) -> "MaterialStore":
+        """Read a store file; its arrays are read-only views of the file's
+        bytes. Malformed files raise ParseError."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if len(blob) < HEADER_BYTES:
@@ -225,32 +252,24 @@ class MaterialStore:
             raise ParseError(f"bad MAC length {kappa}")
         sid, commit = blob[16:32], blob[32:64]
         role = Role(role_v)
-        counts_at = HEADER_BYTES + kappa // 8
+        kb = kappa // 8
+        counts_at = HEADER_BYTES + kb
         off = counts_at + 48
         if len(blob) < off:
             raise ParseError("material file too short for its record counts")
         delta = GlobalKey(role.other, BitVec.from_bytes(kappa, blob[HEADER_BYTES:counts_at]))
         counts = struct.unpack(">6Q", blob[counts_at:off])
-        n_am, n_at, n_nm, n_nt, n_qs, n_qr = counts
-        # record widths in bits, in STREAMS order
-        widths = (1 + kappa, kappa, 3 + 3 * kappa, 3 * kappa, 2 + 4 * kappa, 2 + 4 * kappa)
-        body_bits = sum(n * w for n, w in zip(counts, widths))
-        if len(blob) - off != (body_bits + 7) // 8:
+        sizes = [n * (wm * (kb + 1) + wk * kb)
+                 for n, (wm, wk) in zip(counts, map(cls.WIDTHS.get, cls.STREAMS))]
+        if len(blob) - off != sum(sizes):
             raise ParseError("material body length does not match its record counts")
-        rd = BitReader(blob[off:])
-        take_mac = lambda: AuthBitMac(rd.take_bit(), rd.take(kappa))
-        take_key = lambda: AuthBitKey(rd.take(kappa))
         store = cls(role, kappa, psi, sid, commit, delta)
-        store.abits_mine = [take_mac() for _ in range(n_am)]
-        store.abits_theirs = [take_key() for _ in range(n_at)]
-        store.aands_mine = [TripleMac(take_mac(), take_mac(), take_mac())
-                            for _ in range(n_nm)]
-        store.aands_theirs = [TripleKey(take_key(), take_key(), take_key())
-                              for _ in range(n_nt)]
-        store.aots_sender = [QuadSender(take_mac(), take_mac(), take_key(), take_key())
-                             for _ in range(n_qs)]
-        store.aots_receiver = [QuadReceiver(take_mac(), take_mac(), take_key(), take_key())
-                               for _ in range(n_qr)]
+        for name, n, size in zip(cls.STREAMS, counts, sizes):
+            macs, keys = store._rows(name, n, blob, off)
+            if (macs[..., kb] > 1).any():
+                raise ParseError(f"{name} holds a bit byte other than 0 or 1")
+            setattr(store, name, (macs, keys))
+            off += size
         return store
 
 
@@ -344,7 +363,7 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
 
     fresh_n = cfg.n_abits_A if role is Role.ALICE else cfg.n_abits_B
     fresh_peer_n = cfg.n_abits_B if role is Role.ALICE else cfg.n_abits_A
-    return MaterialStore(
+    return MaterialStore.from_records(
         role, cfg.kappa, cfg.psi, sid, gk_commit, my_delta,
         abits_mine=pools[role].take(fresh_n),
         abits_theirs=pools[role.other].take(fresh_peer_n),
@@ -355,10 +374,16 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     )
 
 
+def _macs_hold(macs, keys, delta) -> bool:
+    """Every MAC-side row's MAC equals its key row ^ bit*delta."""
+    return np.array_equal(macs[..., :-1], keys ^ macs[..., -1:] * delta)
+
+
 def verify_stores(store_a: MaterialStore, store_b: MaterialStore) -> int:
     """Full-scan cross check of two parties' stores; returns the number of
-    MAC relations verified. Test and tooling aid: a deployment never holds
-    both stores in one process."""
+    relations verified (per record: one per MAC, plus a triple's product and
+    a quad's choice). Test and tooling aid: a deployment never holds both
+    stores in one process."""
     if store_a.role is not Role.ALICE or store_b.role is not Role.BOB:
         raise UsageError("pass the stores in (alice, bob) order")
     for name in ("kappa", "psi", "session_id", "gk_commit"):
@@ -366,32 +391,27 @@ def verify_stores(store_a: MaterialStore, store_b: MaterialStore) -> int:
             raise ProtocolAbort("material", f"stores disagree on {name}")
     checked = 0
 
-    def need(ok, what):
+    def need(ok, what, n):
         nonlocal checked
         if not ok:
             raise ProtocolAbort("material", f"{what} relation violated")
-        checked += 1
+        checked += n
 
     for mac_store, key_store in ((store_a, store_b), (store_b, store_a)):
-        gk = key_store.delta  # authenticates mac_store's bits
-        if len(mac_store.abits_mine) != len(key_store.abits_theirs):
-            raise ProtocolAbort("material", "abit stream lengths disagree")
-        for m, k in zip(mac_store.abits_mine, key_store.abits_theirs):
-            need(verify_abit(m, k, gk), "abit")
-        if len(mac_store.aands_mine) != len(key_store.aands_theirs):
-            raise ProtocolAbort("material", "aand stream lengths disagree")
-        for t, tk in zip(mac_store.aands_mine, key_store.aands_theirs):
-            need(t.z.bit == (t.x.bit & t.y.bit), "triple product")
-            for half, key in ((t.x, tk.kx), (t.y, tk.ky), (t.z, tk.kz)):
-                need(verify_abit(half, key, gk), "triple MAC")
-        if len(mac_store.aots_sender) != len(key_store.aots_receiver):
-            raise ProtocolAbort("material", "aot stream lengths disagree")
-        gk_recv = mac_store.delta  # authenticates the receiver's bits
-        for qs, qr in zip(mac_store.aots_sender, key_store.aots_receiver):
-            need(qr.z.bit == (qr.c.bit & (qs.x0.bit ^ qs.x1.bit)) ^ qs.x0.bit,
-                 "quad choice")
-            need(verify_abit(qs.x0, qr.kx0, gk), "quad x0 MAC")
-            need(verify_abit(qs.x1, qr.kx1, gk), "quad x1 MAC")
-            need(verify_abit(qr.c, qs.kc, gk_recv), "quad c MAC")
-            need(verify_abit(qr.z, qs.kz, gk_recv), "quad z MAC")
+        gk = key_store.delta_row  # authenticates mac_store's bits
+        gk_recv = mac_store.delta_row  # authenticates the receiver's bits
+        (am, _), (_, ak) = mac_store.abits_mine, key_store.abits_theirs
+        (tm, _), (_, tk) = mac_store.aands_mine, key_store.aands_theirs
+        (xs, kcz), (cz, kxs) = mac_store.aots_sender, key_store.aots_receiver
+        for what, mine, theirs in (("abit", am, ak), ("aand", tm, tk), ("aot", xs, cz)):
+            if len(mine) != len(theirs):
+                raise ProtocolAbort("material", f"{what} stream lengths disagree")
+        need(_macs_hold(am, ak, gk), "abit", len(am))
+        x, y, z = (tm[:, i, -1] for i in range(3))
+        need(np.array_equal(z, x & y), "triple product", len(tm))
+        need(_macs_hold(tm, tk, gk), "triple MAC", 3 * len(tm))
+        x0, x1, c, z = xs[:, 0, -1], xs[:, 1, -1], cz[:, 0, -1], cz[:, 1, -1]
+        need(np.array_equal(z, (c & (x0 ^ x1)) ^ x0), "quad choice", len(xs))
+        need(_macs_hold(xs, kxs, gk), "quad x0/x1 MAC", 2 * len(xs))
+        need(_macs_hold(cz, kcz, gk_recv), "quad c/z MAC", 2 * len(xs))
     return checked

@@ -16,6 +16,8 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitlinalg import BitVec
 from .errors import ProtocolAbort, UsageError
 from .transport import Channel, MsgType, Role
@@ -35,6 +37,8 @@ def _as_bytes(x) -> bytes:
         return x.to_bytes()
     if isinstance(x, (bytes, bytearray, memoryview)):
         return bytes(x)
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
     raise UsageError(f"cannot hash {type(x).__name__}")
 
 
@@ -90,6 +94,14 @@ def mask(tag: str, key_material, message: BitVec) -> BitVec:
     return message ^ pad
 
 
+def mac_rows(macs) -> np.ndarray:
+    """Equal-length MACs as a uint8 array, one MAC's `to_bytes` per row."""
+    macs = list(macs)
+    width = (macs[0].n + 7) // 8 if macs else 0
+    raw = b"".join(m.to_bytes() for m in macs)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(macs), width)
+
+
 @dataclass(frozen=True)
 class MacAccumulator:
     """Chained digest of a sequence of revealed MACs.
@@ -102,13 +114,15 @@ class MacAccumulator:
     state: bytes = bytes(DIGEST_BYTES)
     count: int = 0
 
-    def absorb(self, *macs: BitVec) -> "MacAccumulator":
-        """Chain one round with a single hash over (state, MAC count, the MACs
-        in order); an empty round leaves the accumulator unchanged."""
-        if not macs:
+    def absorb(self, macs: np.ndarray) -> "MacAccumulator":
+        """Chain one round, given as a uint8 array with one MAC per row, with
+        a single hash over (state, MAC count, the rows as one buffer); an
+        empty round leaves the accumulator unchanged."""
+        n = len(macs)
+        if not n:
             return self
-        state = ro_hash("acc/round", self.state, struct.pack(">Q", len(macs)), *macs)
-        return MacAccumulator(state, self.count + len(macs))
+        state = ro_hash("acc/round", self.state, struct.pack(">Q", n), macs)
+        return MacAccumulator(state, self.count + n)
 
     def digest(self) -> bytes:
         return self.state

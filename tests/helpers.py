@@ -4,7 +4,8 @@ two-party run plumbing.
 The oracle dealer manufactures correlated MaterialStore pairs directly from
 a test RNG, skipping the offline protocol entirely. That keeps online-phase
 tests fast and makes the material independently trustworthy: every record is
-built straight from the defining MAC relation M = K xor bit*Delta.
+built straight from the defining MAC relation M = K xor bit*Delta, then
+packed into the store's row layout as `deal` packs its records.
 """
 
 from __future__ import annotations
@@ -82,26 +83,27 @@ class OracleDealer:
             commits[r] = ro_hash("gkc", sid, bytes([r.value]),
                                  held.delta.to_bytes())
         joint = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
-        store = {r: MaterialStore(r, self.kappa, cfg.psi, sid, joint,
-                                  self.delta[r.other])
-                 for r in (Role.ALICE, Role.BOB)}
+        records = {r: {name: [] for name in MaterialStore.STREAMS}
+                   for r in (Role.ALICE, Role.BOB)}
 
         for owner, n in ((Role.ALICE, cfg.n_abits_A), (Role.BOB, cfg.n_abits_B)):
             for _ in range(n):
                 m, k = self.abit(owner)
-                store[owner].abits_mine.append(m)
-                store[owner.other].abits_theirs.append(k)
+                records[owner]["abits_mine"].append(m)
+                records[owner.other]["abits_theirs"].append(k)
         for owner, n in ((Role.ALICE, cfg.n_aands_A), (Role.BOB, cfg.n_aands_B)):
             for _ in range(n):
                 tm, tk = self.triple(owner)
-                store[owner].aands_mine.append(tm)
-                store[owner.other].aands_theirs.append(tk)
+                records[owner]["aands_mine"].append(tm)
+                records[owner.other]["aands_theirs"].append(tk)
         for sender, n in ((Role.ALICE, cfg.n_aots_AB), (Role.BOB, cfg.n_aots_BA)):
             for _ in range(n):
                 qs, qr = self.quad(sender)
-                store[sender].aots_sender.append(qs)
-                store[sender.other].aots_receiver.append(qr)
-        return store[Role.ALICE], store[Role.BOB]
+                records[sender]["aots_sender"].append(qs)
+                records[sender.other]["aots_receiver"].append(qr)
+        return tuple(MaterialStore.from_records(r, self.kappa, cfg.psi, sid, joint,
+                                                self.delta[r.other], **records[r])
+                     for r in (Role.ALICE, Role.BOB))
 
 
 def oracle_store_pair(circuit: Circuit, rng: random.Random, kappa: int = 16,
@@ -189,8 +191,9 @@ def eval_two(circuit: Circuit, store_a, store_b, xa: BitVec, xb: BitVec,
 
 
 def reconstruct_pair(a, b) -> int:
-    """Combine the two parties' AuthShares of one wire into its value."""
-    return a.my_half.bit ^ b.my_half.bit
+    """Combine the two parties' MAC-side rows (MAC bytes, then the bit) of one
+    wire into its value."""
+    return int(a[-1] ^ b[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import math
 import random
 import time
 
+import numpy as np
+
 from aes_oracle import KNOWN_VECTORS, aes128_encrypt
 from helpers import (OracleDealer, eval_two, labit_cheat_survivals,
                      laand_u_tamper_outcomes, laot_probe_outcomes,
@@ -28,8 +30,7 @@ from macbits.errors import ProtocolAbort
 from macbits.leakage_lab import (alpha_prime, bucket_fail_mc,
                                  bucket_fail_prob, span_fail_rate)
 from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
-from macbits.runtime_2pc import (AuthShare, Runtime, TamperPlan,
-                                 count_reveal_sites)
+from macbits.runtime_2pc import Runtime, TamperPlan, count_reveal_sites
 from macbits.transport import Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
@@ -284,54 +285,70 @@ def test_cost_accounting():
            f"gate = 2 bits + 2 ANDs + 2 OTs per party")
 
 
+def _row(half) -> np.ndarray:
+    """The store's row of a record half: MAC bytes then the bit, or key bytes."""
+    if isinstance(half, AuthBitMac):
+        return np.frombuffer(half.mac.to_bytes() + bytes((half.bit,)), np.uint8)
+    return np.frombuffer(half.key.to_bytes(), np.uint8)
+
+
+def _row_holds(mac_row, key_row, gk) -> bool:
+    delta = np.frombuffer(gk.delta.to_bytes(), np.uint8)
+    return np.array_equal(mac_row[:-1], key_row ^ mac_row[-1] * delta)
+
+
 def test_share_algebra_exhaustive():
     rng = random.Random(1010)
     od = OracleDealer(16, rng)
     gk = od.delta[A]
     ok = True
 
+    def abit_rows(owner, bit):
+        m, k = od.abit_with(owner, bit)
+        return _row(m), _row(k)
+
     for x in (0, 1):
         for y in (0, 1):
-            xm, xk = od.abit_with(A, x)
-            ym, yk = od.abit_with(A, y)
-            s = AuthBitMac(xm.bit ^ ym.bit, xm.mac ^ ym.mac)
-            ok = ok and s.bit == (x ^ y) and verify_abit(
-                s, AuthBitKey(xk.key ^ yk.key), gk)
+            xm, xk = abit_rows(A, x)
+            ym, yk = abit_rows(A, y)
+            s = xm ^ ym
+            ok = ok and s[-1] == (x ^ y) and _row_holds(s, xk ^ yk, gk)
 
     for b in (0, 1):
-        cm, ck = const_mac(b, 16), const_key(b, gk)
-        ok = ok and cm.mac == BitVec.zeros(16)
-        ok = ok and ck.key == gk.delta.times(b)
-        ok = ok and verify_abit(cm, ck, gk)
+        # a public constant: zero MAC and bit b; the peer's key is b*Delta
+        cm, ck = _row(const_mac(b, 16)), _row(const_key(b, gk))
+        ok = ok and not cm[:-1].any() and cm[-1] == b
+        ok = ok and np.array_equal(ck, _row(AuthBitKey(gk.delta.times(b))))
+        ok = ok and _row_holds(cm, ck, gk)
         for x in (0, 1):
-            xm, xk = od.abit_with(A, x)
-            ok = ok and verify_abit(xm.xor_const(b), xk.xor_const(b, gk), gk)
-            ok = ok and xm.xor_const(b).bit == x ^ b
+            xm, xk = abit_rows(A, x)
+            ok = ok and _row_holds(xm ^ cm, xk ^ ck, gk)
+            ok = ok and (xm ^ cm)[-1] == x ^ b
 
     recon = 0
     for va in (0, 1):
         for vb in (0, 1):
-            am, ak = od.abit_with(A, va)
-            bm, bk = od.abit_with(B, vb)
-            sh_a = AuthShare(am, bk)
-            sh_b = AuthShare(bm, ak)
-            ok = ok and reconstruct_pair(sh_a, sh_b) == va ^ vb
-            ok = ok and verify_abit(sh_a.my_half, sh_b.peer_key, od.delta[A])
-            ok = ok and verify_abit(sh_b.my_half, sh_a.peer_key, od.delta[B])
+            am, ak = abit_rows(A, va)
+            bm, bk = abit_rows(B, vb)
+            # Alice's wire rows are (am, bk), Bob's (bm, ak)
+            ok = ok and reconstruct_pair(am, bm) == va ^ vb
+            ok = ok and _row_holds(am, ak, od.delta[A])
+            ok = ok and _row_holds(bm, bk, od.delta[B])
             recon += 1
     # xor of shared wires reconstructs the xor of the values
     for va in (0, 1):
         for vb in (0, 1):
             for wa in (0, 1):
                 for wb in (0, 1):
-                    am, ak = od.abit_with(A, va)
-                    bm, bk = od.abit_with(B, vb)
-                    cm, ck = od.abit_with(A, wa)
-                    dm, dk = od.abit_with(B, wb)
-                    v = AuthShare(am, bk) ^ AuthShare(cm, dk)
-                    w = AuthShare(bm, ak) ^ AuthShare(dm, ck)
-                    ok = ok and reconstruct_pair(v, w) == va ^ vb ^ wa ^ wb
-                    ok = ok and verify_abit(v.my_half, w.peer_key, od.delta[A])
+                    am, ak = abit_rows(A, va)
+                    bm, bk = abit_rows(B, vb)
+                    cm, ck = abit_rows(A, wa)
+                    dm, dk = abit_rows(B, wb)
+                    v_m, v_k = am ^ cm, bk ^ dk
+                    w_m, w_k = bm ^ dm, ak ^ ck
+                    ok = ok and reconstruct_pair(v_m, w_m) == va ^ vb ^ wa ^ wb
+                    ok = ok and _row_holds(v_m, w_k, od.delta[A])
+                    ok = ok and _row_holds(w_m, v_k, od.delta[B])
                     recon += 1
 
     report("share algebra", ok,

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +145,32 @@ def test_levels_schedule_each_gate_once_after_its_inputs(seed, n_gates):
         scheduled += ands + frees
     assert len(scheduled) == len(c.gates) and set(scheduled) == set(c.gates)
     assert c.n_and == sum(g.kind == "AND" for g in c.gates)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 150))
+def test_level_indices_evaluate_like_plain_eval(seed, n_gates):
+    """Running the index arrays with free gates as XORs against the two
+    constant wires, one array operation per AND level and per step,
+    computes what plain_eval computes; no step reads its own outputs."""
+    rng = random.Random(seed)
+    c = random_circuit(rng, n_gates)
+    xa, xb = random_inputs(c, rng)
+    h = c.header
+    w = np.zeros(h.n_wires + 2, np.uint8)
+    w[h.n_wires + 1] = 1
+    w[:h.n_inputs] = xa.bits() + xb.bits()
+    assert len(c.level_indices) == len(c.levels)
+    for (ands, steps), (gates, frees) in zip(c.level_indices, c.levels):
+        assert (ands is None) == (not gates)
+        if ands is not None:
+            ins, outs = ands
+            w[outs] = w[ins[:, 0]] & w[ins[:, 1]]
+        assert sum(len(out) for _, _, out in steps) == len(frees)
+        for a, b, out in steps:
+            assert not set(out) & (set(a) | set(b))
+            w[out] = w[a] ^ w[b]
+    assert w[list(c.output_wires)].tolist() == plain_eval(c, xa, xb).bits()
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from helpers import free_port
-from macbits.abit_proto import AuthBitMac
 from macbits.cli import main as cli_main
 from macbits.dealer import MaterialStore
 from macbits.transport import run_pair
@@ -211,8 +210,9 @@ def test_eval_tampered_store_aborts(dealt, toy_file, tmp_path, capsys):
     # the MAC check trips mid-protocol
     pa, pb = dealt
     sa = MaterialStore.load(pa)
-    rec = sa.abits_mine[0]
-    sa.abits_mine[0] = AuthBitMac(rec.bit ^ 1, rec.mac)
+    macs = sa.abits_mine[0].copy()
+    macs[0, 0, -1] ^= 1  # the first bit, its MAC kept
+    sa.abits_mine = (macs, sa.abits_mine[1])
     bad = str(tmp_path / "bad_a.store")
     sa.save(bad)
     port = free_port()

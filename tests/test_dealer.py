@@ -1,17 +1,18 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from helpers import counting_pair
-from macbits.abit_proto import AuthBitKey, tau_for
+from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import BitVec
 from macbits.dealer import (DealerConfig, MaterialStore, deal,
                             flush_accumulators, verify_stores)
 from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort,
                             UsageError)
-from macbits.ro_suite import MacAccumulator
+from macbits.ro_suite import MacAccumulator, mac_rows
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
@@ -81,10 +82,10 @@ def test_deal_produces_verified_material():
     sa, sb = run_deal(SMALL)
     assert sa.session_id == sb.session_id
     assert sa.gk_commit == sb.gk_commit
-    assert (len(sa.abits_mine), len(sb.abits_mine)) == (8, 6)
-    assert (len(sa.aands_mine), len(sb.aands_mine)) == (4, 3)
-    assert (len(sa.aots_sender), len(sb.aots_sender)) == (2, 5)
-    assert len(sa.aots_receiver) == 5 and len(sb.aots_receiver) == 2
+    assert (len(sa.abits_mine[0]), len(sb.abits_mine[0])) == (8, 6)
+    assert (len(sa.aands_mine[0]), len(sb.aands_mine[0])) == (4, 3)
+    assert (len(sa.aots_sender[0]), len(sb.aots_sender[0])) == (2, 5)
+    assert len(sa.aots_receiver[0]) == 5 and len(sb.aots_receiver[0]) == 2
     checked = verify_stores(sa, sb)
     assert checked == (8 + 4 * 4 + 5 * 2) + (6 + 4 * 3 + 5 * 5)
 
@@ -146,7 +147,10 @@ def test_save_load_round_trip(tmp_path):
         assert back.gk_commit == store.gk_commit
         assert back.delta == store.delta
         for name in MaterialStore.STREAMS:
-            assert getattr(back, name) == getattr(store, name)
+            for got, want in zip(getattr(back, name), getattr(store, name)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
         assert all(v == 0 for v in back.consumed().values())
     assert verify_stores(MaterialStore.load(tmp_path / "ALICE.mat"),
                          MaterialStore.load(tmp_path / "BOB.mat")) > 0
@@ -180,23 +184,30 @@ def test_load_rejects_truncated_or_relabelled_store(tmp_path):
 def test_cursors_and_exhaustion():
     sa, sb = run_deal(SMALL, seed=4)
     for _ in range(8):
-        sa.take_abit(A)
+        sa.take_abit(A, 1)
     assert sa.consumed()["abits_mine"] == 8
     assert sa.remaining("abits_mine") == 0
     with pytest.raises(OutOfMaterial):
-        sa.take_abit(A)
+        sa.take_abit(A, 1)
+    with pytest.raises(OutOfMaterial):
+        sb.take_abit(B, 7)  # 6 dealt: a short take consumes nothing
+    assert sb.remaining("abits_mine") == 6
     # streams are per owner/direction
-    q = sb.take_aot(B)
+    x01, kcz = sb.take_aot(B, 1)
     assert sb.consumed()["aots_sender"] == 1
-    assert q.x0 is not None
-    assert sa.take_aot(B).c is not None  # same direction, receiver half
+    assert x01.shape == (1, 2, 3) and kcz.shape == (1, 2, 2)  # x0, x1 | kc, kz
+    cz, kx01 = sa.take_aot(B, 1)  # same direction, receiver half
+    assert cz.shape == (1, 2, 3) and kx01.shape == (1, 2, 2)  # c, z | kx0, kx1
+    # slices of the same rows
+    assert np.array_equal(x01, sb.aots_sender[0][:1])
+    assert np.array_equal(kx01, sa.aots_receiver[1][:1])
 
 
 def test_take_from_empty_stream():
     store = MaterialStore(A, 16, 8, bytes(16), bytes(32),
                           None)
     with pytest.raises(OutOfMaterial):
-        store.take_aand(A)
+        store.take_aand(A, 1)
 
 
 def test_verify_stores_argument_order():
@@ -207,8 +218,9 @@ def test_verify_stores_argument_order():
 
 def test_verify_stores_catches_corruption():
     sa, sb = run_deal(SMALL, seed=6)
-    k = sb.abits_theirs[0]
-    sb.abits_theirs[0] = AuthBitKey(k.key ^ BitVec(16, 1))
+    keys = sb.abits_theirs[1].copy()
+    keys[0, 0, 0] ^= 1  # bit 0 of the first key
+    sb.abits_theirs = (sb.abits_theirs[0], keys)
     with pytest.raises(ProtocolAbort):
         verify_stores(sa, sb)
 
@@ -220,7 +232,7 @@ def test_verify_stores_catches_corruption():
 def absorb_all(macs):
     acc = MacAccumulator()
     for m in macs:
-        acc = acc.absorb(m)
+        acc = acc.absorb(mac_rows([m]))
     return acc
 
 
