@@ -6,7 +6,7 @@ evaluates any Boolean circuit one AND level at a time, deferring MAC
 verification into accumulators checked before any output is released.
 """
 
-from .abit_proto import AuthBitMac, AuthBitKey, GlobalKey
+from .abit_proto import GlobalKey, Rows
 from .bitlinalg import BitVec
 from .circuit import Circuit, CircuitHeader, Gate, parse_bristol, plain_eval
 from .dealer import DealerConfig, MaterialStore, deal, verify_stores
@@ -19,8 +19,6 @@ from .transport import (Channel, Role, memory_pair, run_pair, tcp_connect,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuthBitKey",
-    "AuthBitMac",
     "BitVec",
     "Channel",
     "Circuit",
@@ -34,6 +32,7 @@ __all__ = [
     "ProtocolAbort",
     "ProtocolError",
     "Role",
+    "Rows",
     "Runtime",
     "RuntimeStats",
     "TransportError",

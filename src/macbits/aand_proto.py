@@ -13,122 +13,99 @@ side reusing its first digest as the equality-check reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-from .abit_proto import AuthBitKey, AuthBitMac, GlobalKey
+from .abit_proto import GlobalKey, Rows
 from .aot_proto import bucket_combine
-from .bitlinalg import BitVec
+from .bitlinalg import BitVec, pack_bits, unpack_bits
 from .eq_box import eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, UsageError
-from .ro_suite import DIGEST_BYTES, MacAccumulator, ro_hash
+from .ro_suite import DIGEST_BYTES, MacAccumulator, hash_rows
 from .transport import Channel, MsgType
 
 
-@dataclass(frozen=True)
-class TripleMac:
-    x: AuthBitMac
-    y: AuthBitMac
-    z: AuthBitMac
-
-
-@dataclass(frozen=True)
-class TripleKey:
-    kx: AuthBitKey
-    ky: AuthBitKey
-    kz: AuthBitKey
-
-
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(p ^ q for p, q in zip(a, b))
-
-
-def laand_mac_side(ch: Channel, xs, ys, rs, rng, *, d_tamper=None):
+def laand_mac_side(ch: Channel, xs, ys, rs, rng, *, d_tamper=None) -> Rows:
     """Generate len(xs) leaky triples holding the MAC side.
 
-    xs/ys are the triple inputs, rs the fresh blinds that become z after the
-    announced correction. d_tamper(i, d) models announcing a wrong product.
+    xs/ys are MAC rows of the triple inputs, rs of the fresh blinds that
+    become z after the announced correction. Returns the triples as Rows:
+    x, y, z. d_tamper(i, d) models announcing a wrong product.
     """
     ell = len(xs)
     if not (len(ys) == len(rs) == ell):
         raise UsageError("input batches must align")
-    ds = [(xs[i].bit & ys[i].bit) ^ rs[i].bit for i in range(ell)]
+    ds = (xs[:, -1] & ys[:, -1]) ^ rs[:, -1]
     if d_tamper is not None:
-        ds = [d_tamper(i, d) for i, d in enumerate(ds)]
-    ch.send(MsgType.LAAND_D, BitVec.from_bits(ds).to_bytes())
-    zs = [rs[i].xor_const(ds[i]) for i in range(ell)]
+        ds = np.array([d_tamper(i, int(d)) for i, d in enumerate(ds)], np.uint8) & 1
+    ch.send(MsgType.LAAND_D, pack_bits(ds))
+    zs = rs.copy()
+    zs[:, -1] ^= ds  # constants carry a zero MAC, so only the bit moves
 
-    u_raw = ch.recv(MsgType.LAAND_U, DIGEST_BYTES * ell)
-    vs = []
-    for i in range(ell):
-        if xs[i].bit == 0:
-            v = ro_hash("laand", xs[i].mac.to_bytes(), zs[i].mac.to_bytes())
-        else:
-            u = u_raw[i * DIGEST_BYTES : (i + 1) * DIGEST_BYTES]
-            inner = ro_hash("laand", xs[i].mac.to_bytes(),
-                            (ys[i].mac ^ zs[i].mac).to_bytes())
-            v = _xor_bytes(u, inner)
-        vs.append(BitVec.from_bytes(8 * DIGEST_BYTES, v))
-    if not eq_commit_side(ch, BitVec.join(vs), rng):
+    us = np.frombuffer(ch.recv(MsgType.LAAND_U, DIGEST_BYTES * ell),
+                       np.uint8).reshape(ell, DIGEST_BYTES)
+    x = xs[:, -1:]
+    # x = 0: v = H(M_x, M_z); x = 1: v = U ^ H(M_x, M_y ^ M_z)
+    second = zs[:, :-1] ^ x * ys[:, :-1]
+    vs = hash_rows("laand", np.concatenate((xs[:, :-1], second), axis=1)) ^ x * us
+    if not eq_commit_side(ch, BitVec.from_bytes(8 * DIGEST_BYTES * ell, vs.tobytes()), rng):
         raise ProtocolAbort("laand", "product proof failed")
-    return [TripleMac(xs[i], ys[i], zs[i]) for i in range(ell)]
+    return Rows.of_macs(np.stack((xs, ys, zs), axis=1))
 
 
-def laand_key_side(ch: Channel, kxs, kys, krs, gk: GlobalKey, *, u_tamper=None):
-    """Key side of leaky triple generation; u_tamper models the selective
-    garbling a cheating key holder would use to probe x."""
+def laand_key_side(ch: Channel, kxs, kys, krs, gk: GlobalKey, *, u_tamper=None) -> Rows:
+    """Key side of leaky triple generation, on key rows; returns the triples
+    as Rows: kx, ky, kz. u_tamper models the selective garbling a cheating
+    key holder would use to probe x."""
     ell = len(kxs)
     if not (len(kys) == len(krs) == ell):
         raise UsageError("input batches must align")
-    ds = BitVec.from_bytes(ell, ch.recv(MsgType.LAAND_D, (ell + 7) // 8))
-    delta = gk.delta
+    ds = unpack_bits(ch.recv(MsgType.LAAND_D, (ell + 7) // 8), ell)
+    delta = gk.row
 
-    kzs = [krs[i].xor_const(ds[i], gk) for i in range(ell)]
-    us, refs = [], []
-    for i in range(ell):
-        ref = ro_hash("laand", kxs[i].key.to_bytes(), kzs[i].key.to_bytes())
-        other = ro_hash("laand", (kxs[i].key ^ delta).to_bytes(),
-                        (kys[i].key ^ kzs[i].key).to_bytes())
-        u = _xor_bytes(ref, other)
-        if u_tamper is not None:
-            u = u_tamper(i, u)
-        us.append(u)
-        refs.append(BitVec.from_bytes(8 * DIGEST_BYTES, ref))
-    ch.send(MsgType.LAAND_U, b"".join(us))
-    if not eq_respond_side(ch, BitVec.join(refs)):
+    kzs = krs ^ ds[:, None] * delta
+    refs = hash_rows("laand", np.concatenate((kxs, kzs), axis=1))
+    us = refs ^ hash_rows("laand", np.concatenate((kxs ^ delta, kys ^ kzs), axis=1))
+    if u_tamper is not None:
+        us = np.stack([np.frombuffer(u_tamper(i, u.tobytes()), np.uint8)
+                       for i, u in enumerate(us)])
+    ch.send(MsgType.LAAND_U, us.tobytes())
+    if not eq_respond_side(ch, BitVec.from_bytes(8 * DIGEST_BYTES * ell, refs.tobytes())):
         raise ProtocolAbort("laand", "product proof failed")
-    return [TripleKey(kxs[i], kys[i], kzs[i]) for i in range(ell)]
+    return Rows.of_keys(np.stack((kxs, kys, kzs), axis=1))
 
 
 # ---------------------------------------------------------------------------
 # combining
 
 
-def fold_triple_mac(acc: TripleMac, nxt: TripleMac, d: int) -> TripleMac:
-    """Combine two triples under revealed d = y + y'; keeps acc's y."""
-    return TripleMac(
-        x=acc.x ^ nxt.x,
-        y=acc.y,
-        z=AuthBitMac(acc.z.bit ^ nxt.z.bit ^ (d & nxt.x.bit),
-                     acc.z.mac ^ nxt.z.mac ^ nxt.x.mac.times(d)),
-    )
+def _fold_triple_rows(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(x ^ x', y, z ^ z' ^ d*x'); slices, so a side with no rows folds too."""
+    out = a ^ b
+    out[:, 1:2] = a[:, 1:2]
+    out[:, 2:3] ^= d[:, None, None] * b[:, 0:1]
+    return out
 
 
-def fold_triple_key(acc: TripleKey, nxt: TripleKey, d: int) -> TripleKey:
-    return TripleKey(
-        kx=acc.kx ^ nxt.kx,
-        ky=acc.ky,
-        kz=AuthBitKey(acc.kz.key ^ nxt.kz.key ^ nxt.kx.key.times(d)),
-    )
+def fold_triples(acc: Rows, nxt: Rows, d: np.ndarray) -> Rows:
+    """Combine two triples under revealed d = y + y', one row per bucket;
+    keeps acc's y. The MAC rows and the key rows fold alike."""
+    return Rows(_fold_triple_rows(acc.macs, nxt.macs, d),
+                _fold_triple_rows(acc.keys, nxt.keys, d))
 
 
-def aand_combine_mac(ch: Channel, triples, bucket: int, rng, acc: MacAccumulator):
+def _triple_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y + y', on MAC rows or on key rows alike."""
+    return a[:, 1] ^ b[:, 1]
+
+
+def aand_combine_mac(ch: Channel, triples: Rows, bucket: int, rng, acc: MacAccumulator):
     """The MAC side samples the bucketing (its bits are the ones the leak
     targets) and reveals d = y + y' per fold, MACs deferred into `acc`."""
-    return bucket_combine(ch, triples, bucket, acc, fold_triple_mac, "aand-comb", rng=rng,
-                          reveal=lambda a, n: (a.y.bit ^ n.y.bit, a.y.mac ^ n.y.mac))
+    return bucket_combine(ch, triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
+                          rng=rng)
 
 
-def aand_combine_key(ch: Channel, triples, bucket: int, gk: GlobalKey,
+def aand_combine_key(ch: Channel, triples: Rows, bucket: int, gk: GlobalKey,
                      acc: MacAccumulator):
-    return bucket_combine(ch, triples, bucket, acc, fold_triple_key, "aand-comb",
-                          key=lambda a, n: a.ky.key ^ n.ky.key, delta=gk.delta)
+    return bucket_combine(ch, triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
+                          delta=gk.row)

@@ -1,5 +1,5 @@
-"""Authenticated bits: types, the leaky OT-extension protocol, and the
-privacy-amplified production pipeline.
+"""Authenticated bits: the row layout, the leaky OT-extension protocol, and
+the privacy-amplified production pipeline.
 
 An authenticated bit held by party P is (x, M_x) with the peer holding a
 local key K_x and a session-global key Delta_P, bound by
@@ -28,7 +28,8 @@ Production pipeline for a batch of ell bits owned by P:
      the columns whose XOR is output slice r; this commutes with the
      transpose below and leaves kappa-bit MACs with no exploitable leakage.
   4. The kappa slices are transposed: bit j of G becomes an authenticated
-     bit whose MAC is bit j of each slice.
+     bit whose MAC is bit j of each slice. The output is packed uint8 rows
+     (`Rows`), the layout every later offline step and the store work on.
 
 tau = ceil(22*kappa/3) makes step 3 sound for kappa-bit MACs.
 """
@@ -39,9 +40,11 @@ import math
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .base_ot import extend_ot_receive, extend_ot_send
 from .bitlinalg import (BitMatrix, BitVec, Pairing, mat_mul_rows, mat_vec_mul,
-                        random_pairing, transpose_bits)
+                        pack_rows, random_pairing, transpose_bits, unpack_bits)
 from .bitlinalg import mat_vec_mul_batch  # noqa: F401 - the benchmark still wraps it here
 from .eq_box import eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, UsageError
@@ -64,67 +67,40 @@ class GlobalKey:
     owner: Role
     delta: BitVec
 
-
-@dataclass(frozen=True)
-class AuthBitMac:
-    """Holder's half: the bit and its MAC."""
-
-    bit: int
-    mac: BitVec
-
-    def __xor__(self, other: "AuthBitMac") -> "AuthBitMac":
-        return AuthBitMac(self.bit ^ other.bit, self.mac ^ other.mac)
-
-    def xor_const(self, b: int) -> "AuthBitMac":
-        # Constants carry a zero MAC, so only the bit moves.
-        return AuthBitMac(self.bit ^ (b & 1), self.mac)
+    @property
+    def row(self) -> np.ndarray:
+        """delta as a uint8 row, laid out like a key row."""
+        return np.frombuffer(self.delta.to_bytes(), np.uint8)
 
 
-@dataclass(frozen=True)
-class AuthBitKey:
-    """Peer's half: the local key."""
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """n records of authenticated bits as uint8 rows, a store stream's layout.
 
-    key: BitVec
+    macs has shape (n, w_mac, kappa/8 + 1): the holder's halves, each the
+    MAC's bytes in `BitVec.to_bytes` order and then one byte for the bit, so
+    one row XOR moves bit and MAC together. keys has shape (n, w_key,
+    kappa/8): the peer's halves. Unpacks as (macs, keys); its length is n.
+    """
 
-    def __xor__(self, other: "AuthBitKey") -> "AuthBitKey":
-        return AuthBitKey(self.key ^ other.key)
+    macs: np.ndarray
+    keys: np.ndarray
 
-    def xor_const(self, b: int, gk: GlobalKey) -> "AuthBitKey":
-        return AuthBitKey(self.key ^ gk.delta.times(b))
+    @classmethod
+    def of_macs(cls, macs: np.ndarray) -> "Rows":
+        n, _, w = macs.shape
+        return cls(macs, np.empty((n, 0, w - 1), np.uint8))
 
+    @classmethod
+    def of_keys(cls, keys: np.ndarray) -> "Rows":
+        n, _, w = keys.shape
+        return cls(np.empty((n, 0, w + 1), np.uint8), keys)
 
-def const_mac(b: int, kappa: int) -> AuthBitMac:
-    return AuthBitMac(b & 1, BitVec.zeros(kappa))
+    def __len__(self) -> int:
+        return len(self.macs)
 
-
-def const_key(b: int, gk: GlobalKey) -> AuthBitKey:
-    return AuthBitKey(gk.delta.times(b))
-
-
-def verify_abit(mac_half: AuthBitMac, key_half: AuthBitKey, gk: GlobalKey) -> bool:
-    return mac_half.mac == key_half.key ^ gk.delta.times(mac_half.bit)
-
-
-@dataclass
-class AbitBatchMac:
-    """Holder-side batch: bits[i] with macs[i]."""
-
-    bits: list
-    macs: list
-
-    def __len__(self):
-        return len(self.bits)
-
-
-@dataclass
-class AbitBatchKey:
-    """Key-side batch plus the global key they all share."""
-
-    gk: GlobalKey
-    keys: list
-
-    def __len__(self):
-        return len(self.keys)
+    def __iter__(self):
+        return iter((self.macs, self.keys))
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +156,22 @@ def labit_receiver(ch: Channel, tau: int, ell: int, rng, backend):
 # privacy amplification, then transpose (steps 3-4)
 
 
-def amplify_macs_with(matrix: BitMatrix, gamma: BitVec, keys: list) -> AbitBatchMac:
-    """Holder side: bit j of gamma, MACed by bit j of each amplified column."""
-    return AbitBatchMac(bits=gamma.bits(), macs=transpose_bits(mat_mul_rows(matrix, keys)))
+def amplify_macs_with(matrix: BitMatrix, gamma: BitVec, keys: list) -> np.ndarray:
+    """Holder side: bit j of gamma, MACed by bit j of each amplified column,
+    as (ell, kappa/8 + 1) MAC rows."""
+    macs = transpose_bits(pack_rows(mat_mul_rows(matrix, keys)), gamma.n)
+    return np.concatenate((macs, unpack_bits(gamma.to_bytes(), gamma.n)[:, None]), axis=1)
 
 
-def amplify_keys_with(matrix: BitMatrix, ys: list, macs: list, owner: Role) -> AbitBatchKey:
-    """Key side: the amplified weak key y_1..y_tau and per-bit keys."""
+def amplify_keys_with(matrix: BitMatrix, ys: list, macs: list, owner: Role):
+    """Key side: the amplified weak key y_1..y_tau, and (ell, kappa/8) key
+    rows, one per bit."""
     gk = GlobalKey(owner, mat_vec_mul(matrix, BitVec.from_bits(ys)))
-    return AbitBatchKey(gk=gk, keys=transpose_bits(mat_mul_rows(matrix, macs)))
+    n = macs[0].n if macs else 0
+    return gk, transpose_bits(pack_rows(mat_mul_rows(matrix, macs)), n)
 
 
-def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int) -> AbitBatchMac:
+def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int) -> np.ndarray:
     if len(keys) != tau_for(kappa):
         raise UsageError(f"tau {len(keys)} does not fit {kappa}-bit MACs")
     raw = ch.recv(MsgType.AMPLIFY_MATRIX, kappa * ((len(keys) + 7) // 8))
@@ -200,7 +180,7 @@ def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int) -
 
 
 def wabit_amplify_key_side(ch: Channel, ys: list, macs: list, kappa: int, owner: Role,
-                           rng) -> AbitBatchKey:
+                           rng):
     if len(macs) != tau_for(kappa):
         raise UsageError(f"tau {len(macs)} does not fit {kappa}-bit MACs")
     matrix = BitMatrix.random(kappa, len(macs), rng)
@@ -218,28 +198,32 @@ def wabit_amplify_key_side(ch: Channel, ys: list, macs: list, kappa: int, owner:
 
 @dataclass
 class WabitMacView:
-    """Holder side after transpose: ell bits, each with a tau-bit MAC."""
+    """Holder side after transpose: ell bits, each with a tau-bit MAC packed
+    into a row of macs."""
 
     tau: int
-    bits: list
-    macs: list
+    bits: np.ndarray
+    macs: np.ndarray
 
 
 @dataclass
 class WabitKeyView:
-    """Key side after transpose: tau-bit weak global key and per-bit keys."""
+    """Key side after transpose: tau-bit weak global key and per-bit keys,
+    one packed row each."""
 
     tau: int
     gamma: BitVec
-    keys: list
+    keys: np.ndarray
 
 
 def labit_to_wabit_macs(gamma: BitVec, keys: list) -> WabitMacView:
-    return WabitMacView(tau=len(keys), bits=gamma.bits(), macs=transpose_bits(keys))
+    return WabitMacView(tau=len(keys), bits=unpack_bits(gamma.to_bytes(), gamma.n),
+                        macs=transpose_bits(pack_rows(keys), gamma.n))
 
 
 def labit_to_wabit_keys(ys: list, macs: list) -> WabitKeyView:
-    return WabitKeyView(tau=len(macs), gamma=BitVec.from_bits(ys), keys=transpose_bits(macs))
+    return WabitKeyView(tau=len(macs), gamma=BitVec.from_bits(ys),
+                        keys=transpose_bits(pack_rows(macs), macs[0].n))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +233,9 @@ def labit_to_wabit_keys(ys: list, macs: list) -> WabitKeyView:
 def produce_abits(ch: Channel, role: Role, owner: Role, count: int, kappa: int, rng, backend):
     """Produce `count` authenticated bits owned by `owner` with kappa-bit MACs.
 
-    The owner ends with an AbitBatchMac; the peer ends with an AbitBatchKey
-    whose global key is born here (derived, never sampled directly).
+    The owner ends with (count, kappa/8 + 1) MAC rows; the peer ends with
+    (gk, (count, kappa/8) key rows), where the global key gk is born here
+    (derived, never sampled directly).
     """
     if count <= 0:
         raise UsageError("count must be positive")

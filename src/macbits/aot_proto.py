@@ -8,6 +8,11 @@ survives. Combining B leaky quads under a random bucketing leaves the output
 correlation clean unless an entire bucket was leaky; `bucket_combine` does
 that bucketing for aAND triples too.
 
+Everything here works on uint8 rows (`abit_proto.Rows`): a batch is hashed
+one row at a time, but masked, XORed, permuted and folded as whole arrays,
+and a quad batch is a Rows of x0, x1 | kc, kz on the sender and c, z | kx0,
+kx1 on the receiver, the store's layout.
+
 Per leaky instance the generator spends 6 hash calls (4 sender, 2 receiver),
 asserted by the cost-accounting tests. The final pad-pair comparison is one
 batched equality check, committed by the sender.
@@ -16,13 +21,14 @@ batched equality check, committed by the sender.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .abit_proto import AuthBitKey, AuthBitMac, GlobalKey
-from .bitlinalg import BitVec, random_permutation
+import numpy as np
+
+from .abit_proto import GlobalKey, Rows
+from .bitlinalg import BitVec, pack_bits, random_permutation, unpack_bits
 from .eq_box import eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, UsageError
-from .ro_suite import MacAccumulator, mac_rows, mask
+from .ro_suite import MacAccumulator, pad_rows
 from .transport import Channel, MsgType
 
 
@@ -34,212 +40,179 @@ def bucket_size(ell: int, psi: int) -> int:
     return max(2, 1 + math.ceil(psi / denom))
 
 
-@dataclass(frozen=True)
-class QuadSender:
-    x0: AuthBitMac
-    x1: AuthBitMac
-    kc: AuthBitKey
-    kz: AuthBitKey
+def _payloads(xs: np.ndarray, pads: np.ndarray) -> np.ndarray:
+    """Per MAC row x and pad pair (t0, t1): the (1 + 2 kappa)-bit payload
+    bit | MAC | t_bit, packed. The leading bit shifts the rest by one."""
+    body = np.concatenate((xs[:, :-1], pads[np.arange(len(xs)), xs[:, -1]]), axis=1)
+    out = np.zeros((len(xs), body.shape[1] + 1), np.uint8)
+    out[:, :-1] = body << 1
+    out[:, 1:] |= body >> 7
+    out[:, 0] |= xs[:, -1]
+    return out
 
 
-@dataclass(frozen=True)
-class QuadReceiver:
-    c: AuthBitMac
-    z: AuthBitMac
-    kx0: AuthBitKey
-    kx1: AuthBitKey
-
-
-def _payload(bit: int, mac: BitVec, pad: BitVec) -> BitVec:
-    return BitVec.join([BitVec(1, bit), mac, pad])
-
-
-def _split_payload(p: BitVec, kappa: int):
-    bit = p[0]
-    mac = BitVec(kappa, p.v >> 1)
-    pad = BitVec(kappa, p.v >> (1 + kappa))
-    return bit, mac, pad
+def _split_payloads(p: np.ndarray, kappa: int):
+    """Inverse of _payloads: (bits, MACs, pads) of packed payload rows."""
+    body = (p[:, :-1] >> 1) | (p[:, 1:] << 7)
+    return p[:, 0] & 1, body[:, : kappa // 8], body[:, kappa // 8 :]
 
 
 def laot_sender(ch: Channel, x0s, x1s, kcs, krs, gk_recv: GlobalKey, rng,
-                *, payload_tamper=None):
+                *, payload_tamper=None) -> Rows:
     """Generate len(x0s) leaky quads as the sender.
 
-    x0s/x1s are this side's authenticated bits; kcs/krs are the keys it holds
-    on the receiver's choice and blind bits; gk_recv is the receiver's global
-    key. payload_tamper(i, b0, b1) lets tests model branch garbling.
+    x0s/x1s are MAC rows of this side's authenticated bits; kcs/krs are key
+    rows of the receiver's choice and blind bits; gk_recv is the receiver's
+    global key. Returns the quads as Rows: x0, x1 | kc, kz.
+    payload_tamper(i, b0, b1) lets tests model branch garbling.
     """
     ell = len(x0s)
     if not (len(x1s) == len(kcs) == len(krs) == ell):
         raise UsageError("input batches must align")
-    kappa = ch.kappa
-    delta = gk_recv.delta
+    kappa, kb = ch.kappa, ch.kappa // 8
+    delta = gk_recv.row
     plen = 1 + 2 * kappa
 
-    pads = [(BitVec.random(kappa, rng), BitVec.random(kappa, rng)) for _ in range(ell)]
-    f0, f1 = bytearray(), bytearray()
-    for i in range(ell):
-        t0, t1 = pads[i]
-        branch0 = _payload(x0s[i].bit, x0s[i].mac, (t0, t1)[x0s[i].bit])
-        branch1 = _payload(x1s[i].bit, x1s[i].mac, (t0, t1)[x1s[i].bit])
-        b0 = mask("laot/x", kcs[i].key, branch0).to_bytes()
-        b1 = mask("laot/x", kcs[i].key ^ delta, branch1).to_bytes()
-        if payload_tamper is not None:
-            b0, b1 = payload_tamper(i, b0, b1)
-        f0 += b0
-        f1 += b1
-    ch.send(MsgType.LAOT_X0, bytes(f0))
-    ch.send(MsgType.LAOT_X1, bytes(f1))
+    pads = np.frombuffer(b"".join([rng.getrandbits(kappa).to_bytes(kb, "little")
+                                   for _ in range(2 * ell)]),
+                         np.uint8).reshape(ell, 2, kb)
+    b0 = _payloads(x0s, pads) ^ pad_rows("laot/x", kcs, plen)
+    b1 = _payloads(x1s, pads) ^ pad_rows("laot/x", kcs ^ delta, plen)
+    if payload_tamper is not None:
+        for i in range(ell):
+            t0, t1 = payload_tamper(i, b0[i].tobytes(), b1[i].tobytes())
+            b0[i], b1[i] = np.frombuffer(t0, np.uint8), np.frombuffer(t1, np.uint8)
+    ch.send(MsgType.LAOT_X0, b0.tobytes())
+    ch.send(MsgType.LAOT_X1, b1.tobytes())
 
-    ds = BitVec.from_bytes(ell, ch.recv(MsgType.LAOT_D, (ell + 7) // 8))
+    ds = unpack_bits(ch.recv(MsgType.LAOT_D, (ell + 7) // 8), ell)
+    kz = krs ^ ds[:, None] * delta
+    ch.send(MsgType.LAOT_I0, (pad_rows("laot/i", kz, kappa) ^ pads[:, 1]).tobytes())
+    ch.send(MsgType.LAOT_I1, (pad_rows("laot/i", kz ^ delta, kappa) ^ pads[:, 0]).tobytes())
 
-    quads = []
-    eq_parts = []
-    g0, g1 = bytearray(), bytearray()
-    for i in range(ell):
-        kz = krs[i].key ^ delta.times(ds[i])
-        t0, t1 = pads[i]
-        g0 += mask("laot/i", kz, t1).to_bytes()
-        g1 += mask("laot/i", kz ^ delta, t0).to_bytes()
-        eq_parts.append(BitVec.join([t0, t1]))
-        quads.append(QuadSender(x0s[i], x1s[i], kcs[i], AuthBitKey(kz)))
-    ch.send(MsgType.LAOT_I0, bytes(g0))
-    ch.send(MsgType.LAOT_I1, bytes(g1))
-
-    if not eq_commit_side(ch, BitVec.join(eq_parts), rng):
+    if not eq_commit_side(ch, BitVec.from_bytes(2 * kappa * ell, pads.tobytes()), rng):
         raise ProtocolAbort("laot", "pad pair check failed")
-    return quads
+    return Rows(np.stack((x0s, x1s), axis=1), np.stack((kcs, kz), axis=1))
 
 
-def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *, d_tamper=None):
-    """Generate quads as the receiver; aborts on a bad branch MAC."""
+def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *,
+                  d_tamper=None) -> Rows:
+    """Generate quads as the receiver; aborts on a bad branch MAC. Returns
+    the quads as Rows: c, z | kx0, kx1."""
     ell = len(cs)
     if not (len(rs) == len(kx0s) == len(kx1s) == ell):
         raise UsageError("input batches must align")
-    kappa = ch.kappa
-    delta = gk_send.delta
+    kappa, kb = ch.kappa, ch.kappa // 8
+    delta = gk_send.row
     plen = 1 + 2 * kappa
     pb = (plen + 7) // 8
+    rows = np.arange(ell)
 
-    f0 = ch.recv(MsgType.LAOT_X0, pb * ell)
-    f1 = ch.recv(MsgType.LAOT_X1, pb * ell)
+    f = np.frombuffer(ch.recv(MsgType.LAOT_X0, pb * ell) + ch.recv(MsgType.LAOT_X1, pb * ell),
+                      np.uint8).reshape(2, ell, pb)
+    c = cs[:, -1]
+    blob = f[c, rows]
+    blob[:, -1] &= 1  # the pad bits past the payload are not read
+    xb, mac, t_first = _split_payloads(blob ^ pad_rows("laot/x", cs[:, :-1], plen), kappa)
+    if not np.array_equal(mac, np.where(c[:, None], kx1s, kx0s) ^ xb[:, None] * delta):
+        raise ProtocolAbort("laot", "branch MAC check failed")
 
-    zs = []
-    t_first = []
-    for i in range(ell):
-        blob = (f1 if cs[i].bit else f0)[i * pb : (i + 1) * pb]
-        opened = mask("laot/x", cs[i].mac, BitVec.from_bytes(plen, blob))
-        xb, mac, pad = _split_payload(opened, kappa)
-        key_half = kx1s[i] if cs[i].bit else kx0s[i]
-        if mac != key_half.key ^ delta.times(xb):
-            raise ProtocolAbort("laot", "branch MAC check failed")
-        zs.append(xb)
-        t_first.append(pad)
-
-    ds = [zs[i] ^ rs[i].bit for i in range(ell)]
+    ds = xb ^ rs[:, -1]
     if d_tamper is not None:
-        ds = [d_tamper(i, d) for i, d in enumerate(ds)]
-    ch.send(MsgType.LAOT_D, BitVec.from_bits(ds).to_bytes())
+        ds = np.array([d_tamper(i, int(d)) for i, d in enumerate(ds)], np.uint8) & 1
+    ch.send(MsgType.LAOT_D, pack_bits(ds))
 
-    kb = (kappa + 7) // 8
-    g0 = ch.recv(MsgType.LAOT_I0, kb * ell)
-    g1 = ch.recv(MsgType.LAOT_I1, kb * ell)
-
-    quads = []
-    eq_parts = []
-    for i in range(ell):
-        z = AuthBitMac(rs[i].bit ^ ds[i], rs[i].mac)
-        blob = (g1 if z.bit else g0)[i * kb : (i + 1) * kb]
-        t_other = mask("laot/i", z.mac, BitVec.from_bytes(kappa, blob))
-        t0, t1 = (t_first[i], t_other) if z.bit == 0 else (t_other, t_first[i])
-        eq_parts.append(BitVec.join([t0, t1]))
-        quads.append(QuadReceiver(cs[i], z, kx0s[i], kx1s[i]))
-    if not eq_respond_side(ch, BitVec.join(eq_parts)):
+    g = np.frombuffer(ch.recv(MsgType.LAOT_I0, kb * ell) + ch.recv(MsgType.LAOT_I1, kb * ell),
+                      np.uint8).reshape(2, ell, kb)
+    z = rs.copy()
+    z[:, -1] ^= ds
+    zb = z[:, -1]
+    t_other = g[zb, rows] ^ pad_rows("laot/i", z[:, :-1], kappa)
+    pads = np.where(zb[:, None, None], np.stack((t_other, t_first), axis=1),
+                    np.stack((t_first, t_other), axis=1))
+    if not eq_respond_side(ch, BitVec.from_bytes(2 * kappa * ell, pads.tobytes())):
         raise ProtocolAbort("laot", "pad pair check failed")
-    return quads
+    return Rows(np.stack((cs, z), axis=1), np.stack((kx0s, kx1s), axis=1))
 
 
 # ---------------------------------------------------------------------------
 # combining
 
 
-def fold_sender(acc: QuadSender, nxt: QuadSender, d: int) -> QuadSender:
-    """Sender side of combining two quads under revealed d = x0+x1+x0'+x1'."""
-    return QuadSender(
-        x0=acc.x0 ^ nxt.x0,
-        x1=acc.x0 ^ nxt.x1,
-        kc=acc.kc ^ nxt.kc,
-        kz=AuthBitKey(acc.kz.key ^ nxt.kz.key ^ acc.kc.key.times(d)),
-    )
+def _xor_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x0/x1 fold: (a0 ^ b0, a0 ^ b1), both against the accumulator's x0."""
+    return a[:, :1] ^ b
 
 
-def fold_receiver(acc: QuadReceiver, nxt: QuadReceiver, d: int) -> QuadReceiver:
-    return QuadReceiver(
-        c=acc.c ^ nxt.c,
-        z=AuthBitMac(acc.z.bit ^ nxt.z.bit ^ (d & acc.c.bit),
-                     acc.z.mac ^ nxt.z.mac ^ acc.c.mac.times(d)),
-        kx0=acc.kx0 ^ nxt.kx0,
-        kx1=acc.kx0 ^ nxt.kx1,
-    )
+def _xor_scaled(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The c/z fold: (a0 ^ b0, a1 ^ b1 ^ d*a0)."""
+    out = a ^ b
+    out[:, 1] ^= d[:, None] * a[:, 0]
+    return out
 
 
-def bucket_combine(ch: Channel, items, bucket: int, acc: MacAccumulator, fold,
-                   where: str, *, rng=None, reveal=None, key=None, delta: BitVec = None):
+def fold_quads_sender(acc: Rows, nxt: Rows, d: np.ndarray) -> Rows:
+    """Sender side of combining two quads under revealed d = x0+x1+x0'+x1',
+    one row per bucket: x0, x1 | kc, kz."""
+    return Rows(_xor_first(acc.macs, nxt.macs), _xor_scaled(acc.keys, nxt.keys, d))
+
+
+def fold_quads_receiver(acc: Rows, nxt: Rows, d: np.ndarray) -> Rows:
+    """Receiver side of the same fold: c, z | kx0, kx1."""
+    return Rows(_xor_scaled(acc.macs, nxt.macs, d), _xor_first(acc.keys, nxt.keys))
+
+
+def bucket_combine(ch: Channel, items: Rows, bucket: int, acc: MacAccumulator, fold,
+                   opened, where: str, *, rng=None, delta: np.ndarray = None):
     """Cut-and-choose bucketing shared by aOT quads and aAND triples.
 
     The side given `rng` samples the bucketing permutation and sends it; the
     other side receives it and aborts (tagged `where`) on a non-permutation.
-    Each bucket is then folded left to right, one COMB_D frame per round: the
-    side given `reveal(a, n) -> (d, mac)` announces the round's d and absorbs
-    its MACs into `acc` in one call; the side given `key(a, n)` absorbs the
-    expected MACs key ^ delta*d instead. Returns (combined, acc).
+    Each bucket is then folded left to right, `fold(cur, nxt, d) -> Rows`,
+    one COMB_D frame per round. `opened(a, b)` XORs the rows a round opens:
+    the MAC side (no `delta`) announces their bits as the round's d and
+    absorbs their MACs into `acc` in one call; the key side absorbs the MACs
+    it expects, opened key rows ^ d*delta, instead. Returns (combined, acc).
     """
     n = len(items)
     if bucket < 2 or n % bucket:
         raise UsageError("item count must be a positive multiple of the bucket size")
     n_out = n // bucket
     if rng is not None:
-        perm = random_permutation(n, rng)
-        ch.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
+        perm = np.array(random_permutation(n, rng))
+        ch.send(MsgType.COMB_PERM, perm.astype(">u4").tobytes())
     else:
-        raw = ch.recv(MsgType.COMB_PERM, 4 * n)
-        perm = [int.from_bytes(raw[i : i + 4], "big") for i in range(0, 4 * n, 4)]
-        if sorted(perm) != list(range(n)):
+        perm = np.frombuffer(ch.recv(MsgType.COMB_PERM, 4 * n), ">u4")
+        if not np.array_equal(np.sort(perm), np.arange(n)):
             raise ProtocolAbort(where, "peer sent a non-permutation")
-    shuffled = [items[p] for p in perm]
-    cur = shuffled[::bucket]
+    macs, keys = (a[perm].reshape(n_out, bucket, *a.shape[1:]) for a in items)
+    cur = Rows(macs[:, 0], keys[:, 0])
     for r in range(1, bucket):
-        nxt = shuffled[r::bucket]
-        if reveal is not None:
-            opened = [reveal(a, b) for a, b in zip(cur, nxt)]
-            ds = [d for d, _ in opened]
-            ch.send(MsgType.COMB_D, BitVec.from_bits(ds).to_bytes())
-            acc = acc.absorb(mac_rows(mac for _, mac in opened))
+        nxt = Rows(macs[:, r], keys[:, r])
+        if delta is None:
+            rows = opened(cur.macs, nxt.macs)
+            ds = rows[:, -1]
+            ch.send(MsgType.COMB_D, pack_bits(ds))
+            acc = acc.absorb(rows[:, :-1])
         else:
-            ds = BitVec.from_bytes(n_out, ch.recv(MsgType.COMB_D, (n_out + 7) // 8)).bits()
-            acc = acc.absorb(mac_rows(key(a, b) ^ delta.times(d)
-                                      for a, b, d in zip(cur, nxt, ds)))
-        cur = [fold(a, b, d) for a, b, d in zip(cur, nxt, ds)]
+            ds = unpack_bits(ch.recv(MsgType.COMB_D, (n_out + 7) // 8), n_out)
+            acc = acc.absorb(opened(cur.keys, nxt.keys) ^ ds[:, None] * delta)
+        cur = fold(cur, nxt, ds)
     return cur, acc
 
 
-def _quad_d(acc: QuadSender, nxt: QuadSender):
-    return (acc.x0.bit ^ acc.x1.bit ^ nxt.x0.bit ^ nxt.x1.bit,
-            acc.x0.mac ^ acc.x1.mac ^ nxt.x0.mac ^ nxt.x1.mac)
+def _quad_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x0 + x1 + x0' + x1', on MAC rows or on key rows alike."""
+    return a[:, 0] ^ a[:, 1] ^ b[:, 0] ^ b[:, 1]
 
 
-def _quad_d_key(acc: QuadReceiver, nxt: QuadReceiver) -> BitVec:
-    return acc.kx0.key ^ acc.kx1.key ^ nxt.kx0.key ^ nxt.kx1.key
-
-
-def aot_combine_sender(ch: Channel, quads, bucket: int, acc: MacAccumulator):
+def aot_combine_sender(ch: Channel, quads: Rows, bucket: int, acc: MacAccumulator):
     """The sender reveals d = x0+x1+x0'+x1' per fold, MACs deferred into `acc`."""
-    return bucket_combine(ch, quads, bucket, acc, fold_sender, "aot-comb",
-                          reveal=_quad_d)
+    return bucket_combine(ch, quads, bucket, acc, fold_quads_sender, _quad_d, "aot-comb")
 
 
-def aot_combine_receiver(ch: Channel, quads, bucket: int, gk_send: GlobalKey, rng,
+def aot_combine_receiver(ch: Channel, quads: Rows, bucket: int, gk_send: GlobalKey, rng,
                          acc: MacAccumulator):
     """The receiver samples the bucketing and checks the sender's d reveals."""
-    return bucket_combine(ch, quads, bucket, acc, fold_receiver, "aot-comb",
-                          rng=rng, key=_quad_d_key, delta=gk_send.delta)
+    return bucket_combine(ch, quads, bucket, acc, fold_quads_receiver, _quad_d, "aot-comb",
+                          rng=rng, delta=gk_send.row)

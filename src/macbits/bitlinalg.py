@@ -6,8 +6,9 @@ i of a vector lives in byte i // 8. Pad bits past the logical length are
 always zero.
 
 BitVec is immutable and backed by a Python int, which makes XOR and equality
-cheap; matrix products over many vectors XOR whole Python ints, and
-transposes go through numpy on the packed byte form.
+cheap; matrix products over many vectors XOR whole Python ints. Bulk bit
+data lives in uint8 arrays of packed rows in that same byte order, which
+`transpose_bits` transposes without building a BitVec per row.
 """
 
 from __future__ import annotations
@@ -185,8 +186,9 @@ class BitMatrix:
         return cls(rows, cols, ints)
 
     def transpose(self) -> "BitMatrix":
-        cols = transpose_bits([self.row(i) for i in range(self.rows)])
-        return BitMatrix.from_rows(cols) if cols else BitMatrix.zeros(self.cols, self.rows)
+        packed = np.frombuffer(self.to_bytes(), np.uint8).reshape(self.rows, -1)
+        return BitMatrix.from_bytes(self.cols, self.rows,
+                                    transpose_bits(packed, self.cols).tobytes())
 
     def __eq__(self, other) -> bool:
         return (
@@ -238,37 +240,40 @@ def mat_mul_rows(m: BitMatrix, cols: Sequence[BitVec]) -> list:
 def mat_vec_mul_batch(m: BitMatrix, vecs: Sequence[BitVec]) -> list:
     """m @ v for many vectors; agrees bit-for-bit with mat_vec_mul."""
     # Off the product path; kept while the benchmark's spans still wrap it.
-    return transpose_bits(mat_mul_rows(m, transpose_bits(vecs))) if vecs else []
+    return [mat_vec_mul(m, v) for v in vecs]
 
 
-def transpose_bits(rows: Sequence[BitVec], _block: int = 8192) -> list:
-    """Transpose a list of equal-length BitVecs: out[j][i] == rows[i][j].
+def pack_rows(vecs: Sequence[BitVec]) -> np.ndarray:
+    """Equal-length BitVecs as a uint8 array, one vector's `to_bytes` per row."""
+    width = (vecs[0].n + 7) // 8 if vecs else 0
+    raw = b"".join(v.to_bytes() for v in vecs)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(vecs), width)
+
+
+def pack_bits(bits: np.ndarray) -> bytes:
+    """A vector of 0/1 values in this module's byte order, as BitVec.to_bytes."""
+    return np.packbits(np.asarray(bits, np.uint8) & 1, bitorder="little").tobytes()
+
+
+def unpack_bits(data: bytes, n: int) -> np.ndarray:
+    """The first n bits of data as a uint8 vector of 0/1 values."""
+    return np.unpackbits(np.frombuffer(data, np.uint8), count=n, bitorder="little")
+
+
+def transpose_bits(rows: np.ndarray, n: int, _block: int = 8192) -> np.ndarray:
+    """Transpose t packed n-bit rows, a (t, ceil(n/8)) uint8 array, into n
+    packed t-bit rows: bit i of output row j is bit j of input row i.
 
     Processes column blocks so the unpacked uint8 form never exceeds
-    len(rows) * _block bytes.
+    t * _block bytes.
     """
-    if not rows:
-        return []
-    n = rows[0].n
-    if any(r.n != n for r in rows):
-        raise UsageError("ragged rows in transpose")
     t = len(rows)
-    nbytes = (n + 7) // 8
-    m = np.empty((t, nbytes), dtype=np.uint8)
-    for i, r in enumerate(rows):
-        m[i] = np.frombuffer(r.to_bytes(), dtype=np.uint8)
-    out = []
-    out_nb = (t + 7) // 8
+    out = np.empty((n, (t + 7) // 8), dtype=np.uint8)
     for c0 in range(0, n, _block):
         c1 = min(n, c0 + _block)
-        b0, b1 = c0 // 8, (c1 + 7) // 8
-        sub = np.unpackbits(m[:, b0:b1], axis=1, bitorder="little")
-        cols = np.ascontiguousarray(sub[:, c0 - 8 * b0 : c1 - 8 * b0].T)
-        packed = np.packbits(cols, axis=1, bitorder="little")
-        blob = packed.tobytes()
-        step = packed.shape[1]
-        for k in range(c1 - c0):
-            out.append(BitVec.from_bytes(t, blob[k * step : k * step + out_nb]))
+        bits = np.unpackbits(rows[:, c0 // 8 : (c1 + 7) // 8], axis=1,
+                             count=c1 - c0, bitorder="little")
+        out[c0:c1] = np.packbits(bits.T, axis=1, bitorder="little")
     return out
 
 

@@ -60,8 +60,14 @@ class Circuit:
 
     @classmethod
     def from_file(cls, path) -> "Circuit":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("ascii")
+        except UnicodeDecodeError as e:
+            lineno = raw.count(b"\n", 0, e.start) + 1
+            raise ParseError(f"line {lineno}: non-ASCII byte 0x{raw[e.start]:02x}") from None
+        return cls.from_text(text)
 
     @cached_property
     def levels(self) -> tuple:

@@ -3,13 +3,15 @@
 deal() runs the whole offline phase on one channel: a handshake, the
 authenticated-bit pipeline once per bit owner, then triple and quadruple
 generation with bucketed combining, all under the two session global keys
-born in the pipeline. The offline protocols pass record types around; deal
-packs its outputs once, at the end, into a MaterialStore per party: six
-streams of uint8 row arrays (a MAC-side row is the MAC's kappa/8 bytes, then
-one byte for the bit; a key row is kappa/8 bytes) that the online phase
-slices one AND level at a time through monotone cursors. A store file
-(version 2) is a 64-byte header, the global key, the six record counts, and
-each stream's MAC rows then key rows as raw bytes.
+born in the pipeline. From the aBit pipeline's transpose on, every
+authenticated bit is a row of a uint8 array (a MAC-side row is the MAC's
+kappa/8 bytes, then one byte for the bit; a key row is kappa/8 bytes): the
+per-owner pools are array slices, laOT, laAND and the combiners hash and XOR
+whole arrays, and their outputs are the six streams of each party's
+MaterialStore, which the online phase slices one AND level at a time through
+monotone cursors. A store file (version 2) is a 64-byte header, the global
+key, the six record counts, and each stream's MAC rows then key rows as raw
+bytes.
 
 Material demand per owner follows from the combiners: every secure triple
 eats 3 owner bits per leaky instance, every secure quadruple 2 sender bits
@@ -27,7 +29,7 @@ import numpy as np
 
 from .aand_proto import (aand_combine_key, aand_combine_mac, laand_key_side,
                          laand_mac_side)
-from .abit_proto import AuthBitKey, AuthBitMac, GlobalKey, produce_abits
+from .abit_proto import GlobalKey, Rows, produce_abits
 from .aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
                         laot_receiver, laot_sender)
 from .base_ot import DealerOt
@@ -105,21 +107,6 @@ class DealerConfig:
                 + 2 * self.bucket_for(as_receiver) * as_receiver)
 
 
-class _Pool:
-    """Cursor over one owner's freshly produced authenticated bits."""
-
-    def __init__(self, items):
-        self.items = items
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.items):
-            raise UsageError("abit pool exhausted during dealing")
-        out = self.items[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-
 class MaterialStore:
     """One party's preprocessed material, as arrays, plus consumption cursors.
 
@@ -164,28 +151,10 @@ class MaterialStore:
         keys = np.frombuffer(raw, np.uint8, n * wk * kb, off + macs.size)
         return macs.reshape(n, wm, kb + 1), keys.reshape(n, wk, kb)
 
-    @classmethod
-    def from_records(cls, role: Role, kappa: int, psi: int, session_id: bytes,
-                     gk_commit: bytes, delta: GlobalKey, **streams):
-        """A store from record lists, one keyword per stream: AuthBitMac or
-        AuthBitKey halves for the abits, TripleMac/TripleKey for the aands,
-        QuadSender/QuadReceiver for the aots."""
-        store = cls(role, kappa, psi, session_id, gk_commit, delta)
-        for name, records in streams.items():
-            halves = [h for r in records
-                      for h in ((r,) if isinstance(r, (AuthBitMac, AuthBitKey))
-                                else vars(r).values())]
-            raw = b"".join([h.mac.to_bytes() + bytes((h.bit,)) for h in halves
-                            if isinstance(h, AuthBitMac)]
-                           + [h.key.to_bytes() for h in halves
-                              if isinstance(h, AuthBitKey)])
-            setattr(store, name, store._rows(name, len(records), raw))
-        return store
-
     @property
     def delta_row(self) -> np.ndarray:
         """The global key I hold, as a uint8 row like a key row."""
-        return np.frombuffer(self.delta.delta.to_bytes(), np.uint8)
+        return self.delta.row
 
     # -- consumption --------------------------------------------------------
 
@@ -277,44 +246,42 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     """Run the full offline phase; returns this party's store (not saved)."""
     sid, _ = perform_hello(ch, role, cfg.kappa, cfg.psi, rng=rng)
     backend = DealerOt(ch, rng)
+    kb = cfg.kappa // 8
 
-    batches = {}
+    # Per owner: the MAC rows of its bits if I own them, else my key rows.
+    abits, gks = {}, {}
     for owner in (Role.ALICE, Role.BOB):
         demand = cfg.abit_demand(owner)
-        if demand:
-            batches[owner] = produce_abits(ch, role, owner, demand,
-                                           cfg.kappa, rng, backend)
+        if demand == 0:
+            abits[owner] = np.empty((0, kb + (role is owner)), np.uint8)
+        elif role is owner:
+            abits[owner] = produce_abits(ch, role, owner, demand, cfg.kappa, rng, backend)
         else:
-            batches[owner] = None
+            gks[owner], abits[owner] = produce_abits(ch, role, owner, demand,
+                                                     cfg.kappa, rng, backend)
+    taken = {Role.ALICE: 0, Role.BOB: 0}
 
-    def pool(owner):
-        b = batches[owner]
-        if b is None:
-            return _Pool([])
-        if role is owner:
-            return _Pool([AuthBitMac(b.bits[i], b.macs[i])
-                          for i in range(len(b.bits))])
-        return _Pool([AuthBitKey(k) for k in b.keys])
+    def take(owner, n):
+        """The next n of owner's bits, in the same order on both sides."""
+        pos = taken[owner]
+        if pos + n > len(abits[owner]):
+            raise UsageError("abit pool exhausted during dealing")
+        taken[owner] = pos + n
+        return abits[owner][pos : pos + n]
 
     def gk_of(owner) -> GlobalKey:
-        b = batches[owner]
-        if b is not None and role is not owner:
-            return b.gk
-        return GlobalKey(owner, BitVec.zeros(cfg.kappa))
+        return gks.get(owner, GlobalKey(owner, BitVec.zeros(cfg.kappa)))
 
-    pools = {Role.ALICE: pool(Role.ALICE), Role.BOB: pool(Role.BOB)}
     sent_acc = MacAccumulator()
     expect_acc = MacAccumulator()
 
-    aands = {Role.ALICE: [], Role.BOB: []}
+    aands = {Role.ALICE: (), Role.BOB: ()}
     for owner, n_out in ((Role.ALICE, cfg.n_aands_A), (Role.BOB, cfg.n_aands_B)):
         if n_out == 0:
             continue
         bkt = cfg.bucket_for(n_out)
         leaky = bkt * n_out
-        xs = pools[owner].take(leaky)
-        ys = pools[owner].take(leaky)
-        rs = pools[owner].take(leaky)
+        xs, ys, rs = take(owner, leaky), take(owner, leaky), take(owner, leaky)
         if role is owner:
             triples = laand_mac_side(ch, xs, ys, rs, rng)
             aands[owner], sent_acc = aand_combine_mac(ch, triples, bkt, rng, sent_acc)
@@ -323,27 +290,21 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
             aands[owner], expect_acc = aand_combine_key(ch, triples, bkt,
                                                         gk_of(owner), expect_acc)
 
-    aots = {}
+    aots = {Role.ALICE: (), Role.BOB: ()}
     for sender, n_out in ((Role.ALICE, cfg.n_aots_AB), (Role.BOB, cfg.n_aots_BA)):
         receiver = sender.other
         if n_out == 0:
-            aots[sender] = []
             continue
         bkt = cfg.bucket_for(n_out)
         leaky = bkt * n_out
-        sender_bits = pools[sender].take(2 * leaky)
-        receiver_bits = pools[receiver].take(2 * leaky)
+        # the sender's x0, x1, then the receiver's c, r
+        sender_bits = take(sender, leaky), take(sender, leaky)
+        receiver_bits = take(receiver, leaky), take(receiver, leaky)
         if role is sender:
-            x0s, x1s = sender_bits[:leaky], sender_bits[leaky:]
-            kcs = receiver_bits[:leaky]
-            krs = receiver_bits[leaky:]
-            quads = laot_sender(ch, x0s, x1s, kcs, krs, gk_of(receiver), rng)
+            quads = laot_sender(ch, *sender_bits, *receiver_bits, gk_of(receiver), rng)
             aots[sender], sent_acc = aot_combine_sender(ch, quads, bkt, sent_acc)
         else:
-            kx0s, kx1s = sender_bits[:leaky], sender_bits[leaky:]
-            cs = receiver_bits[:leaky]
-            rs = receiver_bits[leaky:]
-            quads = laot_receiver(ch, cs, rs, kx0s, kx1s, gk_of(sender))
+            quads = laot_receiver(ch, *receiver_bits, *sender_bits, gk_of(sender))
             aots[sender], expect_acc = aot_combine_receiver(
                 ch, quads, bkt, gk_of(sender), rng, expect_acc)
 
@@ -363,15 +324,11 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
 
     fresh_n = cfg.n_abits_A if role is Role.ALICE else cfg.n_abits_B
     fresh_peer_n = cfg.n_abits_B if role is Role.ALICE else cfg.n_abits_A
-    return MaterialStore.from_records(
+    return MaterialStore(
         role, cfg.kappa, cfg.psi, sid, gk_commit, my_delta,
-        abits_mine=pools[role].take(fresh_n),
-        abits_theirs=pools[role.other].take(fresh_peer_n),
-        aands_mine=aands[role],
-        aands_theirs=aands[role.other],
-        aots_sender=aots[role],
-        aots_receiver=aots[role.other],
-    )
+        Rows.of_macs(take(role, fresh_n)[:, None]),
+        Rows.of_keys(take(role.other, fresh_peer_n)[:, None]),
+        aands[role], aands[role.other], aots[role], aots[role.other])
 
 
 def _macs_hold(macs, keys, delta) -> bool:

@@ -26,7 +26,14 @@ DIGEST_BYTES = 32
 KAPPA_DEFAULT = 128
 PSI_DEFAULT = 40
 
-_PRG_PREFIX = len(b"prg").to_bytes(2, "big") + b"prg"
+
+def _tag_prefix(tag: str) -> bytes:
+    """The length-prefixed domain tag every hash and expansion starts with."""
+    t = tag.encode()
+    return len(t).to_bytes(2, "big") + t
+
+
+_PRG_PREFIX = _tag_prefix("prg")
 
 _counter_lock = threading.Lock()
 _hash_calls: Counter = Counter()
@@ -48,10 +55,7 @@ def ro_hash(tag: str, *parts) -> bytes:
     Parts are raw-concatenated (callers fix field widths); only the tag gets a
     length prefix, which is enough to separate domains.
     """
-    h = hashlib.sha256()
-    t = tag.encode()
-    h.update(len(t).to_bytes(2, "big"))
-    h.update(t)
+    h = hashlib.sha256(_tag_prefix(tag))
     for p in parts:
         h.update(_as_bytes(p))
     with _counter_lock:
@@ -94,12 +98,32 @@ def mask(tag: str, key_material, message: BitVec) -> BitVec:
     return message ^ pad
 
 
-def mac_rows(macs) -> np.ndarray:
-    """Equal-length MACs as a uint8 array, one MAC's `to_bytes` per row."""
-    macs = list(macs)
-    width = (macs[0].n + 7) // 8 if macs else 0
-    raw = b"".join(m.to_bytes() for m in macs)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(macs), width)
+def hash_rows(tag: str, rows: np.ndarray) -> np.ndarray:
+    """ro_hash(tag, row) for each row of a 2-D uint8 array, as an (n, 32)
+    uint8 array; counted as one call per row."""
+    n, w = rows.shape
+    raw = np.ascontiguousarray(rows).tobytes()
+    head = _tag_prefix(tag)
+    sha = hashlib.sha256
+    out = b"".join([sha(head + raw[i : i + w]).digest() for i in range(0, n * w, w)])
+    with _counter_lock:
+        _hash_calls[tag] += n
+    return np.frombuffer(out, np.uint8).reshape(n, DIGEST_BYTES)
+
+
+def pad_rows(tag: str, rows: np.ndarray, n_bits: int) -> np.ndarray:
+    """Per row, the packed pad of `mask(tag, row, .)` for an n_bits message:
+    expand(ro_hash(tag, row), n_bits), with the same hash and PRG counts."""
+    nb = (n_bits + 7) // 8
+    shake = hashlib.shake_128
+    out = b"".join([shake(_PRG_PREFIX + d).digest(nb)
+                    for d in map(bytes, hash_rows(tag, rows))])
+    with _counter_lock:
+        _hash_calls["prg"] += len(rows) * -(-n_bits // 256)
+    pads = np.frombuffer(out, np.uint8).reshape(len(rows), nb).copy()
+    if n_bits % 8:
+        pads[:, -1] &= (1 << (n_bits % 8)) - 1
+    return pads
 
 
 @dataclass(frozen=True)

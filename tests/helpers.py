@@ -1,11 +1,16 @@
-"""Shared test fixtures: an honest in-memory dealer, random circuits, and
-two-party run plumbing.
+"""Shared test fixtures: a per-record reference view of authenticated bits,
+an honest in-memory dealer, random circuits, and two-party run plumbing.
+
+The engine keeps authenticated bits as uint8 rows (`macbits.abit_proto.Rows`).
+The record types below are the tests' reference: one frozen object per bit,
+per triple and per quad, with the per-record folds the combiners must agree
+with. `to_rows` and `from_rows` convert between the two.
 
 The oracle dealer manufactures correlated MaterialStore pairs directly from
 a test RNG, skipping the offline protocol entirely. That keeps online-phase
 tests fast and makes the material independently trustworthy: every record is
 built straight from the defining MAC relation M = K xor bit*Delta, then
-packed into the store's row layout as `deal` packs its records.
+packed into the store's row layout.
 """
 
 from __future__ import annotations
@@ -13,15 +18,184 @@ from __future__ import annotations
 import queue
 import random
 import socket
+from dataclasses import dataclass
 
-from macbits.aand_proto import TripleKey, TripleMac
-from macbits.abit_proto import AuthBitKey, AuthBitMac, GlobalKey
-from macbits.aot_proto import QuadReceiver, QuadSender
-from macbits.bitlinalg import BitVec
+import numpy as np
+
+from macbits.abit_proto import GlobalKey, Rows
+from macbits.bitlinalg import BitVec, pack_rows
 from macbits.circuit import Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.ro_suite import ro_hash
 from macbits.transport import MemoryChannel, Role, memory_pair, run_pair
+
+
+# ---------------------------------------------------------------------------
+# record reference view
+
+
+@dataclass(frozen=True)
+class AuthBitMac:
+    """Holder's half: the bit and its MAC."""
+
+    bit: int
+    mac: BitVec
+
+    def __xor__(self, other: "AuthBitMac") -> "AuthBitMac":
+        return AuthBitMac(self.bit ^ other.bit, self.mac ^ other.mac)
+
+    def xor_const(self, b: int) -> "AuthBitMac":
+        # Constants carry a zero MAC, so only the bit moves.
+        return AuthBitMac(self.bit ^ (b & 1), self.mac)
+
+
+@dataclass(frozen=True)
+class AuthBitKey:
+    """Peer's half: the local key."""
+
+    key: BitVec
+
+    def __xor__(self, other: "AuthBitKey") -> "AuthBitKey":
+        return AuthBitKey(self.key ^ other.key)
+
+    def xor_const(self, b: int, gk: GlobalKey) -> "AuthBitKey":
+        return AuthBitKey(self.key ^ gk.delta.times(b))
+
+
+def const_mac(b: int, kappa: int) -> AuthBitMac:
+    return AuthBitMac(b & 1, BitVec.zeros(kappa))
+
+
+def const_key(b: int, gk: GlobalKey) -> AuthBitKey:
+    return AuthBitKey(gk.delta.times(b))
+
+
+def verify_abit(mac_half: AuthBitMac, key_half: AuthBitKey, gk: GlobalKey) -> bool:
+    return mac_half.mac == key_half.key ^ gk.delta.times(mac_half.bit)
+
+
+# A record lists its MAC halves first, then its key halves, as a Rows does.
+@dataclass(frozen=True)
+class TripleMac:
+    x: AuthBitMac
+    y: AuthBitMac
+    z: AuthBitMac
+
+
+@dataclass(frozen=True)
+class TripleKey:
+    kx: AuthBitKey
+    ky: AuthBitKey
+    kz: AuthBitKey
+
+
+@dataclass(frozen=True)
+class QuadSender:
+    x0: AuthBitMac
+    x1: AuthBitMac
+    kc: AuthBitKey
+    kz: AuthBitKey
+
+
+@dataclass(frozen=True)
+class QuadReceiver:
+    c: AuthBitMac
+    z: AuthBitMac
+    kx0: AuthBitKey
+    kx1: AuthBitKey
+
+
+def _halves(record):
+    return (record,) if isinstance(record, (AuthBitMac, AuthBitKey)) else vars(record).values()
+
+
+def to_rows(records, kappa: int) -> Rows:
+    """Records (bit halves, triples or quads) in the engine's row layout."""
+    kb, n = kappa // 8, len(records)
+    halves = [h for r in records for h in _halves(r)]
+    macs = b"".join(h.mac.to_bytes() + bytes((h.bit,)) for h in halves
+                    if isinstance(h, AuthBitMac))
+    keys = b"".join(h.key.to_bytes() for h in halves if isinstance(h, AuthBitKey))
+
+    def shaped(raw, w):
+        return np.frombuffer(raw, np.uint8).reshape(n, len(raw) // (n * w) if n else 0, w)
+
+    return Rows(shaped(macs, kb + 1), shaped(keys, kb))
+
+
+def bit_rows(halves, kappa: int) -> np.ndarray:
+    """AuthBitMac or AuthBitKey halves as 2-D MAC rows or key rows."""
+    rows = to_rows(halves, kappa)
+    return (rows.macs if isinstance(halves[0], AuthBitMac) else rows.keys)[:, 0]
+
+
+def mac_half(row) -> AuthBitMac:
+    return AuthBitMac(int(row[-1]), BitVec.from_bytes(8 * (len(row) - 1), row[:-1].tobytes()))
+
+
+def key_half(row) -> AuthBitKey:
+    return AuthBitKey(BitVec.from_bytes(8 * len(row), row.tobytes()))
+
+
+def from_rows(rows: Rows, cls) -> list:
+    """Rows back as records of type cls (a triple or quad type)."""
+    return [cls(*map(mac_half, m), *map(key_half, k)) for m, k in zip(*rows)]
+
+
+# Per-record folds: the combiners' reference. d is the bucket round's
+# revealed bit, x0+x1+x0'+x1' for quads and y+y' for triples.
+
+
+def fold_sender(acc: QuadSender, nxt: QuadSender, d: int) -> QuadSender:
+    return QuadSender(
+        x0=acc.x0 ^ nxt.x0,
+        x1=acc.x0 ^ nxt.x1,
+        kc=acc.kc ^ nxt.kc,
+        kz=AuthBitKey(acc.kz.key ^ nxt.kz.key ^ acc.kc.key.times(d)),
+    )
+
+
+def fold_receiver(acc: QuadReceiver, nxt: QuadReceiver, d: int) -> QuadReceiver:
+    return QuadReceiver(
+        c=acc.c ^ nxt.c,
+        z=AuthBitMac(acc.z.bit ^ nxt.z.bit ^ (d & acc.c.bit),
+                     acc.z.mac ^ nxt.z.mac ^ acc.c.mac.times(d)),
+        kx0=acc.kx0 ^ nxt.kx0,
+        kx1=acc.kx0 ^ nxt.kx1,
+    )
+
+
+def fold_triple_mac(acc: TripleMac, nxt: TripleMac, d: int) -> TripleMac:
+    return TripleMac(
+        x=acc.x ^ nxt.x,
+        y=acc.y,
+        z=AuthBitMac(acc.z.bit ^ nxt.z.bit ^ (d & nxt.x.bit),
+                     acc.z.mac ^ nxt.z.mac ^ nxt.x.mac.times(d)),
+    )
+
+
+def fold_triple_key(acc: TripleKey, nxt: TripleKey, d: int) -> TripleKey:
+    return TripleKey(
+        kx=acc.kx ^ nxt.kx,
+        ky=acc.ky,
+        kz=AuthBitKey(acc.kz.key ^ nxt.kz.key ^ nxt.kx.key.times(d)),
+    )
+
+
+def reference_combine(pairs, perm, bucket: int, folds, reveal):
+    """Bucket (mac-side record, key-side record) pairs by perm and fold each
+    bucket left to right with folds = (mac-side fold, key-side fold); the
+    round's opened MAC is reveal(acc, nxt) on the MAC-side records. Returns
+    (combined pairs, the opened MACs as one packed array per round)."""
+    shuffled = [pairs[p] for p in perm]
+    cur = shuffled[::bucket]
+    rounds = []
+    for r in range(1, bucket):
+        opened = [reveal(a[0], b[0]) for a, b in zip(cur, shuffled[r::bucket])]
+        rounds.append(pack_rows([o.mac for o in opened]))
+        cur = [(folds[0](a[0], b[0], o.bit), folds[1](a[1], b[1], o.bit))
+               for a, b, o in zip(cur, shuffled[r::bucket], opened)]
+    return cur, rounds
 
 
 def free_port() -> int:
@@ -101,8 +275,9 @@ class OracleDealer:
                 qs, qr = self.quad(sender)
                 records[sender]["aots_sender"].append(qs)
                 records[sender.other]["aots_receiver"].append(qr)
-        return tuple(MaterialStore.from_records(r, self.kappa, cfg.psi, sid, joint,
-                                                self.delta[r.other], **records[r])
+        return tuple(MaterialStore(r, self.kappa, cfg.psi, sid, joint, self.delta[r.other],
+                                   *(to_rows(records[r][name], self.kappa) if records[r][name]
+                                     else () for name in MaterialStore.STREAMS))
                      for r in (Role.ALICE, Role.BOB))
 
 
@@ -269,9 +444,9 @@ def laot_probe_outcomes(trials: int, seed: int, kappa: int = 16):
         rng_a = random.Random(seed * 7 + t)
         try:
             run_pair(
-                lambda: laot_sender(ca, [qs.x0], [qs.x1], [qs.kc], [qs.kz],
+                lambda: laot_sender(ca, *(bit_rows([h], kappa) for h in vars(qs).values()),
                                     gk_b, rng_a, payload_tamper=garble),
-                lambda: laot_receiver(cb, [qr.c], [qr.z], [qr.kx0], [qr.kx1],
+                lambda: laot_receiver(cb, *(bit_rows([h], kappa) for h in vars(qr).values()),
                                       gk_a),
                 timeout=30, channels=(ca, cb))
             outcomes.append((qr.c.bit, False))
@@ -307,7 +482,7 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
         outcomes = []
         for (x, y, r), _ in batches:
             try:
-                laand_mac_side(ca, [x], [y], [r], rng_a)
+                laand_mac_side(ca, *(bit_rows([h], kappa) for h in (x, y, r)), rng_a)
                 outcomes.append((x.bit, False))
             except ProtocolAbort:
                 outcomes.append((x.bit, True))
@@ -316,7 +491,8 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
     def key_side():
         for _, (kx, ky, kr) in batches:
             try:
-                laand_key_side(cb, [kx], [ky], [kr], gk, u_tamper=tamper)
+                laand_key_side(cb, *(bit_rows([h], kappa) for h in (kx, ky, kr)), gk,
+                               u_tamper=tamper)
             except ProtocolAbort:
                 pass
 

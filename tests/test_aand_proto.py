@@ -1,13 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
-from helpers import OracleDealer, laand_u_tamper_outcomes
-from macbits.aand_proto import (TripleKey, TripleMac, aand_combine_key,
-                                aand_combine_mac, fold_triple_key,
-                                fold_triple_mac, laand_key_side,
-                                laand_mac_side)
-from macbits.abit_proto import verify_abit
+from helpers import (OracleDealer, TripleKey, TripleMac, bit_rows, from_rows,
+                     laand_u_tamper_outcomes, to_rows, verify_abit)
+from macbits.aand_proto import (aand_combine_key, aand_combine_mac, fold_triples,
+                                laand_key_side, laand_mac_side)
 from macbits.errors import ProtocolAbort, UsageError
 from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
 from macbits.transport import MsgType, Role, memory_pair, run_pair
@@ -29,7 +28,8 @@ def triple_inputs(od: OracleDealer, n: int):
         kxs.append(xk)
         kys.append(yk)
         krs.append(rk)
-    return (xs, ys, rs), (kxs, kys, krs)
+    return ([bit_rows(h, KAPPA) for h in (xs, ys, rs)],
+            [bit_rows(h, KAPPA) for h in (kxs, kys, krs)])
 
 
 def run_laand(n, seed=0, d_tamper=None, u_tamper=None):
@@ -39,11 +39,11 @@ def run_laand(n, seed=0, d_tamper=None, u_tamper=None):
     a, b = memory_pair(timeout=30.0)
     a.kappa = b.kappa = KAPPA
     rng_a = random.Random(seed + 1)
-    out = run_pair(
+    macs, keys = run_pair(
         lambda: laand_mac_side(a, *mac_in, rng_a, d_tamper=d_tamper),
         lambda: laand_key_side(b, *key_in, od.delta[A], u_tamper=u_tamper),
         timeout=30, channels=(a, b))
-    return od, out
+    return od, (from_rows(macs, TripleMac), from_rows(keys, TripleKey))
 
 
 def check_triple(tm: TripleMac, tk: TripleKey, od: OracleDealer):
@@ -106,9 +106,11 @@ def test_fold_preserves_product_exhaustively():
     for bits in range(16):
         ta_m, ta_k = make_triple(od, bits & 1, (bits >> 1) & 1)
         tb_m, tb_k = make_triple(od, (bits >> 2) & 1, (bits >> 3) & 1)
-        d = ta_m.y.bit ^ tb_m.y.bit
-        fm = fold_triple_mac(ta_m, tb_m, d)
-        fk = fold_triple_key(ta_k, tb_k, d)
+        d = np.array([ta_m.y.bit ^ tb_m.y.bit], np.uint8)
+        [fm] = from_rows(fold_triples(to_rows([ta_m], KAPPA), to_rows([tb_m], KAPPA), d),
+                         TripleMac)
+        [fk] = from_rows(fold_triples(to_rows([ta_k], KAPPA), to_rows([tb_k], KAPPA), d),
+                         TripleKey)
         assert fm.y == ta_m.y  # fold keeps the accumulator's y
         check_triple(fm, fk, od)
 
@@ -117,8 +119,8 @@ def run_combine(n, bucket, seed=0):
     rng = random.Random(seed)
     od = OracleDealer(KAPPA, rng)
     pairs = [od.triple(A) for _ in range(n)]
-    macs = [p[0] for p in pairs]
-    keys = [p[1] for p in pairs]
+    macs = to_rows([p[0] for p in pairs], KAPPA)
+    keys = to_rows([p[1] for p in pairs], KAPPA)
     a, b = memory_pair(timeout=30.0)
     rng_a = random.Random(seed + 1)
     (out_m, acc_m), (out_k, acc_k) = run_pair(
@@ -132,7 +134,7 @@ def run_combine(n, bucket, seed=0):
 def test_combine_outputs_clean_triples():
     od, out_m, out_k, _, _ = run_combine(12, 3)
     assert len(out_m) == len(out_k) == 4
-    for tm, tk in zip(out_m, out_k):
+    for tm, tk in zip(from_rows(out_m, TripleMac), from_rows(out_k, TripleKey)):
         check_triple(tm, tk, od)
 
 
@@ -145,7 +147,7 @@ def test_combine_accumulators_agree():
 def test_combine_rejects_non_permutation():
     rng = random.Random(7)
     od = OracleDealer(KAPPA, rng)
-    keys = [od.triple(A)[1] for _ in range(4)]
+    keys = to_rows([od.triple(A)[1] for _ in range(4)], KAPPA)
     a, b = memory_pair(timeout=10.0)
 
     def bad_peer():
@@ -165,6 +167,6 @@ def test_combine_validates_bucketing():
     macs = [od.triple(A)[0] for _ in range(5)]
     a, _ = memory_pair()
     with pytest.raises(UsageError):
-        aand_combine_mac(a, macs, 2, rng, MacAccumulator())
+        aand_combine_mac(a, to_rows(macs, KAPPA), 2, rng, MacAccumulator())
     with pytest.raises(UsageError):
-        aand_combine_mac(a, macs[:4], 1, rng, MacAccumulator())
+        aand_combine_mac(a, to_rows(macs[:4], KAPPA), 1, rng, MacAccumulator())

@@ -2,19 +2,18 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
-from helpers import labit_cheat_survivals
-from macbits.abit_proto import (AbitBatchKey, AbitBatchMac, AuthBitKey,
-                                AuthBitMac, GlobalKey, amplify_keys_with,
-                                amplify_macs_with, const_key, const_mac,
+from helpers import (AuthBitKey, AuthBitMac, const_key, const_mac, key_half,
+                     labit_cheat_survivals, mac_half, verify_abit)
+from macbits.abit_proto import (GlobalKey, amplify_keys_with, amplify_macs_with,
                                 labit_receiver, labit_sender,
                                 labit_to_wabit_keys, labit_to_wabit_macs,
-                                produce_abits, tau_for, verify_abit,
-                                wabit_amplify_key_side,
+                                produce_abits, tau_for, wabit_amplify_key_side,
                                 wabit_amplify_mac_side)
 from macbits.base_ot import DealerOt, extend_ot_receive
-from macbits.bitlinalg import BitMatrix, BitVec, Pairing, mat_vec_mul
+from macbits.bitlinalg import BitMatrix, BitVec, Pairing, mat_vec_mul, pack_rows
 from macbits.eq_box import eq_respond_side
 from macbits.errors import ProtocolAbort, ProtocolError, UsageError
 from macbits.transport import MsgType, Role, memory_pair, run_pair
@@ -156,7 +155,8 @@ def test_wabit_hand_instance():
     assert key_view.gamma == weak
     for j in range(3):
         assert mac_view.bits[j] == gamma[j]
-        assert key_view.keys[j] == mac_view.macs[j] ^ weak.times(gamma[j])
+        assert key_view.keys[j].tobytes() == (
+            BitVec.from_bytes(2, mac_view.macs[j].tobytes()) ^ weak.times(gamma[j])).to_bytes()
 
 
 def test_wabit_zero_offset_means_zero_bits():
@@ -164,8 +164,8 @@ def test_wabit_zero_offset_means_zero_bits():
     keys = [BitVec.random(5, rng) for _ in range(3)]
     view = labit_to_wabit_macs(BitVec.zeros(5), keys)
     key_view = labit_to_wabit_keys([1, 0, 1], keys)  # N_i == L_i when G=0
-    assert view.bits == [0, 0, 0, 0, 0]
-    assert view.macs == key_view.keys
+    assert view.bits.tolist() == [0, 0, 0, 0, 0]
+    assert np.array_equal(view.macs, key_view.keys)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,9 @@ def test_amplify_identity_matrix_is_noop():
     (gamma, keys), (ys, macs) = synthetic_columns(6, 10, rng)
     mv, kv = labit_to_wabit_macs(gamma, keys), labit_to_wabit_keys(ys, macs)
     out_m = amplify_macs_with(BitMatrix.identity(6), gamma, keys)
-    out_k = amplify_keys_with(BitMatrix.identity(6), ys, macs, Role.ALICE)
-    assert out_m.macs == mv.macs and out_m.bits == mv.bits
-    assert out_k.keys == kv.keys and out_k.gk.delta == kv.gamma
+    gk, out_k = amplify_keys_with(BitMatrix.identity(6), ys, macs, Role.ALICE)
+    assert np.array_equal(out_m[:, :-1], mv.macs) and np.array_equal(out_m[:, -1], mv.bits)
+    assert np.array_equal(out_k, kv.keys) and gk.delta == kv.gamma
 
 
 def test_amplify_preserves_mac_relation():
@@ -197,12 +197,10 @@ def test_amplify_preserves_mac_relation():
     kv = labit_to_wabit_keys(ys, macs)
     mat = BitMatrix.random(8, 59, rng)
     out_m = amplify_macs_with(mat, gamma, keys)
-    out_k = amplify_keys_with(mat, ys, macs, Role.ALICE)
-    gk = out_k.gk
+    gk, out_k = amplify_keys_with(mat, ys, macs, Role.ALICE)
     assert gk.delta == mat_vec_mul(mat, kv.gamma)
     for i in range(40):
-        assert verify_abit(AuthBitMac(out_m.bits[i], out_m.macs[i]),
-                           AuthBitKey(out_k.keys[i]), gk)
+        assert verify_abit(mac_half(out_m[i]), key_half(out_k[i]), gk)
 
 
 @pytest.mark.parametrize("identity", [False, True])
@@ -214,11 +212,15 @@ def test_amplify_then_transpose_matches_transpose_then_multiply(tau, ell, identi
     mat = BitMatrix.identity(tau) if identity else BitMatrix.random(8, tau, rng)
     mv, kv = labit_to_wabit_macs(gamma, keys), labit_to_wabit_keys(ys, macs)
     out_m = amplify_macs_with(mat, gamma, keys)
-    out_k = amplify_keys_with(mat, ys, macs, Role.BOB)
-    assert out_m.bits == mv.bits
-    assert out_m.macs == [mat_vec_mul(mat, m) for m in mv.macs]
-    assert out_k.keys == [mat_vec_mul(mat, k) for k in kv.keys]
-    assert out_k.gk == GlobalKey(Role.BOB, mat_vec_mul(mat, kv.gamma))
+    gk, out_k = amplify_keys_with(mat, ys, macs, Role.BOB)
+
+    def times_mat(rows):
+        return pack_rows([mat_vec_mul(mat, BitVec.from_bytes(tau, r.tobytes())) for r in rows])
+
+    assert np.array_equal(out_m[:, -1], mv.bits)
+    assert np.array_equal(out_m[:, :-1], times_mat(mv.macs))
+    assert np.array_equal(out_k, times_mat(kv.keys))
+    assert gk == GlobalKey(Role.BOB, mat_vec_mul(mat, kv.gamma))
 
 
 def test_amplify_linearity():
@@ -273,24 +275,19 @@ def run_produce(count, psi, owner=Role.ALICE, seed=0):
 
 def test_produce_abits_relations_hold():
     count, psi = 1000, 64
-    batch_mac, batch_key, _ = run_produce(count, psi)
-    assert isinstance(batch_mac, AbitBatchMac)
-    assert isinstance(batch_key, AbitBatchKey)
-    assert len(batch_mac) == len(batch_key) == count
-    gk = batch_key.gk
+    batch_mac, (gk, batch_key), _ = run_produce(count, psi)
+    assert batch_mac.shape == (count, psi // 8 + 1)
+    assert batch_key.shape == (count, psi // 8)
     assert gk.owner is Role.ALICE
     for i in range(count):
-        m = AuthBitMac(batch_mac.bits[i], batch_mac.macs[i])
-        assert verify_abit(m, AuthBitKey(batch_key.keys[i]), gk)
+        assert verify_abit(mac_half(batch_mac[i]), key_half(batch_key[i]), gk)
 
 
 def test_produce_abits_homomorphic_pairs():
-    batch_mac, batch_key, _ = run_produce(64, 16, seed=2)
-    gk = batch_key.gk
+    batch_mac, (gk, batch_key), _ = run_produce(64, 16, seed=2)
     for i in range(0, 64, 2):
-        m = (AuthBitMac(batch_mac.bits[i], batch_mac.macs[i])
-             ^ AuthBitMac(batch_mac.bits[i + 1], batch_mac.macs[i + 1]))
-        k = AuthBitKey(batch_key.keys[i]) ^ AuthBitKey(batch_key.keys[i + 1])
+        m = mac_half(batch_mac[i]) ^ mac_half(batch_mac[i + 1])
+        k = key_half(batch_key[i]) ^ key_half(batch_key[i + 1])
         assert verify_abit(m, k, gk)
 
 
@@ -303,12 +300,10 @@ def test_produce_abits_seed_ot_budget():
 
 
 def test_produce_abits_owner_bob():
-    batch_key, batch_mac, _ = run_produce(50, 16, owner=Role.BOB, seed=4)
-    gk = batch_key.gk
+    (gk, batch_key), batch_mac, _ = run_produce(50, 16, owner=Role.BOB, seed=4)
     assert gk.owner is Role.BOB
     for i in range(50):
-        m = AuthBitMac(batch_mac.bits[i], batch_mac.macs[i])
-        assert verify_abit(m, AuthBitKey(batch_key.keys[i]), gk)
+        assert verify_abit(mac_half(batch_mac[i]), key_half(batch_key[i]), gk)
 
 
 def test_produce_abits_rejects_zero():

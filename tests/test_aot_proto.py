@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
-from helpers import OracleDealer, laot_probe_outcomes
-from macbits.abit_proto import verify_abit
-from macbits.aot_proto import (QuadReceiver, QuadSender, aot_combine_receiver,
-                               aot_combine_sender, bucket_size, fold_receiver,
-                               fold_sender, laot_receiver, laot_sender)
+from helpers import (OracleDealer, QuadReceiver, QuadSender, bit_rows, from_rows,
+                     laot_probe_outcomes, to_rows, verify_abit)
+from macbits.aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
+                               fold_quads_receiver, fold_quads_sender, laot_receiver,
+                               laot_sender)
 from macbits.errors import ProtocolAbort, UsageError
 from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
 from macbits.transport import MsgType, Role, memory_pair, run_pair
@@ -45,7 +46,8 @@ def quad_inputs(od: OracleDealer, n: int):
         rs.append(rm)
         kx0s.append(x0k)
         kx1s.append(x1k)
-    return (x0s, x1s, kcs, krs), (cs, rs, kx0s, kx1s)
+    return ([bit_rows(h, KAPPA) for h in (x0s, x1s, kcs, krs)],
+            [bit_rows(h, KAPPA) for h in (cs, rs, kx0s, kx1s)])
 
 
 def run_laot(n, seed=0, d_tamper=None):
@@ -55,11 +57,11 @@ def run_laot(n, seed=0, d_tamper=None):
     a, b = memory_pair(timeout=30.0)
     a.kappa = b.kappa = KAPPA
     rng_a = random.Random(seed + 1)
-    out = run_pair(
+    quads_s, quads_r = run_pair(
         lambda: laot_sender(a, *send_in, od.delta[B], rng_a),
         lambda: laot_receiver(b, *recv_in, od.delta[A], d_tamper=d_tamper),
         timeout=30, channels=(a, b))
-    return od, out
+    return od, (from_rows(quads_s, QuadSender), from_rows(quads_r, QuadReceiver))
 
 
 def check_quad(qs: QuadSender, qr: QuadReceiver, od: OracleDealer):
@@ -129,17 +131,18 @@ def test_fold_preserves_quad_relation_exhaustively():
             qb_s, qb_r = make_quad(od, bits_b & 1, (bits_b >> 1) & 1,
                                    (bits_b >> 2) & 1)
             d = qa_s.x0.bit ^ qa_s.x1.bit ^ qb_s.x0.bit ^ qb_s.x1.bit
-            fs = fold_sender(qa_s, qb_s, d)
-            fr = fold_receiver(qa_r, qb_r, d)
-            check_quad(fs, fr, od)
+            ds = np.array([d], np.uint8)
+            fs = fold_quads_sender(to_rows([qa_s], KAPPA), to_rows([qb_s], KAPPA), ds)
+            fr = fold_quads_receiver(to_rows([qa_r], KAPPA), to_rows([qb_r], KAPPA), ds)
+            check_quad(*from_rows(fs, QuadSender), *from_rows(fr, QuadReceiver), od)
 
 
 def run_combine(n, bucket, seed=0):
     rng = random.Random(seed)
     od = OracleDealer(KAPPA, rng)
     pairs = [od.quad(A) for _ in range(n)]
-    quads_s = [p[0] for p in pairs]
-    quads_r = [p[1] for p in pairs]
+    quads_s = to_rows([p[0] for p in pairs], KAPPA)
+    quads_r = to_rows([p[1] for p in pairs], KAPPA)
     a, b = memory_pair(timeout=30.0)
     rng_b = random.Random(seed + 1)
     (out_s, acc_s), (out_r, acc_r) = run_pair(
@@ -153,7 +156,7 @@ def run_combine(n, bucket, seed=0):
 def test_combine_outputs_clean_quads():
     od, out_s, out_r, acc_s, acc_r = run_combine(12, 3)
     assert len(out_s) == len(out_r) == 4
-    for qs, qr in zip(out_s, out_r):
+    for qs, qr in zip(from_rows(out_s, QuadSender), from_rows(out_r, QuadReceiver)):
         check_quad(qs, qr, od)
 
 
@@ -167,7 +170,7 @@ def test_combine_accumulators_agree():
 def test_combine_rejects_non_permutation():
     rng = random.Random(9)
     od = OracleDealer(KAPPA, rng)
-    quads = [od.quad(A)[0] for _ in range(4)]
+    quads = to_rows([od.quad(A)[0] for _ in range(4)], KAPPA)
     a, b = memory_pair(timeout=10.0)
 
     def bad_peer():
@@ -185,6 +188,6 @@ def test_combine_validates_bucketing():
     quads = [od.quad(A)[0] for _ in range(5)]
     a, _ = memory_pair()
     with pytest.raises(UsageError):
-        aot_combine_sender(a, quads, 2, MacAccumulator())  # 5 % 2 != 0
+        aot_combine_sender(a, to_rows(quads, KAPPA), 2, MacAccumulator())  # 5 % 2 != 0
     with pytest.raises(UsageError):
-        aot_combine_sender(a, quads[:4], 1, MacAccumulator())
+        aot_combine_sender(a, to_rows(quads[:4], KAPPA), 1, MacAccumulator())

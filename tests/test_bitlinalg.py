@@ -1,13 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macbits.bitlinalg import (BitMatrix, BitVec, Pairing, mat_vec_mul,
-                               mat_vec_mul_batch, random_pairing,
-                               random_permutation, transpose_bits)
+                               mat_vec_mul_batch, pack_bits, pack_rows,
+                               random_pairing, random_permutation,
+                               transpose_bits, unpack_bits)
 from macbits.errors import UsageError
 
 
@@ -145,18 +147,24 @@ def test_mat_vec_batch_matches_single():
 # transpose_bits
 
 
+def tr(rows):
+    """transpose_bits on BitVec rows, packed and back."""
+    out = transpose_bits(pack_rows(rows), rows[0].n)
+    return [BitVec.from_bytes(len(rows), r.tobytes()) for r in out]
+
+
 def test_transpose_two_by_two():
-    assert transpose_bits([bv("10"), bv("01")]) == [bv("10"), bv("01")]
+    assert tr([bv("10"), bv("01")]) == [bv("10"), bv("01")]
 
 
 def test_transpose_single_row():
-    assert transpose_bits([bv("111")]) == [bv("1"), bv("1"), bv("1")]
+    assert tr([bv("111")]) == [bv("1"), bv("1"), bv("1")]
 
 
 def test_transpose_bits_involution():
     rng = random.Random(6)
     rows = [BitVec.random(128, rng) for _ in range(64)]
-    assert transpose_bits(transpose_bits(rows)) == rows
+    assert tr(tr(rows)) == rows
 
 
 @settings(max_examples=10, deadline=None)
@@ -164,11 +172,20 @@ def test_transpose_bits_involution():
 def test_transpose_bits_matches_index_loop(r, c, seed):
     rng = random.Random(seed)
     rows = [BitVec.random(c, rng) for _ in range(r)]
-    cols = transpose_bits(rows)
+    packed = transpose_bits(pack_rows(rows), c, _block=64)
+    cols = tr(rows)
     assert len(cols) == c
+    # the pad bits past r in each output row stay zero
+    assert np.array_equal(packed, pack_rows(cols))
     for j in range(c):
         for i in range(r):
             assert cols[j][i] == rows[i][j]
+
+
+def test_bit_vector_packing_round_trip():
+    bits = [1, 0, 1, 1, 0, 0, 0, 1, 1, 1]
+    assert pack_bits(np.array(bits)) == bv("1011000111").to_bytes()
+    assert unpack_bits(bv("1011000111").to_bytes(), 10).tolist() == bits
 
 
 # ---------------------------------------------------------------------------

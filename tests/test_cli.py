@@ -183,6 +183,18 @@ def test_eval_rejects_bad_input(dealt, toy_file, bad_input):
     assert rc == 3
 
 
+def test_eval_rejects_non_ascii_circuit(dealt, tmp_path, capsys):
+    circ = tmp_path / "bad.txt"
+    circ.write_bytes(TOY.replace("AND", "A\xffD").encode("latin-1"))
+    pa, _ = dealt
+    rc = cli_main(["eval", "--role", "A", "--circuit", str(circ),
+                   "--material", pa, "--input", "03",
+                   "--peer", "127.0.0.1:1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "usage error: line 4: non-ASCII byte 0xff\n"
+
+
 def test_eval_rejects_bad_peer_address(dealt, toy_file):
     pa, _ = dealt
     rc = cli_main(["eval", "--role", "A", "--circuit", toy_file,

@@ -7,12 +7,12 @@ import pytest
 from helpers import counting_pair
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
-from macbits.bitlinalg import BitVec
+from macbits.bitlinalg import BitVec, pack_rows
 from macbits.dealer import (DealerConfig, MaterialStore, deal,
                             flush_accumulators, verify_stores)
 from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort,
                             UsageError)
-from macbits.ro_suite import MacAccumulator, mac_rows
+from macbits.ro_suite import MacAccumulator
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
@@ -232,7 +232,7 @@ def test_verify_stores_catches_corruption():
 def absorb_all(macs):
     acc = MacAccumulator()
     for m in macs:
-        acc = acc.absorb(mac_rows([m]))
+        acc = acc.absorb(pack_rows([m]))
     return acc
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OracleDealer
+from helpers import OracleDealer, bit_rows
 from macbits.aand_proto import laand_key_side, laand_mac_side
 from macbits.abit_proto import (labit_receiver, labit_sender, tau_for,
                                 wabit_amplify_key_side, wabit_amplify_mac_side)
@@ -50,11 +50,11 @@ _EQ = BitVec.random(24, random.Random(3))
 
 
 def _macs(pairs):
-    return [m for m, _ in pairs]
+    return bit_rows([m for m, _ in pairs], KAPPA)
 
 
 def _keys(pairs):
-    return [k for _, k in pairs]
+    return bit_rows([k for _, k in pairs], KAPPA)
 
 
 def _ot_send(ch):

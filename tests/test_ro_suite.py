@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import eval_two, oracle_store_pair, random_circuit, random_inputs
-from macbits.bitlinalg import BitVec
+from macbits.bitlinalg import BitVec, pack_rows
 from macbits.errors import UsageError
 from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, expand,
-                              hash_calls, mac_rows, mask, reset_hash_calls,
+                              hash_calls, mask, reset_hash_calls,
                               ro_hash)
 
 
@@ -116,7 +116,7 @@ def test_accumulator_deterministic():
     macs = [BitVec.random(128, rng) for _ in range(20)]
     a = b = MacAccumulator()
     for m in macs:
-        a, b = a.absorb(mac_rows([m])), b.absorb(mac_rows([m]))
+        a, b = a.absorb(pack_rows([m])), b.absorb(pack_rows([m]))
     assert a == b
     assert a.count == 20
 
@@ -125,8 +125,8 @@ def test_accumulator_order_sensitive():
     rng = random.Random(6)
     m1, m2 = BitVec.random(128, rng), BitVec.random(128, rng)
     assert m1 != m2
-    fwd = MacAccumulator().absorb(mac_rows([m1])).absorb(mac_rows([m2]))
-    rev = MacAccumulator().absorb(mac_rows([m2])).absorb(mac_rows([m1]))
+    fwd = MacAccumulator().absorb(pack_rows([m1])).absorb(pack_rows([m2]))
+    rev = MacAccumulator().absorb(pack_rows([m2])).absorb(pack_rows([m1]))
     assert fwd.state != rev.state
 
 
@@ -135,11 +135,11 @@ def test_accumulator_distinguishes_single_change():
     macs = [BitVec.random(64, rng) for _ in range(10)]
     a = MacAccumulator()
     for m in macs:
-        a = a.absorb(mac_rows([m]))
+        a = a.absorb(pack_rows([m]))
     macs[4] = macs[4] ^ BitVec(64, 1)
     b = MacAccumulator()
     for m in macs:
-        b = b.absorb(mac_rows([m]))
+        b = b.absorb(pack_rows([m]))
     assert a.state != b.state
 
 
@@ -147,24 +147,24 @@ def test_accumulator_round_is_order_sensitive():
     rng = random.Random(8)
     m1, m2 = BitVec.random(128, rng), BitVec.random(128, rng)
     assert m1 != m2
-    assert (MacAccumulator().absorb(mac_rows([m1, m2])).state
-            != MacAccumulator().absorb(mac_rows([m2, m1])).state)
+    assert (MacAccumulator().absorb(pack_rows([m1, m2])).state
+            != MacAccumulator().absorb(pack_rows([m2, m1])).state)
 
 
 def test_accumulator_round_distinguishes_single_bit():
     rng = random.Random(9)
     macs = [BitVec.random(64, rng) for _ in range(10)]
-    a = MacAccumulator().absorb(mac_rows(macs))
+    a = MacAccumulator().absorb(pack_rows(macs))
     macs[4] = macs[4] ^ BitVec(64, 1 << 17)
-    b = MacAccumulator().absorb(mac_rows(macs))
+    b = MacAccumulator().absorb(pack_rows(macs))
     assert a.count == b.count == 10
     assert a.state != b.state
 
 
 def test_accumulator_empty_round_is_identity():
-    acc = MacAccumulator().absorb(mac_rows([BitVec(16, 5)]))
+    acc = MacAccumulator().absorb(pack_rows([BitVec(16, 5)]))
     before = hash_calls("acc/")
-    same = acc.absorb(mac_rows([]))
+    same = acc.absorb(pack_rows([]))
     assert (same.state, same.count) == (acc.state, acc.count)
     assert hash_calls("acc/") == before
 
@@ -174,7 +174,7 @@ def test_accumulator_round_costs_one_hash():
     for n in (1, 2, 50):
         macs = [BitVec.random(128, rng) for _ in range(n)]
         before = hash_calls("acc/")
-        MacAccumulator().absorb(mac_rows(macs))
+        MacAccumulator().absorb(pack_rows(macs))
         assert hash_calls("acc/") - before == 1
 
 
@@ -183,12 +183,12 @@ def test_accumulator_round_hashes_rows_as_one_buffer():
     come from BitVecs or are the MAC part of a MAC||bit row array."""
     rng = random.Random(12)
     macs = [BitVec.random(128, rng) for _ in range(7)]
-    acc = MacAccumulator().absorb(mac_rows(macs))
+    acc = MacAccumulator().absorb(pack_rows(macs))
     want = ro_hash("acc/round", bytes(DIGEST_BYTES), (7).to_bytes(8, "big"),
                    *(m.to_bytes() for m in macs))
     assert (acc.state, acc.count) == (want, 7)
     bits = np.array([[b] for b in (1, 0, 1, 1, 0, 0, 1)], np.uint8)
-    rows = np.concatenate((mac_rows(macs), bits), axis=1)
+    rows = np.concatenate((pack_rows(macs), bits), axis=1)
     assert MacAccumulator().absorb(rows[:, :-1]) == acc
 
 
