@@ -17,15 +17,15 @@ import numpy as np
 
 from .abit_proto import GlobalKey, Rows
 from .aot_proto import bucket_combine
-from .bitlinalg import BitVec, pack_bits, unpack_bits
-from .eq_box import eq_commit_side, eq_respond_side
+from .bitlinalg import pack_bits, unpack_bits
+from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import DIGEST_BYTES, MacAccumulator, hash_rows
-from .transport import Channel, MsgType
+from .transport import Channel, MsgType, Recv, Send
 
 
-def laand_mac_side(ch: Channel, xs, ys, rs, rng, *, d_tamper=None) -> Rows:
-    """Generate len(xs) leaky triples holding the MAC side.
+def laand_mac_side(ch: Channel, xs, ys, rs, rng, *, d_tamper=None):
+    """Generate len(xs) leaky triples holding the MAC side (a protocol side).
 
     xs/ys are MAC rows of the triple inputs, rs of the fresh blinds that
     become z after the announced correction. Returns the triples as Rows:
@@ -37,29 +37,30 @@ def laand_mac_side(ch: Channel, xs, ys, rs, rng, *, d_tamper=None) -> Rows:
     ds = (xs[:, -1] & ys[:, -1]) ^ rs[:, -1]
     if d_tamper is not None:
         ds = np.array([d_tamper(i, int(d)) for i, d in enumerate(ds)], np.uint8) & 1
-    ch.send(MsgType.LAAND_D, pack_bits(ds))
+    yield Send((MsgType.LAAND_D, pack_bits(ds)))
     zs = rs.copy()
     zs[:, -1] ^= ds  # constants carry a zero MAC, so only the bit moves
 
-    us = np.frombuffer(ch.recv(MsgType.LAAND_U, DIGEST_BYTES * ell),
-                       np.uint8).reshape(ell, DIGEST_BYTES)
+    (raw_u,) = yield Recv((MsgType.LAAND_U, DIGEST_BYTES * ell))
+    us = np.frombuffer(raw_u, np.uint8).reshape(ell, DIGEST_BYTES)
     x = xs[:, -1:]
     # x = 0: v = H(M_x, M_z); x = 1: v = U ^ H(M_x, M_y ^ M_z)
     second = zs[:, :-1] ^ x * ys[:, :-1]
     vs = hash_rows("laand", np.concatenate((xs[:, :-1], second), axis=1)) ^ x * us
-    if not eq_commit_side(ch, BitVec.from_bytes(8 * DIGEST_BYTES * ell, vs.tobytes()), rng):
+    if not (yield from eq_commit_side(ch, value_digest(8 * DIGEST_BYTES * ell, vs), rng)):
         raise ProtocolAbort("laand", "product proof failed")
     return Rows.of_macs(np.stack((xs, ys, zs), axis=1))
 
 
-def laand_key_side(ch: Channel, kxs, kys, krs, gk: GlobalKey, *, u_tamper=None) -> Rows:
-    """Key side of leaky triple generation, on key rows; returns the triples
-    as Rows: kx, ky, kz. u_tamper models the selective garbling a cheating
-    key holder would use to probe x."""
+def laand_key_side(ch: Channel, kxs, kys, krs, gk: GlobalKey, *, u_tamper=None):
+    """Key side of leaky triple generation, on key rows (a protocol side);
+    returns the triples as Rows: kx, ky, kz. u_tamper models the selective
+    garbling a cheating key holder would use to probe x."""
     ell = len(kxs)
     if not (len(kys) == len(krs) == ell):
         raise UsageError("input batches must align")
-    ds = unpack_bits(ch.recv(MsgType.LAAND_D, (ell + 7) // 8), ell)
+    (raw_d,) = yield Recv((MsgType.LAAND_D, (ell + 7) // 8))
+    ds = unpack_bits(raw_d, ell)
     delta = gk.row
 
     kzs = krs ^ ds[:, None] * delta
@@ -68,8 +69,8 @@ def laand_key_side(ch: Channel, kxs, kys, krs, gk: GlobalKey, *, u_tamper=None) 
     if u_tamper is not None:
         us = np.stack([np.frombuffer(u_tamper(i, u.tobytes()), np.uint8)
                        for i, u in enumerate(us)])
-    ch.send(MsgType.LAAND_U, us.tobytes())
-    if not eq_respond_side(ch, BitVec.from_bytes(8 * DIGEST_BYTES * ell, refs.tobytes())):
+    yield Send((MsgType.LAAND_U, us.tobytes()))
+    if not (yield from eq_respond_side(ch, value_digest(8 * DIGEST_BYTES * ell, refs))):
         raise ProtocolAbort("laand", "product proof failed")
     return Rows.of_keys(np.stack((kxs, kys, kzs), axis=1))
 

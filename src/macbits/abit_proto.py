@@ -20,8 +20,10 @@ Production pipeline for a batch of ell bits owned by P:
   2. Cut-and-choose pairing: the peer reveals the XOR of choice bits inside
      each pair of a random matching, both sides fold the pairs, and a single
      batched equality check compares digests of the folded MACs and the
-     folded keys. A sender that used an inconsistent offset in a pair
-     survives only by guessing that pair's choice bit.
+     folded keys. Each folded pair goes straight into the digest
+     (`eq_box.ColumnDigest`) and its partner column is dropped. A sender
+     that used an inconsistent offset in a pair survives only by guessing
+     that pair's choice bit.
   3. Privacy amplification: the key holder samples a random kappa x tau
      GF(2) matrix, and both sides project the surviving tau columns (and
      the weak global key y_1..y_tau) through it. Row r of the matrix selects
@@ -32,6 +34,15 @@ Production pipeline for a batch of ell bits owned by P:
      (`Rows`), the layout every later offline step and the store work on.
 
 tau = ceil(22*kappa/3) makes step 3 sound for kappa-bit MACs.
+
+Every role here is a protocol side: a generator that yields one `Send` or
+`Recv` per flight (see `transport.run_sides`). Each party's bits are
+authenticated under the other party's key, so the pipelines for Alice's
+bits and for Bob's bits are independent, and `dealer.deal` runs both
+`produce_abits` sides side by side. In each round both parties compute at
+once: both mask the OT corrections for their own bits, then both expand the
+corrections they received for the peer's bits, and so on. Within a round
+Alice sends before she reads and Bob reads before he sends.
 """
 
 from __future__ import annotations
@@ -46,9 +57,9 @@ from .base_ot import extend_ot_receive, extend_ot_send
 from .bitlinalg import (BitMatrix, BitVec, Pairing, mat_mul_rows, mat_vec_mul,
                         pack_rows, random_pairing, transpose_bits, unpack_bits)
 from .bitlinalg import mat_vec_mul_batch  # noqa: F401 - the benchmark still wraps it here
-from .eq_box import eq_commit_side, eq_respond_side
+from .eq_box import ColumnDigest, eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, UsageError
-from .transport import Channel, MsgType, Role
+from .transport import Channel, MsgType, Recv, Role, Send
 
 
 def tau_for(kappa: int) -> int:
@@ -115,21 +126,22 @@ def labit_sender(ch: Channel, tau: int, ell: int, rng, backend, *, offer_tamper=
     """
     t = 2 * tau
     gamma = BitVec.random(ell, rng)
-    keys = extend_ot_send(ch, backend, gamma, t, rng, offer_tamper=offer_tamper)
+    keys = yield from extend_ot_send(ch, backend, gamma, t, rng, offer_tamper=offer_tamper)
 
-    raw = ch.recv(MsgType.LABIT_PAIRING, 4 * t)
+    raw, raw_d = yield Recv((MsgType.LABIT_PAIRING, 4 * t), (MsgType.LABIT_D, (tau + 7) // 8))
     try:
         pairing = Pairing(struct.unpack(f">{t}I", raw))
     except UsageError:
         raise ProtocolAbort("labit", "peer sent an invalid pairing") from None
     reps = pairing.smaller_indices()
-    d = BitVec.from_bytes(tau, ch.recv(MsgType.LABIT_D, (tau + 7) // 8))
+    d = BitVec.from_bytes(tau, raw_d)
 
-    folded = []
+    value = ColumnDigest(tau * ell)
     for k, i in enumerate(reps):
         j = pairing.partner(i)
-        folded.append(keys[i] ^ keys[j] ^ gamma.times(d[k]))
-    if not eq_commit_side(ch, BitVec.join(folded), rng):
+        value.update(keys[i] ^ keys[j] ^ gamma.times(d[k]))
+        keys[j] = None
+    if not (yield from eq_commit_side(ch, value.digest(), rng)):
         raise ProtocolAbort("labit", "pair check failed")
     return gamma, [keys[i] for i in reps]
 
@@ -138,16 +150,20 @@ def labit_receiver(ch: Channel, tau: int, ell: int, rng, backend):
     """OT-receiver side; ends holding surviving (y_i, N_i)."""
     t = 2 * tau
     ys = [rng.getrandbits(1) for _ in range(t)]
-    macs = extend_ot_receive(ch, backend, ys, ell)
+    macs = yield from extend_ot_receive(ch, backend, ys, ell)
 
     pairing = random_pairing(t, rng)
-    ch.send(MsgType.LABIT_PAIRING, struct.pack(f">{t}I", *pairing.part))
     reps = pairing.smaller_indices()
     d = BitVec.from_bits(ys[i] ^ ys[pairing.partner(i)] for i in reps)
-    ch.send(MsgType.LABIT_D, d.to_bytes())
+    yield Send((MsgType.LABIT_PAIRING, struct.pack(f">{t}I", *pairing.part)),
+               (MsgType.LABIT_D, d.to_bytes()))
 
-    folded = [macs[i] ^ macs[pairing.partner(i)] for i in reps]
-    if not eq_respond_side(ch, BitVec.join(folded)):
+    value = ColumnDigest(tau * ell)
+    for i in reps:
+        j = pairing.partner(i)
+        value.update(macs[i] ^ macs[j])
+        macs[j] = None
+    if not (yield from eq_respond_side(ch, value.digest())):
         raise ProtocolAbort("labit", "pair check failed")
     return [ys[i] for i in reps], [macs[i] for i in reps]
 
@@ -171,20 +187,22 @@ def amplify_keys_with(matrix: BitMatrix, ys: list, macs: list, owner: Role):
     return gk, transpose_bits(pack_rows(mat_mul_rows(matrix, macs)), n)
 
 
-def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int) -> np.ndarray:
+def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int):
+    """Holder side: receive the matrix, return (ell, kappa/8 + 1) MAC rows."""
     if len(keys) != tau_for(kappa):
         raise UsageError(f"tau {len(keys)} does not fit {kappa}-bit MACs")
-    raw = ch.recv(MsgType.AMPLIFY_MATRIX, kappa * ((len(keys) + 7) // 8))
+    (raw,) = yield Recv((MsgType.AMPLIFY_MATRIX, kappa * ((len(keys) + 7) // 8)))
     matrix = BitMatrix.from_bytes(kappa, len(keys), raw)
     return amplify_macs_with(matrix, gamma, keys)
 
 
 def wabit_amplify_key_side(ch: Channel, ys: list, macs: list, kappa: int, owner: Role,
                            rng):
+    """Key side: sample and send the matrix, return (gk, key rows)."""
     if len(macs) != tau_for(kappa):
         raise UsageError(f"tau {len(macs)} does not fit {kappa}-bit MACs")
     matrix = BitMatrix.random(kappa, len(macs), rng)
-    ch.send(MsgType.AMPLIFY_MATRIX, matrix.to_bytes())
+    yield Send((MsgType.AMPLIFY_MATRIX, matrix.to_bytes()))
     return amplify_keys_with(matrix, ys, macs, owner)
 
 
@@ -231,7 +249,8 @@ def labit_to_wabit_keys(ys: list, macs: list) -> WabitKeyView:
 
 
 def produce_abits(ch: Channel, role: Role, owner: Role, count: int, kappa: int, rng, backend):
-    """Produce `count` authenticated bits owned by `owner` with kappa-bit MACs.
+    """Produce `count` authenticated bits owned by `owner` with kappa-bit MACs,
+    as a protocol side (run it with `transport.run_sides`).
 
     The owner ends with (count, kappa/8 + 1) MAC rows; the peer ends with
     (gk, (count, kappa/8) key rows), where the global key gk is born here
@@ -241,7 +260,7 @@ def produce_abits(ch: Channel, role: Role, owner: Role, count: int, kappa: int, 
         raise UsageError("count must be positive")
     tau = tau_for(kappa)
     if role == owner:
-        gamma, keys = labit_sender(ch, tau, count, rng, backend)
-        return wabit_amplify_mac_side(ch, gamma, keys, kappa)
-    ys, macs = labit_receiver(ch, tau, count, rng, backend)
-    return wabit_amplify_key_side(ch, ys, macs, kappa, owner, rng)
+        gamma, keys = yield from labit_sender(ch, tau, count, rng, backend)
+        return (yield from wabit_amplify_mac_side(ch, gamma, keys, kappa))
+    ys, macs = yield from labit_receiver(ch, tau, count, rng, backend)
+    return (yield from wabit_amplify_key_side(ch, ys, macs, kappa, owner, rng))

@@ -25,11 +25,11 @@ import math
 import numpy as np
 
 from .abit_proto import GlobalKey, Rows
-from .bitlinalg import BitVec, pack_bits, random_permutation, unpack_bits
-from .eq_box import eq_commit_side, eq_respond_side
+from .bitlinalg import pack_bits, random_permutation, unpack_bits
+from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, pad_rows
-from .transport import Channel, MsgType
+from .transport import Channel, MsgType, Recv, Send
 
 
 def bucket_size(ell: int, psi: int) -> int:
@@ -58,8 +58,8 @@ def _split_payloads(p: np.ndarray, kappa: int):
 
 
 def laot_sender(ch: Channel, x0s, x1s, kcs, krs, gk_recv: GlobalKey, rng,
-                *, payload_tamper=None) -> Rows:
-    """Generate len(x0s) leaky quads as the sender.
+                *, payload_tamper=None):
+    """Generate len(x0s) leaky quads as the sender (a protocol side).
 
     x0s/x1s are MAC rows of this side's authenticated bits; kcs/krs are key
     rows of the receiver's choice and blind bits; gk_recv is the receiver's
@@ -82,23 +82,23 @@ def laot_sender(ch: Channel, x0s, x1s, kcs, krs, gk_recv: GlobalKey, rng,
         for i in range(ell):
             t0, t1 = payload_tamper(i, b0[i].tobytes(), b1[i].tobytes())
             b0[i], b1[i] = np.frombuffer(t0, np.uint8), np.frombuffer(t1, np.uint8)
-    ch.send(MsgType.LAOT_X0, b0.tobytes())
-    ch.send(MsgType.LAOT_X1, b1.tobytes())
+    yield Send((MsgType.LAOT_X0, b0.tobytes()), (MsgType.LAOT_X1, b1.tobytes()))
 
-    ds = unpack_bits(ch.recv(MsgType.LAOT_D, (ell + 7) // 8), ell)
+    (raw_d,) = yield Recv((MsgType.LAOT_D, (ell + 7) // 8))
+    ds = unpack_bits(raw_d, ell)
     kz = krs ^ ds[:, None] * delta
-    ch.send(MsgType.LAOT_I0, (pad_rows("laot/i", kz, kappa) ^ pads[:, 1]).tobytes())
-    ch.send(MsgType.LAOT_I1, (pad_rows("laot/i", kz ^ delta, kappa) ^ pads[:, 0]).tobytes())
+    yield Send((MsgType.LAOT_I0, (pad_rows("laot/i", kz, kappa) ^ pads[:, 1]).tobytes()),
+               (MsgType.LAOT_I1, (pad_rows("laot/i", kz ^ delta, kappa) ^ pads[:, 0]).tobytes()))
 
-    if not eq_commit_side(ch, BitVec.from_bytes(2 * kappa * ell, pads.tobytes()), rng):
+    if not (yield from eq_commit_side(ch, value_digest(2 * kappa * ell, pads), rng)):
         raise ProtocolAbort("laot", "pad pair check failed")
     return Rows(np.stack((x0s, x1s), axis=1), np.stack((kcs, kz), axis=1))
 
 
 def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *,
-                  d_tamper=None) -> Rows:
-    """Generate quads as the receiver; aborts on a bad branch MAC. Returns
-    the quads as Rows: c, z | kx0, kx1."""
+                  d_tamper=None):
+    """Generate quads as the receiver (a protocol side); aborts on a bad
+    branch MAC. Returns the quads as Rows: c, z | kx0, kx1."""
     ell = len(cs)
     if not (len(rs) == len(kx0s) == len(kx1s) == ell):
         raise UsageError("input batches must align")
@@ -108,8 +108,8 @@ def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *,
     pb = (plen + 7) // 8
     rows = np.arange(ell)
 
-    f = np.frombuffer(ch.recv(MsgType.LAOT_X0, pb * ell) + ch.recv(MsgType.LAOT_X1, pb * ell),
-                      np.uint8).reshape(2, ell, pb)
+    f = np.stack([np.frombuffer(raw, np.uint8).reshape(ell, pb) for raw in
+                  (yield Recv((MsgType.LAOT_X0, pb * ell), (MsgType.LAOT_X1, pb * ell)))])
     c = cs[:, -1]
     blob = f[c, rows]
     blob[:, -1] &= 1  # the pad bits past the payload are not read
@@ -120,17 +120,17 @@ def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *,
     ds = xb ^ rs[:, -1]
     if d_tamper is not None:
         ds = np.array([d_tamper(i, int(d)) for i, d in enumerate(ds)], np.uint8) & 1
-    ch.send(MsgType.LAOT_D, pack_bits(ds))
+    yield Send((MsgType.LAOT_D, pack_bits(ds)))
 
-    g = np.frombuffer(ch.recv(MsgType.LAOT_I0, kb * ell) + ch.recv(MsgType.LAOT_I1, kb * ell),
-                      np.uint8).reshape(2, ell, kb)
+    g = np.stack([np.frombuffer(raw, np.uint8).reshape(ell, kb) for raw in
+                  (yield Recv((MsgType.LAOT_I0, kb * ell), (MsgType.LAOT_I1, kb * ell)))])
     z = rs.copy()
     z[:, -1] ^= ds
     zb = z[:, -1]
     t_other = g[zb, rows] ^ pad_rows("laot/i", z[:, :-1], kappa)
     pads = np.where(zb[:, None, None], np.stack((t_other, t_first), axis=1),
                     np.stack((t_first, t_other), axis=1))
-    if not eq_respond_side(ch, BitVec.from_bytes(2 * kappa * ell, pads.tobytes())):
+    if not (yield from eq_respond_side(ch, value_digest(2 * kappa * ell, pads))):
         raise ProtocolAbort("laot", "pad pair check failed")
     return Rows(np.stack((cs, z), axis=1), np.stack((kx0s, kx1s), axis=1))
 

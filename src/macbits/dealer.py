@@ -1,9 +1,23 @@
 """Preprocessing orchestration and the persisted material format.
 
 deal() runs the whole offline phase on one channel: a handshake, the
-authenticated-bit pipeline once per bit owner, then triple and quadruple
+authenticated-bit pipeline for each bit owner, then triple and quadruple
 generation with bucketed combining, all under the two session global keys
-born in the pipeline. From the aBit pipeline's transpose on, every
+born in the pipeline.
+
+Each party's bits are authenticated under the other party's key, so the
+two owners' pipelines are independent, and so are the two owners' leaky
+triples and the two directions' leaky quads. deal() runs them side by side
+(`transport.run_sides`): first both `produce_abits` sides, then the laAND
+sides of both owners with the laOT sides of both directions. Every side
+yields one flight at a time; in each round both parties compute their own
+sides' payloads at once, then Alice sends all of hers before she reads, and
+Bob reads before he sends, so neither blocks sending a large frame to a
+peer that is itself sending. Frames go out in side order, Alice's bits or
+Alice's direction first on both parties. The combiners and the
+deferred-MAC flush stay one at a time, in the same order on both parties.
+
+From the aBit pipeline's transpose on, every
 authenticated bit is a row of a uint8 array (a MAC-side row is the MAC's
 kappa/8 bytes, then one byte for the bit; a key row is kappa/8 bytes): the
 per-owner pools are array slices, laOT, laAND and the combiners hash and XOR
@@ -37,7 +51,7 @@ from .bitlinalg import BitVec
 from .errors import OutOfMaterial, ParseError, ProtocolAbort, UsageError
 from .ro_suite import (DIGEST_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
                        flush_accumulators, ro_hash)
-from .transport import Channel, MsgType, Role, perform_hello
+from .transport import Channel, MsgType, Role, perform_hello, run_sides
 
 MAGIC = b"MACBITS\x00"
 STORE_VERSION = 2
@@ -248,17 +262,22 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     backend = DealerOt(ch, rng)
     kb = cfg.kappa // 8
 
+    # Both owners' aBits side by side. Alice mints the OT dealer seed first,
+    # so that both directions can send seed OTs in the same flight.
+    demand = {owner: cfg.abit_demand(owner) for owner in (Role.ALICE, Role.BOB)}
+    owners = [owner for owner, n in demand.items() if n]
+    if owners:
+        run_sides(ch, role, backend.setup(mint=role is Role.ALICE))
+    made = run_sides(ch, role, *(produce_abits(ch, role, owner, demand[owner], cfg.kappa,
+                                               rng, backend) for owner in owners))
     # Per owner: the MAC rows of its bits if I own them, else my key rows.
-    abits, gks = {}, {}
-    for owner in (Role.ALICE, Role.BOB):
-        demand = cfg.abit_demand(owner)
-        if demand == 0:
-            abits[owner] = np.empty((0, kb + (role is owner)), np.uint8)
-        elif role is owner:
-            abits[owner] = produce_abits(ch, role, owner, demand, cfg.kappa, rng, backend)
+    abits = {owner: np.empty((0, kb + (role is owner)), np.uint8) for owner in demand}
+    gks = {}
+    for owner, rows in zip(owners, made):
+        if role is owner:
+            abits[owner] = rows
         else:
-            gks[owner], abits[owner] = produce_abits(ch, role, owner, demand,
-                                                     cfg.kappa, rng, backend)
+            gks[owner], abits[owner] = rows
     taken = {Role.ALICE: 0, Role.BOB: 0}
 
     def take(owner, n):
@@ -272,10 +291,10 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     def gk_of(owner) -> GlobalKey:
         return gks.get(owner, GlobalKey(owner, BitVec.zeros(cfg.kappa)))
 
-    sent_acc = MacAccumulator()
-    expect_acc = MacAccumulator()
-
-    aands = {Role.ALICE: (), Role.BOB: ()}
+    # The leaky triples of both owners and the leaky quads of both directions
+    # run side by side. The combiners then run one at a time, in this same
+    # order on both parties, so the deferred-MAC accumulators chain alike.
+    sides, jobs = [], []
     for owner, n_out in ((Role.ALICE, cfg.n_aands_A), (Role.BOB, cfg.n_aands_B)):
         if n_out == 0:
             continue
@@ -283,14 +302,10 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         leaky = bkt * n_out
         xs, ys, rs = take(owner, leaky), take(owner, leaky), take(owner, leaky)
         if role is owner:
-            triples = laand_mac_side(ch, xs, ys, rs, rng)
-            aands[owner], sent_acc = aand_combine_mac(ch, triples, bkt, rng, sent_acc)
+            sides.append(laand_mac_side(ch, xs, ys, rs, rng))
         else:
-            triples = laand_key_side(ch, xs, ys, rs, gk_of(owner))
-            aands[owner], expect_acc = aand_combine_key(ch, triples, bkt,
-                                                        gk_of(owner), expect_acc)
-
-    aots = {Role.ALICE: (), Role.BOB: ()}
+            sides.append(laand_key_side(ch, xs, ys, rs, gk_of(owner)))
+        jobs.append((False, owner, bkt))
     for sender, n_out in ((Role.ALICE, cfg.n_aots_AB), (Role.BOB, cfg.n_aots_BA)):
         receiver = sender.other
         if n_out == 0:
@@ -301,12 +316,26 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         sender_bits = take(sender, leaky), take(sender, leaky)
         receiver_bits = take(receiver, leaky), take(receiver, leaky)
         if role is sender:
-            quads = laot_sender(ch, *sender_bits, *receiver_bits, gk_of(receiver), rng)
-            aots[sender], sent_acc = aot_combine_sender(ch, quads, bkt, sent_acc)
+            sides.append(laot_sender(ch, *sender_bits, *receiver_bits, gk_of(receiver), rng))
         else:
-            quads = laot_receiver(ch, *receiver_bits, *sender_bits, gk_of(sender))
-            aots[sender], expect_acc = aot_combine_receiver(
-                ch, quads, bkt, gk_of(sender), rng, expect_acc)
+            sides.append(laot_receiver(ch, *receiver_bits, *sender_bits, gk_of(sender)))
+        jobs.append((True, sender, bkt))
+
+    sent_acc = MacAccumulator()
+    expect_acc = MacAccumulator()
+    aands = {Role.ALICE: (), Role.BOB: ()}
+    aots = {Role.ALICE: (), Role.BOB: ()}
+    for (is_aot, owner, bkt), items in zip(jobs, run_sides(ch, role, *sides)):
+        if not is_aot and role is owner:
+            aands[owner], sent_acc = aand_combine_mac(ch, items, bkt, rng, sent_acc)
+        elif not is_aot:
+            aands[owner], expect_acc = aand_combine_key(ch, items, bkt, gk_of(owner),
+                                                        expect_acc)
+        elif role is owner:
+            aots[owner], sent_acc = aot_combine_sender(ch, items, bkt, sent_acc)
+        else:
+            aots[owner], expect_acc = aot_combine_receiver(ch, items, bkt, gk_of(owner),
+                                                           rng, expect_acc)
 
     flush_accumulators(ch, role, sent_acc, expect_acc)
 

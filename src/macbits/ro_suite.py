@@ -55,12 +55,19 @@ def ro_hash(tag: str, *parts) -> bytes:
     Parts are raw-concatenated (callers fix field widths); only the tag gets a
     length prefix, which is enough to separate domains.
     """
+    return ro_stream(tag, *parts).digest()
+
+
+def ro_stream(tag: str, *parts):
+    """A SHA-256 object fed the tag and parts as `ro_hash` feeds them, for
+    callers that stream the rest; its digest() equals ro_hash(tag, parts,
+    rest). Counted as one call."""
     h = hashlib.sha256(_tag_prefix(tag))
     for p in parts:
         h.update(_as_bytes(p))
     with _counter_lock:
         _hash_calls[tag] += 1
-    return h.digest()
+    return h
 
 
 def hash_calls(prefix: str = "") -> int:

@@ -1,10 +1,17 @@
-"""Message framing and duplex channels (in-memory pair and TCP).
+"""Message framing, duplex channels (in-memory pair and TCP), and the
+driver that runs offline protocol sides side by side.
 
 Frame layout on the wire: 1 byte message type, 4 bytes big-endian payload
 length, payload. `Channel.recv` checks each frame's type and size, so
 protocol code parses only payloads of the length it expects. Both channel
 flavors count frames and bytes per direction; the online phase asserts its
 exact communication footprint from these counters.
+
+An offline protocol role is a generator that yields once per flight:
+`Send(frames)` to send, or `Recv(wants)` to be resumed with the payloads it
+wants. `run_sides` runs several such sides over one channel, one flight of
+each per round, so each party computes its own sides' payloads while the
+peer computes its own.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class MsgType(enum.IntEnum):
 @dataclass(frozen=True)
 class Message:
     msg_type: MsgType
-    payload: bytes
+    payload: bytes  # or a bytearray: TcpChannel reads frames in place
 
 
 @dataclass
@@ -93,9 +100,13 @@ class Channel:
     # subclasses implement _send_frame / _recv_frame / close
 
     def send(self, msg_type: MsgType, payload: bytes) -> None:
+        """Send one frame. A bytearray payload is sent as it is, without a
+        copy, so the caller must not change it afterwards."""
+        if not isinstance(payload, (bytes, bytearray)):
+            payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD:
             raise UsageError("payload too large for frame")
-        self._send_frame(MsgType(msg_type), bytes(payload))
+        self._send_frame(MsgType(msg_type), payload)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += FRAME_HEADER_BYTES + len(payload)
 
@@ -159,6 +170,11 @@ def memory_pair(timeout: float = 120.0):
     return MemoryChannel(ba, ab, timeout), MemoryChannel(ab, ba, timeout)
 
 
+_FRAME_HEADER = struct.Struct(">BI")
+# Frames up to this size go out in one send call, header and payload joined.
+_JOIN_BELOW = 1 << 16
+
+
 class TcpChannel(Channel):
     def __init__(self, sock: socket.socket, timeout: float):
         super().__init__()
@@ -169,31 +185,40 @@ class TcpChannel(Channel):
         self._closed = False
 
     def _send_frame(self, msg_type: MsgType, payload: bytes) -> None:
-        frame = struct.pack(">BI", int(msg_type), len(payload)) + payload
+        """The header, then the payload; a large payload is not copied into
+        one frame buffer first."""
+        hdr = _FRAME_HEADER.pack(int(msg_type), len(payload))
         try:
             with self._send_lock:
-                self._sock.sendall(frame)
+                if len(payload) <= _JOIN_BELOW:
+                    self._sock.sendall(hdr + payload)
+                else:
+                    self._sock.sendall(hdr)
+                    self._sock.sendall(payload)
         except OSError as e:
             raise TransportError(f"send failed: {e}") from None
 
-    def _recv_exact(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
+    def _recv_exact(self, n: int) -> bytearray:
+        """n bytes read straight into one buffer."""
+        buf = bytearray(n)
+        view = memoryview(buf)
+        got = 0
+        while got < n:
             try:
-                chunk = self._sock.recv(n - len(buf))
+                k = self._sock.recv_into(view[got:])
             except socket.timeout:
                 raise TransportError("recv timed out") from None
             except OSError as e:
                 raise TransportError(f"recv failed: {e}") from None
-            if not chunk:
+            if not k:
                 raise TransportError("peer closed the connection")
-            buf += chunk
-        return bytes(buf)
+            got += k
+        view.release()
+        return buf
 
     def _recv_frame(self) -> Message:
         with self._recv_lock:
-            hdr = self._recv_exact(FRAME_HEADER_BYTES)
-            t, n = struct.unpack(">BI", hdr)
+            t, n = _FRAME_HEADER.unpack(self._recv_exact(FRAME_HEADER_BYTES))
             payload = self._recv_exact(n) if n else b""
         try:
             mt = MsgType(t)
@@ -292,6 +317,79 @@ def perform_hello(ch: Channel, role: Role, kappa: int, psi: int,
         raise ProtocolError("session id mismatch")
     ch.role, ch.kappa, ch.psi, ch.session_id = role, kappa, psi, session_id
     return session_id, pextra
+
+
+class Send:
+    """A side's outbound flight: (MsgType, payload) frames, in order."""
+
+    __slots__ = ("frames",)
+
+    def __init__(self, *frames):
+        self.frames = frames
+
+
+class Recv:
+    """A side's inbound flight: (MsgType, nbytes) per frame it wants. The
+    side is resumed with the list of their payloads."""
+
+    __slots__ = ("wants",)
+
+    def __init__(self, *wants):
+        self.wants = wants
+
+
+def run_sides(ch: Channel, role: Role, *sides) -> list:
+    """Run protocol sides side by side; returns each side's result, in order.
+
+    A side is a generator that yields `Send` or `Recv` once per flight and
+    returns its result. Round k pairs the k-th yield of each side with the
+    k-th yield of the peer's side at the same position, so one party's Send
+    meets the other's Recv. In each round every live side first computes up
+    to its next yield; then the frames go out in side order. Alice sends all
+    of hers before she reads, Bob reads before he sends, so the two are never
+    both blocked sending a frame the other has not started to read. A side
+    that yields anything else is a UsageError; a peer whose flights do not
+    line up shows as a frame of the wrong type or size (ProtocolError).
+    """
+    results = [None] * len(sides)
+    replies = [None] * len(sides)
+    live = list(range(len(sides)))
+    while live:
+        frames, wanted, still = [], [], []
+        for i in live:
+            try:
+                step = sides[i].send(replies[i])
+            except StopIteration as done:
+                results[i] = done.value
+                continue
+            replies[i] = None
+            still.append(i)
+            if isinstance(step, Send):
+                frames.extend(step.frames)
+            elif isinstance(step, Recv):
+                wanted.append((i, step.wants))
+            else:
+                raise UsageError(f"a side yielded {type(step).__name__}, not Send or Recv")
+        live, step = still, None
+        if role is Role.BOB:
+            _read_flight(ch, wanted, replies)
+        _send_flight(ch, frames)
+        if role is Role.ALICE:
+            _read_flight(ch, wanted, replies)
+    return results
+
+
+def _send_flight(ch: Channel, frames: list) -> None:
+    """Send and drop the frames: no reference to a payload outlives its
+    send, so a large one is freed before the flight's reads."""
+    for msg_type, payload in frames:
+        ch.send(msg_type, payload)
+    frames.clear()
+
+
+def _read_flight(ch: Channel, wanted, replies) -> None:
+    for i, wants in wanted:
+        replies[i] = [ch.recv(msg_type, nbytes) for msg_type, nbytes in wants]
 
 
 def run_pair(fn_alice, fn_bob, timeout: float = 300.0, channels=()):

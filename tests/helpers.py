@@ -27,7 +27,7 @@ from macbits.bitlinalg import BitVec, pack_rows
 from macbits.circuit import Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.ro_suite import ro_hash
-from macbits.transport import MemoryChannel, Role, memory_pair, run_pair
+from macbits.transport import MemoryChannel, Role, memory_pair, run_pair, run_sides
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +327,12 @@ def random_inputs(circuit: Circuit, rng: random.Random):
 # two-party execution
 
 
+def run_side(ch, role: Role, side):
+    """Run one protocol side alone on ch; returns its result."""
+    (result,) = run_sides(ch, role, side)
+    return result
+
+
 def run_two(fn_a, fn_b, timeout: float = 60.0):
     """Run the two closures over a fresh in-memory channel pair."""
     ca, cb = memory_pair(timeout=timeout)
@@ -402,7 +408,8 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
         wins = 0
         for _ in range(trials):
             try:
-                labit_sender(ca, tau, ell, rng, backend, offer_tamper=tamper)
+                run_side(ca, Role.ALICE,
+                         labit_sender(ca, tau, ell, rng, backend, offer_tamper=tamper))
                 wins += 1
             except ProtocolAbort:
                 pass
@@ -413,7 +420,7 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
         backend = DealerOt(cb)
         for _ in range(trials):
             try:
-                labit_receiver(cb, tau, ell, rng, backend)
+                run_side(cb, Role.BOB, labit_receiver(cb, tau, ell, rng, backend))
             except ProtocolAbort:
                 pass
 
@@ -444,10 +451,11 @@ def laot_probe_outcomes(trials: int, seed: int, kappa: int = 16):
         rng_a = random.Random(seed * 7 + t)
         try:
             run_pair(
-                lambda: laot_sender(ca, *(bit_rows([h], kappa) for h in vars(qs).values()),
-                                    gk_b, rng_a, payload_tamper=garble),
-                lambda: laot_receiver(cb, *(bit_rows([h], kappa) for h in vars(qr).values()),
-                                      gk_a),
+                lambda: run_side(ca, Role.ALICE, laot_sender(
+                    ca, *(bit_rows([h], kappa) for h in vars(qs).values()),
+                    gk_b, rng_a, payload_tamper=garble)),
+                lambda: run_side(cb, Role.BOB, laot_receiver(
+                    cb, *(bit_rows([h], kappa) for h in vars(qr).values()), gk_a)),
                 timeout=30, channels=(ca, cb))
             outcomes.append((qr.c.bit, False))
         except ProtocolAbort:
@@ -482,7 +490,8 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
         outcomes = []
         for (x, y, r), _ in batches:
             try:
-                laand_mac_side(ca, *(bit_rows([h], kappa) for h in (x, y, r)), rng_a)
+                run_side(ca, Role.ALICE,
+                         laand_mac_side(ca, *(bit_rows([h], kappa) for h in (x, y, r)), rng_a))
                 outcomes.append((x.bit, False))
             except ProtocolAbort:
                 outcomes.append((x.bit, True))
@@ -491,8 +500,9 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
     def key_side():
         for _, (kx, ky, kr) in batches:
             try:
-                laand_key_side(cb, *(bit_rows([h], kappa) for h in (kx, ky, kr)), gk,
-                               u_tamper=tamper)
+                run_side(cb, Role.BOB,
+                         laand_key_side(cb, *(bit_rows([h], kappa) for h in (kx, ky, kr)), gk,
+                                        u_tamper=tamper))
             except ProtocolAbort:
                 pass
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (OracleDealer, TripleKey, TripleMac, bit_rows, from_rows,
-                     laand_u_tamper_outcomes, to_rows, verify_abit)
+                     laand_u_tamper_outcomes, run_side, to_rows, verify_abit)
 from macbits.aand_proto import (aand_combine_key, aand_combine_mac, fold_triples,
                                 laand_key_side, laand_mac_side)
 from macbits.errors import ProtocolAbort, UsageError
@@ -40,8 +40,8 @@ def run_laand(n, seed=0, d_tamper=None, u_tamper=None):
     a.kappa = b.kappa = KAPPA
     rng_a = random.Random(seed + 1)
     macs, keys = run_pair(
-        lambda: laand_mac_side(a, *mac_in, rng_a, d_tamper=d_tamper),
-        lambda: laand_key_side(b, *key_in, od.delta[A], u_tamper=u_tamper),
+        lambda: run_side(a, A, laand_mac_side(a, *mac_in, rng_a, d_tamper=d_tamper)),
+        lambda: run_side(b, B, laand_key_side(b, *key_in, od.delta[A], u_tamper=u_tamper)),
         timeout=30, channels=(a, b))
     return od, (from_rows(macs, TripleMac), from_rows(keys, TripleKey))
 
@@ -80,7 +80,7 @@ def test_laand_rejects_ragged_batches():
     (xs, ys, rs), _ = triple_inputs(od, 3)
     a, _ = memory_pair()
     with pytest.raises(UsageError):
-        laand_mac_side(a, xs, ys[:2], rs, rng)
+        run_side(a, A, laand_mac_side(a, xs, ys[:2], rs, rng))
 
 
 def test_laand_hash_budget():

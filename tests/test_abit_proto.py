@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (AuthBitKey, AuthBitMac, const_key, const_mac, key_half,
-                     labit_cheat_survivals, mac_half, verify_abit)
+                     labit_cheat_survivals, mac_half, run_side, verify_abit)
 from macbits.abit_proto import (GlobalKey, amplify_keys_with, amplify_macs_with,
                                 labit_receiver, labit_sender,
                                 labit_to_wabit_keys, labit_to_wabit_macs,
@@ -14,9 +14,11 @@ from macbits.abit_proto import (GlobalKey, amplify_keys_with, amplify_macs_with,
                                 wabit_amplify_mac_side)
 from macbits.base_ot import DealerOt, extend_ot_receive
 from macbits.bitlinalg import BitMatrix, BitVec, Pairing, mat_vec_mul, pack_rows
-from macbits.eq_box import eq_respond_side
+from macbits.eq_box import eq_respond_side, value_digest
 from macbits.errors import ProtocolAbort, ProtocolError, UsageError
-from macbits.transport import MsgType, Role, memory_pair, run_pair
+from macbits.transport import MsgType, Role, Send, memory_pair, run_pair
+
+A, B = Role.ALICE, Role.BOB
 
 
 def test_tau_sizing():
@@ -86,9 +88,9 @@ def run_labit(tau, ell, seed=0, kappa=16, offer_tamper=None):
     a.kappa = b.kappa = kappa
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
     return run_pair(
-        lambda: labit_sender(a, tau, ell, rng_a, DealerOt(a, rng_a),
-                             offer_tamper=offer_tamper),
-        lambda: labit_receiver(b, tau, ell, rng_b, DealerOt(b)),
+        lambda: run_side(a, A, labit_sender(a, tau, ell, rng_a, DealerOt(a, rng_a),
+                                            offer_tamper=offer_tamper)),
+        lambda: run_side(b, B, labit_receiver(b, tau, ell, rng_b, DealerOt(b))),
         timeout=30, channels=(a, b))
 
 
@@ -118,23 +120,23 @@ def test_labit_wrong_d_announcement_aborts():
     def lying_receiver():
         t = 2 * tau
         ys = [rng_b.getrandbits(1) for _ in range(t)]
-        macs = extend_ot_receive(b, DealerOt(b), ys, ell)
+        macs = yield from extend_ot_receive(b, DealerOt(b), ys, ell)
         part = list(range(t))
         for i in range(0, t, 2):
             part[i], part[i + 1] = i + 1, i
         pairing = Pairing(part)
-        b.send(MsgType.LABIT_PAIRING, struct.pack(f">{t}I", *pairing.part))
         reps = pairing.smaller_indices()
         d = [ys[i] ^ ys[pairing.partner(i)] for i in reps]
         d[0] ^= 1  # the lie
-        b.send(MsgType.LABIT_D, BitVec.from_bits(d).to_bytes())
-        folded = [macs[i] ^ macs[pairing.partner(i)] for i in reps]
-        return eq_respond_side(b, BitVec.join(folded))
+        yield Send((MsgType.LABIT_PAIRING, struct.pack(f">{t}I", *pairing.part)),
+                   (MsgType.LABIT_D, BitVec.from_bits(d).to_bytes()))
+        folded = BitVec.join([macs[i] ^ macs[pairing.partner(i)] for i in reps])
+        return (yield from eq_respond_side(b, value_digest(folded.n, folded.to_bytes())))
 
     with pytest.raises(ProtocolAbort):
-        run_pair(lambda: labit_sender(a, tau, ell, random.Random(10),
-                                      DealerOt(a, random.Random(10))),
-                 lying_receiver, timeout=30, channels=(a, b))
+        run_pair(lambda: run_side(a, A, labit_sender(a, tau, ell, random.Random(10),
+                                                     DealerOt(a, random.Random(10)))),
+                 lambda: run_side(b, B, lying_receiver()), timeout=30, channels=(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +251,7 @@ def test_amplify_rejects_wrong_length_matrix(extra):
     a, b = memory_pair(timeout=5.0)
     b.send(MsgType.AMPLIFY_MATRIX, raw)
     with pytest.raises(ProtocolError):
-        wabit_amplify_mac_side(a, gamma, keys, kappa)
+        run_side(a, A, wabit_amplify_mac_side(a, gamma, keys, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,7 @@ def run_produce(count, psi, owner=Role.ALICE, seed=0):
     def party(ch, role, rng):
         backend = DealerOt(ch, rng)
         backends[role] = backend
-        return produce_abits(ch, role, owner, count, psi, rng, backend)
+        return run_side(ch, role, produce_abits(ch, role, owner, count, psi, rng, backend))
 
     got_a, got_b = run_pair(lambda: party(a, Role.ALICE, rng_a),
                             lambda: party(b, Role.BOB, rng_b),
@@ -309,5 +311,5 @@ def test_produce_abits_owner_bob():
 def test_produce_abits_rejects_zero():
     a, _ = memory_pair()
     with pytest.raises(UsageError):
-        produce_abits(a, Role.ALICE, Role.ALICE, 0, 16, random.Random(0),
-                      DealerOt(a, random.Random(0)))
+        run_side(a, A, produce_abits(a, Role.ALICE, Role.ALICE, 0, 16, random.Random(0),
+                                     DealerOt(a, random.Random(0))))

@@ -17,7 +17,7 @@ from helpers import (AuthBitKey, AuthBitMac, OracleDealer, bit_rows, const_key,
                      const_mac, eval_two, labit_cheat_survivals,
                      laand_u_tamper_outcomes, laot_probe_outcomes,
                      oracle_store_pair, random_circuit, random_inputs,
-                     reconstruct_pair, verify_abit)
+                     reconstruct_pair, run_side, verify_abit)
 from macbits.abit_proto import GlobalKey
 from macbits.aand_proto import aand_combine_key, aand_combine_mac
 from macbits.aescircuit import (bits_to_block, block_to_bits,
@@ -222,15 +222,16 @@ def test_cost_accounting():
     ca, cb = memory_pair(timeout=30.0)
     ca.kappa = cb.kappa = 16
     quads_s, quads_r = run_pair(
-        lambda: laot_sender(ca, bit_rows([p[0].x0 for p in pairs], 16),
-                            bit_rows([p[0].x1 for p in pairs], 16),
-                            bit_rows([p[0].kc for p in pairs], 16),
-                            bit_rows([p[0].kz for p in pairs], 16),
-                            od.delta[B], random.Random(1)),
-        lambda: laot_receiver(cb, bit_rows([p[1].c for p in pairs], 16),
-                              bit_rows([p[1].z for p in pairs], 16),
-                              bit_rows([p[1].kx0 for p in pairs], 16),
-                              bit_rows([p[1].kx1 for p in pairs], 16), od.delta[A]),
+        lambda: run_side(ca, A, laot_sender(ca, bit_rows([p[0].x0 for p in pairs], 16),
+                                            bit_rows([p[0].x1 for p in pairs], 16),
+                                            bit_rows([p[0].kc for p in pairs], 16),
+                                            bit_rows([p[0].kz for p in pairs], 16),
+                                            od.delta[B], random.Random(1))),
+        lambda: run_side(cb, B, laot_receiver(cb, bit_rows([p[1].c for p in pairs], 16),
+                                              bit_rows([p[1].z for p in pairs], 16),
+                                              bit_rows([p[1].kx0 for p in pairs], 16),
+                                              bit_rows([p[1].kx1 for p in pairs], 16),
+                                              od.delta[A])),
         timeout=30, channels=(ca, cb))
     ca, cb = memory_pair(timeout=30.0)
     (out_s, _), (out_r, _) = run_pair(
@@ -247,12 +248,14 @@ def test_cost_accounting():
     ca, cb = memory_pair(timeout=30.0)
     ca.kappa = cb.kappa = 16
     macs, keys = run_pair(
-        lambda: laand_mac_side(ca, bit_rows([t[0].x for t in trips], 16),
-                               bit_rows([t[0].y for t in trips], 16),
-                               bit_rows([t[0].z for t in trips], 16), random.Random(3)),
-        lambda: laand_key_side(cb, bit_rows([t[1].kx for t in trips], 16),
-                               bit_rows([t[1].ky for t in trips], 16),
-                               bit_rows([t[1].kz for t in trips], 16), od.delta[A]),
+        lambda: run_side(ca, A, laand_mac_side(ca, bit_rows([t[0].x for t in trips], 16),
+                                               bit_rows([t[0].y for t in trips], 16),
+                                               bit_rows([t[0].z for t in trips], 16),
+                                               random.Random(3))),
+        lambda: run_side(cb, B, laand_key_side(cb, bit_rows([t[1].kx for t in trips], 16),
+                                               bit_rows([t[1].ky for t in trips], 16),
+                                               bit_rows([t[1].kz for t in trips], 16),
+                                               od.delta[A])),
         timeout=30, channels=(ca, cb))
     ca, cb = memory_pair(timeout=30.0)
     (out_m, _), (out_k, _) = run_pair(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (OracleDealer, QuadReceiver, QuadSender, bit_rows, from_rows,
-                     laot_probe_outcomes, to_rows, verify_abit)
+                     laot_probe_outcomes, run_side, to_rows, verify_abit)
 from macbits.aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
                                fold_quads_receiver, fold_quads_sender, laot_receiver,
                                laot_sender)
@@ -58,8 +58,8 @@ def run_laot(n, seed=0, d_tamper=None):
     a.kappa = b.kappa = KAPPA
     rng_a = random.Random(seed + 1)
     quads_s, quads_r = run_pair(
-        lambda: laot_sender(a, *send_in, od.delta[B], rng_a),
-        lambda: laot_receiver(b, *recv_in, od.delta[A], d_tamper=d_tamper),
+        lambda: run_side(a, A, laot_sender(a, *send_in, od.delta[B], rng_a)),
+        lambda: run_side(b, B, laot_receiver(b, *recv_in, od.delta[A], d_tamper=d_tamper)),
         timeout=30, channels=(a, b))
     return od, (from_rows(quads_s, QuadSender), from_rows(quads_r, QuadReceiver))
 
@@ -98,7 +98,7 @@ def test_laot_rejects_ragged_batches():
     (x0s, x1s, kcs, krs), _ = quad_inputs(od, 3)
     a, _ = memory_pair()
     with pytest.raises(UsageError):
-        laot_sender(a, x0s, x1s[:2], kcs, krs, od.delta[B], rng)
+        run_side(a, A, laot_sender(a, x0s, x1s[:2], kcs, krs, od.delta[B], rng))
 
 
 def test_laot_hash_budget():

@@ -3,13 +3,15 @@ import time
 
 import pytest
 
-from helpers import counting_pair
+from helpers import counting_pair, run_side
 from macbits.base_ot import (SEED_BITS, DealerOt, extend_ot_receive,
                              extend_ot_send, seed_ot_receive, seed_ot_send)
 from macbits.bitlinalg import BitVec
 from macbits.errors import UsageError
 from macbits.ro_suite import expand, ro_hash
-from macbits.transport import MsgType, memory_pair, run_pair
+from macbits.transport import MsgType, Role, memory_pair, run_pair, run_sides
+
+A, B = Role.ALICE, Role.BOB
 
 
 def bv(s: str) -> BitVec:
@@ -19,8 +21,9 @@ def bv(s: str) -> BitVec:
 def run_ot(pairs, choices, n_bits):
     a, b = memory_pair(timeout=30.0)
     rng = random.Random(0)
-    _, got = run_pair(lambda: DealerOt(a, rng).send(pairs),
-                      lambda: DealerOt(b).receive(choices, n_bits), timeout=30)
+    _, got = run_pair(lambda: run_side(a, A, DealerOt(a, rng).send(pairs)),
+                      lambda: run_side(b, B, DealerOt(b).receive(choices, n_bits)),
+                      timeout=30)
     return got
 
 
@@ -29,7 +32,7 @@ class RecordingOt(DealerOt):
 
     def send(self, pairs):
         self.pairs = pairs
-        super().send(pairs)
+        yield from super().send(pairs)
 
 
 def run_extended(offset, choices, offer_tamper=None):
@@ -39,9 +42,10 @@ def run_extended(offset, choices, offer_tamper=None):
     rng = random.Random(0)
     backend = RecordingOt(a, rng)
     keys, got = run_pair(
-        lambda: extend_ot_send(a, backend, offset, len(choices), rng,
-                               offer_tamper=offer_tamper),
-        lambda: extend_ot_receive(b, DealerOt(b), choices, offset.n), timeout=60)
+        lambda: run_side(a, A, extend_ot_send(a, backend, offset, len(choices), rng,
+                                              offer_tamper=offer_tamper)),
+        lambda: run_side(b, B, extend_ot_receive(b, DealerOt(b), choices, offset.n)),
+        timeout=60)
     return keys, got, backend.pairs, a.sent
 
 
@@ -78,8 +82,8 @@ def test_640_seed_ots_under_a_second():
     choices = [rng.getrandbits(1) for _ in range(640)]
     a, b = memory_pair(timeout=30.0)
     t0 = time.time()
-    _, got = run_pair(lambda: seed_ot_send(DealerOt(a, rng), pairs),
-                      lambda: seed_ot_receive(DealerOt(b), choices),
+    _, got = run_pair(lambda: run_side(a, A, seed_ot_send(DealerOt(a, rng), pairs)),
+                      lambda: run_side(b, B, seed_ot_receive(DealerOt(b), choices)),
                       timeout=30)
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -98,12 +102,12 @@ def test_batch_sequencing_across_calls():
 
     def send():
         be = DealerOt(a, rng)
-        be.send(p1)
-        be.send(p2)
+        run_side(a, A, be.send(p1))
+        run_side(a, A, be.send(p2))
 
     def recv():
         be = DealerOt(b)
-        return be.receive(c1, 8), be.receive(c2, 8)
+        return run_side(b, B, be.receive(c1, 8)), run_side(b, B, be.receive(c2, 8))
 
     _, (g1, g2) = run_pair(send, recv, timeout=30)
     assert g1 == [p[c] for p, c in zip(p1, c1)]
@@ -144,8 +148,8 @@ def test_offer_tamper_cannot_change_branch_zero():
     offset = BitVec.random(16, rng)
     a, _ = memory_pair(timeout=5.0)
     with pytest.raises(UsageError):
-        extend_ot_send(a, DealerOt(a, rng), offset, 4, rng,
-                       offer_tamper=lambda k, m0, m1: (m0 ^ BitVec(16, 1), m1))
+        run_side(a, A, extend_ot_send(a, DealerOt(a, rng), offset, 4, rng,
+                                      offer_tamper=lambda k, m0, m1: (m0 ^ BitVec(16, 1), m1)))
 
 
 def test_nonchosen_message_guess_rate():
@@ -158,3 +162,34 @@ def test_nonchosen_message_guess_rate():
     hits = sum(1 for k, m in enumerate(got)
                if m ^ BitVec.from_bytes(n, frame[2 * k : 2 * k + 2]) == offset)
     assert hits / trials <= 10 * 2**-16
+
+
+def test_both_directions_side_by_side():
+    # both endpoints send seed OTs in the same flight: each direction keeps
+    # its own pads and counter, so a second batch stays aligned too
+    rng = random.Random(8)
+
+    def batch(n):
+        return ([(BitVec.random(8, rng), BitVec.random(8, rng)) for _ in range(n)],
+                [rng.getrandbits(1) for _ in range(n)])
+
+    (pa, ca), (pb, cb), (pa2, ca2) = batch(6), batch(5), batch(3)
+    a, b = memory_pair(timeout=30.0)
+
+    def alice():
+        be = DealerOt(a, random.Random(0))
+        run_side(a, A, be.setup(mint=True))
+        _, got = run_sides(a, A, be.send(pa), be.receive(cb, 8))
+        run_side(a, A, be.send(pa2))
+        return got
+
+    def bob():
+        be = DealerOt(b, random.Random(1))
+        run_side(b, B, be.setup(mint=False))
+        got, _ = run_sides(b, B, be.receive(ca, 8), be.send(pb))
+        return got, run_side(b, B, be.receive(ca2, 8))
+
+    got_a, (got_b, got_b2) = run_pair(alice, bob, timeout=30, channels=(a, b))
+    assert got_a == [p[c] for p, c in zip(pb, cb)]
+    assert got_b == [p[c] for p, c in zip(pa, ca)]
+    assert got_b2 == [p[c] for p, c in zip(pa2, ca2)]

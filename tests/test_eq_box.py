@@ -3,12 +3,15 @@ import struct
 
 import pytest
 
-from helpers import counting_pair
+from helpers import counting_pair, run_side
 from macbits.bitlinalg import BitVec
-from macbits.eq_box import _commitment, eq_commit_side, eq_respond_side
-from macbits.errors import ProtocolError
-from macbits.ro_suite import ro_hash
-from macbits.transport import MsgType, memory_pair, run_pair
+from macbits.eq_box import (ColumnDigest, _commitment, eq_commit_side, eq_respond_side,
+                            value_digest)
+from macbits.errors import ProtocolError, UsageError
+from macbits.ro_suite import hash_calls, ro_hash
+from macbits.transport import MsgType, Role, memory_pair, run_pair
+
+A, B = Role.ALICE, Role.BOB
 
 
 def pair16():
@@ -20,8 +23,8 @@ def pair16():
 def run_eq(x: BitVec, y: BitVec):
     a, b = pair16()
     rng = random.Random(0)
-    return run_pair(lambda: eq_commit_side(a, x, rng),
-                    lambda: eq_respond_side(b, y))
+    return run_pair(lambda: run_side(a, A, eq_commit_side(a, digest(x), rng)),
+                    lambda: run_side(b, B, eq_respond_side(b, digest(y))))
 
 
 def test_equal_inputs_both_true():
@@ -52,13 +55,38 @@ def digest(v: BitVec) -> bytes:
     return ro_hash("eq/value", struct.pack(">I", v.n), v)
 
 
+@pytest.mark.parametrize("ell", [8 * 26, 8 * 26 + 3])
+def test_column_digest_matches_the_joined_value(ell):
+    # labit folds its columns straight into the digest; it must equal the
+    # digest of the columns joined into one value, with one hash call
+    rng = random.Random(ell)
+    cols = [BitVec.random(ell, rng) for _ in range(9)]
+    before = hash_calls("eq/value")
+    h = ColumnDigest(9 * ell)
+    for col in cols:
+        h.update(col)
+    streamed = h.digest()
+    assert hash_calls("eq/value") - before == 1
+    joined = BitVec.join(cols)
+    assert streamed == digest(joined) == value_digest(joined.n, joined.to_bytes())
+
+
+def test_column_digest_checks_its_length():
+    h = ColumnDigest(10)
+    h.update(BitVec(7, 5))
+    with pytest.raises(UsageError):
+        h.update(BitVec(4, 1))
+    with pytest.raises(UsageError):
+        h.digest()
+
+
 def test_frame_sizes():
     # EQ_COMMIT kappa/8, EQ_VALUE one digest, EQ_OPEN digest plus kappa/8
     a, b = counting_pair(timeout=10.0)
     a.kappa = b.kappa = 16
     v = BitVec.random(1000, random.Random(4))
-    assert run_pair(lambda: eq_commit_side(a, v, random.Random(0)),
-                    lambda: eq_respond_side(b, v)) == (True, True)
+    assert run_pair(lambda: run_side(a, A, eq_commit_side(a, digest(v), random.Random(0))),
+                    lambda: run_side(b, B, eq_respond_side(b, digest(v)))) == (True, True)
     assert [(t, len(p)) for t, p in a.sent] == [(MsgType.EQ_COMMIT, 2),
                                                 (MsgType.EQ_OPEN, 32 + 2)]
     assert [(t, len(p)) for t, p in b.sent] == [(MsgType.EQ_VALUE, 32)]
@@ -76,7 +104,8 @@ def test_mismatch_reveals_only_the_digest():
         b.send(MsgType.EQ_VALUE, digest(BitVec(8, 0x55)))
         seen["opening"] = b.recv(MsgType.EQ_OPEN)
 
-    verdict, _ = run_pair(lambda: eq_commit_side(a, x, random.Random(1)), responder)
+    verdict, _ = run_pair(
+        lambda: run_side(a, A, eq_commit_side(a, digest(x), random.Random(1))), responder)
     assert verdict is False
     r = BitVec.random(16, random.Random(1))
     assert seen["opening"] == digest(x) + r.to_bytes()
@@ -97,7 +126,7 @@ def test_forged_opening_rejected():
             r2 = BitVec.random(16, rng)
             a.send(MsgType.EQ_OPEN, digest(x2) + r2.to_bytes())
 
-        _, verdict = run_pair(cheat, lambda: eq_respond_side(b, x2))
+        _, verdict = run_pair(cheat, lambda: run_side(b, B, eq_respond_side(b, digest(x2))))
         assert verdict is False
 
 
@@ -125,7 +154,7 @@ def test_bad_commitment_length_rejected():
         return None
 
     with pytest.raises(ProtocolError):
-        run_pair(sender, lambda: eq_respond_side(b, BitVec(8, 0)),
+        run_pair(sender, lambda: run_side(b, B, eq_respond_side(b, digest(BitVec(8, 0)))),
                  channels=(a, b))
 
 
@@ -140,7 +169,7 @@ def test_truncated_opening_rejected():
         a.send(MsgType.EQ_OPEN, b"\x00\x00\x00\x08\x03")  # missing r
 
     with pytest.raises(ProtocolError):
-        run_pair(sender, lambda: eq_respond_side(b, BitVec(8, 3)),
+        run_pair(sender, lambda: run_side(b, B, eq_respond_side(b, digest(BitVec(8, 3)))),
                  channels=(a, b))
 
 
@@ -152,7 +181,7 @@ def test_short_value_frame_is_protocol_error(short):
     a, b = pair16()
     b.send(MsgType.EQ_VALUE, short)
     with pytest.raises(ProtocolError):
-        eq_commit_side(a, BitVec(8, 3), random.Random(0))
+        run_side(a, A, eq_commit_side(a, digest(BitVec(8, 3)), random.Random(0)))
 
 
 @pytest.mark.parametrize("short", SHORT)
@@ -161,4 +190,4 @@ def test_short_opening_frame_is_protocol_error(short):
     a.send(MsgType.EQ_COMMIT, bytes(2))
     a.send(MsgType.EQ_OPEN, short)
     with pytest.raises(ProtocolError):
-        eq_respond_side(b, BitVec(8, 3))
+        run_side(b, B, eq_respond_side(b, digest(BitVec(8, 3))))

@@ -18,14 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OracleDealer, bit_rows
+from helpers import OracleDealer, bit_rows, run_side
 from macbits.aand_proto import laand_key_side, laand_mac_side
 from macbits.abit_proto import (labit_receiver, labit_sender, tau_for,
                                 wabit_amplify_key_side, wabit_amplify_mac_side)
 from macbits.aot_proto import laot_receiver, laot_sender
 from macbits.base_ot import DealerOt
 from macbits.bitlinalg import BitVec
-from macbits.eq_box import eq_commit_side, eq_respond_side
+from macbits.eq_box import eq_commit_side, eq_respond_side, value_digest
 from macbits.errors import ProtocolAbort, ProtocolError
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
@@ -46,7 +46,7 @@ _TX, _TY, _TR = _abits(A, ELL), _abits(A, ELL), _abits(A, ELL)
 _TAU = tau_for(KAPPA)
 _GAMMA = BitVec.random(40, random.Random(1))
 _COLS = [BitVec.random(40, random.Random(2 + i)) for i in range(_TAU)]
-_EQ = BitVec.random(24, random.Random(3))
+_EQ = value_digest(24, BitVec.random(24, random.Random(3)).to_bytes())
 
 
 def _macs(pairs):
@@ -58,7 +58,7 @@ def _keys(pairs):
 
 
 def _ot_send(ch):
-    DealerOt(ch, random.Random(4)).send(
+    return DealerOt(ch, random.Random(4)).send(
         [(BitVec(KAPPA, i), BitVec(KAPPA, ~i)) for i in range(ELL)])
 
 
@@ -121,7 +121,8 @@ def honest_frames(name):
     frames = []
     send = theirs.send
     theirs.send = lambda t, p: (frames.append((t, p)), send(t, p))
-    run_pair(lambda: step(mine), lambda: peer(theirs), timeout=30, channels=(mine, theirs))
+    run_pair(lambda: run_side(mine, A, step(mine)), lambda: run_side(theirs, B, peer(theirs)),
+             timeout=30, channels=(mine, theirs))
     return tuple(frames)
 
 
@@ -145,7 +146,7 @@ def test_random_first_frame(name, data):
     for t, p in honest[1:]:
         peer.send(t, p)
     try:
-        step(mine)
+        run_side(mine, A, step(mine))
     except ProtocolError as e:
         if len(payload) != size:
             assert str(e) == f"{msg_type.name} frame of {len(payload)} bytes, expected {size}"

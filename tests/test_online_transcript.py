@@ -3,7 +3,9 @@
 A seeded kappa=128 deal followed by one evaluation of a fixed random circuit
 must send exactly these frames, party by party: the type and the SHA-256 of
 each payload. A change to how the evaluator lays out, batches or hashes its
-reveals shows up here as a first differing frame.
+reveals shows up here as a first differing frame. The payloads depend on
+the dealt material; each party's frame count and bytes per message type do
+not, and are pinned as well.
 """
 
 import hashlib
@@ -13,41 +15,49 @@ from helpers import counting_pair, random_circuit, random_inputs
 from macbits.circuit import plain_eval
 from macbits.dealer import DealerConfig, deal
 from macbits.runtime_2pc import Runtime
-from macbits.transport import Role, memory_pair, run_pair
+from macbits.transport import FRAME_HEADER_BYTES, Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
 
 EXPECTED = {
     A: [
-        ('HELLO', '49eadeb13d9effe4fc2de5ace352a46745a8955d54a480b302881440c3f03d2e'),
-        ('RT_ANNOUNCE_BATCH', '1f18d650d205d71d934c3646ff5fac1c096ba52eba4cf758b865364f4167d3cd'),
-        ('RT_REVEAL_BATCH', 'dfd9da74cde7b3fbc818352219b2ff8af785485d9a70769f792efd27648f613d'),
-        ('RT_REVEAL_BATCH', 'a18c6aa5e3136749a5ae84af878365691f76b632ec155104d7d90d635fb34ce5'),
-        ('RT_REVEAL_BATCH', '05835811d726b70a4ec28c67badefd83566c6b30ab8ab8e6954e9c90c571ca69'),
-        ('RT_REVEAL_BATCH', '85c502425666c24b3fbca9e0240e999a72d033f87251c1f3200cf8cf24e7cc54'),
-        ('RT_REVEAL_BATCH', '775e1f9626c09c12ab25e32477342ba2ccd4f5a21ceac05f2e68625a02b26115'),
-        ('RT_REVEAL_BATCH', 'a9baf9432b6b63595ff61fdd71ac2584f4d54adeabe199eb9d96fc39c18790fd'),
-        ('RT_ACC_FLUSH', '03faac07ea1768eb5f6083ed09ea8123187c03b03127b47985935e546ee459f2'),
-        ('RT_OUTPUT', '12a91bcddb8996d6f070ffb7ac11d464de799267aabb9f97be28a0b3220c603c'),
+        ('HELLO', '21b614d202e5fe3c9ad7a098e16d9c52eddbcbd1474603a93fba73a750f0d6f9'),
+        ('RT_ANNOUNCE_BATCH', 'dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8'),
+        ('RT_REVEAL_BATCH', '21024b9399e221fa00bba69f53d8ee56d5a2d91c9734f55679973c72f4bf7fde'),
+        ('RT_REVEAL_BATCH', 'a60461cc39479a30367492aa0d73e150d565867ddce634314d4b3ade0172a8a8'),
+        ('RT_REVEAL_BATCH', '8beb839a5b451c3b3f479319ccf091af70ae8cbe2f3acdde0f7f5d1d2cdd4537'),
+        ('RT_REVEAL_BATCH', '3c69b3d73e4f2488ff3de8b1bc7e6a9971b1ba45d39cf2a1502dc83ed37a4019'),
+        ('RT_REVEAL_BATCH', '8b0ff73b76f5006b1390dc5aef450bce560607fbbcc498e24f82c3d5ce28bb14'),
+        ('RT_REVEAL_BATCH', 'e9ef9cffb7adc5c2b9c93a5c2ec64ecfe2ab91680cd93a977f410c5febe8b770'),
+        ('RT_ACC_FLUSH', '2bf2b58b1fe6753daeb7ee761074e08be8da7f470bbaf618fff016c2a23ef84d'),
+        ('RT_OUTPUT', 'a9d94389309c83a446fb3869266429939d96f05c698282b5193d304014dac557'),
     ],
     B: [
-        ('HELLO', '3bfc03e1c420fa94501452b1bc8c455e5d476f2419e9369f95b4ac6e9711d384'),
-        ('RT_ANNOUNCE_BATCH', 'ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879'),
-        ('RT_REVEAL_BATCH', 'f0d3cc4c76939b3d6415dac65d292159f9283a7dd03ef4756b84f1dd2e7df1c1'),
-        ('RT_REVEAL_BATCH', '65d4f90b1d4c6da852667cbef41b26ba941e0b87aaf3901e7b15eb10bd482f2a'),
-        ('RT_REVEAL_BATCH', '7e9c220708d4c4dae83ede9ce4c7c70caad5517e45ffa8ab76c637c374653e8b'),
-        ('RT_REVEAL_BATCH', '60ee6ba0064248f5c540f3febbd6ce3c245cbb94cf5d8323a86065f0ee611465'),
-        ('RT_REVEAL_BATCH', '2fd1c58bf24433d440376a2930803f07817873993f75f1d82932b2ef95300250'),
-        ('RT_REVEAL_BATCH', '97f1d3fdf6efb141198fc1f5ed015ac5e9202efee7b5e992ee1034db4172a933'),
-        ('RT_REVEAL_BATCH', '06b596636fde6d66e6be03e30cd08298e0a4802317a0203edd436a0ff28fb992'),
-        ('RT_REVEAL_BATCH', '1b664ea7d5766e5cd184a0697244ef14b1ea182f146d6a139c08fb20c923ac4f'),
-        ('RT_REVEAL_BATCH', 'be1329b7b8cdc1e775525ee1e331b481c59b70767aa9e59f93a0568f0f66da87'),
-        ('RT_REVEAL_BATCH', '084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5'),
-        ('RT_REVEAL_BATCH', '67586e98fad27da0b9968bc039a1ef34c939b9b8e523a8bef89d478608c5ecf6'),
-        ('RT_REVEAL_BATCH', '084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5'),
-        ('RT_ACC_FLUSH', 'f4617631f30849c69a98e9ce2fc7d4bd02b136f4029398c5cd36f696a8e11d29'),
-        ('RT_OUTPUT', '318b8015c9990d1da934ee2b758d50e66463ec28c8910678505206e9bfceee92'),
+        ('HELLO', 'e90a1e34c9cee7c1dc02407105865051afcc8d054afff3c94e952e820957a361'),
+        ('RT_ANNOUNCE_BATCH', 'e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71'),
+        ('RT_REVEAL_BATCH', 'eb9c08c0c5bca897c4ef554e21a5125da8646496096eab2aafb0a5408f513544'),
+        ('RT_REVEAL_BATCH', 'f1b22d723a52e9c594540d1e3fe35ee9aa840cee67087a7784848c57d21aa17b'),
+        ('RT_REVEAL_BATCH', '1aa204ae63e47ba59392a5fd05292d7ab3124d17132b0ee69b0f20218d531fd6'),
+        ('RT_REVEAL_BATCH', '77b1dcf1d146ea11353d1f84a5591102a919eaddd420b6efa38a1022e0f1d569'),
+        ('RT_REVEAL_BATCH', '35758067193554d7b016d497c7c3e8580af69b3e3d004f57ffacc8073a9dd7b9'),
+        ('RT_REVEAL_BATCH', '71da8eeef37375e151cabe4a5b61f15fc460b3257a592d1520d41dba84c7446c'),
+        ('RT_REVEAL_BATCH', '153120e1fee1a26c64b636cb6b3534cd618daa78b0e7f9dca0ce6acbb28ccfd4'),
+        ('RT_REVEAL_BATCH', 'b556211a90d0fab14dbcdfecea34ce84dc4010097918f5afcdbf3fd7816ce8d8'),
+        ('RT_REVEAL_BATCH', 'a90648cc7894b37e690d6b58d5226d995aae8869a79d3edc2136e6dfdc108dda'),
+        ('RT_REVEAL_BATCH', '68aa2e2ee5dff96e3355e6c7ee373e3d6a4e17f75f9518d843709c0c9bc3e3d4'),
+        ('RT_REVEAL_BATCH', '6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b'),
+        ('RT_REVEAL_BATCH', '9d1e0e2d9459d06523ad13e28a4093c2316baafe7aec5b25f30eba2e113599c4'),
+        ('RT_ACC_FLUSH', '416bea381f147d8c1d7ac6a09967f1fa72823a51253e776b31b7c371a2772f1e'),
+        ('RT_OUTPUT', 'c9a1998fbaafe6748d385efe8b485107693f45ba84cdfc5b73fb58b4c87a62ec'),
     ],
+}
+# MsgType -> (frames, bytes with headers) per party; they do not depend on
+# the dealt material.
+TOTALS = {
+    A: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
+        'RT_OUTPUT': (1, 70), 'RT_REVEAL_BATCH': (6, 70)},
+    B: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
+        'RT_OUTPUT': (1, 70), 'RT_REVEAL_BATCH': (12, 101)},
 }
 
 
@@ -71,11 +81,16 @@ def online_frames():
     want = plain_eval(c, xa, xb).bits()
     assert out_a.bits() == [want[i] for i in (0, 2, 3, 5)]
     assert out_b.bits() == [want[i] for i in (1, 2, 3, 4)]
-    return {role: [(m.name, hashlib.sha256(p).hexdigest()) for m, p in ch.sent]
-            for role, ch in ((A, ea), (B, eb))}
+    return {role: ch.sent for role, ch in ((A, ea), (B, eb))}
 
 
 def test_online_frames_are_pinned():
-    got = online_frames()
+    sent = online_frames()
     for role in (A, B):
-        assert got[role] == EXPECTED[role], role
+        totals = {}
+        for m, p in sent[role]:
+            n, size = totals.get(m.name, (0, 0))
+            totals[m.name] = (n + 1, size + FRAME_HEADER_BYTES + len(p))
+        assert totals == TOTALS[role], role
+        got = [(m.name, hashlib.sha256(p).hexdigest()) for m, p in sent[role]]
+        assert got == EXPECTED[role], role

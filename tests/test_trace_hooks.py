@@ -30,7 +30,8 @@ run_pair(lambda: deal(a, Role.ALICE, cfg, random.Random(1)),
          lambda: deal(b, Role.BOB, cfg, random.Random(2)),
          timeout=60.0, channels=(a, b))
 json.dump({"spans": {k: v["offline"][0] for k, v in tracer.summary().items()},
-           "counts": dict(tracer.counts), "bucket": cfg.bucket_for(40)}, sys.stdout)
+           "counts": dict(tracer.counts), "bucket": cfg.bucket_for(40),
+           "demand": {str(r): cfg.abit_demand(r) for r in Role}}, sys.stdout)
 """
 
 SPANS = ("aot_proto.laot", "aot_proto.combine", "aand_proto.laand",
@@ -52,3 +53,6 @@ def test_spans_install_and_record_a_deal():
     bkt = got["bucket"]
     assert got["counts"]["aot_proto.leaky"] == got["counts"]["aand_proto.leaky"] == 2 * 40 * bkt
     assert got["counts"]["aot_proto.outputs"] == got["counts"]["aand_proto.outputs"] == 2 * 40
+    # produce_abits(ch, role, owner, count, ...) counts each owner's bits once
+    for owner in ("alice", "bob"):
+        assert got["counts"][f"abit_proto.bits.{owner}"] == got["demand"][owner], owner

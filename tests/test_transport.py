@@ -7,10 +7,10 @@ import threading
 import pytest
 
 from helpers import free_port
-from macbits.errors import ProtocolError, TransportError
-from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Role, TcpChannel,
+from macbits.errors import ProtocolError, TransportError, UsageError
+from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Recv, Role, Send, TcpChannel,
                                _pack_hello, memory_pair, perform_hello,
-                               run_pair, tcp_connect, tcp_listen)
+                               run_pair, run_sides, tcp_connect, tcp_listen)
 
 
 def test_loopback_round_trip():
@@ -247,17 +247,143 @@ def test_every_protocol_recv_passes_its_size():
     typed = 0
     for path in sorted(src.glob("*.py")):
         for call in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "recv"):
+            if not isinstance(call, ast.Call):
                 continue
             where = f"{path.name}:{call.lineno}"
+            if isinstance(call.func, ast.Name) and call.func.id == "Recv":
+                # a protocol side's receive: one (MsgType.X, nbytes) pair per frame
+                for want in call.args:
+                    assert isinstance(want, ast.Tuple) and len(want.elts) == 2, where
+                    first = want.elts[0]
+                    assert isinstance(first, ast.Attribute) and first.value.id == "MsgType", where
+                    assert first.attr != "HELLO", where
+                    typed += 1
+                continue
+            if not (isinstance(call.func, ast.Attribute) and call.func.attr == "recv"):
+                continue
             first = call.args[0] if call.args else None
             if not (isinstance(first, ast.Attribute) and isinstance(first.value, ast.Name)
                     and first.value.id == "MsgType"):
-                # the only other receive is the TCP socket's own
-                assert ast.unparse(call.func) == "self._sock.recv", where
+                # the only other receive is run_sides', which passes each
+                # Recv's (type, size) pair on
+                assert ast.unparse(call) == "ch.recv(msg_type, nbytes)", where
                 continue
             typed += 1
             sized = len(call.args) > 1 or any(k.arg == "nbytes" for k in call.keywords)
             assert sized == (first.attr != "HELLO"), where
     assert typed >= 25
+
+
+# ---------------------------------------------------------------------------
+# protocol sides side by side
+
+BIG = 8 << 20  # far more than a socket buffer holds
+
+
+def echo_side(msg_type, payload=None, n=BIG):
+    """Send payload and receive it back, or receive n bytes and send them back."""
+    if payload is not None:
+        yield Send((msg_type, payload))
+        (back,) = yield Recv((msg_type, len(payload)))
+        return bytes(back)
+    (got,) = yield Recv((msg_type, n))
+    yield Send((msg_type, got))
+    return bytes(got)
+
+
+def test_sides_exchange_big_frames_both_ways_in_one_flight():
+    # in round 0 each party sends 8 MiB on one side and reads 8 MiB on the
+    # other; it finishes only because Alice sends before she reads and Bob
+    # reads before he sends
+    a, b = _socket_pair()
+    pa, pb = random.randbytes(BIG), random.randbytes(BIG)
+    try:
+        got_a, got_b = run_pair(
+            lambda: run_sides(a, Role.ALICE, echo_side(MsgType.LAOT_X0, pa),
+                              echo_side(MsgType.LAOT_X1)),
+            lambda: run_sides(b, Role.BOB, echo_side(MsgType.LAOT_X0),
+                              echo_side(MsgType.LAOT_X1, pb)),
+            timeout=60, channels=(a, b))
+    finally:
+        a.close()
+        b.close()
+    assert got_a == [pa, pb] and got_b == [pa, pb]
+
+
+def test_sides_deadlock_when_both_send_first():
+    # the same flights with both parties sending first: both block in send
+    # until the socket timeout, which is what the send-order rule prevents
+    s1, s2 = socket.socketpair()
+    a, b = TcpChannel(s1, 1.0), TcpChannel(s2, 1.0)
+    pa, pb = bytes(BIG), bytes(BIG)
+    try:
+        with pytest.raises(TransportError):
+            run_pair(lambda: run_sides(a, Role.ALICE, echo_side(MsgType.LAOT_X0, pa),
+                                       echo_side(MsgType.LAOT_X1)),
+                     lambda: run_sides(b, Role.ALICE, echo_side(MsgType.LAOT_X0),
+                                       echo_side(MsgType.LAOT_X1, pb)),
+                     timeout=30, channels=(a, b))
+    finally:
+        a.close()
+        b.close()
+
+
+def steps(*flights):
+    """A side that yields the given flights and returns what it received."""
+    got = []
+    for flight in flights:
+        reply = yield flight
+        if reply is not None:
+            got.extend(reply)
+    return got
+
+
+@pytest.mark.parametrize("alice, bob", [
+    # the peer expects another frame type
+    ((steps(Send((MsgType.LAOT_X0, bytes(BIG))), Recv((MsgType.LAOT_D, 1))),),
+     (steps(Recv((MsgType.LAOT_X1, BIG)), Send((MsgType.LAOT_D, b"\x01"))),)),
+    # the peer expects another size
+    ((steps(Send((MsgType.LAOT_D, b"abc")), Recv((MsgType.LAOT_D, 1))),),
+     (steps(Recv((MsgType.LAOT_D, 4)), Send((MsgType.LAOT_D, b"\x01"))),)),
+    # the second sides agree on their first flight and part on the next
+    ((steps(Send((MsgType.LAOT_X0, b"x"))),
+      steps(Recv((MsgType.LAOT_I0, 2)), Send((MsgType.LAOT_I1, b"y")))),
+     (steps(Recv((MsgType.LAOT_X0, 1))),
+      steps(Send((MsgType.LAOT_I0, b"zz")), Recv((MsgType.LAOT_D, 1))))),
+], ids=["type", "size", "second-flight"])
+def test_sides_whose_flights_do_not_line_up_raise(alice, bob):
+    # the party that reads the stray frame raises ProtocolError and closes
+    # its end, which ends the peer's wait; run_pair would time out on a hang
+    a, b = _socket_pair()
+
+    def party(ch, role, sides):
+        try:
+            run_sides(ch, role, *sides)
+        except TransportError as e:
+            ch.close()
+            return e
+
+    try:
+        errors = run_pair(lambda: party(a, Role.ALICE, alice),
+                          lambda: party(b, Role.BOB, bob), timeout=30)
+    finally:
+        a.close()
+        b.close()
+    assert any(isinstance(e, ProtocolError) for e in errors), errors
+
+
+def test_side_must_yield_send_or_recv():
+    a, _ = memory_pair(timeout=1.0)
+    with pytest.raises(UsageError):
+        run_sides(a, Role.ALICE, steps(b"frame"))
+
+
+def test_sides_return_in_order_and_finish_apart():
+    a, b = memory_pair(timeout=5.0)
+    got_a, got_b = run_pair(
+        lambda: run_sides(a, Role.ALICE, steps(), steps(Send((MsgType.LAOT_D, b"1")),
+                                                        Recv((MsgType.LAOT_D, 1)))),
+        lambda: run_sides(b, Role.BOB, steps(), steps(Recv((MsgType.LAOT_D, 1)),
+                                                      Send((MsgType.LAOT_D, b"2")))),
+        timeout=10, channels=(a, b))
+    assert got_a == [[], [b"2"]] and got_b == [[], [b"1"]]
