@@ -16,19 +16,22 @@ Production pipeline for a batch of ell bits owned by P:
      G. The keys L_i are not sampled: each is the expansion of the seed OT's
      branch-0 seed, so one correction per column crosses the wire. The peer
      picks choice bits y_i and learns N_i = L_i xor y_i*G. Each instance is
-     one candidate "column".
+     one candidate "column". The columns are one (T, ceil(ell/8)) uint8
+     array of packed rows, laid out as the OT_MASKED1 frame carries them.
   2. Cut-and-choose pairing: the peer reveals the XOR of choice bits inside
      each pair of a random matching, both sides fold the pairs, and a single
      batched equality check compares digests of the folded MACs and the
-     folded keys. Each folded pair goes straight into the digest
-     (`eq_box.ColumnDigest`) and its partner column is dropped. A sender
-     that used an inconsistent offset in a pair survives only by guessing
-     that pair's choice bit.
+     folded keys. The pairs are folded a chunk at a time (one gather, one
+     XOR) straight into the digest (`eq_box.ColumnDigest`). A sender that
+     used an inconsistent offset in a pair survives only by guessing that
+     pair's choice bit.
   3. Privacy amplification: the key holder samples a random kappa x tau
-     GF(2) matrix, and both sides project the surviving tau columns (and
-     the weak global key y_1..y_tau) through it. Row r of the matrix selects
-     the columns whose XOR is output slice r; this commutes with the
-     transpose below and leaves kappa-bit MACs with no exploitable leakage.
+     GF(2) matrix, a packed (kappa, ceil(tau/8)) array, and both sides
+     project the surviving tau columns (and the weak global key
+     y_1..y_tau) through it. Row r of the matrix selects the columns whose
+     XOR is output slice r (`bitlinalg.mat_vec_mul_batch`); this commutes
+     with the transpose below and leaves kappa-bit MACs with no exploitable
+     leakage.
   4. The kappa slices are transposed: bit j of G becomes an authenticated
      bit whose MAC is bit j of each slice. The output is packed uint8 rows
      (`Rows`), the layout every later offline step and the store work on.
@@ -54,9 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_ot import extend_ot_receive, extend_ot_send
-from .bitlinalg import (BitMatrix, BitVec, Pairing, mat_mul_rows, mat_vec_mul,
-                        pack_rows, random_pairing, transpose_bits, unpack_bits)
-from .bitlinalg import mat_vec_mul_batch  # noqa: F401 - the benchmark still wraps it here
+from .bitlinalg import (BitVec, Pairing, mat_vec_mul, mat_vec_mul_batch, pack_bits,
+                        random_pairing, random_rows, transpose_bits, unpack_bits)
 from .eq_box import ColumnDigest, eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, UsageError
 from .transport import Channel, MsgType, Recv, Role, Send
@@ -118,92 +120,109 @@ class Rows:
 # leaky candidate phase (steps 1-2)
 
 
-def labit_sender(ch: Channel, tau: int, ell: int, rng, backend, *, offer_tamper=None):
-    """OT-sender side; ends holding (G, surviving keys L_i).
+def _fold_pairs(cols: np.ndarray, pairing: Pairing, value: ColumnDigest, offset=None,
+                d=None) -> np.ndarray:
+    """Feed each pair's XOR, and offset where d is set, into value, a chunk of
+    pairs at a time. Then move the representatives' columns, in order, to
+    the first rows of cols and return those rows: the k-th representative
+    is row k or later, so each chunk moves after the rows it reads from."""
+    reps = np.array(pairing.smaller_indices())
+    both = np.stack((reps, np.array(pairing.part)[reps]), axis=1)
+    for k in range(0, len(reps), 64):
+        pairs = cols[both[k : k + 64]]
+        folded = pairs[:, 0] ^ pairs[:, 1]
+        if offset is not None:
+            np.bitwise_xor(folded, offset, out=folded, where=d[k : k + 64, None].astype(bool))
+        value.update(folded)
+    for k in range(0, len(reps), 64):
+        chunk = reps[k : k + 64]
+        cols[k : k + len(chunk)] = cols[chunk]
+    return cols[: len(reps)]
 
-    offer_tamper(i, m0, m1) -> (m0, m1) lets tests model a cheating sender;
-    m0 is the seed-fixed key L_i, so only m1 may change.
+
+def labit_sender(ch: Channel, tau: int, ell: int, rng, backend, *, offer_tamper=None):
+    """OT-sender side; ends holding (G, surviving keys L_i): the packed ell-bit
+    offset row and a (tau, ceil(ell/8)) array.
+
+    offer_tamper(keys, m1) -> m1 lets tests model a cheating sender (see
+    `base_ot.extend_ot_send`); the keys are fixed by the seeds.
     """
     t = 2 * tau
-    gamma = BitVec.random(ell, rng)
-    keys = yield from extend_ot_send(ch, backend, gamma, t, rng, offer_tamper=offer_tamper)
+    gamma = random_rows(1, ell, rng)[0]
+    keys = yield from extend_ot_send(ch, backend, gamma, ell, t, rng, offer_tamper=offer_tamper)
 
     raw, raw_d = yield Recv((MsgType.LABIT_PAIRING, 4 * t), (MsgType.LABIT_D, (tau + 7) // 8))
     try:
         pairing = Pairing(struct.unpack(f">{t}I", raw))
     except UsageError:
         raise ProtocolAbort("labit", "peer sent an invalid pairing") from None
-    reps = pairing.smaller_indices()
-    d = BitVec.from_bytes(tau, raw_d)
-
-    value = ColumnDigest(tau * ell)
-    for k, i in enumerate(reps):
-        j = pairing.partner(i)
-        value.update(keys[i] ^ keys[j] ^ gamma.times(d[k]))
-        keys[j] = None
+    value = ColumnDigest(tau, ell)
+    keys = _fold_pairs(keys, pairing, value, gamma, unpack_bits(raw_d, tau))
     if not (yield from eq_commit_side(ch, value.digest(), rng)):
         raise ProtocolAbort("labit", "pair check failed")
-    return gamma, [keys[i] for i in reps]
+    return gamma, keys
 
 
 def labit_receiver(ch: Channel, tau: int, ell: int, rng, backend):
-    """OT-receiver side; ends holding surviving (y_i, N_i)."""
+    """OT-receiver side; ends holding surviving (y_i, N_i): a (tau,) vector of
+    choice bits and a (tau, ceil(ell/8)) array."""
     t = 2 * tau
-    ys = [rng.getrandbits(1) for _ in range(t)]
+    ys = np.array([rng.getrandbits(1) for _ in range(t)], np.uint8)
     macs = yield from extend_ot_receive(ch, backend, ys, ell)
 
     pairing = random_pairing(t, rng)
     reps = pairing.smaller_indices()
-    d = BitVec.from_bits(ys[i] ^ ys[pairing.partner(i)] for i in reps)
+    d = ys[reps] ^ ys[[pairing.partner(i) for i in reps]]
     yield Send((MsgType.LABIT_PAIRING, struct.pack(f">{t}I", *pairing.part)),
-               (MsgType.LABIT_D, d.to_bytes()))
+               (MsgType.LABIT_D, pack_bits(d)))
 
-    value = ColumnDigest(tau * ell)
-    for i in reps:
-        j = pairing.partner(i)
-        value.update(macs[i] ^ macs[j])
-        macs[j] = None
+    value = ColumnDigest(tau, ell)
+    macs = _fold_pairs(macs, pairing, value)
     if not (yield from eq_respond_side(ch, value.digest())):
         raise ProtocolAbort("labit", "pair check failed")
-    return [ys[i] for i in reps], [macs[i] for i in reps]
+    return ys[reps], macs
 
 
 # ---------------------------------------------------------------------------
 # privacy amplification, then transpose (steps 3-4)
 
 
-def amplify_macs_with(matrix: BitMatrix, gamma: BitVec, keys: list) -> np.ndarray:
+def amplify_macs_with(matrix: np.ndarray, gamma: np.ndarray, keys: np.ndarray,
+                      ell: int) -> np.ndarray:
     """Holder side: bit j of gamma, MACed by bit j of each amplified column,
-    as (ell, kappa/8 + 1) MAC rows."""
-    macs = transpose_bits(pack_rows(mat_mul_rows(matrix, keys)), gamma.n)
-    return np.concatenate((macs, unpack_bits(gamma.to_bytes(), gamma.n)[:, None]), axis=1)
+    as (ell, kappa/8 + 1) MAC rows. matrix is a packed (kappa, ceil(tau/8))
+    array."""
+    macs = transpose_bits(mat_vec_mul_batch(matrix, keys), ell)
+    return np.concatenate((macs, unpack_bits(gamma, ell)[:, None]), axis=1)
 
 
-def amplify_keys_with(matrix: BitMatrix, ys: list, macs: list, owner: Role):
+def amplify_keys_with(matrix: np.ndarray, ys: np.ndarray, macs: np.ndarray, ell: int,
+                      owner: Role):
     """Key side: the amplified weak key y_1..y_tau, and (ell, kappa/8) key
     rows, one per bit."""
-    gk = GlobalKey(owner, mat_vec_mul(matrix, BitVec.from_bits(ys)))
-    n = macs[0].n if macs else 0
-    return gk, transpose_bits(pack_rows(mat_mul_rows(matrix, macs)), n)
+    delta = mat_vec_mul(matrix, pack_bits(ys))
+    gk = GlobalKey(owner, BitVec.from_bytes(len(matrix), delta))
+    return gk, transpose_bits(mat_vec_mul_batch(matrix, macs), ell)
 
 
-def wabit_amplify_mac_side(ch: Channel, gamma: BitVec, keys: list, kappa: int):
+def wabit_amplify_mac_side(ch: Channel, gamma: np.ndarray, keys: np.ndarray, ell: int,
+                           kappa: int):
     """Holder side: receive the matrix, return (ell, kappa/8 + 1) MAC rows."""
     if len(keys) != tau_for(kappa):
         raise UsageError(f"tau {len(keys)} does not fit {kappa}-bit MACs")
     (raw,) = yield Recv((MsgType.AMPLIFY_MATRIX, kappa * ((len(keys) + 7) // 8)))
-    matrix = BitMatrix.from_bytes(kappa, len(keys), raw)
-    return amplify_macs_with(matrix, gamma, keys)
+    matrix = np.frombuffer(raw, np.uint8).reshape(kappa, -1)
+    return amplify_macs_with(matrix, gamma, keys, ell)
 
 
-def wabit_amplify_key_side(ch: Channel, ys: list, macs: list, kappa: int, owner: Role,
-                           rng):
+def wabit_amplify_key_side(ch: Channel, ys: np.ndarray, macs: np.ndarray, ell: int,
+                           kappa: int, owner: Role, rng):
     """Key side: sample and send the matrix, return (gk, key rows)."""
     if len(macs) != tau_for(kappa):
         raise UsageError(f"tau {len(macs)} does not fit {kappa}-bit MACs")
-    matrix = BitMatrix.random(kappa, len(macs), rng)
-    yield Send((MsgType.AMPLIFY_MATRIX, matrix.to_bytes()))
-    return amplify_keys_with(matrix, ys, macs, owner)
+    matrix = random_rows(kappa, len(macs), rng)
+    yield Send((MsgType.AMPLIFY_MATRIX, matrix.tobytes()))
+    return amplify_keys_with(matrix, ys, macs, ell, owner)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +245,21 @@ class WabitMacView:
 
 @dataclass
 class WabitKeyView:
-    """Key side after transpose: tau-bit weak global key and per-bit keys,
-    one packed row each."""
+    """Key side after transpose: the tau-bit weak global key y as a vector of
+    bits, and per-bit keys, one packed row each."""
 
     tau: int
-    gamma: BitVec
+    gamma: np.ndarray
     keys: np.ndarray
 
 
-def labit_to_wabit_macs(gamma: BitVec, keys: list) -> WabitMacView:
-    return WabitMacView(tau=len(keys), bits=unpack_bits(gamma.to_bytes(), gamma.n),
-                        macs=transpose_bits(pack_rows(keys), gamma.n))
+def labit_to_wabit_macs(gamma: np.ndarray, keys: np.ndarray, ell: int) -> WabitMacView:
+    return WabitMacView(tau=len(keys), bits=unpack_bits(gamma, ell),
+                        macs=transpose_bits(keys, ell))
 
 
-def labit_to_wabit_keys(ys: list, macs: list) -> WabitKeyView:
-    return WabitKeyView(tau=len(macs), gamma=BitVec.from_bits(ys),
-                        keys=transpose_bits(pack_rows(macs), macs[0].n))
+def labit_to_wabit_keys(ys: np.ndarray, macs: np.ndarray, ell: int) -> WabitKeyView:
+    return WabitKeyView(tau=len(macs), gamma=ys, keys=transpose_bits(macs, ell))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +279,6 @@ def produce_abits(ch: Channel, role: Role, owner: Role, count: int, kappa: int, 
     tau = tau_for(kappa)
     if role == owner:
         gamma, keys = yield from labit_sender(ch, tau, count, rng, backend)
-        return (yield from wabit_amplify_mac_side(ch, gamma, keys, kappa))
+        return (yield from wabit_amplify_mac_side(ch, gamma, keys, count, kappa))
     ys, macs = yield from labit_receiver(ch, tau, count, rng, backend)
-    return (yield from wabit_amplify_key_side(ch, ys, macs, kappa, owner, rng))
+    return (yield from wabit_amplify_key_side(ch, ys, macs, count, kappa, owner, rng))

@@ -7,6 +7,10 @@ OT is never sent - it *is* the expansion of s0, which the sender keeps as
 its key L. Only branch 1 crosses the wire, once, masked under the expansion
 of s1, so a receiver holding s_c computes L xor c*offset.
 
+Messages, seeds and the long strings are packed uint8 rows in
+`bitlinalg`'s byte order: a batch of n instances of ell-bit strings is one
+(n, ceil(ell/8)) array, laid out as the OT_MASKED1 frame carries it.
+
 Every transfer here is a protocol side, a generator run by
 `transport.run_sides`, so both owners' extensions can run side by side.
 
@@ -20,9 +24,11 @@ behind the same interface.
 
 from __future__ import annotations
 
-from .bitlinalg import BitVec
+import numpy as np
+
+from .bitlinalg import random_rows
 from .errors import UsageError
-from .ro_suite import KAPPA_DEFAULT, expand, mask, ro_hash
+from .ro_suite import KAPPA_DEFAULT, expand, pad_rows, ro_hash
 from .transport import Channel, MsgType, Recv, Send
 
 SEED_BITS = KAPPA_DEFAULT
@@ -62,49 +68,53 @@ class DealerOt:
             (seed,) = yield Recv((MsgType.OT_SETUP, 16))
             self._seed = bytes(seed)
 
-    def _pad(self, sender_minted: bool, index: int, branch: int, n_bits: int) -> BitVec:
+    def _pad(self, sender_minted: bool, index: int, branch: int, n_bytes: int) -> np.ndarray:
         key = self._seed + bytes([sender_minted]) + index.to_bytes(8, "big") + bytes([branch])
-        return expand(ro_hash("ot-dealer", key), n_bits)
+        return np.frombuffer(expand(ro_hash("ot-dealer", key), 8 * n_bytes), np.uint8)
 
     def send(self, pairs):
-        """Transfer chosen message pairs; receiver learns one per choice bit."""
+        """Transfer chosen message pairs, an (n, 2, w) uint8 array of n
+        instances' two w-byte messages; the receiver learns one per choice
+        bit."""
         if self._seed is None:
             yield from self.setup(mint=True)
-        if not pairs:
+        if not len(pairs):
             return
-        n = pairs[0][0].n
-        if any(m0.n != n or m1.n != n for m0, m1 in pairs):
-            raise UsageError("ragged OT message batch")
+        n, _, nb = pairs.shape
         mine = self._minted
         first = self._ctr[mine]
-        f0, f1 = (b"".join((p[branch] ^ self._pad(mine, first + k, branch, n)).to_bytes()
-                           for k, p in enumerate(pairs)) for branch in (0, 1))
-        self._ctr[mine] += len(pairs)
-        self.instances += len(pairs)
-        yield Send((MsgType.OT_MASKED0, f0), (MsgType.OT_MASKED1, f1))
+        masked = pairs ^ np.array([[self._pad(mine, first + k, branch, nb) for branch in (0, 1)]
+                                   for k in range(n)])
+        self._ctr[mine] += n
+        self.instances += n
+        yield Send((MsgType.OT_MASKED0, masked[:, 0].tobytes()),
+                   (MsgType.OT_MASKED1, masked[:, 1].tobytes()))
 
     def receive(self, choices, n_bits: int):
-        """Receive one message per instance according to the choice bits."""
+        """Receive one n_bits-bit message per instance according to the choice
+        bits, as an (n, ceil(n_bits/8)) uint8 array."""
         if self._seed is None:
             yield from self.setup(mint=False)
-        if not choices:
-            return []
         nb = (n_bits + 7) // 8
-        got = yield Recv((MsgType.OT_MASKED0, nb * len(choices)),
-                         (MsgType.OT_MASKED1, nb * len(choices)))
+        n = len(choices)
+        if not n:
+            return np.empty((0, nb), np.uint8)
+        got = yield Recv((MsgType.OT_MASKED0, nb * n), (MsgType.OT_MASKED1, nb * n))
         theirs = not self._minted
         first = self._ctr[theirs]
-        out = [BitVec.from_bytes(n_bits, got[c & 1][k * nb : (k + 1) * nb])
-               ^ self._pad(theirs, first + k, c & 1, n_bits)
-               for k, c in enumerate(choices)]
-        self._ctr[theirs] += len(choices)
-        self.instances += len(choices)
+        c = np.asarray(choices, np.uint8) & 1
+        frames = np.stack([np.frombuffer(f, np.uint8).reshape(n, nb) for f in got])
+        out = frames[c, np.arange(n)] ^ np.array([self._pad(theirs, first + k, ck, nb)
+                                                  for k, ck in enumerate(c.tolist())])
+        self._ctr[theirs] += n
+        self.instances += n
         return out
 
 
 def seed_ot_send(backend, pairs):
-    """Transfer kappa-bit seed pairs through the backend (a protocol side)."""
-    if any(m0.n != SEED_BITS or m1.n != SEED_BITS for m0, m1 in pairs):
+    """Transfer kappa-bit seed pairs, an (n, 2, kappa/8) array, through the
+    backend (a protocol side)."""
+    if pairs.shape[1:] != (2, SEED_BITS // 8):
         raise UsageError(f"seed OT messages must be {SEED_BITS} bits")
     return backend.send(pairs)
 
@@ -113,45 +123,52 @@ def seed_ot_receive(backend, choices):
     return backend.receive(choices, SEED_BITS)
 
 
-def extend_ot_send(ch: Channel, backend, offset: BitVec, count: int, rng, *,
+def extend_ot_send(ch: Channel, backend, offset: np.ndarray, n_bits: int, count: int, rng, *,
                    offer_tamper=None):
     """Correlated OT, as a protocol side: instance k offers (L_k, L_k xor
-    offset), where L_k is the expansion of its branch-0 seed. Sends the seed
-    OTs, then one OT_MASKED1 frame holding every masked branch 1, and returns
-    the keys L_k.
+    offset) for a packed n_bits-bit offset row, where L_k is the expansion of
+    its branch-0 seed. Sends the seed OTs, then one OT_MASKED1 frame holding
+    every masked branch 1, and returns the keys L_k as a (count,
+    ceil(n_bits/8)) array.
 
-    offer_tamper(k, m0, m1) -> (m0, m1) lets tests model a cheating sender.
-    It may change m1 only: m0 is fixed by the seed.
+    offer_tamper(keys, m1) -> m1 lets tests model a cheating sender: it sees
+    the keys and every branch 1 and returns the branches 1 to send. Branch 0
+    is fixed by the seeds.
     """
-    seeds = [(BitVec.random(SEED_BITS, rng), BitVec.random(SEED_BITS, rng))
-             for _ in range(count)]
+    seeds = random_rows(2 * count, SEED_BITS, rng).reshape(count, 2, SEED_BITS // 8)
     yield from seed_ot_send(backend, seeds)
-    keys = [expand(ro_hash("otx", s0), offset.n) for s0, _ in seeds]
+    keys = pad_rows("otx", seeds[:, 0], n_bits)
     # not bound to a name here, so the frame is freed once it is sent
-    yield Send((MsgType.OT_MASKED1, _masked_branch_one(seeds, keys, offset, offer_tamper)))
+    yield Send((MsgType.OT_MASKED1,
+                _masked_branch_one(seeds[:, 1], keys, offset, n_bits, offer_tamper)))
     return keys
 
 
-def _masked_branch_one(seeds, keys, offset: BitVec, offer_tamper) -> bytearray:
+def _masked_branch_one(seeds1, keys, offset, n_bits: int, offer_tamper) -> bytearray:
     """The OT_MASKED1 payload: per instance, L_k xor offset (or what
-    offer_tamper makes of it) masked under the branch-1 seed."""
-    nb = (offset.n + 7) // 8
-    frame = bytearray(len(seeds) * nb)
-    for k, ((_, s1), m0) in enumerate(zip(seeds, keys)):
-        m1 = m0 ^ offset
-        if offer_tamper is not None:
-            t0, m1 = offer_tamper(k, m0, m1)
-            if t0 != m0:
-                raise UsageError("branch 0 of a correlated OT is fixed by its seed")
-        frame[k * nb : (k + 1) * nb] = mask("otx", s1, m1).to_bytes()
+    offer_tamper makes of it) masked under the expansion of its branch-1
+    seed. The pads go into the frame's buffer a few rows at a time."""
+    count, nb = keys.shape
+    frame = bytearray(count * nb)
+    masked = np.frombuffer(frame, np.uint8).reshape(count, nb)
+    for k in range(0, count, 64):
+        masked[k : k + 64] = pad_rows("otx", seeds1[k : k + 64], n_bits)
+    if offer_tamper is None:
+        masked ^= keys
+        masked ^= offset
+    else:
+        masked ^= offer_tamper(keys, keys ^ offset)
     return frame
 
 
 def extend_ot_receive(ch: Channel, backend, choices, n_bits: int):
     """The receiving side: L_k xor c_k*offset per instance, the chosen seed
-    s_c's expansion xor c_k times the instance's slice of the branch-1 frame."""
+    s_c's expansion xor c_k times the instance's row of the branch-1 frame,
+    as a (len(choices), ceil(n_bits/8)) array."""
     seeds = yield from seed_ot_receive(backend, choices)
     nb = (n_bits + 7) // 8
     (frame,) = yield Recv((MsgType.OT_MASKED1, nb * len(choices)))
-    return [mask("otx", s, BitVec.from_bytes(n_bits, frame[k * nb : (k + 1) * nb]).times(c))
-            for k, (c, s) in enumerate(zip(choices, seeds))]
+    macs = pad_rows("otx", seeds, n_bits)
+    np.bitwise_xor(macs, np.frombuffer(frame, np.uint8).reshape(len(choices), nb), out=macs,
+                   where=np.asarray(choices, bool)[:, None])
+    return macs

@@ -5,10 +5,11 @@ bit i of a byte is (byte >> i) & 1, i.e. little-endian within bytes, and bit
 i of a vector lives in byte i // 8. Pad bits past the logical length are
 always zero.
 
-BitVec is immutable and backed by a Python int, which makes XOR and equality
-cheap; matrix products over many vectors XOR whole Python ints. Bulk bit
-data lives in uint8 arrays of packed rows in that same byte order, which
-`transpose_bits` transposes without building a BitVec per row.
+BitVec is an immutable bit string backed by a Python int, the public type
+of circuit inputs and outputs. Bulk bit data lives in uint8 arrays of packed
+rows in that same byte order: `mat_vec_mul_batch` multiplies a packed GF(2)
+matrix into such rows and `transpose_bits` transposes them, without building
+a BitVec per row.
 """
 
 from __future__ import annotations
@@ -129,125 +130,48 @@ class BitVec:
         return self if bit & 1 else BitVec(self.n, 0)
 
 
-class BitMatrix:
-    """Dense GF(2) matrix, rows stored as packed ints."""
-
-    __slots__ = ("rows", "cols", "_r")
-
-    def __init__(self, rows: int, cols: int, row_ints: Sequence[int]):
-        if len(row_ints) != rows:
-            raise UsageError("row count mismatch")
-        mask = (1 << cols) - 1 if cols else 0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_r", tuple(r & mask for r in row_ints))
-
-    def __setattr__(self, *_):
-        raise AttributeError("BitMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def random(cls, rows: int, cols: int, rng) -> "BitMatrix":
-        return cls(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVec]) -> "BitMatrix":
-        if not rows:
-            return cls(0, 0, [])
-        n = rows[0].n
-        if any(r.n != n for r in rows):
-            raise UsageError("ragged rows")
-        return cls(len(rows), n, [r.v for r in rows])
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self._r[i])
-
-    def bit(self, i: int, j: int) -> int:
-        return (self._r[i] >> j) & 1
-
-    def to_bytes(self) -> bytes:
-        """Row-major, each row padded to whole bytes."""
-        rb = (self.cols + 7) // 8
-        return b"".join(r.to_bytes(rb, "little") for r in self._r)
-
-    @classmethod
-    def from_bytes(cls, rows: int, cols: int, data: bytes) -> "BitMatrix":
-        rb = (cols + 7) // 8
-        if len(data) != rows * rb:
-            raise UsageError("matrix byte length mismatch")
-        ints = [int.from_bytes(data[i * rb : (i + 1) * rb], "little") for i in range(rows)]
-        return cls(rows, cols, ints)
-
-    def transpose(self) -> "BitMatrix":
-        packed = np.frombuffer(self.to_bytes(), np.uint8).reshape(self.rows, -1)
-        return BitMatrix.from_bytes(self.cols, self.rows,
-                                    transpose_bits(packed, self.cols).tobytes())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._r == other._r
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._r))
-
-    def __repr__(self):
-        return f"BitMatrix({self.rows}x{self.cols})"
+def random_rows(count: int, n: int, rng) -> np.ndarray:
+    """count rows of rng.getrandbits(n), drawn in row order, as a (count,
+    ceil(n/8)) uint8 array: each row holds the bytes of `BitVec.random(n,
+    rng)`."""
+    nb = (n + 7) // 8
+    raw = b"".join(rng.getrandbits(n).to_bytes(nb, "little") for _ in range(count))
+    return np.frombuffer(raw, np.uint8).reshape(count, nb)
 
 
-def mat_vec_mul(m: BitMatrix, v: BitVec) -> BitVec:
-    """m @ v over GF(2); output bit r is the parity of row_r AND v."""
-    if m.cols != v.n:
-        raise UsageError(f"dim mismatch: matrix cols {m.cols}, vector {v.n}")
-    out = 0
-    vv = v.v
-    for i, r in enumerate(m._r):
-        out |= ((r & vv).bit_count() & 1) << i
-    return BitVec(m.rows, out)
+def mat_vec_mul(m: np.ndarray, v) -> bytes:
+    """m @ v over GF(2) for a packed (rows, ceil(n/8)) matrix and a packed
+    n-bit vector whose pad bits are zero: output bit r is the parity of row r
+    AND v, packed."""
+    v = np.frombuffer(v, np.uint8)
+    if m.shape[1] != len(v):
+        raise UsageError(f"dim mismatch: matrix rows of {m.shape[1]} bytes, vector {len(v)}")
+    return pack_bits(np.unpackbits(m & v, axis=1).sum(axis=1))
 
 
-def mat_mul_rows(m: BitMatrix, cols: Sequence[BitVec]) -> list:
-    """m applied to a stack of equal-length column vectors: out[r] is the XOR
-    of cols[i] over the bits i set in row r, so bit j of the outputs is
-    m @ (bit j of each column)."""
-    if len(cols) != m.cols:
-        raise UsageError(f"dim mismatch: matrix cols {m.cols}, {len(cols)} vectors")
-    n = cols[0].n if cols else 0
-    if any(c.n != n for c in cols):
-        raise UsageError("ragged columns")
-    vs = [c.v for c in cols]
-    out = []
-    for r in m._r:
-        acc = 0
-        while r:
-            low = r & -r
-            acc ^= vs[low.bit_length() - 1]
-            r ^= low
-        out.append(BitVec(n, acc))
+def mat_vec_mul_batch(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """m applied to n packed columns at every bit position: for a packed
+    (rows, ceil(n/8)) matrix and an (n, w) uint8 array, output row r is the
+    XOR of the columns i set in row r of m, so bit j of the output rows is
+    m @ (bit j of each column).
+
+    Four Russians, eight columns at a time: a 256-entry table holds every
+    XOR of one block of eight columns, and byte b of each matrix row picks
+    its entry for block b. Matrix bits past n are ignored.
+    """
+    n, w = cols.shape
+    if m.shape[1] != (n + 7) // 8:
+        raise UsageError(f"dim mismatch: matrix rows of {m.shape[1]} bytes, {n} columns")
+    if n % 8:
+        m = m.copy()
+        m[:, -1] &= (1 << n % 8) - 1
+    out = np.zeros((len(m), w), np.uint8)
+    table = np.zeros((256, w), np.uint8)
+    for b in range(m.shape[1]):
+        for i, col in enumerate(cols[8 * b : 8 * b + 8]):
+            np.bitwise_xor(table[: 1 << i], col, out=table[1 << i : 2 << i])
+        out ^= table[m[:, b]]
     return out
-
-
-def mat_vec_mul_batch(m: BitMatrix, vecs: Sequence[BitVec]) -> list:
-    """m @ v for many vectors; agrees bit-for-bit with mat_vec_mul."""
-    # Off the product path; kept while the benchmark's spans still wrap it.
-    return [mat_vec_mul(m, v) for v in vecs]
-
-
-def pack_rows(vecs: Sequence[BitVec]) -> np.ndarray:
-    """Equal-length BitVecs as a uint8 array, one vector's `to_bytes` per row."""
-    width = (vecs[0].n + 7) // 8 if vecs else 0
-    raw = b"".join(v.to_bytes() for v in vecs)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(vecs), width)
 
 
 def pack_bits(bits: np.ndarray) -> bytes:

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import struct
 
-from .bitlinalg import BitVec
+import numpy as np
+
 from .errors import UsageError
 from .ro_suite import DIGEST_BYTES, ro_hash, ro_stream
 from .transport import Channel, MsgType, Recv, Send
 
 
-def _commitment(kappa: int, x, r: BitVec) -> bytes:
+def _commitment(kappa: int, x, r: bytes) -> bytes:
     if kappa % 8 or not 8 <= kappa <= 256:
         raise UsageError("kappa must be a byte multiple in [8, 256]")
     return ro_hash("eq", x, r)[: kappa // 8]
@@ -36,49 +37,50 @@ def value_digest(n_bits: int, packed) -> bytes:
 
 
 class ColumnDigest:
-    """`value_digest` of the concatenation of BitVecs fed one at a time.
+    """`value_digest` of count ell-bit columns, concatenated, fed as packed
+    (k, ceil(ell/8)) uint8 rows a chunk at a time.
 
-    Each piece's bits follow the previous piece's, as in one packed value of
-    n_bits bits. When every piece so far has a whole number of bytes the
-    piece's bytes are hashed as they are; otherwise the piece is shifted by
-    the bits still pending from the last partial byte. Counted as one hash.
+    Each column's bits follow the previous column's, as in one packed value
+    of count*ell bits. When ell is a multiple of 8 the rows are hashed as
+    they are; otherwise the chunk's bits are repacked after the bits still
+    pending from the last partial byte, and the pad bits of each row are
+    ignored. Counted as one hash.
     """
 
-    def __init__(self, n_bits: int):
-        self._h = ro_stream("eq/value", struct.pack(">I", n_bits))
-        self._left = n_bits
-        self._carry = self._carry_bits = 0
+    def __init__(self, count: int, ell: int):
+        self._h = ro_stream("eq/value", struct.pack(">I", count * ell))
+        self._left = count
+        self._ell = ell
+        self._carry = np.empty(0, np.uint8)
 
-    def update(self, v: BitVec) -> None:
-        if v.n > self._left:
-            raise UsageError("more bits fed than the digest was sized for")
-        self._left -= v.n
-        if not self._carry_bits:
-            raw = v.to_bytes()
-        else:
-            total = self._carry_bits + v.n
-            raw = (self._carry | v.v << self._carry_bits).to_bytes((total + 7) // 8, "little")
-        self._carry_bits = (self._carry_bits + v.n) % 8
-        if self._carry_bits:
-            self._carry, raw = raw[-1], raw[:-1]
-        self._h.update(raw)
+    def update(self, rows: np.ndarray) -> None:
+        if len(rows) > self._left:
+            raise UsageError("more columns fed than the digest was sized for")
+        self._left -= len(rows)
+        if self._ell % 8 == 0:
+            self._h.update(np.ascontiguousarray(rows))
+            return
+        bits = np.unpackbits(rows, axis=1, count=self._ell, bitorder="little")
+        bits = np.concatenate((self._carry, bits.reshape(-1)))
+        whole = len(bits) - len(bits) % 8
+        self._h.update(np.packbits(bits[:whole], bitorder="little"))
+        self._carry = bits[whole:]
 
     def digest(self) -> bytes:
         if self._left:
-            raise UsageError(f"{self._left} bits of the value were never fed")
-        if self._carry_bits:
-            self._h.update(bytes([self._carry]))
-            self._carry_bits = 0
+            raise UsageError(f"{self._left} columns of the value were never fed")
+        self._h.update(np.packbits(self._carry, bitorder="little"))
+        self._carry = self._carry[:0]
         return self._h.digest()
 
 
 def eq_commit_side(ch: Channel, d: bytes, rng):
     """Run the committing role on digest d. Returns True iff the values
     matched."""
-    r = BitVec.random(ch.kappa, rng)
+    r = rng.getrandbits(ch.kappa).to_bytes(ch.kappa // 8, "little")
     yield Send((MsgType.EQ_COMMIT, _commitment(ch.kappa, d, r)))
     (theirs,) = yield Recv((MsgType.EQ_VALUE, DIGEST_BYTES))
-    yield Send((MsgType.EQ_OPEN, d + r.to_bytes()))
+    yield Send((MsgType.EQ_OPEN, d + r))
     return d == theirs
 
 
@@ -89,5 +91,5 @@ def eq_respond_side(ch: Channel, e: bytes):
     yield Send((MsgType.EQ_VALUE, e))
     (opening,) = yield Recv((MsgType.EQ_OPEN, DIGEST_BYTES + ch.kappa // 8))
     d = bytes(opening[:DIGEST_BYTES])
-    r = BitVec.from_bytes(ch.kappa, opening[DIGEST_BYTES:])
+    r = bytes(opening[DIGEST_BYTES:])
     return _commitment(ch.kappa, d, r) == c and d == e

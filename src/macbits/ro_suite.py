@@ -1,5 +1,5 @@
-"""Domain-separated hashing, PRG expansion, masking, and MAC accumulators
-with the digest exchange that checks them.
+"""Domain-separated hashing, PRG expansion, and MAC accumulators with the
+digest exchange that checks them.
 
 Hashing and commitment use SHA-256 and the PRG uses SHAKE-128, both keyed
 by an explicit domain tag. The tag is prepended with a length prefix so
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlinalg import BitVec
 from .errors import ProtocolAbort, UsageError
 from .transport import Channel, MsgType, Role
 
@@ -40,8 +39,6 @@ _hash_calls: Counter = Counter()
 
 
 def _as_bytes(x) -> bytes:
-    if isinstance(x, BitVec):
-        return x.to_bytes()
     if isinstance(x, (bytes, bytearray, memoryview)):
         return bytes(x)
     if isinstance(x, np.ndarray):
@@ -81,8 +78,9 @@ def reset_hash_calls() -> None:
         _hash_calls.clear()
 
 
-def expand(seed, out_bits: int) -> BitVec:
-    """Deterministic PRG: SHAKE-128 of the length-prefixed "prg" tag and seed.
+def expand(seed, out_bits: int) -> bytes:
+    """Deterministic PRG: SHAKE-128 of the length-prefixed "prg" tag and seed,
+    out_bits bits packed in ceil(out_bits/8) bytes with zero pad bits.
 
     Prefix property: expand(s, a) equals the first a bits of expand(s, b) for
     a <= b. Output is counted under the "prg" tag in 256-bit blocks.
@@ -92,17 +90,10 @@ def expand(seed, out_bits: int) -> BitVec:
     h = hashlib.shake_128(_PRG_PREFIX + _as_bytes(seed))
     with _counter_lock:
         _hash_calls["prg"] += -(-out_bits // 256)
-    return BitVec(out_bits, int.from_bytes(h.digest((out_bits + 7) // 8), "little"))
-
-
-def mask(tag: str, key_material, message: BitVec) -> BitVec:
-    """One-time pad of message under expand(hash(tag, key_material)).
-
-    Involutive: applying mask twice with the same key and tag returns the
-    message, so the same call unmasks.
-    """
-    pad = expand(ro_hash(tag, key_material), message.n)
-    return message ^ pad
+    out = h.digest((out_bits + 7) // 8)
+    if out_bits % 8:
+        out = out[:-1] + bytes([out[-1] & (1 << out_bits % 8) - 1])
+    return out
 
 
 def hash_rows(tag: str, rows: np.ndarray) -> np.ndarray:
@@ -119,15 +110,17 @@ def hash_rows(tag: str, rows: np.ndarray) -> np.ndarray:
 
 
 def pad_rows(tag: str, rows: np.ndarray, n_bits: int) -> np.ndarray:
-    """Per row, the packed pad of `mask(tag, row, .)` for an n_bits message:
-    expand(ro_hash(tag, row), n_bits), with the same hash and PRG counts."""
+    """Per row, the packed n_bits-bit pad expand(ro_hash(tag, row), n_bits),
+    as a (len(rows), ceil(n_bits/8)) uint8 array, with the same hash and PRG
+    counts. Each SHAKE output goes straight into its row."""
     nb = (n_bits + 7) // 8
+    pads = np.empty((len(rows), nb), np.uint8)
+    flat = memoryview(pads).cast("B")
     shake = hashlib.shake_128
-    out = b"".join([shake(_PRG_PREFIX + d).digest(nb)
-                    for d in map(bytes, hash_rows(tag, rows))])
+    for k, d in enumerate(hash_rows(tag, rows)):
+        flat[k * nb : (k + 1) * nb] = shake(_PRG_PREFIX + d.tobytes()).digest(nb)
     with _counter_lock:
         _hash_calls["prg"] += len(rows) * -(-n_bits // 256)
-    pads = np.frombuffer(out, np.uint8).reshape(len(rows), nb).copy()
     if n_bits % 8:
         pads[:, -1] &= (1 << (n_bits % 8)) - 1
     return pads

@@ -396,8 +396,9 @@ def run_pair(fn_alice, fn_bob, timeout: float = 300.0, channels=()):
     """Run both protocol endpoints in threads; re-raise the first failure.
 
     Passing the underlying channels lets the runner close them as soon as one
-    side fails, which unblocks a peer waiting in recv. Security aborts are
-    reported in preference to the secondary transport errors they cause.
+    side fails, which unblocks a peer waiting in recv. Any other failure,
+    such as a security abort or a ProtocolError, is reported in preference to
+    the plain TransportErrors it causes on the closed channels.
     """
     results = [None, None]
     errors = [None, None]
@@ -428,7 +429,7 @@ def run_pair(fn_alice, fn_bob, timeout: float = 300.0, channels=()):
         ta.join(5.0)
         tb.join(5.0)
         raise TransportError("protocol pair deadlocked or timed out")
-    real = [e for e in errors if e is not None and not isinstance(e, TransportError)]
+    real = [e for e in errors if e is not None and type(e) is not TransportError]
     if real:
         raise real[0]
     for e in errors:

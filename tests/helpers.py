@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from macbits.abit_proto import GlobalKey, Rows
-from macbits.bitlinalg import BitVec, pack_rows
+from macbits.bitlinalg import BitVec
 from macbits.circuit import Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.ro_suite import ro_hash
@@ -192,7 +192,7 @@ def reference_combine(pairs, perm, bucket: int, folds, reveal):
     rounds = []
     for r in range(1, bucket):
         opened = [reveal(a[0], b[0]) for a, b in zip(cur, shuffled[r::bucket])]
-        rounds.append(pack_rows([o.mac for o in opened]))
+        rounds.append(bit_rows(opened, len(opened[0].mac))[:, :-1])
         cur = [(folds[0](a[0], b[0], o.bit), folds[1](a[1], b[1], o.bit))
                for a, b, o in zip(cur, shuffled[r::bucket], opened)]
     return cur, rounds
@@ -395,12 +395,11 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
 
     ca, cb = memory_pair(timeout=120.0)
     ca.kappa = cb.kappa = kappa
-    offsets = [BitVec(ell, k + 1) for k in range(m)]
 
-    def tamper(i, m0, m1):
-        if i < m:
-            return m0, m1 ^ offsets[i]
-        return m0, m1
+    def tamper(keys, m1):
+        # offset k + 1 (< 2**ell) on OT k's branch 1
+        m1[:m, 0] ^= np.arange(1, m + 1, dtype=np.uint8)
+        return m1
 
     def sender():
         rng = random.Random(seed)

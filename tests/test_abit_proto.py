@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (AuthBitKey, AuthBitMac, const_key, const_mac, key_half,
                      labit_cheat_survivals, mac_half, run_side, verify_abit)
@@ -13,7 +15,7 @@ from macbits.abit_proto import (GlobalKey, amplify_keys_with, amplify_macs_with,
                                 produce_abits, tau_for, wabit_amplify_key_side,
                                 wabit_amplify_mac_side)
 from macbits.base_ot import DealerOt, extend_ot_receive
-from macbits.bitlinalg import BitMatrix, BitVec, Pairing, mat_vec_mul, pack_rows
+from macbits.bitlinalg import BitVec, Pairing, pack_bits, random_rows
 from macbits.eq_box import eq_respond_side, value_digest
 from macbits.errors import ProtocolAbort, ProtocolError, UsageError
 from macbits.transport import MsgType, Role, Send, memory_pair, run_pair
@@ -96,10 +98,12 @@ def run_labit(tau, ell, seed=0, kappa=16, offer_tamper=None):
 
 def test_labit_honest_output_relation():
     # every surviving column satisfies N_i == L_i xor y_i * Gamma
-    (gamma, keys), (ys, macs) = run_labit(4, 16)
-    assert len(keys) == len(macs) == 4  # half the 2*tau candidates
-    for l, y, n in zip(keys, ys, macs):
-        assert n == l ^ gamma.times(y)
+    for ell in (16, 21):
+        (gamma, keys), (ys, macs) = run_labit(4, ell)
+        assert len(keys) == len(macs) == len(ys) == 4  # half the 2*tau candidates
+        assert keys.shape == macs.shape == (4, (ell + 7) // 8)
+        for l, y, n in zip(keys, ys, macs):
+            assert np.array_equal(n, l ^ gamma * y)
 
 
 def test_labit_cheat_one_pair_half_abort():
@@ -130,7 +134,8 @@ def test_labit_wrong_d_announcement_aborts():
         d[0] ^= 1  # the lie
         yield Send((MsgType.LABIT_PAIRING, struct.pack(f">{t}I", *pairing.part)),
                    (MsgType.LABIT_D, BitVec.from_bits(d).to_bytes()))
-        folded = BitVec.join([macs[i] ^ macs[pairing.partner(i)] for i in reps])
+        folded = BitVec.join([BitVec.from_bytes(ell, (macs[i] ^ macs[pairing.partner(i)]).tobytes())
+                              for i in reps])
         return (yield from eq_respond_side(b, value_digest(folded.n, folded.to_bytes())))
 
     with pytest.raises(ProtocolAbort):
@@ -143,29 +148,30 @@ def test_labit_wrong_d_announcement_aborts():
 # transpose to authenticated bits
 
 
+def packed(bits) -> np.ndarray:
+    """A 0/1 matrix as packed rows, bit j of row i in byte j // 8."""
+    return np.packbits(np.asarray(bits, np.uint8), axis=-1, bitorder="little")
+
+
 def test_wabit_hand_instance():
     # tau=2, ell=3, all relations by direct substitution
-    gamma = BitVec.from_bits([1, 0, 1])
-    l1 = BitVec.from_bits([0, 1, 1])
-    l2 = BitVec.from_bits([1, 1, 0])
-    ys = [1, 0]
-    n1 = l1 ^ gamma.times(ys[0])
-    n2 = l2 ^ gamma.times(ys[1])
-    mac_view = labit_to_wabit_macs(gamma, [l1, l2])
-    key_view = labit_to_wabit_keys(ys, [n1, n2])
-    weak = BitVec.from_bits(ys)
-    assert key_view.gamma == weak
+    gamma = packed([1, 0, 1])
+    l1, l2 = packed([0, 1, 1]), packed([1, 1, 0])
+    ys = np.array([1, 0], np.uint8)
+    n1, n2 = l1 ^ gamma * ys[0], l2 ^ gamma * ys[1]
+    mac_view = labit_to_wabit_macs(gamma, np.stack((l1, l2)), 3)
+    key_view = labit_to_wabit_keys(ys, np.stack((n1, n2)), 3)
+    assert key_view.gamma.tolist() == [1, 0]
     for j in range(3):
-        assert mac_view.bits[j] == gamma[j]
-        assert key_view.keys[j].tobytes() == (
-            BitVec.from_bytes(2, mac_view.macs[j].tobytes()) ^ weak.times(gamma[j])).to_bytes()
+        assert mac_view.bits[j] == [1, 0, 1][j]
+        assert np.array_equal(key_view.keys[j], mac_view.macs[j] ^ packed(ys) * mac_view.bits[j])
 
 
 def test_wabit_zero_offset_means_zero_bits():
     rng = random.Random(4)
-    keys = [BitVec.random(5, rng) for _ in range(3)]
-    view = labit_to_wabit_macs(BitVec.zeros(5), keys)
-    key_view = labit_to_wabit_keys([1, 0, 1], keys)  # N_i == L_i when G=0
+    keys = random_rows(3, 5, rng)
+    view = labit_to_wabit_macs(np.zeros(1, np.uint8), keys, 5)
+    key_view = labit_to_wabit_keys(np.array([1, 0, 1], np.uint8), keys, 5)  # N_i == L_i when G=0
     assert view.bits.tolist() == [0, 0, 0, 0, 0]
     assert np.array_equal(view.macs, key_view.keys)
 
@@ -176,31 +182,42 @@ def test_wabit_zero_offset_means_zero_bits():
 
 def synthetic_columns(tau, ell, rng):
     """labit outputs: the holder's (G, L_i), the key side's (y_i, N_i)."""
-    gamma = BitVec.random(ell, rng)
-    keys = [BitVec.random(ell, rng) for _ in range(tau)]
-    ys = [rng.getrandbits(1) for _ in range(tau)]
-    macs = [keys[i] ^ gamma.times(ys[i]) for i in range(tau)]
+    gamma = random_rows(1, ell, rng)[0]
+    keys = random_rows(tau, ell, rng)
+    ys = np.array([rng.getrandbits(1) for _ in range(tau)], np.uint8)
+    macs = keys ^ gamma * ys[:, None]
     return (gamma, keys), (ys, macs)
+
+
+def unpacked(rows, n) -> np.ndarray:
+    return np.unpackbits(rows, axis=-1, count=n, bitorder="little")
+
+
+def ref_times(mat, tau, rows) -> np.ndarray:
+    """mat @ row for each packed tau-bit row, on unpacked bits (the
+    reference for the packed product)."""
+    return packed((unpacked(rows, tau).astype(int) @ unpacked(mat, tau).T.astype(int)) % 2)
 
 
 def test_amplify_identity_matrix_is_noop():
     rng = random.Random(5)
     (gamma, keys), (ys, macs) = synthetic_columns(6, 10, rng)
-    mv, kv = labit_to_wabit_macs(gamma, keys), labit_to_wabit_keys(ys, macs)
-    out_m = amplify_macs_with(BitMatrix.identity(6), gamma, keys)
-    gk, out_k = amplify_keys_with(BitMatrix.identity(6), ys, macs, Role.ALICE)
+    mv, kv = labit_to_wabit_macs(gamma, keys, 10), labit_to_wabit_keys(ys, macs, 10)
+    eye = packed(np.eye(6))
+    out_m = amplify_macs_with(eye, gamma, keys, 10)
+    gk, out_k = amplify_keys_with(eye, ys, macs, 10, Role.ALICE)
     assert np.array_equal(out_m[:, :-1], mv.macs) and np.array_equal(out_m[:, -1], mv.bits)
-    assert np.array_equal(out_k, kv.keys) and gk.delta == kv.gamma
+    assert np.array_equal(out_k, kv.keys) and gk.delta.to_bytes() == pack_bits(kv.gamma)
 
 
 def test_amplify_preserves_mac_relation():
     rng = random.Random(6)
     (gamma, keys), (ys, macs) = synthetic_columns(59, 40, rng)
-    kv = labit_to_wabit_keys(ys, macs)
-    mat = BitMatrix.random(8, 59, rng)
-    out_m = amplify_macs_with(mat, gamma, keys)
-    gk, out_k = amplify_keys_with(mat, ys, macs, Role.ALICE)
-    assert gk.delta == mat_vec_mul(mat, kv.gamma)
+    kv = labit_to_wabit_keys(ys, macs, 40)
+    mat = random_rows(8, 59, rng)
+    out_m = amplify_macs_with(mat, gamma, keys, 40)
+    gk, out_k = amplify_keys_with(mat, ys, macs, 40, Role.ALICE)
+    assert gk.delta.to_bytes() == ref_times(mat, 59, packed(kv.gamma)).tobytes()
     for i in range(40):
         assert verify_abit(mac_half(out_m[i]), key_half(out_k[i]), gk)
 
@@ -211,34 +228,42 @@ def test_amplify_preserves_mac_relation():
 def test_amplify_then_transpose_matches_transpose_then_multiply(tau, ell, identity):
     rng = random.Random(tau * 10_000 + ell)
     (gamma, keys), (ys, macs) = synthetic_columns(tau, ell, rng)
-    mat = BitMatrix.identity(tau) if identity else BitMatrix.random(8, tau, rng)
-    mv, kv = labit_to_wabit_macs(gamma, keys), labit_to_wabit_keys(ys, macs)
-    out_m = amplify_macs_with(mat, gamma, keys)
-    gk, out_k = amplify_keys_with(mat, ys, macs, Role.BOB)
-
-    def times_mat(rows):
-        return pack_rows([mat_vec_mul(mat, BitVec.from_bytes(tau, r.tobytes())) for r in rows])
+    mat = packed(np.eye(tau)) if identity else random_rows(8, tau, rng)
+    mv, kv = labit_to_wabit_macs(gamma, keys, ell), labit_to_wabit_keys(ys, macs, ell)
+    out_m = amplify_macs_with(mat, gamma, keys, ell)
+    gk, out_k = amplify_keys_with(mat, ys, macs, ell, Role.BOB)
 
     assert np.array_equal(out_m[:, -1], mv.bits)
-    assert np.array_equal(out_m[:, :-1], times_mat(mv.macs))
-    assert np.array_equal(out_k, times_mat(kv.keys))
-    assert gk == GlobalKey(Role.BOB, mat_vec_mul(mat, kv.gamma))
+    assert np.array_equal(out_m[:, :-1], ref_times(mat, tau, mv.macs))
+    assert np.array_equal(out_k, ref_times(mat, tau, kv.keys))
+    assert gk.owner is Role.BOB
+    assert gk.delta.to_bytes() == ref_times(mat, tau, packed(kv.gamma)).tobytes()
 
 
-def test_amplify_linearity():
-    rng = random.Random(7)
-    mat = BitMatrix.random(8, 20, rng)
-    u, v = BitVec.random(20, rng), BitVec.random(20, rng)
-    assert mat_vec_mul(mat, u ^ v) == mat_vec_mul(mat, u) ^ mat_vec_mul(mat, v)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 300).filter(lambda n: n % 8), st.integers(1, 300).filter(lambda n: n % 8),
+       st.integers(0, 2**32))
+def test_amplify_linearity(tau, ell, seed):
+    # the amplified MACs of two column sets XOR to those of their XOR, and
+    # each equals the unpacked reference; tau and ell are off byte boundaries
+    rng = random.Random(seed)
+    mat = random_rows(8, tau, rng)
+    gamma = random_rows(1, ell, rng)[0]
+    u, v = random_rows(tau, ell, rng), random_rows(tau, ell, rng)
+    amp = {k: amplify_macs_with(mat, gamma, x, ell)[:, :-1]
+           for k, x in (("u", u), ("v", v), ("uv", u ^ v))}
+    assert np.array_equal(amp["uv"], amp["u"] ^ amp["v"])
+    want = (unpacked(mat, tau).astype(int) @ unpacked(u, ell).astype(int)) % 2
+    assert np.array_equal(unpacked(amp["u"], 8).T, want)
 
 
 def test_amplify_checks_width():
     rng = random.Random(8)
     (gamma, keys), (ys, macs) = synthetic_columns(10, 4, rng)
     with pytest.raises(UsageError):
-        amplify_macs_with(BitMatrix.random(4, 9, rng), gamma, keys)
+        amplify_macs_with(random_rows(4, 8, rng), gamma, keys, 4)
     with pytest.raises(UsageError):
-        amplify_keys_with(BitMatrix.random(4, 11, rng), ys, macs, Role.ALICE)
+        amplify_keys_with(random_rows(4, 17, rng), ys, macs, 4, Role.ALICE)
 
 
 @pytest.mark.parametrize("extra", [None, 1])
@@ -251,7 +276,7 @@ def test_amplify_rejects_wrong_length_matrix(extra):
     a, b = memory_pair(timeout=5.0)
     b.send(MsgType.AMPLIFY_MATRIX, raw)
     with pytest.raises(ProtocolError):
-        run_side(a, A, wabit_amplify_mac_side(a, gamma, keys, kappa))
+        run_side(a, A, wabit_amplify_mac_side(a, gamma, keys, 10, kappa))
 
 
 # ---------------------------------------------------------------------------

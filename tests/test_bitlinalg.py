@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macbits.bitlinalg import (BitMatrix, BitVec, Pairing, mat_vec_mul,
-                               mat_vec_mul_batch, pack_bits, pack_rows,
-                               random_pairing, random_permutation,
-                               transpose_bits, unpack_bits)
+from macbits.bitlinalg import (BitVec, Pairing, mat_vec_mul, mat_vec_mul_batch,
+                               pack_bits, random_pairing, random_permutation,
+                               random_rows, transpose_bits, unpack_bits)
 from macbits.errors import UsageError
 
 
@@ -100,47 +99,97 @@ def test_popcount():
 
 
 # ---------------------------------------------------------------------------
-# BitMatrix and products
+# packed GF(2) products
+
+
+def packed(bits) -> np.ndarray:
+    """A 0/1 matrix as packed rows, bit j of row i in byte j // 8."""
+    return np.packbits(np.asarray(bits, np.uint8), axis=1, bitorder="little")
+
+
+def unpacked(rows, n) -> np.ndarray:
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+
+def ref_product(m_bits, col_bits) -> np.ndarray:
+    """m @ (bit j of each column) for every j, on unpacked 0/1 arrays."""
+    return (m_bits.astype(int) @ col_bits.astype(int)) % 2
+
+
+def off_byte_sizes(hi):
+    """Sizes that are not multiples of 8, so rows end in pad bits."""
+    return st.integers(1, hi).filter(lambda n: n % 8)
+
+
+def random_bits(rng, *shape) -> np.ndarray:
+    return np.array([rng.getrandbits(1) for _ in range(math.prod(shape))],
+                    np.uint8).reshape(shape)
 
 
 def test_identity_matrix_product():
-    assert mat_vec_mul(BitMatrix.identity(4), bv("1011")) == bv("1011")
+    assert mat_vec_mul(packed(np.eye(4)), bv("1011").to_bytes()) == bv("1011").to_bytes()
 
 
 def test_zero_matrix_product():
-    assert mat_vec_mul(BitMatrix.zeros(2, 4), bv("1011")) == BitVec.zeros(2)
+    assert mat_vec_mul(packed(np.zeros((2, 4))), bv("1011").to_bytes()) == bytes(1)
 
 
 def test_hand_expanded_product():
-    m = BitMatrix.from_rows([bv("110"), bv("011")])
-    assert mat_vec_mul(m, bv("110")) == bv("01")
+    m = packed([[1, 1, 0], [0, 1, 1]])
+    assert mat_vec_mul(m, bv("110").to_bytes()) == bv("01").to_bytes()
+    # the same rows applied to three one-bit columns
+    assert mat_vec_mul_batch(m, packed([[1], [1], [0]])).tolist() == [[0], [1]]
 
 
-def test_matrix_bytes_round_trip():
-    rng = random.Random(3)
-    m = BitMatrix.random(5, 19, rng)
-    assert BitMatrix.from_bytes(5, 19, m.to_bytes()) == m
+def test_products_check_their_width():
+    m = packed(np.zeros((4, 9)))
+    with pytest.raises(UsageError):
+        mat_vec_mul(m, bytes(1))
+    with pytest.raises(UsageError):
+        mat_vec_mul_batch(m, np.zeros((8, 3), np.uint8))
 
 
-def test_transpose_involution_matrix():
-    m = BitMatrix.random(9, 17, random.Random(4))
-    assert m.transpose().transpose() == m
-
-
-@settings(max_examples=25)
-@given(st.integers(0, 2**32))
-def test_mat_vec_linearity(seed):
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), off_byte_sizes(300), off_byte_sizes(200), st.integers(0, 2**32))
+def test_mat_vec_linearity(rows, tau, ell, seed):
     rng = random.Random(seed)
-    m = BitMatrix.random(32, 96, rng)
-    u, v = BitVec.random(96, rng), BitVec.random(96, rng)
-    assert mat_vec_mul(m, u ^ v) == mat_vec_mul(m, u) ^ mat_vec_mul(m, v)
+    m = random_bits(rng, rows, tau)
+    u, v = random_bits(rng, tau, ell), random_bits(rng, tau, ell)
+    prod = {k: unpacked(mat_vec_mul_batch(packed(m), packed(x)), ell)
+            for k, x in (("u", u), ("v", v), ("uv", u ^ v))}
+    assert np.array_equal(prod["uv"], prod["u"] ^ prod["v"])
+    assert np.array_equal(prod["u"], ref_product(m, u))
 
 
-def test_mat_vec_batch_matches_single():
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), off_byte_sizes(300), off_byte_sizes(200), st.integers(0, 2**32))
+def test_mat_vec_batch_matches_single(rows, tau, ell, seed):
+    # bit j of the batch product is the single product of bit j of each
+    # column; both agree with the unpacked reference
+    rng = random.Random(seed)
+    m, cols = random_bits(rng, rows, tau), random_bits(rng, tau, ell)
+    got = unpacked(mat_vec_mul_batch(packed(m), packed(cols)), ell)
+    assert np.array_equal(got, ref_product(m, cols))
+    for j in range(min(ell, 5)):
+        single = mat_vec_mul(packed(m), pack_bits(cols[:, j]))
+        assert np.array_equal(unpack_bits(single, rows), got[:, j])
+
+
+def test_products_ignore_matrix_pad_bits():
     rng = random.Random(5)
-    m = BitMatrix.random(8, 40, rng)
-    vecs = [BitVec.random(40, rng) for _ in range(17)]
-    assert mat_vec_mul_batch(m, vecs) == [mat_vec_mul(m, v) for v in vecs]
+    m, cols = random_bits(rng, 8, 13), random_bits(rng, 13, 40)
+    noisy = packed(m)
+    noisy[:, -1] |= 0xE0  # bits 13..15 of each row
+    assert np.array_equal(mat_vec_mul_batch(noisy, packed(cols)),
+                          mat_vec_mul_batch(packed(m), packed(cols)))
+    assert mat_vec_mul(noisy, pack_bits(cols[:, 0])) == mat_vec_mul(packed(m),
+                                                                    pack_bits(cols[:, 0]))
+
+
+def test_random_rows_draw_as_bitvecs():
+    rows = random_rows(3, 13, random.Random(6))
+    rng = random.Random(6)
+    assert [r.tobytes() for r in rows] == [BitVec.random(13, rng).to_bytes() for _ in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +198,7 @@ def test_mat_vec_batch_matches_single():
 
 def tr(rows):
     """transpose_bits on BitVec rows, packed and back."""
-    out = transpose_bits(pack_rows(rows), rows[0].n)
+    out = transpose_bits(np.array([list(r.to_bytes()) for r in rows], np.uint8), rows[0].n)
     return [BitVec.from_bytes(len(rows), r.tobytes()) for r in out]
 
 
@@ -167,19 +216,24 @@ def test_transpose_bits_involution():
     assert tr(tr(rows)) == rows
 
 
+def test_transpose_involution_matrix():
+    # 9 x 17: neither side a multiple of 8, so both transposes have pad bits
+    m = random_rows(9, 17, random.Random(4))
+    assert np.array_equal(transpose_bits(transpose_bits(m, 17), 9), m)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(1, 256), st.integers(1, 256), st.integers(0, 2**32))
 def test_transpose_bits_matches_index_loop(r, c, seed):
     rng = random.Random(seed)
-    rows = [BitVec.random(c, rng) for _ in range(r)]
-    packed = transpose_bits(pack_rows(rows), c, _block=64)
-    cols = tr(rows)
-    assert len(cols) == c
+    bits = random_bits(rng, r, c)
+    out = transpose_bits(packed(bits), c, _block=64)
     # the pad bits past r in each output row stay zero
-    assert np.array_equal(packed, pack_rows(cols))
+    assert np.array_equal(out, packed(bits.T))
+    got = unpacked(out, r)
     for j in range(c):
         for i in range(r):
-            assert cols[j][i] == rows[i][j]
+            assert got[j, i] == bits[i, j]
 
 
 def test_bit_vector_packing_round_trip():

@@ -7,7 +7,7 @@ import pytest
 from helpers import counting_pair
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
-from macbits.bitlinalg import BitVec, pack_rows
+from macbits.bitlinalg import random_rows
 from macbits.dealer import (DealerConfig, MaterialStore, deal,
                             flush_accumulators, verify_stores)
 from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort,
@@ -232,14 +232,14 @@ def test_verify_stores_catches_corruption():
 def absorb_all(macs):
     acc = MacAccumulator()
     for m in macs:
-        acc = acc.absorb(pack_rows([m]))
+        acc = acc.absorb(m[None])
     return acc
 
 
 def test_flush_agreement():
     rng = random.Random(9)
-    from_a = [BitVec.random(16, rng) for _ in range(5)]
-    from_b = [BitVec.random(16, rng) for _ in range(3)]
+    from_a = random_rows(5, 16, rng)
+    from_b = random_rows(3, 16, rng)
     a, b = memory_pair(timeout=10.0)
     run_pair(
         lambda: flush_accumulators(a, A, absorb_all(from_a), absorb_all(from_b)),
@@ -249,9 +249,9 @@ def test_flush_agreement():
 
 def test_flush_detects_divergence():
     rng = random.Random(10)
-    from_a = [BitVec.random(16, rng) for _ in range(5)]
-    seen_b = list(from_a)
-    seen_b[2] = seen_b[2] ^ BitVec(16, 1)
+    from_a = random_rows(5, 16, rng)
+    seen_b = from_a.copy()
+    seen_b[2, 0] ^= 1
     a, b = memory_pair(timeout=10.0)
     with pytest.raises(ProtocolAbort):
         run_pair(

@@ -1,10 +1,11 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from helpers import counting_pair, run_side
-from macbits.bitlinalg import BitVec
+from macbits.bitlinalg import BitVec, random_rows
 from macbits.eq_box import (ColumnDigest, _commitment, eq_commit_side, eq_respond_side,
                             value_digest)
 from macbits.errors import ProtocolError, UsageError
@@ -45,37 +46,40 @@ def test_completeness_exhaustive_small():
 
 
 def test_commitment_deterministic():
-    x = BitVec(16, 0x1234)
-    r = BitVec(16, 0x5678)
+    x = BitVec(16, 0x1234).to_bytes()
+    r = BitVec(16, 0x5678).to_bytes()
     assert _commitment(16, x, r) == _commitment(16, x, r)
-    assert _commitment(16, x, r) != _commitment(16, x ^ BitVec(16, 1), r)
+    assert _commitment(16, x, r) != _commitment(16, BitVec(16, 0x1235).to_bytes(), r)
 
 
 def digest(v: BitVec) -> bytes:
-    return ro_hash("eq/value", struct.pack(">I", v.n), v)
+    return ro_hash("eq/value", struct.pack(">I", v.n), v.to_bytes())
 
 
 @pytest.mark.parametrize("ell", [8 * 26, 8 * 26 + 3])
 def test_column_digest_matches_the_joined_value(ell):
-    # labit folds its columns straight into the digest; it must equal the
-    # digest of the columns joined into one value, with one hash call
+    # labit folds its columns straight into the digest, a chunk of packed
+    # rows at a time; it must equal the digest of the columns joined into
+    # one value, with one hash call
     rng = random.Random(ell)
-    cols = [BitVec.random(ell, rng) for _ in range(9)]
+    rows = random_rows(9, ell, rng).copy()
+    if ell % 8:
+        rows[:, -1] |= 0xFF << ell % 8 & 0xFF  # pad bits are not part of a column
     before = hash_calls("eq/value")
-    h = ColumnDigest(9 * ell)
-    for col in cols:
-        h.update(col)
+    h = ColumnDigest(9, ell)
+    for chunk in (rows[:2], rows[2:3], rows[3:]):
+        h.update(chunk)
     streamed = h.digest()
     assert hash_calls("eq/value") - before == 1
-    joined = BitVec.join(cols)
+    joined = BitVec.join([BitVec.from_bytes(ell, r.tobytes()) for r in rows])
     assert streamed == digest(joined) == value_digest(joined.n, joined.to_bytes())
 
 
 def test_column_digest_checks_its_length():
-    h = ColumnDigest(10)
-    h.update(BitVec(7, 5))
+    h = ColumnDigest(2, 5)
+    h.update(np.zeros((1, 1), np.uint8))
     with pytest.raises(UsageError):
-        h.update(BitVec(4, 1))
+        h.update(np.zeros((2, 1), np.uint8))
     with pytest.raises(UsageError):
         h.digest()
 
@@ -120,7 +124,7 @@ def test_forged_opening_rejected():
         a, b = pair16()
 
         def cheat():
-            r = BitVec.random(16, rng)
+            r = BitVec.random(16, rng).to_bytes()
             a.send(MsgType.EQ_COMMIT, _commitment(16, digest(x), r))
             a.recv(MsgType.EQ_VALUE)
             r2 = BitVec.random(16, rng)
@@ -136,12 +140,12 @@ def test_binding_rate_at_reduced_kappa():
     rng = random.Random(3)
     trials = 1_000_000
     hits = 0
-    x = BitVec(16, 0xAAAA)
-    r = BitVec.random(16, rng)
+    x = BitVec(16, 0xAAAA).to_bytes()
+    r = BitVec.random(16, rng).to_bytes()
     target = _commitment(16, x, r)
-    x2 = BitVec(16, 0x5555)
+    x2 = BitVec(16, 0x5555).to_bytes()
     for _ in range(trials):
-        if _commitment(16, x2, BitVec.random(16, rng)) == target:
+        if _commitment(16, x2, rng.getrandbits(16).to_bytes(2, "little")) == target:
             hits += 1
     assert hits / trials <= 10 * 2**-16
 
@@ -162,8 +166,8 @@ def test_truncated_opening_rejected():
     a, b = pair16()
 
     def sender():
-        x = BitVec(8, 3)
-        r = BitVec(16, 7)
+        x = BitVec(8, 3).to_bytes()
+        r = BitVec(16, 7).to_bytes()
         a.send(MsgType.EQ_COMMIT, _commitment(16, x, r))
         a.recv(MsgType.EQ_VALUE)
         a.send(MsgType.EQ_OPEN, b"\x00\x00\x00\x08\x03")  # missing r

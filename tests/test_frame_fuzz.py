@@ -14,6 +14,7 @@ read.
 import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from macbits.abit_proto import (labit_receiver, labit_sender, tau_for,
                                 wabit_amplify_key_side, wabit_amplify_mac_side)
 from macbits.aot_proto import laot_receiver, laot_sender
 from macbits.base_ot import DealerOt
-from macbits.bitlinalg import BitVec
+from macbits.bitlinalg import random_rows
 from macbits.eq_box import eq_commit_side, eq_respond_side, value_digest
 from macbits.errors import ProtocolAbort, ProtocolError
 from macbits.transport import MsgType, Role, memory_pair, run_pair
@@ -44,9 +45,9 @@ _X0, _X1 = _abits(A, ELL), _abits(A, ELL)
 _C, _R = _abits(B, ELL), _abits(B, ELL)
 _TX, _TY, _TR = _abits(A, ELL), _abits(A, ELL), _abits(A, ELL)
 _TAU = tau_for(KAPPA)
-_GAMMA = BitVec.random(40, random.Random(1))
-_COLS = [BitVec.random(40, random.Random(2 + i)) for i in range(_TAU)]
-_EQ = value_digest(24, BitVec.random(24, random.Random(3)).to_bytes())
+_GAMMA = random_rows(1, 40, random.Random(1))[0]
+_COLS = random_rows(_TAU, 40, random.Random(2))
+_EQ = value_digest(24, random_rows(1, 24, random.Random(3)).tobytes())
 
 
 def _macs(pairs):
@@ -58,8 +59,8 @@ def _keys(pairs):
 
 
 def _ot_send(ch):
-    return DealerOt(ch, random.Random(4)).send(
-        [(BitVec(KAPPA, i), BitVec(KAPPA, ~i)) for i in range(ELL)])
+    return DealerOt(ch, random.Random(4)).send(random_rows(2 * ELL, KAPPA, random.Random(11))
+                                                .reshape(ELL, 2, KAPPA // 8))
 
 
 # name -> (step under test, its honest peer, first inbound type, abort tag)
@@ -69,8 +70,9 @@ STEPS = {
         lambda ch: labit_receiver(ch, 3, 24, random.Random(6), DealerOt(ch)),
         MsgType.LABIT_PAIRING, "labit"),
     "wabit_amplify_mac_side": (
-        lambda ch: wabit_amplify_mac_side(ch, _GAMMA, _COLS, KAPPA),
-        lambda ch: wabit_amplify_key_side(ch, [0] * _TAU, _COLS, KAPPA, A, random.Random(7)),
+        lambda ch: wabit_amplify_mac_side(ch, _GAMMA, _COLS, 40, KAPPA),
+        lambda ch: wabit_amplify_key_side(ch, np.zeros(_TAU, np.uint8), _COLS, 40, KAPPA, A,
+                                          random.Random(7)),
         MsgType.AMPLIFY_MATRIX, None),
     "laot_sender": (
         lambda ch: laot_sender(ch, _macs(_X0), _macs(_X1), _keys(_C), _keys(_R),

@@ -1,14 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import eval_two, oracle_store_pair, random_circuit, random_inputs
-from macbits.bitlinalg import BitVec, pack_rows
+from macbits.bitlinalg import random_rows, unpack_bits
 from macbits.errors import UsageError
 from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, expand,
-                              hash_calls, mask, reset_hash_calls,
+                              hash_calls, pad_rows, reset_hash_calls,
                               ro_hash)
 
 
@@ -47,21 +48,20 @@ def test_avalanche_on_one_bit_flip():
 
 def test_expand_deterministic_and_sized():
     assert expand(b"s", 100) == expand(b"s", 100)
-    assert len(expand(b"s", 100)) == 100
+    assert len(expand(b"s", 100)) == 13
 
 
 def test_expand_prefix_property():
-    big = expand(b"seed", 256)
-    small = expand(b"seed", 64)
-    assert small == BitVec.from_bits(big[i] for i in range(64))
-    longest = expand(b"seed", 10_001).bits()
+    big = unpack_bits(expand(b"seed", 256), 256)
+    assert np.array_equal(unpack_bits(expand(b"seed", 64), 64), big[:64])
+    longest = unpack_bits(expand(b"seed", 10_001), 10_001)
     for n in (1, 7, 255, 257, 10_001):
-        assert expand(b"seed", n) == BitVec.from_bits(longest[:n])
+        assert np.array_equal(unpack_bits(expand(b"seed", n), n), longest[:n])
 
 
 def test_expand_pad_bits_are_zero():
     for n in (1, 7, 255, 257, 10_001):
-        raw = expand(b"pad", n).to_bytes()
+        raw = expand(b"pad", n)
         assert len(raw) == (n + 7) // 8
         assert int.from_bytes(raw, "little") >> n == 0
 
@@ -79,31 +79,33 @@ def test_expand_rejects_negative():
 
 
 def test_expand_bit_balance():
-    ones = expand(b"balance", 1_000_000).popcount()
+    ones = int.from_bytes(expand(b"balance", 1_000_000), "little").bit_count()
     sigma = math.sqrt(1_000_000 * 0.25)
     assert abs(ones - 500_000) <= 3 * sigma
 
 
-def test_mask_involution():
-    rng = random.Random(2)
-    m = BitVec.random(333, rng)
-    k = BitVec.random(128, rng)
-    assert mask("t", k, mask("t", k, m)) == m
+def test_pad_rows_match_expand():
+    # row k is expand(ro_hash(tag, row k), n) with the same hash and PRG
+    # counts, for n on and off a byte boundary
+    rows = random_rows(5, 128, random.Random(3))
+    for n in (64, 333):
+        before = hash_calls("t"), hash_calls("prg")
+        pads = pad_rows("t", rows, n)
+        assert (hash_calls("t") - before[0], hash_calls("prg") - before[1]) == (5, 5 * -(-n // 256))
+        assert [p.tobytes() for p in pads] == [expand(ro_hash("t", r), n) for r in rows]
 
 
-def test_mask_zero_message_is_pad():
-    k = BitVec.random(128, random.Random(3))
-    assert mask("t", k, BitVec.zeros(64)) == expand(ro_hash("t", k), 64)
-
-
-def test_mask_distinct_keys_distinct_pads():
-    rng = random.Random(4)
-    m = BitVec.random(128, rng)
-    for _ in range(10_000):
-        k1, k2 = BitVec.random(64, rng), BitVec.random(64, rng)
-        if k1 == k2:
-            continue
-        assert mask("t", k1, m) != mask("t", k2, m)
+def test_pad_rows_fill_one_array():
+    # the pads go straight into the result: no second copy of it is held
+    rows = random_rows(48, 128, random.Random(4))
+    n = 8 * 6000 + 5
+    tracemalloc.start()
+    try:
+        pads = pad_rows("t", rows, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= pads.nbytes + 64 * 1024
 
 
 def test_accumulator_initial_state_zero():
@@ -112,59 +114,54 @@ def test_accumulator_initial_state_zero():
 
 
 def test_accumulator_deterministic():
-    rng = random.Random(5)
-    macs = [BitVec.random(128, rng) for _ in range(20)]
+    macs = random_rows(20, 128, random.Random(5))
     a = b = MacAccumulator()
     for m in macs:
-        a, b = a.absorb(pack_rows([m])), b.absorb(pack_rows([m]))
+        a, b = a.absorb(m[None]), b.absorb(m[None])
     assert a == b
     assert a.count == 20
 
 
 def test_accumulator_order_sensitive():
-    rng = random.Random(6)
-    m1, m2 = BitVec.random(128, rng), BitVec.random(128, rng)
-    assert m1 != m2
-    fwd = MacAccumulator().absorb(pack_rows([m1])).absorb(pack_rows([m2]))
-    rev = MacAccumulator().absorb(pack_rows([m2])).absorb(pack_rows([m1]))
+    m1, m2 = random_rows(2, 128, random.Random(6))[:, None]
+    assert not np.array_equal(m1, m2)
+    fwd = MacAccumulator().absorb(m1).absorb(m2)
+    rev = MacAccumulator().absorb(m2).absorb(m1)
     assert fwd.state != rev.state
 
 
 def test_accumulator_distinguishes_single_change():
-    rng = random.Random(7)
-    macs = [BitVec.random(64, rng) for _ in range(10)]
+    macs = random_rows(10, 64, random.Random(7)).copy()
     a = MacAccumulator()
     for m in macs:
-        a = a.absorb(pack_rows([m]))
-    macs[4] = macs[4] ^ BitVec(64, 1)
+        a = a.absorb(m[None])
+    macs[4, 0] ^= 1
     b = MacAccumulator()
     for m in macs:
-        b = b.absorb(pack_rows([m]))
+        b = b.absorb(m[None])
     assert a.state != b.state
 
 
 def test_accumulator_round_is_order_sensitive():
-    rng = random.Random(8)
-    m1, m2 = BitVec.random(128, rng), BitVec.random(128, rng)
-    assert m1 != m2
-    assert (MacAccumulator().absorb(pack_rows([m1, m2])).state
-            != MacAccumulator().absorb(pack_rows([m2, m1])).state)
+    macs = random_rows(2, 128, random.Random(8))
+    assert not np.array_equal(macs[0], macs[1])
+    assert (MacAccumulator().absorb(macs).state
+            != MacAccumulator().absorb(macs[::-1]).state)
 
 
 def test_accumulator_round_distinguishes_single_bit():
-    rng = random.Random(9)
-    macs = [BitVec.random(64, rng) for _ in range(10)]
-    a = MacAccumulator().absorb(pack_rows(macs))
-    macs[4] = macs[4] ^ BitVec(64, 1 << 17)
-    b = MacAccumulator().absorb(pack_rows(macs))
+    macs = random_rows(10, 64, random.Random(9)).copy()
+    a = MacAccumulator().absorb(macs)
+    macs[4, 2] ^= 1 << 1  # bit 17
+    b = MacAccumulator().absorb(macs)
     assert a.count == b.count == 10
     assert a.state != b.state
 
 
 def test_accumulator_empty_round_is_identity():
-    acc = MacAccumulator().absorb(pack_rows([BitVec(16, 5)]))
+    acc = MacAccumulator().absorb(np.array([[5, 0]], np.uint8))
     before = hash_calls("acc/")
-    same = acc.absorb(pack_rows([]))
+    same = acc.absorb(np.empty((0, 2), np.uint8))
     assert (same.state, same.count) == (acc.state, acc.count)
     assert hash_calls("acc/") == before
 
@@ -172,23 +169,22 @@ def test_accumulator_empty_round_is_identity():
 def test_accumulator_round_costs_one_hash():
     rng = random.Random(10)
     for n in (1, 2, 50):
-        macs = [BitVec.random(128, rng) for _ in range(n)]
+        macs = random_rows(n, 128, rng)
         before = hash_calls("acc/")
-        MacAccumulator().absorb(pack_rows(macs))
+        MacAccumulator().absorb(macs)
         assert hash_calls("acc/") - before == 1
 
 
 def test_accumulator_round_hashes_rows_as_one_buffer():
     """A round is H(state, count, the MACs' bytes in order), whether the rows
-    come from BitVecs or are the MAC part of a MAC||bit row array."""
-    rng = random.Random(12)
-    macs = [BitVec.random(128, rng) for _ in range(7)]
-    acc = MacAccumulator().absorb(pack_rows(macs))
+    come on their own or are the MAC part of a MAC||bit row array."""
+    macs = random_rows(7, 128, random.Random(12))
+    acc = MacAccumulator().absorb(macs)
     want = ro_hash("acc/round", bytes(DIGEST_BYTES), (7).to_bytes(8, "big"),
-                   *(m.to_bytes() for m in macs))
+                   *(m.tobytes() for m in macs))
     assert (acc.state, acc.count) == (want, 7)
     bits = np.array([[b] for b in (1, 0, 1, 1, 0, 0, 1)], np.uint8)
-    rows = np.concatenate((pack_rows(macs), bits), axis=1)
+    rows = np.concatenate((macs, bits), axis=1)
     assert MacAccumulator().absorb(rows[:, :-1]) == acc
 
 

@@ -30,12 +30,13 @@ run_pair(lambda: deal(a, Role.ALICE, cfg, random.Random(1)),
          lambda: deal(b, Role.BOB, cfg, random.Random(2)),
          timeout=60.0, channels=(a, b))
 json.dump({"spans": {k: v["offline"][0] for k, v in tracer.summary().items()},
-           "counts": dict(tracer.counts), "bucket": cfg.bucket_for(40),
+           "counts": dict(tracer.counts), "bitvec_new": tracer.bitvec_new,
+           "bucket": cfg.bucket_for(40),
            "demand": {str(r): cfg.abit_demand(r) for r in Role}}, sys.stdout)
 """
 
 SPANS = ("aot_proto.laot", "aot_proto.combine", "aand_proto.laand",
-         "aand_proto.combine", "bitlinalg.transpose")
+         "aand_proto.combine", "bitlinalg.transpose", "bitlinalg.matmul")
 
 
 def test_spans_install_and_record_a_deal():
@@ -56,3 +57,7 @@ def test_spans_install_and_record_a_deal():
     # produce_abits(ch, role, owner, count, ...) counts each owner's bits once
     for owner in ("alice", "bob"):
         assert got["counts"][f"abit_proto.bits.{owner}"] == got["demand"][owner], owner
+    # the aBit pipeline runs on packed arrays: a deal builds a fixed handful
+    # of BitVecs (global keys and the dealer's zero-key defaults), none per
+    # column or bit
+    assert got["bitvec_new"] < 20, got["bitvec_new"]

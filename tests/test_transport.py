@@ -193,6 +193,20 @@ def test_run_pair_propagates_failure():
         run_pair(fine, broken, timeout=5)
 
 
+def test_run_pair_reports_the_protocol_error_not_the_closed_channel():
+    # Bob rejects a short frame; run_pair closes both channels, so Alice's
+    # recv fails too, with a plain TransportError that must not win
+    s1, s2 = socket.socketpair()
+    a, b = TcpChannel(s1, 5.0), TcpChannel(s2, 5.0)
+
+    def alice():
+        a.send(MsgType.LAOT_D, b"abc")
+        a.recv(MsgType.LAOT_D)
+
+    with pytest.raises(ProtocolError, match="LAOT_D frame of 3 bytes, expected 4"):
+        run_pair(alice, lambda: b.recv(MsgType.LAOT_D, 4), timeout=30, channels=(a, b))
+
+
 # ---------------------------------------------------------------------------
 # the frame-size contract
 
