@@ -6,6 +6,7 @@ for a fresh blind r and then proves z = xy with one digest comparison; the
 proof is leaky because a garbled challenge digest passes exactly when x = 0,
 so a cheating key side buys one x bit per garbled instance at abort risk.
 Bucketed combining with a MAC-side permutation washes that leakage out.
+Generation and combining are protocol sides (`transport.run_sides`).
 
 Cost per leaky instance: 3 hash calls (2 key side, 1 MAC side), with the key
 side reusing its first digest as the equality-check reference.
@@ -102,11 +103,11 @@ def _triple_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def aand_combine_mac(ch: Channel, triples: Rows, bucket: int, rng, acc: MacAccumulator):
     """The MAC side samples the bucketing (its bits are the ones the leak
     targets) and reveals d = y + y' per fold, MACs deferred into `acc`."""
-    return bucket_combine(ch, triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
+    return bucket_combine(triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
                           rng=rng)
 
 
 def aand_combine_key(ch: Channel, triples: Rows, bucket: int, gk: GlobalKey,
                      acc: MacAccumulator):
-    return bucket_combine(ch, triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
+    return bucket_combine(triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
                           delta=gk.row)

@@ -6,7 +6,9 @@ derived from the receiver's choice-bit key, which is exactly what makes it
 leaky: a sender can garble one branch and learn c from whether the receiver
 survives. Combining B leaky quads under a random bucketing leaves the output
 correlation clean unless an entire bucket was leaky; `bucket_combine` does
-that bucketing for aAND triples too.
+that bucketing for aAND triples too. Generation and combining are protocol
+sides (`transport.run_sides`); the combiner bindings take the channel first
+like every other side, although the combiner reads nothing from it.
 
 Everything here works on uint8 rows (`abit_proto.Rows`): a batch is hashed
 one row at a time, but masked, XORed, permuted and folded as whole arrays,
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from .abit_proto import GlobalKey, Rows
-from .bitlinalg import pack_bits, random_permutation, unpack_bits
+from .bitlinalg import pack_bits, random_permutation, random_rows, unpack_bits
 from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, pad_rows
@@ -73,9 +75,7 @@ def laot_sender(ch: Channel, x0s, x1s, kcs, krs, gk_recv: GlobalKey, rng,
     delta = gk_recv.row
     plen = 1 + 2 * kappa
 
-    pads = np.frombuffer(b"".join([rng.getrandbits(kappa).to_bytes(kb, "little")
-                                   for _ in range(2 * ell)]),
-                         np.uint8).reshape(ell, 2, kb)
+    pads = random_rows(2 * ell, kappa, rng).reshape(ell, 2, kb)
     b0 = _payloads(x0s, pads) ^ pad_rows("laot/x", kcs, plen)
     b1 = _payloads(x1s, pads) ^ pad_rows("laot/x", kcs ^ delta, plen)
     if payload_tamper is not None:
@@ -162,9 +162,10 @@ def fold_quads_receiver(acc: Rows, nxt: Rows, d: np.ndarray) -> Rows:
     return Rows(_xor_scaled(acc.macs, nxt.macs, d), _xor_first(acc.keys, nxt.keys))
 
 
-def bucket_combine(ch: Channel, items: Rows, bucket: int, acc: MacAccumulator, fold,
-                   opened, where: str, *, rng=None, delta: np.ndarray = None):
-    """Cut-and-choose bucketing shared by aOT quads and aAND triples.
+def bucket_combine(items: Rows, bucket: int, acc: MacAccumulator, fold, opened,
+                   where: str, *, rng=None, delta: np.ndarray = None):
+    """Cut-and-choose bucketing shared by aOT quads and aAND triples, as a
+    protocol side.
 
     The side given `rng` samples the bucketing permutation and sends it; the
     other side receives it and aborts (tagged `where`) on a non-permutation.
@@ -180,9 +181,10 @@ def bucket_combine(ch: Channel, items: Rows, bucket: int, acc: MacAccumulator, f
     n_out = n // bucket
     if rng is not None:
         perm = np.array(random_permutation(n, rng))
-        ch.send(MsgType.COMB_PERM, perm.astype(">u4").tobytes())
+        yield Send((MsgType.COMB_PERM, perm.astype(">u4").tobytes()))
     else:
-        perm = np.frombuffer(ch.recv(MsgType.COMB_PERM, 4 * n), ">u4")
+        (raw,) = yield Recv((MsgType.COMB_PERM, 4 * n))
+        perm = np.frombuffer(raw, ">u4")
         if not np.array_equal(np.sort(perm), np.arange(n)):
             raise ProtocolAbort(where, "peer sent a non-permutation")
     macs, keys = (a[perm].reshape(n_out, bucket, *a.shape[1:]) for a in items)
@@ -192,10 +194,11 @@ def bucket_combine(ch: Channel, items: Rows, bucket: int, acc: MacAccumulator, f
         if delta is None:
             rows = opened(cur.macs, nxt.macs)
             ds = rows[:, -1]
-            ch.send(MsgType.COMB_D, pack_bits(ds))
+            yield Send((MsgType.COMB_D, pack_bits(ds)))
             acc = acc.absorb(rows[:, :-1])
         else:
-            ds = unpack_bits(ch.recv(MsgType.COMB_D, (n_out + 7) // 8), n_out)
+            (raw,) = yield Recv((MsgType.COMB_D, (n_out + 7) // 8))
+            ds = unpack_bits(raw, n_out)
             acc = acc.absorb(opened(cur.keys, nxt.keys) ^ ds[:, None] * delta)
         cur = fold(cur, nxt, ds)
     return cur, acc
@@ -208,11 +211,11 @@ def _quad_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def aot_combine_sender(ch: Channel, quads: Rows, bucket: int, acc: MacAccumulator):
     """The sender reveals d = x0+x1+x0'+x1' per fold, MACs deferred into `acc`."""
-    return bucket_combine(ch, quads, bucket, acc, fold_quads_sender, _quad_d, "aot-comb")
+    return bucket_combine(quads, bucket, acc, fold_quads_sender, _quad_d, "aot-comb")
 
 
 def aot_combine_receiver(ch: Channel, quads: Rows, bucket: int, gk_send: GlobalKey, rng,
                          acc: MacAccumulator):
     """The receiver samples the bucketing and checks the sender's d reveals."""
-    return bucket_combine(ch, quads, bucket, acc, fold_quads_receiver, _quad_d, "aot-comb",
+    return bucket_combine(quads, bucket, acc, fold_quads_receiver, _quad_d, "aot-comb",
                           rng=rng, delta=gk_send.row)

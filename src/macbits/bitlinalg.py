@@ -146,7 +146,7 @@ def mat_vec_mul(m: np.ndarray, v) -> bytes:
     v = np.frombuffer(v, np.uint8)
     if m.shape[1] != len(v):
         raise UsageError(f"dim mismatch: matrix rows of {m.shape[1]} bytes, vector {len(v)}")
-    return pack_bits(np.unpackbits(m & v, axis=1).sum(axis=1))
+    return pack_bits(np.unpackbits(m & v, axis=1).sum(axis=1) & 1)
 
 
 def mat_vec_mul_batch(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -176,7 +176,7 @@ def mat_vec_mul_batch(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def pack_bits(bits: np.ndarray) -> bytes:
     """A vector of 0/1 values in this module's byte order, as BitVec.to_bytes."""
-    return np.packbits(np.asarray(bits, np.uint8) & 1, bitorder="little").tobytes()
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def unpack_bits(data: bytes, n: int) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Command-line entry points: deal, eval, bench-aes, verify-bounds.
+"""Command-line entry points: deal, eval, verify-bounds.
 
 Two-process use pairs `deal --role A --listen HOST:PORT` with
 `deal --role B --connect HOST:PORT`, and likewise `eval` where role A
-listens at --peer and role B connects to it. bench-aes runs both parties
-in one process over the in-memory channel. Exit codes: 0 success,
-2 protocol abort, 3 usage error, 4 out of preprocessed material.
+listens at --peer and role B connects to it. The benchmark is
+`perfbench/run.py`, not a subcommand. Exit codes: 0 success, 2 protocol
+abort, 3 usage error, 4 out of preprocessed material.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import secrets
 import sys
 import time
 
-from .aescircuit import bits_to_block, block_to_bits, generate_aes_circuit
 from .bitlinalg import BitVec
 from .circuit import Circuit
 from .dealer import DealerConfig, MaterialStore, deal
@@ -27,7 +26,7 @@ from .errors import (OutOfMaterial, ParseError, ProtocolAbort, ProtocolError,
 from .leakage_lab import (alpha_prime, bucket_fail_mc, bucket_fail_prob,
                           span_fail_rate)
 from .runtime_2pc import Runtime
-from .transport import Role, memory_pair, run_pair, tcp_connect, tcp_listen
+from .transport import Role, tcp_connect, tcp_listen
 
 EXIT_OK = 0
 EXIT_ABORT = 2
@@ -129,67 +128,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench_aes(args) -> int:
-    circuit = generate_aes_circuit()
-    rng = _make_rng(args.seed)
-    key = bytes(rng.randrange(256) for _ in range(16))
-    rows = []
-    for blk in range(args.blocks):
-        pt = bytes(rng.randrange(256) for _ in range(16))
-        cfg = DealerConfig.for_gates(circuit.n_and, 128, 128,
-                                     kappa=args.kappa, psi=args.psi,
-                                     bucket_B=args.bucket)
-        seeds = (rng.getrandbits(64), rng.getrandbits(64))
-        ca, cb = memory_pair(timeout=600.0)
-        t0 = time.time()
-        sa, sb = run_pair(
-            lambda: deal(ca, Role.ALICE, cfg, random.Random(seeds[0])),
-            lambda: deal(cb, Role.BOB, cfg, random.Random(seeds[1])),
-            timeout=600.0)
-        t_off = time.time() - t0
-        ca2, cb2 = memory_pair(timeout=600.0)
-        ra = Runtime(ca2, Role.ALICE, sa)
-        rb = Runtime(cb2, Role.BOB, sb)
-        t1 = time.time()
-        out_a, out_b = run_pair(
-            lambda: ra.evaluate(circuit, block_to_bits(key)),
-            lambda: rb.evaluate(circuit, block_to_bits(pt)),
-            timeout=600.0)
-        t_on = time.time() - t1
-        if out_a != out_b:
-            raise ProtocolAbort("bench", "parties disagree on the ciphertext")
-        rows.append({
-            "block": blk,
-            "ciphertext": bits_to_block(out_a).hex(),
-            "offline_s": round(t_off, 2),
-            "online_s": round(t_on, 2),
-            "total_s": round(t_off + t_on, 2),
-            "gates_per_s": round(circuit.header.n_gates / (t_off + t_on), 1),
-        })
-    total = sum(r["total_s"] for r in rows)
-    summary = {
-        "blocks": args.blocks,
-        "gates_per_block": circuit.header.n_gates,
-        "and_gates_per_block": circuit.n_and,
-        "total_s": round(total, 2),
-        "s_per_block": round(total / args.blocks, 2),
-        "rows": rows,
-    }
-    if args.json:
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        print(f"AES-128, {circuit.header.n_gates} gates "
-              f"({circuit.n_and} AND) per block")
-        print(f"{'block':>5} {'offline':>9} {'online':>8} {'total':>8} "
-              f"{'gates/s':>10}  ciphertext")
-        for r in rows:
-            print(f"{r['block']:>5} {r['offline_s']:>8.2f}s "
-                  f"{r['online_s']:>7.2f}s {r['total_s']:>7.2f}s "
-                  f"{r['gates_per_s']:>10,.0f}  {r['ciphertext']}")
-        print(f"total {total:.2f}s, {total / args.blocks:.2f}s per block")
-    return EXIT_OK
-
-
 def cmd_verify_bounds(args) -> int:
     rng = _make_rng(args.seed)
     checks = []
@@ -272,16 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="role A listens here, role B connects")
     e.add_argument("--json", action="store_true")
     e.set_defaults(fn=cmd_eval)
-
-    b = sub.add_parser("bench-aes", help="oblivious AES benchmark in-process")
-    b.add_argument("--blocks", type=int, default=1)
-    b.add_argument("--psi", type=int, default=40)
-    b.add_argument("--kappa", type=int, default=128)
-    b.add_argument("--bucket", type=int, default=4,
-                   help="bucket size (default 4, the benchmark configuration)")
-    b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(fn=cmd_bench_aes)
 
     v = sub.add_parser("verify-bounds", help="Monte-Carlo bound verification")
     v.add_argument("--trials", type=int, default=20000)

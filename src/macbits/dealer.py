@@ -7,15 +7,17 @@ born in the pipeline.
 
 Each party's bits are authenticated under the other party's key, so the
 two owners' pipelines are independent, and so are the two owners' leaky
-triples and the two directions' leaky quads. deal() runs them side by side
-(`transport.run_sides`): first both `produce_abits` sides, then the laAND
-sides of both owners with the laOT sides of both directions. Every side
-yields one flight at a time; in each round both parties compute their own
-sides' payloads at once, then Alice sends all of hers before she reads, and
-Bob reads before he sends, so neither blocks sending a large frame to a
-peer that is itself sending. Frames go out in side order, Alice's bits or
-Alice's direction first on both parties. The combiners and the
-deferred-MAC flush stay one at a time, in the same order on both parties.
+triples and the two directions' leaky quads. Every exchange of deal() is a
+protocol side run by `transport.run_sides`, and the independent ones run
+side by side: first both `produce_abits` sides, then the laAND sides of both
+owners with the laOT sides of both directions. Every side yields one flight
+at a time; in each round both parties compute their own sides' payloads at
+once, then Alice sends all of hers before she reads, and Bob reads before he
+sends, so neither blocks sending a large frame to a peer that is itself
+sending. Frames go out in side order, Alice's bits or Alice's direction
+first on both parties. The hello, the combiners and the deferred-MAC flush
+with the global-key commitments stay one at a time, in the same order on
+both parties, so the MAC accumulators chain alike.
 
 From the aBit pipeline's transpose on, every
 authenticated bit is a row of a uint8 array (a MAC-side row is the MAC's
@@ -51,7 +53,7 @@ from .bitlinalg import BitVec
 from .errors import OutOfMaterial, ParseError, ProtocolAbort, UsageError
 from .ro_suite import (DIGEST_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
                        flush_accumulators, ro_hash)
-from .transport import Channel, MsgType, Role, perform_hello, run_sides
+from .transport import Channel, MsgType, Role, Swap, perform_hello, run_sides
 
 MAGIC = b"MACBITS\x00"
 STORE_VERSION = 2
@@ -258,7 +260,7 @@ class MaterialStore:
 
 def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     """Run the full offline phase; returns this party's store (not saved)."""
-    sid, _ = perform_hello(ch, role, cfg.kappa, cfg.psi, rng=rng)
+    ((sid, _),) = run_sides(ch, role, perform_hello(ch, role, cfg.kappa, cfg.psi, rng=rng))
     backend = DealerOt(ch, rng)
     kb = cfg.kappa // 8
 
@@ -289,7 +291,8 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         return abits[owner][pos : pos + n]
 
     def gk_of(owner) -> GlobalKey:
-        return gks.get(owner, GlobalKey(owner, BitVec.zeros(cfg.kappa)))
+        """The global key on owner's bits; all zero if owner has none."""
+        return gks[owner] if owner in gks else GlobalKey(owner, BitVec.zeros(cfg.kappa))
 
     # The leaky triples of both owners and the leaky quads of both directions
     # run side by side. The combiners then run one at a time, in this same
@@ -326,30 +329,21 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     aands = {Role.ALICE: (), Role.BOB: ()}
     aots = {Role.ALICE: (), Role.BOB: ()}
     for (is_aot, owner, bkt), items in zip(jobs, run_sides(ch, role, *sides)):
-        if not is_aot and role is owner:
-            aands[owner], sent_acc = aand_combine_mac(ch, items, bkt, rng, sent_acc)
-        elif not is_aot:
-            aands[owner], expect_acc = aand_combine_key(ch, items, bkt, gk_of(owner),
-                                                        expect_acc)
-        elif role is owner:
-            aots[owner], sent_acc = aot_combine_sender(ch, items, bkt, sent_acc)
+        if role is owner:
+            side = (aot_combine_sender(ch, items, bkt, sent_acc) if is_aot
+                    else aand_combine_mac(ch, items, bkt, rng, sent_acc))
+            ((combined, sent_acc),) = run_sides(ch, role, side)
         else:
-            aots[owner], expect_acc = aot_combine_receiver(ch, items, bkt, gk_of(owner),
-                                                           rng, expect_acc)
-
-    flush_accumulators(ch, role, sent_acc, expect_acc)
+            side = (aot_combine_receiver(ch, items, bkt, gk_of(owner), rng, expect_acc)
+                    if is_aot else aand_combine_key(ch, items, bkt, gk_of(owner), expect_acc))
+            ((combined, expect_acc),) = run_sides(ch, role, side)
+        (aots if is_aot else aands)[owner] = combined
 
     my_delta = gk_of(role.other)
     my_commit = ro_hash("gkc", sid, bytes([role.value]), my_delta.delta.to_bytes())
-    if role is Role.ALICE:
-        ch.send(MsgType.GK_COMMIT, my_commit)
-        peer_commit = ch.recv(MsgType.GK_COMMIT, DIGEST_BYTES)
-        commit_a, commit_b = my_commit, peer_commit
-    else:
-        peer_commit = ch.recv(MsgType.GK_COMMIT, DIGEST_BYTES)
-        ch.send(MsgType.GK_COMMIT, my_commit)
-        commit_a, commit_b = peer_commit, my_commit
-    gk_commit = ro_hash("gkc/joint", commit_a, commit_b)
+    (peer_commit,) = run_sides(ch, role, _flush_and_commit(sent_acc, expect_acc, my_commit))
+    commits = {role: my_commit, role.other: peer_commit}
+    gk_commit = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
 
     fresh_n = cfg.n_abits_A if role is Role.ALICE else cfg.n_abits_B
     fresh_peer_n = cfg.n_abits_B if role is Role.ALICE else cfg.n_abits_A
@@ -358,6 +352,15 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         Rows.of_macs(take(role, fresh_n)[:, None]),
         Rows.of_keys(take(role.other, fresh_peer_n)[:, None]),
         aands[role], aands[role.other], aots[role], aots[role.other])
+
+
+def _flush_and_commit(sent: MacAccumulator, expect: MacAccumulator, commit: bytes):
+    """The deferred-MAC flush, then the global-key commitments, as one
+    protocol side: this party's commitment goes out only once the flush has
+    passed. Returns the peer's commitment."""
+    yield from flush_accumulators(sent, expect)
+    (theirs,) = yield Swap([(MsgType.GK_COMMIT, commit)], [(MsgType.GK_COMMIT, DIGEST_BYTES)])
+    return theirs
 
 
 def _macs_hold(macs, keys, delta) -> bool:

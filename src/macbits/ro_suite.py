@@ -1,5 +1,5 @@
 """Domain-separated hashing, PRG expansion, and MAC accumulators with the
-digest exchange that checks them.
+digest exchange (a protocol side) that checks them.
 
 Hashing and commitment use SHA-256 and the PRG uses SHAKE-128, both keyed
 by an explicit domain tag. The tag is prepended with a length prefix so
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolAbort, UsageError
-from .transport import Channel, MsgType, Role
+from .transport import MsgType, Swap
 
 DIGEST_BYTES = 32
 KAPPA_DEFAULT = 128
@@ -152,17 +152,10 @@ class MacAccumulator:
         return self.state
 
 
-def flush_accumulators(ch: Channel, role: Role, sent: MacAccumulator,
-                       expect: MacAccumulator) -> None:
-    """Exchange deferred-MAC digests; my sent chain must equal what the peer
-    expected of my reveals, and vice versa. Alice transmits first."""
+def flush_accumulators(sent: MacAccumulator, expect: MacAccumulator):
+    """Exchange deferred-MAC digests, as a protocol side: my sent chain must
+    equal what the peer expected of my reveals, and vice versa."""
     mine = struct.pack(">Q", sent.count) + sent.state
-    if role is Role.ALICE:
-        ch.send(MsgType.RT_ACC_FLUSH, mine)
-        theirs = ch.recv(MsgType.RT_ACC_FLUSH, len(mine))
-    else:
-        theirs = ch.recv(MsgType.RT_ACC_FLUSH, len(mine))
-        ch.send(MsgType.RT_ACC_FLUSH, mine)
-    want = struct.pack(">Q", expect.count) + expect.state
-    if theirs != want:
+    (theirs,) = yield Swap([(MsgType.RT_ACC_FLUSH, mine)], [(MsgType.RT_ACC_FLUSH, len(mine))])
+    if theirs != struct.pack(">Q", expect.count) + expect.state:
         raise ProtocolAbort("flush", "deferred check failed")

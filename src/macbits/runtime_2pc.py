@@ -23,6 +23,12 @@ A round's reveals are gate-major. Every announced bit's MAC is deferred
 into running accumulators, one absorb per reveal round on each side; the
 chains are compared once before any output is revealed, and output MACs
 themselves are checked immediately.
+
+The hello, the input round, the levels' reveal rounds, the flush and the
+output rounds form one protocol side, which `evaluate` runs with
+`transport.run_sides`. Every round names its speaker, so both parties run
+the same code: the speaker sends and the peer reads. Bob's round 3 of one
+level and his round 1 of the next go out back to back, one flight.
 """
 
 from __future__ import annotations
@@ -31,20 +37,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitlinalg import BitVec
+from .bitlinalg import BitVec, pack_bits, unpack_bits
 from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
 from .dealer import MaterialStore
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, flush_accumulators
-from .transport import Channel, MsgType, Role, perform_hello
+from .transport import Channel, MsgType, Recv, Role, Send, perform_hello, run_sides
 
-
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def _unpack_bits(payload: bytes, n: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(payload, np.uint8), count=n, bitorder="little")
+# An AND level's three reveal rounds as (speaker, columns of the speaker's
+# five reveals per gate: d, f_loc, g_loc, f_x, g_x).
+_LEVEL_ROUNDS = ((Role.BOB, slice(0, 3)), (Role.ALICE, slice(0, 5)), (Role.BOB, slice(3, 5)))
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,10 @@ class Runtime:
     # -- session ------------------------------------------------------------
 
     def handshake(self) -> None:
-        _, peer_commit = perform_hello(
+        run_sides(self.ch, self.role, self._hello())
+
+    def _hello(self):
+        _, peer_commit = yield from perform_hello(
             self.ch, self.role, self.kappa, self.store.psi,
             session_id=self.store.session_id, extra=self.store.gk_commit)
         if peer_commit != self.store.gk_commit:
@@ -122,38 +127,38 @@ class Runtime:
         self._site += len(rows)
         return rows
 
-    def _send_round(self, rows: np.ndarray) -> np.ndarray:
+    def _send_round(self, rows: np.ndarray):
         """Announce one round, k MAC||bit rows for each of n gates as an
         (n, k, .) array, gate-major in one frame, and absorb their MACs in
         one call; returns the k bit columns as sent."""
         n, k, _ = rows.shape
         flat = self._tamper(rows.reshape(n * k, -1))
-        self.ch.send(MsgType.RT_REVEAL_BATCH, _pack_bits(flat[:, -1]))
+        yield Send((MsgType.RT_REVEAL_BATCH, pack_bits(flat[:, -1])))
         self._sent = self._sent.absorb(flat[:, :-1])
         self.stats.bits_revealed += n * k
         return flat[:, -1].reshape(n, k).T
 
-    def _recv_round(self, keys: np.ndarray) -> np.ndarray:
+    def _recv_round(self, keys: np.ndarray):
         """Read the peer's round, one bit per row of the (n, k, .) key array,
         and absorb the MACs those bits must carry (key ^ delta*bit) in one
         call; returns the k bit columns."""
         n, k, _ = keys.shape
-        payload = self.ch.recv(MsgType.RT_REVEAL_BATCH, (n * k + 7) // 8)
-        bits = _unpack_bits(payload, n * k).reshape(n, k)
+        (payload,) = yield Recv((MsgType.RT_REVEAL_BATCH, (n * k + 7) // 8))
+        bits = unpack_bits(payload, n * k).reshape(n, k)
         macs = keys ^ bits[:, :, None] * self._delta
         self._expect = self._expect.absorb(macs.reshape(n * k, -1))
         self.stats.bits_expected += n * k
         return bits.T
 
-    def flush(self) -> None:
-        flush_accumulators(self.ch, self.role, self._sent, self._expect)
+    def _flush(self):
+        yield from flush_accumulators(self._sent, self._expect)
         self._sent = MacAccumulator()
         self._expect = MacAccumulator()
         self.stats.flushes += 1
 
     # -- batched AND level ----------------------------------------------------
 
-    def _and_level(self, wm, wk, ins, outs) -> None:
+    def _and_level(self, wm, wk, ins, outs):
         """Evaluate one AND level: gate i is ins[i, 0] & ins[i, 1] -> outs[i]."""
         n = len(outs)
         st, me, peer = self.store, self.role, self.role.other
@@ -184,18 +189,22 @@ class Runtime:
         theirs[:, 3] ^= kx
         np.bitwise_xor(rk[:, 0], qrk[:, 0], out=theirs[:, 4])
 
-        if self.role is Role.BOB:
-            d_sent, f, g = self._send_round(mine[:, :3])
-            theirs[:, 4] ^= d_sent[:, None] * kx
-            d_recv, pf, pg, pfx, pgx = self._recv_round(theirs)
-            mine[:, 4] ^= d_recv[:, None] * x
-            fx, gx = self._send_round(mine[:, 3:])
-        else:
-            d_recv, pf, pg = self._recv_round(theirs[:, :3])
-            mine[:, 4] ^= d_recv[:, None] * x
-            d_sent, f, g, fx, gx = self._send_round(mine)
-            theirs[:, 4] ^= d_sent[:, None] * kx
-            pfx, pgx = self._recv_round(theirs[:, 3:])
+        # a round that carries the speaker's d completes both g_x: the
+        # speaker's key on the peer's, and the peer's own
+        sent, heard = [], []
+        for speaker, cols in _LEVEL_ROUNDS:
+            if speaker is me:
+                bits = yield from self._send_round(mine[:, cols])
+                sent.extend(bits)
+                if cols.start == 0:
+                    theirs[:, 4] ^= bits[0][:, None] * kx
+            else:
+                bits = yield from self._recv_round(theirs[:, cols])
+                heard.extend(bits)
+                if cols.start == 0:
+                    mine[:, 4] ^= bits[0][:, None] * x
+        _, f, g, fx, gx = sent
+        _, pf, pg, pfx, pgx = heard
 
         # z ^ f*y ^ g*x ^ (f&g) for the local product, r, and the cross
         # term qr.z ^ f_x'*c ^ g_x' from the peer's reveals
@@ -214,7 +223,7 @@ class Runtime:
 
     # -- circuit driver -------------------------------------------------------
 
-    def _input_phase(self, wm, wk, circuit, my_inputs: BitVec) -> None:
+    def _input_phase(self, wm, wk, circuit, my_inputs: BitVec):
         h = circuit.header
         layout = ((Role.ALICE, 0, h.inputs_a),
                   (Role.BOB, h.inputs_a, h.inputs_b))
@@ -225,21 +234,21 @@ class Runtime:
             macs, keys = self.store.take_abit(owner, count)
             if owner is self.role:
                 ms = macs[:, 0, -1] ^ np.array(my_inputs.bits(), np.uint8)
-                self.ch.send(MsgType.RT_ANNOUNCE_BATCH, _pack_bits(ms))
+                yield Send((MsgType.RT_ANNOUNCE_BATCH, pack_bits(ms)))
                 self.stats.input_bits_sent += count
                 wm[rows] = macs[:, 0]
                 wk[rows] = ms[:, None] * self._delta
             else:
-                payload = self.ch.recv(MsgType.RT_ANNOUNCE_BATCH, (count + 7) // 8)
+                (payload,) = yield Recv((MsgType.RT_ANNOUNCE_BATCH, (count + 7) // 8))
                 self.stats.input_bits_received += count
-                wm[rows, -1] = _unpack_bits(payload, count)  # zero MAC
+                wm[rows, -1] = unpack_bits(payload, count)  # zero MAC
                 wk[rows] = keys[:, 0]
 
-    def _output_phase(self, wm, wk, circuit) -> BitVec:
+    def _output_phase(self, wm, wk, circuit):
         """Reveal each output wire's bit||MAC, one RT_OUTPUT frame per
         receiver; returns the bits destined to this party."""
         h = circuit.header
-        self.flush()
+        yield from self._flush()
         outs = list(zip(circuit.output_wires, h.output_dest))
         got = BitVec(0)
         for receiver in (Role.ALICE, Role.BOB):
@@ -249,19 +258,19 @@ class Runtime:
                 continue
             n = len(batch)
             if self.role is receiver:
-                payload = self.ch.recv(MsgType.RT_OUTPUT, (n * (1 + self.kappa) + 7) // 8)
-                bits = _unpack_bits(payload, n * (1 + self.kappa)).reshape(n, -1)
+                (payload,) = yield Recv((MsgType.RT_OUTPUT, (n * (1 + self.kappa) + 7) // 8))
+                bits = unpack_bits(payload, n * (1 + self.kappa)).reshape(n, -1)
                 b = bits[:, 0]
                 macs = np.packbits(bits[:, 1:], axis=1, bitorder="little")
                 if not np.array_equal(macs, wk[batch] ^ b[:, None] * self._delta):
                     raise ProtocolAbort("output", "MAC check failed")
-                got = BitVec.from_bytes(n, _pack_bits(wm[batch, -1] ^ b))
+                got = BitVec.from_bytes(n, pack_bits(wm[batch, -1] ^ b))
                 self.stats.output_reveals_received += n
             else:
                 rows = self._tamper(wm[batch])
                 bits = np.unpackbits(rows[:, :-1], axis=1, bitorder="little")
-                self.ch.send(MsgType.RT_OUTPUT,
-                             _pack_bits(np.concatenate((rows[:, -1:], bits), axis=1)))
+                yield Send((MsgType.RT_OUTPUT,
+                            pack_bits(np.concatenate((rows[:, -1:], bits), axis=1))))
                 self.stats.output_reveals_sent += n
         return got
 
@@ -271,8 +280,15 @@ class Runtime:
         n_mine = h.inputs_a if self.role is Role.ALICE else h.inputs_b
         if my_inputs.n != n_mine:
             raise UsageError(f"this party supplies {n_mine} input bits")
+        (out,) = run_sides(self.ch, self.role, self._online(circuit, my_inputs))
+        return out
+
+    def _online(self, circuit: Circuit, my_inputs: BitVec):
+        """The online phase as one protocol side: hello unless done, inputs,
+        every level, flush and outputs."""
         if not self._hello_done:
-            self.handshake()
+            yield from self._hello()
+        h = circuit.header
         kb = self.kappa // 8
         wm = np.zeros((h.n_wires + 2, kb + 1), np.uint8)
         wk = np.zeros((h.n_wires + 2, kb), np.uint8)
@@ -280,11 +296,11 @@ class Runtime:
             wm[h.n_wires + 1, -1] = 1
         else:
             wk[h.n_wires + 1] = self._delta
-        self._input_phase(wm, wk, circuit, my_inputs)
+        yield from self._input_phase(wm, wk, circuit, my_inputs)
         for ands, steps in circuit.level_indices:
             if ands is not None:
-                self._and_level(wm, wk, *ands)
+                yield from self._and_level(wm, wk, *ands)
             for a, b, out in steps:
                 wm[out] = wm[a] ^ wm[b]
                 wk[out] = wk[a] ^ wk[b]
-        return self._output_phase(wm, wk, circuit)
+        return (yield from self._output_phase(wm, wk, circuit))

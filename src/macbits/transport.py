@@ -1,5 +1,5 @@
 """Message framing, duplex channels (in-memory pair and TCP), and the
-driver that runs offline protocol sides side by side.
+driver that runs protocol sides.
 
 Frame layout on the wire: 1 byte message type, 4 bytes big-endian payload
 length, payload. `Channel.recv` checks each frame's type and size, so
@@ -7,11 +7,13 @@ protocol code parses only payloads of the length it expects. Both channel
 flavors count frames and bytes per direction; the online phase asserts its
 exact communication footprint from these counters.
 
-An offline protocol role is a generator that yields once per flight:
-`Send(frames)` to send, or `Recv(wants)` to be resumed with the payloads it
-wants. `run_sides` runs several such sides over one channel, one flight of
-each per round, so each party computes its own sides' payloads while the
-peer computes its own.
+Every exchange with the peer, offline and online, is a protocol side: a
+generator that yields once per flight, `Send(frames)` to send, `Recv(wants)`
+to be resumed with the payloads it wants, or `Swap(frames, wants)` to do both
+in one round. `run_sides` runs several such sides over one channel, one
+flight of each per round, so each party computes its own sides' payloads
+while the peer computes its own. It is the only code that sends or reads a
+frame, and it alone decides who goes first.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ProtocolError, TransportError, UsageError
 
@@ -291,22 +293,23 @@ def _unpack_hello(payload: bytes):
 
 def perform_hello(ch: Channel, role: Role, kappa: int, psi: int,
                   session_id: bytes = None, extra: bytes = b"", rng=None):
-    """Two-step session handshake. Alice speaks first and fixes the session id
-    when Bob passes none. Any parameter disagreement aborts before protocol
-    traffic. Returns (session_id, peer_extra)."""
+    """Two-step session handshake, as a protocol side. Alice speaks first and
+    fixes the session id when Bob passes none, so Bob reads her hello before
+    he answers. Any parameter disagreement aborts before protocol traffic.
+    Returns (session_id, peer_extra)."""
     if role is Role.ALICE:
         if session_id is None:
             if rng is None:
                 raise UsageError("alice needs a session id or an rng to mint one")
             session_id = rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "little")
-        ch.send(MsgType.HELLO, _pack_hello(role, kappa, psi, session_id, extra))
-        version, prole, pk, pp, psid, pextra = _unpack_hello(ch.recv(MsgType.HELLO))
-    else:
-        version, prole, pk, pp, psid, pextra = _unpack_hello(ch.recv(MsgType.HELLO))
+        yield Send((MsgType.HELLO, _pack_hello(role, kappa, psi, session_id, extra)))
+    (payload,) = yield Recv((MsgType.HELLO, None))
+    version, prole, pk, pp, psid, pextra = _unpack_hello(payload)
+    if role is Role.BOB:
         if session_id is not None and psid != session_id:
             raise ProtocolError("session id mismatch")
         session_id = psid
-        ch.send(MsgType.HELLO, _pack_hello(role, kappa, psi, session_id, extra))
+        yield Send((MsgType.HELLO, _pack_hello(role, kappa, psi, session_id, extra)))
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"protocol version mismatch: {version}")
     if prole == role:
@@ -319,37 +322,51 @@ def perform_hello(ch: Channel, role: Role, kappa: int, psi: int,
     return session_id, pextra
 
 
-class Send:
+class Swap:
+    """A side's flight that sends and receives in one round: (MsgType,
+    payload) frames to send, in order, and (MsgType, nbytes) per frame it
+    wants. The side is resumed with the list of the wanted payloads."""
+
+    __slots__ = ("frames", "wants")
+
+    def __init__(self, frames, wants):
+        self.frames = frames
+        self.wants = wants
+
+
+class Send(Swap):
     """A side's outbound flight: (MsgType, payload) frames, in order."""
 
-    __slots__ = ("frames",)
+    __slots__ = ()
 
     def __init__(self, *frames):
-        self.frames = frames
+        self.frames, self.wants = frames, ()
 
 
-class Recv:
+class Recv(Swap):
     """A side's inbound flight: (MsgType, nbytes) per frame it wants. The
     side is resumed with the list of their payloads."""
 
-    __slots__ = ("wants",)
+    __slots__ = ()
 
     def __init__(self, *wants):
-        self.wants = wants
+        self.frames, self.wants = (), wants
 
 
 def run_sides(ch: Channel, role: Role, *sides) -> list:
     """Run protocol sides side by side; returns each side's result, in order.
 
-    A side is a generator that yields `Send` or `Recv` once per flight and
-    returns its result. Round k pairs the k-th yield of each side with the
-    k-th yield of the peer's side at the same position, so one party's Send
-    meets the other's Recv. In each round every live side first computes up
-    to its next yield; then the frames go out in side order. Alice sends all
-    of hers before she reads, Bob reads before he sends, so the two are never
-    both blocked sending a frame the other has not started to read. A side
-    that yields anything else is a UsageError; a peer whose flights do not
-    line up shows as a frame of the wrong type or size (ProtocolError).
+    A side is a generator that yields `Send`, `Recv` or `Swap` once per
+    flight and returns its result. Round k pairs the k-th yield of each side
+    with the k-th yield of the peer's side at the same position, so one
+    party's frames meet the other's wants. In each round every live side
+    first computes up to its next yield; then the frames go out in side
+    order. Alice sends all of hers before she reads, Bob reads before he
+    sends, so the two are never both blocked sending a frame the other has
+    not started to read; a round in which both parties swap is a flight from
+    Alice to Bob, then one from Bob to Alice. A side that yields anything
+    else is a UsageError; a peer whose flights do not line up shows as a
+    frame of the wrong type or size (ProtocolError).
     """
     results = [None] * len(sides)
     replies = [None] * len(sides)
@@ -362,19 +379,20 @@ def run_sides(ch: Channel, role: Role, *sides) -> list:
             except StopIteration as done:
                 results[i] = done.value
                 continue
+            if not isinstance(step, Swap):
+                raise UsageError(f"a side yielded {type(step).__name__}, not Send, Recv or Swap")
             replies[i] = None
             still.append(i)
-            if isinstance(step, Send):
-                frames.extend(step.frames)
-            elif isinstance(step, Recv):
+            if step.frames:
+                frames += step.frames
+            if step.wants:
                 wanted.append((i, step.wants))
-            else:
-                raise UsageError(f"a side yielded {type(step).__name__}, not Send or Recv")
         live, step = still, None
-        if role is Role.BOB:
+        if wanted and role is Role.BOB:
             _read_flight(ch, wanted, replies)
-        _send_flight(ch, frames)
-        if role is Role.ALICE:
+        if frames:
+            _send_flight(ch, frames)
+        if wanted and role is Role.ALICE:
             _read_flight(ch, wanted, replies)
     return results
 

@@ -124,9 +124,9 @@ def run_combine(n, bucket, seed=0):
     a, b = memory_pair(timeout=30.0)
     rng_a = random.Random(seed + 1)
     (out_m, acc_m), (out_k, acc_k) = run_pair(
-        lambda: aand_combine_mac(a, macs, bucket, rng_a, MacAccumulator()),
-        lambda: aand_combine_key(b, keys, bucket, od.delta[A],
-                                 MacAccumulator()),
+        lambda: run_side(a, A, aand_combine_mac(a, macs, bucket, rng_a, MacAccumulator())),
+        lambda: run_side(b, B, aand_combine_key(b, keys, bucket, od.delta[A],
+                                                MacAccumulator())),
         timeout=30)
     return od, out_m, out_k, acc_m, acc_k
 
@@ -156,8 +156,8 @@ def test_combine_rejects_non_permutation():
 
     with pytest.raises(ProtocolAbort):
         run_pair(bad_peer,
-                 lambda: aand_combine_key(b, keys, 2, od.delta[A],
-                                          MacAccumulator()),
+                 lambda: run_side(b, B, aand_combine_key(b, keys, 2, od.delta[A],
+                                                         MacAccumulator())),
                  timeout=10, channels=(a, b))
 
 
@@ -167,6 +167,6 @@ def test_combine_validates_bucketing():
     macs = [od.triple(A)[0] for _ in range(5)]
     a, _ = memory_pair()
     with pytest.raises(UsageError):
-        aand_combine_mac(a, to_rows(macs, KAPPA), 2, rng, MacAccumulator())
+        run_side(a, A, aand_combine_mac(a, to_rows(macs, KAPPA), 2, rng, MacAccumulator()))
     with pytest.raises(UsageError):
-        aand_combine_mac(a, to_rows(macs[:4], KAPPA), 1, rng, MacAccumulator())
+        run_side(a, A, aand_combine_mac(a, to_rows(macs[:4], KAPPA), 1, rng, MacAccumulator()))

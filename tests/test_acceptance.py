@@ -235,9 +235,9 @@ def test_cost_accounting():
         timeout=30, channels=(ca, cb))
     ca, cb = memory_pair(timeout=30.0)
     (out_s, _), (out_r, _) = run_pair(
-        lambda: aot_combine_sender(ca, quads_s, bucket, MacAccumulator()),
-        lambda: aot_combine_receiver(cb, quads_r, bucket, od.delta[A],
-                                     random.Random(2), MacAccumulator()),
+        lambda: run_side(ca, A, aot_combine_sender(ca, quads_s, bucket, MacAccumulator())),
+        lambda: run_side(cb, B, aot_combine_receiver(cb, quads_r, bucket, od.delta[A],
+                                                     random.Random(2), MacAccumulator())),
         timeout=30)
     assert len(out_s) == n_out
     per_aot = hash_calls("laot") / n_out
@@ -259,10 +259,10 @@ def test_cost_accounting():
         timeout=30, channels=(ca, cb))
     ca, cb = memory_pair(timeout=30.0)
     (out_m, _), (out_k, _) = run_pair(
-        lambda: aand_combine_mac(ca, macs, bucket, random.Random(4),
-                                 MacAccumulator()),
-        lambda: aand_combine_key(cb, keys, bucket, od.delta[A],
-                                 MacAccumulator()),
+        lambda: run_side(ca, A, aand_combine_mac(ca, macs, bucket, random.Random(4),
+                                                 MacAccumulator())),
+        lambda: run_side(cb, B, aand_combine_key(cb, keys, bucket, od.delta[A],
+                                                 MacAccumulator())),
         timeout=30)
     assert len(out_m) == n_out
     per_aand = hash_calls("laand") / n_out

@@ -146,9 +146,9 @@ def run_combine(n, bucket, seed=0):
     a, b = memory_pair(timeout=30.0)
     rng_b = random.Random(seed + 1)
     (out_s, acc_s), (out_r, acc_r) = run_pair(
-        lambda: aot_combine_sender(a, quads_s, bucket, MacAccumulator()),
-        lambda: aot_combine_receiver(b, quads_r, bucket, od.delta[A], rng_b,
-                                     MacAccumulator()),
+        lambda: run_side(a, A, aot_combine_sender(a, quads_s, bucket, MacAccumulator())),
+        lambda: run_side(b, B, aot_combine_receiver(b, quads_r, bucket, od.delta[A], rng_b,
+                                                    MacAccumulator())),
         timeout=30)
     return od, out_s, out_r, acc_s, acc_r
 
@@ -178,7 +178,7 @@ def test_combine_rejects_non_permutation():
         b.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
 
     with pytest.raises(ProtocolAbort):
-        run_pair(lambda: aot_combine_sender(a, quads, 2, MacAccumulator()),
+        run_pair(lambda: run_side(a, A, aot_combine_sender(a, quads, 2, MacAccumulator())),
                  bad_peer, timeout=10, channels=(a, b))
 
 
@@ -188,6 +188,7 @@ def test_combine_validates_bucketing():
     quads = [od.quad(A)[0] for _ in range(5)]
     a, _ = memory_pair()
     with pytest.raises(UsageError):
-        aot_combine_sender(a, to_rows(quads, KAPPA), 2, MacAccumulator())  # 5 % 2 != 0
+        run_side(a, A, aot_combine_sender(a, to_rows(quads, KAPPA), 2,
+                                          MacAccumulator()))  # 5 % 2 != 0
     with pytest.raises(UsageError):
-        aot_combine_sender(a, to_rows(quads[:4], KAPPA), 1, MacAccumulator())
+        run_side(a, A, aot_combine_sender(a, to_rows(quads[:4], KAPPA), 1, MacAccumulator()))

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (AuthBitMac, OracleDealer, fold_receiver, fold_sender,
-                     fold_triple_key, fold_triple_mac, reference_combine, to_rows)
+                     fold_triple_key, fold_triple_mac, reference_combine, run_side,
+                     to_rows)
 from macbits.aand_proto import aand_combine_key, aand_combine_mac
 from macbits.aot_proto import aot_combine_receiver, aot_combine_sender
 from macbits.bitlinalg import random_permutation
@@ -30,7 +31,7 @@ from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 KAPPA = 16
 N, BUCKET = 6, 2  # three outputs: a one-byte reveal frame with five pad bits
-A = Role.ALICE
+A, B = Role.ALICE, Role.BOB
 
 _OD = OracleDealer(KAPPA, random.Random(0))
 _QUADS = [_OD.quad(A) for _ in range(N)]
@@ -77,10 +78,11 @@ def test_array_fold_matches_record_reference(bucket, n_out, seed):
     quads = [od.quad(A) for _ in range(n)]
     a, b = memory_pair(timeout=30.0)
     (out_s, acc_s), (out_r, acc_r) = run_pair(
-        lambda: aot_combine_sender(a, to_rows([q[0] for q in quads], KAPPA), bucket,
-                                   MacAccumulator()),
-        lambda: aot_combine_receiver(b, to_rows([q[1] for q in quads], KAPPA), bucket,
-                                     od.delta[A], random.Random(seed + 1), MacAccumulator()),
+        lambda: run_side(a, A, aot_combine_sender(a, to_rows([q[0] for q in quads], KAPPA),
+                                                  bucket, MacAccumulator())),
+        lambda: run_side(b, B, aot_combine_receiver(b, to_rows([q[1] for q in quads], KAPPA),
+                                                    bucket, od.delta[A], random.Random(seed + 1),
+                                                    MacAccumulator())),
         timeout=30, channels=(a, b))
     _check_against_reference(quads, bucket, (out_s, out_r), (acc_s, acc_r), seed + 1,
                              (fold_sender, fold_receiver), _quad_reveal)
@@ -88,10 +90,11 @@ def test_array_fold_matches_record_reference(bucket, n_out, seed):
     triples = [od.triple(A) for _ in range(n)]
     a, b = memory_pair(timeout=30.0)
     (out_m, acc_m), (out_k, acc_k) = run_pair(
-        lambda: aand_combine_mac(a, to_rows([t[0] for t in triples], KAPPA), bucket,
-                                 random.Random(seed + 2), MacAccumulator()),
-        lambda: aand_combine_key(b, to_rows([t[1] for t in triples], KAPPA), bucket,
-                                 od.delta[A], MacAccumulator()),
+        lambda: run_side(a, A, aand_combine_mac(a, to_rows([t[0] for t in triples], KAPPA),
+                                                bucket, random.Random(seed + 2),
+                                                MacAccumulator())),
+        lambda: run_side(b, B, aand_combine_key(b, to_rows([t[1] for t in triples], KAPPA),
+                                                bucket, od.delta[A], MacAccumulator())),
         timeout=30, channels=(a, b))
     _check_against_reference(triples, bucket, (out_m, out_k), (acc_m, acc_k), seed + 2,
                              (fold_triple_mac, fold_triple_key), _triple_reveal)
@@ -120,13 +123,14 @@ def _is_perm(raw: bytes) -> bool:
 
 
 def _combines(frames, check, where) -> bool:
-    """Feed the peer's frames to `check`; True if it combined, False if it
-    rejected them with a protocol error or an abort tagged `where`."""
+    """Feed the peer's frames to the combiner side `check` makes; True if it
+    combined, False if it rejected them with a protocol error or an abort
+    tagged `where`."""
     mine, peer = memory_pair(timeout=0.5)
     for msg_type, payload in frames:
         peer.send(msg_type, payload)
     try:
-        out, acc = check(mine)
+        out, acc = run_side(mine, A, check(mine))
     except ProtocolError:
         return False
     except ProtocolAbort as e:

@@ -260,26 +260,6 @@ def test_eval_out_of_material(dealt, tmp_path):
     assert set(codes) <= {2, 4}
 
 
-def test_bench_aes_smoke(monkeypatch, capsys):
-    from macbits.circuit import Circuit
-
-    # stand-in with the AES interface: 128+128 inputs, 128 outputs, 1 AND
-    lines = ["128 384", "128 128 128", "2 1 0 128 256 AND"]
-    lines += [f"2 1 {j} {128 + j} {256 + j} XOR" for j in range(1, 128)]
-    tiny = Circuit.from_text("\n".join(lines) + "\n")
-    monkeypatch.setattr("macbits.cli.generate_aes_circuit", lambda: tiny)
-
-    rc = cli_main(["bench-aes", "--blocks", "1", "--kappa", "16",
-                   "--psi", "3", "--bucket", "2",
-                   "--seed", "0", "--json"])
-    assert rc == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["blocks"] == 1
-    assert summary["gates_per_block"] == 128
-    assert summary["and_gates_per_block"] == 1
-    assert len(summary["rows"][0]["ciphertext"]) == 32
-
-
 def test_verify_bounds_smoke(capsys):
     rc = cli_main(["verify-bounds", "--trials", "400", "--seed", "0",
                    "--json"])

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import counting_pair
+from helpers import counting_pair, run_side
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import random_rows
@@ -242,8 +242,8 @@ def test_flush_agreement():
     from_b = random_rows(3, 16, rng)
     a, b = memory_pair(timeout=10.0)
     run_pair(
-        lambda: flush_accumulators(a, A, absorb_all(from_a), absorb_all(from_b)),
-        lambda: flush_accumulators(b, B, absorb_all(from_b), absorb_all(from_a)),
+        lambda: run_side(a, A, flush_accumulators(absorb_all(from_a), absorb_all(from_b))),
+        lambda: run_side(b, B, flush_accumulators(absorb_all(from_b), absorb_all(from_a))),
         timeout=10)
 
 
@@ -255,6 +255,6 @@ def test_flush_detects_divergence():
     a, b = memory_pair(timeout=10.0)
     with pytest.raises(ProtocolAbort):
         run_pair(
-            lambda: flush_accumulators(a, A, absorb_all(from_a), MacAccumulator()),
-            lambda: flush_accumulators(b, B, MacAccumulator(), absorb_all(seen_b)),
+            lambda: run_side(a, A, flush_accumulators(absorb_all(from_a), MacAccumulator())),
+            lambda: run_side(b, B, flush_accumulators(MacAccumulator(), absorb_all(seen_b))),
             timeout=10, channels=(a, b))

@@ -6,9 +6,9 @@ import threading
 
 import pytest
 
-from helpers import free_port
+from helpers import free_port, run_side
 from macbits.errors import ProtocolError, TransportError, UsageError
-from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Recv, Role, Send, TcpChannel,
+from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Recv, Role, Send, Swap, TcpChannel,
                                _pack_hello, memory_pair, perform_hello,
                                run_pair, run_sides, tcp_connect, tcp_listen)
 
@@ -133,8 +133,8 @@ def test_hello_agrees():
     a, b = memory_pair()
     rng = random.Random(1)
     (sid_a, _), (sid_b, _) = run_pair(
-        lambda: perform_hello(a, Role.ALICE, 128, 40, rng=rng),
-        lambda: perform_hello(b, Role.BOB, 128, 40))
+        lambda: run_side(a, Role.ALICE, perform_hello(a, Role.ALICE, 128, 40, rng=rng)),
+        lambda: run_side(b, Role.BOB, perform_hello(b, Role.BOB, 128, 40)))
     assert sid_a == sid_b
     assert a.kappa == 128 and b.psi == 40
 
@@ -143,8 +143,8 @@ def test_hello_carries_extra():
     a, b = memory_pair()
     rng = random.Random(2)
     (_, ea), (_, eb) = run_pair(
-        lambda: perform_hello(a, Role.ALICE, 16, 8, rng=rng, extra=b"A!"),
-        lambda: perform_hello(b, Role.BOB, 16, 8, extra=b"B!"))
+        lambda: run_side(a, Role.ALICE, perform_hello(a, Role.ALICE, 16, 8, rng=rng, extra=b"A!")),
+        lambda: run_side(b, Role.BOB, perform_hello(b, Role.BOB, 16, 8, extra=b"B!")))
     assert ea == b"B!" and eb == b"A!"
 
 
@@ -152,8 +152,8 @@ def test_hello_parameter_mismatch_aborts():
     a, b = memory_pair()
     rng = random.Random(3)
     with pytest.raises(ProtocolError):
-        run_pair(lambda: perform_hello(a, Role.ALICE, 128, 40, rng=rng),
-                 lambda: perform_hello(b, Role.BOB, 64, 40),
+        run_pair(lambda: run_side(a, Role.ALICE, perform_hello(a, Role.ALICE, 128, 40, rng=rng)),
+                 lambda: run_side(b, Role.BOB, perform_hello(b, Role.BOB, 64, 40)),
                  channels=(a, b))
 
 
@@ -161,8 +161,8 @@ def test_hello_same_role_aborts():
     a, b = memory_pair()
     rng = random.Random(4)
     with pytest.raises(ProtocolError):
-        run_pair(lambda: perform_hello(a, Role.ALICE, 16, 8, rng=rng),
-                 lambda: perform_hello(b, Role.ALICE, 16, 8, rng=rng),
+        run_pair(lambda: run_side(a, Role.ALICE, perform_hello(a, Role.ALICE, 16, 8, rng=rng)),
+                 lambda: run_side(b, Role.ALICE, perform_hello(b, Role.ALICE, 16, 8, rng=rng)),
                  channels=(a, b))
 
 
@@ -179,7 +179,7 @@ def test_malformed_hello_is_protocol_error(payload):
     a, b = memory_pair(timeout=5.0)
     a.send(MsgType.HELLO, payload)
     with pytest.raises(ProtocolError):
-        perform_hello(b, Role.BOB, 16, 8)
+        run_side(b, Role.BOB, perform_hello(b, Role.BOB, 16, 8))
 
 
 def test_run_pair_propagates_failure():
@@ -255,37 +255,48 @@ def test_recv_without_size_accepts_any_length(channel_pair):
 
 
 def test_every_protocol_recv_passes_its_size():
-    """Every frame but HELLO has a size the receiver knows, so every
-    protocol receive hands it to Channel.recv instead of checking by hand."""
+    """Protocol code talks to the peer only through `run_sides`: outside
+    transport.py's flight helpers no call sends or reads a frame. Every frame
+    but HELLO has a size the receiver knows, so every Recv or Swap names it
+    and Channel.recv checks it."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "macbits"
-    typed = 0
+    # the other calls named send: resuming a side, and the seed-OT side
+    not_channels = {"sides[i]", "backend"}
+    flight_calls, sized = [], set()
     for path in sorted(src.glob("*.py")):
-        for call in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        helpers = {node for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   and path.name == "transport.py" and fn.name in ("_send_flight", "_read_flight")
+                   for node in ast.walk(fn)}
+        for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             where = f"{path.name}:{call.lineno}"
-            if isinstance(call.func, ast.Name) and call.func.id == "Recv":
-                # a protocol side's receive: one (MsgType.X, nbytes) pair per frame
-                for want in call.args:
-                    assert isinstance(want, ast.Tuple) and len(want.elts) == 2, where
-                    first = want.elts[0]
-                    assert isinstance(first, ast.Attribute) and first.value.id == "MsgType", where
-                    assert first.attr != "HELLO", where
-                    typed += 1
+            func = call.func
+            if isinstance(func, ast.Attribute) and func.attr in ("send", "recv"):
+                if call in helpers:
+                    flight_calls.append(ast.unparse(call))
+                else:
+                    assert ast.unparse(func.value) in not_channels, where
                 continue
-            if not (isinstance(call.func, ast.Attribute) and call.func.attr == "recv"):
+            if isinstance(func, ast.Name) and func.id == "Recv":
+                wants = call.args
+            elif isinstance(func, ast.Name) and func.id == "Swap":
+                wants = call.args[1].elts
+            else:
                 continue
-            first = call.args[0] if call.args else None
-            if not (isinstance(first, ast.Attribute) and isinstance(first.value, ast.Name)
-                    and first.value.id == "MsgType"):
-                # the only other receive is run_sides', which passes each
-                # Recv's (type, size) pair on
-                assert ast.unparse(call) == "ch.recv(msg_type, nbytes)", where
-                continue
-            typed += 1
-            sized = len(call.args) > 1 or any(k.arg == "nbytes" for k in call.keywords)
-            assert sized == (first.attr != "HELLO"), where
-    assert typed >= 25
+            # one (MsgType.X, nbytes) pair per frame
+            for want in wants:
+                assert isinstance(want, ast.Tuple) and len(want.elts) == 2, where
+                msg_type, size = want.elts
+                assert isinstance(msg_type, ast.Attribute) and msg_type.value.id == "MsgType", where
+                unsized = isinstance(size, ast.Constant) and size.value is None
+                assert unsized == (msg_type.attr == "HELLO"), where
+                if not unsized:
+                    sized.add(msg_type.attr)
+    assert sorted(flight_calls) == ["ch.recv(msg_type, nbytes)", "ch.send(msg_type, payload)"]
+    # and the walk saw every frame type the protocol reads
+    assert sized == {t.name for t in MsgType} - {"HELLO"}
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +316,35 @@ def echo_side(msg_type, payload=None, n=BIG):
     return bytes(got)
 
 
-def test_sides_exchange_big_frames_both_ways_in_one_flight():
-    # in round 0 each party sends 8 MiB on one side and reads 8 MiB on the
-    # other; it finishes only because Alice sends before she reads and Bob
-    # reads before he sends
+def swap_side(msg_type, payload):
+    """Send payload and receive the peer's frame of the same type and size,
+    in one Swap."""
+    (got,) = yield Swap([(msg_type, payload)], [(msg_type, len(payload))])
+    return bytes(got)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["send-recv", "swap"])
+def test_sides_exchange_big_frames_both_ways_in_one_flight(swap):
+    # in round 0 each party sends 8 MiB and reads 8 MiB, on two sides or in
+    # one swap; it finishes only because Alice sends before she reads and
+    # Bob reads before he sends
     a, b = _socket_pair()
     pa, pb = random.randbytes(BIG), random.randbytes(BIG)
+    if swap:
+        sides_a, sides_b = [swap_side(MsgType.LAOT_X0, pa)], [swap_side(MsgType.LAOT_X0, pb)]
+        want_a, want_b = [pb], [pa]
+    else:
+        sides_a = [echo_side(MsgType.LAOT_X0, pa), echo_side(MsgType.LAOT_X1)]
+        sides_b = [echo_side(MsgType.LAOT_X0), echo_side(MsgType.LAOT_X1, pb)]
+        want_a = want_b = [pa, pb]
     try:
-        got_a, got_b = run_pair(
-            lambda: run_sides(a, Role.ALICE, echo_side(MsgType.LAOT_X0, pa),
-                              echo_side(MsgType.LAOT_X1)),
-            lambda: run_sides(b, Role.BOB, echo_side(MsgType.LAOT_X0),
-                              echo_side(MsgType.LAOT_X1, pb)),
-            timeout=60, channels=(a, b))
+        got_a, got_b = run_pair(lambda: run_sides(a, Role.ALICE, *sides_a),
+                                lambda: run_sides(b, Role.BOB, *sides_b),
+                                timeout=60, channels=(a, b))
     finally:
         a.close()
         b.close()
-    assert got_a == [pa, pb] and got_b == [pa, pb]
+    assert got_a == want_a and got_b == want_b
 
 
 def test_sides_deadlock_when_both_send_first():
@@ -364,7 +387,10 @@ def steps(*flights):
       steps(Recv((MsgType.LAOT_I0, 2)), Send((MsgType.LAOT_I1, b"y")))),
      (steps(Recv((MsgType.LAOT_X0, 1))),
       steps(Send((MsgType.LAOT_I0, b"zz")), Recv((MsgType.LAOT_D, 1))))),
-], ids=["type", "size", "second-flight"])
+    # both parties swap, but each wants a frame type the other does not send
+    ((steps(Swap([(MsgType.LAOT_X0, bytes(BIG))], [(MsgType.LAOT_D, 1)])),),
+     (steps(Swap([(MsgType.LAOT_D, b"\x01")], [(MsgType.LAOT_X1, BIG)])),)),
+], ids=["type", "size", "second-flight", "swap"])
 def test_sides_whose_flights_do_not_line_up_raise(alice, bob):
     # the party that reads the stray frame raises ProtocolError and closes
     # its end, which ends the peer's wait; run_pair would time out on a hang
