@@ -14,12 +14,14 @@ Messages, seeds and the long strings are packed uint8 rows in
 Every transfer here is a protocol side, a generator run by
 `transport.run_sides`, so both owners' extensions can run side by side.
 
-The default backend is a deliberately insecure trusted-dealer stand-in for
-lab use: both endpoints derive the transfer pads from a seed that is shared
-over the wire in the clear. It is correct as an OT (the honest receiver
-unmasks only its chosen branch) and exercises the real framing, but offers
-no privacy against a curious endpoint. A hardened base OT can replace it
-behind the same interface.
+The seed OTs come from a backend with `send(pairs)` and
+`receive(choices, n_bits)` sides. The one backend, `DealerOt`, is a
+deliberately insecure trusted-dealer stand-in for lab use: one endpoint
+mints a seed and sends it to the peer in the clear, and both derive every
+batch's transfer pads from it with one `pad_rows` call. It is correct as an
+OT (the honest receiver unmasks only its chosen branch) and exercises the
+real framing, but offers no privacy against a curious endpoint. A hardened
+base OT can replace it behind the same interface.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from .bitlinalg import random_rows
 from .errors import UsageError
-from .ro_suite import KAPPA_DEFAULT, expand, pad_rows, ro_hash
+# Nothing here calls `expand`; perfbench/spans.py patches `base_ot.expand` by name.
+from .ro_suite import KAPPA_DEFAULT, expand, pad_rows  # noqa: F401
 from .transport import Channel, MsgType, Recv, Send
 
 SEED_BITS = KAPPA_DEFAULT
@@ -37,18 +40,20 @@ SEED_BITS = KAPPA_DEFAULT
 class DealerOt:
     """Insecure shared-seed OT backend (test dealer).
 
-    One endpoint mints the dealer seed and ships it to the peer: `setup`
-    does that explicitly, or else the first endpoint to send does. Each
-    sending direction derives its pads from the seed under its own label,
-    per (instance counter, branch), with its own counter. So the two
-    directions may run side by side, and within one direction both sides
-    must perform the same batch sequence.
+    `setup` must run first, on both endpoints: the minting endpoint (which
+    needs `rng`) sends the dealer seed, the other receives it. `send` and
+    `receive` raise `UsageError` before that. Each sending direction
+    derives its pads from the seed under its own label, per (instance
+    counter, branch), with its own counter. So the two directions may run
+    side by side, and within one direction both sides must perform the same
+    batch sequence.
 
-    `send` and `receive` are protocol sides (see `transport.run_sides`), so
-    the channel `ch` they run on is the driver's to use, not the backend's.
+    `setup`, `send` and `receive` are protocol sides (see
+    `transport.run_sides`): the channel they run on is the driver's, so the
+    backend holds none.
     """
 
-    def __init__(self, ch: Channel, rng=None):
+    def __init__(self, rng=None):
         self._rng = rng
         self._seed = None
         self._minted = False
@@ -61,66 +66,53 @@ class DealerOt:
         minting endpoint sends it, the other receives it."""
         if mint:
             if self._rng is None:
-                raise UsageError("sending endpoint needs an rng to mint the dealer seed")
+                raise UsageError("the minting endpoint needs an rng for the dealer seed")
             self._seed, self._minted = self._rng.getrandbits(128).to_bytes(16, "little"), True
             yield Send((MsgType.OT_SETUP, self._seed))
         else:
             (seed,) = yield Recv((MsgType.OT_SETUP, 16))
             self._seed = bytes(seed)
 
-    def _pad(self, sender_minted: bool, index: int, branch: int, n_bytes: int) -> np.ndarray:
-        key = self._seed + bytes([sender_minted]) + index.to_bytes(8, "big") + bytes([branch])
-        return np.frombuffer(expand(ro_hash("ot-dealer", key), 8 * n_bytes), np.uint8)
+    def _pads(self, sender_minted: bool, n: int, branches, nb: int) -> np.ndarray:
+        """The nb-byte pads of the direction's next n instances, an (n, b, nb)
+        array for branch numbers that broadcast to (n, b): one `pad_rows` call
+        over the keys seed || direction || instance index (8 bytes,
+        big-endian) || branch. Advances the direction's counter."""
+        if self._seed is None:
+            raise UsageError("DealerOt.setup must run before send or receive")
+        b = np.shape(branches)[1]
+        first = self._ctr[sender_minted]
+        keys = np.empty((n, b, 26), np.uint8)
+        keys[..., :16] = np.frombuffer(self._seed, np.uint8)
+        keys[..., 16] = sender_minted
+        keys[..., 17:25] = np.arange(first, first + n, dtype=">u8").view(np.uint8).reshape(n, 1, 8)
+        keys[..., 25] = branches
+        self._ctr[sender_minted] += n
+        self.instances += n
+        return pad_rows("ot-dealer", keys.reshape(n * b, 26), 8 * nb).reshape(n, b, nb)
 
     def send(self, pairs):
         """Transfer chosen message pairs, an (n, 2, w) uint8 array of n
         instances' two w-byte messages; the receiver learns one per choice
         bit."""
-        if self._seed is None:
-            yield from self.setup(mint=True)
-        if not len(pairs):
-            return
         n, _, nb = pairs.shape
-        mine = self._minted
-        first = self._ctr[mine]
-        masked = pairs ^ np.array([[self._pad(mine, first + k, branch, nb) for branch in (0, 1)]
-                                   for k in range(n)])
-        self._ctr[mine] += n
-        self.instances += n
-        yield Send((MsgType.OT_MASKED0, masked[:, 0].tobytes()),
-                   (MsgType.OT_MASKED1, masked[:, 1].tobytes()))
+        masked = pairs ^ self._pads(self._minted, n, [[0, 1]], nb)
+        if n:
+            yield Send((MsgType.OT_MASKED0, masked[:, 0].tobytes()),
+                       (MsgType.OT_MASKED1, masked[:, 1].tobytes()))
 
     def receive(self, choices, n_bits: int):
         """Receive one n_bits-bit message per instance according to the choice
         bits, as an (n, ceil(n_bits/8)) uint8 array."""
-        if self._seed is None:
-            yield from self.setup(mint=False)
         nb = (n_bits + 7) // 8
-        n = len(choices)
-        if not n:
-            return np.empty((0, nb), np.uint8)
-        got = yield Recv((MsgType.OT_MASKED0, nb * n), (MsgType.OT_MASKED1, nb * n))
-        theirs = not self._minted
-        first = self._ctr[theirs]
         c = np.asarray(choices, np.uint8) & 1
+        n = len(c)
+        pads = self._pads(not self._minted, n, c[:, None], nb)[:, 0]
+        if not n:
+            return pads
+        got = yield Recv((MsgType.OT_MASKED0, nb * n), (MsgType.OT_MASKED1, nb * n))
         frames = np.stack([np.frombuffer(f, np.uint8).reshape(n, nb) for f in got])
-        out = frames[c, np.arange(n)] ^ np.array([self._pad(theirs, first + k, ck, nb)
-                                                  for k, ck in enumerate(c.tolist())])
-        self._ctr[theirs] += n
-        self.instances += n
-        return out
-
-
-def seed_ot_send(backend, pairs):
-    """Transfer kappa-bit seed pairs, an (n, 2, kappa/8) array, through the
-    backend (a protocol side)."""
-    if pairs.shape[1:] != (2, SEED_BITS // 8):
-        raise UsageError(f"seed OT messages must be {SEED_BITS} bits")
-    return backend.send(pairs)
-
-
-def seed_ot_receive(backend, choices):
-    return backend.receive(choices, SEED_BITS)
+        return frames[c, np.arange(n)] ^ pads
 
 
 def extend_ot_send(ch: Channel, backend, offset: np.ndarray, n_bits: int, count: int, rng, *,
@@ -136,7 +128,7 @@ def extend_ot_send(ch: Channel, backend, offset: np.ndarray, n_bits: int, count:
     is fixed by the seeds.
     """
     seeds = random_rows(2 * count, SEED_BITS, rng).reshape(count, 2, SEED_BITS // 8)
-    yield from seed_ot_send(backend, seeds)
+    yield from backend.send(seeds)
     keys = pad_rows("otx", seeds[:, 0], n_bits)
     # not bound to a name here, so the frame is freed once it is sent
     yield Send((MsgType.OT_MASKED1,
@@ -165,7 +157,7 @@ def extend_ot_receive(ch: Channel, backend, choices, n_bits: int):
     """The receiving side: L_k xor c_k*offset per instance, the chosen seed
     s_c's expansion xor c_k times the instance's row of the branch-1 frame,
     as a (len(choices), ceil(n_bits/8)) array."""
-    seeds = yield from seed_ot_receive(backend, choices)
+    seeds = yield from backend.receive(choices, SEED_BITS)
     nb = (n_bits + 7) // 8
     (frame,) = yield Recv((MsgType.OT_MASKED1, nb * len(choices)))
     macs = pad_rows("otx", seeds, n_bits)

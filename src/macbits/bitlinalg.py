@@ -42,10 +42,6 @@ class BitVec:
         return cls(n, 0)
 
     @classmethod
-    def ones(cls, n: int) -> "BitVec":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
     def from_bytes(cls, n: int, data: bytes) -> "BitVec":
         if len(data) != (n + 7) // 8:
             raise UsageError(f"need {(n + 7) // 8} bytes for {n} bits, got {len(data)}")

@@ -261,7 +261,7 @@ class MaterialStore:
 def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     """Run the full offline phase; returns this party's store (not saved)."""
     ((sid, _),) = run_sides(ch, role, perform_hello(ch, role, cfg.kappa, cfg.psi, rng=rng))
-    backend = DealerOt(ch, rng)
+    backend = DealerOt(rng)
     kb = cfg.kappa // 8
 
     # Both owners' aBits side by side. Alice mints the OT dealer seed first,

@@ -127,29 +127,6 @@ class Runtime:
         self._site += len(rows)
         return rows
 
-    def _send_round(self, rows: np.ndarray):
-        """Announce one round, k MAC||bit rows for each of n gates as an
-        (n, k, .) array, gate-major in one frame, and absorb their MACs in
-        one call; returns the k bit columns as sent."""
-        n, k, _ = rows.shape
-        flat = self._tamper(rows.reshape(n * k, -1))
-        yield Send((MsgType.RT_REVEAL_BATCH, pack_bits(flat[:, -1])))
-        self._sent = self._sent.absorb(flat[:, :-1])
-        self.stats.bits_revealed += n * k
-        return flat[:, -1].reshape(n, k).T
-
-    def _recv_round(self, keys: np.ndarray):
-        """Read the peer's round, one bit per row of the (n, k, .) key array,
-        and absorb the MACs those bits must carry (key ^ delta*bit) in one
-        call; returns the k bit columns."""
-        n, k, _ = keys.shape
-        (payload,) = yield Recv((MsgType.RT_REVEAL_BATCH, (n * k + 7) // 8))
-        bits = unpack_bits(payload, n * k).reshape(n, k)
-        macs = keys ^ bits[:, :, None] * self._delta
-        self._expect = self._expect.absorb(macs.reshape(n * k, -1))
-        self.stats.bits_expected += n * k
-        return bits.T
-
     def _flush(self):
         yield from flush_accumulators(self._sent, self._expect)
         self._sent = MacAccumulator()
@@ -189,20 +166,32 @@ class Runtime:
         theirs[:, 3] ^= kx
         np.bitwise_xor(rk[:, 0], qrk[:, 0], out=theirs[:, 4])
 
-        # a round that carries the speaker's d completes both g_x: the
-        # speaker's key on the peer's, and the peer's own
+        # Each round is k reveals for each of the n gates, gate-major in one
+        # frame, with their MACs absorbed in one call: the speaker's own
+        # MAC||bit rows, or on the peer the MACs the heard bits must carry
+        # (key ^ delta*bit). A round that carries the speaker's d completes
+        # both g_x: the speaker's key on the peer's, and the peer's own.
         sent, heard = [], []
         for speaker, cols in _LEVEL_ROUNDS:
+            k = cols.stop - cols.start
             if speaker is me:
-                bits = yield from self._send_round(mine[:, cols])
-                sent.extend(bits)
+                flat = self._tamper(mine[:, cols].reshape(n * k, -1))
+                yield Send((MsgType.RT_REVEAL_BATCH, pack_bits(flat[:, -1])))
+                self._sent = self._sent.absorb(flat[:, :-1])
+                self.stats.bits_revealed += n * k
+                bits = flat[:, -1].reshape(n, k)
+                sent.extend(bits.T)
                 if cols.start == 0:
-                    theirs[:, 4] ^= bits[0][:, None] * kx
+                    theirs[:, 4] ^= bits[:, :1] * kx
             else:
-                bits = yield from self._recv_round(theirs[:, cols])
-                heard.extend(bits)
+                (payload,) = yield Recv((MsgType.RT_REVEAL_BATCH, (n * k + 7) // 8))
+                bits = unpack_bits(payload, n * k).reshape(n, k)
+                macs = theirs[:, cols] ^ bits[:, :, None] * delta
+                self._expect = self._expect.absorb(macs.reshape(n * k, -1))
+                self.stats.bits_expected += n * k
+                heard.extend(bits.T)
                 if cols.start == 0:
-                    mine[:, 4] ^= bits[0][:, None] * x
+                    mine[:, 4] ^= bits[:, :1] * x
         _, f, g, fx, gx = sent
         _, pf, pg, pfx, pgx = heard
 

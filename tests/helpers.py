@@ -26,7 +26,7 @@ from macbits.abit_proto import GlobalKey, Rows
 from macbits.bitlinalg import BitVec
 from macbits.circuit import Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
-from macbits.ro_suite import ro_hash
+from macbits.ro_suite import expand, ro_hash
 from macbits.transport import MemoryChannel, Role, memory_pair, run_pair, run_sides
 
 
@@ -333,6 +333,21 @@ def run_side(ch, role: Role, side):
     return result
 
 
+def seeded(backend, mint: bool, side):
+    """One protocol side: the backend's dealer seed setup, as `dealer.deal`
+    runs it first (the minting endpoint sends the seed, the other receives
+    it), then `side`; returns side's result."""
+    yield from backend.setup(mint)
+    return (yield from side)
+
+
+def dealer_pad(seed: bytes, sender_minted: bool, index: int, branch: int, nb: int) -> bytes:
+    """The reference `DealerOt` pad of one instance and branch: nb bytes of
+    expand(ro_hash("ot-dealer", seed || direction || index || branch))."""
+    key = seed + bytes([sender_minted]) + index.to_bytes(8, "big") + bytes([branch])
+    return expand(ro_hash("ot-dealer", key), 8 * nb)
+
+
 def run_two(fn_a, fn_b, timeout: float = 60.0):
     """Run the two closures over a fresh in-memory channel pair."""
     ca, cb = memory_pair(timeout=timeout)
@@ -403,7 +418,8 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
 
     def sender():
         rng = random.Random(seed)
-        backend = DealerOt(ca, rng)
+        backend = DealerOt(rng)
+        run_side(ca, Role.ALICE, backend.setup(mint=True))
         wins = 0
         for _ in range(trials):
             try:
@@ -416,7 +432,8 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
 
     def receiver():
         rng = random.Random(seed + 1)
-        backend = DealerOt(cb)
+        backend = DealerOt()
+        run_side(cb, Role.BOB, backend.setup(mint=False))
         for _ in range(trials):
             try:
                 run_side(cb, Role.BOB, labit_receiver(cb, tau, ell, rng, backend))

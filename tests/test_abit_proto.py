@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (AuthBitKey, AuthBitMac, const_key, const_mac, key_half,
-                     labit_cheat_survivals, mac_half, run_side, verify_abit)
+                     labit_cheat_survivals, mac_half, run_side, seeded,
+                     verify_abit)
 from macbits.abit_proto import (GlobalKey, amplify_keys_with, amplify_macs_with,
                                 labit_receiver, labit_sender,
                                 labit_to_wabit_keys, labit_to_wabit_macs,
@@ -89,10 +90,11 @@ def run_labit(tau, ell, seed=0, kappa=16, offer_tamper=None):
     a, b = memory_pair(timeout=30.0)
     a.kappa = b.kappa = kappa
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
+    ot_a, ot_b = DealerOt(rng_a), DealerOt()
     return run_pair(
-        lambda: run_side(a, A, labit_sender(a, tau, ell, rng_a, DealerOt(a, rng_a),
-                                            offer_tamper=offer_tamper)),
-        lambda: run_side(b, B, labit_receiver(b, tau, ell, rng_b, DealerOt(b))),
+        lambda: run_side(a, A, seeded(ot_a, True, labit_sender(a, tau, ell, rng_a, ot_a,
+                                                               offer_tamper=offer_tamper))),
+        lambda: run_side(b, B, seeded(ot_b, False, labit_receiver(b, tau, ell, rng_b, ot_b))),
         timeout=30, channels=(a, b))
 
 
@@ -124,7 +126,9 @@ def test_labit_wrong_d_announcement_aborts():
     def lying_receiver():
         t = 2 * tau
         ys = [rng_b.getrandbits(1) for _ in range(t)]
-        macs = yield from extend_ot_receive(b, DealerOt(b), ys, ell)
+        ot_b = DealerOt()
+        yield from ot_b.setup(mint=False)
+        macs = yield from extend_ot_receive(b, ot_b, ys, ell)
         part = list(range(t))
         for i in range(0, t, 2):
             part[i], part[i + 1] = i + 1, i
@@ -138,9 +142,10 @@ def test_labit_wrong_d_announcement_aborts():
                               for i in reps])
         return (yield from eq_respond_side(b, value_digest(folded.n, folded.to_bytes())))
 
+    ot_a = DealerOt(random.Random(10))
     with pytest.raises(ProtocolAbort):
-        run_pair(lambda: run_side(a, A, labit_sender(a, tau, ell, random.Random(10),
-                                                     DealerOt(a, random.Random(10)))),
+        run_pair(lambda: run_side(a, A, seeded(ot_a, True, labit_sender(
+                     a, tau, ell, random.Random(10), ot_a))),
                  lambda: run_side(b, B, lying_receiver()), timeout=30, channels=(a, b))
 
 
@@ -290,9 +295,10 @@ def run_produce(count, psi, owner=Role.ALICE, seed=0):
     backends = {}
 
     def party(ch, role, rng):
-        backend = DealerOt(ch, rng)
+        backend = DealerOt(rng)
         backends[role] = backend
-        return run_side(ch, role, produce_abits(ch, role, owner, count, psi, rng, backend))
+        return run_side(ch, role, seeded(backend, role is Role.ALICE,
+                                         produce_abits(ch, role, owner, count, psi, rng, backend)))
 
     got_a, got_b = run_pair(lambda: party(a, Role.ALICE, rng_a),
                             lambda: party(b, Role.BOB, rng_b),
@@ -335,6 +341,7 @@ def test_produce_abits_owner_bob():
 
 def test_produce_abits_rejects_zero():
     a, _ = memory_pair()
-    with pytest.raises(UsageError):
+    # the backend is not set up, which would also raise UsageError
+    with pytest.raises(UsageError, match="count must be positive"):
         run_side(a, A, produce_abits(a, Role.ALICE, Role.ALICE, 0, 16, random.Random(0),
-                                     DealerOt(a, random.Random(0))))
+                                     DealerOt(random.Random(0))))

@@ -2,12 +2,13 @@ import random
 import time
 
 import numpy as np
+import pytest
 
-from helpers import counting_pair, run_side
-from macbits.base_ot import (SEED_BITS, DealerOt, extend_ot_receive,
-                             extend_ot_send, seed_ot_receive, seed_ot_send)
+from helpers import counting_pair, dealer_pad, run_side, seeded
+from macbits.base_ot import SEED_BITS, DealerOt, extend_ot_receive, extend_ot_send
 from macbits.bitlinalg import random_rows
-from macbits.ro_suite import expand, ro_hash
+from macbits.errors import UsageError
+from macbits.ro_suite import expand, hash_calls, ro_hash
 from macbits.transport import MsgType, Role, memory_pair, run_pair, run_sides
 
 A, B = Role.ALICE, Role.BOB
@@ -24,9 +25,9 @@ def chosen(pairs, choices):
 
 def run_ot(pairs, choices, n_bits):
     a, b = memory_pair(timeout=30.0)
-    rng = random.Random(0)
-    _, got = run_pair(lambda: run_side(a, A, DealerOt(a, rng).send(pairs)),
-                      lambda: run_side(b, B, DealerOt(b).receive(choices, n_bits)),
+    ot_a, ot_b = DealerOt(random.Random(0)), DealerOt()
+    _, got = run_pair(lambda: run_side(a, A, seeded(ot_a, True, ot_a.send(pairs))),
+                      lambda: run_side(b, B, seeded(ot_b, False, ot_b.receive(choices, n_bits))),
                       timeout=30)
     return got
 
@@ -44,11 +45,11 @@ def run_extended(offset, n_bits, choices, offer_tamper=None):
     seed pairs, frames the sender sent)."""
     a, b = counting_pair(timeout=60.0)
     rng = random.Random(0)
-    backend = RecordingOt(a, rng)
+    backend, ot_b = RecordingOt(rng), DealerOt()
     keys, got = run_pair(
-        lambda: run_side(a, A, extend_ot_send(a, backend, offset, n_bits, len(choices), rng,
-                                              offer_tamper=offer_tamper)),
-        lambda: run_side(b, B, extend_ot_receive(b, DealerOt(b), choices, n_bits)),
+        lambda: run_side(a, A, seeded(backend, True, extend_ot_send(
+            a, backend, offset, n_bits, len(choices), rng, offer_tamper=offer_tamper))),
+        lambda: run_side(b, B, seeded(ot_b, False, extend_ot_receive(b, ot_b, choices, n_bits))),
         timeout=60)
     return keys, got, backend.pairs, a.sent
 
@@ -84,9 +85,10 @@ def test_640_seed_ots_under_a_second():
     pairs = message_pairs(640, SEED_BITS // 8, rng)
     choices = [rng.getrandbits(1) for _ in range(640)]
     a, b = memory_pair(timeout=30.0)
+    ot_a, ot_b = DealerOt(rng), DealerOt()
     t0 = time.time()
-    _, got = run_pair(lambda: run_side(a, A, seed_ot_send(DealerOt(a, rng), pairs)),
-                      lambda: run_side(b, B, seed_ot_receive(DealerOt(b), choices)),
+    _, got = run_pair(lambda: run_side(a, A, seeded(ot_a, True, ot_a.send(pairs))),
+                      lambda: run_side(b, B, seeded(ot_b, False, ot_b.receive(choices, SEED_BITS))),
                       timeout=30)
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -102,12 +104,14 @@ def test_batch_sequencing_across_calls():
     a, b = memory_pair(timeout=30.0)
 
     def send():
-        be = DealerOt(a, rng)
+        be = DealerOt(rng)
+        run_side(a, A, be.setup(mint=True))
         run_side(a, A, be.send(p1))
         run_side(a, A, be.send(p2))
 
     def recv():
-        be = DealerOt(b)
+        be = DealerOt()
+        run_side(b, B, be.setup(mint=False))
         return run_side(b, B, be.receive(c1, 8)), run_side(b, B, be.receive(c2, 8))
 
     _, (g1, g2) = run_pair(send, recv, timeout=30)
@@ -171,14 +175,14 @@ def test_both_directions_side_by_side():
     a, b = memory_pair(timeout=30.0)
 
     def alice():
-        be = DealerOt(a, random.Random(0))
+        be = DealerOt(random.Random(0))
         run_side(a, A, be.setup(mint=True))
         _, got = run_sides(a, A, be.send(pa), be.receive(cb, 8))
         run_side(a, A, be.send(pa2))
         return got
 
     def bob():
-        be = DealerOt(b, random.Random(1))
+        be = DealerOt(random.Random(1))
         run_side(b, B, be.setup(mint=False))
         got, _ = run_sides(b, B, be.receive(ca, 8), be.send(pb))
         return got, run_side(b, B, be.receive(ca2, 8))
@@ -187,3 +191,54 @@ def test_both_directions_side_by_side():
     assert np.array_equal(got_a, chosen(pb, cb))
     assert np.array_equal(got_b, chosen(pa, ca))
     assert np.array_equal(got_b2, chosen(pa2, ca2))
+
+
+@pytest.mark.parametrize("mint", [True, False])
+def test_batched_pads_follow_the_per_instance_formula(mint):
+    # Two batches each way on one backend. Zero pairs go out as the send
+    # pads themselves, and all-zero frames come back as the chosen branch's
+    # receive pads; each batch hashes n*branches keys, each pad 320 bits.
+    a, b = memory_pair(timeout=5.0)
+    be = DealerOt(random.Random(0))
+    if mint:
+        run_side(a, A, be.setup(mint=True))
+        seed = bytes(b.recv(MsgType.OT_SETUP, 16))
+    else:
+        seed = bytes(range(16))
+        b.send(MsgType.OT_SETUP, seed)
+        run_side(a, A, be.setup(mint=False))
+    nb, blocks = 40, 2
+    rng = random.Random(1)
+
+    def counted(side):
+        before = hash_calls("ot-dealer"), hash_calls("prg")
+        out = run_side(a, A, side)
+        return out, (hash_calls("ot-dealer") - before[0], hash_calls("prg") - before[1])
+
+    for first, n in ((0, 3), (3, 5)):
+        _, calls = counted(be.send(np.zeros((n, 2, nb), np.uint8)))
+        assert calls == (2 * n, 2 * n * blocks)
+        for branch, t in enumerate((MsgType.OT_MASKED0, MsgType.OT_MASKED1)):
+            assert bytes(b.recv(t, n * nb)) == b"".join(
+                dealer_pad(seed, mint, first + k, branch, nb) for k in range(n))
+
+        choices = [rng.getrandbits(1) for _ in range(n)]
+        b.send(MsgType.OT_MASKED0, bytes(n * nb))
+        b.send(MsgType.OT_MASKED1, bytes(n * nb))
+        got, calls = counted(be.receive(choices, 8 * nb - 3))
+        assert calls == (n, n * blocks)
+        assert [row.tobytes() for row in got] == [
+            dealer_pad(seed, not mint, first + k, c, nb) for k, c in enumerate(choices)]
+    assert be.instances == 16
+
+
+def test_send_and_receive_need_setup():
+    a, b = memory_pair(timeout=1.0)
+    b.send(MsgType.OT_MASKED0, bytes(2))
+    b.send(MsgType.OT_MASKED1, bytes(2))
+    be = DealerOt(random.Random(0))
+    with pytest.raises(UsageError):
+        run_side(a, A, be.send(message_pairs(2, 1, random.Random(1))))
+    with pytest.raises(UsageError):
+        run_side(a, A, be.receive([0, 1], 8))
+    assert (a.stats.frames_sent, a.stats.frames_received) == (0, 0)

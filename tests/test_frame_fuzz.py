@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OracleDealer, bit_rows, run_side
+from helpers import OracleDealer, bit_rows, run_side, seeded
 from macbits.aand_proto import laand_key_side, laand_mac_side
 from macbits.abit_proto import (labit_receiver, labit_sender, tau_for,
                                 wabit_amplify_key_side, wabit_amplify_mac_side)
@@ -58,17 +58,32 @@ def _keys(pairs):
     return bit_rows([k for _, k in pairs], KAPPA)
 
 
+# The DealerOt steps run the dealer seed setup first, as `dealer.deal` does,
+# so the receiving endpoint's first inbound frame is OT_SETUP.
 def _ot_send(ch):
-    return DealerOt(ch, random.Random(4)).send(random_rows(2 * ELL, KAPPA, random.Random(11))
-                                                .reshape(ELL, 2, KAPPA // 8))
+    ot = DealerOt(random.Random(4))
+    return seeded(ot, True, ot.send(random_rows(2 * ELL, KAPPA, random.Random(11))
+                                    .reshape(ELL, 2, KAPPA // 8)))
+
+
+def _ot_receive(ch):
+    ot = DealerOt()
+    return seeded(ot, False, ot.receive([i & 1 for i in range(ELL)], KAPPA))
+
+
+def _labit_sender(ch):
+    ot = DealerOt(random.Random(5))
+    return seeded(ot, True, labit_sender(ch, 3, 24, random.Random(5), ot))
+
+
+def _labit_receiver(ch):
+    ot = DealerOt()
+    return seeded(ot, False, labit_receiver(ch, 3, 24, random.Random(6), ot))
 
 
 # name -> (step under test, its honest peer, first inbound type, abort tag)
 STEPS = {
-    "labit_sender": (
-        lambda ch: labit_sender(ch, 3, 24, random.Random(5), DealerOt(ch, random.Random(5))),
-        lambda ch: labit_receiver(ch, 3, 24, random.Random(6), DealerOt(ch)),
-        MsgType.LABIT_PAIRING, "labit"),
+    "labit_sender": (_labit_sender, _labit_receiver, MsgType.LABIT_PAIRING, "labit"),
     "wabit_amplify_mac_side": (
         lambda ch: wabit_amplify_mac_side(ch, _GAMMA, _COLS, 40, KAPPA),
         lambda ch: wabit_amplify_key_side(ch, np.zeros(_TAU, np.uint8), _COLS, 40, KAPPA, A,
@@ -102,10 +117,7 @@ STEPS = {
         lambda ch: eq_respond_side(ch, _EQ),
         lambda ch: eq_commit_side(ch, _EQ, random.Random(10)),
         MsgType.EQ_COMMIT, None),
-    "DealerOt.receive": (
-        lambda ch: DealerOt(ch).receive([i & 1 for i in range(ELL)], KAPPA),
-        _ot_send,
-        MsgType.OT_SETUP, None),
+    "DealerOt.receive": (_ot_receive, _ot_send, MsgType.OT_SETUP, None),
 }
 
 

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import json, random, sys
 import link, spans
+from macbits.abit_proto import tau_for
 from macbits.dealer import DealerConfig, deal
 from macbits.transport import Role, memory_pair, run_pair
 
@@ -31,7 +32,7 @@ run_pair(lambda: deal(a, Role.ALICE, cfg, random.Random(1)),
          timeout=60.0, channels=(a, b))
 json.dump({"spans": {k: v["offline"][0] for k, v in tracer.summary().items()},
            "counts": dict(tracer.counts), "bitvec_new": tracer.bitvec_new,
-           "bucket": cfg.bucket_for(40),
+           "bucket": cfg.bucket_for(40), "tau": tau_for(cfg.kappa),
            "demand": {str(r): cfg.abit_demand(r) for r in Role}}, sys.stdout)
 """
 
@@ -57,6 +58,8 @@ def test_spans_install_and_record_a_deal():
     # produce_abits(ch, role, owner, count, ...) counts each owner's bits once
     for owner in ("alice", "bob"):
         assert got["counts"][f"abit_proto.bits.{owner}"] == got["demand"][owner], owner
+    # DealerOt.send(self, pairs) counts len(pairs): 2*tau seed OTs per owner
+    assert got["counts"]["base_ot.seed_ots"] == 4 * got["tau"] == 472
     # the aBit pipeline runs on packed arrays: a deal builds the two derived
     # global keys as BitVecs, none per column or bit
     assert got["bitvec_new"] <= 2, got["bitvec_new"]
