@@ -6,7 +6,7 @@ evaluates any Boolean circuit one AND level at a time, deferring MAC
 verification into accumulators checked before any output is released.
 """
 
-from .abit_proto import GlobalKey, Rows
+from .abit_proto import Rows
 from .bitlinalg import BitVec
 from .circuit import Circuit, CircuitHeader, Gate, parse_bristol, plain_eval
 from .dealer import DealerConfig, MaterialStore, deal, verify_stores
@@ -25,7 +25,6 @@ __all__ = [
     "CircuitHeader",
     "DealerConfig",
     "Gate",
-    "GlobalKey",
     "MaterialStore",
     "OutOfMaterial",
     "ParseError",

@@ -6,7 +6,9 @@ for a fresh blind r and then proves z = xy with one digest comparison; the
 proof is leaky because a garbled challenge digest passes exactly when x = 0,
 so a cheating key side buys one x bit per garbled instance at abort risk.
 Bucketed combining with a MAC-side permutation washes that leakage out.
-Generation and combining are protocol sides (`transport.run_sides`).
+Generation and combining are protocol sides (`transport.run_sides`) that
+read kappa off their rows and take the global key as a (kappa/8,) uint8
+row; like laOT's, they take an unused `ch` first (see `aot_proto`).
 
 Cost per leaky instance: 3 hash calls (2 key side, 1 MAC side), with the key
 side reusing its first digest as the equality-check reference.
@@ -16,16 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .abit_proto import GlobalKey, Rows
+from .abit_proto import Rows
 from .aot_proto import bucket_combine
 from .bitlinalg import pack_bits, unpack_bits
 from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import DIGEST_BYTES, MacAccumulator, hash_rows
-from .transport import Channel, MsgType, Recv, Send
+from .transport import MsgType, Recv, Send
 
 
-def laand_mac_side(ch: Channel, xs, ys, rs, rng, *, d_tamper=None):
+def laand_mac_side(ch, xs, ys, rs, rng, *, d_tamper=None):
     """Generate len(xs) leaky triples holding the MAC side (a protocol side).
 
     xs/ys are MAC rows of the triple inputs, rs of the fresh blinds that
@@ -48,21 +50,22 @@ def laand_mac_side(ch: Channel, xs, ys, rs, rng, *, d_tamper=None):
     # x = 0: v = H(M_x, M_z); x = 1: v = U ^ H(M_x, M_y ^ M_z)
     second = zs[:, :-1] ^ x * ys[:, :-1]
     vs = hash_rows("laand", np.concatenate((xs[:, :-1], second), axis=1)) ^ x * us
-    if not (yield from eq_commit_side(ch, value_digest(8 * DIGEST_BYTES * ell, vs), rng)):
+    kappa = 8 * (xs.shape[-1] - 1)
+    if not (yield from eq_commit_side(value_digest(8 * DIGEST_BYTES * ell, vs), kappa, rng)):
         raise ProtocolAbort("laand", "product proof failed")
     return Rows.of_macs(np.stack((xs, ys, zs), axis=1))
 
 
-def laand_key_side(ch: Channel, kxs, kys, krs, gk: GlobalKey, *, u_tamper=None):
-    """Key side of leaky triple generation, on key rows (a protocol side);
-    returns the triples as Rows: kx, ky, kz. u_tamper models the selective
-    garbling a cheating key holder would use to probe x."""
+def laand_key_side(ch, kxs, kys, krs, delta: np.ndarray, *, u_tamper=None):
+    """Key side of leaky triple generation, on key rows under the global key
+    delta (a protocol side); returns the triples as Rows: kx, ky, kz.
+    u_tamper models the selective garbling a cheating key holder would use
+    to probe x."""
     ell = len(kxs)
     if not (len(kys) == len(krs) == ell):
         raise UsageError("input batches must align")
     (raw_d,) = yield Recv((MsgType.LAAND_D, (ell + 7) // 8))
     ds = unpack_bits(raw_d, ell)
-    delta = gk.row
 
     kzs = krs ^ ds[:, None] * delta
     refs = hash_rows("laand", np.concatenate((kxs, kzs), axis=1))
@@ -71,7 +74,8 @@ def laand_key_side(ch: Channel, kxs, kys, krs, gk: GlobalKey, *, u_tamper=None):
         us = np.stack([np.frombuffer(u_tamper(i, u.tobytes()), np.uint8)
                        for i, u in enumerate(us)])
     yield Send((MsgType.LAAND_U, us.tobytes()))
-    if not (yield from eq_respond_side(ch, value_digest(8 * DIGEST_BYTES * ell, refs))):
+    if not (yield from eq_respond_side(value_digest(8 * DIGEST_BYTES * ell, refs),
+                                       8 * delta.size)):
         raise ProtocolAbort("laand", "product proof failed")
     return Rows.of_keys(np.stack((kxs, kys, kzs), axis=1))
 
@@ -100,14 +104,14 @@ def _triple_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 1] ^ b[:, 1]
 
 
-def aand_combine_mac(ch: Channel, triples: Rows, bucket: int, rng, acc: MacAccumulator):
+def aand_combine_mac(ch, triples: Rows, bucket: int, rng, acc: MacAccumulator):
     """The MAC side samples the bucketing (its bits are the ones the leak
     targets) and reveals d = y + y' per fold, MACs deferred into `acc`."""
     return bucket_combine(triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
                           rng=rng)
 
 
-def aand_combine_key(ch: Channel, triples: Rows, bucket: int, gk: GlobalKey,
+def aand_combine_key(ch, triples: Rows, bucket: int, delta: np.ndarray,
                      acc: MacAccumulator):
     return bucket_combine(triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
-                          delta=gk.row)
+                          delta=delta)

@@ -39,7 +39,9 @@ Production pipeline for a batch of ell bits owned by P:
 tau = ceil(22*kappa/3) makes step 3 sound for kappa-bit MACs.
 
 Every role here is a protocol side: a generator that yields one `Send` or
-`Recv` per flight (see `transport.run_sides`). Each party's bits are
+`Recv` per flight (see `transport.run_sides`). A side takes kappa and its
+rows as arguments and reads nothing from the channel; a global key is a
+plain (kappa/8,) uint8 row, laid out like a key row. Each party's bits are
 authenticated under the other party's key, so the pipelines for Alice's
 bits and for Bob's bits are independent, and `dealer.deal` runs both
 `produce_abits` sides side by side. In each round both parties compute at
@@ -51,17 +53,16 @@ Alice sends before she reads and Bob reads before he sends.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base_ot import extend_ot_receive, extend_ot_send
-from .bitlinalg import (BitVec, Pairing, mat_vec_mul, mat_vec_mul_batch, pack_bits,
-                        random_pairing, random_rows, transpose_bits, unpack_bits)
+from .bitlinalg import (mat_vec_mul, mat_vec_mul_batch, pack_bits, random_pairing,
+                        random_rows, transpose_bits, unpack_bits)
 from .eq_box import ColumnDigest, eq_commit_side, eq_respond_side
 from .errors import ProtocolAbort, UsageError
-from .transport import Channel, MsgType, Recv, Role, Send
+from .transport import MsgType, Recv, Role, Send
 
 
 def tau_for(kappa: int) -> int:
@@ -70,20 +71,7 @@ def tau_for(kappa: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# authenticated-bit algebra
-
-
-@dataclass(frozen=True)
-class GlobalKey:
-    """Held by the *peer* of `owner`; authenticates every bit owner holds."""
-
-    owner: Role
-    delta: BitVec
-
-    @property
-    def row(self) -> np.ndarray:
-        """delta as a uint8 row, laid out like a key row."""
-        return np.frombuffer(self.delta.to_bytes(), np.uint8)
+# authenticated-bit rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +108,19 @@ class Rows:
 # leaky candidate phase (steps 1-2)
 
 
-def _fold_pairs(cols: np.ndarray, pairing: Pairing, value: ColumnDigest, offset=None,
+def _representatives(part: np.ndarray) -> np.ndarray:
+    """The smaller index i < part[i] of each pair of a pairing, ascending."""
+    return np.flatnonzero(part > np.arange(len(part)))
+
+
+def _fold_pairs(cols: np.ndarray, part: np.ndarray, value: ColumnDigest, offset=None,
                 d=None) -> np.ndarray:
     """Feed each pair's XOR, and offset where d is set, into value, a chunk of
     pairs at a time. Then move the representatives' columns, in order, to
     the first rows of cols and return those rows: the k-th representative
     is row k or later, so each chunk moves after the rows it reads from."""
-    reps = np.array(pairing.smaller_indices())
-    both = np.stack((reps, np.array(pairing.part)[reps]), axis=1)
+    reps = _representatives(part)
+    both = np.stack((reps, part[reps]), axis=1)
     for k in range(0, len(reps), 64):
         pairs = cols[both[k : k + 64]]
         folded = pairs[:, 0] ^ pairs[:, 1]
@@ -140,45 +133,46 @@ def _fold_pairs(cols: np.ndarray, pairing: Pairing, value: ColumnDigest, offset=
     return cols[: len(reps)]
 
 
-def labit_sender(ch: Channel, tau: int, ell: int, rng, backend, *, offer_tamper=None):
+def labit_sender(tau: int, ell: int, kappa: int, rng, backend, *, offer_tamper=None):
     """OT-sender side; ends holding (G, surviving keys L_i): the packed ell-bit
-    offset row and a (tau, ceil(ell/8)) array.
+    offset row and a (tau, ceil(ell/8)) array. kappa sets the width of the
+    pair check's commitment.
 
     offer_tamper(keys, m1) -> m1 lets tests model a cheating sender (see
     `base_ot.extend_ot_send`); the keys are fixed by the seeds.
     """
     t = 2 * tau
     gamma = random_rows(1, ell, rng)[0]
-    keys = yield from extend_ot_send(ch, backend, gamma, ell, t, rng, offer_tamper=offer_tamper)
+    keys = yield from extend_ot_send(backend, gamma, ell, t, rng, offer_tamper=offer_tamper)
 
     raw, raw_d = yield Recv((MsgType.LABIT_PAIRING, 4 * t), (MsgType.LABIT_D, (tau + 7) // 8))
-    try:
-        pairing = Pairing(struct.unpack(f">{t}I", raw))
-    except UsageError:
-        raise ProtocolAbort("labit", "peer sent an invalid pairing") from None
+    # in range, then no fixed point, then an involution: a fixed-point-free
+    # involution is a perfect matching, and each check indexes only in range
+    part, ids = np.frombuffer(raw, ">u4").astype(np.intp), np.arange(t)
+    if not ((part < t).all() and (part != ids).all() and (part[part] == ids).all()):
+        raise ProtocolAbort("labit", "peer sent an invalid pairing")
     value = ColumnDigest(tau, ell)
-    keys = _fold_pairs(keys, pairing, value, gamma, unpack_bits(raw_d, tau))
-    if not (yield from eq_commit_side(ch, value.digest(), rng)):
+    keys = _fold_pairs(keys, part, value, gamma, unpack_bits(raw_d, tau))
+    if not (yield from eq_commit_side(value.digest(), kappa, rng)):
         raise ProtocolAbort("labit", "pair check failed")
     return gamma, keys
 
 
-def labit_receiver(ch: Channel, tau: int, ell: int, rng, backend):
+def labit_receiver(tau: int, ell: int, kappa: int, rng, backend):
     """OT-receiver side; ends holding surviving (y_i, N_i): a (tau,) vector of
     choice bits and a (tau, ceil(ell/8)) array."""
     t = 2 * tau
     ys = np.array([rng.getrandbits(1) for _ in range(t)], np.uint8)
-    macs = yield from extend_ot_receive(ch, backend, ys, ell)
+    macs = yield from extend_ot_receive(backend, ys, ell)
 
-    pairing = random_pairing(t, rng)
-    reps = pairing.smaller_indices()
-    d = ys[reps] ^ ys[[pairing.partner(i) for i in reps]]
-    yield Send((MsgType.LABIT_PAIRING, struct.pack(f">{t}I", *pairing.part)),
-               (MsgType.LABIT_D, pack_bits(d)))
+    part = random_pairing(t, rng)
+    reps = _representatives(part)
+    yield Send((MsgType.LABIT_PAIRING, part.astype(">u4").tobytes()),
+               (MsgType.LABIT_D, pack_bits(ys[reps] ^ ys[part[reps]])))
 
     value = ColumnDigest(tau, ell)
-    macs = _fold_pairs(macs, pairing, value)
-    if not (yield from eq_respond_side(ch, value.digest())):
+    macs = _fold_pairs(macs, part, value)
+    if not (yield from eq_respond_side(value.digest(), kappa)):
         raise ProtocolAbort("labit", "pair check failed")
     return ys[reps], macs
 
@@ -196,17 +190,14 @@ def amplify_macs_with(matrix: np.ndarray, gamma: np.ndarray, keys: np.ndarray,
     return np.concatenate((macs, unpack_bits(gamma, ell)[:, None]), axis=1)
 
 
-def amplify_keys_with(matrix: np.ndarray, ys: np.ndarray, macs: np.ndarray, ell: int,
-                      owner: Role):
-    """Key side: the amplified weak key y_1..y_tau, and (ell, kappa/8) key
-    rows, one per bit."""
-    delta = mat_vec_mul(matrix, pack_bits(ys))
-    gk = GlobalKey(owner, BitVec.from_bytes(len(matrix), delta))
-    return gk, transpose_bits(mat_vec_mul_batch(matrix, macs), ell)
+def amplify_keys_with(matrix: np.ndarray, ys: np.ndarray, macs: np.ndarray, ell: int):
+    """Key side: the global key, which is the amplified weak key y_1..y_tau as
+    a (kappa/8,) row, and (ell, kappa/8) key rows, one per bit."""
+    delta = np.frombuffer(mat_vec_mul(matrix, pack_bits(ys)), np.uint8)
+    return delta, transpose_bits(mat_vec_mul_batch(matrix, macs), ell)
 
 
-def wabit_amplify_mac_side(ch: Channel, gamma: np.ndarray, keys: np.ndarray, ell: int,
-                           kappa: int):
+def wabit_amplify_mac_side(gamma: np.ndarray, keys: np.ndarray, ell: int, kappa: int):
     """Holder side: receive the matrix, return (ell, kappa/8 + 1) MAC rows."""
     if len(keys) != tau_for(kappa):
         raise UsageError(f"tau {len(keys)} does not fit {kappa}-bit MACs")
@@ -215,14 +206,13 @@ def wabit_amplify_mac_side(ch: Channel, gamma: np.ndarray, keys: np.ndarray, ell
     return amplify_macs_with(matrix, gamma, keys, ell)
 
 
-def wabit_amplify_key_side(ch: Channel, ys: np.ndarray, macs: np.ndarray, ell: int,
-                           kappa: int, owner: Role, rng):
-    """Key side: sample and send the matrix, return (gk, key rows)."""
+def wabit_amplify_key_side(ys: np.ndarray, macs: np.ndarray, ell: int, kappa: int, rng):
+    """Key side: sample and send the matrix, return (delta, key rows)."""
     if len(macs) != tau_for(kappa):
         raise UsageError(f"tau {len(macs)} does not fit {kappa}-bit MACs")
     matrix = random_rows(kappa, len(macs), rng)
     yield Send((MsgType.AMPLIFY_MATRIX, matrix.tobytes()))
-    return amplify_keys_with(matrix, ys, macs, ell, owner)
+    return amplify_keys_with(matrix, ys, macs, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +256,22 @@ def labit_to_wabit_keys(ys: np.ndarray, macs: np.ndarray, ell: int) -> WabitKeyV
 # full pipeline
 
 
-def produce_abits(ch: Channel, role: Role, owner: Role, count: int, kappa: int, rng, backend):
+def produce_abits(ch, role: Role, owner: Role, count: int, kappa: int, rng, backend):
     """Produce `count` authenticated bits owned by `owner` with kappa-bit MACs,
     as a protocol side (run it with `transport.run_sides`).
 
     The owner ends with (count, kappa/8 + 1) MAC rows; the peer ends with
-    (gk, (count, kappa/8) key rows), where the global key gk is born here
-    (derived, never sampled directly).
+    (delta, (count, kappa/8) key rows), where the global key delta, a
+    (kappa/8,) row, is born here (derived, never sampled directly).
+
+    ch is not read: `perfbench/spans.py` counts this call's arguments by
+    position, so it stays first until the program owns its spans.
     """
     if count <= 0:
         raise UsageError("count must be positive")
     tau = tau_for(kappa)
     if role == owner:
-        gamma, keys = yield from labit_sender(ch, tau, count, rng, backend)
-        return (yield from wabit_amplify_mac_side(ch, gamma, keys, count, kappa))
-    ys, macs = yield from labit_receiver(ch, tau, count, rng, backend)
-    return (yield from wabit_amplify_key_side(ch, ys, macs, count, kappa, owner, rng))
+        gamma, keys = yield from labit_sender(tau, count, kappa, rng, backend)
+        return (yield from wabit_amplify_mac_side(gamma, keys, count, kappa))
+    ys, macs = yield from labit_receiver(tau, count, kappa, rng, backend)
+    return (yield from wabit_amplify_key_side(ys, macs, count, kappa, rng))

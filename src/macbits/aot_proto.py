@@ -7,8 +7,10 @@ leaky: a sender can garble one branch and learn c from whether the receiver
 survives. Combining B leaky quads under a random bucketing leaves the output
 correlation clean unless an entire bucket was leaky; `bucket_combine` does
 that bucketing for aAND triples too. Generation and combining are protocol
-sides (`transport.run_sides`); the combiner bindings take the channel first
-like every other side, although the combiner reads nothing from it.
+sides (`transport.run_sides`). A global key is a plain (kappa/8,) uint8 row,
+and kappa is read off it. No side reads the channel: laOT and the combiner
+bindings take an unused `ch` first only because `perfbench/spans.py` counts
+their arguments by position, until the program owns its spans.
 
 Everything here works on uint8 rows (`abit_proto.Rows`): a batch is hashed
 one row at a time, but masked, XORed, permuted and folded as whole arrays,
@@ -26,12 +28,12 @@ import math
 
 import numpy as np
 
-from .abit_proto import GlobalKey, Rows
+from .abit_proto import Rows
 from .bitlinalg import pack_bits, random_permutation, random_rows, unpack_bits
 from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, pad_rows
-from .transport import Channel, MsgType, Recv, Send
+from .transport import MsgType, Recv, Send
 
 
 def bucket_size(ell: int, psi: int) -> int:
@@ -59,20 +61,18 @@ def _split_payloads(p: np.ndarray, kappa: int):
     return p[:, 0] & 1, body[:, : kappa // 8], body[:, kappa // 8 :]
 
 
-def laot_sender(ch: Channel, x0s, x1s, kcs, krs, gk_recv: GlobalKey, rng,
-                *, payload_tamper=None):
+def laot_sender(ch, x0s, x1s, kcs, krs, delta: np.ndarray, rng, *, payload_tamper=None):
     """Generate len(x0s) leaky quads as the sender (a protocol side).
 
     x0s/x1s are MAC rows of this side's authenticated bits; kcs/krs are key
-    rows of the receiver's choice and blind bits; gk_recv is the receiver's
-    global key. Returns the quads as Rows: x0, x1 | kc, kz.
+    rows of the receiver's choice and blind bits; delta is the global key on
+    the receiver's bits. Returns the quads as Rows: x0, x1 | kc, kz.
     payload_tamper(i, b0, b1) lets tests model branch garbling.
     """
     ell = len(x0s)
     if not (len(x1s) == len(kcs) == len(krs) == ell):
         raise UsageError("input batches must align")
-    kappa, kb = ch.kappa, ch.kappa // 8
-    delta = gk_recv.row
+    kappa, kb = 8 * delta.size, delta.size
     plen = 1 + 2 * kappa
 
     pads = random_rows(2 * ell, kappa, rng).reshape(ell, 2, kb)
@@ -90,20 +90,19 @@ def laot_sender(ch: Channel, x0s, x1s, kcs, krs, gk_recv: GlobalKey, rng,
     yield Send((MsgType.LAOT_I0, (pad_rows("laot/i", kz, kappa) ^ pads[:, 1]).tobytes()),
                (MsgType.LAOT_I1, (pad_rows("laot/i", kz ^ delta, kappa) ^ pads[:, 0]).tobytes()))
 
-    if not (yield from eq_commit_side(ch, value_digest(2 * kappa * ell, pads), rng)):
+    if not (yield from eq_commit_side(value_digest(2 * kappa * ell, pads), kappa, rng)):
         raise ProtocolAbort("laot", "pad pair check failed")
     return Rows(np.stack((x0s, x1s), axis=1), np.stack((kcs, kz), axis=1))
 
 
-def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *,
-                  d_tamper=None):
+def laot_receiver(ch, cs, rs, kx0s, kx1s, delta: np.ndarray, *, d_tamper=None):
     """Generate quads as the receiver (a protocol side); aborts on a bad
-    branch MAC. Returns the quads as Rows: c, z | kx0, kx1."""
+    branch MAC. delta is the global key on the sender's bits. Returns the
+    quads as Rows: c, z | kx0, kx1."""
     ell = len(cs)
     if not (len(rs) == len(kx0s) == len(kx1s) == ell):
         raise UsageError("input batches must align")
-    kappa, kb = ch.kappa, ch.kappa // 8
-    delta = gk_send.row
+    kappa, kb = 8 * delta.size, delta.size
     plen = 1 + 2 * kappa
     pb = (plen + 7) // 8
     rows = np.arange(ell)
@@ -130,7 +129,7 @@ def laot_receiver(ch: Channel, cs, rs, kx0s, kx1s, gk_send: GlobalKey, *,
     t_other = g[zb, rows] ^ pad_rows("laot/i", z[:, :-1], kappa)
     pads = np.where(zb[:, None, None], np.stack((t_other, t_first), axis=1),
                     np.stack((t_first, t_other), axis=1))
-    if not (yield from eq_respond_side(ch, value_digest(2 * kappa * ell, pads))):
+    if not (yield from eq_respond_side(value_digest(2 * kappa * ell, pads), kappa)):
         raise ProtocolAbort("laot", "pad pair check failed")
     return Rows(np.stack((cs, z), axis=1), np.stack((kx0s, kx1s), axis=1))
 
@@ -209,13 +208,14 @@ def _quad_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] ^ a[:, 1] ^ b[:, 0] ^ b[:, 1]
 
 
-def aot_combine_sender(ch: Channel, quads: Rows, bucket: int, acc: MacAccumulator):
+def aot_combine_sender(ch, quads: Rows, bucket: int, acc: MacAccumulator):
     """The sender reveals d = x0+x1+x0'+x1' per fold, MACs deferred into `acc`."""
     return bucket_combine(quads, bucket, acc, fold_quads_sender, _quad_d, "aot-comb")
 
 
-def aot_combine_receiver(ch: Channel, quads: Rows, bucket: int, gk_send: GlobalKey, rng,
+def aot_combine_receiver(ch, quads: Rows, bucket: int, delta: np.ndarray, rng,
                          acc: MacAccumulator):
-    """The receiver samples the bucketing and checks the sender's d reveals."""
+    """The receiver samples the bucketing and checks the sender's d reveals
+    under delta, the global key on the sender's bits."""
     return bucket_combine(quads, bucket, acc, fold_quads_receiver, _quad_d, "aot-comb",
-                          rng=rng, delta=gk_send.row)
+                          rng=rng, delta=delta)

@@ -32,7 +32,7 @@ from .bitlinalg import random_rows
 from .errors import UsageError
 # Nothing here calls `expand`; perfbench/spans.py patches `base_ot.expand` by name.
 from .ro_suite import KAPPA_DEFAULT, expand, pad_rows  # noqa: F401
-from .transport import Channel, MsgType, Recv, Send
+from .transport import MsgType, Recv, Send
 
 SEED_BITS = KAPPA_DEFAULT
 
@@ -115,7 +115,7 @@ class DealerOt:
         return frames[c, np.arange(n)] ^ pads
 
 
-def extend_ot_send(ch: Channel, backend, offset: np.ndarray, n_bits: int, count: int, rng, *,
+def extend_ot_send(backend, offset: np.ndarray, n_bits: int, count: int, rng, *,
                    offer_tamper=None):
     """Correlated OT, as a protocol side: instance k offers (L_k, L_k xor
     offset) for a packed n_bits-bit offset row, where L_k is the expansion of
@@ -153,7 +153,7 @@ def _masked_branch_one(seeds1, keys, offset, n_bits: int, offer_tamper) -> bytea
     return frame
 
 
-def extend_ot_receive(ch: Channel, backend, choices, n_bits: int):
+def extend_ot_receive(backend, choices, n_bits: int):
     """The receiving side: L_k xor c_k*offset per instance, the chosen seed
     s_c's expansion xor c_k times the instance's row of the branch-1 frame,
     as a (len(choices), ceil(n_bits/8)) array."""

@@ -197,40 +197,6 @@ def transpose_bits(rows: np.ndarray, n: int, _block: int = 8192) -> np.ndarray:
     return out
 
 
-class Pairing:
-    """Fixed-point-free involution on {0..t-1}: a perfect matching."""
-
-    __slots__ = ("part",)
-
-    def __init__(self, part: Sequence[int]):
-        t = len(part)
-        if t % 2:
-            raise UsageError("pairing needs an even domain")
-        for i, j in enumerate(part):
-            if not 0 <= j < t or j == i or part[j] != i:
-                raise UsageError("not a fixed-point-free involution")
-        object.__setattr__(self, "part", tuple(part))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Pairing is immutable")
-
-    def __len__(self):
-        return len(self.part)
-
-    def partner(self, i: int) -> int:
-        return self.part[i]
-
-    def smaller_indices(self) -> list:
-        """The canonical representative i < partner(i) of each pair, ascending."""
-        return [i for i, j in enumerate(self.part) if i < j]
-
-    def __eq__(self, other):
-        return isinstance(other, Pairing) and self.part == other.part
-
-    def __hash__(self):
-        return hash(self.part)
-
-
 def random_permutation(n: int, rng) -> list:
     """Uniform permutation of range(n) by Fisher-Yates."""
     p = list(range(n))
@@ -240,18 +206,16 @@ def random_permutation(n: int, rng) -> list:
     return p
 
 
-def random_pairing(t: int, rng) -> Pairing:
-    """Uniform perfect matching on range(t); t must be even.
+def random_pairing(t: int, rng) -> np.ndarray:
+    """Uniform perfect matching on range(t), t even, as a uint32 array part
+    with part[i] the partner of i: a fixed-point-free involution.
 
     A uniform shuffle paired off consecutively hits every matching with equal
     probability (each matching corresponds to the same number of orderings).
     """
     if t % 2:
         raise UsageError("pairing needs an even count")
-    order = random_permutation(t, rng)
-    part = [0] * t
-    for k in range(0, t, 2):
-        a, b = order[k], order[k + 1]
-        part[a], part[b] = b, a
-    return Pairing(part)
-
+    pairs = np.array(random_permutation(t, rng), np.uint32).reshape(-1, 2)
+    part = np.empty(t, np.uint32)
+    part[pairs] = pairs[:, ::-1]
+    return part

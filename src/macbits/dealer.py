@@ -25,9 +25,10 @@ kappa/8 bytes, then one byte for the bit; a key row is kappa/8 bytes): the
 per-owner pools are array slices, laOT, laAND and the combiners hash and XOR
 whole arrays, and their outputs are the six streams of each party's
 MaterialStore, which the online phase slices one AND level at a time through
-monotone cursors. A store file (version 2) is a 64-byte header, the global
-key, the six record counts, and each stream's MAC rows then key rows as raw
-bytes.
+monotone cursors. A global key is a (kappa/8,) uint8 row too, like a key
+row, and the session parameters travel as arguments, not on the channel. A
+store file (version 2) is a 64-byte header, the global key, the six record
+counts, and each stream's MAC rows then key rows as raw bytes.
 
 Material demand per owner follows from the combiners: every secure triple
 eats 3 owner bits per leaky instance, every secure quadruple 2 sender bits
@@ -45,11 +46,10 @@ import numpy as np
 
 from .aand_proto import (aand_combine_key, aand_combine_mac, laand_key_side,
                          laand_mac_side)
-from .abit_proto import GlobalKey, Rows, produce_abits
+from .abit_proto import Rows, produce_abits
 from .aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
                         laot_receiver, laot_sender)
 from .base_ot import DealerOt
-from .bitlinalg import BitVec
 from .errors import OutOfMaterial, ParseError, ProtocolAbort, UsageError
 from .ro_suite import (DIGEST_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
                        flush_accumulators, ro_hash)
@@ -130,7 +130,8 @@ class MaterialStore:
     MAC-side rows of shape (n, w_mac, kappa/8 + 1), each the MAC's bytes in
     `BitVec.to_bytes` order followed by one byte for the bit, and key rows of
     shape (n, w_key, kappa/8). WIDTHS gives each stream's (w_mac, w_key); its
-    comments name the record fields the rows hold, in order.
+    comments name the record fields the rows hold, in order. delta is the
+    global key this party holds on the peer's bits, a (kappa/8,) row.
     """
 
     STREAMS = ("abits_mine", "abits_theirs", "aands_mine", "aands_theirs",
@@ -145,7 +146,7 @@ class MaterialStore:
     }
 
     def __init__(self, role: Role, kappa: int, psi: int, session_id: bytes,
-                 gk_commit: bytes, delta: GlobalKey,
+                 gk_commit: bytes, delta: np.ndarray,
                  abits_mine=(), abits_theirs=(), aands_mine=(),
                  aands_theirs=(), aots_sender=(), aots_receiver=()):
         self.role = role
@@ -166,11 +167,6 @@ class MaterialStore:
         macs = np.frombuffer(raw, np.uint8, n * wm * (kb + 1), off)
         keys = np.frombuffer(raw, np.uint8, n * wk * kb, off + macs.size)
         return macs.reshape(n, wm, kb + 1), keys.reshape(n, wk, kb)
-
-    @property
-    def delta_row(self) -> np.ndarray:
-        """The global key I hold, as a uint8 row like a key row."""
-        return self.delta.row
 
     # -- consumption --------------------------------------------------------
 
@@ -211,7 +207,7 @@ class MaterialStore:
         counts = struct.pack(">6Q", *(len(getattr(self, n)[0]) for n in self.STREAMS))
         with open(path, "wb") as fh:
             fh.write(self.header_bytes())
-            fh.write(self.delta.delta.to_bytes())
+            fh.write(self.delta.tobytes())
             fh.write(counts)
             for name in self.STREAMS:
                 for rows in getattr(self, name):
@@ -242,7 +238,7 @@ class MaterialStore:
         off = counts_at + 48
         if len(blob) < off:
             raise ParseError("material file too short for its record counts")
-        delta = GlobalKey(role.other, BitVec.from_bytes(kappa, blob[HEADER_BYTES:counts_at]))
+        delta = np.frombuffer(blob, np.uint8, kb, HEADER_BYTES)
         counts = struct.unpack(">6Q", blob[counts_at:off])
         sizes = [n * (wm * (kb + 1) + wk * kb)
                  for n, (wm, wk) in zip(counts, map(cls.WIDTHS.get, cls.STREAMS))]
@@ -260,7 +256,7 @@ class MaterialStore:
 
 def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     """Run the full offline phase; returns this party's store (not saved)."""
-    ((sid, _),) = run_sides(ch, role, perform_hello(ch, role, cfg.kappa, cfg.psi, rng=rng))
+    ((sid, _),) = run_sides(ch, role, perform_hello(role, cfg.kappa, cfg.psi, rng=rng))
     backend = DealerOt(rng)
     kb = cfg.kappa // 8
 
@@ -290,9 +286,9 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         taken[owner] = pos + n
         return abits[owner][pos : pos + n]
 
-    def gk_of(owner) -> GlobalKey:
+    def gk_of(owner) -> np.ndarray:
         """The global key on owner's bits; all zero if owner has none."""
-        return gks[owner] if owner in gks else GlobalKey(owner, BitVec.zeros(cfg.kappa))
+        return gks[owner] if owner in gks else np.zeros(kb, np.uint8)
 
     # The leaky triples of both owners and the leaky quads of both directions
     # run side by side. The combiners then run one at a time, in this same
@@ -340,7 +336,7 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         (aots if is_aot else aands)[owner] = combined
 
     my_delta = gk_of(role.other)
-    my_commit = ro_hash("gkc", sid, bytes([role.value]), my_delta.delta.to_bytes())
+    my_commit = ro_hash("gkc", sid, bytes([role.value]), my_delta)
     (peer_commit,) = run_sides(ch, role, _flush_and_commit(sent_acc, expect_acc, my_commit))
     commits = {role: my_commit, role.other: peer_commit}
     gk_commit = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
@@ -387,8 +383,8 @@ def verify_stores(store_a: MaterialStore, store_b: MaterialStore) -> int:
         checked += n
 
     for mac_store, key_store in ((store_a, store_b), (store_b, store_a)):
-        gk = key_store.delta_row  # authenticates mac_store's bits
-        gk_recv = mac_store.delta_row  # authenticates the receiver's bits
+        gk = key_store.delta  # authenticates mac_store's bits
+        gk_recv = mac_store.delta  # authenticates the receiver's bits
         (am, _), (_, ak) = mac_store.abits_mine, key_store.abits_theirs
         (tm, _), (_, tk) = mac_store.aands_mine, key_store.aands_theirs
         (xs, kcz), (cz, kxs) = mac_store.aots_sender, key_store.aots_receiver

@@ -9,9 +9,9 @@ seen the other's H(value) - that leak is the contract. It is less than the
 values themselves, which the calling protocols' cut-and-choose analyses
 already allow to leak.
 
-Both sides are protocol sides (see `transport.run_sides`). The commitment
-digest is truncated to kappa bits so reduced-kappa test builds can measure
-binding failure rates.
+Both sides are protocol sides (see `transport.run_sides`) and take kappa
+as an argument. The commitment digest is truncated to kappa bits so
+reduced-kappa test builds can measure binding failure rates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .ro_suite import DIGEST_BYTES, ro_hash, ro_stream
-from .transport import Channel, MsgType, Recv, Send
+from .transport import MsgType, Recv, Send
 
 
 def _commitment(kappa: int, x, r: bytes) -> bytes:
@@ -74,22 +74,23 @@ class ColumnDigest:
         return self._h.digest()
 
 
-def eq_commit_side(ch: Channel, d: bytes, rng):
-    """Run the committing role on digest d. Returns True iff the values
-    matched."""
-    r = rng.getrandbits(ch.kappa).to_bytes(ch.kappa // 8, "little")
-    yield Send((MsgType.EQ_COMMIT, _commitment(ch.kappa, d, r)))
+def eq_commit_side(d: bytes, kappa: int, rng):
+    """Run the committing role on digest d, with a kappa-bit commitment.
+    Returns True iff the values matched."""
+    r = rng.getrandbits(kappa).to_bytes(kappa // 8, "little")
+    yield Send((MsgType.EQ_COMMIT, _commitment(kappa, d, r)))
     (theirs,) = yield Recv((MsgType.EQ_VALUE, DIGEST_BYTES))
     yield Send((MsgType.EQ_OPEN, d + r))
     return d == theirs
 
 
-def eq_respond_side(ch: Channel, e: bytes):
-    """Run the responding role on digest e. Returns True iff the commitment
-    opened correctly and the values matched."""
-    (c,) = yield Recv((MsgType.EQ_COMMIT, ch.kappa // 8))
+def eq_respond_side(e: bytes, kappa: int):
+    """Run the responding role on digest e against a kappa-bit commitment.
+    Returns True iff the commitment opened correctly and the values
+    matched."""
+    (c,) = yield Recv((MsgType.EQ_COMMIT, kappa // 8))
     yield Send((MsgType.EQ_VALUE, e))
-    (opening,) = yield Recv((MsgType.EQ_OPEN, DIGEST_BYTES + ch.kappa // 8))
+    (opening,) = yield Recv((MsgType.EQ_OPEN, DIGEST_BYTES + kappa // 8))
     d = bytes(opening[:DIGEST_BYTES])
     r = bytes(opening[DIGEST_BYTES:])
-    return _commitment(ch.kappa, d, r) == c and d == e
+    return _commitment(kappa, d, r) == c and d == e

@@ -26,7 +26,9 @@ themselves are checked immediately.
 
 The hello, the input round, the levels' reveal rounds, the flush and the
 output rounds form one protocol side, which `evaluate` runs with
-`transport.run_sides`. Every round names its speaker, so both parties run
+`transport.run_sides`. Its parameters come from the store: kappa, psi, the
+session id and the global key this party holds, a (kappa/8,) row like a key
+row; the channel only carries the frames. Every round names its speaker, so both parties run
 the same code: the speaker sends and the peer reads. Bob's round 3 of one
 level and his round 1 of the next go out back to back, one flight.
 """
@@ -95,7 +97,7 @@ class Runtime:
         self.role = role
         self.store = store
         self.kappa = store.kappa
-        self._delta = store.delta_row  # global key I hold on the peer's bits
+        self._delta = store.delta  # global key I hold on the peer's bits
         self.tamper = tamper
         self.stats = RuntimeStats()
         self._sent = MacAccumulator()
@@ -110,7 +112,7 @@ class Runtime:
 
     def _hello(self):
         _, peer_commit = yield from perform_hello(
-            self.ch, self.role, self.kappa, self.store.psi,
+            self.role, self.kappa, self.store.psi,
             session_id=self.store.session_id, extra=self.store.gk_commit)
         if peer_commit != self.store.gk_commit:
             raise ProtocolAbort("hello", "material commitment mismatch")

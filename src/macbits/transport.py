@@ -5,7 +5,10 @@ Frame layout on the wire: 1 byte message type, 4 bytes big-endian payload
 length, payload. `Channel.recv` checks each frame's type and size, so
 protocol code parses only payloads of the length it expects. Both channel
 flavors count frames and bytes per direction; the online phase asserts its
-exact communication footprint from these counters.
+exact communication footprint from these counters. A channel is only that
+pipe and holds no session state: `perform_hello` takes the role, kappa and
+psi as arguments and returns the agreed session id, and protocol sides take
+kappa and each global key as plain arguments.
 
 Every exchange with the peer, offline and online, is a protocol side: a
 generator that yields once per flight, `Send(frames)` to send, `Recv(wants)`
@@ -93,11 +96,6 @@ class Channel:
 
     def __init__(self):
         self.stats = ChannelStats()
-        # Session parameters, populated by perform_hello.
-        self.role = None
-        self.kappa = None
-        self.psi = None
-        self.session_id = None
 
     # subclasses implement _send_frame / _recv_frame / close
 
@@ -291,8 +289,8 @@ def _unpack_hello(payload: bytes):
     return version, Role(role_v), kappa, psi, sid, payload[_HELLO.size:]
 
 
-def perform_hello(ch: Channel, role: Role, kappa: int, psi: int,
-                  session_id: bytes = None, extra: bytes = b"", rng=None):
+def perform_hello(role: Role, kappa: int, psi: int, session_id: bytes = None,
+                  extra: bytes = b"", rng=None):
     """Two-step session handshake, as a protocol side. Alice speaks first and
     fixes the session id when Bob passes none, so Bob reads her hello before
     he answers. Any parameter disagreement aborts before protocol traffic.
@@ -318,7 +316,6 @@ def perform_hello(ch: Channel, role: Role, kappa: int, psi: int,
         raise ProtocolError(f"parameter mismatch: peer has kappa={pk}, psi={pp}")
     if psid != session_id:
         raise ProtocolError("session id mismatch")
-    ch.role, ch.kappa, ch.psi, ch.session_id = role, kappa, psi, session_id
     return session_id, pextra
 
 

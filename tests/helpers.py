@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from macbits.abit_proto import GlobalKey, Rows
-from macbits.bitlinalg import BitVec
+from macbits.abit_proto import Rows
+from macbits.bitlinalg import BitVec, random_rows
 from macbits.circuit import Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.ro_suite import expand, ro_hash
@@ -58,20 +58,25 @@ class AuthBitKey:
     def __xor__(self, other: "AuthBitKey") -> "AuthBitKey":
         return AuthBitKey(self.key ^ other.key)
 
-    def xor_const(self, b: int, gk: GlobalKey) -> "AuthBitKey":
-        return AuthBitKey(self.key ^ gk.delta.times(b))
+    def xor_const(self, b: int, delta: np.ndarray) -> "AuthBitKey":
+        return AuthBitKey(self.key ^ delta_vec(delta).times(b))
+
+
+def delta_vec(delta: np.ndarray) -> BitVec:
+    """A global key, a (kappa/8,) uint8 row, as a BitVec of the record view."""
+    return BitVec.from_bytes(8 * len(delta), delta.tobytes())
 
 
 def const_mac(b: int, kappa: int) -> AuthBitMac:
     return AuthBitMac(b & 1, BitVec.zeros(kappa))
 
 
-def const_key(b: int, gk: GlobalKey) -> AuthBitKey:
-    return AuthBitKey(gk.delta.times(b))
+def const_key(b: int, delta: np.ndarray) -> AuthBitKey:
+    return AuthBitKey(delta_vec(delta).times(b))
 
 
-def verify_abit(mac_half: AuthBitMac, key_half: AuthBitKey, gk: GlobalKey) -> bool:
-    return mac_half.mac == key_half.key ^ gk.delta.times(mac_half.bit)
+def verify_abit(mac_half: AuthBitMac, key_half: AuthBitKey, delta: np.ndarray) -> bool:
+    return mac_half.mac == key_half.key ^ delta_vec(delta).times(mac_half.bit)
 
 
 # A record lists its MAC halves first, then its key halves, as a Rows does.
@@ -214,20 +219,20 @@ class OracleDealer:
     def __init__(self, kappa: int, rng: random.Random):
         self.kappa = kappa
         self.rng = rng
-        # delta[P] authenticates P's bits and is held by P's peer
-        self.delta = {r: GlobalKey(r, BitVec.random(kappa, rng))
-                      for r in (Role.ALICE, Role.BOB)}
+        # delta[P], a (kappa/8,) row, authenticates P's bits and is held by
+        # P's peer
+        self.delta = {r: random_rows(1, kappa, rng)[0] for r in (Role.ALICE, Role.BOB)}
 
     def abit(self, owner: Role):
         """One authenticated bit: (mac half for owner, key half for peer)."""
         bit = self.rng.getrandbits(1)
         key = BitVec.random(self.kappa, self.rng)
-        mac = key ^ self.delta[owner].delta.times(bit)
+        mac = key ^ delta_vec(self.delta[owner]).times(bit)
         return AuthBitMac(bit, mac), AuthBitKey(key)
 
     def abit_with(self, owner: Role, bit: int):
         key = BitVec.random(self.kappa, self.rng)
-        mac = key ^ self.delta[owner].delta.times(bit)
+        mac = key ^ delta_vec(self.delta[owner]).times(bit)
         return AuthBitMac(bit, mac), AuthBitKey(key)
 
     def triple(self, owner: Role):
@@ -253,9 +258,7 @@ class OracleDealer:
         sid = bytes(self.rng.getrandbits(8) for _ in range(16))
         commits = {}
         for r in (Role.ALICE, Role.BOB):
-            held = self.delta[r.other]
-            commits[r] = ro_hash("gkc", sid, bytes([r.value]),
-                                 held.delta.to_bytes())
+            commits[r] = ro_hash("gkc", sid, bytes([r.value]), self.delta[r.other])
         joint = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
         records = {r: {name: [] for name in MaterialStore.STREAMS}
                    for r in (Role.ALICE, Role.BOB)}
@@ -409,7 +412,6 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
     from macbits.errors import ProtocolAbort
 
     ca, cb = memory_pair(timeout=120.0)
-    ca.kappa = cb.kappa = kappa
 
     def tamper(keys, m1):
         # offset k + 1 (< 2**ell) on OT k's branch 1
@@ -424,7 +426,7 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
         for _ in range(trials):
             try:
                 run_side(ca, Role.ALICE,
-                         labit_sender(ca, tau, ell, rng, backend, offer_tamper=tamper))
+                         labit_sender(tau, ell, kappa, rng, backend, offer_tamper=tamper))
                 wins += 1
             except ProtocolAbort:
                 pass
@@ -436,7 +438,7 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
         run_side(cb, Role.BOB, backend.setup(mint=False))
         for _ in range(trials):
             try:
-                run_side(cb, Role.BOB, labit_receiver(cb, tau, ell, rng, backend))
+                run_side(cb, Role.BOB, labit_receiver(tau, ell, kappa, rng, backend))
             except ProtocolAbort:
                 pass
 
@@ -455,23 +457,22 @@ def laot_probe_outcomes(trials: int, seed: int, kappa: int = 16):
     outcomes = []
     for t in range(trials):
         qs, qr = dealer.quad(Role.ALICE)
-        gk_b = dealer.delta[Role.BOB]
-        gk_a = dealer.delta[Role.ALICE]
+        delta_b = dealer.delta[Role.BOB]
+        delta_a = dealer.delta[Role.ALICE]
 
         def garble(i, b0, b1):
             # flip a MAC bit (payload bit 1) in the masked branch-1 blob
             return b0, bytes([b1[0] ^ 2]) + b1[1:]
 
         ca, cb = memory_pair(timeout=30.0)
-        ca.kappa = cb.kappa = kappa
         rng_a = random.Random(seed * 7 + t)
         try:
             run_pair(
                 lambda: run_side(ca, Role.ALICE, laot_sender(
                     ca, *(bit_rows([h], kappa) for h in vars(qs).values()),
-                    gk_b, rng_a, payload_tamper=garble)),
+                    delta_b, rng_a, payload_tamper=garble)),
                 lambda: run_side(cb, Role.BOB, laot_receiver(
-                    cb, *(bit_rows([h], kappa) for h in vars(qr).values()), gk_a)),
+                    cb, *(bit_rows([h], kappa) for h in vars(qr).values()), delta_a)),
                 timeout=30, channels=(ca, cb))
             outcomes.append((qr.c.bit, False))
         except ProtocolAbort:
@@ -488,8 +489,7 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
     rng = random.Random(seed)
     dealer = OracleDealer(kappa, rng)
     ca, cb = memory_pair(timeout=120.0)
-    ca.kappa = cb.kappa = kappa
-    gk = dealer.delta[Role.ALICE]
+    delta = dealer.delta[Role.ALICE]
 
     batches = []
     for _ in range(trials):
@@ -517,8 +517,8 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
         for _, (kx, ky, kr) in batches:
             try:
                 run_side(cb, Role.BOB,
-                         laand_key_side(cb, *(bit_rows([h], kappa) for h in (kx, ky, kr)), gk,
-                                        u_tamper=tamper))
+                         laand_key_side(cb, *(bit_rows([h], kappa) for h in (kx, ky, kr)),
+                                        delta, u_tamper=tamper))
             except ProtocolAbort:
                 pass
 

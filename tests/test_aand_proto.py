@@ -37,7 +37,6 @@ def run_laand(n, seed=0, d_tamper=None, u_tamper=None):
     od = OracleDealer(KAPPA, rng)
     mac_in, key_in = triple_inputs(od, n)
     a, b = memory_pair(timeout=30.0)
-    a.kappa = b.kappa = KAPPA
     rng_a = random.Random(seed + 1)
     macs, keys = run_pair(
         lambda: run_side(a, A, laand_mac_side(a, *mac_in, rng_a, d_tamper=d_tamper)),

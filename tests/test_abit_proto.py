@@ -1,22 +1,20 @@
 import math
 import random
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (AuthBitKey, AuthBitMac, const_key, const_mac, key_half,
+from helpers import (AuthBitKey, AuthBitMac, const_key, const_mac, delta_vec, key_half,
                      labit_cheat_survivals, mac_half, run_side, seeded,
                      verify_abit)
-from macbits.abit_proto import (GlobalKey, amplify_keys_with, amplify_macs_with,
+from macbits.abit_proto import (amplify_keys_with, amplify_macs_with,
                                 labit_receiver, labit_sender,
                                 labit_to_wabit_keys, labit_to_wabit_macs,
-                                produce_abits, tau_for, wabit_amplify_key_side,
-                                wabit_amplify_mac_side)
+                                produce_abits, tau_for, wabit_amplify_mac_side)
 from macbits.base_ot import DealerOt, extend_ot_receive
-from macbits.bitlinalg import BitVec, Pairing, pack_bits, random_rows
+from macbits.bitlinalg import BitVec, pack_bits, random_rows
 from macbits.eq_box import eq_respond_side, value_digest
 from macbits.errors import ProtocolAbort, ProtocolError, UsageError
 from macbits.transport import MsgType, Role, Send, memory_pair, run_pair
@@ -42,11 +40,11 @@ def make_abit(bit, delta, rng, kappa=16):
 
 def test_mac_relation_and_homomorphism_exhaustive():
     rng = random.Random(0)
-    gk = GlobalKey(Role.ALICE, BitVec.random(16, rng))
+    gk = random_rows(1, 16, rng)[0]
     for x in (0, 1):
         for y in (0, 1):
-            mx, kx = make_abit(x, gk.delta, rng)
-            my, ky = make_abit(y, gk.delta, rng)
+            mx, kx = make_abit(x, delta_vec(gk), rng)
+            my, ky = make_abit(y, delta_vec(gk), rng)
             assert verify_abit(mx, kx, gk)
             assert verify_abit(my, ky, gk)
             # M_x ^ M_y = (K_x ^ K_y) ^ (x ^ y) Delta
@@ -56,18 +54,18 @@ def test_mac_relation_and_homomorphism_exhaustive():
 
 def test_constant_bits():
     rng = random.Random(1)
-    gk = GlobalKey(Role.BOB, BitVec.random(16, rng))
+    gk = random_rows(1, 16, rng)[0]
     for b in (0, 1):
         m, k = const_mac(b, 16), const_key(b, gk)
         assert m.mac == BitVec.zeros(16)
-        assert k.key == gk.delta.times(b)
+        assert k.key == delta_vec(gk).times(b)
         assert verify_abit(m, k, gk)
 
 
 def test_xor_const():
     rng = random.Random(2)
-    gk = GlobalKey(Role.ALICE, BitVec.random(16, rng))
-    m, k = make_abit(1, gk.delta, rng)
+    gk = random_rows(1, 16, rng)[0]
+    m, k = make_abit(1, delta_vec(gk), rng)
     assert verify_abit(m.xor_const(1), k.xor_const(1, gk), gk)
     assert m.xor_const(1).bit == 0
     assert m.xor_const(0) == m
@@ -75,8 +73,8 @@ def test_xor_const():
 
 def test_verify_rejects_wrong_mac():
     rng = random.Random(3)
-    gk = GlobalKey(Role.ALICE, BitVec.random(16, rng))
-    m, k = make_abit(1, gk.delta, rng)
+    gk = random_rows(1, 16, rng)[0]
+    m, k = make_abit(1, delta_vec(gk), rng)
     bad = AuthBitMac(m.bit, m.mac ^ BitVec(16, 1))
     assert not verify_abit(bad, k, gk)
     assert not verify_abit(AuthBitMac(0, m.mac), k, gk)
@@ -88,13 +86,13 @@ def test_verify_rejects_wrong_mac():
 
 def run_labit(tau, ell, seed=0, kappa=16, offer_tamper=None):
     a, b = memory_pair(timeout=30.0)
-    a.kappa = b.kappa = kappa
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
     ot_a, ot_b = DealerOt(rng_a), DealerOt()
     return run_pair(
-        lambda: run_side(a, A, seeded(ot_a, True, labit_sender(a, tau, ell, rng_a, ot_a,
+        lambda: run_side(a, A, seeded(ot_a, True, labit_sender(tau, ell, kappa, rng_a, ot_a,
                                                                offer_tamper=offer_tamper))),
-        lambda: run_side(b, B, seeded(ot_b, False, labit_receiver(b, tau, ell, rng_b, ot_b))),
+        lambda: run_side(b, B, seeded(ot_b, False, labit_receiver(tau, ell, kappa, rng_b,
+                                                                  ot_b))),
         timeout=30, channels=(a, b))
 
 
@@ -120,7 +118,6 @@ def test_labit_wrong_d_announcement_aborts():
     values disagree and the equality check fails on both sides."""
     tau, ell, kappa = 4, 8, 16
     a, b = memory_pair(timeout=30.0)
-    a.kappa = b.kappa = kappa
     rng_b = random.Random(11)
 
     def lying_receiver():
@@ -128,24 +125,21 @@ def test_labit_wrong_d_announcement_aborts():
         ys = [rng_b.getrandbits(1) for _ in range(t)]
         ot_b = DealerOt()
         yield from ot_b.setup(mint=False)
-        macs = yield from extend_ot_receive(b, ot_b, ys, ell)
-        part = list(range(t))
-        for i in range(0, t, 2):
-            part[i], part[i + 1] = i + 1, i
-        pairing = Pairing(part)
-        reps = pairing.smaller_indices()
-        d = [ys[i] ^ ys[pairing.partner(i)] for i in reps]
+        macs = yield from extend_ot_receive(ot_b, ys, ell)
+        part = np.arange(t, dtype=np.uint32) ^ 1  # pairs (0, 1), (2, 3), ...
+        reps = range(0, t, 2)
+        d = [ys[i] ^ ys[part[i]] for i in reps]
         d[0] ^= 1  # the lie
-        yield Send((MsgType.LABIT_PAIRING, struct.pack(f">{t}I", *pairing.part)),
+        yield Send((MsgType.LABIT_PAIRING, part.astype(">u4").tobytes()),
                    (MsgType.LABIT_D, BitVec.from_bits(d).to_bytes()))
-        folded = BitVec.join([BitVec.from_bytes(ell, (macs[i] ^ macs[pairing.partner(i)]).tobytes())
+        folded = BitVec.join([BitVec.from_bytes(ell, (macs[i] ^ macs[part[i]]).tobytes())
                               for i in reps])
-        return (yield from eq_respond_side(b, value_digest(folded.n, folded.to_bytes())))
+        return (yield from eq_respond_side(value_digest(folded.n, folded.to_bytes()), kappa))
 
     ot_a = DealerOt(random.Random(10))
     with pytest.raises(ProtocolAbort):
         run_pair(lambda: run_side(a, A, seeded(ot_a, True, labit_sender(
-                     a, tau, ell, random.Random(10), ot_a))),
+                     tau, ell, kappa, random.Random(10), ot_a))),
                  lambda: run_side(b, B, lying_receiver()), timeout=30, channels=(a, b))
 
 
@@ -210,9 +204,9 @@ def test_amplify_identity_matrix_is_noop():
     mv, kv = labit_to_wabit_macs(gamma, keys, 10), labit_to_wabit_keys(ys, macs, 10)
     eye = packed(np.eye(6))
     out_m = amplify_macs_with(eye, gamma, keys, 10)
-    gk, out_k = amplify_keys_with(eye, ys, macs, 10, Role.ALICE)
+    gk, out_k = amplify_keys_with(eye, ys, macs, 10)
     assert np.array_equal(out_m[:, :-1], mv.macs) and np.array_equal(out_m[:, -1], mv.bits)
-    assert np.array_equal(out_k, kv.keys) and gk.delta.to_bytes() == pack_bits(kv.gamma)
+    assert np.array_equal(out_k, kv.keys) and gk.tobytes() == pack_bits(kv.gamma)
 
 
 def test_amplify_preserves_mac_relation():
@@ -221,8 +215,8 @@ def test_amplify_preserves_mac_relation():
     kv = labit_to_wabit_keys(ys, macs, 40)
     mat = random_rows(8, 59, rng)
     out_m = amplify_macs_with(mat, gamma, keys, 40)
-    gk, out_k = amplify_keys_with(mat, ys, macs, 40, Role.ALICE)
-    assert gk.delta.to_bytes() == ref_times(mat, 59, packed(kv.gamma)).tobytes()
+    gk, out_k = amplify_keys_with(mat, ys, macs, 40)
+    assert gk.tobytes() == ref_times(mat, 59, packed(kv.gamma)).tobytes()
     for i in range(40):
         assert verify_abit(mac_half(out_m[i]), key_half(out_k[i]), gk)
 
@@ -236,13 +230,12 @@ def test_amplify_then_transpose_matches_transpose_then_multiply(tau, ell, identi
     mat = packed(np.eye(tau)) if identity else random_rows(8, tau, rng)
     mv, kv = labit_to_wabit_macs(gamma, keys, ell), labit_to_wabit_keys(ys, macs, ell)
     out_m = amplify_macs_with(mat, gamma, keys, ell)
-    gk, out_k = amplify_keys_with(mat, ys, macs, ell, Role.BOB)
+    gk, out_k = amplify_keys_with(mat, ys, macs, ell)
 
     assert np.array_equal(out_m[:, -1], mv.bits)
     assert np.array_equal(out_m[:, :-1], ref_times(mat, tau, mv.macs))
     assert np.array_equal(out_k, ref_times(mat, tau, kv.keys))
-    assert gk.owner is Role.BOB
-    assert gk.delta.to_bytes() == ref_times(mat, tau, packed(kv.gamma)).tobytes()
+    assert gk.tobytes() == ref_times(mat, tau, packed(kv.gamma)).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -268,7 +261,7 @@ def test_amplify_checks_width():
     with pytest.raises(UsageError):
         amplify_macs_with(random_rows(4, 8, rng), gamma, keys, 4)
     with pytest.raises(UsageError):
-        amplify_keys_with(random_rows(4, 17, rng), ys, macs, 4, Role.ALICE)
+        amplify_keys_with(random_rows(4, 17, rng), ys, macs, 4)
 
 
 @pytest.mark.parametrize("extra", [None, 1])
@@ -281,7 +274,7 @@ def test_amplify_rejects_wrong_length_matrix(extra):
     a, b = memory_pair(timeout=5.0)
     b.send(MsgType.AMPLIFY_MATRIX, raw)
     with pytest.raises(ProtocolError):
-        run_side(a, A, wabit_amplify_mac_side(a, gamma, keys, 10, kappa))
+        run_side(a, A, wabit_amplify_mac_side(gamma, keys, 10, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +283,6 @@ def test_amplify_rejects_wrong_length_matrix(extra):
 
 def run_produce(count, psi, owner=Role.ALICE, seed=0):
     a, b = memory_pair(timeout=120.0)
-    a.kappa = b.kappa = psi  # EQ width follows the amplification target
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
     backends = {}
 
@@ -311,7 +303,7 @@ def test_produce_abits_relations_hold():
     batch_mac, (gk, batch_key), _ = run_produce(count, psi)
     assert batch_mac.shape == (count, psi // 8 + 1)
     assert batch_key.shape == (count, psi // 8)
-    assert gk.owner is Role.ALICE
+    assert gk.shape == (psi // 8,)
     for i in range(count):
         assert verify_abit(mac_half(batch_mac[i]), key_half(batch_key[i]), gk)
 
@@ -334,7 +326,6 @@ def test_produce_abits_seed_ot_budget():
 
 def test_produce_abits_owner_bob():
     (gk, batch_key), batch_mac, _ = run_produce(50, 16, owner=Role.BOB, seed=4)
-    assert gk.owner is Role.BOB
     for i in range(50):
         assert verify_abit(mac_half(batch_mac[i]), key_half(batch_key[i]), gk)
 

@@ -14,11 +14,10 @@ import numpy as np
 
 from aes_oracle import KNOWN_VECTORS, aes128_encrypt
 from helpers import (AuthBitKey, AuthBitMac, OracleDealer, bit_rows, const_key,
-                     const_mac, eval_two, labit_cheat_survivals,
+                     const_mac, delta_vec, eval_two, labit_cheat_survivals,
                      laand_u_tamper_outcomes, laot_probe_outcomes,
                      oracle_store_pair, random_circuit, random_inputs,
                      reconstruct_pair, run_side, verify_abit)
-from macbits.abit_proto import GlobalKey
 from macbits.aand_proto import aand_combine_key, aand_combine_mac
 from macbits.aescircuit import (bits_to_block, block_to_bits,
                                 generate_aes_circuit)
@@ -133,7 +132,7 @@ def test_reveal_forgery_rate_at_reduced_kappa():
     hits = 0
     for _ in range(trials):
         delta = BitVec.random(kappa, rng)
-        gk = GlobalKey(A, delta)
+        gk = np.frombuffer(delta.to_bytes(), np.uint8)
         key = BitVec.random(kappa, rng)
         bit = rng.getrandbits(1)
         mac = key ^ delta.times(bit)
@@ -220,7 +219,6 @@ def test_cost_accounting():
     reset_hash_calls()
     pairs = [od.quad(A) for _ in range(n_leaky)]
     ca, cb = memory_pair(timeout=30.0)
-    ca.kappa = cb.kappa = 16
     quads_s, quads_r = run_pair(
         lambda: run_side(ca, A, laot_sender(ca, bit_rows([p[0].x0 for p in pairs], 16),
                                             bit_rows([p[0].x1 for p in pairs], 16),
@@ -246,7 +244,6 @@ def test_cost_accounting():
     reset_hash_calls()
     trips = [od.triple(A) for _ in range(n_leaky)]
     ca, cb = memory_pair(timeout=30.0)
-    ca.kappa = cb.kappa = 16
     macs, keys = run_pair(
         lambda: run_side(ca, A, laand_mac_side(ca, bit_rows([t[0].x for t in trips], 16),
                                                bit_rows([t[0].y for t in trips], 16),
@@ -295,8 +292,7 @@ def _row(half) -> np.ndarray:
     return np.frombuffer(half.key.to_bytes(), np.uint8)
 
 
-def _row_holds(mac_row, key_row, gk) -> bool:
-    delta = np.frombuffer(gk.delta.to_bytes(), np.uint8)
+def _row_holds(mac_row, key_row, delta) -> bool:
     return np.array_equal(mac_row[:-1], key_row ^ mac_row[-1] * delta)
 
 
@@ -321,7 +317,7 @@ def test_share_algebra_exhaustive():
         # a public constant: zero MAC and bit b; the peer's key is b*Delta
         cm, ck = _row(const_mac(b, 16)), _row(const_key(b, gk))
         ok = ok and not cm[:-1].any() and cm[-1] == b
-        ok = ok and np.array_equal(ck, _row(AuthBitKey(gk.delta.times(b))))
+        ok = ok and np.array_equal(ck, _row(AuthBitKey(delta_vec(gk).times(b))))
         ok = ok and _row_holds(cm, ck, gk)
         for x in (0, 1):
             xm, xk = abit_rows(A, x)

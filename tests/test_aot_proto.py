@@ -55,7 +55,6 @@ def run_laot(n, seed=0, d_tamper=None):
     od = OracleDealer(KAPPA, rng)
     send_in, recv_in = quad_inputs(od, n)
     a, b = memory_pair(timeout=30.0)
-    a.kappa = b.kappa = KAPPA
     rng_a = random.Random(seed + 1)
     quads_s, quads_r = run_pair(
         lambda: run_side(a, A, laot_sender(a, *send_in, od.delta[B], rng_a)),

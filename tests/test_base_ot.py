@@ -48,8 +48,8 @@ def run_extended(offset, n_bits, choices, offer_tamper=None):
     backend, ot_b = RecordingOt(rng), DealerOt()
     keys, got = run_pair(
         lambda: run_side(a, A, seeded(backend, True, extend_ot_send(
-            a, backend, offset, n_bits, len(choices), rng, offer_tamper=offer_tamper))),
-        lambda: run_side(b, B, seeded(ot_b, False, extend_ot_receive(b, ot_b, choices, n_bits))),
+            backend, offset, n_bits, len(choices), rng, offer_tamper=offer_tamper))),
+        lambda: run_side(b, B, seeded(ot_b, False, extend_ot_receive(ot_b, choices, n_bits))),
         timeout=60)
     return keys, got, backend.pairs, a.sent
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macbits.bitlinalg import (BitVec, Pairing, mat_vec_mul, mat_vec_mul_batch,
+from macbits.bitlinalg import (BitVec, mat_vec_mul, mat_vec_mul_batch,
                                pack_bits, random_pairing, random_permutation,
                                random_rows, transpose_bits, unpack_bits)
 from macbits.errors import UsageError
@@ -248,8 +248,7 @@ def test_bit_vector_packing_round_trip():
 
 def test_pairing_t2_forced():
     p = random_pairing(2, random.Random(0))
-    assert p.partner(0) == 1 and p.partner(1) == 0
-    assert p.smaller_indices() == [0]
+    assert p.dtype == np.uint32 and p.tolist() == [1, 0]
 
 
 def test_pairing_requires_even():
@@ -257,11 +256,18 @@ def test_pairing_requires_even():
         random_pairing(5, random.Random(0))
 
 
-def test_pairing_validates_structure():
-    with pytest.raises(UsageError):
-        Pairing([0, 1, 3, 2])  # fixed points
-    with pytest.raises(UsageError):
-        Pairing([1, 0, 2, 2])  # not an involution
+def test_pairing_pairs_off_a_shuffle():
+    # partners are consecutive entries of a random_permutation, which is all
+    # the rng is asked for
+    for t in (2, 10, 64):
+        rng, ref = random.Random(t), random.Random(t)
+        p = random_pairing(t, rng)
+        order = random_permutation(t, ref)
+        want = [0] * t
+        for k in range(0, t, 2):
+            want[order[k]], want[order[k + 1]] = order[k + 1], order[k]
+        assert p.tolist() == want
+        assert rng.getstate() == ref.getstate()
 
 
 def test_pairing_involution_no_fixed_points():
@@ -269,9 +275,8 @@ def test_pairing_involution_no_fixed_points():
     for t in (2, 4, 10, 64):
         p = random_pairing(t, rng)
         for i in range(t):
-            assert p.partner(p.partner(i)) == i
-            assert p.partner(i) != i
-        assert len(p.smaller_indices()) == t // 2
+            assert p[p[i]] == i
+            assert p[i] != i
 
 
 def test_pairing_t4_uniform_over_three_matchings():
@@ -281,7 +286,7 @@ def test_pairing_t4_uniform_over_three_matchings():
     n = 30000
     for _ in range(n):
         p = random_pairing(4, rng)
-        counts[tuple(p.part)] = counts.get(tuple(p.part), 0) + 1
+        counts[tuple(p.tolist())] = counts.get(tuple(p.tolist()), 0) + 1
     assert len(counts) == 3
     sigma = math.sqrt((1 / 3) * (2 / 3) * n)
     for c in counts.values():

@@ -132,7 +132,7 @@ def test_deal_fresh_seed_fresh_session():
     sa1, _ = run_deal(SMALL, seed=1)
     sa2, _ = run_deal(SMALL, seed=2)
     assert sa1.session_id != sa2.session_id
-    assert sa1.delta.delta != sa2.delta.delta
+    assert not np.array_equal(sa1.delta, sa2.delta)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -145,7 +145,7 @@ def test_save_load_round_trip(tmp_path):
         assert back.kappa == store.kappa and back.psi == store.psi
         assert back.session_id == store.session_id
         assert back.gk_commit == store.gk_commit
-        assert back.delta == store.delta
+        assert np.array_equal(back.delta, store.delta)
         for name in MaterialStore.STREAMS:
             for got, want in zip(getattr(back, name), getattr(store, name)):
                 assert got.shape == want.shape

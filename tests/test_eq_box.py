@@ -15,17 +15,11 @@ from macbits.transport import MsgType, Role, memory_pair, run_pair
 A, B = Role.ALICE, Role.BOB
 
 
-def pair16():
-    a, b = memory_pair(timeout=10.0)
-    a.kappa = b.kappa = 16
-    return a, b
-
-
 def run_eq(x: BitVec, y: BitVec):
-    a, b = pair16()
+    a, b = memory_pair(timeout=10.0)
     rng = random.Random(0)
-    return run_pair(lambda: run_side(a, A, eq_commit_side(a, digest(x), rng)),
-                    lambda: run_side(b, B, eq_respond_side(b, digest(y))))
+    return run_pair(lambda: run_side(a, A, eq_commit_side(digest(x), 16, rng)),
+                    lambda: run_side(b, B, eq_respond_side(digest(y), 16)))
 
 
 def test_equal_inputs_both_true():
@@ -87,10 +81,9 @@ def test_column_digest_checks_its_length():
 def test_frame_sizes():
     # EQ_COMMIT kappa/8, EQ_VALUE one digest, EQ_OPEN digest plus kappa/8
     a, b = counting_pair(timeout=10.0)
-    a.kappa = b.kappa = 16
     v = BitVec.random(1000, random.Random(4))
-    assert run_pair(lambda: run_side(a, A, eq_commit_side(a, digest(v), random.Random(0))),
-                    lambda: run_side(b, B, eq_respond_side(b, digest(v)))) == (True, True)
+    assert run_pair(lambda: run_side(a, A, eq_commit_side(digest(v), 16, random.Random(0))),
+                    lambda: run_side(b, B, eq_respond_side(digest(v), 16))) == (True, True)
     assert [(t, len(p)) for t, p in a.sent] == [(MsgType.EQ_COMMIT, 2),
                                                 (MsgType.EQ_OPEN, 32 + 2)]
     assert [(t, len(p)) for t, p in b.sent] == [(MsgType.EQ_VALUE, 32)]
@@ -100,7 +93,7 @@ def test_mismatch_reveals_only_the_digest():
     # on mismatch the responder has seen the opening: the committed value's
     # 32-byte digest and the commitment randomness, never the value
     x = BitVec(8, 0b10110010)
-    a, b = pair16()
+    a, b = memory_pair(timeout=10.0)
     seen = {}
 
     def responder():
@@ -109,7 +102,7 @@ def test_mismatch_reveals_only_the_digest():
         seen["opening"] = b.recv(MsgType.EQ_OPEN)
 
     verdict, _ = run_pair(
-        lambda: run_side(a, A, eq_commit_side(a, digest(x), random.Random(1))), responder)
+        lambda: run_side(a, A, eq_commit_side(digest(x), 16, random.Random(1))), responder)
     assert verdict is False
     r = BitVec.random(16, random.Random(1))
     assert seen["opening"] == digest(x) + r.to_bytes()
@@ -121,7 +114,7 @@ def test_forged_opening_rejected():
     for _ in range(300):
         x = BitVec.random(16, rng)
         x2 = x ^ BitVec(16, 1 << rng.randrange(16))
-        a, b = pair16()
+        a, b = memory_pair(timeout=10.0)
 
         def cheat():
             r = BitVec.random(16, rng).to_bytes()
@@ -130,7 +123,7 @@ def test_forged_opening_rejected():
             r2 = BitVec.random(16, rng)
             a.send(MsgType.EQ_OPEN, digest(x2) + r2.to_bytes())
 
-        _, verdict = run_pair(cheat, lambda: run_side(b, B, eq_respond_side(b, digest(x2))))
+        _, verdict = run_pair(cheat, lambda: run_side(b, B, eq_respond_side(digest(x2), 16)))
         assert verdict is False
 
 
@@ -151,19 +144,19 @@ def test_binding_rate_at_reduced_kappa():
 
 
 def test_bad_commitment_length_rejected():
-    a, b = pair16()
+    a, b = memory_pair(timeout=10.0)
 
     def sender():
         a.send(MsgType.EQ_COMMIT, b"toolongforkappa16")
         return None
 
     with pytest.raises(ProtocolError):
-        run_pair(sender, lambda: run_side(b, B, eq_respond_side(b, digest(BitVec(8, 0)))),
+        run_pair(sender, lambda: run_side(b, B, eq_respond_side(digest(BitVec(8, 0)), 16)),
                  channels=(a, b))
 
 
 def test_truncated_opening_rejected():
-    a, b = pair16()
+    a, b = memory_pair(timeout=10.0)
 
     def sender():
         x = BitVec(8, 3).to_bytes()
@@ -173,7 +166,7 @@ def test_truncated_opening_rejected():
         a.send(MsgType.EQ_OPEN, b"\x00\x00\x00\x08\x03")  # missing r
 
     with pytest.raises(ProtocolError):
-        run_pair(sender, lambda: run_side(b, B, eq_respond_side(b, digest(BitVec(8, 3)))),
+        run_pair(sender, lambda: run_side(b, B, eq_respond_side(digest(BitVec(8, 3)), 16)),
                  channels=(a, b))
 
 
@@ -182,16 +175,16 @@ SHORT = [b"", b"\x00", b"\x00\x00", b"\x00\x00\x00"]  # shorter than the length 
 
 @pytest.mark.parametrize("short", SHORT)
 def test_short_value_frame_is_protocol_error(short):
-    a, b = pair16()
+    a, b = memory_pair(timeout=10.0)
     b.send(MsgType.EQ_VALUE, short)
     with pytest.raises(ProtocolError):
-        run_side(a, A, eq_commit_side(a, digest(BitVec(8, 3)), random.Random(0)))
+        run_side(a, A, eq_commit_side(digest(BitVec(8, 3)), 16, random.Random(0)))
 
 
 @pytest.mark.parametrize("short", SHORT)
 def test_short_opening_frame_is_protocol_error(short):
-    a, b = pair16()
+    a, b = memory_pair(timeout=10.0)
     a.send(MsgType.EQ_COMMIT, bytes(2))
     a.send(MsgType.EQ_OPEN, short)
     with pytest.raises(ProtocolError):
-        run_side(b, B, eq_respond_side(b, digest(BitVec(8, 3))))
+        run_side(b, B, eq_respond_side(digest(BitVec(8, 3)), 16))

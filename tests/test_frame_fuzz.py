@@ -73,20 +73,20 @@ def _ot_receive(ch):
 
 def _labit_sender(ch):
     ot = DealerOt(random.Random(5))
-    return seeded(ot, True, labit_sender(ch, 3, 24, random.Random(5), ot))
+    return seeded(ot, True, labit_sender(3, 24, KAPPA, random.Random(5), ot))
 
 
 def _labit_receiver(ch):
     ot = DealerOt()
-    return seeded(ot, False, labit_receiver(ch, 3, 24, random.Random(6), ot))
+    return seeded(ot, False, labit_receiver(3, 24, KAPPA, random.Random(6), ot))
 
 
 # name -> (step under test, its honest peer, first inbound type, abort tag)
 STEPS = {
     "labit_sender": (_labit_sender, _labit_receiver, MsgType.LABIT_PAIRING, "labit"),
     "wabit_amplify_mac_side": (
-        lambda ch: wabit_amplify_mac_side(ch, _GAMMA, _COLS, 40, KAPPA),
-        lambda ch: wabit_amplify_key_side(ch, np.zeros(_TAU, np.uint8), _COLS, 40, KAPPA, A,
+        lambda ch: wabit_amplify_mac_side(_GAMMA, _COLS, 40, KAPPA),
+        lambda ch: wabit_amplify_key_side(np.zeros(_TAU, np.uint8), _COLS, 40, KAPPA,
                                           random.Random(7)),
         MsgType.AMPLIFY_MATRIX, None),
     "laot_sender": (
@@ -110,28 +110,22 @@ STEPS = {
         lambda ch: laand_mac_side(ch, _macs(_TX), _macs(_TY), _macs(_TR), random.Random(9)),
         MsgType.LAAND_D, "laand"),
     "eq_commit_side": (
-        lambda ch: eq_commit_side(ch, _EQ, random.Random(10)),
-        lambda ch: eq_respond_side(ch, _EQ),
+        lambda ch: eq_commit_side(_EQ, KAPPA, random.Random(10)),
+        lambda ch: eq_respond_side(_EQ, KAPPA),
         MsgType.EQ_VALUE, None),
     "eq_respond_side": (
-        lambda ch: eq_respond_side(ch, _EQ),
-        lambda ch: eq_commit_side(ch, _EQ, random.Random(10)),
+        lambda ch: eq_respond_side(_EQ, KAPPA),
+        lambda ch: eq_commit_side(_EQ, KAPPA, random.Random(10)),
         MsgType.EQ_COMMIT, None),
     "DealerOt.receive": (_ot_receive, _ot_send, MsgType.OT_SETUP, None),
 }
-
-
-def _pair(timeout):
-    a, b = memory_pair(timeout=timeout)
-    a.kappa = b.kappa = KAPPA
-    return a, b
 
 
 @functools.lru_cache(maxsize=None)
 def honest_frames(name):
     """The frames the step receives when its peer is honest."""
     step, peer, _, _ = STEPS[name]
-    mine, theirs = _pair(30.0)
+    mine, theirs = memory_pair(timeout=30.0)
     frames = []
     send = theirs.send
     theirs.send = lambda t, p: (frames.append((t, p)), send(t, p))
@@ -155,7 +149,7 @@ def test_random_first_frame(name, data):
     assert honest[0][0] == msg_type
     size = len(honest[0][1])
     payload = data.draw(payloads(size), label="payload")
-    mine, peer = _pair(0.5)
+    mine, peer = memory_pair(timeout=0.5)
     peer.send(msg_type, payload)
     for t, p in honest[1:]:
         peer.send(t, p)
@@ -169,3 +163,22 @@ def test_random_first_frame(name, data):
     except ProtocolAbort as e:
         assert where is not None and e.phase == where
     assert len(payload) == size
+
+
+@pytest.mark.parametrize("part", [
+    [0, 1, 3, 2, 5, 4],        # fixed points
+    [1, 0, 3, 4, 5, 2],        # no fixed point, but not an involution
+    [1, 0, 3, 2, 5, 6],        # a partner out of range
+    [1, 0, 3, 2, 5, 2**32 - 1],
+], ids=["fixed-points", "not-involution", "out-of-range", "max-u32"])
+def test_labit_sender_rejects_an_invalid_pairing(part):
+    # the honest receiver's frames, with its LABIT_PAIRING (tau = 3, so six
+    # partners) replaced by one that is no perfect matching
+    honest = honest_frames("labit_sender")
+    mine, peer = memory_pair(timeout=0.5)
+    peer.send(MsgType.LABIT_PAIRING, np.array(part, ">u4").tobytes())
+    for t, p in honest[1:]:
+        peer.send(t, p)
+    with pytest.raises(ProtocolAbort, match="peer sent an invalid pairing") as err:
+        run_side(mine, A, _labit_sender(mine))
+    assert err.value.phase == "labit"

@@ -4,9 +4,13 @@ import random
 import socket
 import threading
 
+import numpy as np
 import pytest
 
-from helpers import free_port, run_side
+from helpers import OracleDealer, bit_rows, free_port, run_side
+from macbits.aand_proto import laand_key_side, laand_mac_side
+from macbits.aot_proto import laot_receiver, laot_sender
+from macbits.eq_box import eq_commit_side, eq_respond_side
 from macbits.errors import ProtocolError, TransportError, UsageError
 from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Recv, Role, Send, Swap, TcpChannel,
                                _pack_hello, memory_pair, perform_hello,
@@ -133,18 +137,83 @@ def test_hello_agrees():
     a, b = memory_pair()
     rng = random.Random(1)
     (sid_a, _), (sid_b, _) = run_pair(
-        lambda: run_side(a, Role.ALICE, perform_hello(a, Role.ALICE, 128, 40, rng=rng)),
-        lambda: run_side(b, Role.BOB, perform_hello(b, Role.BOB, 128, 40)))
+        lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 128, 40, rng=rng)),
+        lambda: run_side(b, Role.BOB, perform_hello(Role.BOB, 128, 40)))
     assert sid_a == sid_b
-    assert a.kappa == 128 and b.psi == 40
+
+
+def test_hello_leaves_the_channel_as_it_was():
+    # the agreed parameters are the hello's result, not channel state
+    a, b = memory_pair()
+    before = dict(vars(a)), dict(vars(b))
+    rng = random.Random(5)
+    run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng)),
+             lambda: run_side(b, Role.BOB, perform_hello(Role.BOB, 16, 8)))
+    assert (vars(a), vars(b)) == before
+
+
+def _holds(macs, keys, delta) -> bool:
+    """Each MAC row's MAC is its key row ^ bit * delta."""
+    return np.array_equal(macs[..., :-1], keys ^ macs[..., -1:] * delta)
+
+
+def test_sides_take_kappa_from_their_arguments():
+    # laOT, laAND and the EQ box at kappa = 8 and then 16, side by side on
+    # one channel pair that no hello configured
+    a, b = memory_pair(timeout=30.0)
+    for kappa in (8, 16):
+        od = OracleDealer(kappa, random.Random(kappa))
+        quads = [od.quad(Role.ALICE) for _ in range(6)]
+        triples = [od.triple(Role.ALICE) for _ in range(6)]
+
+        def rows(records, k, *fields):
+            return [bit_rows([getattr(r[k], f) for r in records], kappa) for f in fields]
+
+        got_a, got_b = run_pair(
+            lambda: run_sides(
+                a, Role.ALICE,
+                laot_sender(a, *rows(quads, 0, "x0", "x1", "kc", "kz"), od.delta[Role.BOB],
+                            random.Random(1)),
+                laand_mac_side(a, *rows(triples, 0, "x", "y", "z"), random.Random(2)),
+                eq_commit_side(bytes(32), kappa, random.Random(3))),
+            lambda: run_sides(
+                b, Role.BOB,
+                laot_receiver(b, *rows(quads, 1, "c", "z", "kx0", "kx1"), od.delta[Role.ALICE]),
+                laand_key_side(b, *rows(triples, 1, "kx", "ky", "kz"), od.delta[Role.ALICE]),
+                eq_respond_side(bytes(32), kappa)),
+            timeout=30, channels=(a, b))
+        (qs, qr), (tm, tk) = zip(got_a[:2], got_b[:2])
+        assert got_a[2] is got_b[2] is True
+        assert qs.macs.shape[-1] == tm.macs.shape[-1] == kappa // 8 + 1
+        x0, x1, c, z = qs.macs[:, 0, -1], qs.macs[:, 1, -1], qr.macs[:, 0, -1], qr.macs[:, 1, -1]
+        assert np.array_equal(z, np.where(c, x1, x0))
+        assert _holds(qs.macs, qr.keys, od.delta[Role.ALICE])
+        assert _holds(qr.macs, qs.keys, od.delta[Role.BOB])
+        x, y, z = (tm.macs[:, i, -1] for i in range(3))
+        assert np.array_equal(z, x & y)
+        assert _holds(tm.macs, tk.keys, od.delta[Role.ALICE])
+
+
+def test_protocol_code_touches_only_the_pipe():
+    """src/macbits uses no attribute of a channel but the pipe's own: send,
+    recv, close and stats. Session parameters travel as arguments."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "macbits"
+    used = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("ch", "self.ch"):
+                used.setdefault(node.attr, f"{path.name}:{node.lineno}")
+    # the walk sees the flight helpers' calls, so it finds channels at all
+    assert {"send", "recv", "close"} <= set(used)
+    assert set(used) <= {"send", "recv", "close", "stats"}, used
 
 
 def test_hello_carries_extra():
     a, b = memory_pair()
     rng = random.Random(2)
     (_, ea), (_, eb) = run_pair(
-        lambda: run_side(a, Role.ALICE, perform_hello(a, Role.ALICE, 16, 8, rng=rng, extra=b"A!")),
-        lambda: run_side(b, Role.BOB, perform_hello(b, Role.BOB, 16, 8, extra=b"B!")))
+        lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng, extra=b"A!")),
+        lambda: run_side(b, Role.BOB, perform_hello(Role.BOB, 16, 8, extra=b"B!")))
     assert ea == b"B!" and eb == b"A!"
 
 
@@ -152,8 +221,8 @@ def test_hello_parameter_mismatch_aborts():
     a, b = memory_pair()
     rng = random.Random(3)
     with pytest.raises(ProtocolError):
-        run_pair(lambda: run_side(a, Role.ALICE, perform_hello(a, Role.ALICE, 128, 40, rng=rng)),
-                 lambda: run_side(b, Role.BOB, perform_hello(b, Role.BOB, 64, 40)),
+        run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 128, 40, rng=rng)),
+                 lambda: run_side(b, Role.BOB, perform_hello(Role.BOB, 64, 40)),
                  channels=(a, b))
 
 
@@ -161,8 +230,8 @@ def test_hello_same_role_aborts():
     a, b = memory_pair()
     rng = random.Random(4)
     with pytest.raises(ProtocolError):
-        run_pair(lambda: run_side(a, Role.ALICE, perform_hello(a, Role.ALICE, 16, 8, rng=rng)),
-                 lambda: run_side(b, Role.ALICE, perform_hello(b, Role.ALICE, 16, 8, rng=rng)),
+        run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng)),
+                 lambda: run_side(b, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng)),
                  channels=(a, b))
 
 
@@ -179,7 +248,7 @@ def test_malformed_hello_is_protocol_error(payload):
     a, b = memory_pair(timeout=5.0)
     a.send(MsgType.HELLO, payload)
     with pytest.raises(ProtocolError):
-        run_side(b, Role.BOB, perform_hello(b, Role.BOB, 16, 8))
+        run_side(b, Role.BOB, perform_hello(Role.BOB, 16, 8))
 
 
 def test_run_pair_propagates_failure():
