@@ -3,13 +3,18 @@
 Supports both Bristol layouts: the classic three-number header line and the
 newer value-list form (input value widths on line two, output widths on line
 three). Gate kinds are XOR, AND, INV, and EQW; outputs occupy the last wires
-of the file in declaration order, per the format convention.
+of the file in declaration order, per the format convention, and the wire
+count is the inputs plus the gates.
+
+The one schedule is `Circuit.level_indices`: per AND level, the level's ANDs
+and then its free gates in dependency steps, as numpy index arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -55,8 +60,7 @@ class Circuit:
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        header, it = parse_bristol(text)
-        return cls(header, it)
+        return cls(*parse_bristol(text))
 
     @classmethod
     def from_file(cls, path) -> "Circuit":
@@ -70,59 +74,53 @@ class Circuit:
         return cls.from_text(text)
 
     @cached_property
-    def levels(self) -> tuple:
-        """The online schedule: one (ands, frees) pair of gate tuples per AND
-        depth k = 0..D, each in file order. An AND sits one level above its
-        deepest input; XOR, INV and EQW stay at their deepest input's level,
-        so every AND of a level can be opened in the same rounds."""
-        depth = [0] * self.header.n_wires
-        ands, frees = [[]], [[]]
-        for g in self.gates:
-            k = max(depth[w] for w in g.ins)
-            if g.kind == "AND":
-                k += 1
-                if k == len(ands):
-                    ands.append([])
-                    frees.append([])
-                ands[k].append(g)
-            else:
-                frees[k].append(g)
-            depth[g.out] = k
-        return tuple((tuple(a), tuple(f)) for a, f in zip(ands, frees))
-
-    @cached_property
     def level_indices(self) -> tuple:
-        """`levels` as numpy index arrays, for an evaluator that keeps its
-        wires as array rows. Per level: the ANDs' (inputs as an (n, 2)
-        array, outputs), or None for a level without ANDs, then the free
-        gates as steps of (first inputs, second inputs, outputs), where no
-        step reads a wire written in the same step. Every free gate is an XOR
-        of two wires: EQW's second input is the constant-0 wire `n_wires`
-        and INV's the constant-1 wire `n_wires + 1`."""
-        second = {"EQW": self.header.n_wires, "INV": self.header.n_wires + 1}
+        """The online schedule as numpy index arrays, for an evaluator that
+        keeps its wires as array rows: one entry per AND depth k = 0..D.
 
-        def arrays(cols):
-            return tuple(np.array(c, dtype=np.intp) for c in cols)
-
-        out = []
-        for ands, frees in self.levels:
-            step_of, steps = {}, []
-            for g in frees:
-                s = 1 + max(step_of.get(w, -1) for w in g.ins)
-                step_of[g.out] = s
-                if s == len(steps):
-                    steps.append(([], [], []))
-                ins0, ins1, outs = steps[s]
-                ins0.append(g.ins[0])
-                ins1.append(second.get(g.kind, g.ins[-1]))
-                outs.append(g.out)
-            ia = arrays(([g.ins for g in ands], [g.out for g in ands])) if ands else None
-            out.append((ia, tuple(arrays(st) for st in steps)))
-        return tuple(out)
+        An AND sits one level above its deepest input; XOR, INV and EQW stay
+        at their deepest input's level, one step after their latest input
+        made by a free gate of that level, so no step reads a wire written in
+        the same step. Per level: the ANDs' (inputs as an (n, 2) array,
+        outputs), or None for a level without ANDs, then the free gates' steps
+        as (first inputs, second inputs, outputs), each in file order. Every
+        free gate is an XOR of two wires: EQW's second input is the
+        constant-0 wire `n_wires` and INV's the constant-1 wire
+        `n_wires + 1`."""
+        h = self.header
+        # A wire's key is level * big for an input or an AND output, and
+        # level * big + 1 + step for a free gate's output (big exceeds any
+        # step). A gate is ready after the larger of its inputs' keys, and the
+        # sorted keys list the groups in schedule order: per level its ANDs,
+        # then its free steps.
+        big = h.n_gates + 1
+        second = {"EQW": h.n_wires, "INV": h.n_wires + 1}
+        key = [0] * h.n_wires
+        groups = {}  # key -> (first inputs, second inputs, outputs)
+        for g in self.gates:
+            a, b = g.ins[0], g.ins[-1]
+            k = max(key[a], key[b])
+            k = (k // big + 1) * big if g.kind == "AND" else k + 1
+            key[g.out] = k
+            if k not in groups:
+                groups[k] = ([], [], [])
+            ins0, ins1, outs = groups[k]
+            ins0.append(a)
+            ins1.append(second.get(g.kind, b))
+            outs.append(g.out)
+        levels = [[None, []] for _ in range(max(groups, default=0) // big + 1)]
+        for k in sorted(groups):
+            level, step = divmod(k, big)
+            ins0, ins1, outs = (np.array(c, dtype=np.intp) for c in groups[k])
+            if step == 0:
+                levels[level][0] = (np.column_stack((ins0, ins1)), outs)
+            else:
+                levels[level][1].append((ins0, ins1, outs))
+        return tuple((ands, tuple(steps)) for ands, steps in levels)
 
     @property
     def n_and(self) -> int:
-        return sum(len(a) for a, _ in self.levels)
+        return sum(len(ands[1]) for ands, _ in self.level_indices if ands is not None)
 
     @property
     def output_wires(self) -> range:
@@ -142,119 +140,111 @@ class Circuit:
 
 
 def _validate(header: CircuitHeader, gates) -> None:
+    """Check the wiring against the header. Nothing is sized by a header
+    count: wires past the inputs count as defined once a gate has made them,
+    and the wire count must equal inputs plus gates."""
     if len(gates) != header.n_gates:
         raise ParseError(f"header claims {header.n_gates} gates, found {len(gates)}")
-    if header.n_inputs + header.n_outputs > header.n_wires:
+    n_in, n_wires = header.n_inputs, header.n_wires
+    if n_in + header.n_outputs > n_wires:
         raise ParseError("wire count below inputs plus outputs")
-    defined = bytearray(header.n_wires)
-    for w in range(header.n_inputs):
-        defined[w] = 1
+    made = set()
     for g in gates:
         for w in g.ins:
-            if not 0 <= w < header.n_wires:
+            if not 0 <= w < n_wires:
                 raise ParseError(f"input wire {w} out of range")
-            if not defined[w]:
+            if w >= n_in and w not in made:
                 raise ParseError(f"wire {w} used before assignment")
-        if not 0 <= g.out < header.n_wires:
+        if not 0 <= g.out < n_wires:
             raise ParseError(f"output wire {g.out} out of range")
-        if defined[g.out]:
+        if g.out < n_in or g.out in made:
             raise ParseError(f"wire {g.out} assigned twice")
-        defined[g.out] = 1
-    for w in range(header.n_wires - header.n_outputs, header.n_wires):
-        if not defined[w]:
+        made.add(g.out)
+    for w in range(n_wires - header.n_outputs, n_wires):  # stops at the first gap
+        if w not in made:
             raise ParseError(f"output wire {w} never assigned")
+    if n_wires != n_in + len(gates):
+        raise ParseError(f"header claims {n_wires} wires, inputs and gates make "
+                         f"{n_in + len(gates)}")
 
 
-def _numbered_tokens(text):
-    if hasattr(text, "read"):
-        text = text.read()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = line.split()
-        if toks:
-            yield lineno, toks
+def parse_bristol(text: str):
+    """Parse Bristol circuit text; returns (CircuitHeader, tuple of Gates).
 
-
-def _ints(toks, lineno):
-    try:
-        return [int(t) for t in toks]
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected integers, got {toks!r}") from None
-
-
-def parse_bristol(text):
-    """Parse Bristol circuit text; returns (CircuitHeader, gate iterator).
-
-    The iterator validates lazily and raises ParseError with the offending
-    line number; counts are checked once it is exhausted.
+    Raises ParseError naming the offending line; `Circuit` checks the
+    wiring.
     """
-    lines = _numbered_tokens(text)
+    lines = text.splitlines()
+    head = list(islice(((n, toks) for n, toks in enumerate(map(str.split, lines), 1)
+                        if toks), 3))
+    if not head:
+        raise ParseError("empty circuit file")
+    lineno, nums = head[0]
     try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise ParseError("empty circuit file") from None
-    vals = _ints(toks, lineno)
-    if len(vals) != 2:
-        raise ParseError(f"line {lineno}: expected 'n_gates n_wires'")
-    n_gates, n_wires = vals
-
-    try:
-        lineno2, toks2 = next(lines)
-    except StopIteration:
-        raise ParseError("missing input declaration line") from None
-    rest = list(lines)
-    io_vals = _ints(toks2, lineno2)
-    old_style = (len(io_vals) == 3 and rest
-                 and not rest[0][1][-1].lstrip("-").isdigit())
-    if old_style:
-        inputs_a, inputs_b, n_outputs = io_vals
-        gate_lines = rest
-    else:
-        if not io_vals or len(io_vals) != io_vals[0] + 1:
-            raise ParseError(f"line {lineno2}: malformed input value list")
-        widths = io_vals[1:]
-        if len(widths) == 1:
-            inputs_a, inputs_b = widths[0], 0
-        elif len(widths) == 2:
-            inputs_a, inputs_b = widths
+        vals = [int(t) for t in nums]
+        if len(vals) != 2:
+            raise ParseError(f"line {lineno}: expected 'n_gates n_wires'")
+        if min(vals) < 0:
+            raise ParseError(f"line {lineno}: negative count or width")
+        n_gates, n_wires = vals
+        if len(head) < 2:
+            raise ParseError("missing input declaration line")
+        lineno, nums = head[1]
+        io_vals = [int(t) for t in nums]
+        old_style = (len(io_vals) == 3 and len(head) > 2
+                     and not head[2][1][-1].lstrip("-").isdigit())
+        if not old_style:
+            if not io_vals or len(io_vals) != io_vals[0] + 1:
+                raise ParseError(f"line {lineno}: malformed input value list")
+            if len(io_vals) not in (2, 3):
+                raise ParseError(f"line {lineno}: expected one or two input values")
+        if min(io_vals) < 0:
+            raise ParseError(f"line {lineno}: negative count or width")
+        if old_style:
+            inputs_a, inputs_b, n_outputs = io_vals
         else:
-            raise ParseError(f"line {lineno2}: expected one or two input values")
-        if not rest:
-            raise ParseError("missing output declaration line")
-        lineno3, toks3 = rest[0]
-        out_vals = _ints(toks3, lineno3)
-        if not out_vals or len(out_vals) != out_vals[0] + 1:
-            raise ParseError(f"line {lineno3}: malformed output value list")
-        n_outputs = sum(out_vals[1:])
-        gate_lines = rest[1:]
-
-    header = CircuitHeader(n_gates, n_wires, inputs_a, inputs_b, n_outputs,
-                           (DEST_BOTH,) * n_outputs)
-
-    def gates():
-        seen = 0
-        for lineno_g, toks_g in gate_lines:
-            if len(toks_g) < 4:
-                raise ParseError(f"line {lineno_g}: truncated gate")
-            kind = toks_g[-1].upper()
+            inputs_a, inputs_b = io_vals[1], (io_vals[2] if len(io_vals) == 3 else 0)
+            if len(head) < 3:
+                raise ParseError("missing output declaration line")
+            lineno, nums = head[2]
+            out_vals = [int(t) for t in nums]
+            if not out_vals or len(out_vals) != out_vals[0] + 1:
+                raise ParseError(f"line {lineno}: malformed output value list")
+            if min(out_vals) < 0:
+                raise ParseError(f"line {lineno}: negative count or width")
+            n_outputs = sum(out_vals[1:])
+        gates = []
+        for lineno, line in enumerate(lines[lineno:], lineno + 1):  # after the header
+            toks = line.split()
+            if not toks:
+                continue
+            if len(toks) < 4:
+                raise ParseError(f"line {lineno}: truncated gate")
+            kind = toks[-1].upper()
             if kind == "EQ":
                 kind = "EQW"
             if kind not in GATE_KINDS:
-                raise ParseError(f"line {lineno_g}: unsupported gate {toks_g[-1]!r}")
-            nums = _ints(toks_g[:-1], lineno_g)
-            n_in, n_out = nums[0], nums[1]
-            wires = nums[2:]
+                raise ParseError(f"line {lineno}: unsupported gate {toks[-1]!r}")
+            nums = toks[:-1]
+            n_in, n_out, *wires = map(int, nums)
             if n_out != 1 or len(wires) != n_in + 1:
-                raise ParseError(f"line {lineno_g}: bad gate wire counts")
+                raise ParseError(f"line {lineno}: bad gate wire counts")
             if n_in != _ARITY[kind]:
-                raise ParseError(f"line {lineno_g}: {kind} takes {_ARITY[kind]} inputs")
-            seen += 1
-            if seen > n_gates:
-                raise ParseError(f"line {lineno_g}: more gates than declared")
-            yield Gate(kind, tuple(wires[:-1]), wires[-1])
-        if seen != n_gates:
-            raise ParseError(f"expected {n_gates} gates, file has {seen}")
-
-    return header, gates()
+                raise ParseError(f"line {lineno}: {kind} takes {_ARITY[kind]} inputs")
+            if len(gates) == n_gates:
+                raise ParseError(f"line {lineno}: more gates than declared")
+            gates.append(Gate(kind, tuple(wires[:-1]), wires[-1]))
+    except ParseError:
+        raise
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected integers, got {nums!r}") from None
+    if len(gates) != n_gates:
+        raise ParseError(f"expected {n_gates} gates, file has {len(gates)}")
+    # More outputs than gates never pass `Circuit`'s wiring check, so the
+    # destinations are sized by a count the gate lines have bounded.
+    header = CircuitHeader(n_gates, n_wires, inputs_a, inputs_b, n_outputs,
+                           (DEST_BOTH,) * min(n_outputs, n_gates))
+    return header, tuple(gates)
 
 
 def plain_eval(circuit: Circuit, inputs_a: BitVec, inputs_b: BitVec) -> BitVec:

@@ -1,12 +1,7 @@
 """Executable oracles for the combinatorial security analysis.
 
-Three families of checks back the protocol's parameter choices:
+Two families of checks back the protocol's parameter choices:
 
-* leakage calculus: a leakage class is a distribution over (S, c) where S is
-  the set of secret-key positions handed to the adversary and c flags that
-  the run survived detection; its strength is log2 E[c * 2^|S|], and an
-  optimal guessing adversary wins the key-guessing game with probability
-  2^(strength - tau);
 * bucket combining: planting gamma leaky objects among B*ell and bucketing
   uniformly leaves some bucket entirely leaky with probability
   alpha = 2^-gamma * C(gamma,B) * ell / C(B*ell,B) after the guess-survival
@@ -21,102 +16,10 @@ every run is reproducible; numpy accelerates the bulk trials internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
-
-
-@dataclass(frozen=True)
-class LeakageSpec:
-    """Distribution over (S, c): leaked position set and survived flag.
-
-    Exactly one of `table` (tuple of (prob, frozenset, c) rows) or `sampler`
-    (callable rng -> (iterable, c)) is set.
-    """
-
-    tau: int
-    table: tuple = None
-    sampler: object = None
-
-    def __post_init__(self):
-        if self.tau < 1:
-            raise UsageError("tau must be positive")
-        if (self.table is None) == (self.sampler is None):
-            raise UsageError("exactly one of table or sampler")
-        if self.table is not None:
-            total = 0.0
-            for prob, s, c in self.table:
-                if prob < 0 or c not in (0, 1):
-                    raise UsageError("bad table row")
-                if not set(s) <= set(range(1, self.tau + 1)):
-                    raise UsageError("leaked positions out of range")
-                total += prob
-            if abs(total - 1.0) > 1e-9:
-                raise UsageError("probabilities must sum to 1")
-
-    @classmethod
-    def enumerable(cls, tau: int, rows) -> "LeakageSpec":
-        return cls(tau, table=tuple(
-            (p, frozenset(s), c) for p, s, c in rows))
-
-    @classmethod
-    def sampled(cls, tau: int, fn) -> "LeakageSpec":
-        return cls(tau, sampler=fn)
-
-    def draw(self, rng):
-        if self.sampler is not None:
-            s, c = self.sampler(rng)
-            return frozenset(s), c
-        u = rng.random()
-        acc = 0.0
-        for prob, s, c in self.table:
-            acc += prob
-            if u < acc:
-                return s, c
-        return self.table[-1][1], self.table[-1][2]
-
-
-def leak_bits(spec: LeakageSpec, trials: int = None, rng=None):
-    """log2 E[c * 2^|S|]; exact for enumerable specs, (estimate, stderr)
-    for sampled ones."""
-    if spec.table is not None:
-        mean = sum(p * c * 2.0 ** len(s) for p, s, c in spec.table)
-        return math.log2(mean) if mean > 0 else float("-inf")
-    if trials is None or rng is None:
-        raise UsageError("sampled spec needs trials and rng")
-    vals = []
-    for _ in range(trials):
-        s, c = spec.draw(rng)
-        vals.append(c * 2.0 ** len(s))
-    mean = sum(vals) / trials
-    var = sum((v - mean) ** 2 for v in vals) / (trials - 1)
-    se_mean = math.sqrt(var / trials)
-    if mean <= 0:
-        return float("-inf"), float("inf")
-    return math.log2(mean), se_mean / (mean * math.log(2))
-
-
-def leakage_game_success(spec: LeakageSpec, trials: int, rng) -> float:
-    """Empirical win rate of the guessing game: the adversary sees the
-    positions in S, guesses the rest uniformly, and wins if the run survived
-    and every guess matches."""
-    tau = spec.tau
-    full = (1 << tau) - 1
-    wins = 0
-    for _ in range(trials):
-        delta = rng.getrandbits(tau)
-        s, c = spec.draw(rng)
-        if not c:
-            continue
-        known = 0
-        for i in s:
-            known |= 1 << (i - 1)
-        guess = rng.getrandbits(tau)
-        if (guess ^ delta) & full & ~known == 0:
-            wins += 1
-    return wins / trials
 
 
 def _ln_choose(n: int, k: int) -> float:

@@ -7,12 +7,12 @@ rows: WM holds its own half as the MAC's kappa/8 bytes followed by one byte
 for the bit, so a row XOR moves bit and MAC together, and WK holds its key
 on the peer's half. Two rows past the circuit's wires hold the public
 constants 0 and 1 (Alice's half carries the 1), so every free gate is a
-row XOR (`Circuit.level_indices`). The circuit's AND-level schedule drives
-the evaluation: each level's AND gates run as one batch of array
-operations over gathered rows and one level's slice of the store, then
-that level's free gates. An AND gate burns two triples, two OT quads, and
-two fresh bits and announces ten bits across the three rounds of its
-level:
+row XOR. The circuit's one schedule, `Circuit.level_indices`, drives the
+evaluation: each level's AND gates run as one batch of array operations
+over gathered rows and one level's slice of the store, then that level's
+free gates, one array XOR per dependency step. An AND gate burns two
+triples, two OT quads, and two fresh bits and announces ten bits across
+the three rounds of its level:
 
   round 1 (B -> A): d for the A-sender cross term, plus B's local f,g
   round 2 (A -> B): d for the B-sender cross term, A's local f,g, and

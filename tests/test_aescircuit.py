@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from macbits.aescircuit import (bits_to_block, block_to_bits,
                                 generate_aes_circuit, to_bristol)
 from macbits.bitlinalg import BitVec
 from macbits.circuit import Circuit, plain_eval
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def encrypt_via_circuit(circuit, key: bytes, pt: bytes) -> bytes:
@@ -24,7 +30,7 @@ def test_shape():
 
 def test_and_levels():
     c = generate_aes_circuit()
-    widths = [len(a) for a, _ in c.levels if a]
+    widths = [len(ands[1]) for ands, _ in c.level_indices if ands is not None]
     assert len(widths) == 40
     assert max(widths) == 360
     assert sum(widths) == c.n_and == 7200
@@ -61,3 +67,19 @@ def test_block_packing():
         block_to_bits(bytes(15))
     with pytest.raises(ValueError):
         bits_to_block(BitVec(64, 0))
+
+
+def test_gen_aes_circuit_script_self_check(tmp_path):
+    """scripts/gen_aes_circuit.py --check writes the netlist, parses the file
+    back and checks the FIPS-197 vector."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "aes128.txt"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gen_aes_circuit.py"),
+         "--out", str(out), "--check"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "self-check ok" in proc.stdout
+    assert Circuit.from_file(out).header.n_gates == 42_784

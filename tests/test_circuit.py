@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit, random_inputs
+from macbits.aescircuit import to_bristol
 from macbits.bitlinalg import BitVec
 from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, plain_eval
 from macbits.errors import ParseError, UsageError
@@ -85,6 +86,8 @@ def test_inv_eqw_and_eq_alias():
     ("1 7\n2 2 1\n2 1 XOR\n", "truncated gate"),
     ("1 7\n2 2 1\n1 1 0 4 XOR\n", "XOR takes 2 inputs"),
     ("1 7\n2 2 1\n2 2 0 1 4 XOR\n", "bad gate wire counts"),
+    ("1 4\n2 -1 3\n1 1\n2 1 0 1 3 XOR\n", "line 2: negative"),
+    ("1 3\n2 1 1\n1 -5\n2 1 0 1 2 AND\n", "line 3: negative"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ParseError) as e:
@@ -99,6 +102,9 @@ def test_parse_errors_name_the_line(text, fragment):
     ("2 7\n2 2 1\n2 1 0 1 4 XOR\n2 1 0 1 4 XOR\n", "assigned twice"),
     ("1 6\n2 2 2\n2 1 0 1 4 XOR\n", "never assigned"),
     ("1 3\n2 2 2\n2 1 0 1 2 XOR\n", "below inputs plus outputs"),
+    ("1 99999999999999\n1 1\n1 1\n2 1 0 0 2 AND\n", "never assigned"),
+    ("1 3\n2 1 1\n1 99999999999999\n2 1 0 1 2 AND\n", "below inputs plus outputs"),
+    ("1 5\n1 2\n1 1\n2 1 0 1 4 AND\n", "inputs and gates make 3"),
 ])
 def test_structural_errors(text, fragment):
     with pytest.raises(ParseError) as e:
@@ -128,22 +134,39 @@ def test_output_destinations():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 150))
 def test_levels_schedule_each_gate_once_after_its_inputs(seed, n_gates):
     c = random_circuit(random.Random(seed), n_gates)
-    pos = {g: i for i, g in enumerate(c.gates)}
-    made = dict.fromkeys(range(c.header.n_inputs), 0)  # wire -> its level
+    h = c.header
+    gate_of = {g.out: g for g in c.gates}
+    pos = {g.out: i for i, g in enumerate(c.gates)}
+    second = {"EQW": h.n_wires, "INV": h.n_wires + 1}
+    level = dict.fromkeys(range(h.n_inputs), 0)  # wire made so far -> its level
+    step = {}  # wire made by a free gate -> its step within its level
     scheduled = []
-    for k, (ands, frees) in enumerate(c.levels):
-        for part in (ands, frees):
-            assert [pos[g] for g in part] == sorted(pos[g] for g in part)
-        for g in ands:
-            assert g.kind == "AND" and all(w in made for w in g.ins)
-            assert max(made[w] for w in g.ins) == k - 1
-        made.update((g.out, k) for g in ands)
-        for g in frees:
-            assert g.kind != "AND" and all(w in made for w in g.ins)
-            assert max(made[w] for w in g.ins) == k
-            made[g.out] = k
-        scheduled += ands + frees
-    assert len(scheduled) == len(c.gates) and set(scheduled) == set(c.gates)
+    for k, (ands, steps) in enumerate(c.level_indices):
+        assert (ands is None) == (k == 0)
+        if ands is not None:
+            ins, outs = ands
+            for (a, b), out in zip(ins.tolist(), outs.tolist()):
+                g = gate_of[out]
+                assert g.kind == "AND" and g.ins == (a, b)
+                assert all(w in level for w in g.ins)
+                assert max(level[w] for w in g.ins) == k - 1
+            level.update(dict.fromkeys(outs.tolist(), k))
+            scheduled.append(outs.tolist())
+        for s, (a, b, outs) in enumerate(steps):
+            for a_w, b_w, out in zip(a.tolist(), b.tolist(), outs.tolist()):
+                g = gate_of[out]
+                assert g.kind != "AND"
+                assert (a_w, b_w) == (g.ins[0], second.get(g.kind, g.ins[-1]))
+                assert all(w in level for w in g.ins)
+                assert max(level[w] for w in g.ins) == k
+                assert 1 + max(step[w] if w in step and level[w] == k else -1
+                               for w in g.ins) == s
+            level.update(dict.fromkeys(outs.tolist(), k))
+            step.update(dict.fromkeys(outs.tolist(), s))
+            scheduled.append(outs.tolist())
+    for group in scheduled:
+        assert [pos[w] for w in group] == sorted(pos[w] for w in group)
+    assert sorted(w for group in scheduled for w in group) == sorted(gate_of)
     assert c.n_and == sum(g.kind == "AND" for g in c.gates)
 
 
@@ -160,17 +183,31 @@ def test_level_indices_evaluate_like_plain_eval(seed, n_gates):
     w = np.zeros(h.n_wires + 2, np.uint8)
     w[h.n_wires + 1] = 1
     w[:h.n_inputs] = xa.bits() + xb.bits()
-    assert len(c.level_indices) == len(c.levels)
-    for (ands, steps), (gates, frees) in zip(c.level_indices, c.levels):
-        assert (ands is None) == (not gates)
+    for ands, steps in c.level_indices:
         if ands is not None:
             ins, outs = ands
             w[outs] = w[ins[:, 0]] & w[ins[:, 1]]
-        assert sum(len(out) for _, _, out in steps) == len(frees)
         for a, b, out in steps:
             assert not set(out) & (set(a) | set(b))
             w[out] = w[a] ^ w[b]
     assert w[list(c.output_wires)].tolist() == plain_eval(c, xa, xb).bits()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 150), st.integers(1, 6),
+       st.integers(0, 6))
+def test_bristol_text_round_trips(seed, n_gates, inputs_a, inputs_b):
+    c = random_circuit(random.Random(seed), n_gates, inputs_a, inputs_b)
+    back = Circuit.from_text(to_bristol(c))
+    assert back.gates == c.gates and back.header == c.header
+    assert len(back.level_indices) == len(c.level_indices)
+    for (ands1, steps1), (ands2, steps2) in zip(back.level_indices, c.level_indices):
+        assert (ands1 is None) == (ands2 is None)
+        for x, y in zip(ands1 or (), ands2 or ()):
+            assert np.array_equal(x, y)
+        assert len(steps1) == len(steps2)
+        for st1, st2 in zip(steps1, steps2):
+            assert all(np.array_equal(x, y) for x, y in zip(st1, st2))
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,70 +4,8 @@ import random
 import pytest
 
 from macbits.errors import UsageError
-from macbits.leakage_lab import (LeakageSpec, alpha_prime, bucket_fail_mc,
-                                 bucket_fail_prob, leak_bits,
-                                 leakage_game_success, span_fail_rate,
-                                 _span_fail_python)
-
-
-def test_spec_validation():
-    with pytest.raises(UsageError):
-        LeakageSpec.enumerable(0, [(1.0, (), 1)])
-    with pytest.raises(UsageError):
-        LeakageSpec.enumerable(4, [(0.9, (), 1)])  # probs sum below 1
-    with pytest.raises(UsageError):
-        LeakageSpec.enumerable(4, [(1.0, (), 2)])  # bad survive flag
-    with pytest.raises(UsageError):
-        LeakageSpec.enumerable(4, [(1.0, (5,), 1)])  # position > tau
-    with pytest.raises(UsageError):
-        LeakageSpec(4)  # neither table nor sampler
-    with pytest.raises(UsageError):
-        LeakageSpec(4, table=((1.0, frozenset(), 1),), sampler=lambda r: ((), 1))
-
-
-def test_leak_bits_exact_values():
-    # nothing leaked, always survives: zero bits of advantage
-    assert leak_bits(LeakageSpec.enumerable(4, [(1.0, (), 1)])) == 0.0
-    # s positions always leaked: exactly s bits
-    for s in (1, 2, 3):
-        spec = LeakageSpec.enumerable(4, [(1.0, tuple(range(1, s + 1)), 1)])
-        assert leak_bits(spec) == pytest.approx(s)
-    # one position leaked but the run only survives half the time: a wash
-    spec = LeakageSpec.enumerable(4, [(0.5, (1,), 1), (0.5, (1,), 0)])
-    assert leak_bits(spec) == pytest.approx(0.0)
-    # half the time one free position: log2(3/2) bits
-    spec = LeakageSpec.enumerable(4, [(0.5, (1,), 1), (0.5, (), 1)])
-    assert leak_bits(spec) == pytest.approx(math.log2(1.5))
-    # never survives
-    assert leak_bits(LeakageSpec.enumerable(4, [(1.0, (), 0)])) == float("-inf")
-
-
-def test_leak_bits_sampled_matches_exact():
-    rng = random.Random(0)
-
-    def fn(r):
-        return ((1,) if r.random() < 0.5 else (), 1)
-
-    spec = LeakageSpec.sampled(4, fn)
-    est, se = leak_bits(spec, trials=20_000, rng=rng)
-    assert abs(est - math.log2(1.5)) <= 3 * se
-    with pytest.raises(UsageError):
-        leak_bits(spec)  # sampled specs need trials and rng
-
-
-def test_guessing_game_tracks_leak_bits():
-    rng = random.Random(1)
-    trials = 40_000
-    # fully known class: win rate 2^(k - tau)
-    spec = LeakageSpec.enumerable(6, [(1.0, (1, 2, 3), 1)])
-    want = 2.0 ** (3 - 6)
-    rate = leakage_game_success(spec, trials, rng)
-    assert abs(rate - want) <= 3 * math.sqrt(want * (1 - want) / trials)
-    # mixed class: win rate 2^(leak_bits - tau)
-    spec = LeakageSpec.enumerable(4, [(0.5, (1,), 1), (0.5, (), 1)])
-    want = 2.0 ** (leak_bits(spec) - 4)
-    rate = leakage_game_success(spec, trials, rng)
-    assert abs(rate - want) <= 3 * math.sqrt(want * (1 - want) / trials)
+from macbits.leakage_lab import (alpha_prime, bucket_fail_mc, bucket_fail_prob,
+                                 span_fail_rate, _span_fail_python)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_accumulator_round_hashes_rows_as_one_buffer():
 def test_online_phase_absorbs_once_per_reveal_round():
     rng = random.Random(11)
     c = random_circuit(rng, 120)
-    n_levels = sum(1 for a, _ in c.levels if a)
+    n_levels = sum(1 for ands, _ in c.level_indices if ands is not None)
     assert n_levels > 1
     sa, sb = oracle_store_pair(c, rng)
     xa, xb = random_inputs(c, rng)

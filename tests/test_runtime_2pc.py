@@ -81,7 +81,7 @@ def test_one_and_batch_per_level():
         sa, sb = oracle_store_pair(c, rng)
         xa, xb = random_inputs(c, rng)
         out_a, out_b, rt_a, rt_b = eval_two(c, sa, sb, xa, xb)
-        want = [len(a) for a, _ in c.levels if a]
+        want = [len(ands[1]) for ands, _ in c.level_indices if ands is not None]
         assert len(want) > 1
         assert rt_a.stats.levels == rt_b.stats.levels == want
         assert out_a == out_b == plain_eval(c, xa, xb)
