@@ -179,7 +179,7 @@ def bucket_combine(items: Rows, bucket: int, acc: MacAccumulator, fold, opened,
         raise UsageError("item count must be a positive multiple of the bucket size")
     n_out = n // bucket
     if rng is not None:
-        perm = np.array(random_permutation(n, rng))
+        perm = random_permutation(n, rng)
         yield Send((MsgType.COMB_PERM, perm.astype(">u4").tobytes()))
     else:
         (raw,) = yield Recv((MsgType.COMB_PERM, 4 * n))

@@ -20,6 +20,15 @@ import numpy as np
 
 from .errors import UsageError
 
+# Four-Russians block width of `mat_vec_mul_batch`, and the weights that read
+# a block's matrix bits as its table index.
+_FR_COLS = 6
+_FR_WEIGHTS = 1 << np.arange(_FR_COLS, dtype=np.intp)
+# The three masked swaps of an 8x8 bit-block transpose on uint64 words whose
+# bit 8r + c is entry (r, c) of the block.
+_SWAPS = tuple((np.uint64(s), np.uint64(m)) for s, m in
+               ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+
 
 class BitVec:
     """Fixed-length immutable bit string."""
@@ -129,9 +138,18 @@ class BitVec:
 def random_rows(count: int, n: int, rng) -> np.ndarray:
     """count rows of rng.getrandbits(n), drawn in row order, as a (count,
     ceil(n/8)) uint8 array: each row holds the bytes of `BitVec.random(n,
-    rng)`."""
+    rng)`.
+
+    When n is a multiple of 32 the rows come from one getrandbits(count * n)
+    draw: the generator fills it with 32-bit words, least significant first,
+    so the bytes and the generator's state afterwards are those of the
+    row-by-row draws.
+    """
     nb = (n + 7) // 8
-    raw = b"".join(rng.getrandbits(n).to_bytes(nb, "little") for _ in range(count))
+    if n % 32 == 0:
+        raw = rng.getrandbits(count * n).to_bytes(count * nb, "little")
+    else:
+        raw = b"".join(rng.getrandbits(n).to_bytes(nb, "little") for _ in range(count))
     return np.frombuffer(raw, np.uint8).reshape(count, nb)
 
 
@@ -151,22 +169,24 @@ def mat_vec_mul_batch(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
     XOR of the columns i set in row r of m, so bit j of the output rows is
     m @ (bit j of each column).
 
-    Four Russians, eight columns at a time: a 256-entry table holds every
-    XOR of one block of eight columns, and byte b of each matrix row picks
-    its entry for block b. Matrix bits past n are ignored.
+    Four Russians, six columns at a time: a 64-entry table holds every XOR
+    of one block of six columns, and bits 6b..6b+5 of each matrix row pick
+    its entry for block b. For kappa = 128 and n = 939 that is 157 blocks of
+    63 table XORs and 128 row XORs each. Matrix bits past n are ignored.
     """
     n, w = cols.shape
     if m.shape[1] != (n + 7) // 8:
         raise UsageError(f"dim mismatch: matrix rows of {m.shape[1]} bytes, {n} columns")
-    if n % 8:
-        m = m.copy()
-        m[:, -1] &= (1 << n % 8) - 1
+    n_blocks = -(-n // _FR_COLS)
+    bits = np.zeros((len(m), n_blocks * _FR_COLS), np.uint8)
+    bits[:, :n] = np.unpackbits(m, axis=1, count=n, bitorder="little")
+    picks = (bits.reshape(len(m), n_blocks, _FR_COLS) @ _FR_WEIGHTS).T.copy()
     out = np.zeros((len(m), w), np.uint8)
-    table = np.zeros((256, w), np.uint8)
-    for b in range(m.shape[1]):
-        for i, col in enumerate(cols[8 * b : 8 * b + 8]):
+    table = np.zeros((1 << _FR_COLS, w), np.uint8)
+    for b, pick in enumerate(picks):
+        for i, col in enumerate(cols[_FR_COLS * b : _FR_COLS * (b + 1)]):
             np.bitwise_xor(table[: 1 << i], col, out=table[1 << i : 2 << i])
-        out ^= table[m[:, b]]
+        out ^= table[pick]
     return out
 
 
@@ -184,26 +204,37 @@ def transpose_bits(rows: np.ndarray, n: int, _block: int = 8192) -> np.ndarray:
     """Transpose t packed n-bit rows, a (t, ceil(n/8)) uint8 array, into n
     packed t-bit rows: bit i of output row j is bit j of input row i.
 
-    Processes column blocks so the unpacked uint8 form never exceeds
-    t * _block bytes.
+    The 8x8 bit-block transpose: with t padded by zero rows to a multiple of
+    8, each uint64 takes one byte from each of 8 consecutive rows, so it
+    holds an 8x8 bit block; three masked swaps transpose every block at
+    once, and byte c of a transposed block is the block's byte of output
+    row 8j + c. Works in column blocks of _block bits (rounded down to whole
+    bytes), which bound the temporaries at t * _block / 8 bytes each.
     """
-    t = len(rows)
-    out = np.empty((n, (t + 7) // 8), dtype=np.uint8)
-    for c0 in range(0, n, _block):
-        c1 = min(n, c0 + _block)
-        bits = np.unpackbits(rows[:, c0 // 8 : (c1 + 7) // 8], axis=1,
-                             count=c1 - c0, bitorder="little")
-        out[c0:c1] = np.packbits(bits.T, axis=1, bitorder="little")
+    t, nb = len(rows), (n + 7) // 8
+    tb = (t + 7) // 8
+    if t % 8:
+        rows = np.concatenate((rows, np.zeros((8 * tb - t, rows.shape[1]), np.uint8)))
+    grouped = rows.reshape(tb, 8, rows.shape[1])
+    out = np.empty((n, tb), dtype=np.uint8)
+    step = max(1, _block // 8)
+    for b0 in range(0, nb, step):
+        b1 = min(nb, b0 + step)
+        x = np.ascontiguousarray(grouped[:, :, b0:b1].transpose(0, 2, 1)).view(np.uint64)
+        for s, mask in _SWAPS:
+            y = (x ^ (x >> s)) & mask
+            x ^= y
+            x ^= y << s
+        blocks = x.view(np.uint8).reshape(tb, b1 - b0, 8).transpose(1, 2, 0)
+        j1 = min(n, 8 * b1)
+        out[8 * b0 : j1] = blocks.reshape(8 * (b1 - b0), tb)[: j1 - 8 * b0]
     return out
 
 
-def random_permutation(n: int, rng) -> list:
-    """Uniform permutation of range(n) by Fisher-Yates."""
-    p = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        p[i], p[j] = p[j], p[i]
-    return p
+def random_permutation(n: int, rng) -> np.ndarray:
+    """Uniform permutation of range(n), as an int64 array, from one draw: a
+    fresh 128-bit seed from rng keys numpy's generator, which shuffles."""
+    return np.random.default_rng(rng.getrandbits(128)).permutation(n)
 
 
 def random_pairing(t: int, rng) -> np.ndarray:
@@ -215,7 +246,7 @@ def random_pairing(t: int, rng) -> np.ndarray:
     """
     if t % 2:
         raise UsageError("pairing needs an even count")
-    pairs = np.array(random_permutation(t, rng), np.uint32).reshape(-1, 2)
+    pairs = random_permutation(t, rng).astype(np.uint32).reshape(-1, 2)
     part = np.empty(t, np.uint32)
     part[pairs] = pairs[:, ::-1]
     return part

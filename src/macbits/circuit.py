@@ -24,6 +24,10 @@ from .errors import ParseError, UsageError
 GATE_KINDS = ("XOR", "AND", "INV", "EQW")
 _ARITY = {"XOR": 2, "AND": 2, "INV": 1, "EQW": 1}
 
+# The runtime keeps one array row per wire, so a circuit has fewer wires than
+# this.
+MAX_WIRES = 1 << 31
+
 DEST_A = "A"
 DEST_B = "B"
 DEST_BOTH = "both"
@@ -92,14 +96,16 @@ class Circuit:
         # level * big + 1 + step for a free gate's output (big exceeds any
         # step). A gate is ready after the larger of its inputs' keys, and the
         # sorted keys list the groups in schedule order: per level its ANDs,
-        # then its free steps.
+        # then its free steps. Only the wires gates make are keyed (an input's
+        # key is 0), so the pass costs O(gates) whatever the input widths.
         big = h.n_gates + 1
         second = {"EQW": h.n_wires, "INV": h.n_wires + 1}
-        key = [0] * h.n_wires
+        key = {}
+        get = key.get
         groups = {}  # key -> (first inputs, second inputs, outputs)
         for g in self.gates:
             a, b = g.ins[0], g.ins[-1]
-            k = max(key[a], key[b])
+            k = max(get(a, 0), get(b, 0))
             k = (k // big + 1) * big if g.kind == "AND" else k + 1
             key[g.out] = k
             if k not in groups:
@@ -142,7 +148,8 @@ class Circuit:
 def _validate(header: CircuitHeader, gates) -> None:
     """Check the wiring against the header. Nothing is sized by a header
     count: wires past the inputs count as defined once a gate has made them,
-    and the wire count must equal inputs plus gates."""
+    the wire count must equal inputs plus gates, and it must stay below
+    MAX_WIRES."""
     if len(gates) != header.n_gates:
         raise ParseError(f"header claims {header.n_gates} gates, found {len(gates)}")
     n_in, n_wires = header.n_inputs, header.n_wires
@@ -166,6 +173,8 @@ def _validate(header: CircuitHeader, gates) -> None:
     if n_wires != n_in + len(gates):
         raise ParseError(f"header claims {n_wires} wires, inputs and gates make "
                          f"{n_in + len(gates)}")
+    if n_wires >= MAX_WIRES:
+        raise ParseError(f"{n_wires} wires, the limit is {MAX_WIRES - 1}")
 
 
 def parse_bristol(text: str):

@@ -1,11 +1,12 @@
 """Domain-separated hashing, PRG expansion, and MAC accumulators with the
 digest exchange (a protocol side) that checks them.
 
-Hashing and commitment use SHA-256 and the PRG uses SHAKE-128, both keyed
-by an explicit domain tag. The tag is prepended with a length prefix so
-distinct (tag, input) pairs can never collide as byte streams. A
-process-global counter records calls per tag; the cost-accounting tests
-assert exact per-instance hash budgets from it.
+Hashing and commitment use SHA-256; the PRG and the per-row pads of
+`pad_rows` use SHAKE-128, one XOF call per seed or row. Every call is keyed
+by an explicit domain tag, prepended with a length prefix so distinct (tag,
+input) pairs can never collide as byte streams. A process-global counter
+records calls per tag; the cost-accounting tests assert exact per-instance
+hash budgets from it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ def _tag_prefix(tag: str) -> bytes:
 
 
 _PRG_PREFIX = _tag_prefix("prg")
+_PAD_CHUNK = 32 * 1024  # bytes of pads `pad_rows` joins per copy
 
 _counter_lock = threading.Lock()
 _hash_calls: Counter = Counter()
@@ -110,17 +112,31 @@ def hash_rows(tag: str, rows: np.ndarray) -> np.ndarray:
 
 
 def pad_rows(tag: str, rows: np.ndarray, n_bits: int) -> np.ndarray:
-    """Per row, the packed n_bits-bit pad expand(ro_hash(tag, row), n_bits),
-    as a (len(rows), ceil(n_bits/8)) uint8 array, with the same hash and PRG
-    counts. Each SHAKE output goes straight into its row."""
+    """Per row, the packed n_bits-bit pad SHAKE-128(tag-prefix || row), as a
+    (len(rows), ceil(n_bits/8)) uint8 array with zero pad bits: one XOF call
+    per row. The length-prefixed tag keeps the pads of distinct tags apart,
+    and from `expand`'s output as long as tag is not "prg", which no caller
+    uses. Counted as one call per row under tag, plus ceil(n_bits/256) "prg"
+    blocks per row.
+
+    The pads are joined about 32 KiB at a time and copied into the result,
+    so no second copy of the whole result is ever held.
+    """
+    n, w = rows.shape
     nb = (n_bits + 7) // 8
-    pads = np.empty((len(rows), nb), np.uint8)
+    pads = np.empty((n, nb), np.uint8)
     flat = memoryview(pads).cast("B")
+    raw = rows.tobytes()
+    head = _tag_prefix(tag)
     shake = hashlib.shake_128
-    for k, d in enumerate(hash_rows(tag, rows)):
-        flat[k * nb : (k + 1) * nb] = shake(_PRG_PREFIX + d.tobytes()).digest(nb)
+    per_chunk = max(1, _PAD_CHUNK // max(nb, 1))
+    for k0 in range(0, n, per_chunk):
+        k1 = min(n, k0 + per_chunk)
+        flat[k0 * nb : k1 * nb] = b"".join(
+            [shake(head + raw[i : i + w]).digest(nb) for i in range(k0 * w, k1 * w, w)])
     with _counter_lock:
-        _hash_calls["prg"] += len(rows) * -(-n_bits // 256)
+        _hash_calls[tag] += n
+        _hash_calls["prg"] += n * -(-n_bits // 256)
     if n_bits % 8:
         pads[:, -1] &= (1 << (n_bits % 8)) - 1
     return pads

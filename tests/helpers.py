@@ -15,6 +15,7 @@ packed into the store's row layout.
 
 from __future__ import annotations
 
+import hashlib
 import queue
 import random
 import socket
@@ -26,7 +27,7 @@ from macbits.abit_proto import Rows
 from macbits.bitlinalg import BitVec, random_rows
 from macbits.circuit import Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
-from macbits.ro_suite import expand, ro_hash
+from macbits.ro_suite import ro_hash
 from macbits.transport import MemoryChannel, Role, memory_pair, run_pair, run_sides
 
 
@@ -344,11 +345,21 @@ def seeded(backend, mint: bool, side):
     return (yield from side)
 
 
+def ref_pad(tag: str, row: bytes, n_bits: int) -> bytes:
+    """The reference `pad_rows` pad of one row: n_bits bits of SHAKE-128 of
+    the 2-byte big-endian tag length, the tag and the row, packed in
+    ceil(n_bits/8) bytes with the pad bits past n_bits zeroed."""
+    t = tag.encode()
+    out = int.from_bytes(hashlib.shake_128(len(t).to_bytes(2, "big") + t + bytes(row))
+                         .digest((n_bits + 7) // 8), "little")
+    return (out & ((1 << n_bits) - 1)).to_bytes((n_bits + 7) // 8, "little")
+
+
 def dealer_pad(seed: bytes, sender_minted: bool, index: int, branch: int, nb: int) -> bytes:
-    """The reference `DealerOt` pad of one instance and branch: nb bytes of
-    expand(ro_hash("ot-dealer", seed || direction || index || branch))."""
+    """The reference `DealerOt` pad of one instance and branch: the nb-byte
+    "ot-dealer" pad of seed || direction || index || branch."""
     key = seed + bytes([sender_minted]) + index.to_bytes(8, "big") + bytes([branch])
-    return expand(ro_hash("ot-dealer", key), 8 * nb)
+    return ref_pad("ot-dealer", key, 8 * nb)
 
 
 def run_two(fn_a, fn_b, timeout: float = 60.0):

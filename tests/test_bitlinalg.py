@@ -192,6 +192,31 @@ def test_random_rows_draw_as_bitvecs():
     assert [r.tobytes() for r in rows] == [BitVec.random(13, rng).to_bytes() for _ in range(3)]
 
 
+@pytest.mark.parametrize("n", [32, 128, 256])
+def test_random_rows_one_draw_matches_row_draws(n):
+    # one getrandbits(count * n) draw when 32 divides n: the same rows, and
+    # the generator ends in the same state
+    drawn, ref = random.Random(n), random.Random(n)
+    rows = random_rows(5, n, drawn)
+    assert [r.tobytes() for r in rows] == [BitVec.random(n, ref).to_bytes() for _ in range(5)]
+    assert drawn.getrandbits(32) == ref.getrandbits(32)
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 13, 939])
+def test_mat_vec_batch_edge_widths_match_single(n):
+    # n on and off the six-column table blocks and the byte boundary, with
+    # the matrix pad bits set: each bit position is the single product
+    rng = random.Random(n)
+    m, cols = random_rows(9, n, rng).copy(), random_rows(n, 21, rng)
+    if n % 8:
+        m[:, -1] |= (0xFF << n % 8) & 0xFF
+    got = unpacked(mat_vec_mul_batch(m, cols), 21)
+    col_bits = unpacked(cols, 21)
+    for j in range(21):
+        single = mat_vec_mul(m, pack_bits(col_bits[:, j]))
+        assert np.array_equal(unpack_bits(single, 9), got[:, j])
+
+
 # ---------------------------------------------------------------------------
 # transpose_bits
 
@@ -234,6 +259,22 @@ def test_transpose_bits_matches_index_loop(r, c, seed):
     for j in range(c):
         for i in range(r):
             assert got[j, i] == bits[i, j]
+
+
+@pytest.mark.parametrize("t", [1, 7, 9, 939])
+@pytest.mark.parametrize("n", [1, 13, 77])
+def test_transpose_bits_edge_sizes_match_index_loop(t, n):
+    # t on and off the 8-row blocks, n off a byte boundary, in one column
+    # block and in several
+    bits = random_bits(random.Random(t * n), t, n)
+    for block in (16, 8192):
+        out = transpose_bits(packed(bits), n, _block=block)
+        # the pad bits past t in each output row stay zero
+        assert np.array_equal(out, packed(bits.T))
+        got = unpacked(out, t)
+        for j in range(n):
+            for i in range(t):
+                assert got[j, i] == bits[i, j]
 
 
 def test_bit_vector_packing_round_trip():

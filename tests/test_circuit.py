@@ -105,6 +105,9 @@ def test_parse_errors_name_the_line(text, fragment):
     ("1 99999999999999\n1 1\n1 1\n2 1 0 0 2 AND\n", "never assigned"),
     ("1 3\n2 1 1\n1 99999999999999\n2 1 0 1 2 AND\n", "below inputs plus outputs"),
     ("1 5\n1 2\n1 1\n2 1 0 1 4 AND\n", "inputs and gates make 3"),
+    # wired consistently, but past the runtime's one array row per wire
+    ("1 100000000000001\n2 50000000000000 50000000000000\n1 1\n"
+     "2 1 0 1 100000000000000 AND\n", "the limit is 2147483647"),
 ])
 def test_structural_errors(text, fragment):
     with pytest.raises(ParseError) as e:

@@ -23,86 +23,86 @@ EXPECTED = {
     A: [
         ('HELLO', 'abd32c5befcc0cc03b94fe87e748a2c00ea33e6c9e1e25e5d7872ca5aad43bc3'),
         ('OT_SETUP', 'e3286f0cc0a6204d7548bd96bba39e1d96924a218b48ca2664633d54cdb3037e'),
-        ('OT_MASKED0', 'cd0b9f2cc77e9133a635daac6ba06273736fce896c04b5bbd712998c573404a5'),
-        ('OT_MASKED1', 'd9d499d03fbe4016d1fd14d151998f97dba8f2b00d0d4444ef38d4672affa9db'),
-        ('OT_MASKED1', '757dfae2239cb4bdbb091dbf1a51395e74f5b4ea894e4ab49f9ce4e699bdd734'),
-        ('LABIT_PAIRING', '3965d4e7eeb3e8f73314f4b1b952ecfd29dceb4d435a22cc06d4bdd61f53819e'),
-        ('LABIT_D', '1d9cfefc64c5c6e7530845a1f5ec6b8ff016adb9825ec1a4d03eeb18f69038c3'),
-        ('EQ_COMMIT', 'adddc4c631d4a61bc9b661cbe799627154c67b84dbbf8b170fc2df1587690b48'),
-        ('EQ_VALUE', '43b02324878e931b163c7b6d0b41ce25e55fbbbc7461ffd3058cb5067cc417ea'),
-        ('EQ_OPEN', '08b617354375fa120b01857f248225122ea4bcb55faa10031f84d74d0471ed2f'),
-        ('AMPLIFY_MATRIX', '8baea09351a1738a0e871e446b837a3cd9f956ca2840f322c22d32e3587f2e32'),
+        ('OT_MASKED0', '5a424b73bceeb4f6bdeca9dfba0f7882a8994aebb40615f32869bed8cfa6c304'),
+        ('OT_MASKED1', 'befa08cf5932fafe79c7ad8b89cd3f2ec4b2f42c1beade4e6afd0de93054d70a'),
+        ('OT_MASKED1', '22193e97e86f49cba4f24bb4966cd1f56c63a4593ef6dcf423d43b4e312e8dcf'),
+        ('LABIT_PAIRING', '6950c32f34d6a630d7dd5095d222f90a7b0c9d449a39a3f12b77ad658e27134e'),
+        ('LABIT_D', '694daf7b3c99d710d577550700b8ad8a74d3c9f1f41574808b69ae0c7548cd69'),
+        ('EQ_COMMIT', '6f91cec389e9f15524e1d8e98df298ce839458adb7d2e05dfd3ecdc283933325'),
+        ('EQ_VALUE', 'c9d013620d1908ae17ff11ca91c7e04734688e5eee67d0208942f02be788c0c6'),
+        ('EQ_OPEN', '9beaea4a42ca8ee9c17360b592715ffcfa4f64d791fb69b83b6fdfc2911bd713'),
+        ('AMPLIFY_MATRIX', '6a87dccdb8372ffaf3b3552823c717957fc1f785fd88abacca46557e99842adb'),
         ('LAAND_D', '6c13fbf4cbab1c051b575f8576cb416bf88b3aba61026d2fd9b9bd13d17490ca'),
-        ('LAOT_X0', 'e579806f3a4c02fb6749eef8fbc7c69df92a6dae5a5c29f07065dbef09c9c970'),
-        ('LAOT_X1', '4626f66b97861ce75532b6c0fe314dc7db878d9b0c38d317832debdd7c571a4d'),
-        ('LAAND_U', '2b9054582a6c65b4667e741397c73a22e91d0b656ea5573d4aff4cf62a56c586'),
+        ('LAOT_X0', 'ef5a57e85441490dca58ea43819436755794e06a5193da88ca36e91d7a22467d'),
+        ('LAOT_X1', 'e88fff0a05a9c86c4559e785953c3f97d15208f058770f511494028cc6ba6676'),
+        ('LAAND_U', 'a297e0cca53d35a1ef36b297f95ce7892949be22f086cac9663f6f8ce99265a0'),
         ('LAOT_D', '4fb3d13f110ab0cbf0860757497aad9d3e0733c7b3bbab61e75aacc260855b17'),
-        ('EQ_COMMIT', 'bf5026eb480d651d4497d559efdc295aeebe443b1d6c15b654e6e0e9a11f9aac'),
-        ('LAOT_I0', '792f1e70471cfbba87ecbb670cbe3eb2ea42f2d5804640c79965036fdc8c525a'),
-        ('LAOT_I1', 'af98f8b25f5da38e960357d7b6febfa9b9c3842d94c27f9f4b469e2299e442ba'),
-        ('EQ_VALUE', '2c2f58e823d421684d4ec1a938e34b031c1d97794e135d3340a33dc86bfdeb8c'),
-        ('EQ_COMMIT', 'a733105ad9c4aa8cb5cd8a9f4898a81996b071f0c36b379368c3f19770fc82ef'),
-        ('EQ_OPEN', 'f2599d797e907e83c8faaa07c8aa132312bd9d28c6119b185154672751d9fe9e'),
-        ('EQ_VALUE', 'a0eecbd8a39876a2c992e364b4e26eec6a92a2f2fe0860e886f6c5d527671631'),
-        ('EQ_OPEN', '6f29d27dbe36bea32b96f5d1f8f0588bea6e3185d2570d55e03f94d9e51fb6aa'),
-        ('COMB_PERM', '8b7bb65568ba9b866f3cf7984759c424ad6752c5e19a8e445638ada24a5093ff'),
-        ('COMB_D', '16a416364e8ee4049cdbc0e5811a3c17047236fb2eefc75067c8a796adc08507'),
-        ('COMB_D', '915b768757604b0c1de6b8ce4c72764cf00ba85f1c6d97f538f01a5bdbb04f5e'),
-        ('COMB_D', 'db17a273fb770a0b4a721d180ef529d60fb1b1f108daea2b8f32d54cb5b6db8d'),
-        ('COMB_D', 'ef8a25958b10d4fd8359206aa073cb9c274a9a735151948200619dfb60b8a975'),
-        ('COMB_D', 'cd9940b1b2d3ba9316b9a4bc2050b84788f256cd797e274a36b28b32d6d0c70a'),
-        ('COMB_D', '6d62fc0db535c27cae5eed47d254c67d17ab7112b6b24b6ad2c021bf5ce959ad'),
-        ('COMB_D', '006c42d595aeaf95e1428c49c9f4d15fbc8475f29cdefc49b843bf62792eaf5d'),
-        ('COMB_D', 'a057e3ea656f50a554f3a162c2fb94987da201ea4b0c6c9d0381f9036416c32d'),
-        ('COMB_D', 'd7246f0988028e5071928516ba53181a098897179911851e336774a09ed1c4a0'),
-        ('COMB_D', '1f56b6b304fa093a9bd15291b7b2ffe0d8e2563fe9e448371ac0ca95b24f1a96'),
-        ('COMB_PERM', '5d8645c78891397f9f28ccef32335537d170a5fff520d1272f040ab0c3e2fcb2'),
-        ('RT_ACC_FLUSH', '894182b4daf32ed59fa9cdcc054aad41e51a3e388cb896d38e05bb3bb65e3bc3'),
-        ('GK_COMMIT', '36423b6150058e576f11d5401f6251dc1a0c5d3e9f75d26a85de0ffada6ac3d1'),
+        ('EQ_COMMIT', 'b4d3c97cfef84aed47414ed847d6ccc24b96d84d188031054a87ef9625ce07ed'),
+        ('LAOT_I0', '75e04243424fd768d45269f34c9825d72aee2eb4a6d271d32e8bb4011e3cef70'),
+        ('LAOT_I1', '49d8ad28625d0c991e3791bbdf2f69bfa82103d07586bd62d8ae959f852df5f9'),
+        ('EQ_VALUE', 'a1791a6de92ba5bc6214dcfa2a0ab98861593668c6cde84e12136b542e43ae49'),
+        ('EQ_COMMIT', 'e7d1b3ab30f0d9115c3ba363418cf5a680b3e41aea7b7c92cd308b843f0144a6'),
+        ('EQ_OPEN', '64ca81bf619798d65c45c074cb38ff722cfb1d38c76d23316454c40cd4a588d2'),
+        ('EQ_VALUE', '705b8faefe9239d1abbeeee60ed4ce9538288fbbde1ac83251c310e7f4c1b718'),
+        ('EQ_OPEN', '966cd35df846ac161d95fc9d17f3b1a77406ea3e92eeb44ae75716d0084d1fb4'),
+        ('COMB_PERM', '957b4464fd2de3923b9cf1cf7703186c9897c40e23d6e775a735dd7071afb062'),
+        ('COMB_D', 'cd4693b569b84e98d1378635ab620cffc96a8f935688c63184897f3e3b619dfb'),
+        ('COMB_D', '16494bfcf7b2975c42dd37d7e4c5bf44fb06561e67678a0df7bffef814032667'),
+        ('COMB_D', '9c26d6e6177fbcb8a2a80e9966d54d541759b0cb2a6381d89ebcb6a7b78a65cd'),
+        ('COMB_D', 'd272525bb99f3cd653f0378eb7cae9f1cc5c3a4519521bb9ce4394faa15c8516'),
+        ('COMB_D', '1fcf872b657a0cf5afd0d7abd93a19a779add1efe6aab228b7b189583f89c601'),
+        ('COMB_D', '80db842b442df97a5bb909bc93954afd743473b44f1f614e6fdbbcf431ef61e6'),
+        ('COMB_D', 'c8a9521190b3f5035893fc878639e02a60bf17beb6533d65de0f31eae20955c2'),
+        ('COMB_D', 'a3ac475d3a41a8b45312afd8356a93e9dd240c1257be887bf4ab88dc35d41ab3'),
+        ('COMB_D', 'fd55744b2763bbbfa827ae2ed37a4c1fd52fe01615ce1d6392d6fb74e911743a'),
+        ('COMB_D', 'dd351cfa5ae52796dba27b7938e2d7aa3c1c1f5027b85ec4763740f0b07c21ff'),
+        ('COMB_PERM', '20c7207e9dc6404b2f2a32d35a00bcad76b3324f34875db6455b15efe756f3fd'),
+        ('RT_ACC_FLUSH', '0bf10e0241e13beae1bdb9fc9c05ad0d12b3ad70dc800ba245c3dc8d4976b9e0'),
+        ('GK_COMMIT', 'dbbe2fb84a44690b743891375cbedcee6d26b278fe59a1ec4bff60cb574c7554'),
     ],
     B: [
         ('HELLO', '6f3a29f81540750c330b02b65b46781ab9fd82919cd2beabb0a4e2aba070ce5d'),
-        ('OT_MASKED0', '599534817cd320880d68ffc064d5d38bcbc27fea42959c2ade0a595d103f8f96'),
-        ('OT_MASKED1', '85978e53974eee01da7897424ae9544f684342f1ef91d35832d34b229634a0e0'),
-        ('OT_MASKED1', '41af9a378a83986f871ee83416166bd00e2cdc5fdcc54be87fca22dcdd81ffad'),
-        ('LABIT_PAIRING', '163faa6beb2792dc7566342390c875972cb02ad99d102285124f56636e52180e'),
-        ('LABIT_D', 'e2b92c76a3c05e58c7af27db840c95da4cf5bd8f94747fb59b5c06b353b4da66'),
-        ('EQ_COMMIT', '90e963c2065456de79f8ee75f844411a893ab97ad6ef6a9309fd916cb446180b'),
-        ('EQ_VALUE', 'a2898d35ecd0ed5f59ce1f90850eed5ef82f40a858d0fa2a1d444d162194d612'),
-        ('EQ_OPEN', '2452290c74c241711dccb4238cf5c4fc0805bdff59447440ab291289f6a9d3ae'),
-        ('AMPLIFY_MATRIX', 'c7a97e7b998328407c16f8a4d0c5404c84864ffbbf092f8fb825710bd5c2e460'),
+        ('OT_MASKED0', '709ca25484aadaf19b85a1c4c46e9f25b066d3b2bf39ee35be6f03545380d857'),
+        ('OT_MASKED1', '9bd164194de8ae2696d6b4236ebe8fcc2bd9f790382c8d36fb38b4fbcdca41f0'),
+        ('OT_MASKED1', 'c4cba7bc6e13a9a07f61da3163adb353653efed026296162176b7a2966dc312f'),
+        ('LABIT_PAIRING', '643516040e98deec984d7315cac2eba65eef90da2713f0be4ff0500d3bdac5ec'),
+        ('LABIT_D', 'c071d1ec9e5b2099db0b0cab7fda650bf29022168f14fa42345665aeb40724fc'),
+        ('EQ_COMMIT', '620fdbb6d08887a8be97790699823a686a695a89fec9595007de80220b91a554'),
+        ('EQ_VALUE', '9be1445dd96525793bcaab0bc2cb45869b9e85334489502d0100afc72c66602a'),
+        ('EQ_OPEN', '6cba2ecc6423b997d4b71dad2f3048390cc0fc3d7bda9a2d64cf09a859e966e7'),
+        ('AMPLIFY_MATRIX', '6921904f149c56377699e348a4d6a8804d85612037289e73fb2e0b04a556d09f'),
         ('LAAND_D', 'c6f1ce78f73442d6a77033825be3a99aa7ba2ad6b96848c61d1913daf74f7f91'),
-        ('LAOT_X0', 'c5113b0798ee27340d7893c1adac927dc45d0cf6a8794d1ba108b30cf588832d'),
-        ('LAOT_X1', '2ea1d98ffb73e56beaa74174e6dd7dd4dba0b5726536430dfcba8d273f5acb68'),
-        ('LAAND_U', 'c98c935aa32409897c4eabc701137cae8f679eaedc7c882bab8ed720972ce760'),
+        ('LAOT_X0', '304095425b4562cef9858478d5a5b82affe649f2458f4d8bc876e4875ec7408f'),
+        ('LAOT_X1', '1bf713b18e06281941460bdd06c898c67785f15bc9a54b60a334609fdbbb5c53'),
+        ('LAAND_U', 'e157b9d3f0709a83a3a0899771e610b92233625df33dbf7ae73bb7e1ad6b635c'),
         ('LAOT_D', '4170a63ba835eac16b440f085b9ef955449be375ebf2b6cdd2ac15142c492063'),
-        ('EQ_COMMIT', 'a64d7698752080c0643ee909722956b0ee32e16d1b2ce260915a9eaae49976b6'),
-        ('LAOT_I0', 'df3c11290a476775d08cfe2a0f023c99008c6e94c741c9dde88612024176a502'),
-        ('LAOT_I1', '2f619544db128c5549a33143cac656b892bb3d4355c2c9f1a34f6746552afa8c'),
-        ('EQ_VALUE', '09584b499c89dc6fae6e151ebae05963a65d3fcb3e4d80290218b3832677f46e'),
-        ('EQ_COMMIT', '37991ff1975d6080a11d7a300cfb804bafdae9dc1c31b8cb0d6103048b07446a'),
-        ('EQ_OPEN', '601ad2ad127367c5758f21f3d066bb8a034f5afc6fde9ee3a0209273acf1d610'),
-        ('EQ_VALUE', '5a14cc58a7b2ef60b4f245eb4c2024efda76826ceb67c21ff7f9738138c2d593'),
-        ('EQ_OPEN', 'a39f51112239e4a79b31af4463191c4907d5f786d33e7544ea6a0ee3a491c706'),
-        ('COMB_PERM', '91646c43feef29a983bf9a6c058d03c33a7b02e4c45581f835c98f7562e5cd73'),
-        ('COMB_D', 'be59feff6ec99f9ae7bff1662636f10f6c8e7c181e2f36df315da957d635f271'),
-        ('COMB_D', '91bc062e12b832cc86a0348ee78491749e6f45b74bfc2a9d7ae3609e4e1e2958'),
-        ('COMB_D', '37df31bca691eafd63e18517eca89f11fef6dd3f15820c6f0e4e0d111cc8b9ac'),
-        ('COMB_D', '91dd35d8e53013d22c820e475d8e77ce1b5f1b9f5c95d0e5e697faddf0d79062'),
-        ('COMB_D', 'e802c9815e14f5526c24f97340fe759506ff3f0ef50383690801c3bc22cfd43c'),
-        ('COMB_PERM', 'fe8a22c2c5ec8ddbc31fc9603ede7da2a8d9223505c2af6380712127a2fd6581'),
-        ('COMB_D', '0bfd547a220d1ed935d069c5cc00e7252c1913ed5286cd91346d7cba040f405d'),
-        ('COMB_D', 'ec822694c7b140a52b29c65eeda13d4542bb692699fe1708f7e4b4a57712a53a'),
-        ('COMB_D', '7ea6f0fec860ac993c2b7ddf1cab4697b81c4f1ac17c9636551bec0823bb013f'),
-        ('COMB_D', '54cc1e9325115b91cfa3fe98d4588f123cce0568a1924d9c6a4b3bfe6c781c4d'),
-        ('COMB_D', 'f71e20825dbe7d6b2fa78bc872d210862b99f5395727dccd112500aa88bb6b45'),
-        ('RT_ACC_FLUSH', '0ed14b4c2d5213b293a8243739e12a8ebb7e8ee1f1b9c1a13361beb63edc16cc'),
-        ('GK_COMMIT', 'bef4895dff712eefc84c05d231cc8d47a0ab8ce66225b6bd262a8e6ecb415341'),
+        ('EQ_COMMIT', 'e19e8a1b64533ed503470215ab776f2d7a659e9c3e4621464cb26fa16b66e5a1'),
+        ('LAOT_I0', '362a658579e4b6c3292b5e2ed34fe1f06ccf8e040c8ad66f48e1bfc1674d6e85'),
+        ('LAOT_I1', '9109debe7ab9df6414048ce2d4861a4710248a3f09711450cc55e6eea935d129'),
+        ('EQ_VALUE', '1b350a77b887e3842dc13ae342e81d85082aaf871a86d0d9d986ef573a3c275f'),
+        ('EQ_COMMIT', '58d24c9f62ec63b618beee1cba4f25b78b6eb7cbc96311d5232c65ef191d163b'),
+        ('EQ_OPEN', 'dbe66688574c9cbb28d189eb52776feb6c996e4d8097870f15817459ae580d9b'),
+        ('EQ_VALUE', 'e1766cff39cd367d5a1903c804a05e0c6c56dc7beac21f2a1b9712c5af973bb8'),
+        ('EQ_OPEN', '5080fab36ade4b777a95737ed65d89da7633a556a3b5834bb5b9974a2d6cda52'),
+        ('COMB_PERM', '7ee794975488069e02927dc00f143c755e0da9aa61ff275ec455d7022a1865e5'),
+        ('COMB_D', '3c55bd11db283fcc21a1d8a5e8c07a3eb43930844cfd0e90533ae13f4ac3bea2'),
+        ('COMB_D', '78b8d679faa80de2dea6459cb414352953e003fe1e129e87d18fc2f49ec40006'),
+        ('COMB_D', '8901d21e3e146ac69218d876ab084f60f226e0afbfeda4981ac3ee9a6c5578e1'),
+        ('COMB_D', '6e87db7786e2f8fc236be855ddef46e688c30c7e284f88f81cd591fa928a71e2'),
+        ('COMB_D', '15d29ac05bf43e00720a84cd26553bb2b095c92c48dddd1ae0fac7879b197ad5'),
+        ('COMB_PERM', '8058b1ca626694fb32098f9f8d9bc8937a14a2f39b6770163f70933e4b26dad5'),
+        ('COMB_D', '3d6a031e58c50c860366d45e101b0749d12bc5b8a8ec4722e8b239bbe55b57cd'),
+        ('COMB_D', '348b4399842170bccf4fc4551f68707d6fde4889311c8ba880591c526f87623f'),
+        ('COMB_D', 'ae220c490bbb6406cd04f649bdf9cfb3618e03a870898c16d4c8801ccccaa6f2'),
+        ('COMB_D', '3ffce3dc8a1d84a83ab5e240e1bb75faf22a30270cd2fbbe3302d7772b81ffd8'),
+        ('COMB_D', 'cb2c31ec1f6ba5c47178a3fa7ac33b9b803eace7e8f2a2989038041ba1048ad4'),
+        ('RT_ACC_FLUSH', 'efd2469aec6695dd08dfd3266de98065d19c70c2f1f18fb288856e07cad051e6'),
+        ('GK_COMMIT', '35ca7d6f9ec109671c895f8baad331921ae3d87aca76a7fa3352a7d8acc37f6c'),
     ],
 }
 EXPECTED_STORES = {
-    A: "6743a1e704644ea9e8f6a056745fd07ad5600eccb1150135b32e5b7430f73ee6",
-    B: "7ec6a68ba11aa39170e214410b2b6d6acb25eb8da811cc327aec4d6a609d7882",
+    A: "56799c43612de2f128155899ac52e5bd8589fefc65a8429f8e39adeb5ba89012",
+    B: "ee15f5cb4a0bd7e14150de75838e080205f482764a294709a6347fad02cb81e0",
 }
 # MsgType -> (frames, bytes with headers) per party. They are the totals of
 # the one-owner-at-a-time schedule: running the sides side by side moves

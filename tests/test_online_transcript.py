@@ -21,34 +21,34 @@ A, B = Role.ALICE, Role.BOB
 
 EXPECTED = {
     A: [
-        ('HELLO', '21b614d202e5fe3c9ad7a098e16d9c52eddbcbd1474603a93fba73a750f0d6f9'),
+        ('HELLO', '6dad1bf3b09c6ca9cff5000dffd1d68440e670d8a02b7aaedbada33fa039260a'),
         ('RT_ANNOUNCE_BATCH', 'dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8'),
-        ('RT_REVEAL_BATCH', '21024b9399e221fa00bba69f53d8ee56d5a2d91c9734f55679973c72f4bf7fde'),
-        ('RT_REVEAL_BATCH', 'a60461cc39479a30367492aa0d73e150d565867ddce634314d4b3ade0172a8a8'),
-        ('RT_REVEAL_BATCH', '8beb839a5b451c3b3f479319ccf091af70ae8cbe2f3acdde0f7f5d1d2cdd4537'),
-        ('RT_REVEAL_BATCH', '3c69b3d73e4f2488ff3de8b1bc7e6a9971b1ba45d39cf2a1502dc83ed37a4019'),
-        ('RT_REVEAL_BATCH', '8b0ff73b76f5006b1390dc5aef450bce560607fbbcc498e24f82c3d5ce28bb14'),
-        ('RT_REVEAL_BATCH', 'e9ef9cffb7adc5c2b9c93a5c2ec64ecfe2ab91680cd93a977f410c5febe8b770'),
-        ('RT_ACC_FLUSH', '2bf2b58b1fe6753daeb7ee761074e08be8da7f470bbaf618fff016c2a23ef84d'),
-        ('RT_OUTPUT', 'a9d94389309c83a446fb3869266429939d96f05c698282b5193d304014dac557'),
+        ('RT_REVEAL_BATCH', '985e2e372c0b4c2d6066bb44c0c000abc563ec14cc20f2521d64e0a65e8998f7'),
+        ('RT_REVEAL_BATCH', '955d6046620b1ee63a6b1325d24d6726235bd7d5786d27259d70f9c9647e7f27'),
+        ('RT_REVEAL_BATCH', '639e480fa297e2383fbb854271f191c0db798106200e67149b1cf1ef92755037'),
+        ('RT_REVEAL_BATCH', 'ddf11c2815c637c0fa5290b8670762c6e955559782ccdf98299a6163bb0fe84d'),
+        ('RT_REVEAL_BATCH', '7e24f2afaf6d1927bed6eea7bf5bd03d7e364a16c1285c25df1485a14f774790'),
+        ('RT_REVEAL_BATCH', 'e5ed0d1a0a3ead13dc848a4f16518252a4d9a15a182c64a272e56489cb7e58bb'),
+        ('RT_ACC_FLUSH', '523f0d98bbdbd068acb2f604f1565d50506efc1669cbeb7291cd4a19535a259d'),
+        ('RT_OUTPUT', '33f5966652eab165617f6453df21e3996d3600f88747643779b003585eab2d66'),
     ],
     B: [
-        ('HELLO', 'e90a1e34c9cee7c1dc02407105865051afcc8d054afff3c94e952e820957a361'),
+        ('HELLO', 'ce60c95ff16eb7d21c4e9cc0a9e5acca19f5be8e60538d8661e818f117ce1e14'),
         ('RT_ANNOUNCE_BATCH', 'e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71'),
-        ('RT_REVEAL_BATCH', 'eb9c08c0c5bca897c4ef554e21a5125da8646496096eab2aafb0a5408f513544'),
-        ('RT_REVEAL_BATCH', 'f1b22d723a52e9c594540d1e3fe35ee9aa840cee67087a7784848c57d21aa17b'),
-        ('RT_REVEAL_BATCH', '1aa204ae63e47ba59392a5fd05292d7ab3124d17132b0ee69b0f20218d531fd6'),
-        ('RT_REVEAL_BATCH', '77b1dcf1d146ea11353d1f84a5591102a919eaddd420b6efa38a1022e0f1d569'),
-        ('RT_REVEAL_BATCH', '35758067193554d7b016d497c7c3e8580af69b3e3d004f57ffacc8073a9dd7b9'),
-        ('RT_REVEAL_BATCH', '71da8eeef37375e151cabe4a5b61f15fc460b3257a592d1520d41dba84c7446c'),
-        ('RT_REVEAL_BATCH', '153120e1fee1a26c64b636cb6b3534cd618daa78b0e7f9dca0ce6acbb28ccfd4'),
-        ('RT_REVEAL_BATCH', 'b556211a90d0fab14dbcdfecea34ce84dc4010097918f5afcdbf3fd7816ce8d8'),
-        ('RT_REVEAL_BATCH', 'a90648cc7894b37e690d6b58d5226d995aae8869a79d3edc2136e6dfdc108dda'),
-        ('RT_REVEAL_BATCH', '68aa2e2ee5dff96e3355e6c7ee373e3d6a4e17f75f9518d843709c0c9bc3e3d4'),
-        ('RT_REVEAL_BATCH', '6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b'),
-        ('RT_REVEAL_BATCH', '9d1e0e2d9459d06523ad13e28a4093c2316baafe7aec5b25f30eba2e113599c4'),
-        ('RT_ACC_FLUSH', '416bea381f147d8c1d7ac6a09967f1fa72823a51253e776b31b7c371a2772f1e'),
-        ('RT_OUTPUT', 'c9a1998fbaafe6748d385efe8b485107693f45ba84cdfc5b73fb58b4c87a62ec'),
+        ('RT_REVEAL_BATCH', 'f3327adba65f9b115dd21fa92dace37795de3492089c5d10f95bc0d6eefb97bb'),
+        ('RT_REVEAL_BATCH', '37e730786decb159555c425fe60bd907affd35e2153fb1bf77341dbc1c5f05d9'),
+        ('RT_REVEAL_BATCH', '8e813ec1fed324bf9e84710e003d0e14eefdb8ecf961c7f73daedbd6b745591e'),
+        ('RT_REVEAL_BATCH', 'dfab84e13a3b00c17a55b0970d40bb2d738cb4e01889e739349a8dadd91644a8'),
+        ('RT_REVEAL_BATCH', 'dd4cd38d97de1e3c95c97cc8d9ced5ea89f12c8f3eb5d6af4476a1fb1e63aace'),
+        ('RT_REVEAL_BATCH', '2cf89d5fbd29ed850ae15e1e245d8ffce93da6a35f2cb4576b9099903f01e750'),
+        ('RT_REVEAL_BATCH', 'c9165adce11b3199657396730b610be494d02a8cb3bb00b8b14c037242c12f74'),
+        ('RT_REVEAL_BATCH', 'd2ab528393114dfffa2fc21fbee4d16fc2b483104a17533e0c0861091baf2d49'),
+        ('RT_REVEAL_BATCH', '436cdc71af4caa25d5b96bdf0114bbd01dc14cf7c5a7aedd8a23b461c0017974'),
+        ('RT_REVEAL_BATCH', '3e23e8160039594a33894f6564e1b1348bbd7a0088d42c4acb73eeaed59c009d'),
+        ('RT_REVEAL_BATCH', '77adfc95029e73b173f60e556f915b0cd8850848111358b1c370fb7c154e61fd'),
+        ('RT_REVEAL_BATCH', '084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5'),
+        ('RT_ACC_FLUSH', '9f05f723c0c0028f86b559ccd637541a6ca64f2d99f85ee973be952ed2796163'),
+        ('RT_OUTPUT', '380e17b150998f696bd3e0e62e30fbdd385ea385c0aa77a12f73870e8b626867'),
     ],
 }
 # MsgType -> (frames, bytes with headers) per party; they do not depend on

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import eval_two, oracle_store_pair, random_circuit, random_inputs
+from helpers import eval_two, oracle_store_pair, random_circuit, random_inputs, ref_pad
 from macbits.bitlinalg import random_rows, unpack_bits
 from macbits.errors import UsageError
 from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, expand,
@@ -85,14 +85,14 @@ def test_expand_bit_balance():
 
 
 def test_pad_rows_match_expand():
-    # row k is expand(ro_hash(tag, row k), n) with the same hash and PRG
-    # counts, for n on and off a byte boundary
+    # row k is SHAKE-128(tag-prefix || row k), one call per row under tag
+    # and ceil(n/256) PRG blocks per row, for n on and off a byte boundary
     rows = random_rows(5, 128, random.Random(3))
     for n in (64, 333):
         before = hash_calls("t"), hash_calls("prg")
         pads = pad_rows("t", rows, n)
         assert (hash_calls("t") - before[0], hash_calls("prg") - before[1]) == (5, 5 * -(-n // 256))
-        assert [p.tobytes() for p in pads] == [expand(ro_hash("t", r), n) for r in rows]
+        assert [p.tobytes() for p in pads] == [ref_pad("t", r, n) for r in rows]
 
 
 def test_pad_rows_fill_one_array():
