@@ -4,7 +4,8 @@ A triple is three authenticated bits x, y, z with z = x & y, all held by one
 party (the MAC side) and keyed by the other. Generation announces d = xy + r
 for a fresh blind r and then proves z = xy with one digest comparison; the
 proof is leaky because a garbled challenge digest passes exactly when x = 0,
-so a cheating key side buys one x bit per garbled instance at abort risk.
+so a cheating key side (one that rewrites its LAAND_U frame; the sides here
+play only the honest party) buys one x bit per garbled instance at abort risk.
 Bucketed combining with a MAC-side permutation washes that leakage out.
 Generation and combining are protocol sides (`transport.run_sides`) that
 read kappa off their rows and take the global key as a (kappa/8,) uint8
@@ -27,19 +28,16 @@ from .ro_suite import DIGEST_BYTES, MacAccumulator, hash_rows
 from .transport import MsgType, Recv, Send
 
 
-def laand_mac_side(ch, xs, ys, rs, rng, *, d_tamper=None):
+def laand_mac_side(ch, xs, ys, rs, rng):
     """Generate len(xs) leaky triples holding the MAC side (a protocol side).
 
     xs/ys are MAC rows of the triple inputs, rs of the fresh blinds that
     become z after the announced correction. Returns the triples as Rows:
-    x, y, z. d_tamper(i, d) models announcing a wrong product.
-    """
+    x, y, z."""
     ell = len(xs)
     if not (len(ys) == len(rs) == ell):
         raise UsageError("input batches must align")
     ds = (xs[:, -1] & ys[:, -1]) ^ rs[:, -1]
-    if d_tamper is not None:
-        ds = np.array([d_tamper(i, int(d)) for i, d in enumerate(ds)], np.uint8) & 1
     yield Send((MsgType.LAAND_D, pack_bits(ds)))
     zs = rs.copy()
     zs[:, -1] ^= ds  # constants carry a zero MAC, so only the bit moves
@@ -56,11 +54,9 @@ def laand_mac_side(ch, xs, ys, rs, rng, *, d_tamper=None):
     return Rows.of_macs(np.stack((xs, ys, zs), axis=1))
 
 
-def laand_key_side(ch, kxs, kys, krs, delta: np.ndarray, *, u_tamper=None):
+def laand_key_side(ch, kxs, kys, krs, delta: np.ndarray):
     """Key side of leaky triple generation, on key rows under the global key
-    delta (a protocol side); returns the triples as Rows: kx, ky, kz.
-    u_tamper models the selective garbling a cheating key holder would use
-    to probe x."""
+    delta (a protocol side); returns the triples as Rows: kx, ky, kz."""
     ell = len(kxs)
     if not (len(kys) == len(krs) == ell):
         raise UsageError("input batches must align")
@@ -70,9 +66,6 @@ def laand_key_side(ch, kxs, kys, krs, delta: np.ndarray, *, u_tamper=None):
     kzs = krs ^ ds[:, None] * delta
     refs = hash_rows("laand", np.concatenate((kxs, kzs), axis=1))
     us = refs ^ hash_rows("laand", np.concatenate((kxs ^ delta, kys ^ kzs), axis=1))
-    if u_tamper is not None:
-        us = np.stack([np.frombuffer(u_tamper(i, u.tobytes()), np.uint8)
-                       for i, u in enumerate(us)])
     yield Send((MsgType.LAAND_U, us.tobytes()))
     if not (yield from eq_respond_side(value_digest(8 * DIGEST_BYTES * ell, refs),
                                        8 * delta.size)):

@@ -23,8 +23,9 @@ Production pipeline for a batch of ell bits owned by P:
      batched equality check compares digests of the folded MACs and the
      folded keys. The pairs are folded a chunk at a time (one gather, one
      XOR) straight into the digest (`eq_box.ColumnDigest`). A sender that
-     used an inconsistent offset in a pair survives only by guessing that
-     pair's choice bit.
+     used an inconsistent offset in a pair (by rewriting rows of its
+     OT_MASKED1 correction frame) survives only by guessing that pair's
+     choice bit.
   3. Privacy amplification: the key holder samples a random kappa x tau
      GF(2) matrix, a packed (kappa, ceil(tau/8)) array, and both sides
      project the surviving tau columns (and the weak global key
@@ -39,8 +40,10 @@ Production pipeline for a batch of ell bits owned by P:
 tau = ceil(22*kappa/3) makes step 3 sound for kappa-bit MACs.
 
 Every role here is a protocol side: a generator that yields one `Send` or
-`Recv` per flight (see `transport.run_sides`). A side takes kappa and its
-rows as arguments and reads nothing from the channel; a global key is a
+`Recv` per flight (see `transport.run_sides`), and it plays the honest
+party only: a cheater is a peer that changes the frames a side yields
+before they go out, so no side takes a hook for it. A side takes kappa and
+its rows as arguments and reads nothing from the channel; a global key is a
 plain (kappa/8,) uint8 row, laid out like a key row. Each party's bits are
 authenticated under the other party's key, so the pipelines for Alice's
 bits and for Bob's bits are independent, and `dealer.deal` runs both
@@ -133,17 +136,13 @@ def _fold_pairs(cols: np.ndarray, part: np.ndarray, value: ColumnDigest, offset=
     return cols[: len(reps)]
 
 
-def labit_sender(tau: int, ell: int, kappa: int, rng, backend, *, offer_tamper=None):
+def labit_sender(tau: int, ell: int, kappa: int, rng, backend):
     """OT-sender side; ends holding (G, surviving keys L_i): the packed ell-bit
     offset row and a (tau, ceil(ell/8)) array. kappa sets the width of the
-    pair check's commitment.
-
-    offer_tamper(keys, m1) -> m1 lets tests model a cheating sender (see
-    `base_ot.extend_ot_send`); the keys are fixed by the seeds.
-    """
+    pair check's commitment."""
     t = 2 * tau
     gamma = random_rows(1, ell, rng)[0]
-    keys = yield from extend_ot_send(backend, gamma, ell, t, rng, offer_tamper=offer_tamper)
+    keys = yield from extend_ot_send(backend, gamma, ell, t, rng)
 
     raw, raw_d = yield Recv((MsgType.LABIT_PAIRING, 4 * t), (MsgType.LABIT_D, (tau + 7) // 8))
     # in range, then no fixed point, then an involution: a fixed-point-free

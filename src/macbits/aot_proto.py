@@ -4,11 +4,13 @@ A quadruple binds four authenticated bits (x0, x1 at the sender; c, z at the
 receiver) by z = x_c. Generation transfers the receiver's branch under pads
 derived from the receiver's choice-bit key, which is exactly what makes it
 leaky: a sender can garble one branch and learn c from whether the receiver
-survives. Combining B leaky quads under a random bucketing leaves the output
-correlation clean unless an entire bucket was leaky; `bucket_combine` does
-that bucketing for aAND triples too. Generation and combining are protocol
-sides (`transport.run_sides`). A global key is a plain (kappa/8,) uint8 row,
-and kappa is read off it. No side reads the channel: laOT and the combiner
+survives. Such a sender is a peer that rewrites bytes of the LAOT_X1 frame
+it sends; the sides here play only the honest party. Combining B leaky
+quads under a random bucketing leaves the output correlation clean unless
+an entire bucket was leaky; `bucket_combine` does that bucketing for aAND
+triples too. Generation and combining are protocol sides
+(`transport.run_sides`). A global key is a plain (kappa/8,) uint8 row, and
+kappa is read off it. No side reads the channel: laOT and the combiner
 bindings take an unused `ch` first only because `perfbench/spans.py` counts
 their arguments by position, until the program owns its spans.
 
@@ -61,14 +63,12 @@ def _split_payloads(p: np.ndarray, kappa: int):
     return p[:, 0] & 1, body[:, : kappa // 8], body[:, kappa // 8 :]
 
 
-def laot_sender(ch, x0s, x1s, kcs, krs, delta: np.ndarray, rng, *, payload_tamper=None):
+def laot_sender(ch, x0s, x1s, kcs, krs, delta: np.ndarray, rng):
     """Generate len(x0s) leaky quads as the sender (a protocol side).
 
     x0s/x1s are MAC rows of this side's authenticated bits; kcs/krs are key
     rows of the receiver's choice and blind bits; delta is the global key on
-    the receiver's bits. Returns the quads as Rows: x0, x1 | kc, kz.
-    payload_tamper(i, b0, b1) lets tests model branch garbling.
-    """
+    the receiver's bits. Returns the quads as Rows: x0, x1 | kc, kz."""
     ell = len(x0s)
     if not (len(x1s) == len(kcs) == len(krs) == ell):
         raise UsageError("input batches must align")
@@ -78,10 +78,6 @@ def laot_sender(ch, x0s, x1s, kcs, krs, delta: np.ndarray, rng, *, payload_tampe
     pads = random_rows(2 * ell, kappa, rng).reshape(ell, 2, kb)
     b0 = _payloads(x0s, pads) ^ pad_rows("laot/x", kcs, plen)
     b1 = _payloads(x1s, pads) ^ pad_rows("laot/x", kcs ^ delta, plen)
-    if payload_tamper is not None:
-        for i in range(ell):
-            t0, t1 = payload_tamper(i, b0[i].tobytes(), b1[i].tobytes())
-            b0[i], b1[i] = np.frombuffer(t0, np.uint8), np.frombuffer(t1, np.uint8)
     yield Send((MsgType.LAOT_X0, b0.tobytes()), (MsgType.LAOT_X1, b1.tobytes()))
 
     (raw_d,) = yield Recv((MsgType.LAOT_D, (ell + 7) // 8))
@@ -95,7 +91,7 @@ def laot_sender(ch, x0s, x1s, kcs, krs, delta: np.ndarray, rng, *, payload_tampe
     return Rows(np.stack((x0s, x1s), axis=1), np.stack((kcs, kz), axis=1))
 
 
-def laot_receiver(ch, cs, rs, kx0s, kx1s, delta: np.ndarray, *, d_tamper=None):
+def laot_receiver(ch, cs, rs, kx0s, kx1s, delta: np.ndarray):
     """Generate quads as the receiver (a protocol side); aborts on a bad
     branch MAC. delta is the global key on the sender's bits. Returns the
     quads as Rows: c, z | kx0, kx1."""
@@ -117,8 +113,6 @@ def laot_receiver(ch, cs, rs, kx0s, kx1s, delta: np.ndarray, *, d_tamper=None):
         raise ProtocolAbort("laot", "branch MAC check failed")
 
     ds = xb ^ rs[:, -1]
-    if d_tamper is not None:
-        ds = np.array([d_tamper(i, int(d)) for i, d in enumerate(ds)], np.uint8) & 1
     yield Send((MsgType.LAOT_D, pack_bits(ds)))
 
     g = np.stack([np.frombuffer(raw, np.uint8).reshape(ell, kb) for raw in

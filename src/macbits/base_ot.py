@@ -12,7 +12,10 @@ Messages, seeds and the long strings are packed uint8 rows in
 (n, ceil(ell/8)) array, laid out as the OT_MASKED1 frame carries it.
 
 Every transfer here is a protocol side, a generator run by
-`transport.run_sides`, so both owners' extensions can run side by side.
+`transport.run_sides`, so both owners' extensions can run side by side. A
+side only ever plays the honest party: a cheating sender, which may put any
+branch 1 it likes into the OT_MASKED1 frame, is a peer that rewrites that
+frame on its way out (the tests do so with `helpers.rewrite_sends`).
 
 The seed OTs come from a backend with `send(pairs)` and
 `receive(choices, n_bits)` sides. The one backend, `DealerOt`, is a
@@ -115,41 +118,31 @@ class DealerOt:
         return frames[c, np.arange(n)] ^ pads
 
 
-def extend_ot_send(backend, offset: np.ndarray, n_bits: int, count: int, rng, *,
-                   offer_tamper=None):
+def extend_ot_send(backend, offset: np.ndarray, n_bits: int, count: int, rng):
     """Correlated OT, as a protocol side: instance k offers (L_k, L_k xor
     offset) for a packed n_bits-bit offset row, where L_k is the expansion of
     its branch-0 seed. Sends the seed OTs, then one OT_MASKED1 frame holding
     every masked branch 1, and returns the keys L_k as a (count,
-    ceil(n_bits/8)) array.
-
-    offer_tamper(keys, m1) -> m1 lets tests model a cheating sender: it sees
-    the keys and every branch 1 and returns the branches 1 to send. Branch 0
-    is fixed by the seeds.
-    """
+    ceil(n_bits/8)) array."""
     seeds = random_rows(2 * count, SEED_BITS, rng).reshape(count, 2, SEED_BITS // 8)
     yield from backend.send(seeds)
     keys = pad_rows("otx", seeds[:, 0], n_bits)
     # not bound to a name here, so the frame is freed once it is sent
-    yield Send((MsgType.OT_MASKED1,
-                _masked_branch_one(seeds[:, 1], keys, offset, n_bits, offer_tamper)))
+    yield Send((MsgType.OT_MASKED1, _masked_branch_one(seeds[:, 1], keys, offset, n_bits)))
     return keys
 
 
-def _masked_branch_one(seeds1, keys, offset, n_bits: int, offer_tamper) -> bytearray:
-    """The OT_MASKED1 payload: per instance, L_k xor offset (or what
-    offer_tamper makes of it) masked under the expansion of its branch-1
-    seed. The pads go into the frame's buffer a few rows at a time."""
+def _masked_branch_one(seeds1, keys, offset, n_bits: int) -> bytearray:
+    """The OT_MASKED1 payload: per instance, L_k xor offset masked under the
+    expansion of its branch-1 seed. The pads go into the frame's buffer a
+    few rows at a time."""
     count, nb = keys.shape
     frame = bytearray(count * nb)
     masked = np.frombuffer(frame, np.uint8).reshape(count, nb)
     for k in range(0, count, 64):
         masked[k : k + 64] = pad_rows("otx", seeds1[k : k + 64], n_bits)
-    if offer_tamper is None:
-        masked ^= keys
-        masked ^= offset
-    else:
-        masked ^= offer_tamper(keys, keys ^ offset)
+    masked ^= keys
+    masked ^= offset
     return frame
 
 

@@ -111,39 +111,16 @@ def _span_fail_numpy(psi: int, n: int, trials: int, gen) -> int:
     return fails
 
 
-def _span_fail_python(psi: int, n: int, trials: int, rng) -> int:
-    fails = 0
-    for _ in range(trials):
-        basis = [0] * psi
-        rank = 0
-        for _ in range(n):
-            v = rng.getrandbits(psi)
-            while v:
-                pos = v.bit_length() - 1
-                if basis[pos]:
-                    v ^= basis[pos]
-                else:
-                    basis[pos] = v
-                    rank += 1
-                    break
-        if rank < psi:
-            fails += 1
-    return fails
-
-
 def span_fail_rate(psi: int, n: int = None, trials: int = 100_000,
                    rng=None) -> float:
     """Fraction of trials in which n uniform psi-bit vectors fail to span;
-    the analytic bound is 2^(1-psi) at the default n = ceil(9*psi/2)."""
-    if psi < 1:
-        raise UsageError("psi must be positive")
+    the analytic bound is 2^(1-psi) at the default n = ceil(9*psi/2). The
+    vectorised elimination indexes a 2^psi table, so psi is at most 16."""
+    if not 1 <= psi <= 16:
+        raise UsageError("psi must be between 1 and 16")
     if n is None:
         n = math.ceil(9 * psi / 2)
     if rng is None:
         raise UsageError("pass a seeded rng")
-    if psi <= 16:
-        gen = np.random.default_rng(rng.getrandbits(64))
-        fails = _span_fail_numpy(psi, n, trials, gen)
-    else:
-        fails = _span_fail_python(psi, n, trials, rng)
-    return fails / trials
+    gen = np.random.default_rng(rng.getrandbits(64))
+    return _span_fail_numpy(psi, n, trials, gen) / trials

@@ -105,7 +105,8 @@ def hash_rows(tag: str, rows: np.ndarray) -> np.ndarray:
     raw = np.ascontiguousarray(rows).tobytes()
     head = _tag_prefix(tag)
     sha = hashlib.sha256
-    out = b"".join([sha(head + raw[i : i + w]).digest() for i in range(0, n * w, w)])
+    starts = range(0, n * w, w) if w else [0] * n  # an empty row is hashed too
+    out = b"".join([sha(head + raw[i : i + w]).digest() for i in starts])
     with _counter_lock:
         _hash_calls[tag] += n
     return np.frombuffer(out, np.uint8).reshape(n, DIGEST_BYTES)
@@ -125,15 +126,16 @@ def pad_rows(tag: str, rows: np.ndarray, n_bits: int) -> np.ndarray:
     n, w = rows.shape
     nb = (n_bits + 7) // 8
     pads = np.empty((n, nb), np.uint8)
-    flat = memoryview(pads).cast("B")
+    flat = memoryview(pads.reshape(-1))  # already 1-D bytes: a cast fails on zero sizes
     raw = rows.tobytes()
     head = _tag_prefix(tag)
     shake = hashlib.shake_128
+    starts = range(0, n * w, w) if w else [0] * n  # an empty row is padded too
     per_chunk = max(1, _PAD_CHUNK // max(nb, 1))
     for k0 in range(0, n, per_chunk):
         k1 = min(n, k0 + per_chunk)
         flat[k0 * nb : k1 * nb] = b"".join(
-            [shake(head + raw[i : i + w]).digest(nb) for i in range(k0 * w, k1 * w, w)])
+            [shake(head + raw[i : i + w]).digest(nb) for i in starts[k0:k1]])
     with _counter_lock:
         _hash_calls[tag] += n
         _hash_calls["prg"] += n * -(-n_bits // 256)

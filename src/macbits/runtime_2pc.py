@@ -103,12 +103,8 @@ class Runtime:
         self._sent = MacAccumulator()
         self._expect = MacAccumulator()
         self._site = 0
-        self._hello_done = False
 
     # -- session ------------------------------------------------------------
-
-    def handshake(self) -> None:
-        run_sides(self.ch, self.role, self._hello())
 
     def _hello(self):
         _, peer_commit = yield from perform_hello(
@@ -116,7 +112,6 @@ class Runtime:
             session_id=self.store.session_id, extra=self.store.gk_commit)
         if peer_commit != self.store.gk_commit:
             raise ProtocolAbort("hello", "material commitment mismatch")
-        self._hello_done = True
 
     # -- reveal plumbing ------------------------------------------------------
 
@@ -275,10 +270,9 @@ class Runtime:
         return out
 
     def _online(self, circuit: Circuit, my_inputs: BitVec):
-        """The online phase as one protocol side: hello unless done, inputs,
-        every level, flush and outputs."""
-        if not self._hello_done:
-            yield from self._hello()
+        """The online phase as one protocol side: hello, inputs, every level,
+        flush and outputs."""
+        yield from self._hello()
         h = circuit.header
         kb = self.kappa // 8
         wm = np.zeros((h.n_wires + 2, kb + 1), np.uint8)

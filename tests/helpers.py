@@ -28,7 +28,7 @@ from macbits.bitlinalg import BitVec, random_rows
 from macbits.circuit import Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.ro_suite import ro_hash
-from macbits.transport import MemoryChannel, Role, memory_pair, run_pair, run_sides
+from macbits.transport import MemoryChannel, MsgType, Role, Swap, memory_pair, run_pair, run_sides
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,33 @@ def run_side(ch, role: Role, side):
     return result
 
 
+def rewrite_sends(side, fn):
+    """`side` as a cheating peer runs it: every yield is forwarded, but each
+    frame it sends goes out as fn(flight, msg_type, payload), where flight
+    counts the side's yields from 0. Returns side's result."""
+    reply, flight = None, 0
+    while True:
+        try:
+            step = side.send(reply)
+        except StopIteration as done:
+            return done.value
+        frames = [(t, fn(flight, t, p)) for t, p in step.frames]
+        reply = yield Swap(frames, step.wants)
+        flight += 1
+
+
+def flip_bit(msg_type, i: int):
+    """A `rewrite_sends` rewrite that flips packed bit i, instance i's bit of
+    a d frame, in every msg_type frame and keeps the other frames."""
+    def fn(flight, t, payload):
+        if t is not msg_type:
+            return payload
+        out = bytearray(payload)
+        out[i // 8] ^= 1 << i % 8
+        return bytes(out)
+    return fn
+
+
 def seeded(backend, mint: bool, side):
     """One protocol side: the backend's dealer seed setup, as `dealer.deal`
     runs it first (the minting endpoint sends the seed, the other receives
@@ -424,10 +451,14 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
 
     ca, cb = memory_pair(timeout=120.0)
 
-    def tamper(keys, m1):
-        # offset k + 1 (< 2**ell) on OT k's branch 1
+    def tamper(flight, msg_type, payload):
+        # offset k + 1 (< 2**ell) on OT k's branch 1; flight 0 holds the
+        # seed OTs' own OT_MASKED1, flight 1 the correction frame
+        if (flight, msg_type) != (1, MsgType.OT_MASKED1):
+            return payload
+        m1 = np.frombuffer(payload, np.uint8).reshape(2 * tau, -1).copy()
         m1[:m, 0] ^= np.arange(1, m + 1, dtype=np.uint8)
-        return m1
+        return m1.tobytes()
 
     def sender():
         rng = random.Random(seed)
@@ -437,7 +468,7 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
         for _ in range(trials):
             try:
                 run_side(ca, Role.ALICE,
-                         labit_sender(tau, ell, kappa, rng, backend, offer_tamper=tamper))
+                         rewrite_sends(labit_sender(tau, ell, kappa, rng, backend), tamper))
                 wins += 1
             except ProtocolAbort:
                 pass
@@ -471,17 +502,19 @@ def laot_probe_outcomes(trials: int, seed: int, kappa: int = 16):
         delta_b = dealer.delta[Role.BOB]
         delta_a = dealer.delta[Role.ALICE]
 
-        def garble(i, b0, b1):
+        def garble(flight, msg_type, payload):
             # flip a MAC bit (payload bit 1) in the masked branch-1 blob
-            return b0, bytes([b1[0] ^ 2]) + b1[1:]
+            if msg_type is not MsgType.LAOT_X1:
+                return payload
+            return bytes([payload[0] ^ 2]) + payload[1:]
 
         ca, cb = memory_pair(timeout=30.0)
         rng_a = random.Random(seed * 7 + t)
         try:
             run_pair(
-                lambda: run_side(ca, Role.ALICE, laot_sender(
+                lambda: run_side(ca, Role.ALICE, rewrite_sends(laot_sender(
                     ca, *(bit_rows([h], kappa) for h in vars(qs).values()),
-                    delta_b, rng_a, payload_tamper=garble)),
+                    delta_b, rng_a), garble)),
                 lambda: run_side(cb, Role.BOB, laot_receiver(
                     cb, *(bit_rows([h], kappa) for h in vars(qr).values()), delta_a)),
                 timeout=30, channels=(ca, cb))
@@ -509,8 +542,10 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
         r, kr = dealer.abit(Role.ALICE)
         batches.append(((x, y, r), (kx, ky, kr)))
 
-    def tamper(i, u):
-        return bytes([u[0] ^ 0x5A]) + u[1:]
+    def tamper(flight, msg_type, payload):
+        if msg_type is not MsgType.LAAND_U:
+            return payload
+        return bytes([payload[0] ^ 0x5A]) + payload[1:]
 
     def mac_side():
         rng_a = random.Random(seed + 1)
@@ -527,9 +562,9 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
     def key_side():
         for _, (kx, ky, kr) in batches:
             try:
-                run_side(cb, Role.BOB,
-                         laand_key_side(cb, *(bit_rows([h], kappa) for h in (kx, ky, kr)),
-                                        delta, u_tamper=tamper))
+                run_side(cb, Role.BOB, rewrite_sends(
+                    laand_key_side(cb, *(bit_rows([h], kappa) for h in (kx, ky, kr)), delta),
+                    tamper))
             except ProtocolAbort:
                 pass
 

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (OracleDealer, TripleKey, TripleMac, bit_rows, from_rows,
-                     laand_u_tamper_outcomes, run_side, to_rows, verify_abit)
+from helpers import (OracleDealer, TripleKey, TripleMac, bit_rows, flip_bit, from_rows,
+                     laand_u_tamper_outcomes, rewrite_sends, run_side, to_rows, verify_abit)
 from macbits.aand_proto import (aand_combine_key, aand_combine_mac, fold_triples,
                                 laand_key_side, laand_mac_side)
 from macbits.errors import ProtocolAbort, UsageError
@@ -32,15 +32,18 @@ def triple_inputs(od: OracleDealer, n: int):
             [bit_rows(h, KAPPA) for h in (kxs, kys, krs)])
 
 
-def run_laand(n, seed=0, d_tamper=None, u_tamper=None):
+def run_laand(n, seed=0, rewrite=None):
+    """n leaky triples; a given rewrite changes the MAC side's frames (see
+    `helpers.rewrite_sends`)."""
     rng = random.Random(seed)
     od = OracleDealer(KAPPA, rng)
     mac_in, key_in = triple_inputs(od, n)
     a, b = memory_pair(timeout=30.0)
     rng_a = random.Random(seed + 1)
+    mac_side = laand_mac_side(a, *mac_in, rng_a)
     macs, keys = run_pair(
-        lambda: run_side(a, A, laand_mac_side(a, *mac_in, rng_a, d_tamper=d_tamper)),
-        lambda: run_side(b, B, laand_key_side(b, *key_in, od.delta[A], u_tamper=u_tamper)),
+        lambda: run_side(a, A, rewrite_sends(mac_side, rewrite) if rewrite else mac_side),
+        lambda: run_side(b, B, laand_key_side(b, *key_in, od.delta[A])),
         timeout=30, channels=(a, b))
     return od, (from_rows(macs, TripleMac), from_rows(keys, TripleKey))
 
@@ -60,8 +63,9 @@ def test_laand_honest_triples():
 
 
 def test_laand_wrong_product_aborts():
+    # the MAC side keeps its own z honest and announces instance 2's d flipped
     with pytest.raises(ProtocolAbort):
-        run_laand(4, seed=2, d_tamper=lambda i, d: d ^ (1 if i == 2 else 0))
+        run_laand(4, seed=2, rewrite=flip_bit(MsgType.LAAND_D, 2))
 
 
 def test_laand_garbled_challenge_leaks_x():

@@ -84,13 +84,12 @@ def test_verify_rejects_wrong_mac():
 # leaky candidate phase
 
 
-def run_labit(tau, ell, seed=0, kappa=16, offer_tamper=None):
+def run_labit(tau, ell, seed=0, kappa=16):
     a, b = memory_pair(timeout=30.0)
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
     ot_a, ot_b = DealerOt(rng_a), DealerOt()
     return run_pair(
-        lambda: run_side(a, A, seeded(ot_a, True, labit_sender(tau, ell, kappa, rng_a, ot_a,
-                                                               offer_tamper=offer_tamper))),
+        lambda: run_side(a, A, seeded(ot_a, True, labit_sender(tau, ell, kappa, rng_a, ot_a))),
         lambda: run_side(b, B, seeded(ot_b, False, labit_receiver(tau, ell, kappa, rng_b,
                                                                   ot_b))),
         timeout=30, channels=(a, b))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (OracleDealer, QuadReceiver, QuadSender, bit_rows, from_rows,
-                     laot_probe_outcomes, run_side, to_rows, verify_abit)
+                     flip_bit, laot_probe_outcomes, rewrite_sends, run_side, to_rows,
+                     verify_abit)
 from macbits.aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
                                fold_quads_receiver, fold_quads_sender, laot_receiver,
                                laot_sender)
@@ -50,15 +51,18 @@ def quad_inputs(od: OracleDealer, n: int):
             [bit_rows(h, KAPPA) for h in (cs, rs, kx0s, kx1s)])
 
 
-def run_laot(n, seed=0, d_tamper=None):
+def run_laot(n, seed=0, rewrite=None):
+    """n leaky quads; a given rewrite changes the receiver's frames (see
+    `helpers.rewrite_sends`)."""
     rng = random.Random(seed)
     od = OracleDealer(KAPPA, rng)
     send_in, recv_in = quad_inputs(od, n)
     a, b = memory_pair(timeout=30.0)
     rng_a = random.Random(seed + 1)
+    receiver = laot_receiver(b, *recv_in, od.delta[A])
     quads_s, quads_r = run_pair(
         lambda: run_side(a, A, laot_sender(a, *send_in, od.delta[B], rng_a)),
-        lambda: run_side(b, B, laot_receiver(b, *recv_in, od.delta[A], d_tamper=d_tamper)),
+        lambda: run_side(b, B, rewrite_sends(receiver, rewrite) if rewrite else receiver),
         timeout=30, channels=(a, b))
     return od, (from_rows(quads_s, QuadSender), from_rows(quads_r, QuadReceiver))
 
@@ -87,8 +91,9 @@ def test_laot_probe_leaks_choice_bit():
 
 
 def test_laot_wrong_d_aborts_on_pad_check():
+    # the receiver keeps its own z honest and sends instance 0's d flipped
     with pytest.raises(ProtocolAbort):
-        run_laot(4, seed=5, d_tamper=lambda i, d: d ^ (1 if i == 0 else 0))
+        run_laot(4, seed=5, rewrite=flip_bit(MsgType.LAOT_D, 0))
 
 
 def test_laot_rejects_ragged_batches():

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import counting_pair, dealer_pad, ref_pad, run_side, seeded
+from helpers import counting_pair, dealer_pad, ref_pad, rewrite_sends, run_side, seeded
 from macbits.base_ot import SEED_BITS, DealerOt, extend_ot_receive, extend_ot_send
 from macbits.bitlinalg import random_rows
 from macbits.errors import UsageError
@@ -40,15 +40,17 @@ class RecordingOt(DealerOt):
         yield from super().send(pairs)
 
 
-def run_extended(offset, n_bits, choices, offer_tamper=None):
-    """Correlated OTs under offset. Returns (sender keys, received messages,
-    seed pairs, frames the sender sent)."""
+def run_extended(offset, n_bits, choices, rewrite=None):
+    """Correlated OTs under offset; a given rewrite changes the sender's
+    frames (see `helpers.rewrite_sends`). Returns (sender keys, received
+    messages, seed pairs, frames the sender sent)."""
     a, b = counting_pair(timeout=60.0)
     rng = random.Random(0)
     backend, ot_b = RecordingOt(rng), DealerOt()
+    sender = extend_ot_send(backend, offset, n_bits, len(choices), rng)
     keys, got = run_pair(
-        lambda: run_side(a, A, seeded(backend, True, extend_ot_send(
-            backend, offset, n_bits, len(choices), rng, offer_tamper=offer_tamper))),
+        lambda: run_side(a, A, seeded(backend, True,
+                                      rewrite_sends(sender, rewrite) if rewrite else sender)),
         lambda: run_side(b, B, seeded(ot_b, False, extend_ot_receive(ot_b, choices, n_bits))),
         timeout=60)
     return keys, got, backend.pairs, a.sent
@@ -120,26 +122,26 @@ def test_batch_sequencing_across_calls():
 
 
 def test_extended_ot_kappa_sized():
-    # a cheating sender may pick branch 1 freely: the receiver gets
-    # m0 ^ c*(m0 ^ m1), and m0 is the sender's returned expansion of its
-    # branch-0 seed
+    # a cheating sender may pick branch 1 freely: XORing rows E into its
+    # correction frame offers keys ^ (offset ^ E), so the receiver gets
+    # keys ^ c*(offset ^ E), where keys is the sender's returned expansion
+    # of its branch-0 seeds
     rng = random.Random(4)
     offset = random_rows(1, SEED_BITS, rng)[0]
     choices = [i & 1 for i in range(8)]
-    offered = {}
+    e = random_rows(8, SEED_BITS, rng).copy()
+    e[0::3] = 0
 
-    def any_m1(keys, m1):
-        m1[1::3] = random_rows(len(m1[1::3]), SEED_BITS, rng)
-        m1[2::3] = random_rows(len(m1[2::3]), SEED_BITS, rng)
-        offered.update(m0=keys.copy(), m1=m1.copy())
-        return m1
+    def add_e(flight, msg_type, payload):
+        # flight 0 holds the seed OTs' own OT_MASKED1, flight 1 the correction
+        if flight != 1:
+            return payload
+        return (np.frombuffer(payload, np.uint8).reshape(e.shape) ^ e).tobytes()
 
-    keys, got, seeds, sent = run_extended(offset, SEED_BITS, choices, offer_tamper=any_m1)
-    m0, m1 = offered["m0"], offered["m1"]
-    assert np.array_equal(keys, m0)
+    keys, got, seeds, sent = run_extended(offset, SEED_BITS, choices, add_e)
     assert [k.tobytes() for k in keys] == [ref_pad("otx", s0, SEED_BITS) for s0 in seeds[:, 0]]
-    assert np.array_equal(got, m0 ^ (m0 ^ m1) * np.array(choices, np.uint8)[:, None])
-    assert np.array_equal(m1[0], keys[0] ^ offset)
+    assert np.array_equal(got, keys ^ (offset ^ e) * np.array(choices, np.uint8)[:, None])
+    assert np.array_equal(got[3], keys[3] ^ offset)  # an untouched row with c = 1
     assert_one_correction_frame(sent, 8, SEED_BITS)
 
 
@@ -229,6 +231,18 @@ def test_batched_pads_follow_the_per_instance_formula(mint):
         assert [row.tobytes() for row in got] == [
             dealer_pad(seed, not mint, first + k, c, nb) for k, c in enumerate(choices)]
     assert be.instances == 16
+
+
+def test_zero_instances_send_no_frame():
+    a, b = counting_pair(timeout=5.0)
+    ot_a, ot_b = DealerOt(random.Random(0)), DealerOt()
+    _, got = run_pair(
+        lambda: run_side(a, A, seeded(ot_a, True, ot_a.send(np.zeros((0, 2, 4), np.uint8)))),
+        lambda: run_side(b, B, seeded(ot_b, False, ot_b.receive([], 32))),
+        timeout=5, channels=(a, b))
+    assert got.shape == (0, 4)
+    assert [t for t, _ in a.sent] == [MsgType.OT_SETUP] and b.sent == []
+    assert ot_a.instances == ot_b.instances == 0
 
 
 def test_send_and_receive_need_setup():

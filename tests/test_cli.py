@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -101,9 +102,13 @@ def test_deal_is_deterministic(dealt, tmp_path):
 
 
 def _spawn(args):
+    # the child imports macbits from this checkout's src/, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.Popen([sys.executable, "-m", "macbits.cli", *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True)
+                            text=True, env=env)
 
 
 def test_deal_and_eval_over_tcp(tmp_path):

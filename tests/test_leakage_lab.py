@@ -4,8 +4,7 @@ import random
 import pytest
 
 from macbits.errors import UsageError
-from macbits.leakage_lab import (alpha_prime, bucket_fail_mc, bucket_fail_prob,
-                                 span_fail_rate, _span_fail_python)
+from macbits.leakage_lab import alpha_prime, bucket_fail_mc, bucket_fail_prob, span_fail_rate
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +93,6 @@ def test_span_mc_matches_rank_chain(psi, n):
     assert abs(got - want) <= 3 * math.sqrt(want * (1 - want) / trials)
 
 
-def test_span_python_fallback_matches_rank_chain():
-    rng = random.Random(5)
-    trials = 20_000
-    want = span_fail_exact(3, 5)
-    fails = _span_fail_python(3, 5, trials, rng)
-    assert abs(fails / trials - want) <= 3 * math.sqrt(want * (1 - want) / trials)
-
-
 def test_span_default_n_meets_bound():
     # default n = ceil(9 psi / 2); observed failures stay under 2^(1-psi)
     rng = random.Random(6)
@@ -112,5 +103,7 @@ def test_span_default_n_meets_bound():
 def test_span_validation():
     with pytest.raises(UsageError):
         span_fail_rate(0, rng=random.Random(0))
+    with pytest.raises(UsageError):
+        span_fail_rate(17, rng=random.Random(0))  # beyond the 2^psi table
     with pytest.raises(UsageError):
         span_fail_rate(8, 36, 100)  # rng required

@@ -8,9 +8,8 @@ import pytest
 from helpers import eval_two, oracle_store_pair, random_circuit, random_inputs, ref_pad
 from macbits.bitlinalg import random_rows, unpack_bits
 from macbits.errors import UsageError
-from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, expand,
-                              hash_calls, pad_rows, reset_hash_calls,
-                              ro_hash)
+from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, expand, hash_calls, hash_rows,
+                              pad_rows, reset_hash_calls, ro_hash)
 
 
 def test_ro_hash_deterministic():
@@ -93,6 +92,23 @@ def test_pad_rows_match_expand():
         pads = pad_rows("t", rows, n)
         assert (hash_calls("t") - before[0], hash_calls("prg") - before[1]) == (5, 5 * -(-n // 256))
         assert [p.tobytes() for p in pads] == [ref_pad("t", r, n) for r in rows]
+
+
+@pytest.mark.parametrize("n,w,n_bits", [(3, 0, 20), (0, 5, 20), (3, 5, 0)],
+                         ids=["zero-width-rows", "no-rows", "zero-bit-pads"])
+def test_empty_inputs_hash_and_pad(n, w, n_bits):
+    # every row is hashed once, even an empty one, and an empty batch is
+    # an empty result
+    rows = random_rows(n, 8 * w, random.Random(5)).reshape(n, w)
+    before = hash_calls("t"), hash_calls("prg")
+    pads = pad_rows("t", rows, n_bits)
+    digests = hash_rows("t", rows)
+    assert pads.shape == (n, (n_bits + 7) // 8)
+    assert [p.tobytes() for p in pads] == [ref_pad("t", r, n_bits) for r in rows]
+    assert digests.shape == (n, DIGEST_BYTES)
+    assert [d.tobytes() for d in digests] == [ro_hash("t", r) for r in rows]
+    assert (hash_calls("t") - before[0], hash_calls("prg") - before[1]) == (
+        3 * n, n * -(-n_bits // 256))
 
 
 def test_pad_rows_fill_one_array():

@@ -178,27 +178,26 @@ def test_exact_wire_bytes_follow_level_schedule():
     ca, cb = memory_pair(timeout=60.0)
     rt_a = Runtime(ca, A, sa)
     rt_b = Runtime(cb, B, sb)
-    run_pair(rt_a.handshake, rt_b.handshake, timeout=60)
-    base_a, base_b = ca.stats.bytes_sent, cb.stats.bytes_sent
 
     run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
              timeout=60)
 
     levels = rt_a.stats.levels
     h = c.header
+    hello = 25 + 32  # fixed hello fields, then the material commitment
     out_bytes = (h.n_outputs * (1 + 16) + 7) // 8  # all outputs go both ways
 
-    pay_a = ((h.inputs_a + 7) // 8
+    pay_a = (hello + (h.inputs_a + 7) // 8
              + sum((5 * n + 7) // 8 for n in levels)
              + 40 + out_bytes)
-    frames_a = 1 + len(levels) + 1 + 1
-    assert ca.stats.bytes_sent - base_a == pay_a + 5 * frames_a
+    frames_a = 1 + 1 + len(levels) + 1 + 1
+    assert ca.stats.bytes_sent == pay_a + 5 * frames_a
 
-    pay_b = ((h.inputs_b + 7) // 8
+    pay_b = (hello + (h.inputs_b + 7) // 8
              + sum((3 * n + 7) // 8 + (2 * n + 7) // 8 for n in levels)
              + 40 + out_bytes)
-    frames_b = 1 + 2 * len(levels) + 1 + 1
-    assert cb.stats.bytes_sent - base_b == pay_b + 5 * frames_b
+    frames_b = 1 + 1 + 2 * len(levels) + 1 + 1
+    assert cb.stats.bytes_sent == pay_b + 5 * frames_b
     assert ca.stats.bytes_sent == cb.stats.bytes_received
 
 

@@ -208,6 +208,24 @@ def test_protocol_code_touches_only_the_pipe():
     assert set(used) <= {"send", "recv", "close", "stats"}, used
 
 
+def test_protocol_code_has_no_tamper_hooks():
+    """No function in src/macbits takes a `*_tamper` parameter: a cheating
+    peer rewrites the frames a side sends (`helpers.rewrite_sends`). The one
+    tamper input is Runtime's `tamper=` plan, which the acceptance suite's
+    tamper sweep drives."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "macbits"
+    params = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params += [(path.name, node.name, arg.arg)
+                           for arg in a.posonlyargs + a.args + a.kwonlyargs]
+    # the walk sees real signatures, Runtime's tamper plan among them
+    assert ("runtime_2pc.py", "__init__", "tamper") in params
+    assert [p for p in params if p[2].endswith("_tamper")] == []
+
+
 def test_hello_carries_extra():
     a, b = memory_pair()
     rng = random.Random(2)
