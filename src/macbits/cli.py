@@ -64,6 +64,9 @@ def cmd_deal(args) -> int:
     role = _parse_role(args.role)
     if os.path.exists(args.out) and not args.force:
         raise UsageError(f"{args.out} exists; pass --force to overwrite")
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        raise UsageError(f"{out_dir} is not a directory")
     cfg = DealerConfig.for_gates(args.gates, args.inputs, args.inputs,
                                  kappa=args.kappa, psi=args.psi,
                                  bucket_B=args.bucket)

@@ -22,7 +22,8 @@ the three rounds of its level:
 A round's reveals are gate-major. Every announced bit's MAC is deferred
 into running accumulators, one absorb per reveal round on each side; the
 chains are compared once before any output is revealed, and output MACs
-themselves are checked immediately.
+themselves are checked immediately. So a cheating peer acts only through
+bytes it sends: its revealed bits, its output rows and its flush digest.
 
 The hello, the input round, the levels' reveal rounds, the flush and the
 output rounds form one protocol side, which `evaluate` runs with
@@ -30,7 +31,9 @@ output rounds form one protocol side, which `evaluate` runs with
 session id and the global key this party holds, a (kappa/8,) row like a key
 row; the channel only carries the frames. Every round names its speaker, so both parties run
 the same code: the speaker sends and the peer reads. Bob's round 3 of one
-level and his round 1 of the next go out back to back, one flight.
+level and his round 1 of the next go out back to back, one flight. Before
+the hello, `evaluate` checks that the store holds the material the circuit
+burns, and fails with OutOfMaterial if it is too small.
 """
 
 from __future__ import annotations
@@ -42,23 +45,13 @@ import numpy as np
 from .bitlinalg import BitVec, pack_bits, unpack_bits
 from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
 from .dealer import MaterialStore
-from .errors import ProtocolAbort, UsageError
+from .errors import OutOfMaterial, ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, flush_accumulators
 from .transport import Channel, MsgType, Recv, Role, Send, perform_hello, run_sides
 
 # An AND level's three reveal rounds as (speaker, columns of the speaker's
 # five reveals per gate: d, f_loc, g_loc, f_x, g_x).
 _LEVEL_ROUNDS = ((Role.BOB, slice(0, 3)), (Role.ALICE, slice(0, 5)), (Role.BOB, slice(3, 5)))
-
-
-@dataclass(frozen=True)
-class TamperPlan:
-    """Fault injection for soundness tests: at this party's site-th
-    MAC-carrying reveal, flip the announced bit (keeping the MAC honest) or
-    flip bit 0 of the MAC (keeping the bit)."""
-
-    site: int
-    mode: str  # "bit" or "mac"
 
 
 @dataclass
@@ -74,23 +67,10 @@ class RuntimeStats:
     flushes: int = 0
 
 
-def _dest_tag(role: Role) -> str:
-    return DEST_A if role is Role.ALICE else DEST_B
-
-
-def count_reveal_sites(circuit: Circuit, role: Role) -> int:
-    """How many MAC-carrying reveals `role` performs on this circuit: five
-    per AND gate plus one per output wire it reveals to the peer."""
-    peer = _dest_tag(role.other)
-    outs = sum(1 for d in circuit.header.output_dest if d in (peer, DEST_BOTH))
-    return 5 * circuit.n_and + outs
-
-
 class Runtime:
     """One party's online evaluator bound to a channel and a material store."""
 
-    def __init__(self, ch: Channel, role: Role, store: MaterialStore, *,
-                 tamper: TamperPlan = None):
+    def __init__(self, ch: Channel, role: Role, store: MaterialStore):
         if store.role is not role:
             raise UsageError("material store was dealt for the other role")
         self.ch = ch
@@ -98,11 +78,9 @@ class Runtime:
         self.store = store
         self.kappa = store.kappa
         self._delta = store.delta  # global key I hold on the peer's bits
-        self.tamper = tamper
         self.stats = RuntimeStats()
         self._sent = MacAccumulator()
         self._expect = MacAccumulator()
-        self._site = 0
 
     # -- session ------------------------------------------------------------
 
@@ -114,15 +92,6 @@ class Runtime:
             raise ProtocolAbort("hello", "material commitment mismatch")
 
     # -- reveal plumbing ------------------------------------------------------
-
-    def _tamper(self, rows: np.ndarray) -> np.ndarray:
-        """Number rows (MAC||bit, about to be revealed) as reveal sites and
-        apply the tamper plan to them in place."""
-        t = self.tamper
-        if t is not None and self._site <= t.site < self._site + len(rows):
-            rows[t.site - self._site, -1 if t.mode == "bit" else 0] ^= 1
-        self._site += len(rows)
-        return rows
 
     def _flush(self):
         yield from flush_accumulators(self._sent, self._expect)
@@ -172,7 +141,7 @@ class Runtime:
         for speaker, cols in _LEVEL_ROUNDS:
             k = cols.stop - cols.start
             if speaker is me:
-                flat = self._tamper(mine[:, cols].reshape(n * k, -1))
+                flat = mine[:, cols].reshape(n * k, -1)
                 yield Send((MsgType.RT_REVEAL_BATCH, pack_bits(flat[:, -1])))
                 self._sent = self._sent.absorb(flat[:, :-1])
                 self.stats.bits_revealed += n * k
@@ -237,8 +206,7 @@ class Runtime:
         yield from self._flush()
         outs = list(zip(circuit.output_wires, h.output_dest))
         got = BitVec(0)
-        for receiver in (Role.ALICE, Role.BOB):
-            tag = _dest_tag(receiver)
+        for receiver, tag in ((Role.ALICE, DEST_A), (Role.BOB, DEST_B)):
             batch = [w for w, d in outs if d in (tag, DEST_BOTH)]
             if not batch:
                 continue
@@ -253,7 +221,7 @@ class Runtime:
                 got = BitVec.from_bytes(n, pack_bits(wm[batch, -1] ^ b))
                 self.stats.output_reveals_received += n
             else:
-                rows = self._tamper(wm[batch])
+                rows = wm[batch]
                 bits = np.unpackbits(rows[:, :-1], axis=1, bitorder="little")
                 yield Send((MsgType.RT_OUTPUT,
                             pack_bits(np.concatenate((rows[:, -1:], bits), axis=1))))
@@ -266,6 +234,15 @@ class Runtime:
         n_mine = h.inputs_a if self.role is Role.ALICE else h.inputs_b
         if my_inputs.n != n_mine:
             raise UsageError(f"this party supplies {n_mine} input bits")
+        # before the hello: per AND gate a bit of each party's, a triple and
+        # a quad each way; one bit per input wire
+        need = dict.fromkeys(MaterialStore.STREAMS, circuit.n_and)
+        need["abits_mine"] += n_mine
+        need["abits_theirs"] += h.n_inputs - n_mine
+        for name, n in need.items():
+            left = self.store.remaining(name)
+            if left < n:
+                raise OutOfMaterial(f"{name}: {n} records needed, {left} left")
         (out,) = run_sides(self.ch, self.role, self._online(circuit, my_inputs))
         return out
 

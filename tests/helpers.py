@@ -25,7 +25,7 @@ import numpy as np
 
 from macbits.abit_proto import Rows
 from macbits.bitlinalg import BitVec, random_rows
-from macbits.circuit import Circuit, CircuitHeader, Gate
+from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.ro_suite import ro_hash
 from macbits.transport import MemoryChannel, MsgType, Role, Swap, memory_pair, run_pair, run_sides
@@ -413,14 +413,101 @@ def counting_pair(timeout: float = 120.0):
     return CountingChannel(ba, ab, timeout), CountingChannel(ab, ba, timeout)
 
 
+# ---------------------------------------------------------------------------
+# online cheaters
+
+
+@dataclass(frozen=True)
+class TamperPlan:
+    """One online fault: at the cheater's site-th MAC-carrying reveal, flip
+    the revealed bit ("bit") or its MAC ("mac")."""
+
+    site: int
+    mode: str  # "bit" or "mac"
+
+
+def reveal_frame_bits(circuit: Circuit, role: Role) -> list:
+    """The bit count of each RT_REVEAL_BATCH frame `role` sends, in order: per
+    AND level of n gates Alice sends one frame of 5n bits, Bob one of 3n bits
+    and then one of 2n. A frame's bytes are padded, so its length alone does
+    not tell."""
+    split = (5,) if role is Role.ALICE else (3, 2)
+    return [k * len(ands[1]) for ands, _ in circuit.level_indices if ands is not None
+            for k in split]
+
+
+def output_rows(circuit: Circuit, role: Role) -> int:
+    """How many output wires `role` reveals to the peer: the rows, of 1 + kappa
+    bits each (the bit, then the MAC), of the RT_OUTPUT frame it sends."""
+    peer = DEST_B if role is Role.ALICE else DEST_A
+    return sum(d in (peer, DEST_BOTH) for d in circuit.header.output_dest)
+
+
+def count_reveal_sites(circuit: Circuit, role: Role) -> int:
+    """How many MAC-carrying reveals `role` performs on this circuit: the bits
+    of its RT_REVEAL_BATCH frames, then its RT_OUTPUT rows."""
+    return sum(reveal_frame_bits(circuit, role)) + output_rows(circuit, role)
+
+
+class TamperChannel(CountingChannel):
+    """An online endpoint that logs what it sends, like CountingChannel, and
+    cheats by the TamperPlan `plan` (honest when it is None). Sites are
+    numbered in the order the runtime reveals: the bits of its RT_REVEAL_BATCH
+    frames, then the rows of its RT_OUTPUT frame. "bit" flips the revealed
+    bit. "mac" flips an output row's first MAC bit; an AND reveal's MAC is
+    deferred and never crosses the wire, so at an AND site "mac" flips the
+    first bit of the chain state in the RT_ACC_FLUSH frame."""
+
+    def __init__(self, inbox, outbox, timeout, plan, circuit: Circuit, role: Role,
+                 kappa: int):
+        super().__init__(inbox, outbox, timeout)
+        self.plan = plan
+        self._frames = iter(reveal_frame_bits(circuit, role))
+        self._rows = output_rows(circuit, role)
+        self._row_bits = 1 + kappa
+        self._site = 0  # the first site of the next frame
+
+    def _send_frame(self, msg_type, payload):
+        at = None if self.plan is None else self._flip_at(msg_type)
+        if at is not None:
+            payload = bytearray(payload)
+            payload[at // 8] ^= 1 << at % 8
+        super()._send_frame(msg_type, payload)
+
+    def _flip_at(self, msg_type):
+        """The payload bit the plan flips in this frame, or None."""
+        site, mac = self.plan.site - self._site, self.plan.mode == "mac"
+        if msg_type is MsgType.RT_REVEAL_BATCH:
+            n = next(self._frames)
+            self._site += n
+            return site if not mac and 0 <= site < n else None
+        if msg_type is MsgType.RT_ACC_FLUSH:
+            return 64 if mac and site < 0 else None  # past the 8-byte count
+        if msg_type is MsgType.RT_OUTPUT:
+            return site * self._row_bits + mac if 0 <= site < self._rows else None
+        return None
+
+
+def tamper_pair(circuit: Circuit, kappa: int, plan_a=None, plan_b=None,
+                timeout: float = 60.0):
+    """Two logging online endpoints for circuit; each cheats by its plan."""
+    ab, ba = queue.Queue(), queue.Queue()
+    return (TamperChannel(ba, ab, timeout, plan_a, circuit, Role.ALICE, kappa),
+            TamperChannel(ab, ba, timeout, plan_b, circuit, Role.BOB, kappa))
+
+
 def eval_two(circuit: Circuit, store_a, store_b, xa: BitVec, xb: BitVec,
              timeout: float = 60.0, tamper_a=None, tamper_b=None):
-    """Evaluate circuit with both runtimes; returns (out_a, out_b, rt_a, rt_b)."""
+    """Evaluate circuit with both runtimes, Alice cheating by the TamperPlan
+    tamper_a and Bob by tamper_b when given; returns (out_a, out_b, rt_a, rt_b)."""
     from macbits.runtime_2pc import Runtime
 
-    ca, cb = memory_pair(timeout=timeout)
-    rt_a = Runtime(ca, Role.ALICE, store_a, tamper=tamper_a)
-    rt_b = Runtime(cb, Role.BOB, store_b, tamper=tamper_b)
+    if tamper_a is None and tamper_b is None:
+        ca, cb = memory_pair(timeout=timeout)
+    else:
+        ca, cb = tamper_pair(circuit, store_a.kappa, tamper_a, tamper_b, timeout)
+    rt_a = Runtime(ca, Role.ALICE, store_a)
+    rt_b = Runtime(cb, Role.BOB, store_b)
     out_a, out_b = run_pair(lambda: rt_a.evaluate(circuit, xa),
                             lambda: rt_b.evaluate(circuit, xb),
                             timeout=timeout, channels=(ca, cb))

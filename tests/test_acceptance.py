@@ -13,11 +13,11 @@ import time
 import numpy as np
 
 from aes_oracle import KNOWN_VECTORS, aes128_encrypt
-from helpers import (AuthBitKey, AuthBitMac, OracleDealer, bit_rows, const_key,
-                     const_mac, delta_vec, eval_two, labit_cheat_survivals,
-                     laand_u_tamper_outcomes, laot_probe_outcomes,
-                     oracle_store_pair, random_circuit, random_inputs,
-                     reconstruct_pair, run_side, verify_abit)
+from helpers import (AuthBitKey, AuthBitMac, OracleDealer, TamperPlan, bit_rows,
+                     const_key, const_mac, count_reveal_sites, delta_vec, eval_two,
+                     labit_cheat_survivals, laand_u_tamper_outcomes,
+                     laot_probe_outcomes, oracle_store_pair, random_circuit,
+                     random_inputs, reconstruct_pair, run_side, verify_abit)
 from macbits.aand_proto import aand_combine_key, aand_combine_mac
 from macbits.aescircuit import (bits_to_block, block_to_bits,
                                 generate_aes_circuit)
@@ -29,7 +29,7 @@ from macbits.errors import ProtocolAbort
 from macbits.leakage_lab import (alpha_prime, bucket_fail_mc,
                                  bucket_fail_prob, span_fail_rate)
 from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
-from macbits.runtime_2pc import Runtime, TamperPlan, count_reveal_sites
+from macbits.runtime_2pc import Runtime
 from macbits.transport import Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB

@@ -91,6 +91,16 @@ def test_deal_refuses_overwrite(tmp_path, capsys):
     assert target.read_bytes() == b"precious"
 
 
+def test_deal_refuses_missing_out_directory(tmp_path, capsys):
+    # refused before it connects, so no peer deals a store without its pair
+    target = tmp_path / "missing" / "a.store"
+    rc = cli_main(["deal", "--role", "B", "--connect", f"127.0.0.1:{free_port()}",
+                   "--gates", "1", "--out", str(target)])
+    assert rc == 3
+    assert "is not a directory" in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
 def test_deal_is_deterministic(dealt, tmp_path):
     pa, pb = dealt
     qa, qb = str(tmp_path / "a2"), str(tmp_path / "b2")
@@ -259,10 +269,8 @@ def test_eval_out_of_material(dealt, tmp_path):
         lambda: cli_main(["eval", "--role", "B", "--circuit", str(circ),
                           "--material", pb, "--input", "03",
                           "--peer", f"127.0.0.1:{port}"]))
-    # whoever runs dry first exits 4; the peer sees either the same or a
-    # torn-down connection
-    assert 4 in codes
-    assert set(codes) <= {2, 4}
+    # both stores are too small, and each side sees it before the hello
+    assert codes == (4, 4)
 
 
 def test_verify_bounds_smoke(capsys):

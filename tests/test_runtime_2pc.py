@@ -4,8 +4,9 @@ import pytest
 
 import helpers
 from aes_oracle import KNOWN_VECTORS
-from helpers import (OracleDealer, eval_two, oracle_store_pair,
-                     random_circuit, random_inputs)
+from helpers import (OracleDealer, TamperPlan, count_reveal_sites, counting_pair,
+                     eval_two, oracle_store_pair, random_circuit, random_inputs,
+                     tamper_pair)
 from macbits.aescircuit import bits_to_block, block_to_bits, generate_aes_circuit
 from macbits.bitlinalg import BitVec
 from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, plain_eval
@@ -13,7 +14,7 @@ from macbits.dealer import DealerConfig
 from macbits.errors import (OutOfMaterial, ProtocolAbort, TransportError,
                             UsageError)
 from macbits.ro_suite import hash_calls
-from macbits.runtime_2pc import Runtime, TamperPlan, count_reveal_sites
+from macbits.runtime_2pc import Runtime
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
@@ -263,8 +264,13 @@ def test_out_of_material():
     rich = random_circuit(rng, 20, kinds=("AND",))
     sa, sb = oracle_store_pair(lean, rng)  # no AND material at all
     xa, xb = random_inputs(rich, rng)
+    ca, cb = memory_pair(timeout=10.0)
     with pytest.raises(OutOfMaterial):
-        eval_two(rich, sa, sb, xa, xb, timeout=10)
+        run_pair(lambda: Runtime(ca, A, sa).evaluate(rich, xa),
+                 lambda: Runtime(cb, B, sb).evaluate(rich, xb),
+                 timeout=10, channels=(ca, cb))
+    # both sides check their stores before the hello
+    assert ca.stats.frames_sent == cb.stats.frames_sent == 0
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +300,29 @@ def test_handshake_rejects_foreign_session():
 
 
 def test_reveal_site_census():
+    """The sites the tamper sweep numbers are the bits an honest run reveals:
+    its RT_REVEAL_BATCH bits (per AND level of n gates, Alice 5n, Bob 3n then
+    2n) and its RT_OUTPUT rows of 1 + kappa bits."""
     rng = random.Random(14)
     c = random_circuit(rng, 30, n_outputs=8)
-    assert count_reveal_sites(c, A) == 5 * c.n_and + 8
+    assert c.n_and > 0 and c.header.output_dest == (DEST_BOTH,) * 8
     routed = c.with_output_dest([DEST_A] * 8)
+    for circuit in (c, routed):
+        sa, sb = oracle_store_pair(circuit, rng)
+        xa, xb = random_inputs(circuit, rng)
+        ca, cb = counting_pair(timeout=60.0)
+        rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
+        run_pair(lambda: rt_a.evaluate(circuit, xa), lambda: rt_b.evaluate(circuit, xb),
+                 timeout=60, channels=(ca, cb))
+        for ch, rt, split in ((ca, rt_a, (5,)), (cb, rt_b, (3, 2))):
+            reveals = [p for t, p in ch.sent if t is MsgType.RT_REVEAL_BATCH]
+            bits = [k * n for n in rt.stats.levels for k in split]
+            assert [len(p) for p in reveals] == [(b + 7) // 8 for b in bits]
+            rows = sum(8 * len(p) // (1 + sa.kappa) for t, p in ch.sent
+                       if t is MsgType.RT_OUTPUT)
+            assert rows == rt.stats.output_reveals_sent
+            assert sum(bits) + rows == count_reveal_sites(circuit, rt.role)
+    assert count_reveal_sites(c, A) == 5 * c.n_and + 8
     assert count_reveal_sites(routed, A) == 5 * c.n_and
     assert count_reveal_sites(routed, B) == 5 * c.n_and + 8
 
@@ -323,3 +348,32 @@ def test_single_site_tamper_sample_is_caught(mode, cheater):
     kw = {"tamper_a": plan} if cheater is A else {"tamper_b": plan}
     out_a, out_b, _, _ = eval_two(c, sa, sb, xa, xb, timeout=20, **kw)
     assert out_a == out_b == plain_eval(c, xa, xb)
+
+
+@pytest.mark.parametrize("mode", ["bit", "mac"])
+def test_failed_flush_reveals_no_output(mode):
+    """Bob flips his first AND reveal bit, or his flush digest: honest Alice
+    aborts at the flush and sends no RT_OUTPUT frame."""
+    rng = random.Random(18)
+    c = random_circuit(rng, 30)
+    # an honest Alice reveals outputs to Bob after the flush
+    assert c.n_and > 0 and DEST_BOTH in c.header.output_dest
+    sa, sb = oracle_store_pair(c, rng)
+    xa, xb = random_inputs(c, rng)
+    ca, cb = tamper_pair(c, sa.kappa, plan_b=TamperPlan(0, mode), timeout=20.0)
+    rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
+    aborts = []
+
+    def alice():
+        try:
+            return rt_a.evaluate(c, xa)
+        except ProtocolAbort as e:
+            aborts.append(e.phase)
+            raise
+
+    with pytest.raises(ProtocolAbort):
+        run_pair(alice, lambda: rt_b.evaluate(c, xb), timeout=20, channels=(ca, cb))
+    assert aborts == ["flush"]
+    sent = [t for t, _ in ca.sent]
+    assert MsgType.RT_ACC_FLUSH in sent
+    assert MsgType.RT_OUTPUT not in sent

@@ -209,21 +209,24 @@ def test_protocol_code_touches_only_the_pipe():
 
 
 def test_protocol_code_has_no_tamper_hooks():
-    """No function in src/macbits takes a `*_tamper` parameter: a cheating
-    peer rewrites the frames a side sends (`helpers.rewrite_sends`). The one
-    tamper input is Runtime's `tamper=` plan, which the acceptance suite's
-    tamper sweep drives."""
+    """No function in src/macbits takes a `tamper` or `*_tamper` parameter,
+    and no TamperPlan is defined there: a cheating peer rewrites the frames
+    it sends (`helpers.rewrite_sends` offline, `helpers.TamperChannel`
+    online), so every side only ever plays the honest party."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "macbits"
-    params = []
+    params, names = [], []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
             if isinstance(node, ast.FunctionDef):
                 a = node.args
                 params += [(path.name, node.name, arg.arg)
                            for arg in a.posonlyargs + a.args + a.kwonlyargs]
-    # the walk sees real signatures, Runtime's tamper plan among them
-    assert ("runtime_2pc.py", "__init__", "tamper") in params
-    assert [p for p in params if p[2].endswith("_tamper")] == []
+    # the walk sees real signatures, the online runtime's among them
+    assert ("runtime_2pc.py", "__init__", "store") in params
+    assert [p for p in params if p[2] == "tamper" or p[2].endswith("_tamper")] == []
+    assert "TamperPlan" not in names
 
 
 def test_hello_carries_extra():
