@@ -11,27 +11,36 @@ row XOR. The circuit's one schedule, `Circuit.level_indices`, drives the
 evaluation: each level's AND gates run as one batch of array operations
 over gathered rows and one level's slice of the store, then that level's
 free gates, one array XOR per dependency step. An AND gate burns two
-triples, two OT quads, and two fresh bits and announces ten bits across
-the three rounds of its level:
+triples, two OT quads, and two fresh bits, and each party reveals five bits
+per gate, all in one round per level in which both parties send at once:
 
-  round 1 (B -> A): d for the A-sender cross term, plus B's local f,g
-  round 2 (A -> B): d for the B-sender cross term, A's local f,g, and
-                    A's cross f,g (which need round 1's d)
-  round 3 (B -> A): B's cross f,g
+  d     = c ^ y          my y under the choice bit c of my quad as receiver
+  f, g  = a ^ x, b ^ y   my x and y under my triple (a, b, a & b)
+  f_x   = x0 ^ x1 ^ x    my x under my quad (x0, x1) as sender
+  h     = r ^ x0         my fresh bit r under that quad's x0
 
-A round's reveals are gate-major. Every announced bit's MAC is deferred
-into running accumulators, one absorb per reveal round on each side; the
-chains are compared once before any output is revealed, and output MACs
-themselves are checked immediately. So a cheating peer acts only through
-bytes it sends: its revealed bits, its output rows and its flush digest.
+None needs a bit of the peer's, which is what lets the two reveals cross.
+For the cross term x * y' (x mine, y' the peer's), my share is r ^ d' * x
+with d' the peer's reveal, and the peer's share is z' ^ f_x * c' ^ h from
+its quad (c', z' = x_c'); they add up to x * (c' ^ d') = x * y'. The d' * x
+term is added after the round, next to the local product's g * x, as
+(g ^ d') * x; on the key side, my key on the peer's d * x' joins the key
+on its g' * x' as (g' ^ d) * kx.
 
-The hello, the input round, the levels' reveal rounds, the flush and the
-output rounds form one protocol side, which `evaluate` runs with
+A level's reveals are gate-major. Every announced bit's MAC is deferred
+into running accumulators, one absorb per level on each side (my sent
+MACs, and the MACs I expect of the peer's bits); the chains are compared
+once before any output is revealed, and output MACs themselves are checked
+immediately. So a cheating peer acts only through bytes it sends: its
+revealed bits, its output rows and its flush digest.
+
+The hello, the input round, the levels' rounds, the flush and the output
+round form one protocol side, which `evaluate` runs with
 `transport.run_sides`. Its parameters come from the store: kappa, psi, the
 session id and the global key this party holds, a (kappa/8,) row like a key
-row; the channel only carries the frames. Every round names its speaker, so both parties run
-the same code: the speaker sends and the peer reads. Bob's round 3 of one
-level and his round 1 of the next go out back to back, one flight. Before
+row; the channel only carries the frames. After the hello every round is
+symmetric, both parties' frames crossing at once, so both run the same
+code; Bob's input announcement goes out in the flight of his hello. Before
 the hello, `evaluate` checks that the store holds the material the circuit
 burns, and fails with OutOfMaterial if it is too small.
 """
@@ -47,12 +56,7 @@ from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
 from .dealer import MaterialStore
 from .errors import OutOfMaterial, ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, flush_accumulators
-from .transport import Channel, MsgType, Recv, Role, Send, perform_hello, run_sides
-
-# An AND level's three reveal rounds as (speaker, columns of the speaker's
-# five reveals per gate: d, f_loc, g_loc, f_x, g_x).
-_LEVEL_ROUNDS = ((Role.BOB, slice(0, 3)), (Role.ALICE, slice(0, 5)), (Role.BOB, slice(3, 5)))
-
+from .transport import Channel, MsgType, Role, Send, Swap, perform_hello, run_sides
 
 @dataclass
 class RuntimeStats:
@@ -117,8 +121,8 @@ class Runtime:
         x, y, kx, ky = xy[:, 0], xy[:, 1], kxy[:, 0], kxy[:, 1]
         delta = self._delta
 
-        # my reveals per gate: d, f_loc, g_loc, f_x, g_x (g_x still needs
-        # d_peer * x), and my keys on the peer's same five reveals
+        # my reveals per gate: d, f_loc, g_loc, f_x, h = r ^ x0, and my keys
+        # on the peer's same five reveals
         mine = np.empty((n, 5, x.shape[1]), np.uint8)
         np.bitwise_xor(qr[:, 0], y, out=mine[:, 0])
         np.bitwise_xor(tm[:, :2], xy, out=mine[:, 1:3])
@@ -132,100 +136,92 @@ class Runtime:
         theirs[:, 3] ^= kx
         np.bitwise_xor(rk[:, 0], qrk[:, 0], out=theirs[:, 4])
 
-        # Each round is k reveals for each of the n gates, gate-major in one
-        # frame, with their MACs absorbed in one call: the speaker's own
-        # MAC||bit rows, or on the peer the MACs the heard bits must carry
-        # (key ^ delta*bit). A round that carries the speaker's d completes
-        # both g_x: the speaker's key on the peer's, and the peer's own.
-        sent, heard = [], []
-        for speaker, cols in _LEVEL_ROUNDS:
-            k = cols.stop - cols.start
-            if speaker is me:
-                flat = mine[:, cols].reshape(n * k, -1)
-                yield Send((MsgType.RT_REVEAL_BATCH, pack_bits(flat[:, -1])))
-                self._sent = self._sent.absorb(flat[:, :-1])
-                self.stats.bits_revealed += n * k
-                bits = flat[:, -1].reshape(n, k)
-                sent.extend(bits.T)
-                if cols.start == 0:
-                    theirs[:, 4] ^= bits[:, :1] * kx
-            else:
-                (payload,) = yield Recv((MsgType.RT_REVEAL_BATCH, (n * k + 7) // 8))
-                bits = unpack_bits(payload, n * k).reshape(n, k)
-                macs = theirs[:, cols] ^ bits[:, :, None] * delta
-                self._expect = self._expect.absorb(macs.reshape(n * k, -1))
-                self.stats.bits_expected += n * k
-                heard.extend(bits.T)
-                if cols.start == 0:
-                    mine[:, 4] ^= bits[:, :1] * x
-        _, f, g, fx, gx = sent
-        _, pf, pg, pfx, pgx = heard
+        # Both parties' 5n reveals cross at once, gate-major in one frame
+        # each way. Their MACs are absorbed in one call per side: my own
+        # MAC||bit rows, and the MACs the peer's bits must carry (key ^
+        # delta*bit).
+        flat = mine.reshape(5 * n, -1)
+        (payload,) = yield Swap([(MsgType.RT_REVEAL_BATCH, pack_bits(flat[:, -1]))],
+                                [(MsgType.RT_REVEAL_BATCH, (5 * n + 7) // 8)])
+        self._sent = self._sent.absorb(flat[:, :-1])
+        bits = unpack_bits(payload, 5 * n).reshape(n, 5)
+        macs = theirs ^ bits[:, :, None] * delta
+        self._expect = self._expect.absorb(macs.reshape(5 * n, -1))
+        self.stats.bits_revealed += 5 * n
+        self.stats.bits_expected += 5 * n
+        d, f, g, fx, h = mine[:, :, -1].T
+        pd, pf, pg, pfx, ph = bits.T
 
-        # z ^ f*y ^ g*x ^ (f&g) for the local product, r, and the cross
-        # term qr.z ^ f_x'*c ^ g_x' from the peer's reveals
+        # z ^ f*y ^ g*x ^ (f&g) for the local product; r ^ d'*x, my share of
+        # my cross term; and qr.z ^ f_x'*c ^ h', my share of the peer's
         out = tm[:, 2] ^ rm[:, 0] ^ qr[:, 1]
         out ^= f[:, None] * y
-        out ^= g[:, None] * x
+        out ^= (g ^ pd)[:, None] * x
         out ^= pfx[:, None] * qr[:, 0]
-        out[:, -1] ^= (f & g) ^ pgx
+        out[:, -1] ^= (f & g) ^ ph
         wm[outs] = out
         out = tk[:, 2] ^ rk[:, 0] ^ qsk[:, 1]
         out ^= pf[:, None] * ky
-        out ^= pg[:, None] * kx
+        out ^= (pg ^ d)[:, None] * kx
         out ^= fx[:, None] * qsk[:, 0]
-        out ^= ((pf & pg) ^ gx)[:, None] * delta
+        out ^= ((pf & pg) ^ h)[:, None] * delta
         wk[outs] = out
 
     # -- circuit driver -------------------------------------------------------
 
     def _input_phase(self, wm, wk, circuit, my_inputs: BitVec):
+        """Both parties announce their masked inputs in one round."""
         h = circuit.header
-        layout = ((Role.ALICE, 0, h.inputs_a),
-                  (Role.BOB, h.inputs_a, h.inputs_b))
-        for owner, base, count in layout:
-            if count == 0:
-                continue
-            rows = slice(base, base + count)
-            macs, keys = self.store.take_abit(owner, count)
-            if owner is self.role:
-                ms = macs[:, 0, -1] ^ np.array(my_inputs.bits(), np.uint8)
-                yield Send((MsgType.RT_ANNOUNCE_BATCH, pack_bits(ms)))
-                self.stats.input_bits_sent += count
-                wm[rows] = macs[:, 0]
-                wk[rows] = ms[:, None] * self._delta
-            else:
-                (payload,) = yield Recv((MsgType.RT_ANNOUNCE_BATCH, (count + 7) // 8))
-                self.stats.input_bits_received += count
-                wm[rows, -1] = unpack_bits(payload, count)  # zero MAC
-                wk[rows] = keys[:, 0]
+        a, b = slice(0, h.inputs_a), slice(h.inputs_a, h.n_inputs)
+        me, peer = (a, b) if self.role is Role.ALICE else (b, a)
+        n, pn = me.stop - me.start, peer.stop - peer.start
+        frames = []
+        if n:
+            macs, _ = self.store.take_abit(self.role, n)
+            ms = macs[:, 0, -1] ^ np.array(my_inputs.bits(), np.uint8)
+            frames.append((MsgType.RT_ANNOUNCE_BATCH, pack_bits(ms)))
+            self.stats.input_bits_sent += n
+            wm[me] = macs[:, 0]
+            wk[me] = ms[:, None] * self._delta
+        if pn:
+            _, keys = self.store.take_abit(self.role.other, pn)
+            (payload,) = yield Swap(frames, [(MsgType.RT_ANNOUNCE_BATCH, (pn + 7) // 8)])
+            self.stats.input_bits_received += pn
+            wm[peer, -1] = unpack_bits(payload, pn)  # zero MAC
+            wk[peer] = keys[:, 0]
+        elif frames:
+            yield Send(*frames)
 
     def _output_phase(self, wm, wk, circuit):
-        """Reveal each output wire's bit||MAC, one RT_OUTPUT frame per
-        receiver; returns the bits destined to this party."""
-        h = circuit.header
+        """Flush, then reveal each output wire's bit||MAC to its receivers:
+        both parties' RT_OUTPUT frames cross in one round. Returns the bits
+        destined to this party."""
         yield from self._flush()
-        outs = list(zip(circuit.output_wires, h.output_dest))
+        mine, peer = (DEST_A, DEST_B) if self.role is Role.ALICE else (DEST_B, DEST_A)
+        dest = circuit.header.output_dest
+        wires = circuit.output_wires
+        send = [w for w, d in zip(wires, dest) if d in (peer, DEST_BOTH)]
+        get = [w for w, d in zip(wires, dest) if d in (mine, DEST_BOTH)]
+        frames = []
+        if send:
+            rows = wm[send]
+            bits = np.unpackbits(rows[:, :-1], axis=1, bitorder="little")
+            frames.append((MsgType.RT_OUTPUT,
+                           pack_bits(np.concatenate((rows[:, -1:], bits), axis=1))))
+            self.stats.output_reveals_sent += len(send)
         got = BitVec(0)
-        for receiver, tag in ((Role.ALICE, DEST_A), (Role.BOB, DEST_B)):
-            batch = [w for w, d in outs if d in (tag, DEST_BOTH)]
-            if not batch:
-                continue
-            n = len(batch)
-            if self.role is receiver:
-                (payload,) = yield Recv((MsgType.RT_OUTPUT, (n * (1 + self.kappa) + 7) // 8))
-                bits = unpack_bits(payload, n * (1 + self.kappa)).reshape(n, -1)
-                b = bits[:, 0]
-                macs = np.packbits(bits[:, 1:], axis=1, bitorder="little")
-                if not np.array_equal(macs, wk[batch] ^ b[:, None] * self._delta):
-                    raise ProtocolAbort("output", "MAC check failed")
-                got = BitVec.from_bytes(n, pack_bits(wm[batch, -1] ^ b))
-                self.stats.output_reveals_received += n
-            else:
-                rows = wm[batch]
-                bits = np.unpackbits(rows[:, :-1], axis=1, bitorder="little")
-                yield Send((MsgType.RT_OUTPUT,
-                            pack_bits(np.concatenate((rows[:, -1:], bits), axis=1))))
-                self.stats.output_reveals_sent += n
+        if get:
+            n, width = len(get), 1 + self.kappa
+            (payload,) = yield Swap(frames, [(MsgType.RT_OUTPUT, (n * width + 7) // 8)])
+            bits = unpack_bits(payload, n * width).reshape(n, -1)
+            b = bits[:, 0]
+            macs = np.packbits(bits[:, 1:], axis=1, bitorder="little")
+            if not np.array_equal(macs, wk[get] ^ b[:, None] * self._delta):
+                raise ProtocolAbort("output", "MAC check failed")
+            self.stats.output_reveals_received += n
+            got = BitVec.from_bytes(n, pack_bits(wm[get, -1] ^ b))
+        elif frames:
+            yield Send(*frames)
         return got
 
     def evaluate(self, circuit: Circuit, my_inputs: BitVec) -> BitVec:

@@ -16,7 +16,10 @@ to be resumed with the payloads it wants, or `Swap(frames, wants)` to do both
 in one round. `run_sides` runs several such sides over one channel, one
 flight of each per round, so each party computes its own sides' payloads
 while the peer computes its own. It is the only code that sends or reads a
-frame, and it alone decides who goes first.
+frame, and it alone decides who goes first: in a round whose frames total
+at most SEND_FIRST_MAX bytes a party sends before it reads, so two small
+flights cross the link at the same time; with larger frames Alice sends
+first and Bob reads first.
 """
 
 from __future__ import annotations
@@ -350,6 +353,13 @@ class Recv(Swap):
         self.frames, self.wants = (), wants
 
 
+# A party whose frames in a round total at most this many payload bytes
+# sends them before it reads, whatever its role. The socket buffers on both
+# ends of a connection hold far more, so such a send returns before the peer
+# reads anything.
+SEND_FIRST_MAX = 16 << 10
+
+
 def run_sides(ch: Channel, role: Role, *sides) -> list:
     """Run protocol sides side by side; returns each side's result, in order.
 
@@ -358,12 +368,15 @@ def run_sides(ch: Channel, role: Role, *sides) -> list:
     with the k-th yield of the peer's side at the same position, so one
     party's frames meet the other's wants. In each round every live side
     first computes up to its next yield; then the frames go out in side
-    order. Alice sends all of hers before she reads, Bob reads before he
-    sends, so the two are never both blocked sending a frame the other has
-    not started to read; a round in which both parties swap is a flight from
-    Alice to Bob, then one from Bob to Alice. A side that yields anything
-    else is a UsageError; a peer whose flights do not line up shows as a
-    frame of the wrong type or size (ProtocolError).
+    order. A party whose round's frames total at most SEND_FIRST_MAX bytes
+    sends them all before it reads, so a round in which both parties swap
+    small frames is one flight each way, at the same time. With more, Alice
+    sends all of hers before she reads and Bob reads before he sends. Either
+    way the two are never both blocked sending a frame the other has not
+    started to read: a small flight fits in the socket buffers, and of two
+    large ones only Alice's goes out before its sender reads. A side that
+    yields anything else is a UsageError; a peer whose flights do not line
+    up shows as a frame of the wrong type or size (ProtocolError).
     """
     results = [None] * len(sides)
     replies = [None] * len(sides)
@@ -385,11 +398,13 @@ def run_sides(ch: Channel, role: Role, *sides) -> list:
             if step.wants:
                 wanted.append((i, step.wants))
         live, step = still, None
-        if wanted and role is Role.BOB:
+        send_first = (role is Role.ALICE
+                      or sum(len(payload) for _, payload in frames) <= SEND_FIRST_MAX)
+        if wanted and not send_first:
             _read_flight(ch, wanted, replies)
         if frames:
             _send_flight(ch, frames)
-        if wanted and role is Role.ALICE:
+        if wanted and send_first:
             _read_flight(ch, wanted, replies)
     return results
 

@@ -396,15 +396,32 @@ def run_two(fn_a, fn_b, timeout: float = 60.0):
 
 
 class CountingChannel(MemoryChannel):
-    """A MemoryChannel that logs every frame it sends as (MsgType, payload)."""
+    """A MemoryChannel that logs every frame it sends as (MsgType, payload),
+    in `sent`, and every frame it sends or reads as ("send" or "recv",
+    MsgType), in order, in `log`."""
 
     def __init__(self, inbox, outbox, timeout):
         super().__init__(inbox, outbox, timeout)
         self.sent = []
+        self.log = []
 
     def _send_frame(self, msg_type, payload):
         self.sent.append((msg_type, payload))
+        self.log.append(("send", msg_type))
         super()._send_frame(msg_type, payload)
+
+    def _recv_frame(self):
+        msg = super()._recv_frame()
+        self.log.append(("recv", msg.msg_type))
+        return msg
+
+    @property
+    def flights(self) -> int:
+        """The runs of sends in `log`, each begun by the first send or by a
+        send after a read, as perfbench/link.py counts flights."""
+        ops = [op for op, _ in self.log]
+        return sum(op == "send" and (i == 0 or ops[i - 1] == "recv")
+                   for i, op in enumerate(ops))
 
 
 def counting_pair(timeout: float = 120.0):
@@ -426,14 +443,11 @@ class TamperPlan:
     mode: str  # "bit" or "mac"
 
 
-def reveal_frame_bits(circuit: Circuit, role: Role) -> list:
-    """The bit count of each RT_REVEAL_BATCH frame `role` sends, in order: per
-    AND level of n gates Alice sends one frame of 5n bits, Bob one of 3n bits
-    and then one of 2n. A frame's bytes are padded, so its length alone does
-    not tell."""
-    split = (5,) if role is Role.ALICE else (3, 2)
-    return [k * len(ands[1]) for ands, _ in circuit.level_indices if ands is not None
-            for k in split]
+def reveal_frame_bits(circuit: Circuit) -> list:
+    """The bit count of each RT_REVEAL_BATCH frame a party sends, in order:
+    per AND level of n gates each party sends one frame of 5n bits. A frame's
+    bytes are padded, so its length alone does not tell."""
+    return [5 * len(ands[1]) for ands, _ in circuit.level_indices if ands is not None]
 
 
 def output_rows(circuit: Circuit, role: Role) -> int:
@@ -446,7 +460,7 @@ def output_rows(circuit: Circuit, role: Role) -> int:
 def count_reveal_sites(circuit: Circuit, role: Role) -> int:
     """How many MAC-carrying reveals `role` performs on this circuit: the bits
     of its RT_REVEAL_BATCH frames, then its RT_OUTPUT rows."""
-    return sum(reveal_frame_bits(circuit, role)) + output_rows(circuit, role)
+    return sum(reveal_frame_bits(circuit)) + output_rows(circuit, role)
 
 
 class TamperChannel(CountingChannel):
@@ -455,14 +469,14 @@ class TamperChannel(CountingChannel):
     numbered in the order the runtime reveals: the bits of its RT_REVEAL_BATCH
     frames, then the rows of its RT_OUTPUT frame. "bit" flips the revealed
     bit. "mac" flips an output row's first MAC bit; an AND reveal's MAC is
-    deferred and never crosses the wire, so at an AND site "mac" flips the
-    first bit of the chain state in the RT_ACC_FLUSH frame."""
+    deferred and never crosses the wire, so at AND site s "mac" flips bit
+    s % 256 of the chain state in the RT_ACC_FLUSH frame."""
 
     def __init__(self, inbox, outbox, timeout, plan, circuit: Circuit, role: Role,
                  kappa: int):
         super().__init__(inbox, outbox, timeout)
         self.plan = plan
-        self._frames = iter(reveal_frame_bits(circuit, role))
+        self._frames = iter(reveal_frame_bits(circuit))
         self._rows = output_rows(circuit, role)
         self._row_bits = 1 + kappa
         self._site = 0  # the first site of the next frame
@@ -482,7 +496,8 @@ class TamperChannel(CountingChannel):
             self._site += n
             return site if not mac and 0 <= site < n else None
         if msg_type is MsgType.RT_ACC_FLUSH:
-            return 64 if mac and site < 0 else None  # past the 8-byte count
+            # past the 8-byte count, into the 32-byte chain state
+            return 64 + self.plan.site % 256 if mac and site < 0 else None
         if msg_type is MsgType.RT_OUTPUT:
             return site * self._row_bits + mac if 0 <= site < self._rows else None
         return None

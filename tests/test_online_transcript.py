@@ -23,32 +23,26 @@ EXPECTED = {
     A: [
         ('HELLO', '6dad1bf3b09c6ca9cff5000dffd1d68440e670d8a02b7aaedbada33fa039260a'),
         ('RT_ANNOUNCE_BATCH', 'dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8'),
-        ('RT_REVEAL_BATCH', '985e2e372c0b4c2d6066bb44c0c000abc563ec14cc20f2521d64e0a65e8998f7'),
-        ('RT_REVEAL_BATCH', '955d6046620b1ee63a6b1325d24d6726235bd7d5786d27259d70f9c9647e7f27'),
-        ('RT_REVEAL_BATCH', '639e480fa297e2383fbb854271f191c0db798106200e67149b1cf1ef92755037'),
-        ('RT_REVEAL_BATCH', 'ddf11c2815c637c0fa5290b8670762c6e955559782ccdf98299a6163bb0fe84d'),
-        ('RT_REVEAL_BATCH', '7e24f2afaf6d1927bed6eea7bf5bd03d7e364a16c1285c25df1485a14f774790'),
-        ('RT_REVEAL_BATCH', 'e5ed0d1a0a3ead13dc848a4f16518252a4d9a15a182c64a272e56489cb7e58bb'),
-        ('RT_ACC_FLUSH', '523f0d98bbdbd068acb2f604f1565d50506efc1669cbeb7291cd4a19535a259d'),
-        ('RT_OUTPUT', '33f5966652eab165617f6453df21e3996d3600f88747643779b003585eab2d66'),
+        ('RT_REVEAL_BATCH', '649ce13d188bd8f33533be5614328ae8108749a8b24edf8729b6684e0e217ef8'),
+        ('RT_REVEAL_BATCH', '3d2a71c6e5432b0897ddf91da42518591b8e466528cd4ec6b3ea85caf5066f5e'),
+        ('RT_REVEAL_BATCH', 'd023c3e72a85004dad154b8c94e7aad2d8f2adb16ef194c7f71084cd81945711'),
+        ('RT_REVEAL_BATCH', 'ab32284785e2bd3791f63b483717d7ae523e5f5b28e6137ec6558f6bbfacc7b4'),
+        ('RT_REVEAL_BATCH', '0f4570b7744dea14cb2d967871fe1129414db89e15ad26255fef24f2699a00f5'),
+        ('RT_REVEAL_BATCH', '09aa597060b08e1c037a51e32cfb47f4f314ee4b8031ce8d3b3f56f43ea95929'),
+        ('RT_ACC_FLUSH', 'c08525165a41ff308ea146c1fc1e53113d0eed72beccc04bf353bd585ca2abcc'),
+        ('RT_OUTPUT', '284d42c4cd1738c43cf5eaefa4a0addf3f95d195a8b556d099be8e91a7a0fb07'),
     ],
     B: [
         ('HELLO', 'ce60c95ff16eb7d21c4e9cc0a9e5acca19f5be8e60538d8661e818f117ce1e14'),
         ('RT_ANNOUNCE_BATCH', 'e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71'),
-        ('RT_REVEAL_BATCH', 'f3327adba65f9b115dd21fa92dace37795de3492089c5d10f95bc0d6eefb97bb'),
-        ('RT_REVEAL_BATCH', '37e730786decb159555c425fe60bd907affd35e2153fb1bf77341dbc1c5f05d9'),
-        ('RT_REVEAL_BATCH', '8e813ec1fed324bf9e84710e003d0e14eefdb8ecf961c7f73daedbd6b745591e'),
-        ('RT_REVEAL_BATCH', 'dfab84e13a3b00c17a55b0970d40bb2d738cb4e01889e739349a8dadd91644a8'),
-        ('RT_REVEAL_BATCH', 'dd4cd38d97de1e3c95c97cc8d9ced5ea89f12c8f3eb5d6af4476a1fb1e63aace'),
-        ('RT_REVEAL_BATCH', '2cf89d5fbd29ed850ae15e1e245d8ffce93da6a35f2cb4576b9099903f01e750'),
-        ('RT_REVEAL_BATCH', 'c9165adce11b3199657396730b610be494d02a8cb3bb00b8b14c037242c12f74'),
-        ('RT_REVEAL_BATCH', 'd2ab528393114dfffa2fc21fbee4d16fc2b483104a17533e0c0861091baf2d49'),
-        ('RT_REVEAL_BATCH', '436cdc71af4caa25d5b96bdf0114bbd01dc14cf7c5a7aedd8a23b461c0017974'),
-        ('RT_REVEAL_BATCH', '3e23e8160039594a33894f6564e1b1348bbd7a0088d42c4acb73eeaed59c009d'),
-        ('RT_REVEAL_BATCH', '77adfc95029e73b173f60e556f915b0cd8850848111358b1c370fb7c154e61fd'),
-        ('RT_REVEAL_BATCH', '084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5'),
-        ('RT_ACC_FLUSH', '9f05f723c0c0028f86b559ccd637541a6ca64f2d99f85ee973be952ed2796163'),
-        ('RT_OUTPUT', '380e17b150998f696bd3e0e62e30fbdd385ea385c0aa77a12f73870e8b626867'),
+        ('RT_REVEAL_BATCH', '018fa95c8ba1a873cd6d5ae9d415c11b6cbce59e2b7f7df032324e603c37a391'),
+        ('RT_REVEAL_BATCH', '3f32bfca554ace1b435777706967fc3cabbeab7d8d5872aae61461cb694d05ed'),
+        ('RT_REVEAL_BATCH', '34d59172c3abb47ce24823977d47e30629850b52f464153f764b8a7fea58ff28'),
+        ('RT_REVEAL_BATCH', 'dc087fb08c039e877e74dde255a8490b591200dc9ef4acf0797a4df243e20e26'),
+        ('RT_REVEAL_BATCH', '4915046ce77a7894b052ac8f6abe8bb160d8b86726d5f5e5e44a240def08b694'),
+        ('RT_REVEAL_BATCH', '08dc6a1a955ff0fca0a047e27264c5c090bd2f3b98d64dcc4deb43cb770b4c0d'),
+        ('RT_ACC_FLUSH', '5c94300f7fab6ea87cb2753dd736214628ec0c3fa819d58b751a67df8e91d6a7'),
+        ('RT_OUTPUT', '4a1032ddd022172d7ec95bbec932d91399fdb169e929da08a08ed4bf4066b405'),
     ],
 }
 # MsgType -> (frames, bytes with headers) per party; they do not depend on
@@ -57,7 +51,7 @@ TOTALS = {
     A: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
         'RT_OUTPUT': (1, 70), 'RT_REVEAL_BATCH': (6, 70)},
     B: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
-        'RT_OUTPUT': (1, 70), 'RT_REVEAL_BATCH': (12, 101)},
+        'RT_OUTPUT': (1, 70), 'RT_REVEAL_BATCH': (6, 70)},
 }
 
 

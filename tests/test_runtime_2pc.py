@@ -95,8 +95,8 @@ def test_aes_runs_its_40_and_levels():
     before = hash_calls("acc/")
     out_a, out_b, rt_a, rt_b = eval_two(c, sa, sb, block_to_bits(key),
                                         block_to_bits(pt), timeout=300.0)
-    # one absorb per reveal round: three per level on each side
-    assert hash_calls("acc/") - before == 2 * 3 * 40
+    # one absorb per chain per level: the sent and the expected, each side
+    assert hash_calls("acc/") - before == 2 * 2 * 40
     assert len(rt_a.stats.levels) == len(rt_b.stats.levels) == 40
     assert out_a == out_b == plain_eval(c, block_to_bits(key), block_to_bits(pt))
     assert bits_to_block(out_a) == ct
@@ -195,11 +195,30 @@ def test_exact_wire_bytes_follow_level_schedule():
     assert ca.stats.bytes_sent == pay_a + 5 * frames_a
 
     pay_b = (hello + (h.inputs_b + 7) // 8
-             + sum((3 * n + 7) // 8 + (2 * n + 7) // 8 for n in levels)
+             + sum((5 * n + 7) // 8 for n in levels)
              + 40 + out_bytes)
-    frames_b = 1 + 1 + 2 * len(levels) + 1 + 1
+    frames_b = 1 + 1 + len(levels) + 1 + 1
     assert cb.stats.bytes_sent == pay_b + 5 * frames_b
     assert ca.stats.bytes_sent == cb.stats.bytes_received
+
+
+def test_online_flights_follow_and_depth():
+    """Both parties' reveals of an AND level cross in one exchange. With
+    outputs going both ways, Alice flies her hello, her inputs, one flight
+    per AND level, the flush and her outputs; Bob's inputs ride in his hello
+    flight. The benchmark's online_flights is their sum, 2 * depth + 7."""
+    rng = random.Random(19)
+    c = random_circuit(rng, 60)
+    depth = sum(ands is not None for ands, _ in c.level_indices)
+    assert depth > 1 and set(c.header.output_dest) == {DEST_BOTH}
+    sa, sb = oracle_store_pair(c, rng)
+    xa, xb = random_inputs(c, rng)
+    ca, cb = counting_pair(timeout=60.0)
+    rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
+    out_a, out_b = run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
+                            timeout=60, channels=(ca, cb))
+    assert out_a == out_b == plain_eval(c, xa, xb)
+    assert (ca.flights, cb.flights) == (depth + 4, depth + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +320,8 @@ def test_handshake_rejects_foreign_session():
 
 def test_reveal_site_census():
     """The sites the tamper sweep numbers are the bits an honest run reveals:
-    its RT_REVEAL_BATCH bits (per AND level of n gates, Alice 5n, Bob 3n then
-    2n) and its RT_OUTPUT rows of 1 + kappa bits."""
+    its RT_REVEAL_BATCH bits (5n per AND level of n gates, one frame) and its
+    RT_OUTPUT rows of 1 + kappa bits."""
     rng = random.Random(14)
     c = random_circuit(rng, 30, n_outputs=8)
     assert c.n_and > 0 and c.header.output_dest == (DEST_BOTH,) * 8
@@ -314,9 +333,9 @@ def test_reveal_site_census():
         rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
         run_pair(lambda: rt_a.evaluate(circuit, xa), lambda: rt_b.evaluate(circuit, xb),
                  timeout=60, channels=(ca, cb))
-        for ch, rt, split in ((ca, rt_a, (5,)), (cb, rt_b, (3, 2))):
+        for ch, rt in ((ca, rt_a), (cb, rt_b)):
             reveals = [p for t, p in ch.sent if t is MsgType.RT_REVEAL_BATCH]
-            bits = [k * n for n in rt.stats.levels for k in split]
+            bits = [5 * n for n in rt.stats.levels]
             assert [len(p) for p in reveals] == [(b + 7) // 8 for b in bits]
             rows = sum(8 * len(p) // (1 + sa.kappa) for t, p in ch.sent
                        if t is MsgType.RT_OUTPUT)

@@ -7,13 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import OracleDealer, bit_rows, free_port, run_side
+from helpers import OracleDealer, bit_rows, counting_pair, free_port, run_side
 from macbits.aand_proto import laand_key_side, laand_mac_side
 from macbits.aot_proto import laot_receiver, laot_sender
 from macbits.eq_box import eq_commit_side, eq_respond_side
 from macbits.errors import ProtocolError, TransportError, UsageError
-from macbits.transport import (FRAME_HEADER_BYTES, MsgType, Recv, Role, Send, Swap, TcpChannel,
-                               _pack_hello, memory_pair, perform_hello,
+from macbits.transport import (FRAME_HEADER_BYTES, SEND_FIRST_MAX, MsgType, Recv, Role, Send,
+                               Swap, TcpChannel, _pack_hello, memory_pair, perform_hello,
                                run_pair, run_sides, tcp_connect, tcp_listen)
 
 
@@ -453,6 +453,49 @@ def test_sides_deadlock_when_both_send_first():
     finally:
         a.close()
         b.close()
+
+
+@pytest.mark.parametrize("size, bob_order", [(SEND_FIRST_MAX, ["send", "recv"]),
+                                             (SEND_FIRST_MAX + 1, ["recv", "send"])])
+def test_small_rounds_send_before_they_read(size, bob_order):
+    # up to the bound both parties send first and their flights cross;
+    # above it Bob reads first, as with large frames
+    a, b = counting_pair(timeout=5.0)
+    pa, pb = bytes([1]) * size, bytes([2]) * size
+    got_a, got_b = run_pair(lambda: run_sides(a, Role.ALICE, swap_side(MsgType.LAOT_X0, pa)),
+                            lambda: run_sides(b, Role.BOB, swap_side(MsgType.LAOT_X0, pb)),
+                            timeout=10, channels=(a, b))
+    assert got_a == [pb] and got_b == [pa]
+    assert [op for op, _ in a.log] == ["send", "recv"]
+    assert [op for op, _ in b.log] == bob_order
+
+
+@pytest.mark.parametrize("link", ["socketpair", "tcp"])
+def test_swap_of_the_send_first_bound_completes_on_a_socket(link):
+    # both parties send SEND_FIRST_MAX bytes before either reads; the
+    # sockets' buffers hold them, so neither send blocks until the timeout
+    if link == "socketpair":
+        s1, s2 = socket.socketpair()
+        open_a, open_b = lambda: TcpChannel(s1, 5.0), lambda: TcpChannel(s2, 5.0)
+    else:
+        port = free_port()
+        open_a = lambda: tcp_connect("127.0.0.1", port, timeout=5.0)  # noqa: E731
+        open_b = lambda: tcp_listen("127.0.0.1", port, timeout=5.0)  # noqa: E731
+    pa, pb = random.randbytes(SEND_FIRST_MAX), random.randbytes(SEND_FIRST_MAX)
+    opened = []
+
+    def party(open_ch, role, payload):
+        ch = open_ch()
+        opened.append(ch)
+        return run_sides(ch, role, swap_side(MsgType.LAOT_X0, payload))
+
+    try:
+        got_a, got_b = run_pair(lambda: party(open_a, Role.ALICE, pa),
+                                lambda: party(open_b, Role.BOB, pb), timeout=30)
+    finally:
+        for ch in opened:
+            ch.close()
+    assert got_a == [pb] and got_b == [pa]
 
 
 def steps(*flights):
