@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--psi", type=int, default=40)
     d.add_argument("--kappa", type=int, default=128)
     d.add_argument("--bucket", type=int, default=None,
-                   help="bucket size override (default: derived from psi)")
+                   help="bucket size override (default: derived from psi and --gates)")
     d.add_argument("--out", required=True)
     d.add_argument("--force", action="store_true")
     d.add_argument("--seed", type=int, default=None)

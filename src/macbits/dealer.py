@@ -30,11 +30,12 @@ row, and the session parameters travel as arguments, not on the channel. A
 store file (version 2) is a 64-byte header, the global key, the six record
 counts, and each stream's MAC rows then key rows as raw bytes.
 
-Material demand per owner follows from the combiners: every secure triple
-eats 3 owner bits per leaky instance, every secure quadruple 2 sender bits
-and 2 receiver bits per leaky instance, plus whatever fresh bits the config
-asks for. The store never persists the peer's global key, only a joint
-commitment digest both parties can recompute and compare at online startup.
+A deal is sized by the circuit's shape, `DealerConfig`. Every secure triple
+eats 3 owner bits per leaky instance and every secure quadruple 2 sender
+bits and 2 receiver bits, so at bucket size B an owner's demand is one fresh
+bit per own input wire plus n_and * (1 + 7B). The store never persists the
+peer's global key, only a joint commitment digest both parties can
+recompute and compare at online startup.
 """
 
 from __future__ import annotations
@@ -62,21 +63,22 @@ HEADER_BYTES = 64
 
 @dataclass(frozen=True)
 class DealerConfig:
-    """Counts for one preprocessing session.
+    """The shape of the circuit a session deals for: n_and AND gates and
+    inputs_a, inputs_b input wires, at MAC length kappa and statistical
+    security psi.
 
-    aOT direction names the sender first: n_aots_AB quads have Alice offering
-    the message pair. bucket_B overrides the derived bucket size for every
-    primitive; leave it None to derive per primitive from its output count.
+    Each AND gate burns, per party, one fresh bit, one triple of its own and
+    one of the peer's, and one quad in each direction; each input wire burns
+    one fresh bit of its owner's (the mask). `records` writes that recipe
+    down. Triples and quads are bucketed alike: `bucket` leaky instances per
+    output, bucket_B if given, else derived from psi and n_and.
     """
 
+    n_and: int = 0
+    inputs_a: int = 0
+    inputs_b: int = 0
     kappa: int = KAPPA_DEFAULT
     psi: int = PSI_DEFAULT
-    n_abits_A: int = 0
-    n_abits_B: int = 0
-    n_aands_A: int = 0
-    n_aands_B: int = 0
-    n_aots_AB: int = 0
-    n_aots_BA: int = 0
     bucket_B: int = None
 
     def __post_init__(self):
@@ -84,10 +86,8 @@ class DealerConfig:
             raise UsageError("kappa must be a byte multiple in [8, 256]")
         if self.psi < 1:
             raise UsageError("psi must be positive")
-        for name in ("n_abits_A", "n_abits_B", "n_aands_A", "n_aands_B",
-                     "n_aots_AB", "n_aots_BA"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be nonnegative")
+        if min(self.n_and, self.inputs_a, self.inputs_b) < 0:
+            raise UsageError("gate and input counts must be nonnegative")
         if self.bucket_B is not None and self.bucket_B < 2:
             raise UsageError("bucket override must be at least 2")
 
@@ -95,32 +95,24 @@ class DealerConfig:
     def for_gates(cls, n_and: int, inputs_a: int = 0, inputs_b: int = 0,
                   kappa: int = KAPPA_DEFAULT, psi: int = PSI_DEFAULT,
                   bucket_B: int = None) -> "DealerConfig":
-        """Material for a circuit with n_and AND gates: per gate one triple
-        per party, one quad per direction, one fresh bit per party; plus one
-        fresh bit per input wire for the owner's mask."""
-        return cls(kappa=kappa, psi=psi,
-                   n_abits_A=n_and + inputs_a, n_abits_B=n_and + inputs_b,
-                   n_aands_A=n_and, n_aands_B=n_and,
-                   n_aots_AB=n_and, n_aots_BA=n_and, bucket_B=bucket_B)
+        return cls(n_and, inputs_a, inputs_b, kappa, psi, bucket_B)
 
-    def bucket_for(self, count: int) -> int:
-        if count == 0:
-            return 0
-        if self.bucket_B is not None:
-            return self.bucket_B
-        return bucket_size(count, self.psi)
+    @property
+    def bucket(self) -> int:
+        return self.n_and and (self.bucket_B or bucket_size(self.n_and, self.psi))
+
+    def records(self, role: Role) -> dict:
+        """Records per stream of role's store."""
+        recs = dict.fromkeys(MaterialStore.STREAMS, self.n_and)
+        inputs = {Role.ALICE: self.inputs_a, Role.BOB: self.inputs_b}
+        recs["abits_mine"] += inputs[role]
+        recs["abits_theirs"] += inputs[role.other]
+        return recs
 
     def abit_demand(self, owner: Role) -> int:
-        if owner is Role.ALICE:
-            fresh, aands = self.n_abits_A, self.n_aands_A
-            as_sender, as_receiver = self.n_aots_AB, self.n_aots_BA
-        else:
-            fresh, aands = self.n_abits_B, self.n_aands_B
-            as_sender, as_receiver = self.n_aots_BA, self.n_aots_AB
-        return (fresh
-                + 3 * self.bucket_for(aands) * aands
-                + 2 * self.bucket_for(as_sender) * as_sender
-                + 2 * self.bucket_for(as_receiver) * as_receiver)
+        """owner's bits a deal makes: its fresh bits, then per AND gate 3
+        per leaky triple and 2 per leaky quad as sender and as receiver."""
+        return self.records(owner)["abits_mine"] + 7 * self.bucket * self.n_and
 
 
 class MaterialStore:
@@ -170,7 +162,8 @@ class MaterialStore:
 
     # -- consumption --------------------------------------------------------
 
-    def _take(self, name, n):
+    def take(self, name: str, n: int):
+        """The next n records of stream `name`, as (macs, keys) slices."""
         macs, keys = getattr(self, name)
         pos = self._cursors[name]
         if pos + n > len(macs):
@@ -178,15 +171,6 @@ class MaterialStore:
                                 f"{n} more wanted")
         self._cursors[name] = pos + n
         return macs[pos : pos + n], keys[pos : pos + n]
-
-    def take_abit(self, owner: Role, n: int):
-        return self._take("abits_mine" if owner is self.role else "abits_theirs", n)
-
-    def take_aand(self, owner: Role, n: int):
-        return self._take("aands_mine" if owner is self.role else "aands_theirs", n)
-
-    def take_aot(self, sender: Role, n: int):
-        return self._take("aots_sender" if sender is self.role else "aots_receiver", n)
 
     def consumed(self) -> dict:
         return dict(self._cursors)
@@ -221,7 +205,7 @@ class MaterialStore:
             blob = fh.read()
         if len(blob) < HEADER_BYTES:
             raise ParseError("material file too short for its header")
-        magic, version, role_v, _, kappa, psi = struct.unpack(
+        magic, version, role_v, reserved, kappa, psi = struct.unpack(
             ">8sHBB HH", blob[:16])
         if magic != MAGIC:
             raise ParseError("not a material file (bad magic)")
@@ -229,8 +213,12 @@ class MaterialStore:
             raise ParseError(f"unsupported material version {version}")
         if role_v not in (r.value for r in Role):
             raise ParseError(f"unknown role byte {role_v}")
+        if reserved:
+            raise ParseError(f"reserved header byte is {reserved}, not 0")
         if kappa % 8 or not 8 <= kappa <= 256:
             raise ParseError(f"bad MAC length {kappa}")
+        if psi < 1:
+            raise ParseError("statistical security psi is 0")
         sid, commit = blob[16:32], blob[32:64]
         role = Role(role_v)
         kb = kappa // 8
@@ -291,40 +279,35 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         return gks[owner] if owner in gks else np.zeros(kb, np.uint8)
 
     # The leaky triples of both owners and the leaky quads of both directions
-    # run side by side. The combiners then run one at a time, in this same
-    # order on both parties, so the deferred-MAC accumulators chain alike.
-    sides, jobs = [], []
-    for owner, n_out in ((Role.ALICE, cfg.n_aands_A), (Role.BOB, cfg.n_aands_B)):
-        if n_out == 0:
-            continue
-        bkt = cfg.bucket_for(n_out)
-        leaky = bkt * n_out
-        xs, ys, rs = take(owner, leaky), take(owner, leaky), take(owner, leaky)
-        if role is owner:
-            sides.append(laand_mac_side(ch, xs, ys, rs, rng))
-        else:
-            sides.append(laand_key_side(ch, xs, ys, rs, gk_of(owner)))
-        jobs.append((False, owner, bkt))
-    for sender, n_out in ((Role.ALICE, cfg.n_aots_AB), (Role.BOB, cfg.n_aots_BA)):
-        receiver = sender.other
-        if n_out == 0:
-            continue
-        bkt = cfg.bucket_for(n_out)
-        leaky = bkt * n_out
-        # the sender's x0, x1, then the receiver's c, r
-        sender_bits = take(sender, leaky), take(sender, leaky)
-        receiver_bits = take(receiver, leaky), take(receiver, leaky)
-        if role is sender:
-            sides.append(laot_sender(ch, *sender_bits, *receiver_bits, gk_of(receiver), rng))
-        else:
-            sides.append(laot_receiver(ch, *receiver_bits, *sender_bits, gk_of(sender)))
-        jobs.append((True, sender, bkt))
+    # run side by side, B*n_and leaky instances each. The combiners then run
+    # one at a time, in this same order on both parties, so the deferred-MAC
+    # accumulators chain alike.
+    sides = []
+    if cfg.n_and:
+        leaky = cfg.bucket * cfg.n_and
+        for owner in (Role.ALICE, Role.BOB):
+            xs, ys, rs = take(owner, leaky), take(owner, leaky), take(owner, leaky)
+            if role is owner:
+                sides.append(laand_mac_side(ch, xs, ys, rs, rng))
+            else:
+                sides.append(laand_key_side(ch, xs, ys, rs, gk_of(owner)))
+        for sender in (Role.ALICE, Role.BOB):
+            # the sender's x0, x1, then the receiver's c, r
+            sender_bits = take(sender, leaky), take(sender, leaky)
+            receiver_bits = take(sender.other, leaky), take(sender.other, leaky)
+            if role is sender:
+                sides.append(laot_sender(ch, *sender_bits, *receiver_bits,
+                                         gk_of(sender.other), rng))
+            else:
+                sides.append(laot_receiver(ch, *receiver_bits, *sender_bits, gk_of(sender)))
 
     sent_acc = MacAccumulator()
     expect_acc = MacAccumulator()
     aands = {Role.ALICE: (), Role.BOB: ()}
     aots = {Role.ALICE: (), Role.BOB: ()}
-    for (is_aot, owner, bkt), items in zip(jobs, run_sides(ch, role, *sides)):
+    bkt = cfg.bucket
+    jobs = [(is_aot, owner) for is_aot in (False, True) for owner in (Role.ALICE, Role.BOB)]
+    for (is_aot, owner), items in zip(jobs, run_sides(ch, role, *sides)):
         if role is owner:
             side = (aot_combine_sender(ch, items, bkt, sent_acc) if is_aot
                     else aand_combine_mac(ch, items, bkt, rng, sent_acc))
@@ -341,12 +324,11 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     commits = {role: my_commit, role.other: peer_commit}
     gk_commit = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
 
-    fresh_n = cfg.n_abits_A if role is Role.ALICE else cfg.n_abits_B
-    fresh_peer_n = cfg.n_abits_B if role is Role.ALICE else cfg.n_abits_A
+    recs = cfg.records(role)
     return MaterialStore(
         role, cfg.kappa, cfg.psi, sid, gk_commit, my_delta,
-        Rows.of_macs(take(role, fresh_n)[:, None]),
-        Rows.of_keys(take(role.other, fresh_peer_n)[:, None]),
+        Rows.of_macs(take(role, recs["abits_mine"])[:, None]),
+        Rows.of_keys(take(role.other, recs["abits_theirs"])[:, None]),
         aands[role], aands[role.other], aots[role], aots[role.other])
 
 

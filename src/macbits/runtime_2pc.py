@@ -53,7 +53,7 @@ import numpy as np
 
 from .bitlinalg import BitVec, pack_bits, unpack_bits
 from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
-from .dealer import MaterialStore
+from .dealer import DealerConfig, MaterialStore
 from .errors import OutOfMaterial, ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, flush_accumulators
 from .transport import Channel, MsgType, Role, Send, Swap, perform_hello, run_sides
@@ -108,13 +108,13 @@ class Runtime:
     def _and_level(self, wm, wk, ins, outs):
         """Evaluate one AND level: gate i is ins[i, 0] & ins[i, 1] -> outs[i]."""
         n = len(outs)
-        st, me, peer = self.store, self.role, self.role.other
-        tm, _ = st.take_aand(me, n)      # x, y, z
-        _, tk = st.take_aand(peer, n)    # kx, ky, kz
-        qs, qsk = st.take_aot(me, n)     # x0, x1 | kc, kz
-        qr, qrk = st.take_aot(peer, n)   # c, z | kx0, kx1
-        rm, _ = st.take_abit(me, n)
-        _, rk = st.take_abit(peer, n)
+        st = self.store
+        tm, _ = st.take("aands_mine", n)       # x, y, z
+        _, tk = st.take("aands_theirs", n)     # kx, ky, kz
+        qs, qsk = st.take("aots_sender", n)    # x0, x1 | kc, kz
+        qr, qrk = st.take("aots_receiver", n)  # c, z | kx0, kx1
+        rm, _ = st.take("abits_mine", n)
+        _, rk = st.take("abits_theirs", n)
         self.stats.and_gates += n
         self.stats.levels.append(n)
         xy, kxy = wm[ins], wk[ins]
@@ -177,14 +177,14 @@ class Runtime:
         n, pn = me.stop - me.start, peer.stop - peer.start
         frames = []
         if n:
-            macs, _ = self.store.take_abit(self.role, n)
+            macs, _ = self.store.take("abits_mine", n)
             ms = macs[:, 0, -1] ^ np.array(my_inputs.bits(), np.uint8)
             frames.append((MsgType.RT_ANNOUNCE_BATCH, pack_bits(ms)))
             self.stats.input_bits_sent += n
             wm[me] = macs[:, 0]
             wk[me] = ms[:, None] * self._delta
         if pn:
-            _, keys = self.store.take_abit(self.role.other, pn)
+            _, keys = self.store.take("abits_theirs", pn)
             (payload,) = yield Swap(frames, [(MsgType.RT_ANNOUNCE_BATCH, (pn + 7) // 8)])
             self.stats.input_bits_received += pn
             wm[peer, -1] = unpack_bits(payload, pn)  # zero MAC
@@ -230,12 +230,8 @@ class Runtime:
         n_mine = h.inputs_a if self.role is Role.ALICE else h.inputs_b
         if my_inputs.n != n_mine:
             raise UsageError(f"this party supplies {n_mine} input bits")
-        # before the hello: per AND gate a bit of each party's, a triple and
-        # a quad each way; one bit per input wire
-        need = dict.fromkeys(MaterialStore.STREAMS, circuit.n_and)
-        need["abits_mine"] += n_mine
-        need["abits_theirs"] += h.n_inputs - n_mine
-        for name, n in need.items():
+        shape = DealerConfig.for_gates(circuit.n_and, h.inputs_a, h.inputs_b)
+        for name, n in shape.records(self.role).items():
             left = self.store.remaining(name)
             if left < n:
                 raise OutOfMaterial(f"{name}: {n} records needed, {left} left")

@@ -256,6 +256,12 @@ class OracleDealer:
     def store_pair(self, cfg: DealerConfig):
         """Stores shaped exactly like deal() would produce for cfg, minus
         the bucketing (records are born clean)."""
+        return self.stores(cfg.psi, cfg.records(Role.ALICE))
+
+    def stores(self, psi: int, counts: dict):
+        """Both parties' stores, Alice's holding counts[name] records of
+        each stream; Bob's mirror hers (his abits_mine are her
+        abits_theirs, his aots_sender her aots_receiver, and so on)."""
         sid = bytes(self.rng.getrandbits(8) for _ in range(16))
         commits = {}
         for r in (Role.ALICE, Role.BOB):
@@ -264,22 +270,25 @@ class OracleDealer:
         records = {r: {name: [] for name in MaterialStore.STREAMS}
                    for r in (Role.ALICE, Role.BOB)}
 
-        for owner, n in ((Role.ALICE, cfg.n_abits_A), (Role.BOB, cfg.n_abits_B)):
+        for owner, n in ((Role.ALICE, counts["abits_mine"]),
+                         (Role.BOB, counts["abits_theirs"])):
             for _ in range(n):
                 m, k = self.abit(owner)
                 records[owner]["abits_mine"].append(m)
                 records[owner.other]["abits_theirs"].append(k)
-        for owner, n in ((Role.ALICE, cfg.n_aands_A), (Role.BOB, cfg.n_aands_B)):
+        for owner, n in ((Role.ALICE, counts["aands_mine"]),
+                         (Role.BOB, counts["aands_theirs"])):
             for _ in range(n):
                 tm, tk = self.triple(owner)
                 records[owner]["aands_mine"].append(tm)
                 records[owner.other]["aands_theirs"].append(tk)
-        for sender, n in ((Role.ALICE, cfg.n_aots_AB), (Role.BOB, cfg.n_aots_BA)):
+        for sender, n in ((Role.ALICE, counts["aots_sender"]),
+                          (Role.BOB, counts["aots_receiver"])):
             for _ in range(n):
                 qs, qr = self.quad(sender)
                 records[sender]["aots_sender"].append(qs)
                 records[sender.other]["aots_receiver"].append(qr)
-        return tuple(MaterialStore(r, self.kappa, cfg.psi, sid, joint, self.delta[r.other],
+        return tuple(MaterialStore(r, self.kappa, psi, sid, joint, self.delta[r.other],
                                    *(to_rows(records[r][name], self.kappa) if records[r][name]
                                      else () for name in MaterialStore.STREAMS))
                      for r in (Role.ALICE, Role.BOB))

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import counting_pair, run_side
+from helpers import counting_pair, random_circuit, random_inputs, run_side
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import random_rows
@@ -13,6 +13,7 @@ from macbits.dealer import (DealerConfig, MaterialStore, deal,
 from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort,
                             UsageError)
 from macbits.ro_suite import MacAccumulator
+from macbits.runtime_2pc import Runtime
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
@@ -26,48 +27,51 @@ def test_config_validation():
     with pytest.raises(UsageError):
         DealerConfig(psi=0)
     with pytest.raises(UsageError):
-        DealerConfig(n_aands_A=-1)
+        DealerConfig(n_and=-1)
+    with pytest.raises(UsageError):
+        DealerConfig(inputs_b=-1)
     with pytest.raises(UsageError):
         DealerConfig(bucket_B=1)
 
 
 def test_for_gates_counts():
     cfg = DealerConfig.for_gates(100, 16, 8, kappa=16, psi=8)
-    assert (cfg.n_abits_A, cfg.n_abits_B) == (116, 108)
-    assert (cfg.n_aands_A, cfg.n_aands_B) == (100, 100)
-    assert (cfg.n_aots_AB, cfg.n_aots_BA) == (100, 100)
+    assert cfg == DealerConfig(n_and=100, inputs_a=16, inputs_b=8, kappa=16, psi=8)
+    rest = {"aands_mine": 100, "aands_theirs": 100, "aots_sender": 100, "aots_receiver": 100}
+    assert cfg.records(A) == {"abits_mine": 116, "abits_theirs": 108, **rest}
+    assert cfg.records(B) == {"abits_mine": 108, "abits_theirs": 116, **rest}
 
 
-def test_bucket_for():
-    cfg = DealerConfig(psi=40)
-    assert cfg.bucket_for(0) == 0
-    assert cfg.bucket_for(1024) == 5
-    assert DealerConfig(psi=40, bucket_B=3).bucket_for(1024) == 3
+def test_bucket():
+    assert DealerConfig(psi=40).bucket == 0
+    assert DealerConfig(n_and=1024, psi=40).bucket == 5
+    assert DealerConfig(n_and=1024, psi=40, bucket_B=3).bucket == 3
+    assert DealerConfig(psi=40, bucket_B=3).bucket == 0
 
 
 def test_abit_demand_arithmetic():
     # 10^4 triples at B=4 eat 3*4*10^4 owner bits; each quad direction at
     # B=4 eats 2*4*10^4 bits from each party; fresh bits come on top.
     cfg = DealerConfig.for_gates(10**4, 128, 128, kappa=128, psi=40)
-    assert cfg.bucket_for(10**4) == 4
+    assert cfg.bucket == 4
     want = (10**4 + 128) + 3 * 4 * 10**4 + 2 * 4 * 10**4 + 2 * 4 * 10**4
     assert cfg.abit_demand(A) == want == 290_128
     assert cfg.abit_demand(B) == want
 
 
 def test_abit_demand_asymmetric():
-    cfg = DealerConfig(kappa=16, psi=8, n_abits_A=5, n_aots_AB=3)
-    bkt = cfg.bucket_for(3)
-    assert cfg.abit_demand(A) == 5 + 2 * bkt * 3
-    assert cfg.abit_demand(B) == 2 * bkt * 3
+    cfg = DealerConfig.for_gates(3, 5, 0, kappa=16, psi=8)
+    bkt = cfg.bucket
+    assert cfg.abit_demand(A) == 5 + 3 * (1 + 7 * bkt)
+    assert cfg.abit_demand(B) == 3 * (1 + 7 * bkt)
+    assert DealerConfig.for_gates(0, 5, 0).abit_demand(B) == 0
 
 
 # ---------------------------------------------------------------------------
 # full offline phase
 
 
-SMALL = DealerConfig(kappa=16, psi=8, n_abits_A=8, n_abits_B=6,
-                     n_aands_A=4, n_aands_B=3, n_aots_AB=2, n_aots_BA=5)
+SMALL = DealerConfig.for_gates(3, 5, 3, kappa=16, psi=8)
 
 
 def run_deal(cfg, seed=0, timeout=60):
@@ -82,12 +86,52 @@ def test_deal_produces_verified_material():
     sa, sb = run_deal(SMALL)
     assert sa.session_id == sb.session_id
     assert sa.gk_commit == sb.gk_commit
+    for store in (sa, sb):
+        assert {name: store.remaining(name) for name in MaterialStore.STREAMS} \
+            == SMALL.records(store.role)
     assert (len(sa.abits_mine[0]), len(sb.abits_mine[0])) == (8, 6)
-    assert (len(sa.aands_mine[0]), len(sb.aands_mine[0])) == (4, 3)
-    assert (len(sa.aots_sender[0]), len(sb.aots_sender[0])) == (2, 5)
-    assert len(sa.aots_receiver[0]) == 5 and len(sb.aots_receiver[0]) == 2
     checked = verify_stores(sa, sb)
-    assert checked == (8 + 4 * 4 + 5 * 2) + (6 + 4 * 3 + 5 * 5)
+    assert checked == (8 + 4 * 3 + 5 * 3) + (6 + 4 * 3 + 5 * 3)
+
+
+@pytest.mark.parametrize("cfg", [DealerConfig.for_gates(0, 5, 0, kappa=16, psi=8),
+                                 DealerConfig.for_gates(0, kappa=16, psi=8)],
+                         ids=["alice-inputs-only", "empty"])
+def test_deal_edge_shapes(cfg):
+    """No AND gate: Bob owning no bit runs one produce_abits side, and an
+    empty shape is the hello, the flush and the commitments only."""
+    a, b = counting_pair(timeout=60.0)
+    sa, sb = run_pair(lambda: deal(a, A, cfg, random.Random(1)),
+                      lambda: deal(b, B, cfg, random.Random(2)),
+                      timeout=60, channels=(a, b))
+    assert sa.gk_commit == sb.gk_commit
+    verify_stores(sa, sb)
+    for store in (sa, sb):
+        assert {name: store.remaining(name) for name in MaterialStore.STREAMS} \
+            == cfg.records(store.role)
+    sent = {m.name for ch in (a, b) for m, _ in ch.sent}
+    if cfg.inputs_a:
+        assert "LAOT_X0" not in sent and "LAAND_U" not in sent
+        assert [m.name for m, _ in b.sent].count("OT_MASKED1") == 0
+        assert [m.name for m, _ in a.sent].count("OT_MASKED1") == 2
+    else:
+        assert sent == {"HELLO", "RT_ACC_FLUSH", "GK_COMMIT"}
+
+
+def test_deal_for_a_circuit_is_used_up_by_one_evaluation():
+    """A deal shaped by a circuit carries exactly what one evaluation burns."""
+    rng = random.Random(3)
+    c = random_circuit(rng, 60, inputs_a=5, inputs_b=3)
+    h = c.header
+    cfg = DealerConfig.for_gates(c.n_and, h.inputs_a, h.inputs_b, kappa=16, psi=8)
+    sa, sb = run_deal(cfg, seed=11)
+    xa, xb = random_inputs(c, rng)
+    a, b = memory_pair(timeout=60.0)
+    run_pair(lambda: Runtime(a, A, sa).evaluate(c, xa),
+             lambda: Runtime(b, B, sb).evaluate(c, xb), timeout=60)
+    for store in (sa, sb):
+        assert {name: store.remaining(name) for name in MaterialStore.STREAMS} \
+            == dict.fromkeys(MaterialStore.STREAMS, 0)
 
 
 def test_offline_byte_budget():
@@ -184,19 +228,19 @@ def test_load_rejects_truncated_or_relabelled_store(tmp_path):
 def test_cursors_and_exhaustion():
     sa, sb = run_deal(SMALL, seed=4)
     for _ in range(8):
-        sa.take_abit(A, 1)
+        sa.take("abits_mine", 1)
     assert sa.consumed()["abits_mine"] == 8
     assert sa.remaining("abits_mine") == 0
     with pytest.raises(OutOfMaterial):
-        sa.take_abit(A, 1)
+        sa.take("abits_mine", 1)
     with pytest.raises(OutOfMaterial):
-        sb.take_abit(B, 7)  # 6 dealt: a short take consumes nothing
+        sb.take("abits_mine", 7)  # 6 dealt: a short take consumes nothing
     assert sb.remaining("abits_mine") == 6
     # streams are per owner/direction
-    x01, kcz = sb.take_aot(B, 1)
+    x01, kcz = sb.take("aots_sender", 1)
     assert sb.consumed()["aots_sender"] == 1
     assert x01.shape == (1, 2, 3) and kcz.shape == (1, 2, 2)  # x0, x1 | kc, kz
-    cz, kx01 = sa.take_aot(B, 1)  # same direction, receiver half
+    cz, kx01 = sa.take("aots_receiver", 1)  # same direction, receiver half
     assert cz.shape == (1, 2, 3) and kx01.shape == (1, 2, 2)  # c, z | kx0, kx1
     # slices of the same rows
     assert np.array_equal(x01, sb.aots_sender[0][:1])
@@ -207,7 +251,7 @@ def test_take_from_empty_stream():
     store = MaterialStore(A, 16, 8, bytes(16), bytes(32),
                           None)
     with pytest.raises(OutOfMaterial):
-        store.take_aand(A, 1)
+        store.take("aands_mine", 1)
 
 
 def test_verify_stores_argument_order():

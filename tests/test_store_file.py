@@ -21,16 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import OracleDealer
-from macbits.dealer import HEADER_BYTES, DealerConfig, MaterialStore
+from macbits.dealer import HEADER_BYTES, MaterialStore
 from macbits.errors import ParseError
 
 ROOT = Path(__file__).resolve().parents[1]
 KAPPA = 16
-CFG = DealerConfig(kappa=KAPPA, psi=8, n_abits_A=5, n_abits_B=4, n_aands_A=3,
-                   n_aands_B=2, n_aots_AB=2, n_aots_BA=3)
+# Alice's record count per stream; a store file may hold any counts
+COUNTS = dict(zip(MaterialStore.STREAMS, (5, 4, 3, 2, 2, 3)))
 COUNTS_AT = HEADER_BYTES + KAPPA // 8  # six big-endian u64 counts follow
 
-STORES = OracleDealer(KAPPA, random.Random(5)).store_pair(CFG)
+STORES = OracleDealer(KAPPA, random.Random(5)).stores(8, COUNTS)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +124,15 @@ def test_flipped_byte_is_parse_error_or_loads(work, good, data, mask):
     blob = bytearray(good)
     blob[data.draw(st.integers(0, len(good) - 1))] ^= mask
     _check(work, bytes(blob))
+
+
+@pytest.mark.parametrize("at, value", [(11, 1), (11, 255), (14, 0)])
+def test_reserved_byte_or_zero_psi_is_parse_error(work, good, at, value):
+    # offset 11 is the reserved byte after the role, 14 the u16 psi; no
+    # writer sets the one or clears the other
+    width = 2 if at == 14 else 1
+    blob = good[:at] + value.to_bytes(width, "big") + good[at + width:]
+    assert _check(work, blob) is None
 
 
 def test_bit_byte_above_one_is_parse_error(work, good):

@@ -32,7 +32,7 @@ run_pair(lambda: deal(a, Role.ALICE, cfg, random.Random(1)),
          timeout=60.0, channels=(a, b))
 json.dump({"spans": {k: v["offline"][0] for k, v in tracer.summary().items()},
            "counts": dict(tracer.counts), "bitvec_new": tracer.bitvec_new,
-           "bucket": cfg.bucket_for(40), "tau": tau_for(cfg.kappa),
+           "bucket": cfg.bucket, "tau": tau_for(cfg.kappa),
            "demand": {str(r): cfg.abit_demand(r) for r in Role}}, sys.stdout)
 """
 
