@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ProtocolError, UsageError
 
 # Four-Russians block width of `mat_vec_mul_batch`, and the weights that read
 # a block's matrix bits as its table index.
@@ -196,7 +196,10 @@ def pack_bits(bits: np.ndarray) -> bytes:
 
 
 def unpack_bits(data: bytes, n: int) -> np.ndarray:
-    """The first n bits of data as a uint8 vector of 0/1 values."""
+    """The first n bits of data as a uint8 vector of 0/1 values; a set pad bit
+    past n is a ProtocolError, so n packed bits have one encoding."""
+    if int.from_bytes(data[n // 8 :], "little") >> n % 8:
+        raise ProtocolError(f"a pad bit past bit {n} is set")
     return np.unpackbits(np.frombuffer(data, np.uint8), count=n, bitorder="little")
 
 

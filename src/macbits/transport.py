@@ -1,11 +1,11 @@
-"""Message framing, duplex channels (in-memory pair and TCP), and the
-driver that runs protocol sides.
+"""Message framing, the duplex channel over a socket (TCP, or a socketpair
+within one process), and the driver that runs protocol sides.
 
 Frame layout on the wire: 1 byte message type, 4 bytes big-endian payload
 length, payload. `Channel.recv` checks each frame's type and size, so
-protocol code parses only payloads of the length it expects. Both channel
-flavors count frames and bytes per direction; the online phase asserts its
-exact communication footprint from these counters. A channel is only that
+protocol code parses only payloads of the length it expects. A channel
+counts frames and bytes per direction; the online phase asserts its exact
+communication footprint from these counters. A channel is only that
 pipe and holds no session state: `perform_hello` takes the role, kappa and
 psi as arguments and returns the agreed session id, and protocol sides take
 kappa and each global key as plain arguments.
@@ -25,7 +25,6 @@ first and Bob reads first.
 from __future__ import annotations
 
 import enum
-import queue
 import socket
 import struct
 import threading
@@ -103,8 +102,7 @@ class Channel:
     # subclasses implement _send_frame / _recv_frame / close
 
     def send(self, msg_type: MsgType, payload: bytes) -> None:
-        """Send one frame. A bytearray payload is sent as it is, without a
-        copy, so the caller must not change it afterwards."""
+        """Send one frame."""
         if not isinstance(payload, (bytes, bytearray)):
             payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD:
@@ -131,46 +129,6 @@ class Channel:
 
     def close(self) -> None:
         raise NotImplementedError
-
-
-class MemoryChannel(Channel):
-    """One endpoint of an in-process channel pair."""
-
-    _CLOSED = object()
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue, timeout: float):
-        super().__init__()
-        self._inbox = inbox
-        self._outbox = outbox
-        self._timeout = timeout
-        self._closed = False
-
-    def _send_frame(self, msg_type: MsgType, payload: bytes) -> None:
-        if self._closed:
-            raise TransportError("send on closed channel")
-        self._outbox.put(Message(msg_type, payload))
-
-    def _recv_frame(self) -> Message:
-        if self._closed:
-            raise TransportError("recv on closed channel")
-        try:
-            item = self._inbox.get(timeout=self._timeout)
-        except queue.Empty:
-            raise TransportError(f"recv timed out after {self._timeout}s") from None
-        if item is self._CLOSED:
-            raise TransportError("peer closed the channel")
-        return item
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(self._CLOSED)
-
-
-def memory_pair(timeout: float = 120.0):
-    """Two connected MemoryChannel endpoints."""
-    ab, ba = queue.Queue(), queue.Queue()
-    return MemoryChannel(ba, ab, timeout), MemoryChannel(ab, ba, timeout)
 
 
 _FRAME_HEADER = struct.Struct(">BI")
@@ -237,6 +195,13 @@ class TcpChannel(Channel):
             except OSError:
                 pass
             self._sock.close()
+
+
+def memory_pair(timeout: float = 120.0):
+    """Two connected endpoints in one process: TcpChannels on a socketpair,
+    so their sends block on a full buffer as over TCP."""
+    s1, s2 = socket.socketpair()
+    return TcpChannel(s1, timeout), TcpChannel(s2, timeout)
 
 
 def tcp_listen(host: str, port: int, timeout: float = 120.0) -> TcpChannel:

@@ -15,8 +15,8 @@ packed into the store's row layout.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import queue
 import random
 import socket
 from dataclasses import dataclass
@@ -28,7 +28,8 @@ from macbits.bitlinalg import BitVec, random_rows
 from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, CircuitHeader, Gate
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.ro_suite import ro_hash
-from macbits.transport import MemoryChannel, MsgType, Role, Swap, memory_pair, run_pair, run_sides
+from macbits.transport import (MsgType, Role, Swap, TcpChannel, memory_pair, run_pair,
+                               run_sides)
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +399,33 @@ def dealer_pad(seed: bytes, sender_minted: bool, index: int, branch: int, nb: in
     return ref_pad("ot-dealer", key, 8 * nb)
 
 
+@contextlib.contextmanager
+def closing_pair(pair):
+    """The channel pair, with both ends closed when the block ends."""
+    try:
+        yield pair
+    finally:
+        for ch in pair:
+            ch.close()
+
+
 def run_two(fn_a, fn_b, timeout: float = 60.0):
-    """Run the two closures over a fresh in-memory channel pair."""
-    ca, cb = memory_pair(timeout=timeout)
-    return run_pair(lambda: fn_a(ca), lambda: fn_b(cb), timeout=timeout)
+    """fn_a(Alice's channel) and fn_b(Bob's channel) run over a fresh
+    in-process channel pair, which is closed once they end: run_pair's
+    results."""
+    with closing_pair(memory_pair(timeout=timeout)) as (ca, cb):
+        return run_pair(lambda: fn_a(ca), lambda: fn_b(cb), timeout=timeout,
+                        channels=(ca, cb))
 
 
-class CountingChannel(MemoryChannel):
-    """A MemoryChannel that logs every frame it sends as (MsgType, payload),
+class CountingChannel(TcpChannel):
+    """A TcpChannel that logs every frame it sends as (MsgType, payload),
     in `sent`, and every frame it sends or reads as ("send" or "recv",
-    MsgType), in order, in `log`."""
+    MsgType), in order, in `log`. A logged payload is the object that was
+    sent, not a copy."""
 
-    def __init__(self, inbox, outbox, timeout):
-        super().__init__(inbox, outbox, timeout)
+    def __init__(self, sock, timeout):
+        super().__init__(sock, timeout)
         self.sent = []
         self.log = []
 
@@ -435,8 +450,32 @@ class CountingChannel(MemoryChannel):
 
 def counting_pair(timeout: float = 120.0):
     """memory_pair whose two endpoints log what they send."""
-    ab, ba = queue.Queue(), queue.Queue()
-    return CountingChannel(ba, ab, timeout), CountingChannel(ab, ba, timeout)
+    s1, s2 = socket.socketpair()
+    return CountingChannel(s1, timeout), CountingChannel(s2, timeout)
+
+
+class FlipChannel(CountingChannel):
+    """A CountingChannel that cheats once: it flips bit `bit` of the payload
+    of its `frame`-th sent frame, counting frames from 0 and bits as packed
+    bits are numbered; a negative bit counts back from the payload's last."""
+
+    def __init__(self, sock, timeout, frame: int, bit: int):
+        super().__init__(sock, timeout)
+        self.frame, self.bit = frame, bit
+
+    def _send_frame(self, msg_type, payload):
+        if len(self.sent) == self.frame:
+            i = self.bit % (8 * len(payload))
+            payload = bytearray(payload)
+            payload[i // 8] ^= 1 << i % 8
+        super()._send_frame(msg_type, payload)
+
+
+def flip_pair(cheater: Role, frame: int, bit: int, timeout: float = 60.0):
+    """counting_pair whose cheater endpoint is a FlipChannel(frame, bit)."""
+    return tuple(FlipChannel(sock, timeout, frame, bit) if role is cheater
+                 else CountingChannel(sock, timeout)
+                 for role, sock in zip(Role, socket.socketpair()))
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +520,8 @@ class TamperChannel(CountingChannel):
     deferred and never crosses the wire, so at AND site s "mac" flips bit
     s % 256 of the chain state in the RT_ACC_FLUSH frame."""
 
-    def __init__(self, inbox, outbox, timeout, plan, circuit: Circuit, role: Role,
-                 kappa: int):
-        super().__init__(inbox, outbox, timeout)
+    def __init__(self, sock, timeout, plan, circuit: Circuit, role: Role, kappa: int):
+        super().__init__(sock, timeout)
         self.plan = plan
         self._frames = iter(reveal_frame_bits(circuit))
         self._rows = output_rows(circuit, role)
@@ -515,9 +553,9 @@ class TamperChannel(CountingChannel):
 def tamper_pair(circuit: Circuit, kappa: int, plan_a=None, plan_b=None,
                 timeout: float = 60.0):
     """Two logging online endpoints for circuit; each cheats by its plan."""
-    ab, ba = queue.Queue(), queue.Queue()
-    return (TamperChannel(ba, ab, timeout, plan_a, circuit, Role.ALICE, kappa),
-            TamperChannel(ab, ba, timeout, plan_b, circuit, Role.BOB, kappa))
+    s1, s2 = socket.socketpair()
+    return (TamperChannel(s1, timeout, plan_a, circuit, Role.ALICE, kappa),
+            TamperChannel(s2, timeout, plan_b, circuit, Role.BOB, kappa))
 
 
 def eval_two(circuit: Circuit, store_a, store_b, xa: BitVec, xb: BitVec,
@@ -527,14 +565,15 @@ def eval_two(circuit: Circuit, store_a, store_b, xa: BitVec, xb: BitVec,
     from macbits.runtime_2pc import Runtime
 
     if tamper_a is None and tamper_b is None:
-        ca, cb = memory_pair(timeout=timeout)
+        pair = memory_pair(timeout=timeout)
     else:
-        ca, cb = tamper_pair(circuit, store_a.kappa, tamper_a, tamper_b, timeout)
-    rt_a = Runtime(ca, Role.ALICE, store_a)
-    rt_b = Runtime(cb, Role.BOB, store_b)
-    out_a, out_b = run_pair(lambda: rt_a.evaluate(circuit, xa),
-                            lambda: rt_b.evaluate(circuit, xb),
-                            timeout=timeout, channels=(ca, cb))
+        pair = tamper_pair(circuit, store_a.kappa, tamper_a, tamper_b, timeout)
+    with closing_pair(pair) as (ca, cb):
+        rt_a = Runtime(ca, Role.ALICE, store_a)
+        rt_b = Runtime(cb, Role.BOB, store_b)
+        out_a, out_b = run_pair(lambda: rt_a.evaluate(circuit, xa),
+                                lambda: rt_b.evaluate(circuit, xb),
+                                timeout=timeout, channels=(ca, cb))
     return out_a, out_b, rt_a, rt_b
 
 
@@ -595,7 +634,8 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
             except ProtocolAbort:
                 pass
 
-    wins, _ = run_pair(sender, receiver, timeout=600)
+    with closing_pair((ca, cb)):
+        wins, _ = run_pair(sender, receiver, timeout=600)
     return wins
 
 
@@ -619,19 +659,19 @@ def laot_probe_outcomes(trials: int, seed: int, kappa: int = 16):
                 return payload
             return bytes([payload[0] ^ 2]) + payload[1:]
 
-        ca, cb = memory_pair(timeout=30.0)
         rng_a = random.Random(seed * 7 + t)
-        try:
-            run_pair(
-                lambda: run_side(ca, Role.ALICE, rewrite_sends(laot_sender(
-                    ca, *(bit_rows([h], kappa) for h in vars(qs).values()),
-                    delta_b, rng_a), garble)),
-                lambda: run_side(cb, Role.BOB, laot_receiver(
-                    cb, *(bit_rows([h], kappa) for h in vars(qr).values()), delta_a)),
-                timeout=30, channels=(ca, cb))
-            outcomes.append((qr.c.bit, False))
-        except ProtocolAbort:
-            outcomes.append((qr.c.bit, True))
+        with closing_pair(memory_pair(timeout=30.0)) as (ca, cb):
+            try:
+                run_pair(
+                    lambda: run_side(ca, Role.ALICE, rewrite_sends(laot_sender(
+                        ca, *(bit_rows([h], kappa) for h in vars(qs).values()),
+                        delta_b, rng_a), garble)),
+                    lambda: run_side(cb, Role.BOB, laot_receiver(
+                        cb, *(bit_rows([h], kappa) for h in vars(qr).values()), delta_a)),
+                    timeout=30, channels=(ca, cb))
+                outcomes.append((qr.c.bit, False))
+            except ProtocolAbort:
+                outcomes.append((qr.c.bit, True))
     return outcomes
 
 
@@ -679,5 +719,6 @@ def laand_u_tamper_outcomes(trials: int, seed: int, kappa: int = 16):
             except ProtocolAbort:
                 pass
 
-    outcomes, _ = run_pair(mac_side, key_side, timeout=600)
+    with closing_pair((ca, cb)):
+        outcomes, _ = run_pair(mac_side, key_side, timeout=600)
     return outcomes

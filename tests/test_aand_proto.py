@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (OracleDealer, TripleKey, TripleMac, bit_rows, flip_bit, from_rows,
-                     laand_u_tamper_outcomes, rewrite_sends, run_side, to_rows, verify_abit)
+from helpers import (OracleDealer, TripleKey, TripleMac, bit_rows, closing_pair, flip_bit,
+                     from_rows, laand_u_tamper_outcomes, rewrite_sends, run_side, run_two,
+                     to_rows, verify_abit)
 from macbits.aand_proto import (aand_combine_key, aand_combine_mac, fold_triples,
                                 laand_key_side, laand_mac_side)
 from macbits.errors import ProtocolAbort, UsageError
@@ -38,13 +39,13 @@ def run_laand(n, seed=0, rewrite=None):
     rng = random.Random(seed)
     od = OracleDealer(KAPPA, rng)
     mac_in, key_in = triple_inputs(od, n)
-    a, b = memory_pair(timeout=30.0)
     rng_a = random.Random(seed + 1)
-    mac_side = laand_mac_side(a, *mac_in, rng_a)
-    macs, keys = run_pair(
-        lambda: run_side(a, A, rewrite_sends(mac_side, rewrite) if rewrite else mac_side),
-        lambda: run_side(b, B, laand_key_side(b, *key_in, od.delta[A])),
-        timeout=30, channels=(a, b))
+    with closing_pair(memory_pair(timeout=30.0)) as (a, b):
+        mac_side = laand_mac_side(a, *mac_in, rng_a)
+        macs, keys = run_pair(
+            lambda: run_side(a, A, rewrite_sends(mac_side, rewrite) if rewrite else mac_side),
+            lambda: run_side(b, B, laand_key_side(b, *key_in, od.delta[A])),
+            timeout=30, channels=(a, b))
     return od, (from_rows(macs, TripleMac), from_rows(keys, TripleKey))
 
 
@@ -81,8 +82,7 @@ def test_laand_rejects_ragged_batches():
     rng = random.Random(4)
     od = OracleDealer(KAPPA, rng)
     (xs, ys, rs), _ = triple_inputs(od, 3)
-    a, _ = memory_pair()
-    with pytest.raises(UsageError):
+    with closing_pair(memory_pair()) as (a, _), pytest.raises(UsageError):
         run_side(a, A, laand_mac_side(a, xs, ys[:2], rs, rng))
 
 
@@ -124,12 +124,11 @@ def run_combine(n, bucket, seed=0):
     pairs = [od.triple(A) for _ in range(n)]
     macs = to_rows([p[0] for p in pairs], KAPPA)
     keys = to_rows([p[1] for p in pairs], KAPPA)
-    a, b = memory_pair(timeout=30.0)
     rng_a = random.Random(seed + 1)
-    (out_m, acc_m), (out_k, acc_k) = run_pair(
-        lambda: run_side(a, A, aand_combine_mac(a, macs, bucket, rng_a, MacAccumulator())),
-        lambda: run_side(b, B, aand_combine_key(b, keys, bucket, od.delta[A],
-                                                MacAccumulator())),
+    (out_m, acc_m), (out_k, acc_k) = run_two(
+        lambda a: run_side(a, A, aand_combine_mac(a, macs, bucket, rng_a, MacAccumulator())),
+        lambda b: run_side(b, B, aand_combine_key(b, keys, bucket, od.delta[A],
+                                                  MacAccumulator())),
         timeout=30)
     return od, out_m, out_k, acc_m, acc_k
 
@@ -151,25 +150,24 @@ def test_combine_rejects_non_permutation():
     rng = random.Random(7)
     od = OracleDealer(KAPPA, rng)
     keys = to_rows([od.triple(A)[1] for _ in range(4)], KAPPA)
-    a, b = memory_pair(timeout=10.0)
-
-    def bad_peer():
+    def bad_peer(a):
         perm = [3, 3, 1, 0]
         a.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
 
     with pytest.raises(ProtocolAbort):
-        run_pair(bad_peer,
-                 lambda: run_side(b, B, aand_combine_key(b, keys, 2, od.delta[A],
-                                                         MacAccumulator())),
-                 timeout=10, channels=(a, b))
+        run_two(bad_peer,
+                lambda b: run_side(b, B, aand_combine_key(b, keys, 2, od.delta[A],
+                                                          MacAccumulator())),
+                timeout=10)
 
 
 def test_combine_validates_bucketing():
     rng = random.Random(8)
     od = OracleDealer(KAPPA, rng)
     macs = [od.triple(A)[0] for _ in range(5)]
-    a, _ = memory_pair()
-    with pytest.raises(UsageError):
-        run_side(a, A, aand_combine_mac(a, to_rows(macs, KAPPA), 2, rng, MacAccumulator()))
-    with pytest.raises(UsageError):
-        run_side(a, A, aand_combine_mac(a, to_rows(macs[:4], KAPPA), 1, rng, MacAccumulator()))
+    with closing_pair(memory_pair()) as (a, _):
+        with pytest.raises(UsageError):
+            run_side(a, A, aand_combine_mac(a, to_rows(macs, KAPPA), 2, rng, MacAccumulator()))
+        with pytest.raises(UsageError):
+            run_side(a, A, aand_combine_mac(a, to_rows(macs[:4], KAPPA), 1, rng,
+                                            MacAccumulator()))

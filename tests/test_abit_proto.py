@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (AuthBitKey, AuthBitMac, const_key, const_mac, delta_vec, key_half,
-                     labit_cheat_survivals, mac_half, run_side, seeded,
+from helpers import (AuthBitKey, AuthBitMac, closing_pair, const_key, const_mac, delta_vec,
+                     key_half, labit_cheat_survivals, mac_half, run_side, run_two, seeded,
                      verify_abit)
 from macbits.abit_proto import (amplify_keys_with, amplify_macs_with,
                                 labit_receiver, labit_sender,
@@ -17,7 +17,7 @@ from macbits.base_ot import DealerOt, extend_ot_receive
 from macbits.bitlinalg import BitVec, pack_bits, random_rows
 from macbits.eq_box import eq_respond_side, value_digest
 from macbits.errors import ProtocolAbort, ProtocolError, UsageError
-from macbits.transport import MsgType, Role, Send, memory_pair, run_pair
+from macbits.transport import MsgType, Role, Send, memory_pair
 
 A, B = Role.ALICE, Role.BOB
 
@@ -85,14 +85,13 @@ def test_verify_rejects_wrong_mac():
 
 
 def run_labit(tau, ell, seed=0, kappa=16):
-    a, b = memory_pair(timeout=30.0)
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
     ot_a, ot_b = DealerOt(rng_a), DealerOt()
-    return run_pair(
-        lambda: run_side(a, A, seeded(ot_a, True, labit_sender(tau, ell, kappa, rng_a, ot_a))),
-        lambda: run_side(b, B, seeded(ot_b, False, labit_receiver(tau, ell, kappa, rng_b,
-                                                                  ot_b))),
-        timeout=30, channels=(a, b))
+    return run_two(
+        lambda a: run_side(a, A, seeded(ot_a, True, labit_sender(tau, ell, kappa, rng_a, ot_a))),
+        lambda b: run_side(b, B, seeded(ot_b, False, labit_receiver(tau, ell, kappa, rng_b,
+                                                                    ot_b))),
+        timeout=30)
 
 
 def test_labit_honest_output_relation():
@@ -116,7 +115,6 @@ def test_labit_wrong_d_announcement_aborts():
     """Receiver lies about one pair's choice-bit difference: the folded
     values disagree and the equality check fails on both sides."""
     tau, ell, kappa = 4, 8, 16
-    a, b = memory_pair(timeout=30.0)
     rng_b = random.Random(11)
 
     def lying_receiver():
@@ -137,9 +135,9 @@ def test_labit_wrong_d_announcement_aborts():
 
     ot_a = DealerOt(random.Random(10))
     with pytest.raises(ProtocolAbort):
-        run_pair(lambda: run_side(a, A, seeded(ot_a, True, labit_sender(
-                     tau, ell, kappa, random.Random(10), ot_a))),
-                 lambda: run_side(b, B, lying_receiver()), timeout=30, channels=(a, b))
+        run_two(lambda a: run_side(a, A, seeded(ot_a, True, labit_sender(
+                    tau, ell, kappa, random.Random(10), ot_a))),
+                lambda b: run_side(b, B, lying_receiver()), timeout=30)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +268,10 @@ def test_amplify_rejects_wrong_length_matrix(extra):
     tau = tau_for(kappa)
     (gamma, keys), _ = synthetic_columns(tau, 10, random.Random(9))
     raw = bytes(2) if extra is None else bytes(kappa * ((tau + 7) // 8) + extra)
-    a, b = memory_pair(timeout=5.0)
-    b.send(MsgType.AMPLIFY_MATRIX, raw)
-    with pytest.raises(ProtocolError):
-        run_side(a, A, wabit_amplify_mac_side(gamma, keys, 10, kappa))
+    with closing_pair(memory_pair(timeout=5.0)) as (a, b):
+        b.send(MsgType.AMPLIFY_MATRIX, raw)
+        with pytest.raises(ProtocolError):
+            run_side(a, A, wabit_amplify_mac_side(gamma, keys, 10, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,6 @@ def test_amplify_rejects_wrong_length_matrix(extra):
 
 
 def run_produce(count, psi, owner=Role.ALICE, seed=0):
-    a, b = memory_pair(timeout=120.0)
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
     backends = {}
 
@@ -291,9 +288,9 @@ def run_produce(count, psi, owner=Role.ALICE, seed=0):
         return run_side(ch, role, seeded(backend, role is Role.ALICE,
                                          produce_abits(ch, role, owner, count, psi, rng, backend)))
 
-    got_a, got_b = run_pair(lambda: party(a, Role.ALICE, rng_a),
-                            lambda: party(b, Role.BOB, rng_b),
-                            timeout=120)
+    got_a, got_b = run_two(lambda a: party(a, Role.ALICE, rng_a),
+                           lambda b: party(b, Role.BOB, rng_b),
+                           timeout=120)
     return got_a, got_b, backends
 
 
@@ -330,8 +327,8 @@ def test_produce_abits_owner_bob():
 
 
 def test_produce_abits_rejects_zero():
-    a, _ = memory_pair()
     # the backend is not set up, which would also raise UsageError
-    with pytest.raises(UsageError, match="count must be positive"):
-        run_side(a, A, produce_abits(a, Role.ALICE, Role.ALICE, 0, 16, random.Random(0),
-                                     DealerOt(random.Random(0))))
+    with closing_pair(memory_pair()) as (a, _):
+        with pytest.raises(UsageError, match="count must be positive"):
+            run_side(a, A, produce_abits(a, Role.ALICE, Role.ALICE, 0, 16, random.Random(0),
+                                         DealerOt(random.Random(0))))

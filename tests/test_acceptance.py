@@ -9,28 +9,30 @@ rates, so a clean run is also evidence the estimators are calibrated.
 import math
 import random
 import time
+from collections import Counter
 
 import numpy as np
 
 from aes_oracle import KNOWN_VECTORS, aes128_encrypt
 from helpers import (AuthBitKey, AuthBitMac, OracleDealer, TamperPlan, bit_rows,
-                     const_key, const_mac, count_reveal_sites, delta_vec, eval_two,
+                     closing_pair, const_key, const_mac, count_reveal_sites,
+                     counting_pair, delta_vec, eval_two, flip_pair,
                      labit_cheat_survivals, laand_u_tamper_outcomes,
                      laot_probe_outcomes, oracle_store_pair, random_circuit,
-                     random_inputs, reconstruct_pair, run_side, verify_abit)
+                     random_inputs, reconstruct_pair, run_side, run_two, verify_abit)
 from macbits.aand_proto import aand_combine_key, aand_combine_mac
 from macbits.aescircuit import (bits_to_block, block_to_bits,
                                 generate_aes_circuit)
 from macbits.aot_proto import aot_combine_receiver, aot_combine_sender
 from macbits.bitlinalg import BitVec
 from macbits.circuit import plain_eval
-from macbits.dealer import DealerConfig, deal
-from macbits.errors import ProtocolAbort
+from macbits.dealer import DealerConfig, deal, verify_stores
+from macbits.errors import ProtocolAbort, ProtocolError
 from macbits.leakage_lab import (alpha_prime, bucket_fail_mc,
                                  bucket_fail_prob, span_fail_rate)
 from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
 from macbits.runtime_2pc import Runtime
-from macbits.transport import Role, memory_pair, run_pair
+from macbits.transport import MsgType, Role, run_pair
 
 A, B = Role.ALICE, Role.BOB
 
@@ -66,18 +68,14 @@ def test_oracle_equivalence_100_random_circuits():
 def _aes_block(circuit, key, pt, kappa, psi, seed):
     cfg = DealerConfig.for_gates(circuit.n_and, 128, 128,
                                  kappa=kappa, psi=psi)
-    ca, cb = memory_pair(timeout=600.0)
-    sa, sb = run_pair(
-        lambda: deal(ca, A, cfg, random.Random(seed)),
-        lambda: deal(cb, B, cfg, random.Random(seed + 1)),
-        timeout=600.0, channels=(ca, cb))
-    ca2, cb2 = memory_pair(timeout=600.0)
-    ra = Runtime(ca2, A, sa)
-    rb = Runtime(cb2, B, sb)
-    out_a, out_b = run_pair(
-        lambda: ra.evaluate(circuit, block_to_bits(key)),
-        lambda: rb.evaluate(circuit, block_to_bits(pt)),
-        timeout=600.0, channels=(ca2, cb2))
+    sa, sb = run_two(
+        lambda ca: deal(ca, A, cfg, random.Random(seed)),
+        lambda cb: deal(cb, B, cfg, random.Random(seed + 1)),
+        timeout=600.0)
+    out_a, out_b = run_two(
+        lambda ca: Runtime(ca, A, sa).evaluate(circuit, block_to_bits(key)),
+        lambda cb: Runtime(cb, B, sb).evaluate(circuit, block_to_bits(pt)),
+        timeout=600.0)
     assert out_a == out_b
     return bits_to_block(out_a)
 
@@ -124,6 +122,63 @@ def test_tamper_sweep_detects_every_site():
     report("single-site tamper sweep", detected == total,
            f"{detected}/{total} bit/MAC flips aborted "
            f"(50-gate circuit, {c.n_and} ANDs, both parties)")
+
+
+def test_offline_tamper_sweep():
+    """Either party flips one bit of one frame it sends in a deal: the first
+    bit, the last bit or a seeded random bit, of every frame in turn. Each
+    run aborts the deal, or leaves stores that verify and evaluate the
+    circuit correctly; only a flipped GK_COMMIT may instead leave stores
+    that the online hello refuses."""
+    rng = random.Random(1010)
+    c = random_circuit(rng, 24)
+    h = c.header
+    cfg = DealerConfig.for_gates(c.n_and, h.inputs_a, h.inputs_b, kappa=16, psi=8)
+    xa, xb = random_inputs(c, rng)
+    want = plain_eval(c, xa, xb)
+
+    def run_deal(pair):
+        with closing_pair(pair) as (a, b):
+            return run_pair(lambda: deal(a, A, cfg, random.Random(1)),
+                            lambda: deal(b, B, cfg, random.Random(2)),
+                            timeout=60, channels=(a, b))
+
+    honest = counting_pair(timeout=60.0)
+    run_deal(honest)
+    t0 = time.perf_counter()
+    runs = Counter()
+    for cheater, ch in zip((A, B), honest):
+        for k, (msg_type, payload) in enumerate(ch.sent):
+            n, pick = 8 * len(payload), random.Random(f"{cheater}/{k}")
+            for bit in sorted({0, n - 1, pick.randrange(n), pick.randrange(n)}):
+                where = f"{cheater} flips bit {bit} of frame {k} ({msg_type.name})"
+                try:
+                    sa, sb = run_deal(flip_pair(cheater, k, bit))
+                except (ProtocolAbort, ProtocolError):
+                    runs[msg_type.name, "aborted"] += 1
+                    continue
+                try:
+                    out_a, out_b, _, _ = eval_two(c, sa, sb, xa, xb)
+                except ProtocolAbort as e:
+                    assert msg_type is MsgType.GK_COMMIT and e.phase == "hello", where
+                    runs[msg_type.name, "refused at hello"] += 1
+                    continue
+                try:
+                    verify_stores(sa, sb)
+                except ProtocolAbort as e:
+                    raise AssertionError(f"{where}: {e}") from e
+                assert out_a == out_b == want, where
+                runs[msg_type.name, "survived"] += 1
+    elapsed = time.perf_counter() - t0
+    for name in dict.fromkeys(name for name, _ in runs):
+        print(f"  {name}: " + ", ".join(f"{runs[name, o]} {o}" for o in
+                                        ("aborted", "survived", "refused at hello")
+                                        if runs[name, o]))
+    total, aborted = sum(runs.values()), sum(v for (_, o), v in runs.items() if o == "aborted")
+    report("offline tamper sweep", elapsed < 30,
+           f"{total} single-bit flips by either party: {aborted} aborted the deal, "
+           f"the rest left valid material or a refused hello ({c.n_and} ANDs, "
+           f"{elapsed:.1f}s < 30s)")
 
 
 def test_reveal_forgery_rate_at_reduced_kappa():
@@ -218,23 +273,21 @@ def test_cost_accounting():
     from macbits.aot_proto import laot_receiver, laot_sender
     reset_hash_calls()
     pairs = [od.quad(A) for _ in range(n_leaky)]
-    ca, cb = memory_pair(timeout=30.0)
-    quads_s, quads_r = run_pair(
-        lambda: run_side(ca, A, laot_sender(ca, bit_rows([p[0].x0 for p in pairs], 16),
+    quads_s, quads_r = run_two(
+        lambda ca: run_side(ca, A, laot_sender(ca, bit_rows([p[0].x0 for p in pairs], 16),
                                             bit_rows([p[0].x1 for p in pairs], 16),
                                             bit_rows([p[0].kc for p in pairs], 16),
                                             bit_rows([p[0].kz for p in pairs], 16),
                                             od.delta[B], random.Random(1))),
-        lambda: run_side(cb, B, laot_receiver(cb, bit_rows([p[1].c for p in pairs], 16),
+        lambda cb: run_side(cb, B, laot_receiver(cb, bit_rows([p[1].c for p in pairs], 16),
                                               bit_rows([p[1].z for p in pairs], 16),
                                               bit_rows([p[1].kx0 for p in pairs], 16),
                                               bit_rows([p[1].kx1 for p in pairs], 16),
                                               od.delta[A])),
-        timeout=30, channels=(ca, cb))
-    ca, cb = memory_pair(timeout=30.0)
-    (out_s, _), (out_r, _) = run_pair(
-        lambda: run_side(ca, A, aot_combine_sender(ca, quads_s, bucket, MacAccumulator())),
-        lambda: run_side(cb, B, aot_combine_receiver(cb, quads_r, bucket, od.delta[A],
+        timeout=30)
+    (out_s, _), (out_r, _) = run_two(
+        lambda ca: run_side(ca, A, aot_combine_sender(ca, quads_s, bucket, MacAccumulator())),
+        lambda cb: run_side(cb, B, aot_combine_receiver(cb, quads_r, bucket, od.delta[A],
                                                      random.Random(2), MacAccumulator())),
         timeout=30)
     assert len(out_s) == n_out
@@ -243,22 +296,20 @@ def test_cost_accounting():
     from macbits.aand_proto import laand_key_side, laand_mac_side
     reset_hash_calls()
     trips = [od.triple(A) for _ in range(n_leaky)]
-    ca, cb = memory_pair(timeout=30.0)
-    macs, keys = run_pair(
-        lambda: run_side(ca, A, laand_mac_side(ca, bit_rows([t[0].x for t in trips], 16),
+    macs, keys = run_two(
+        lambda ca: run_side(ca, A, laand_mac_side(ca, bit_rows([t[0].x for t in trips], 16),
                                                bit_rows([t[0].y for t in trips], 16),
                                                bit_rows([t[0].z for t in trips], 16),
                                                random.Random(3))),
-        lambda: run_side(cb, B, laand_key_side(cb, bit_rows([t[1].kx for t in trips], 16),
+        lambda cb: run_side(cb, B, laand_key_side(cb, bit_rows([t[1].kx for t in trips], 16),
                                                bit_rows([t[1].ky for t in trips], 16),
                                                bit_rows([t[1].kz for t in trips], 16),
                                                od.delta[A])),
-        timeout=30, channels=(ca, cb))
-    ca, cb = memory_pair(timeout=30.0)
-    (out_m, _), (out_k, _) = run_pair(
-        lambda: run_side(ca, A, aand_combine_mac(ca, macs, bucket, random.Random(4),
+        timeout=30)
+    (out_m, _), (out_k, _) = run_two(
+        lambda ca: run_side(ca, A, aand_combine_mac(ca, macs, bucket, random.Random(4),
                                                  MacAccumulator())),
-        lambda: run_side(cb, B, aand_combine_key(cb, keys, bucket, od.delta[A],
+        lambda cb: run_side(cb, B, aand_combine_key(cb, keys, bucket, od.delta[A],
                                                  MacAccumulator())),
         timeout=30)
     assert len(out_m) == n_out

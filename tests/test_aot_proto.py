@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (OracleDealer, QuadReceiver, QuadSender, bit_rows, from_rows,
-                     flip_bit, laot_probe_outcomes, rewrite_sends, run_side, to_rows,
-                     verify_abit)
+from helpers import (OracleDealer, QuadReceiver, QuadSender, bit_rows, closing_pair,
+                     from_rows, flip_bit, laot_probe_outcomes, rewrite_sends, run_side,
+                     run_two, to_rows, verify_abit)
 from macbits.aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
                                fold_quads_receiver, fold_quads_sender, laot_receiver,
                                laot_sender)
@@ -57,13 +57,13 @@ def run_laot(n, seed=0, rewrite=None):
     rng = random.Random(seed)
     od = OracleDealer(KAPPA, rng)
     send_in, recv_in = quad_inputs(od, n)
-    a, b = memory_pair(timeout=30.0)
     rng_a = random.Random(seed + 1)
-    receiver = laot_receiver(b, *recv_in, od.delta[A])
-    quads_s, quads_r = run_pair(
-        lambda: run_side(a, A, laot_sender(a, *send_in, od.delta[B], rng_a)),
-        lambda: run_side(b, B, rewrite_sends(receiver, rewrite) if rewrite else receiver),
-        timeout=30, channels=(a, b))
+    with closing_pair(memory_pair(timeout=30.0)) as (a, b):
+        receiver = laot_receiver(b, *recv_in, od.delta[A])
+        quads_s, quads_r = run_pair(
+            lambda: run_side(a, A, laot_sender(a, *send_in, od.delta[B], rng_a)),
+            lambda: run_side(b, B, rewrite_sends(receiver, rewrite) if rewrite else receiver),
+            timeout=30, channels=(a, b))
     return od, (from_rows(quads_s, QuadSender), from_rows(quads_r, QuadReceiver))
 
 
@@ -100,8 +100,7 @@ def test_laot_rejects_ragged_batches():
     rng = random.Random(6)
     od = OracleDealer(KAPPA, rng)
     (x0s, x1s, kcs, krs), _ = quad_inputs(od, 3)
-    a, _ = memory_pair()
-    with pytest.raises(UsageError):
+    with closing_pair(memory_pair()) as (a, _), pytest.raises(UsageError):
         run_side(a, A, laot_sender(a, x0s, x1s[:2], kcs, krs, od.delta[B], rng))
 
 
@@ -147,12 +146,11 @@ def run_combine(n, bucket, seed=0):
     pairs = [od.quad(A) for _ in range(n)]
     quads_s = to_rows([p[0] for p in pairs], KAPPA)
     quads_r = to_rows([p[1] for p in pairs], KAPPA)
-    a, b = memory_pair(timeout=30.0)
     rng_b = random.Random(seed + 1)
-    (out_s, acc_s), (out_r, acc_r) = run_pair(
-        lambda: run_side(a, A, aot_combine_sender(a, quads_s, bucket, MacAccumulator())),
-        lambda: run_side(b, B, aot_combine_receiver(b, quads_r, bucket, od.delta[A], rng_b,
-                                                    MacAccumulator())),
+    (out_s, acc_s), (out_r, acc_r) = run_two(
+        lambda a: run_side(a, A, aot_combine_sender(a, quads_s, bucket, MacAccumulator())),
+        lambda b: run_side(b, B, aot_combine_receiver(b, quads_r, bucket, od.delta[A], rng_b,
+                                                      MacAccumulator())),
         timeout=30)
     return od, out_s, out_r, acc_s, acc_r
 
@@ -175,24 +173,23 @@ def test_combine_rejects_non_permutation():
     rng = random.Random(9)
     od = OracleDealer(KAPPA, rng)
     quads = to_rows([od.quad(A)[0] for _ in range(4)], KAPPA)
-    a, b = memory_pair(timeout=10.0)
-
-    def bad_peer():
+    def bad_peer(b):
         perm = [0, 1, 2, 2]
         b.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
 
     with pytest.raises(ProtocolAbort):
-        run_pair(lambda: run_side(a, A, aot_combine_sender(a, quads, 2, MacAccumulator())),
-                 bad_peer, timeout=10, channels=(a, b))
+        run_two(lambda a: run_side(a, A, aot_combine_sender(a, quads, 2, MacAccumulator())),
+                bad_peer, timeout=10)
 
 
 def test_combine_validates_bucketing():
     rng = random.Random(10)
     od = OracleDealer(KAPPA, rng)
     quads = [od.quad(A)[0] for _ in range(5)]
-    a, _ = memory_pair()
-    with pytest.raises(UsageError):
-        run_side(a, A, aot_combine_sender(a, to_rows(quads, KAPPA), 2,
-                                          MacAccumulator()))  # 5 % 2 != 0
-    with pytest.raises(UsageError):
-        run_side(a, A, aot_combine_sender(a, to_rows(quads[:4], KAPPA), 1, MacAccumulator()))
+    with closing_pair(memory_pair()) as (a, _):
+        with pytest.raises(UsageError):
+            run_side(a, A, aot_combine_sender(a, to_rows(quads, KAPPA), 2,
+                                              MacAccumulator()))  # 5 % 2 != 0
+        with pytest.raises(UsageError):
+            run_side(a, A, aot_combine_sender(a, to_rows(quads[:4], KAPPA), 1,
+                                              MacAccumulator()))

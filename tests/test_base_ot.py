@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import counting_pair, dealer_pad, ref_pad, rewrite_sends, run_side, seeded
+from helpers import (closing_pair, counting_pair, dealer_pad, ref_pad, rewrite_sends, run_side,
+                     run_two, seeded)
 from macbits.base_ot import SEED_BITS, DealerOt, extend_ot_receive, extend_ot_send
 from macbits.bitlinalg import random_rows
 from macbits.errors import UsageError
@@ -24,11 +25,10 @@ def chosen(pairs, choices):
 
 
 def run_ot(pairs, choices, n_bits):
-    a, b = memory_pair(timeout=30.0)
     ot_a, ot_b = DealerOt(random.Random(0)), DealerOt()
-    _, got = run_pair(lambda: run_side(a, A, seeded(ot_a, True, ot_a.send(pairs))),
-                      lambda: run_side(b, B, seeded(ot_b, False, ot_b.receive(choices, n_bits))),
-                      timeout=30)
+    _, got = run_two(lambda a: run_side(a, A, seeded(ot_a, True, ot_a.send(pairs))),
+                     lambda b: run_side(b, B, seeded(ot_b, False, ot_b.receive(choices, n_bits))),
+                     timeout=30)
     return got
 
 
@@ -44,15 +44,15 @@ def run_extended(offset, n_bits, choices, rewrite=None):
     """Correlated OTs under offset; a given rewrite changes the sender's
     frames (see `helpers.rewrite_sends`). Returns (sender keys, received
     messages, seed pairs, frames the sender sent)."""
-    a, b = counting_pair(timeout=60.0)
     rng = random.Random(0)
     backend, ot_b = RecordingOt(rng), DealerOt()
     sender = extend_ot_send(backend, offset, n_bits, len(choices), rng)
-    keys, got = run_pair(
-        lambda: run_side(a, A, seeded(backend, True,
-                                      rewrite_sends(sender, rewrite) if rewrite else sender)),
-        lambda: run_side(b, B, seeded(ot_b, False, extend_ot_receive(ot_b, choices, n_bits))),
-        timeout=60)
+    with closing_pair(counting_pair(timeout=60.0)) as (a, b):
+        keys, got = run_pair(
+            lambda: run_side(a, A, seeded(backend, True,
+                                          rewrite_sends(sender, rewrite) if rewrite else sender)),
+            lambda: run_side(b, B, seeded(ot_b, False, extend_ot_receive(ot_b, choices, n_bits))),
+            timeout=60, channels=(a, b))
     return keys, got, backend.pairs, a.sent
 
 
@@ -86,12 +86,12 @@ def test_640_seed_ots_under_a_second():
     rng = random.Random(2)
     pairs = message_pairs(640, SEED_BITS // 8, rng)
     choices = [rng.getrandbits(1) for _ in range(640)]
-    a, b = memory_pair(timeout=30.0)
     ot_a, ot_b = DealerOt(rng), DealerOt()
     t0 = time.time()
-    _, got = run_pair(lambda: run_side(a, A, seeded(ot_a, True, ot_a.send(pairs))),
-                      lambda: run_side(b, B, seeded(ot_b, False, ot_b.receive(choices, SEED_BITS))),
-                      timeout=30)
+    _, got = run_two(lambda a: run_side(a, A, seeded(ot_a, True, ot_a.send(pairs))),
+                     lambda b: run_side(b, B, seeded(ot_b, False,
+                                                     ot_b.receive(choices, SEED_BITS))),
+                     timeout=30)
     elapsed = time.time() - t0
     assert elapsed < 1.0
     assert np.array_equal(got, chosen(pairs, choices))
@@ -103,20 +103,18 @@ def test_batch_sequencing_across_calls():
     p1, p2 = message_pairs(5, 1, rng), message_pairs(7, 1, rng)
     c1 = [rng.getrandbits(1) for _ in range(5)]
     c2 = [rng.getrandbits(1) for _ in range(7)]
-    a, b = memory_pair(timeout=30.0)
-
-    def send():
+    def send(a):
         be = DealerOt(rng)
         run_side(a, A, be.setup(mint=True))
         run_side(a, A, be.send(p1))
         run_side(a, A, be.send(p2))
 
-    def recv():
+    def recv(b):
         be = DealerOt()
         run_side(b, B, be.setup(mint=False))
         return run_side(b, B, be.receive(c1, 8)), run_side(b, B, be.receive(c2, 8))
 
-    _, (g1, g2) = run_pair(send, recv, timeout=30)
+    _, (g1, g2) = run_two(send, recv, timeout=30)
     assert np.array_equal(g1, chosen(p1, c1))
     assert np.array_equal(g2, chosen(p2, c2))
 
@@ -173,22 +171,20 @@ def test_both_directions_side_by_side():
         return message_pairs(n, 1, rng), [rng.getrandbits(1) for _ in range(n)]
 
     (pa, ca), (pb, cb), (pa2, ca2) = batch(6), batch(5), batch(3)
-    a, b = memory_pair(timeout=30.0)
-
-    def alice():
+    def alice(a):
         be = DealerOt(random.Random(0))
         run_side(a, A, be.setup(mint=True))
         _, got = run_sides(a, A, be.send(pa), be.receive(cb, 8))
         run_side(a, A, be.send(pa2))
         return got
 
-    def bob():
+    def bob(b):
         be = DealerOt(random.Random(1))
         run_side(b, B, be.setup(mint=False))
         got, _ = run_sides(b, B, be.receive(ca, 8), be.send(pb))
         return got, run_side(b, B, be.receive(ca2, 8))
 
-    got_a, (got_b, got_b2) = run_pair(alice, bob, timeout=30, channels=(a, b))
+    got_a, (got_b, got_b2) = run_two(alice, bob, timeout=30)
     assert np.array_equal(got_a, chosen(pb, cb))
     assert np.array_equal(got_b, chosen(pa, ca))
     assert np.array_equal(got_b2, chosen(pa2, ca2))
@@ -199,59 +195,59 @@ def test_batched_pads_follow_the_per_instance_formula(mint):
     # Two batches each way on one backend. Zero pairs go out as the send
     # pads themselves, and all-zero frames come back as the chosen branch's
     # receive pads; each batch hashes n*branches keys, each pad 320 bits.
-    a, b = memory_pair(timeout=5.0)
-    be = DealerOt(random.Random(0))
-    if mint:
-        run_side(a, A, be.setup(mint=True))
-        seed = bytes(b.recv(MsgType.OT_SETUP, 16))
-    else:
-        seed = bytes(range(16))
-        b.send(MsgType.OT_SETUP, seed)
-        run_side(a, A, be.setup(mint=False))
-    nb, blocks = 40, 2
-    rng = random.Random(1)
+    with closing_pair(memory_pair(timeout=5.0)) as (a, b):
+        be = DealerOt(random.Random(0))
+        if mint:
+            run_side(a, A, be.setup(mint=True))
+            seed = bytes(b.recv(MsgType.OT_SETUP, 16))
+        else:
+            seed = bytes(range(16))
+            b.send(MsgType.OT_SETUP, seed)
+            run_side(a, A, be.setup(mint=False))
+        nb, blocks = 40, 2
+        rng = random.Random(1)
 
-    def counted(side):
-        before = hash_calls("ot-dealer"), hash_calls("prg")
-        out = run_side(a, A, side)
-        return out, (hash_calls("ot-dealer") - before[0], hash_calls("prg") - before[1])
+        def counted(side):
+            before = hash_calls("ot-dealer"), hash_calls("prg")
+            out = run_side(a, A, side)
+            return out, (hash_calls("ot-dealer") - before[0], hash_calls("prg") - before[1])
 
-    for first, n in ((0, 3), (3, 5)):
-        _, calls = counted(be.send(np.zeros((n, 2, nb), np.uint8)))
-        assert calls == (2 * n, 2 * n * blocks)
-        for branch, t in enumerate((MsgType.OT_MASKED0, MsgType.OT_MASKED1)):
-            assert bytes(b.recv(t, n * nb)) == b"".join(
-                dealer_pad(seed, mint, first + k, branch, nb) for k in range(n))
+        for first, n in ((0, 3), (3, 5)):
+            _, calls = counted(be.send(np.zeros((n, 2, nb), np.uint8)))
+            assert calls == (2 * n, 2 * n * blocks)
+            for branch, t in enumerate((MsgType.OT_MASKED0, MsgType.OT_MASKED1)):
+                assert bytes(b.recv(t, n * nb)) == b"".join(
+                    dealer_pad(seed, mint, first + k, branch, nb) for k in range(n))
 
-        choices = [rng.getrandbits(1) for _ in range(n)]
-        b.send(MsgType.OT_MASKED0, bytes(n * nb))
-        b.send(MsgType.OT_MASKED1, bytes(n * nb))
-        got, calls = counted(be.receive(choices, 8 * nb - 3))
-        assert calls == (n, n * blocks)
-        assert [row.tobytes() for row in got] == [
-            dealer_pad(seed, not mint, first + k, c, nb) for k, c in enumerate(choices)]
-    assert be.instances == 16
+            choices = [rng.getrandbits(1) for _ in range(n)]
+            b.send(MsgType.OT_MASKED0, bytes(n * nb))
+            b.send(MsgType.OT_MASKED1, bytes(n * nb))
+            got, calls = counted(be.receive(choices, 8 * nb - 3))
+            assert calls == (n, n * blocks)
+            assert [row.tobytes() for row in got] == [
+                dealer_pad(seed, not mint, first + k, c, nb) for k, c in enumerate(choices)]
+        assert be.instances == 16
 
 
 def test_zero_instances_send_no_frame():
-    a, b = counting_pair(timeout=5.0)
     ot_a, ot_b = DealerOt(random.Random(0)), DealerOt()
-    _, got = run_pair(
-        lambda: run_side(a, A, seeded(ot_a, True, ot_a.send(np.zeros((0, 2, 4), np.uint8)))),
-        lambda: run_side(b, B, seeded(ot_b, False, ot_b.receive([], 32))),
-        timeout=5, channels=(a, b))
+    with closing_pair(counting_pair(timeout=5.0)) as (a, b):
+        _, got = run_pair(
+            lambda: run_side(a, A, seeded(ot_a, True, ot_a.send(np.zeros((0, 2, 4), np.uint8)))),
+            lambda: run_side(b, B, seeded(ot_b, False, ot_b.receive([], 32))),
+            timeout=5, channels=(a, b))
     assert got.shape == (0, 4)
     assert [t for t, _ in a.sent] == [MsgType.OT_SETUP] and b.sent == []
     assert ot_a.instances == ot_b.instances == 0
 
 
 def test_send_and_receive_need_setup():
-    a, b = memory_pair(timeout=1.0)
-    b.send(MsgType.OT_MASKED0, bytes(2))
-    b.send(MsgType.OT_MASKED1, bytes(2))
     be = DealerOt(random.Random(0))
-    with pytest.raises(UsageError):
-        run_side(a, A, be.send(message_pairs(2, 1, random.Random(1))))
-    with pytest.raises(UsageError):
-        run_side(a, A, be.receive([0, 1], 8))
+    with closing_pair(memory_pair(timeout=1.0)) as (a, b):
+        b.send(MsgType.OT_MASKED0, bytes(2))
+        b.send(MsgType.OT_MASKED1, bytes(2))
+        with pytest.raises(UsageError):
+            run_side(a, A, be.send(message_pairs(2, 1, random.Random(1))))
+        with pytest.raises(UsageError):
+            run_side(a, A, be.receive([0, 1], 8))
     assert (a.stats.frames_sent, a.stats.frames_received) == (0, 0)

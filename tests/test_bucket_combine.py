@@ -19,15 +19,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (AuthBitMac, OracleDealer, fold_receiver, fold_sender,
-                     fold_triple_key, fold_triple_mac, reference_combine, run_side,
+from helpers import (AuthBitMac, OracleDealer, closing_pair, fold_receiver, fold_sender,
+                     fold_triple_key, fold_triple_mac, reference_combine, run_side, run_two,
                      to_rows)
 from macbits.aand_proto import aand_combine_key, aand_combine_mac
 from macbits.aot_proto import aot_combine_receiver, aot_combine_sender
 from macbits.bitlinalg import random_permutation
 from macbits.errors import ProtocolAbort, ProtocolError
 from macbits.ro_suite import MacAccumulator
-from macbits.transport import MsgType, Role, memory_pair, run_pair
+from macbits.transport import MsgType, Role, memory_pair
 
 KAPPA = 16
 N, BUCKET = 6, 2  # three outputs: a one-byte reveal frame with five pad bits
@@ -76,26 +76,24 @@ def test_array_fold_matches_record_reference(bucket, n_out, seed):
     n = bucket * n_out
 
     quads = [od.quad(A) for _ in range(n)]
-    a, b = memory_pair(timeout=30.0)
-    (out_s, acc_s), (out_r, acc_r) = run_pair(
-        lambda: run_side(a, A, aot_combine_sender(a, to_rows([q[0] for q in quads], KAPPA),
-                                                  bucket, MacAccumulator())),
-        lambda: run_side(b, B, aot_combine_receiver(b, to_rows([q[1] for q in quads], KAPPA),
-                                                    bucket, od.delta[A], random.Random(seed + 1),
-                                                    MacAccumulator())),
-        timeout=30, channels=(a, b))
+    (out_s, acc_s), (out_r, acc_r) = run_two(
+        lambda a: run_side(a, A, aot_combine_sender(a, to_rows([q[0] for q in quads], KAPPA),
+                                                    bucket, MacAccumulator())),
+        lambda b: run_side(b, B, aot_combine_receiver(b, to_rows([q[1] for q in quads], KAPPA),
+                                                      bucket, od.delta[A],
+                                                      random.Random(seed + 1), MacAccumulator())),
+        timeout=30)
     _check_against_reference(quads, bucket, (out_s, out_r), (acc_s, acc_r), seed + 1,
                              (fold_sender, fold_receiver), _quad_reveal)
 
     triples = [od.triple(A) for _ in range(n)]
-    a, b = memory_pair(timeout=30.0)
-    (out_m, acc_m), (out_k, acc_k) = run_pair(
-        lambda: run_side(a, A, aand_combine_mac(a, to_rows([t[0] for t in triples], KAPPA),
-                                                bucket, random.Random(seed + 2),
-                                                MacAccumulator())),
-        lambda: run_side(b, B, aand_combine_key(b, to_rows([t[1] for t in triples], KAPPA),
-                                                bucket, od.delta[A], MacAccumulator())),
-        timeout=30, channels=(a, b))
+    (out_m, acc_m), (out_k, acc_k) = run_two(
+        lambda a: run_side(a, A, aand_combine_mac(a, to_rows([t[0] for t in triples], KAPPA),
+                                                  bucket, random.Random(seed + 2),
+                                                  MacAccumulator())),
+        lambda b: run_side(b, B, aand_combine_key(b, to_rows([t[1] for t in triples], KAPPA),
+                                                  bucket, od.delta[A], MacAccumulator())),
+        timeout=30)
     _check_against_reference(triples, bucket, (out_m, out_k), (acc_m, acc_k), seed + 2,
                              (fold_triple_mac, fold_triple_key), _triple_reveal)
 
@@ -122,20 +120,25 @@ def _is_perm(raw: bytes) -> bool:
     return len(raw) == 4 * N and got == list(range(N))
 
 
+def _is_reveal(raw: bytes) -> bool:
+    """One byte of N // BUCKET reveal bits whose pad bits are zero."""
+    return len(raw) == 1 and raw[0] < 1 << N // BUCKET
+
+
 def _combines(frames, check, where) -> bool:
     """Feed the peer's frames to the combiner side `check` makes; True if it
     combined, False if it rejected them with a protocol error or an abort
     tagged `where`."""
-    mine, peer = memory_pair(timeout=0.5)
-    for msg_type, payload in frames:
-        peer.send(msg_type, payload)
-    try:
-        out, acc = run_side(mine, A, check(mine))
-    except ProtocolError:
-        return False
-    except ProtocolAbort as e:
-        assert e.phase == where
-        return False
+    with closing_pair(memory_pair(timeout=0.5)) as (mine, peer):
+        for msg_type, payload in frames:
+            peer.send(msg_type, payload)
+        try:
+            out, acc = run_side(mine, A, check(mine))
+        except ProtocolError:
+            return False
+        except ProtocolAbort as e:
+            assert e.phase == where
+            return False
     assert len(out) == N // BUCKET and acc.count == N // BUCKET
     return True
 
@@ -158,7 +161,7 @@ def test_aot_receiver_checks_reveals(d):
                    lambda ch: aot_combine_receiver(ch, receivers, BUCKET, _OD.delta[A],
                                                    random.Random(1), MacAccumulator()),
                    "aot-comb")
-    assert ok == (len(d) == 1)
+    assert ok == _is_reveal(d)
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,4 +171,4 @@ def test_aand_key_side_checks_permutation_and_reveals(perm, d):
                    lambda ch: aand_combine_key(ch, _TRIPLE_KEYS, BUCKET, _OD.delta[A],
                                                MacAccumulator()),
                    "aand-comb")
-    assert ok == (_is_perm(perm) and len(d) == 1)
+    assert ok == (_is_perm(perm) and _is_reveal(d))

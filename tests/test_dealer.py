@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import counting_pair, random_circuit, random_inputs, run_side
+from helpers import (closing_pair, counting_pair, random_circuit, random_inputs, run_side,
+                     run_two)
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import random_rows
@@ -14,7 +15,7 @@ from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort,
                             UsageError)
 from macbits.ro_suite import MacAccumulator
 from macbits.runtime_2pc import Runtime
-from macbits.transport import MsgType, Role, memory_pair, run_pair
+from macbits.transport import MsgType, Role, run_pair
 
 A, B = Role.ALICE, Role.BOB
 
@@ -75,11 +76,10 @@ SMALL = DealerConfig.for_gates(3, 5, 3, kappa=16, psi=8)
 
 
 def run_deal(cfg, seed=0, timeout=60):
-    a, b = memory_pair(timeout=float(timeout))
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
-    return run_pair(lambda: deal(a, A, cfg, rng_a),
-                    lambda: deal(b, B, cfg, rng_b),
-                    timeout=timeout)
+    return run_two(lambda a: deal(a, A, cfg, rng_a),
+                   lambda b: deal(b, B, cfg, rng_b),
+                   timeout=timeout)
 
 
 def test_deal_produces_verified_material():
@@ -100,10 +100,10 @@ def test_deal_produces_verified_material():
 def test_deal_edge_shapes(cfg):
     """No AND gate: Bob owning no bit runs one produce_abits side, and an
     empty shape is the hello, the flush and the commitments only."""
-    a, b = counting_pair(timeout=60.0)
-    sa, sb = run_pair(lambda: deal(a, A, cfg, random.Random(1)),
-                      lambda: deal(b, B, cfg, random.Random(2)),
-                      timeout=60, channels=(a, b))
+    with closing_pair(counting_pair(timeout=60.0)) as (a, b):
+        sa, sb = run_pair(lambda: deal(a, A, cfg, random.Random(1)),
+                          lambda: deal(b, B, cfg, random.Random(2)),
+                          timeout=60, channels=(a, b))
     assert sa.gk_commit == sb.gk_commit
     verify_stores(sa, sb)
     for store in (sa, sb):
@@ -126,9 +126,8 @@ def test_deal_for_a_circuit_is_used_up_by_one_evaluation():
     cfg = DealerConfig.for_gates(c.n_and, h.inputs_a, h.inputs_b, kappa=16, psi=8)
     sa, sb = run_deal(cfg, seed=11)
     xa, xb = random_inputs(c, rng)
-    a, b = memory_pair(timeout=60.0)
-    run_pair(lambda: Runtime(a, A, sa).evaluate(c, xa),
-             lambda: Runtime(b, B, sb).evaluate(c, xb), timeout=60)
+    run_two(lambda a: Runtime(a, A, sa).evaluate(c, xa),
+            lambda b: Runtime(b, B, sb).evaluate(c, xb), timeout=60)
     for store in (sa, sb):
         assert {name: store.remaining(name) for name in MaterialStore.STREAMS} \
             == dict.fromkeys(MaterialStore.STREAMS, 0)
@@ -141,10 +140,10 @@ def test_offline_byte_budget():
     kappa/8 + 32 + 32 + kappa/8 bytes."""
     kappa = 128
     cfg = DealerConfig.for_gates(300, 8, 8, kappa=kappa, psi=40)
-    a, b = counting_pair(timeout=300.0)
-    sa, sb = run_pair(lambda: deal(a, A, cfg, random.Random(21)),
-                      lambda: deal(b, B, cfg, random.Random(22)),
-                      timeout=300, channels=(a, b))
+    with closing_pair(counting_pair(timeout=300.0)) as (a, b):
+        sa, sb = run_pair(lambda: deal(a, A, cfg, random.Random(21)),
+                          lambda: deal(b, B, cfg, random.Random(22)),
+                          timeout=300, channels=(a, b))
     assert verify_stores(sa, sb) > 0
 
     t = 2 * tau_for(kappa)
@@ -284,10 +283,9 @@ def test_flush_agreement():
     rng = random.Random(9)
     from_a = random_rows(5, 16, rng)
     from_b = random_rows(3, 16, rng)
-    a, b = memory_pair(timeout=10.0)
-    run_pair(
-        lambda: run_side(a, A, flush_accumulators(absorb_all(from_a), absorb_all(from_b))),
-        lambda: run_side(b, B, flush_accumulators(absorb_all(from_b), absorb_all(from_a))),
+    run_two(
+        lambda a: run_side(a, A, flush_accumulators(absorb_all(from_a), absorb_all(from_b))),
+        lambda b: run_side(b, B, flush_accumulators(absorb_all(from_b), absorb_all(from_a))),
         timeout=10)
 
 
@@ -296,9 +294,8 @@ def test_flush_detects_divergence():
     from_a = random_rows(5, 16, rng)
     seen_b = from_a.copy()
     seen_b[2, 0] ^= 1
-    a, b = memory_pair(timeout=10.0)
     with pytest.raises(ProtocolAbort):
-        run_pair(
-            lambda: run_side(a, A, flush_accumulators(absorb_all(from_a), MacAccumulator())),
-            lambda: run_side(b, B, flush_accumulators(MacAccumulator(), absorb_all(seen_b))),
-            timeout=10, channels=(a, b))
+        run_two(
+            lambda a: run_side(a, A, flush_accumulators(absorb_all(from_a), MacAccumulator())),
+            lambda b: run_side(b, B, flush_accumulators(MacAccumulator(), absorb_all(seen_b))),
+            timeout=10)

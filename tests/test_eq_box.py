@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import counting_pair, run_side
+from helpers import closing_pair, counting_pair, run_side, run_two
 from macbits.bitlinalg import BitVec, random_rows
 from macbits.eq_box import (ColumnDigest, _commitment, eq_commit_side, eq_respond_side,
                             value_digest)
@@ -16,10 +16,9 @@ A, B = Role.ALICE, Role.BOB
 
 
 def run_eq(x: BitVec, y: BitVec):
-    a, b = memory_pair(timeout=10.0)
     rng = random.Random(0)
-    return run_pair(lambda: run_side(a, A, eq_commit_side(digest(x), 16, rng)),
-                    lambda: run_side(b, B, eq_respond_side(digest(y), 16)))
+    return run_two(lambda a: run_side(a, A, eq_commit_side(digest(x), 16, rng)),
+                   lambda b: run_side(b, B, eq_respond_side(digest(y), 16)), timeout=10)
 
 
 def test_equal_inputs_both_true():
@@ -80,10 +79,10 @@ def test_column_digest_checks_its_length():
 
 def test_frame_sizes():
     # EQ_COMMIT kappa/8, EQ_VALUE one digest, EQ_OPEN digest plus kappa/8
-    a, b = counting_pair(timeout=10.0)
     v = BitVec.random(1000, random.Random(4))
-    assert run_pair(lambda: run_side(a, A, eq_commit_side(digest(v), 16, random.Random(0))),
-                    lambda: run_side(b, B, eq_respond_side(digest(v), 16))) == (True, True)
+    with closing_pair(counting_pair(timeout=10.0)) as (a, b):
+        assert run_pair(lambda: run_side(a, A, eq_commit_side(digest(v), 16, random.Random(0))),
+                        lambda: run_side(b, B, eq_respond_side(digest(v), 16))) == (True, True)
     assert [(t, len(p)) for t, p in a.sent] == [(MsgType.EQ_COMMIT, 2),
                                                 (MsgType.EQ_OPEN, 32 + 2)]
     assert [(t, len(p)) for t, p in b.sent] == [(MsgType.EQ_VALUE, 32)]
@@ -93,16 +92,16 @@ def test_mismatch_reveals_only_the_digest():
     # on mismatch the responder has seen the opening: the committed value's
     # 32-byte digest and the commitment randomness, never the value
     x = BitVec(8, 0b10110010)
-    a, b = memory_pair(timeout=10.0)
     seen = {}
 
-    def responder():
+    def responder(b):
         b.recv(MsgType.EQ_COMMIT)
         b.send(MsgType.EQ_VALUE, digest(BitVec(8, 0x55)))
         seen["opening"] = b.recv(MsgType.EQ_OPEN)
 
-    verdict, _ = run_pair(
-        lambda: run_side(a, A, eq_commit_side(digest(x), 16, random.Random(1))), responder)
+    verdict, _ = run_two(
+        lambda a: run_side(a, A, eq_commit_side(digest(x), 16, random.Random(1))), responder,
+        timeout=10)
     assert verdict is False
     r = BitVec.random(16, random.Random(1))
     assert seen["opening"] == digest(x) + r.to_bytes()
@@ -114,16 +113,15 @@ def test_forged_opening_rejected():
     for _ in range(300):
         x = BitVec.random(16, rng)
         x2 = x ^ BitVec(16, 1 << rng.randrange(16))
-        a, b = memory_pair(timeout=10.0)
-
-        def cheat():
+        def cheat(a):
             r = BitVec.random(16, rng).to_bytes()
             a.send(MsgType.EQ_COMMIT, _commitment(16, digest(x), r))
             a.recv(MsgType.EQ_VALUE)
             r2 = BitVec.random(16, rng)
             a.send(MsgType.EQ_OPEN, digest(x2) + r2.to_bytes())
 
-        _, verdict = run_pair(cheat, lambda: run_side(b, B, eq_respond_side(digest(x2), 16)))
+        _, verdict = run_two(cheat, lambda b: run_side(b, B, eq_respond_side(digest(x2), 16)),
+                             timeout=10)
         assert verdict is False
 
 
@@ -144,21 +142,17 @@ def test_binding_rate_at_reduced_kappa():
 
 
 def test_bad_commitment_length_rejected():
-    a, b = memory_pair(timeout=10.0)
-
-    def sender():
+    def sender(a):
         a.send(MsgType.EQ_COMMIT, b"toolongforkappa16")
         return None
 
     with pytest.raises(ProtocolError):
-        run_pair(sender, lambda: run_side(b, B, eq_respond_side(digest(BitVec(8, 0)), 16)),
-                 channels=(a, b))
+        run_two(sender, lambda b: run_side(b, B, eq_respond_side(digest(BitVec(8, 0)), 16)),
+                timeout=10)
 
 
 def test_truncated_opening_rejected():
-    a, b = memory_pair(timeout=10.0)
-
-    def sender():
+    def sender(a):
         x = BitVec(8, 3).to_bytes()
         r = BitVec(16, 7).to_bytes()
         a.send(MsgType.EQ_COMMIT, _commitment(16, x, r))
@@ -166,8 +160,8 @@ def test_truncated_opening_rejected():
         a.send(MsgType.EQ_OPEN, b"\x00\x00\x00\x08\x03")  # missing r
 
     with pytest.raises(ProtocolError):
-        run_pair(sender, lambda: run_side(b, B, eq_respond_side(digest(BitVec(8, 3)), 16)),
-                 channels=(a, b))
+        run_two(sender, lambda b: run_side(b, B, eq_respond_side(digest(BitVec(8, 3)), 16)),
+                timeout=10)
 
 
 SHORT = [b"", b"\x00", b"\x00\x00", b"\x00\x00\x00"]  # shorter than the length field
@@ -175,16 +169,14 @@ SHORT = [b"", b"\x00", b"\x00\x00", b"\x00\x00\x00"]  # shorter than the length 
 
 @pytest.mark.parametrize("short", SHORT)
 def test_short_value_frame_is_protocol_error(short):
-    a, b = memory_pair(timeout=10.0)
-    b.send(MsgType.EQ_VALUE, short)
-    with pytest.raises(ProtocolError):
+    with closing_pair(memory_pair(timeout=10.0)) as (a, b), pytest.raises(ProtocolError):
+        b.send(MsgType.EQ_VALUE, short)
         run_side(a, A, eq_commit_side(digest(BitVec(8, 3)), 16, random.Random(0)))
 
 
 @pytest.mark.parametrize("short", SHORT)
 def test_short_opening_frame_is_protocol_error(short):
-    a, b = memory_pair(timeout=10.0)
-    a.send(MsgType.EQ_COMMIT, bytes(2))
-    a.send(MsgType.EQ_OPEN, short)
-    with pytest.raises(ProtocolError):
+    with closing_pair(memory_pair(timeout=10.0)) as (a, b), pytest.raises(ProtocolError):
+        a.send(MsgType.EQ_COMMIT, bytes(2))
+        a.send(MsgType.EQ_OPEN, short)
         run_side(b, B, eq_respond_side(digest(BitVec(8, 3)), 16))

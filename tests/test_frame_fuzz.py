@@ -9,6 +9,10 @@ TransportError instead of hanging. Only success, ProtocolError or a
 ProtocolAbort with the step's own tag may come out, and a payload of the
 wrong length must be rejected by the size check, before anything else is
 read.
+
+A frame that packs one bit vector has one encoding: a deal or an evaluation
+in which Alice sets a pad bit of one such frame ends in a ProtocolError at
+Bob.
 """
 
 import functools
@@ -19,15 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OracleDealer, bit_rows, run_side, seeded
+from helpers import (OracleDealer, bit_rows, closing_pair, counting_pair, flip_pair,
+                     oracle_store_pair, random_circuit, random_inputs, run_side, seeded)
 from macbits.aand_proto import laand_key_side, laand_mac_side
 from macbits.abit_proto import (labit_receiver, labit_sender, tau_for,
                                 wabit_amplify_key_side, wabit_amplify_mac_side)
 from macbits.aot_proto import laot_receiver, laot_sender
 from macbits.base_ot import DealerOt
 from macbits.bitlinalg import random_rows
+from macbits.dealer import DealerConfig, deal
 from macbits.eq_box import eq_commit_side, eq_respond_side, value_digest
 from macbits.errors import ProtocolAbort, ProtocolError
+from macbits.runtime_2pc import Runtime
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 KAPPA, ELL = 16, 5
@@ -125,13 +132,10 @@ STEPS = {
 def honest_frames(name):
     """The frames the step receives when its peer is honest."""
     step, peer, _, _ = STEPS[name]
-    mine, theirs = memory_pair(timeout=30.0)
-    frames = []
-    send = theirs.send
-    theirs.send = lambda t, p: (frames.append((t, p)), send(t, p))
-    run_pair(lambda: run_side(mine, A, step(mine)), lambda: run_side(theirs, B, peer(theirs)),
-             timeout=30, channels=(mine, theirs))
-    return tuple(frames)
+    with closing_pair(counting_pair(timeout=30.0)) as (mine, theirs):
+        run_pair(lambda: run_side(mine, A, step(mine)), lambda: run_side(theirs, B, peer(theirs)),
+                 timeout=30, channels=(mine, theirs))
+    return tuple(theirs.sent)
 
 
 def payloads(size):
@@ -149,19 +153,19 @@ def test_random_first_frame(name, data):
     assert honest[0][0] == msg_type
     size = len(honest[0][1])
     payload = data.draw(payloads(size), label="payload")
-    mine, peer = memory_pair(timeout=0.5)
-    peer.send(msg_type, payload)
-    for t, p in honest[1:]:
-        peer.send(t, p)
-    try:
-        run_side(mine, A, step(mine))
-    except ProtocolError as e:
-        if len(payload) != size:
-            assert str(e) == f"{msg_type.name} frame of {len(payload)} bytes, expected {size}"
-            assert mine.stats.frames_received == 1
-        return
-    except ProtocolAbort as e:
-        assert where is not None and e.phase == where
+    with closing_pair(memory_pair(timeout=0.5)) as (mine, peer):
+        peer.send(msg_type, payload)
+        for t, p in honest[1:]:
+            peer.send(t, p)
+        try:
+            run_side(mine, A, step(mine))
+        except ProtocolError as e:
+            if len(payload) != size:
+                assert str(e) == f"{msg_type.name} frame of {len(payload)} bytes, expected {size}"
+                assert mine.stats.frames_received == 1
+            return
+        except ProtocolAbort as e:
+            assert where is not None and e.phase == where
     assert len(payload) == size
 
 
@@ -175,10 +179,49 @@ def test_labit_sender_rejects_an_invalid_pairing(part):
     # the honest receiver's frames, with its LABIT_PAIRING (tau = 3, so six
     # partners) replaced by one that is no perfect matching
     honest = honest_frames("labit_sender")
-    mine, peer = memory_pair(timeout=0.5)
-    peer.send(MsgType.LABIT_PAIRING, np.array(part, ">u4").tobytes())
-    for t, p in honest[1:]:
-        peer.send(t, p)
-    with pytest.raises(ProtocolAbort, match="peer sent an invalid pairing") as err:
-        run_side(mine, A, _labit_sender(mine))
+    with closing_pair(memory_pair(timeout=0.5)) as (mine, peer):
+        peer.send(MsgType.LABIT_PAIRING, np.array(part, ">u4").tobytes())
+        for t, p in honest[1:]:
+            peer.send(t, p)
+        with pytest.raises(ProtocolAbort, match="peer sent an invalid pairing") as err:
+            run_side(mine, A, _labit_sender(mine))
     assert err.value.phase == "labit"
+
+
+# ---------------------------------------------------------------------------
+# canonical packed bits: a frame that packs n bits has one encoding, with
+# its pad bits past n zero
+
+PAD_DEAL = DealerConfig.for_gates(3, 2, 2, kappa=KAPPA, psi=8)
+PAD_CIRCUIT = random_circuit(random.Random(12), 12, inputs_a=3, inputs_b=3, n_outputs=1)
+PAD_INPUTS = random_inputs(PAD_CIRCUIT, random.Random(13))
+
+
+def _deal(a, b):
+    return run_pair(lambda: deal(a, A, PAD_DEAL, random.Random(1)),
+                    lambda: deal(b, B, PAD_DEAL, random.Random(2)),
+                    timeout=30, channels=(a, b))
+
+
+def _evaluate(a, b):
+    sa, sb = oracle_store_pair(PAD_CIRCUIT, random.Random(14))
+    xa, xb = PAD_INPUTS
+    return run_pair(lambda: Runtime(a, A, sa).evaluate(PAD_CIRCUIT, xa),
+                    lambda: Runtime(b, B, sb).evaluate(PAD_CIRCUIT, xb),
+                    timeout=30, channels=(a, b))
+
+
+@pytest.mark.parametrize("msg_type", [
+    MsgType.LABIT_D, MsgType.LAAND_D, MsgType.LAOT_D, MsgType.COMB_D,
+    MsgType.RT_ANNOUNCE_BATCH, MsgType.RT_REVEAL_BATCH, MsgType.RT_OUTPUT,
+], ids=lambda t: t.name)
+def test_a_set_pad_bit_is_protocol_error(msg_type):
+    """Alice sets the top bit of the last byte of her first msg_type frame, a
+    pad bit, since the frame's bits do not fill that byte: Bob refuses it."""
+    run = _evaluate if msg_type.name.startswith("RT_") else _deal
+    with closing_pair(counting_pair(timeout=30.0)) as (a, b):
+        run(a, b)
+    k = [t for t, _ in a.sent].index(msg_type)
+    with closing_pair(flip_pair(A, k, -1, timeout=30.0)) as (a, b):
+        with pytest.raises(ProtocolError, match="pad bit"):
+            run(a, b)

@@ -13,7 +13,7 @@ which the side-by-side schedule sends the frames.
 import hashlib
 import random
 
-from helpers import counting_pair
+from helpers import closing_pair, counting_pair
 from macbits.dealer import DealerConfig, deal
 from macbits.transport import FRAME_HEADER_BYTES, Role, run_pair
 
@@ -127,10 +127,10 @@ TOTALS = {
 def offline_transcript(tmp_path):
     cfg = DealerConfig.for_gates(300, 8, 8, kappa=128, psi=40)
     assert cfg.abit_demand(A) == cfg.abit_demand(B) == 12_908
-    ca, cb = counting_pair(timeout=120.0)
-    sa, sb = run_pair(lambda: deal(ca, A, cfg, random.Random(41)),
-                      lambda: deal(cb, B, cfg, random.Random(42)),
-                      timeout=120.0, channels=(ca, cb))
+    with closing_pair(counting_pair(timeout=120.0)) as (ca, cb):
+        sa, sb = run_pair(lambda: deal(ca, A, cfg, random.Random(41)),
+                          lambda: deal(cb, B, cfg, random.Random(42)),
+                          timeout=120.0, channels=(ca, cb))
     frames, totals, stores = {}, {}, {}
     for role, ch, store in ((A, ca, sa), (B, cb, sb)):
         frames[role] = [(m.name, hashlib.sha256(p).hexdigest()) for m, p in ch.sent]

@@ -11,11 +11,11 @@ not, and are pinned as well.
 import hashlib
 import random
 
-from helpers import counting_pair, random_circuit, random_inputs
+from helpers import closing_pair, counting_pair, random_circuit, random_inputs, run_two
 from macbits.circuit import plain_eval
 from macbits.dealer import DealerConfig, deal
 from macbits.runtime_2pc import Runtime
-from macbits.transport import FRAME_HEADER_BYTES, Role, memory_pair, run_pair
+from macbits.transport import FRAME_HEADER_BYTES, Role, run_pair
 
 A, B = Role.ALICE, Role.BOB
 
@@ -63,15 +63,13 @@ def online_frames():
     h = c.header
     cfg = DealerConfig.for_gates(c.n_and, h.inputs_a, h.inputs_b,
                                  kappa=128, psi=40)
-    ca, cb = memory_pair(timeout=120.0)
-    sa, sb = run_pair(lambda: deal(ca, A, cfg, random.Random(31)),
-                      lambda: deal(cb, B, cfg, random.Random(32)),
-                      timeout=120.0, channels=(ca, cb))
-    ea, eb = counting_pair(timeout=60.0)
-    ra, rb = Runtime(ea, A, sa), Runtime(eb, B, sb)
-    out_a, out_b = run_pair(lambda: ra.evaluate(c, xa),
-                            lambda: rb.evaluate(c, xb),
-                            timeout=60.0, channels=(ea, eb))
+    sa, sb = run_two(lambda ca: deal(ca, A, cfg, random.Random(31)),
+                     lambda cb: deal(cb, B, cfg, random.Random(32)), timeout=120.0)
+    with closing_pair(counting_pair(timeout=60.0)) as (ea, eb):
+        ra, rb = Runtime(ea, A, sa), Runtime(eb, B, sb)
+        out_a, out_b = run_pair(lambda: ra.evaluate(c, xa),
+                                lambda: rb.evaluate(c, xb),
+                                timeout=60.0, channels=(ea, eb))
     want = plain_eval(c, xa, xb).bits()
     assert out_a.bits() == [want[i] for i in (0, 2, 3, 5)]
     assert out_b.bits() == [want[i] for i in (1, 2, 3, 4)]

@@ -4,9 +4,9 @@ import pytest
 
 import helpers
 from aes_oracle import KNOWN_VECTORS
-from helpers import (OracleDealer, TamperPlan, count_reveal_sites, counting_pair,
-                     eval_two, oracle_store_pair, random_circuit, random_inputs,
-                     tamper_pair)
+from helpers import (OracleDealer, TamperPlan, closing_pair, count_reveal_sites,
+                     counting_pair, eval_two, oracle_store_pair, random_circuit,
+                     random_inputs, tamper_pair)
 from macbits.aescircuit import bits_to_block, block_to_bits, generate_aes_circuit
 from macbits.bitlinalg import BitVec
 from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, plain_eval
@@ -176,12 +176,11 @@ def test_exact_wire_bytes_follow_level_schedule():
     assert c.n_and > 0
     sa, sb = oracle_store_pair(c, rng)
     xa, xb = random_inputs(c, rng)
-    ca, cb = memory_pair(timeout=60.0)
-    rt_a = Runtime(ca, A, sa)
-    rt_b = Runtime(cb, B, sb)
-
-    run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
-             timeout=60)
+    with closing_pair(memory_pair(timeout=60.0)) as (ca, cb):
+        rt_a = Runtime(ca, A, sa)
+        rt_b = Runtime(cb, B, sb)
+        run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
+                 timeout=60, channels=(ca, cb))
 
     levels = rt_a.stats.levels
     h = c.header
@@ -213,10 +212,10 @@ def test_online_flights_follow_and_depth():
     assert depth > 1 and set(c.header.output_dest) == {DEST_BOTH}
     sa, sb = oracle_store_pair(c, rng)
     xa, xb = random_inputs(c, rng)
-    ca, cb = counting_pair(timeout=60.0)
-    rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
-    out_a, out_b = run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
-                            timeout=60, channels=(ca, cb))
+    with closing_pair(counting_pair(timeout=60.0)) as (ca, cb):
+        rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
+        out_a, out_b = run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
+                                timeout=60, channels=(ca, cb))
     assert out_a == out_b == plain_eval(c, xa, xb)
     assert (ca.flights, cb.flights) == (depth + 4, depth + 3)
 
@@ -263,8 +262,7 @@ def test_store_role_must_match():
     rng = random.Random(3)
     od = OracleDealer(16, rng)
     _, sb = od.store_pair(DealerConfig(kappa=16, psi=8))
-    ca, _ = memory_pair()
-    with pytest.raises(UsageError):
+    with closing_pair(memory_pair()) as (ca, _), pytest.raises(UsageError):
         Runtime(ca, A, sb)
 
 
@@ -283,8 +281,7 @@ def test_out_of_material():
     rich = random_circuit(rng, 20, kinds=("AND",))
     sa, sb = oracle_store_pair(lean, rng)  # no AND material at all
     xa, xb = random_inputs(rich, rng)
-    ca, cb = memory_pair(timeout=10.0)
-    with pytest.raises(OutOfMaterial):
+    with closing_pair(memory_pair(timeout=10.0)) as (ca, cb), pytest.raises(OutOfMaterial):
         run_pair(lambda: Runtime(ca, A, sa).evaluate(rich, xa),
                  lambda: Runtime(cb, B, sb).evaluate(rich, xb),
                  timeout=10, channels=(ca, cb))
@@ -329,10 +326,10 @@ def test_reveal_site_census():
     for circuit in (c, routed):
         sa, sb = oracle_store_pair(circuit, rng)
         xa, xb = random_inputs(circuit, rng)
-        ca, cb = counting_pair(timeout=60.0)
-        rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
-        run_pair(lambda: rt_a.evaluate(circuit, xa), lambda: rt_b.evaluate(circuit, xb),
-                 timeout=60, channels=(ca, cb))
+        with closing_pair(counting_pair(timeout=60.0)) as (ca, cb):
+            rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
+            run_pair(lambda: rt_a.evaluate(circuit, xa), lambda: rt_b.evaluate(circuit, xb),
+                     timeout=60, channels=(ca, cb))
         for ch, rt in ((ca, rt_a), (cb, rt_b)):
             reveals = [p for t, p in ch.sent if t is MsgType.RT_REVEAL_BATCH]
             bits = [5 * n for n in rt.stats.levels]
@@ -390,7 +387,7 @@ def test_failed_flush_reveals_no_output(mode):
             aborts.append(e.phase)
             raise
 
-    with pytest.raises(ProtocolAbort):
+    with closing_pair((ca, cb)), pytest.raises(ProtocolAbort):
         run_pair(alice, lambda: rt_b.evaluate(c, xb), timeout=20, channels=(ca, cb))
     assert aborts == ["flush"]
     sent = [t for t, _ in ca.sent]

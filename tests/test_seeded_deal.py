@@ -2,16 +2,16 @@
 
 import random
 
+from helpers import run_two
 from macbits.dealer import DealerConfig, deal
-from macbits.transport import Role, memory_pair, run_pair
+from macbits.transport import Role
 
 
 def _saved_stores(tmp_path, run: int):
     cfg = DealerConfig.for_gates(40, 4, 4, kappa=16, psi=8)
-    a, b = memory_pair(timeout=60.0)
-    sa, sb = run_pair(lambda: deal(a, Role.ALICE, cfg, random.Random(11)),
-                      lambda: deal(b, Role.BOB, cfg, random.Random(12)),
-                      timeout=60, channels=(a, b))
+    sa, sb = run_two(lambda a: deal(a, Role.ALICE, cfg, random.Random(11)),
+                     lambda b: deal(b, Role.BOB, cfg, random.Random(12)),
+                     timeout=60)
     out = []
     for name, store in (("alice", sa), ("bob", sb)):
         path = tmp_path / f"{name}-{run}.mat"

@@ -1,13 +1,12 @@
 import ast
 import pathlib
 import random
-import socket
 import threading
 
 import numpy as np
 import pytest
 
-from helpers import OracleDealer, bit_rows, counting_pair, free_port, run_side
+from helpers import OracleDealer, bit_rows, closing_pair, counting_pair, free_port, run_side
 from macbits.aand_proto import laand_key_side, laand_mac_side
 from macbits.aot_proto import laot_receiver, laot_sender
 from macbits.eq_box import eq_commit_side, eq_respond_side
@@ -17,49 +16,61 @@ from macbits.transport import (FRAME_HEADER_BYTES, SEND_FIRST_MAX, MsgType, Recv
                                run_pair, run_sides, tcp_connect, tcp_listen)
 
 
-def test_loopback_round_trip():
-    a, b = memory_pair()
+@pytest.fixture
+def pair():
+    """An in-process channel pair, closed after the test."""
+    with closing_pair(memory_pair(timeout=5.0)) as chs:
+        yield chs
+
+
+def test_loopback_round_trip(pair):
+    a, b = pair
     a.send(MsgType.EQ_VALUE, b"payload")
     assert b.recv(MsgType.EQ_VALUE) == b"payload"
 
 
-def test_fifo_order():
-    a, b = memory_pair()
+def test_memory_pair_is_a_socket_pair(pair):
+    # in-process pairs run the framing and the blocking sends of TCP
+    assert all(type(ch) is TcpChannel for ch in pair)
+
+
+def test_fifo_order(pair):
+    a, b = pair
     for i in range(10):
         a.send(MsgType.EQ_VALUE, bytes([i]))
     for i in range(10):
         assert b.recv(MsgType.EQ_VALUE) == bytes([i])
 
 
-def test_mismatched_type_is_protocol_error():
-    a, b = memory_pair()
+def test_mismatched_type_is_protocol_error(pair):
+    a, b = pair
     a.send(MsgType.EQ_COMMIT, b"x")
     with pytest.raises(ProtocolError):
         b.recv(MsgType.EQ_OPEN)
 
 
-def test_send_after_close():
-    a, _ = memory_pair()
+def test_send_after_close(pair):
+    a, _ = pair
     a.close()
     with pytest.raises(TransportError):
         a.send(MsgType.EQ_VALUE, b"")
 
 
-def test_peer_close_surfaces_in_recv():
-    a, b = memory_pair()
+def test_peer_close_surfaces_in_recv(pair):
+    a, b = pair
     a.close()
     with pytest.raises(TransportError):
         b.recv(MsgType.EQ_VALUE)
 
 
 def test_recv_timeout():
-    _, b = memory_pair(timeout=0.05)
-    with pytest.raises(TransportError):
-        b.recv(MsgType.EQ_VALUE)
+    with closing_pair(memory_pair(timeout=0.05)) as (_, b):
+        with pytest.raises(TransportError, match="timed out"):
+            b.recv(MsgType.EQ_VALUE)
 
 
-def test_stats_count_frames_and_bytes():
-    a, b = memory_pair()
+def test_stats_count_frames_and_bytes(pair):
+    a, b = pair
     a.send(MsgType.EQ_VALUE, b"12345")
     b.recv(MsgType.EQ_VALUE)
     assert a.stats.frames_sent == 1
@@ -68,9 +79,9 @@ def test_stats_count_frames_and_bytes():
     assert b.stats.bytes_received == FRAME_HEADER_BYTES + 5
 
 
-def test_duplex_interleaving_keeps_per_direction_fifo():
+def test_duplex_interleaving_keeps_per_direction_fifo(pair):
     rng = random.Random(0)
-    a, b = memory_pair()
+    a, b = pair
     n = 200
     schedule = [rng.getrandbits(1) for _ in range(2 * n)]
 
@@ -128,13 +139,16 @@ def test_tcp_disconnect_mid_protocol():
     t = threading.Thread(target=server, daemon=True)
     t.start()
     ch = tcp_connect("127.0.0.1", port, timeout=10)
-    with pytest.raises(TransportError):
-        ch.recv(MsgType.EQ_VALUE)
+    try:
+        with pytest.raises(TransportError):
+            ch.recv(MsgType.EQ_VALUE)
+    finally:
+        ch.close()
     t.join(10)
 
 
-def test_hello_agrees():
-    a, b = memory_pair()
+def test_hello_agrees(pair):
+    a, b = pair
     rng = random.Random(1)
     (sid_a, _), (sid_b, _) = run_pair(
         lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 128, 40, rng=rng)),
@@ -142,9 +156,9 @@ def test_hello_agrees():
     assert sid_a == sid_b
 
 
-def test_hello_leaves_the_channel_as_it_was():
+def test_hello_leaves_the_channel_as_it_was(pair):
     # the agreed parameters are the hello's result, not channel state
-    a, b = memory_pair()
+    a, b = pair
     before = dict(vars(a)), dict(vars(b))
     rng = random.Random(5)
     run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng)),
@@ -157,10 +171,10 @@ def _holds(macs, keys, delta) -> bool:
     return np.array_equal(macs[..., :-1], keys ^ macs[..., -1:] * delta)
 
 
-def test_sides_take_kappa_from_their_arguments():
+def test_sides_take_kappa_from_their_arguments(pair):
     # laOT, laAND and the EQ box at kappa = 8 and then 16, side by side on
     # one channel pair that no hello configured
-    a, b = memory_pair(timeout=30.0)
+    a, b = pair
     for kappa in (8, 16):
         od = OracleDealer(kappa, random.Random(kappa))
         quads = [od.quad(Role.ALICE) for _ in range(6)]
@@ -229,8 +243,8 @@ def test_protocol_code_has_no_tamper_hooks():
     assert "TamperPlan" not in names
 
 
-def test_hello_carries_extra():
-    a, b = memory_pair()
+def test_hello_carries_extra(pair):
+    a, b = pair
     rng = random.Random(2)
     (_, ea), (_, eb) = run_pair(
         lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng, extra=b"A!")),
@@ -238,8 +252,8 @@ def test_hello_carries_extra():
     assert ea == b"B!" and eb == b"A!"
 
 
-def test_hello_parameter_mismatch_aborts():
-    a, b = memory_pair()
+def test_hello_parameter_mismatch_aborts(pair):
+    a, b = pair
     rng = random.Random(3)
     with pytest.raises(ProtocolError):
         run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 128, 40, rng=rng)),
@@ -247,8 +261,8 @@ def test_hello_parameter_mismatch_aborts():
                  channels=(a, b))
 
 
-def test_hello_same_role_aborts():
-    a, b = memory_pair()
+def test_hello_same_role_aborts(pair):
+    a, b = pair
     rng = random.Random(4)
     with pytest.raises(ProtocolError):
         run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng)),
@@ -265,8 +279,8 @@ GOOD_HELLO = _pack_hello(Role.ALICE, 16, 8, bytes(16), b"extra")
     GOOD_HELLO + b"!",                           # trailing bytes past extra
     GOOD_HELLO[:2] + bytes([7]) + GOOD_HELLO[3:],  # unknown role byte
 ], ids=["short", "truncated-extra", "trailing", "role-7"])
-def test_malformed_hello_is_protocol_error(payload):
-    a, b = memory_pair(timeout=5.0)
+def test_malformed_hello_is_protocol_error(pair, payload):
+    a, b = pair
     a.send(MsgType.HELLO, payload)
     with pytest.raises(ProtocolError):
         run_side(b, Role.BOB, perform_hello(Role.BOB, 16, 8))
@@ -286,8 +300,7 @@ def test_run_pair_propagates_failure():
 def test_run_pair_reports_the_protocol_error_not_the_closed_channel():
     # Bob rejects a short frame; run_pair closes both channels, so Alice's
     # recv fails too, with a plain TransportError that must not win
-    s1, s2 = socket.socketpair()
-    a, b = TcpChannel(s1, 5.0), TcpChannel(s2, 5.0)
+    a, b = memory_pair(timeout=5.0)
 
     def alice():
         a.send(MsgType.LAOT_D, b"abc")
@@ -301,17 +314,23 @@ def test_run_pair_reports_the_protocol_error_not_the_closed_channel():
 # the frame-size contract
 
 
-def _socket_pair():
-    s1, s2 = socket.socketpair()
-    return TcpChannel(s1, 5.0), TcpChannel(s2, 5.0)
+def _tcp_pair(timeout: float = 5.0):
+    """Both ends of a loopback TCP connection."""
+    port = free_port()
+    listened = []
+    t = threading.Thread(target=lambda: listened.append(tcp_listen("127.0.0.1", port, timeout)))
+    t.start()
+    ch = tcp_connect("127.0.0.1", port, timeout=timeout)
+    t.join(timeout)
+    return ch, listened[0]
 
 
 @pytest.fixture(params=["memory", "tcp"])
 def channel_pair(request):
-    a, b = memory_pair(timeout=5.0) if request.param == "memory" else _socket_pair()
-    yield a, b
-    a.close()
-    b.close()
+    """An in-process pair, or both ends of a loopback TCP connection."""
+    with closing_pair(memory_pair(timeout=5.0) if request.param == "memory"
+                      else _tcp_pair()) as chs:
+        yield chs
 
 
 def test_recv_exact_size_returns_payload(channel_pair):
@@ -418,7 +437,7 @@ def test_sides_exchange_big_frames_both_ways_in_one_flight(swap):
     # in round 0 each party sends 8 MiB and reads 8 MiB, on two sides or in
     # one swap; it finishes only because Alice sends before she reads and
     # Bob reads before he sends
-    a, b = _socket_pair()
+    a, b = memory_pair(timeout=5.0)
     pa, pb = random.randbytes(BIG), random.randbytes(BIG)
     if swap:
         sides_a, sides_b = [swap_side(MsgType.LAOT_X0, pa)], [swap_side(MsgType.LAOT_X0, pb)]
@@ -440,8 +459,7 @@ def test_sides_exchange_big_frames_both_ways_in_one_flight(swap):
 def test_sides_deadlock_when_both_send_first():
     # the same flights with both parties sending first: both block in send
     # until the socket timeout, which is what the send-order rule prevents
-    s1, s2 = socket.socketpair()
-    a, b = TcpChannel(s1, 1.0), TcpChannel(s2, 1.0)
+    a, b = memory_pair(timeout=1.0)
     pa, pb = bytes(BIG), bytes(BIG)
     try:
         with pytest.raises(TransportError):
@@ -460,11 +478,11 @@ def test_sides_deadlock_when_both_send_first():
 def test_small_rounds_send_before_they_read(size, bob_order):
     # up to the bound both parties send first and their flights cross;
     # above it Bob reads first, as with large frames
-    a, b = counting_pair(timeout=5.0)
     pa, pb = bytes([1]) * size, bytes([2]) * size
-    got_a, got_b = run_pair(lambda: run_sides(a, Role.ALICE, swap_side(MsgType.LAOT_X0, pa)),
-                            lambda: run_sides(b, Role.BOB, swap_side(MsgType.LAOT_X0, pb)),
-                            timeout=10, channels=(a, b))
+    with closing_pair(counting_pair(timeout=5.0)) as (a, b):
+        got_a, got_b = run_pair(lambda: run_sides(a, Role.ALICE, swap_side(MsgType.LAOT_X0, pa)),
+                                lambda: run_sides(b, Role.BOB, swap_side(MsgType.LAOT_X0, pb)),
+                                timeout=10, channels=(a, b))
     assert got_a == [pb] and got_b == [pa]
     assert [op for op, _ in a.log] == ["send", "recv"]
     assert [op for op, _ in b.log] == bob_order
@@ -475,8 +493,8 @@ def test_swap_of_the_send_first_bound_completes_on_a_socket(link):
     # both parties send SEND_FIRST_MAX bytes before either reads; the
     # sockets' buffers hold them, so neither send blocks until the timeout
     if link == "socketpair":
-        s1, s2 = socket.socketpair()
-        open_a, open_b = lambda: TcpChannel(s1, 5.0), lambda: TcpChannel(s2, 5.0)
+        a, b = memory_pair(timeout=5.0)
+        open_a, open_b = lambda: a, lambda: b
     else:
         port = free_port()
         open_a = lambda: tcp_connect("127.0.0.1", port, timeout=5.0)  # noqa: E731
@@ -527,7 +545,7 @@ def steps(*flights):
 def test_sides_whose_flights_do_not_line_up_raise(alice, bob):
     # the party that reads the stray frame raises ProtocolError and closes
     # its end, which ends the peer's wait; run_pair would time out on a hang
-    a, b = _socket_pair()
+    a, b = memory_pair(timeout=5.0)
 
     def party(ch, role, sides):
         try:
@@ -545,14 +563,14 @@ def test_sides_whose_flights_do_not_line_up_raise(alice, bob):
     assert any(isinstance(e, ProtocolError) for e in errors), errors
 
 
-def test_side_must_yield_send_or_recv():
-    a, _ = memory_pair(timeout=1.0)
+def test_side_must_yield_send_or_recv(pair):
+    a, _ = pair
     with pytest.raises(UsageError):
         run_sides(a, Role.ALICE, steps(b"frame"))
 
 
-def test_sides_return_in_order_and_finish_apart():
-    a, b = memory_pair(timeout=5.0)
+def test_sides_return_in_order_and_finish_apart(pair):
+    a, b = pair
     got_a, got_b = run_pair(
         lambda: run_sides(a, Role.ALICE, steps(), steps(Send((MsgType.LAOT_D, b"1")),
                                                         Recv((MsgType.LAOT_D, 1)))),
