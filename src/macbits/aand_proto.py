@@ -21,7 +21,7 @@ import numpy as np
 
 from .abit_proto import Rows
 from .aot_proto import bucket_combine
-from .bitlinalg import pack_bits, unpack_bits
+from .bitlinalg import pack_bits, unpack_bits, unpack_rows
 from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import DIGEST_BYTES, MacAccumulator, hash_rows
@@ -43,7 +43,7 @@ def laand_mac_side(ch, xs, ys, rs, rng):
     zs[:, -1] ^= ds  # constants carry a zero MAC, so only the bit moves
 
     (raw_u,) = yield Recv((MsgType.LAAND_U, DIGEST_BYTES * ell))
-    us = np.frombuffer(raw_u, np.uint8).reshape(ell, DIGEST_BYTES)
+    us = unpack_rows(raw_u, ell, 8 * DIGEST_BYTES)
     x = xs[:, -1:]
     # x = 0: v = H(M_x, M_z); x = 1: v = U ^ H(M_x, M_y ^ M_z)
     second = zs[:, :-1] ^ x * ys[:, :-1]

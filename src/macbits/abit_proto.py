@@ -22,10 +22,12 @@ Production pipeline for a batch of ell bits owned by P:
      each pair of a random matching, both sides fold the pairs, and a single
      batched equality check compares digests of the folded MACs and the
      folded keys. The pairs are folded a chunk at a time (one gather, one
-     XOR) straight into the digest (`eq_box.ColumnDigest`). A sender that
-     used an inconsistent offset in a pair (by rewriting rows of its
-     OT_MASKED1 correction frame) survives only by guessing that pair's
-     choice bit.
+     XOR) straight into one `eq_box.value_stream` hash, packed rows, pad
+     bits and all: the receiver reads the correction frame through
+     `bitlinalg.unpack_rows`, so an honest row's pad bits are zero on both
+     sides. A sender that used an inconsistent offset in a pair (by
+     rewriting rows of its OT_MASKED1 correction frame) survives only by
+     guessing that pair's choice bit.
   3. Privacy amplification: the key holder samples a random kappa x tau
      GF(2) matrix, a packed (kappa, ceil(tau/8)) array, and both sides
      project the surviving tau columns (and the weak global key
@@ -62,8 +64,8 @@ import numpy as np
 
 from .base_ot import extend_ot_receive, extend_ot_send
 from .bitlinalg import (mat_vec_mul, mat_vec_mul_batch, pack_bits, random_pairing,
-                        random_rows, transpose_bits, unpack_bits)
-from .eq_box import ColumnDigest, eq_commit_side, eq_respond_side
+                        random_rows, transpose_bits, unpack_bits, unpack_rows)
+from .eq_box import eq_commit_side, eq_respond_side, value_stream
 from .errors import ProtocolAbort, UsageError
 from .transport import MsgType, Recv, Role, Send
 
@@ -116,14 +118,15 @@ def _representatives(part: np.ndarray) -> np.ndarray:
     return np.flatnonzero(part > np.arange(len(part)))
 
 
-def _fold_pairs(cols: np.ndarray, part: np.ndarray, value: ColumnDigest, offset=None,
-                d=None) -> np.ndarray:
-    """Feed each pair's XOR, and offset where d is set, into value, a chunk of
-    pairs at a time. Then move the representatives' columns, in order, to
-    the first rows of cols and return those rows: the k-th representative
-    is row k or later, so each chunk moves after the rows it reads from."""
+def _fold_pairs(cols: np.ndarray, part: np.ndarray, offset=None, d=None):
+    """Hash each pair's XOR, and offset where d is set, into the pair check's
+    digest, a chunk of pairs at a time. Then move the representatives'
+    columns, in order, to the first rows of cols: the k-th representative is
+    row k or later, so each chunk moves after the rows it reads from. Returns
+    (digest, those rows)."""
     reps = _representatives(part)
     both = np.stack((reps, part[reps]), axis=1)
+    value = value_stream(8 * len(reps) * cols.shape[1])
     for k in range(0, len(reps), 64):
         pairs = cols[both[k : k + 64]]
         folded = pairs[:, 0] ^ pairs[:, 1]
@@ -133,7 +136,7 @@ def _fold_pairs(cols: np.ndarray, part: np.ndarray, value: ColumnDigest, offset=
     for k in range(0, len(reps), 64):
         chunk = reps[k : k + 64]
         cols[k : k + len(chunk)] = cols[chunk]
-    return cols[: len(reps)]
+    return value.digest(), cols[: len(reps)]
 
 
 def labit_sender(tau: int, ell: int, kappa: int, rng, backend):
@@ -150,9 +153,8 @@ def labit_sender(tau: int, ell: int, kappa: int, rng, backend):
     part, ids = np.frombuffer(raw, ">u4").astype(np.intp), np.arange(t)
     if not ((part < t).all() and (part != ids).all() and (part[part] == ids).all()):
         raise ProtocolAbort("labit", "peer sent an invalid pairing")
-    value = ColumnDigest(tau, ell)
-    keys = _fold_pairs(keys, part, value, gamma, unpack_bits(raw_d, tau))
-    if not (yield from eq_commit_side(value.digest(), kappa, rng)):
+    digest, keys = _fold_pairs(keys, part, gamma, unpack_bits(raw_d, tau))
+    if not (yield from eq_commit_side(digest, kappa, rng)):
         raise ProtocolAbort("labit", "pair check failed")
     return gamma, keys
 
@@ -169,9 +171,8 @@ def labit_receiver(tau: int, ell: int, kappa: int, rng, backend):
     yield Send((MsgType.LABIT_PAIRING, part.astype(">u4").tobytes()),
                (MsgType.LABIT_D, pack_bits(ys[reps] ^ ys[part[reps]])))
 
-    value = ColumnDigest(tau, ell)
-    macs = _fold_pairs(macs, part, value)
-    if not (yield from eq_respond_side(value.digest(), kappa)):
+    digest, macs = _fold_pairs(macs, part)
+    if not (yield from eq_respond_side(digest, kappa)):
         raise ProtocolAbort("labit", "pair check failed")
     return ys[reps], macs
 
@@ -201,8 +202,7 @@ def wabit_amplify_mac_side(gamma: np.ndarray, keys: np.ndarray, ell: int, kappa:
     if len(keys) != tau_for(kappa):
         raise UsageError(f"tau {len(keys)} does not fit {kappa}-bit MACs")
     (raw,) = yield Recv((MsgType.AMPLIFY_MATRIX, kappa * ((len(keys) + 7) // 8)))
-    matrix = np.frombuffer(raw, np.uint8).reshape(kappa, -1)
-    return amplify_macs_with(matrix, gamma, keys, ell)
+    return amplify_macs_with(unpack_rows(raw, kappa, len(keys)), gamma, keys, ell)
 
 
 def wabit_amplify_key_side(ys: np.ndarray, macs: np.ndarray, ell: int, kappa: int, rng):

@@ -19,6 +19,12 @@ one row at a time, but masked, XORed, permuted and folded as whole arrays,
 and a quad batch is a Rows of x0, x1 | kc, kz on the sender and c, z | kx0,
 kx1 on the receiver, the store's layout.
 
+A LAOT_X0/X1 row is byte-aligned: branch b carries the sender's stored MAC
+row for x_b (kappa/8 MAC bytes, then the bit byte) and then the pad
+t_{x_b}, kappa/4 + 1 bytes masked whole under the expansion of K_c xor
+b*Delta. The receiver refuses a bit byte other than 0 or 1 as it refuses a
+wrong MAC.
+
 Per leaky instance the generator spends 6 hash calls (4 sender, 2 receiver),
 asserted by the cost-accounting tests. The final pad-pair comparison is one
 batched equality check, committed by the sender.
@@ -31,7 +37,7 @@ import math
 import numpy as np
 
 from .abit_proto import Rows
-from .bitlinalg import pack_bits, random_permutation, random_rows, unpack_bits
+from .bitlinalg import pack_bits, random_permutation, random_rows, unpack_bits, unpack_rows
 from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, pad_rows
@@ -46,23 +52,6 @@ def bucket_size(ell: int, psi: int) -> int:
     return max(2, 1 + math.ceil(psi / denom))
 
 
-def _payloads(xs: np.ndarray, pads: np.ndarray) -> np.ndarray:
-    """Per MAC row x and pad pair (t0, t1): the (1 + 2 kappa)-bit payload
-    bit | MAC | t_bit, packed. The leading bit shifts the rest by one."""
-    body = np.concatenate((xs[:, :-1], pads[np.arange(len(xs)), xs[:, -1]]), axis=1)
-    out = np.zeros((len(xs), body.shape[1] + 1), np.uint8)
-    out[:, :-1] = body << 1
-    out[:, 1:] |= body >> 7
-    out[:, 0] |= xs[:, -1]
-    return out
-
-
-def _split_payloads(p: np.ndarray, kappa: int):
-    """Inverse of _payloads: (bits, MACs, pads) of packed payload rows."""
-    body = (p[:, :-1] >> 1) | (p[:, 1:] << 7)
-    return p[:, 0] & 1, body[:, : kappa // 8], body[:, kappa // 8 :]
-
-
 def laot_sender(ch, x0s, x1s, kcs, krs, delta: np.ndarray, rng):
     """Generate len(x0s) leaky quads as the sender (a protocol side).
 
@@ -73,11 +62,12 @@ def laot_sender(ch, x0s, x1s, kcs, krs, delta: np.ndarray, rng):
     if not (len(x1s) == len(kcs) == len(krs) == ell):
         raise UsageError("input batches must align")
     kappa, kb = 8 * delta.size, delta.size
-    plen = 1 + 2 * kappa
 
     pads = random_rows(2 * ell, kappa, rng).reshape(ell, 2, kb)
-    b0 = _payloads(x0s, pads) ^ pad_rows("laot/x", kcs, plen)
-    b1 = _payloads(x1s, pads) ^ pad_rows("laot/x", kcs ^ delta, plen)
+    xs = np.stack((x0s, x1s))
+    payloads = np.concatenate((xs, pads[np.arange(ell), xs[:, :, -1]]), axis=2)
+    b0 = payloads[0] ^ pad_rows("laot/x", kcs, 8 * (2 * kb + 1))
+    b1 = payloads[1] ^ pad_rows("laot/x", kcs ^ delta, 8 * (2 * kb + 1))
     yield Send((MsgType.LAOT_X0, b0.tobytes()), (MsgType.LAOT_X1, b1.tobytes()))
 
     (raw_d,) = yield Recv((MsgType.LAOT_D, (ell + 7) // 8))
@@ -99,23 +89,23 @@ def laot_receiver(ch, cs, rs, kx0s, kx1s, delta: np.ndarray):
     if not (len(rs) == len(kx0s) == len(kx1s) == ell):
         raise UsageError("input batches must align")
     kappa, kb = 8 * delta.size, delta.size
-    plen = 1 + 2 * kappa
-    pb = (plen + 7) // 8
+    pb = 2 * kb + 1
     rows = np.arange(ell)
 
-    f = np.stack([np.frombuffer(raw, np.uint8).reshape(ell, pb) for raw in
+    f = np.stack([unpack_rows(raw, ell, 8 * pb) for raw in
                   (yield Recv((MsgType.LAOT_X0, pb * ell), (MsgType.LAOT_X1, pb * ell)))])
     c = cs[:, -1]
-    blob = f[c, rows]
-    blob[:, -1] &= 1  # the pad bits past the payload are not read
-    xb, mac, t_first = _split_payloads(blob ^ pad_rows("laot/x", cs[:, :-1], plen), kappa)
-    if not np.array_equal(mac, np.where(c[:, None], kx1s, kx0s) ^ xb[:, None] * delta):
+    blob = f[c, rows] ^ pad_rows("laot/x", cs[:, :-1], 8 * pb)
+    xb, t_first = blob[:, kb], blob[:, kb + 1 :]
+    # a bit byte other than 0 or 1 fails like a wrong MAC
+    if not ((xb < 2).all() and np.array_equal(
+            blob[:, :kb], np.where(c[:, None], kx1s, kx0s) ^ xb[:, None] * delta)):
         raise ProtocolAbort("laot", "branch MAC check failed")
 
     ds = xb ^ rs[:, -1]
     yield Send((MsgType.LAOT_D, pack_bits(ds)))
 
-    g = np.stack([np.frombuffer(raw, np.uint8).reshape(ell, kb) for raw in
+    g = np.stack([unpack_rows(raw, ell, kappa) for raw in
                   (yield Recv((MsgType.LAOT_I0, kb * ell), (MsgType.LAOT_I1, kb * ell)))])
     z = rs.copy()
     z[:, -1] ^= ds

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitlinalg import random_rows
+from .bitlinalg import random_rows, unpack_rows
 from .errors import UsageError
 # Nothing here calls `expand`; perfbench/spans.py patches `base_ot.expand` by name.
 from .ro_suite import KAPPA_DEFAULT, expand, pad_rows  # noqa: F401
@@ -106,7 +106,8 @@ class DealerOt:
 
     def receive(self, choices, n_bits: int):
         """Receive one n_bits-bit message per instance according to the choice
-        bits, as an (n, ceil(n_bits/8)) uint8 array."""
+        bits, as an (n, ceil(n_bits/8)) uint8 array. The frames' rows are
+        whole bytes, as `send` masks every byte of its messages."""
         nb = (n_bits + 7) // 8
         c = np.asarray(choices, np.uint8) & 1
         n = len(c)
@@ -114,7 +115,7 @@ class DealerOt:
         if not n:
             return pads
         got = yield Recv((MsgType.OT_MASKED0, nb * n), (MsgType.OT_MASKED1, nb * n))
-        frames = np.stack([np.frombuffer(f, np.uint8).reshape(n, nb) for f in got])
+        frames = np.stack([unpack_rows(f, n, 8 * nb) for f in got])
         return frames[c, np.arange(n)] ^ pads
 
 
@@ -149,11 +150,13 @@ def _masked_branch_one(seeds1, keys, offset, n_bits: int) -> bytearray:
 def extend_ot_receive(backend, choices, n_bits: int):
     """The receiving side: L_k xor c_k*offset per instance, the chosen seed
     s_c's expansion xor c_k times the instance's row of the branch-1 frame,
-    as a (len(choices), ceil(n_bits/8)) array."""
+    as a (len(choices), ceil(n_bits/8)) array. The whole frame is parsed
+    before a choice bit picks its rows, so a set pad bit aborts whatever the
+    choices are."""
     seeds = yield from backend.receive(choices, SEED_BITS)
-    nb = (n_bits + 7) // 8
-    (frame,) = yield Recv((MsgType.OT_MASKED1, nb * len(choices)))
+    n = len(choices)
+    (frame,) = yield Recv((MsgType.OT_MASKED1, (n_bits + 7) // 8 * n))
+    frame = unpack_rows(frame, n, n_bits)
     macs = pad_rows("otx", seeds, n_bits)
-    np.bitwise_xor(macs, np.frombuffer(frame, np.uint8).reshape(len(choices), nb), out=macs,
-                   where=np.asarray(choices, bool)[:, None])
+    np.bitwise_xor(macs, frame, out=macs, where=np.asarray(choices, bool)[:, None])
     return macs

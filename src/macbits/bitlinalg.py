@@ -9,7 +9,8 @@ BitVec is an immutable bit string backed by a Python int, the public type
 of circuit inputs and outputs. Bulk bit data lives in uint8 arrays of packed
 rows in that same byte order: `mat_vec_mul_batch` multiplies a packed GF(2)
 matrix into such rows and `transpose_bits` transposes them, without building
-a BitVec per row.
+a BitVec per row. Bits and rows from the peer are read through
+`unpack_bits` and `unpack_rows`, which refuse a set pad bit.
 """
 
 from __future__ import annotations
@@ -195,12 +196,20 @@ def pack_bits(bits: np.ndarray) -> bytes:
     return np.packbits(bits, bitorder="little").tobytes()
 
 
-def unpack_bits(data: bytes, n: int) -> np.ndarray:
-    """The first n bits of data as a uint8 vector of 0/1 values; a set pad bit
-    past n is a ProtocolError, so n packed bits have one encoding."""
-    if int.from_bytes(data[n // 8 :], "little") >> n % 8:
-        raise ProtocolError(f"a pad bit past bit {n} is set")
-    return np.unpackbits(np.frombuffer(data, np.uint8), count=n, bitorder="little")
+def unpack_rows(data, n: int, n_bits: int) -> np.ndarray:
+    """data as n packed n_bits-bit rows, an (n, ceil(n_bits/8)) uint8 view; a
+    set pad bit past n_bits in any row is a ProtocolError, so packed rows
+    have one encoding."""
+    rows = np.frombuffer(data, np.uint8).reshape(n, (n_bits + 7) // 8)
+    if n_bits % 8 and (rows[:, -1] >> n_bits % 8).any():
+        raise ProtocolError(f"a pad bit past bit {n_bits} of a row is set")
+    return rows
+
+
+def unpack_bits(data, n: int) -> np.ndarray:
+    """The n packed bits of data as a uint8 vector of 0/1 values: one n-bit
+    row, so a set pad bit past n is a ProtocolError."""
+    return np.unpackbits(unpack_rows(data, 1, n)[0], count=n, bitorder="little")
 
 
 def transpose_bits(rows: np.ndarray, n: int, _block: int = 8192) -> np.ndarray:

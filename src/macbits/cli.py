@@ -44,8 +44,8 @@ def _parse_role(s: str) -> Role:
 
 def _parse_addr(s: str):
     host, sep, port = s.rpartition(":")
-    if not sep or not port.isdigit():
-        raise UsageError(f"bad address {s!r}, want HOST:PORT")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise UsageError(f"bad address {s!r}, want HOST:PORT with a port in 0-65535")
     return host or "127.0.0.1", int(port)
 
 

@@ -84,8 +84,8 @@ class DealerConfig:
     def __post_init__(self):
         if self.kappa % 8 or not 8 <= self.kappa <= 256:
             raise UsageError("kappa must be a byte multiple in [8, 256]")
-        if self.psi < 1:
-            raise UsageError("psi must be positive")
+        if not 1 <= self.psi < 1 << 16:  # the hello and the store header hold 16 bits
+            raise UsageError("psi must be in [1, 65535]")
         if min(self.n_and, self.inputs_a, self.inputs_b) < 0:
             raise UsageError("gate and input counts must be nonnegative")
         if self.bucket_B is not None and self.bucket_B < 2:

@@ -8,7 +8,7 @@ from helpers import (closing_pair, counting_pair, dealer_pad, ref_pad, rewrite_s
                      run_two, seeded)
 from macbits.base_ot import SEED_BITS, DealerOt, extend_ot_receive, extend_ot_send
 from macbits.bitlinalg import random_rows
-from macbits.errors import UsageError
+from macbits.errors import ProtocolError, UsageError
 from macbits.ro_suite import hash_calls
 from macbits.transport import MsgType, Role, memory_pair, run_pair, run_sides
 
@@ -149,6 +149,17 @@ def test_extended_ot_long_messages():
     keys, got, _, sent = run_extended(offset, n, [0, 1])
     assert np.array_equal(got, [keys[0], keys[1] ^ offset])
     assert_one_correction_frame(sent, 2, n)
+
+
+def test_correction_pad_bit_refused_whatever_the_choices():
+    # the receiver parses the whole correction frame before its choice bits
+    # pick rows: with all-zero choices it reads no row of it, yet a set pad
+    # bit in the last 13-bit row is still a ProtocolError
+    def set_pad(flight, msg_type, payload):
+        return payload if flight != 1 else payload[:-1] + bytes([payload[-1] | 0x80])
+
+    with pytest.raises(ProtocolError, match="pad bit"):
+        run_extended(random_rows(1, 13, random.Random(7))[0], 13, [0] * 4, set_pad)
 
 
 def test_nonchosen_message_guess_rate():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from macbits.bitlinalg import (BitVec, mat_vec_mul, mat_vec_mul_batch,
                                pack_bits, random_pairing, random_permutation,
-                               random_rows, transpose_bits, unpack_bits)
-from macbits.errors import UsageError
+                               random_rows, transpose_bits, unpack_bits, unpack_rows)
+from macbits.errors import ProtocolError, UsageError
 
 
 def bv(s: str) -> BitVec:
@@ -281,6 +281,31 @@ def test_bit_vector_packing_round_trip():
     bits = [1, 0, 1, 1, 0, 0, 0, 1, 1, 1]
     assert pack_bits(np.array(bits)) == bv("1011000111").to_bytes()
     assert unpack_bits(bv("1011000111").to_bytes(), 10).tolist() == bits
+
+
+def test_unpack_rows_round_trip():
+    rows = random_rows(5, 21, random.Random(8))
+    got = unpack_rows(rows.tobytes(), 5, 21)
+    assert got.shape == (5, 3) and np.array_equal(got, rows)
+
+
+def test_unpack_rows_of_no_rows():
+    assert unpack_rows(b"", 0, 21).shape == (0, 3)
+
+
+def test_unpack_rows_of_whole_bytes_take_any_byte():
+    data = bytes(range(256))
+    assert unpack_rows(data, 16, 128).tobytes() == data
+
+
+@pytest.mark.parametrize("row", range(4))
+def test_unpack_rows_refuses_a_set_pad_bit_in_any_row(row):
+    # rows of 21 bits leave the top 3 bits of each row's third byte as pad
+    for bit in range(5, 8):
+        data = bytearray(b"\xff\xff\x1f" * 4)
+        data[3 * row + 2] |= 1 << bit
+        with pytest.raises(ProtocolError, match="pad bit"):
+            unpack_rows(bytes(data), 4, 21)
 
 
 # ---------------------------------------------------------------------------

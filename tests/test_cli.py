@@ -68,16 +68,19 @@ def test_deal_rejects_bad_role(tmp_path):
     assert rc == 3
 
 
-def test_deal_rejects_bad_address(tmp_path):
-    rc = cli_main(["deal", "--role", "A", "--listen", "nowhere",
-                   "--gates", "1", "--out", str(tmp_path / "x")])
+@pytest.mark.parametrize("addr", [("--listen", "nowhere"), ("--listen", "127.0.0.1:70000"),
+                                  ("--connect", "127.0.0.1:70000")],
+                         ids=["no-port", "listen-port-70000", "connect-port-70000"])
+def test_deal_rejects_bad_address(tmp_path, addr):
+    rc = cli_main(["deal", "--role", "A", *addr, "--gates", "1", "--out", str(tmp_path / "x")])
     assert rc == 3
 
 
-def test_deal_rejects_bad_bucket(tmp_path):
+@pytest.mark.parametrize("flag", [("--bucket", "1"), ("--psi", "70000")],
+                         ids=["bucket-1", "psi-70000"])
+def test_deal_rejects_bad_bucket(tmp_path, flag):
     rc = cli_main(["deal", "--role", "A", "--listen", "127.0.0.1:1",
-                   "--gates", "1", "--bucket", "1",
-                   "--out", str(tmp_path / "x")])
+                   "--gates", "1", *flag, "--out", str(tmp_path / "x")])
     assert rc == 3
 
 

@@ -27,6 +27,8 @@ def test_config_validation():
         DealerConfig(kappa=264)
     with pytest.raises(UsageError):
         DealerConfig(psi=0)
+    with pytest.raises(UsageError):  # the hello and the store header carry psi in 16 bits
+        DealerConfig.for_gates(1, 1, 1, kappa=16, psi=1 << 16)
     with pytest.raises(UsageError):
         DealerConfig(n_and=-1)
     with pytest.raises(UsageError):

@@ -1,14 +1,13 @@
 import random
 import struct
 
-import numpy as np
 import pytest
 
 from helpers import closing_pair, counting_pair, run_side, run_two
 from macbits.bitlinalg import BitVec, random_rows
-from macbits.eq_box import (ColumnDigest, _commitment, eq_commit_side, eq_respond_side,
-                            value_digest)
-from macbits.errors import ProtocolError, UsageError
+from macbits.eq_box import (_commitment, eq_commit_side, eq_respond_side, value_digest,
+                            value_stream)
+from macbits.errors import ProtocolError
 from macbits.ro_suite import hash_calls, ro_hash
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
@@ -49,32 +48,16 @@ def digest(v: BitVec) -> bytes:
     return ro_hash("eq/value", struct.pack(">I", v.n), v.to_bytes())
 
 
-@pytest.mark.parametrize("ell", [8 * 26, 8 * 26 + 3])
-def test_column_digest_matches_the_joined_value(ell):
-    # labit folds its columns straight into the digest, a chunk of packed
-    # rows at a time; it must equal the digest of the columns joined into
-    # one value, with one hash call
-    rng = random.Random(ell)
-    rows = random_rows(9, ell, rng).copy()
-    if ell % 8:
-        rows[:, -1] |= 0xFF << ell % 8 & 0xFF  # pad bits are not part of a column
+def test_value_stream_matches_value_digest():
+    # labit feeds its folded rows into the digest a chunk at a time; that
+    # is one hash call, equal to the digest of the rows joined
+    rows = random_rows(9, 8 * 26, random.Random(5))
     before = hash_calls("eq/value")
-    h = ColumnDigest(9, ell)
+    h = value_stream(rows.size * 8)
     for chunk in (rows[:2], rows[2:3], rows[3:]):
         h.update(chunk)
-    streamed = h.digest()
     assert hash_calls("eq/value") - before == 1
-    joined = BitVec.join([BitVec.from_bytes(ell, r.tobytes()) for r in rows])
-    assert streamed == digest(joined) == value_digest(joined.n, joined.to_bytes())
-
-
-def test_column_digest_checks_its_length():
-    h = ColumnDigest(2, 5)
-    h.update(np.zeros((1, 1), np.uint8))
-    with pytest.raises(UsageError):
-        h.update(np.zeros((2, 1), np.uint8))
-    with pytest.raises(UsageError):
-        h.digest()
+    assert h.digest() == value_digest(rows.size * 8, rows.tobytes())
 
 
 def test_frame_sizes():

@@ -10,9 +10,9 @@ ProtocolAbort with the step's own tag may come out, and a payload of the
 wrong length must be rejected by the size check, before anything else is
 read.
 
-A frame that packs one bit vector has one encoding: a deal or an evaluation
-in which Alice sets a pad bit of one such frame ends in a ProtocolError at
-Bob.
+A frame that packs one bit vector or a batch of rows has one encoding: a
+deal or an evaluation in which Alice sets a pad bit of one such frame ends
+in a ProtocolError at Bob.
 """
 
 import functools
@@ -211,17 +211,22 @@ def _evaluate(a, b):
                     timeout=30, channels=(a, b))
 
 
-@pytest.mark.parametrize("msg_type", [
-    MsgType.LABIT_D, MsgType.LAAND_D, MsgType.LAOT_D, MsgType.COMB_D,
-    MsgType.RT_ANNOUNCE_BATCH, MsgType.RT_REVEAL_BATCH, MsgType.RT_OUTPUT,
-], ids=lambda t: t.name)
-def test_a_set_pad_bit_is_protocol_error(msg_type):
-    """Alice sets the top bit of the last byte of her first msg_type frame, a
-    pad bit, since the frame's bits do not fill that byte: Bob refuses it."""
+@pytest.mark.parametrize("msg_type, nth", [pytest.param(t, nth, id=t.name) for t, nth in (
+    (MsgType.LABIT_D, 0), (MsgType.LAAND_D, 0), (MsgType.LAOT_D, 0), (MsgType.COMB_D, 0),
+    (MsgType.AMPLIFY_MATRIX, 0), (MsgType.OT_MASKED1, 1),
+    (MsgType.RT_ANNOUNCE_BATCH, 0), (MsgType.RT_REVEAL_BATCH, 0), (MsgType.RT_OUTPUT, 0),
+)])
+def test_a_set_pad_bit_is_protocol_error(msg_type, nth):
+    """Alice sets the top bit of the last byte of her nth msg_type frame
+    (counting from 0), a pad bit, since the frame's bits or its last row do
+    not fill that byte: Bob refuses it. The matrix has tau = 118 bits per
+    row. Alice's first OT_MASKED1 holds the seed OTs' 128-bit rows; her
+    second is the aBit correction frame, whose rows of ell = 110 bits Bob
+    parses before his choice bits pick any."""
     run = _evaluate if msg_type.name.startswith("RT_") else _deal
     with closing_pair(counting_pair(timeout=30.0)) as (a, b):
         run(a, b)
-    k = [t for t, _ in a.sent].index(msg_type)
+    k = [i for i, (t, _) in enumerate(a.sent) if t == msg_type][nth]
     with closing_pair(flip_pair(A, k, -1, timeout=30.0)) as (a, b):
         with pytest.raises(ProtocolError, match="pad bit"):
             run(a, b)

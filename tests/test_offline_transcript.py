@@ -28,13 +28,13 @@ EXPECTED = {
         ('OT_MASKED1', '22193e97e86f49cba4f24bb4966cd1f56c63a4593ef6dcf423d43b4e312e8dcf'),
         ('LABIT_PAIRING', '6950c32f34d6a630d7dd5095d222f90a7b0c9d449a39a3f12b77ad658e27134e'),
         ('LABIT_D', '694daf7b3c99d710d577550700b8ad8a74d3c9f1f41574808b69ae0c7548cd69'),
-        ('EQ_COMMIT', '6f91cec389e9f15524e1d8e98df298ce839458adb7d2e05dfd3ecdc283933325'),
-        ('EQ_VALUE', 'c9d013620d1908ae17ff11ca91c7e04734688e5eee67d0208942f02be788c0c6'),
-        ('EQ_OPEN', '9beaea4a42ca8ee9c17360b592715ffcfa4f64d791fb69b83b6fdfc2911bd713'),
+        ('EQ_COMMIT', '9ef2d85d29b231d87805f7d533570052c34866f179ada3f84e5ab096afe7dc94'),
+        ('EQ_VALUE', '1e0e57fb821bf9bfa80bc10ab904a082b018fafd84e160079d1e9677de02d034'),
+        ('EQ_OPEN', '14761234b6a7af351700b8ff31681facb4325f85006ecfcbced0c8ff3def6e19'),
         ('AMPLIFY_MATRIX', '6a87dccdb8372ffaf3b3552823c717957fc1f785fd88abacca46557e99842adb'),
         ('LAAND_D', '6c13fbf4cbab1c051b575f8576cb416bf88b3aba61026d2fd9b9bd13d17490ca'),
-        ('LAOT_X0', 'ef5a57e85441490dca58ea43819436755794e06a5193da88ca36e91d7a22467d'),
-        ('LAOT_X1', 'e88fff0a05a9c86c4559e785953c3f97d15208f058770f511494028cc6ba6676'),
+        ('LAOT_X0', 'a256113d366a3c991796f7e5406e1c00219c7d793243517d295449f84f2ff543'),
+        ('LAOT_X1', '217da0e55f36d9115577d6b428cb42e242fef7d351965ac982a2ae8aaee0286a'),
         ('LAAND_U', 'a297e0cca53d35a1ef36b297f95ce7892949be22f086cac9663f6f8ce99265a0'),
         ('LAOT_D', '4fb3d13f110ab0cbf0860757497aad9d3e0733c7b3bbab61e75aacc260855b17'),
         ('EQ_COMMIT', 'b4d3c97cfef84aed47414ed847d6ccc24b96d84d188031054a87ef9625ce07ed'),
@@ -67,13 +67,13 @@ EXPECTED = {
         ('OT_MASKED1', 'c4cba7bc6e13a9a07f61da3163adb353653efed026296162176b7a2966dc312f'),
         ('LABIT_PAIRING', '643516040e98deec984d7315cac2eba65eef90da2713f0be4ff0500d3bdac5ec'),
         ('LABIT_D', 'c071d1ec9e5b2099db0b0cab7fda650bf29022168f14fa42345665aeb40724fc'),
-        ('EQ_COMMIT', '620fdbb6d08887a8be97790699823a686a695a89fec9595007de80220b91a554'),
-        ('EQ_VALUE', '9be1445dd96525793bcaab0bc2cb45869b9e85334489502d0100afc72c66602a'),
-        ('EQ_OPEN', '6cba2ecc6423b997d4b71dad2f3048390cc0fc3d7bda9a2d64cf09a859e966e7'),
+        ('EQ_COMMIT', '48dc532c1a00b4c3aae8e47e087b43fd13d8d8be6786ff725867cc70712cd1cd'),
+        ('EQ_VALUE', '27880cac1c2604e8ee831a4e79c344fe11aaac1b016d8d18f2ac966ec1682693'),
+        ('EQ_OPEN', '416b8893e0fc9e66fc4f7d9b7f5a13551a6264e0154e89bf1eeac8318166b8ad'),
         ('AMPLIFY_MATRIX', '6921904f149c56377699e348a4d6a8804d85612037289e73fb2e0b04a556d09f'),
         ('LAAND_D', 'c6f1ce78f73442d6a77033825be3a99aa7ba2ad6b96848c61d1913daf74f7f91'),
-        ('LAOT_X0', '304095425b4562cef9858478d5a5b82affe649f2458f4d8bc876e4875ec7408f'),
-        ('LAOT_X1', '1bf713b18e06281941460bdd06c898c67785f15bc9a54b60a334609fdbbb5c53'),
+        ('LAOT_X0', '3a3177f801d3506a5eefea25f124d6f291cf4615ef5094bd875f3486375319c5'),
+        ('LAOT_X1', '4dc729bb5e7ec6545ce391ba9240f2f84fc389af91b0568889eb32777df884cf'),
         ('LAAND_U', 'e157b9d3f0709a83a3a0899771e610b92233625df33dbf7ae73bb7e1ad6b635c'),
         ('LAOT_D', '4170a63ba835eac16b440f085b9ef955449be375ebf2b6cdd2ac15142c492063'),
         ('EQ_COMMIT', 'e19e8a1b64533ed503470215ab776f2d7a659e9c3e4621464cb26fa16b66e5a1'),
