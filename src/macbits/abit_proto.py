@@ -51,8 +51,13 @@ authenticated under the other party's key, so the pipelines for Alice's
 bits and for Bob's bits are independent, and `dealer.deal` runs both
 `produce_abits` sides side by side. In each round both parties compute at
 once: both mask the OT corrections for their own bits, then both expand the
-corrections they received for the peer's bits, and so on. Within a round
-Alice sends before she reads and Bob reads before he sends.
+corrections they received for the peer's bits, and so on. The round in
+which both ship their OT corrections, 2*tau*ceil(ell/8) bytes each way, is
+the largest of the deal; above `transport.DUPLEX_MIN` each party sends its
+frame on a second thread while it reads the peer's, so the two cross the
+link at once. In a smaller round Alice sends before she reads and Bob
+reads before he sends, unless the round is at most
+`transport.SEND_FIRST_MAX`, when both send first.
 """
 
 from __future__ import annotations

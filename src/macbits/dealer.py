@@ -12,12 +12,15 @@ protocol side run by `transport.run_sides`, and the independent ones run
 side by side: first both `produce_abits` sides, then the laAND sides of both
 owners with the laOT sides of both directions. Every side yields one flight
 at a time; in each round both parties compute their own sides' payloads at
-once, then Alice sends all of hers before she reads, and Bob reads before he
-sends, so neither blocks sending a large frame to a peer that is itself
-sending. Frames go out in side order, Alice's bits or Alice's direction
-first on both parties. The hello, the combiners and the deferred-MAC flush
-with the global-key commitments stay one at a time, in the same order on
-both parties, so the MAC accumulators chain alike.
+once, then exchange them in one of `run_sides`' three modes: a small round
+sends before it reads; a round above `transport.DUPLEX_MIN` (the aBit OT
+corrections) sends on a second thread while it reads; in between Alice sends
+all of hers before she reads and Bob reads before he sends. So neither
+blocks sending a large frame to a peer that is itself sending. Frames go out
+in side order, Alice's bits or Alice's direction first on both parties. The
+hello, the combiners and the deferred-MAC flush with the global-key
+commitments stay one at a time, in the same order on both parties, so the
+MAC accumulators chain alike.
 
 From the aBit pipeline's transpose on, every
 authenticated bit is a row of a uint8 array (a MAC-side row is the MAC's
@@ -171,9 +174,6 @@ class MaterialStore:
                                 f"{n} more wanted")
         self._cursors[name] = pos + n
         return macs[pos : pos + n], keys[pos : pos + n]
-
-    def consumed(self) -> dict:
-        return dict(self._cursors)
 
     def remaining(self, name: str) -> int:
         return len(getattr(self, name)[0]) - self._cursors[name]

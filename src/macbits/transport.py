@@ -16,10 +16,12 @@ to be resumed with the payloads it wants, or `Swap(frames, wants)` to do both
 in one round. `run_sides` runs several such sides over one channel, one
 flight of each per round, so each party computes its own sides' payloads
 while the peer computes its own. It is the only code that sends or reads a
-frame, and it alone decides who goes first: in a round whose frames total
-at most SEND_FIRST_MAX bytes a party sends before it reads, so two small
-flights cross the link at the same time; with larger frames Alice sends
-first and Bob reads first.
+frame, and it alone decides who goes first. A round takes one of three
+modes, chosen by its outgoing payload bytes: up to SEND_FIRST_MAX a party
+sends before it reads, so two small flights cross the link at the same
+time; above DUPLEX_MIN, in a round that also wants frames, it sends on a
+second thread while it reads, so two large flights cross at once too; in
+between Alice sends first and Bob reads first.
 """
 
 from __future__ import annotations
@@ -323,6 +325,11 @@ class Recv(Swap):
 # ends of a connection hold far more, so such a send returns before the peer
 # reads anything.
 SEND_FIRST_MAX = 16 << 10
+# A party whose frames in a round total more than this, and that also wants
+# frames in it, sends them on a second thread while it reads. Below it the
+# overlap gains nothing, and a second thread costs a switch of the
+# interpreter lock at each handoff.
+DUPLEX_MIN = 4 << 20
 
 
 def run_sides(ch: Channel, role: Role, *sides) -> list:
@@ -335,13 +342,16 @@ def run_sides(ch: Channel, role: Role, *sides) -> list:
     first computes up to its next yield; then the frames go out in side
     order. A party whose round's frames total at most SEND_FIRST_MAX bytes
     sends them all before it reads, so a round in which both parties swap
-    small frames is one flight each way, at the same time. With more, Alice
-    sends all of hers before she reads and Bob reads before he sends. Either
-    way the two are never both blocked sending a frame the other has not
-    started to read: a small flight fits in the socket buffers, and of two
-    large ones only Alice's goes out before its sender reads. A side that
-    yields anything else is a UsageError; a peer whose flights do not line
-    up shows as a frame of the wrong type or size (ProtocolError).
+    small frames is one flight each way, at the same time. With more than
+    DUPLEX_MIN, a party that also wants frames sends them on a second
+    thread while it reads, so two large flights cross the link at once. In
+    between, Alice sends all of hers before she reads and Bob reads before
+    he sends. In every mode the two are never both blocked sending a frame
+    the other has not started to read: a small flight fits in the socket
+    buffers, a duplex party is always reading, and of two mid-size flights
+    only Alice's goes out before its sender reads. A side that yields
+    anything else is a UsageError; a peer whose flights do not line up
+    shows as a frame of the wrong type or size (ProtocolError).
     """
     results = [None] * len(sides)
     replies = [None] * len(sides)
@@ -363,8 +373,11 @@ def run_sides(ch: Channel, role: Role, *sides) -> list:
             if step.wants:
                 wanted.append((i, step.wants))
         live, step = still, None
-        send_first = (role is Role.ALICE
-                      or sum(len(payload) for _, payload in frames) <= SEND_FIRST_MAX)
+        out = sum(len(payload) for _, payload in frames)
+        if wanted and out > DUPLEX_MIN:
+            _duplex_flight(ch, frames, wanted, replies)
+            continue
+        send_first = role is Role.ALICE or out <= SEND_FIRST_MAX
         if wanted and not send_first:
             _read_flight(ch, wanted, replies)
         if frames:
@@ -376,7 +389,7 @@ def run_sides(ch: Channel, role: Role, *sides) -> list:
 
 def _send_flight(ch: Channel, frames: list) -> None:
     """Send and drop the frames: no reference to a payload outlives its
-    send, so a large one is freed before the flight's reads."""
+    send, so a large one is freed once it is sent."""
     for msg_type, payload in frames:
         ch.send(msg_type, payload)
     frames.clear()
@@ -385,6 +398,32 @@ def _send_flight(ch: Channel, frames: list) -> None:
 def _read_flight(ch: Channel, wanted, replies) -> None:
     for i, wants in wanted:
         replies[i] = [ch.recv(msg_type, nbytes) for msg_type, nbytes in wants]
+
+
+def _duplex_flight(ch: Channel, frames: list, wanted, replies) -> None:
+    """Send the frames on a second thread while this one reads. A failed
+    read closes the channel, which ends a send blocked on a peer that has
+    stopped reading, and is the error raised; a failed send is raised once
+    the read is done."""
+    failed = []
+
+    def send():
+        try:
+            _send_flight(ch, frames)
+        except BaseException as e:  # noqa: BLE001 - raised by the reader
+            failed.append(e)
+
+    sender = threading.Thread(target=send, name="macbits-send", daemon=True)
+    sender.start()
+    try:
+        _read_flight(ch, wanted, replies)
+    except BaseException:
+        ch.close()
+        raise
+    finally:
+        sender.join()
+    if failed:
+        raise failed[0]
 
 
 def run_pair(fn_alice, fn_bob, timeout: float = 300.0, channels=()):
@@ -413,8 +452,9 @@ def run_pair(fn_alice, fn_bob, timeout: float = 300.0, channels=()):
     tb = threading.Thread(target=wrap, args=(1, fn_bob), daemon=True)
     ta.start()
     tb.start()
+    deadline = time.monotonic() + timeout
     ta.join(timeout)
-    tb.join(timeout)
+    tb.join(max(0.0, deadline - time.monotonic()))
     if ta.is_alive() or tb.is_alive():
         for ch in channels:
             try:

@@ -295,6 +295,12 @@ class OracleDealer:
                      for r in (Role.ALICE, Role.BOB))
 
 
+def consumed(store: MaterialStore) -> dict:
+    """The records taken so far from each of the store's streams."""
+    return {name: len(getattr(store, name)[0]) - store.remaining(name)
+            for name in MaterialStore.STREAMS}
+
+
 def oracle_store_pair(circuit: Circuit, rng: random.Random, kappa: int = 16,
                       psi: int = 8, slack: int = 0):
     """Material sized for one evaluation of circuit (plus slack AND gates)."""

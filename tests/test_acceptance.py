@@ -15,7 +15,7 @@ import numpy as np
 
 from aes_oracle import KNOWN_VECTORS, aes128_encrypt
 from helpers import (AuthBitKey, AuthBitMac, OracleDealer, TamperPlan, bit_rows,
-                     closing_pair, const_key, const_mac, count_reveal_sites,
+                     closing_pair, const_key, const_mac, consumed, count_reveal_sites,
                      counting_pair, delta_vec, eval_two, flip_pair,
                      labit_cheat_survivals, laand_u_tamper_outcomes,
                      laot_probe_outcomes, oracle_store_pair, random_circuit,
@@ -322,7 +322,7 @@ def test_cost_accounting():
     h = c.header
     per_and_ok = True
     for store, mine in ((sa, h.inputs_a), (sb, h.inputs_b)):
-        used = store.consumed()
+        used = consumed(store)
         per_and_ok = per_and_ok and (
             used["aots_sender"] == used["aots_receiver"] == c.n_and
             and used["aands_mine"] == used["aands_theirs"] == c.n_and

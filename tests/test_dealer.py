@@ -4,8 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import (closing_pair, counting_pair, random_circuit, random_inputs, run_side,
-                     run_two)
+from helpers import (closing_pair, consumed, counting_pair, random_circuit, random_inputs,
+                     run_side, run_two)
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import random_rows
@@ -196,7 +196,7 @@ def test_save_load_round_trip(tmp_path):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
                 assert not got.flags.writeable
-        assert all(v == 0 for v in back.consumed().values())
+        assert all(v == 0 for v in consumed(back).values())
     assert verify_stores(MaterialStore.load(tmp_path / "ALICE.mat"),
                          MaterialStore.load(tmp_path / "BOB.mat")) > 0
 
@@ -230,7 +230,7 @@ def test_cursors_and_exhaustion():
     sa, sb = run_deal(SMALL, seed=4)
     for _ in range(8):
         sa.take("abits_mine", 1)
-    assert sa.consumed()["abits_mine"] == 8
+    assert consumed(sa)["abits_mine"] == 8
     assert sa.remaining("abits_mine") == 0
     with pytest.raises(OutOfMaterial):
         sa.take("abits_mine", 1)
@@ -239,7 +239,7 @@ def test_cursors_and_exhaustion():
     assert sb.remaining("abits_mine") == 6
     # streams are per owner/direction
     x01, kcz = sb.take("aots_sender", 1)
-    assert sb.consumed()["aots_sender"] == 1
+    assert consumed(sb)["aots_sender"] == 1
     assert x01.shape == (1, 2, 3) and kcz.shape == (1, 2, 2)  # x0, x1 | kc, kz
     cz, kx01 = sa.take("aots_receiver", 1)  # same direction, receiver half
     assert cz.shape == (1, 2, 3) and kx01.shape == (1, 2, 2)  # c, z | kx0, kx1

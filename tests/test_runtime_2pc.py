@@ -4,7 +4,7 @@ import pytest
 
 import helpers
 from aes_oracle import KNOWN_VECTORS
-from helpers import (OracleDealer, TamperPlan, closing_pair, count_reveal_sites,
+from helpers import (OracleDealer, TamperPlan, closing_pair, consumed, count_reveal_sites,
                      counting_pair, eval_two, oracle_store_pair, random_circuit,
                      random_inputs, tamper_pair)
 from macbits.aescircuit import bits_to_block, block_to_bits, generate_aes_circuit
@@ -148,7 +148,7 @@ def test_per_and_material_consumption():
     eval_two(c, sa, sb, xa, xb)
     h = c.header
     for store, mine in ((sa, h.inputs_a), (sb, h.inputs_b)):
-        used = store.consumed()
+        used = consumed(store)
         assert used["aands_mine"] == n_and
         assert used["aands_theirs"] == n_and
         assert used["aots_sender"] == n_and
@@ -164,7 +164,7 @@ def test_xor_only_circuit_consumes_no_and_material():
     xa, xb = random_inputs(c, rng)
     out_a, _, _, _ = eval_two(c, sa, sb, xa, xb)
     assert out_a == plain_eval(c, xa, xb)
-    used = sa.consumed()
+    used = consumed(sa)
     assert used["aands_mine"] == used["aands_theirs"] == 0
     assert used["aots_sender"] == used["aots_receiver"] == 0
     assert used["abits_mine"] == c.header.inputs_a

@@ -2,11 +2,13 @@ import ast
 import pathlib
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from helpers import OracleDealer, bit_rows, closing_pair, counting_pair, free_port, run_side
+from macbits import transport
 from macbits.aand_proto import laand_key_side, laand_mac_side
 from macbits.aot_proto import laot_receiver, laot_sender
 from macbits.eq_box import eq_commit_side, eq_respond_side
@@ -310,6 +312,17 @@ def test_run_pair_reports_the_protocol_error_not_the_closed_channel():
         run_pair(alice, lambda: b.recv(MsgType.LAOT_D, 4), timeout=30, channels=(a, b))
 
 
+def test_run_pair_reports_a_deadlock_after_one_timeout():
+    # both endpoints wait for a frame; the timeout is one deadline for the
+    # pair, not one per thread
+    with closing_pair(memory_pair(timeout=30.0)) as (a, b):
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="deadlocked"):
+            run_pair(lambda: a.recv(MsgType.LAOT_D), lambda: b.recv(MsgType.LAOT_D),
+                     timeout=1.0, channels=(a, b))
+        assert time.monotonic() - t0 < 1.8
+
+
 # ---------------------------------------------------------------------------
 # the frame-size contract
 
@@ -411,7 +424,8 @@ def test_every_protocol_recv_passes_its_size():
 # ---------------------------------------------------------------------------
 # protocol sides side by side
 
-BIG = 8 << 20  # far more than a socket buffer holds
+BIG = 8 << 20  # far more than a socket buffer holds, and above DUPLEX_MIN
+MID = 2 << 20  # more than a socket buffer holds, below DUPLEX_MIN
 
 
 def echo_side(msg_type, payload=None, n=BIG):
@@ -435,8 +449,8 @@ def swap_side(msg_type, payload):
 @pytest.mark.parametrize("swap", [False, True], ids=["send-recv", "swap"])
 def test_sides_exchange_big_frames_both_ways_in_one_flight(swap):
     # in round 0 each party sends 8 MiB and reads 8 MiB, on two sides or in
-    # one swap; it finishes only because Alice sends before she reads and
-    # Bob reads before he sends
+    # one swap; it finishes only because each party, with more than
+    # DUPLEX_MIN to send, sends on a second thread while it reads
     a, b = memory_pair(timeout=5.0)
     pa, pb = random.randbytes(BIG), random.randbytes(BIG)
     if swap:
@@ -457,20 +471,72 @@ def test_sides_exchange_big_frames_both_ways_in_one_flight(swap):
 
 
 def test_sides_deadlock_when_both_send_first():
-    # the same flights with both parties sending first: both block in send
+    # mid-size flights with both parties sending first: both block in send
     # until the socket timeout, which is what the send-order rule prevents
     a, b = memory_pair(timeout=1.0)
-    pa, pb = bytes(BIG), bytes(BIG)
+    pa, pb = bytes(MID), bytes(MID)
     try:
         with pytest.raises(TransportError):
             run_pair(lambda: run_sides(a, Role.ALICE, echo_side(MsgType.LAOT_X0, pa),
-                                       echo_side(MsgType.LAOT_X1)),
-                     lambda: run_sides(b, Role.ALICE, echo_side(MsgType.LAOT_X0),
+                                       echo_side(MsgType.LAOT_X1, n=MID)),
+                     lambda: run_sides(b, Role.ALICE, echo_side(MsgType.LAOT_X0, n=MID),
                                        echo_side(MsgType.LAOT_X1, pb)),
                      timeout=30, channels=(a, b))
     finally:
         a.close()
         b.close()
+
+
+def test_two_alices_complete_a_duplex_round(monkeypatch):
+    # the same flights above DUPLEX_MIN: each party reads while it sends, so
+    # the round completes whatever the roles say
+    monkeypatch.setattr(transport, "DUPLEX_MIN", SEND_FIRST_MAX)
+    pa, pb = random.randbytes(MID), random.randbytes(MID)
+    with closing_pair(memory_pair(timeout=5.0)) as (a, b):
+        got_a, got_b = run_pair(
+            lambda: run_sides(a, Role.ALICE, echo_side(MsgType.LAOT_X0, pa),
+                              echo_side(MsgType.LAOT_X1, n=MID)),
+            lambda: run_sides(b, Role.ALICE, echo_side(MsgType.LAOT_X0, n=MID),
+                              echo_side(MsgType.LAOT_X1, pb)),
+            timeout=30, channels=(a, b))
+    assert got_a == got_b == [pa, pb]
+
+
+def _duplex_failure(monkeypatch, peer, wants):
+    """Alice's duplex round of MID bytes out, against a peer that never reads
+    them: the error it raises and the seconds it took."""
+    monkeypatch.setattr(transport, "DUPLEX_MIN", SEND_FIRST_MAX)
+    threads = threading.active_count()
+    with closing_pair(memory_pair(timeout=30.0)) as (a, b):
+        peer(b)
+        t0 = time.monotonic()
+        with pytest.raises(TransportError) as err:
+            run_sides(a, Role.ALICE, steps(Swap([(MsgType.LAOT_X0, bytes(MID))], wants)))
+        elapsed = time.monotonic() - t0
+    assert threading.active_count() == threads
+    return err.value, elapsed
+
+
+def test_duplex_read_error_ends_the_blocked_send(monkeypatch):
+    # the read fails while the send is blocked on a peer that is not reading:
+    # closing the channel ends the send, and the read's error is raised
+    err, elapsed = _duplex_failure(monkeypatch,
+                                   lambda b: b.send(MsgType.LAOT_D, b"\x01"),
+                                   [(MsgType.LAOT_X1, 10)])
+    assert type(err) is ProtocolError and "expected LAOT_X1, got LAOT_D" in str(err)
+    assert elapsed < 5.0
+
+
+def test_duplex_peer_closing_mid_round_raises(monkeypatch):
+    # the peer sends one of the two frames wanted, then closes
+    def peer(b):
+        b.send(MsgType.LAOT_X1, bytes(10))
+        b.close()
+
+    err, elapsed = _duplex_failure(monkeypatch, peer,
+                                   [(MsgType.LAOT_X1, 10), (MsgType.LAOT_D, 1)])
+    assert type(err) is TransportError
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("size, bob_order", [(SEND_FIRST_MAX, ["send", "recv"]),
