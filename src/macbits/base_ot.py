@@ -21,10 +21,12 @@ The seed OTs come from a backend with `send(pairs)` and
 `receive(choices, n_bits)` sides. The one backend, `DealerOt`, is a
 deliberately insecure trusted-dealer stand-in for lab use: one endpoint
 mints a seed and sends it to the peer in the clear, and both derive every
-batch's transfer pads from it with one `pad_rows` call. It is correct as an
-OT (the honest receiver unmasks only its chosen branch) and exercises the
-real framing, but offers no privacy against a curious endpoint. A hardened
-base OT can replace it behind the same interface.
+batch's transfer pads, both branches of every instance, from one `expand`
+stream of it. It is correct as an OT (the honest receiver unmasks only its
+chosen branch) and exercises the real framing, but offers no privacy
+against a curious endpoint: the receiver derives the unchosen branch's pad
+as easily as its own. A hardened base OT can replace it behind the same
+interface.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import numpy as np
 
 from .bitlinalg import random_rows, unpack_rows
 from .errors import UsageError
-# Nothing here calls `expand`; perfbench/spans.py patches `base_ot.expand` by name.
-from .ro_suite import KAPPA_DEFAULT, expand, pad_rows  # noqa: F401
+from .ro_suite import KAPPA_DEFAULT, expand, pad_rows
 from .transport import MsgType, Recv, Send
 
 SEED_BITS = KAPPA_DEFAULT
@@ -46,8 +47,8 @@ class DealerOt:
     `setup` must run first, on both endpoints: the minting endpoint (which
     needs `rng`) sends the dealer seed, the other receives it. `send` and
     `receive` raise `UsageError` before that. Each sending direction
-    derives its pads from the seed under its own label, per (instance
-    counter, branch), with its own counter. So the two directions may run
+    derives its pads from the seed under its own label and with its own
+    instance counter, one stream per batch. So the two directions may run
     side by side, and within one direction both sides must perform the same
     batch sequence.
 
@@ -76,30 +77,27 @@ class DealerOt:
             (seed,) = yield Recv((MsgType.OT_SETUP, 16))
             self._seed = bytes(seed)
 
-    def _pads(self, sender_minted: bool, n: int, branches, nb: int) -> np.ndarray:
-        """The nb-byte pads of the direction's next n instances, an (n, b, nb)
-        array for branch numbers that broadcast to (n, b): one `pad_rows` call
-        over the keys seed || direction || instance index (8 bytes,
-        big-endian) || branch. Advances the direction's counter."""
+    def _pads(self, sender_minted: bool, n: int, nb: int) -> np.ndarray:
+        """The nb-byte pads of both branches of the direction's next n
+        instances, an (n, 2, nb) array: one `expand` stream of 16*n*nb bits
+        keyed by seed || direction || the first instance's index (8 bytes,
+        big-endian) || nb (8 bytes, big-endian). Advances the direction's
+        counter."""
         if self._seed is None:
             raise UsageError("DealerOt.setup must run before send or receive")
-        b = np.shape(branches)[1]
         first = self._ctr[sender_minted]
-        keys = np.empty((n, b, 26), np.uint8)
-        keys[..., :16] = np.frombuffer(self._seed, np.uint8)
-        keys[..., 16] = sender_minted
-        keys[..., 17:25] = np.arange(first, first + n, dtype=">u8").view(np.uint8).reshape(n, 1, 8)
-        keys[..., 25] = branches
         self._ctr[sender_minted] += n
         self.instances += n
-        return pad_rows("ot-dealer", keys.reshape(n * b, 26), 8 * nb).reshape(n, b, nb)
+        key = (self._seed + bytes([sender_minted]) + first.to_bytes(8, "big")
+               + nb.to_bytes(8, "big"))
+        return np.frombuffer(expand(key, 16 * n * nb), np.uint8).reshape(n, 2, nb)
 
     def send(self, pairs):
         """Transfer chosen message pairs, an (n, 2, w) uint8 array of n
         instances' two w-byte messages; the receiver learns one per choice
         bit."""
         n, _, nb = pairs.shape
-        masked = pairs ^ self._pads(self._minted, n, [[0, 1]], nb)
+        masked = pairs ^ self._pads(self._minted, n, nb)
         if n:
             yield Send((MsgType.OT_MASKED0, masked[:, 0].tobytes()),
                        (MsgType.OT_MASKED1, masked[:, 1].tobytes()))
@@ -111,7 +109,7 @@ class DealerOt:
         nb = (n_bits + 7) // 8
         c = np.asarray(choices, np.uint8) & 1
         n = len(c)
-        pads = self._pads(not self._minted, n, c[:, None], nb)[:, 0]
+        pads = self._pads(not self._minted, n, nb)[np.arange(n), c]
         if not n:
             return pads
         got = yield Recv((MsgType.OT_MASKED0, nb * n), (MsgType.OT_MASKED1, nb * n))

@@ -22,9 +22,12 @@ import numpy as np
 from .errors import ProtocolError, UsageError
 
 # Four-Russians block width of `mat_vec_mul_batch`, and the weights that read
-# a block's matrix bits as its table index.
+# a block's matrix bits as its table index; the widest column chunk it works
+# on, and the bytes of tables it builds at once.
 _FR_COLS = 6
 _FR_WEIGHTS = 1 << np.arange(_FR_COLS, dtype=np.intp)
+_FR_CHUNK = 6 << 10
+_FR_TABLES = 1 << 20
 # The three masked swaps of an 8x8 bit-block transpose on uint64 words whose
 # bit 8r + c is entry (r, c) of the block.
 _SWAPS = tuple((np.uint64(s), np.uint64(m)) for s, m in
@@ -172,22 +175,43 @@ def mat_vec_mul_batch(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     Four Russians, six columns at a time: a 64-entry table holds every XOR
     of one block of six columns, and bits 6b..6b+5 of each matrix row pick
-    its entry for block b. For kappa = 128 and n = 939 that is 157 blocks of
-    63 table XORs and 128 row XORs each. Matrix bits past n are ignored.
+    its entry for block b. Blocked by cache size: the columns are cut into
+    equal chunks of at most _FR_CHUNK bytes, and within a chunk the tables
+    of as many blocks as fit in _FR_TABLES bytes are built together, six
+    XORs per group of blocks. So for kappa = 128 and n = 939 at 232-byte
+    columns, 24 numpy calls build the tables of all 157 blocks, in four
+    groups. The columns are read in place; only a last, partial block is
+    copied, zero-padded to six. Matrix bits past n are ignored.
     """
     n, w = cols.shape
     if m.shape[1] != (n + 7) // 8:
         raise UsageError(f"dim mismatch: matrix rows of {m.shape[1]} bytes, {n} columns")
-    n_blocks = -(-n // _FR_COLS)
+    full, rest = divmod(n, _FR_COLS)
+    n_blocks = full + (rest > 0)
     bits = np.zeros((len(m), n_blocks * _FR_COLS), np.uint8)
     bits[:, :n] = np.unpackbits(m, axis=1, count=n, bitorder="little")
     picks = (bits.reshape(len(m), n_blocks, _FR_COLS) @ _FR_WEIGHTS).T.copy()
+    n_chunks = max(1, -(-w // _FR_CHUNK))
+    chunk = max(1, -(-w // n_chunks))
+    per = max(1, _FR_TABLES // ((1 << _FR_COLS) * chunk))
+    blocks = cols[: _FR_COLS * full].reshape(full, _FR_COLS, w)
+    groups = [(b, blocks[b : b + per]) for b in range(0, full, per)]
+    if rest:
+        tail = np.zeros((1, _FR_COLS, w), np.uint8)
+        tail[0, :rest] = cols[_FR_COLS * full :]
+        groups.append((full, tail))
     out = np.zeros((len(m), w), np.uint8)
-    table = np.zeros((1 << _FR_COLS, w), np.uint8)
-    for b, pick in enumerate(picks):
-        for i, col in enumerate(cols[_FR_COLS * b : _FR_COLS * (b + 1)]):
-            np.bitwise_xor(table[: 1 << i], col, out=table[1 << i : 2 << i])
-        out ^= table[pick]
+    # entry 0 of every table is never written, so it stays zero
+    tables = np.zeros((min(per, n_blocks), 1 << _FR_COLS, chunk), np.uint8)
+    for c0 in range(0, w, chunk):
+        dst = out[:, c0 : c0 + chunk]
+        for b0, group in groups:
+            t = tables[: len(group), :, : dst.shape[1]]
+            part = group[:, :, None, c0 : c0 + chunk]
+            for i in range(_FR_COLS):
+                np.bitwise_xor(t[:, : 1 << i], part[:, i], out=t[:, 1 << i : 2 << i])
+            for table, pick in zip(t, picks[b0 : b0 + len(group)]):
+                dst ^= table[pick]
     return out
 
 

@@ -398,11 +398,16 @@ def ref_pad(tag: str, row: bytes, n_bits: int) -> bytes:
     return (out & ((1 << n_bits) - 1)).to_bytes((n_bits + 7) // 8, "little")
 
 
-def dealer_pad(seed: bytes, sender_minted: bool, index: int, branch: int, nb: int) -> bytes:
-    """The reference `DealerOt` pad of one instance and branch: the nb-byte
-    "ot-dealer" pad of seed || direction || index || branch."""
-    key = seed + bytes([sender_minted]) + index.to_bytes(8, "big") + bytes([branch])
-    return ref_pad("ot-dealer", key, 8 * nb)
+def dealer_pads(seed: bytes, sender_minted: bool, first: int, n: int, nb: int) -> list:
+    """The reference `DealerOt` pads of one batch of n instances, as n pairs
+    (branch 0, branch 1) of nb-byte strings: consecutive slices of one
+    SHAKE-128 stream of the 2-byte big-endian length of the tag "prg", the
+    tag, the seed, the direction byte, the batch's first instance index and
+    nb (each 8 bytes, big-endian)."""
+    key = seed + bytes([sender_minted]) + first.to_bytes(8, "big") + nb.to_bytes(8, "big")
+    stream = hashlib.shake_128(b"\x00\x03prg" + key).digest(2 * n * nb)
+    return [(stream[2 * k * nb : (2 * k + 1) * nb], stream[(2 * k + 1) * nb : (2 * k + 2) * nb])
+            for k in range(n)]
 
 
 @contextlib.contextmanager

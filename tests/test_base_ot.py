@@ -4,12 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (closing_pair, counting_pair, dealer_pad, ref_pad, rewrite_sends, run_side,
+from helpers import (closing_pair, counting_pair, dealer_pads, ref_pad, rewrite_sends, run_side,
                      run_two, seeded)
+from macbits import base_ot
 from macbits.base_ot import SEED_BITS, DealerOt, extend_ot_receive, extend_ot_send
 from macbits.bitlinalg import random_rows
 from macbits.errors import ProtocolError, UsageError
-from macbits.ro_suite import hash_calls
+from macbits.ro_suite import expand, hash_calls
 from macbits.transport import MsgType, Role, memory_pair, run_pair, run_sides
 
 A, B = Role.ALICE, Role.BOB
@@ -202,10 +203,18 @@ def test_both_directions_side_by_side():
 
 
 @pytest.mark.parametrize("mint", [True, False])
-def test_batched_pads_follow_the_per_instance_formula(mint):
+def test_batched_pads_follow_the_per_batch_stream(mint, monkeypatch):
     # Two batches each way on one backend. Zero pairs go out as the send
     # pads themselves, and all-zero frames come back as the chosen branch's
-    # receive pads; each batch hashes n*branches keys, each pad 320 bits.
+    # receive pads. Each batch derives both branches' pads of all its
+    # instances with one expand call.
+    calls = []
+
+    def counted_expand(seed, out_bits):
+        calls.append(out_bits)
+        return expand(seed, out_bits)
+
+    monkeypatch.setattr(base_ot, "expand", counted_expand)
     with closing_pair(memory_pair(timeout=5.0)) as (a, b):
         be = DealerOt(random.Random(0))
         if mint:
@@ -215,28 +224,32 @@ def test_batched_pads_follow_the_per_instance_formula(mint):
             seed = bytes(range(16))
             b.send(MsgType.OT_SETUP, seed)
             run_side(a, A, be.setup(mint=False))
-        nb, blocks = 40, 2
+        nb = 40
         rng = random.Random(1)
 
         def counted(side):
-            before = hash_calls("ot-dealer"), hash_calls("prg")
+            calls.clear()
+            before = hash_calls("prg")
             out = run_side(a, A, side)
-            return out, (hash_calls("ot-dealer") - before[0], hash_calls("prg") - before[1])
+            return out, calls[:], hash_calls("prg") - before
 
         for first, n in ((0, 3), (3, 5)):
-            _, calls = counted(be.send(np.zeros((n, 2, nb), np.uint8)))
-            assert calls == (2 * n, 2 * n * blocks)
+            # one call of 16*n*nb bits: 1,920 and 3,200, neither a whole
+            # number of 256-bit blocks
+            one_stream = ([16 * n * nb], -(-16 * n * nb // 256))
+            _, *cost = counted(be.send(np.zeros((n, 2, nb), np.uint8)))
+            assert tuple(cost) == one_stream
+            pads = dealer_pads(seed, mint, first, n, nb)
             for branch, t in enumerate((MsgType.OT_MASKED0, MsgType.OT_MASKED1)):
-                assert bytes(b.recv(t, n * nb)) == b"".join(
-                    dealer_pad(seed, mint, first + k, branch, nb) for k in range(n))
+                assert bytes(b.recv(t, n * nb)) == b"".join(p[branch] for p in pads)
 
             choices = [rng.getrandbits(1) for _ in range(n)]
             b.send(MsgType.OT_MASKED0, bytes(n * nb))
             b.send(MsgType.OT_MASKED1, bytes(n * nb))
-            got, calls = counted(be.receive(choices, 8 * nb - 3))
-            assert calls == (n, n * blocks)
-            assert [row.tobytes() for row in got] == [
-                dealer_pad(seed, not mint, first + k, c, nb) for k, c in enumerate(choices)]
+            got, *cost = counted(be.receive(choices, 8 * nb - 3))
+            assert tuple(cost) == one_stream
+            pads = dealer_pads(seed, not mint, first, n, nb)
+            assert [row.tobytes() for row in got] == [p[c] for p, c in zip(pads, choices)]
         assert be.instances == 16
 
 

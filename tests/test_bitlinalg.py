@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macbits import bitlinalg
 from macbits.bitlinalg import (BitVec, mat_vec_mul, mat_vec_mul_batch,
                                pack_bits, random_pairing, random_permutation,
                                random_rows, transpose_bits, unpack_bits, unpack_rows)
@@ -215,6 +217,64 @@ def test_mat_vec_batch_edge_widths_match_single(n):
     for j in range(21):
         single = mat_vec_mul(m, pack_bits(col_bits[:, j]))
         assert np.array_equal(unpack_bits(single, 9), got[:, j])
+
+
+def chunk_bounds(w):
+    """The kernel's column chunks of a w-byte row: equal, at most
+    _FR_CHUNK bytes each."""
+    size = -(-w // -(-w // bitlinalg._FR_CHUNK))
+    return [(c0, min(w, c0 + size)) for c0 in range(0, w, size)]
+
+
+def group_blocks(w):
+    """Six-column blocks whose tables the kernel builds together at width w."""
+    size = chunk_bounds(w)[0][1]
+    return max(1, bitlinalg._FR_TABLES // (64 * size))
+
+
+WIDE = [bitlinalg._FR_CHUNK + d for d in (-1, 0, 1)] + [2 * bitlinalg._FR_CHUNK + 3]
+
+
+@pytest.mark.parametrize("w", WIDE)
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 939, "group-1", "group+1"])
+def test_mat_vec_batch_chunk_edges_match_single(w, n):
+    # every chunk's first and last byte, at n on each side of a table-group
+    # boundary too, with the matrix pad bits set
+    if isinstance(n, str):
+        n = 6 * group_blocks(w) + (1 if n.endswith("+1") else -1)
+    rng = np.random.default_rng(n * w)
+    m = rng.integers(0, 256, (9, (n + 7) // 8), dtype=np.uint8)
+    cols = rng.integers(0, 256, (n, w), dtype=np.uint8)
+    if n % 8:
+        m[:, -1] |= (0xFF << n % 8) & 0xFF
+    got = mat_vec_mul_batch(m, cols)
+    assert len(chunk_bounds(w)) == 1 + (w > bitlinalg._FR_CHUNK) + (w > 2 * bitlinalg._FR_CHUNK)
+    for c0, c1 in chunk_bounds(w):
+        for byte in (c0, c1 - 1):
+            col_bits = unpacked(cols[:, byte, None], 8)
+            got_bits = unpacked(got[:, byte, None], 8)
+            for j in range(8):
+                single = mat_vec_mul(m, pack_bits(col_bits[:, j]))
+                assert np.array_equal(unpack_bits(single, 9), got_bits[:, j]), (byte, j)
+
+
+def test_mat_vec_batch_memory_is_bounded():
+    # aes128's amplification: beyond its 3.2 MiB output the kernel holds
+    # the tables of one group, one chunk's picked rows and the padded last
+    # block, not a padded copy of the columns
+    rng = np.random.default_rng(9)
+    n, w = 939, 26_116
+    m = rng.integers(0, 256, (128, (n + 7) // 8), dtype=np.uint8)
+    cols = rng.integers(0, 256, (n, w), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = mat_vec_mul_batch(m, cols)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 128 * w
+    assert peak <= out.nbytes + (4 << 20), peak
 
 
 # ---------------------------------------------------------------------------

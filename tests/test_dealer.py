@@ -1,4 +1,5 @@
 import random
+import threading
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from helpers import (closing_pair, consumed, counting_pair, random_circuit, random_inputs,
                      run_side, run_two)
+from macbits import base_ot
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import random_rows
@@ -13,7 +15,7 @@ from macbits.dealer import (DealerConfig, MaterialStore, deal,
                             flush_accumulators, verify_stores)
 from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort,
                             UsageError)
-from macbits.ro_suite import MacAccumulator
+from macbits.ro_suite import MacAccumulator, expand, hash_calls, reset_hash_calls
 from macbits.runtime_2pc import Runtime
 from macbits.transport import MsgType, Role, run_pair
 
@@ -178,6 +180,31 @@ def test_deal_fresh_seed_fresh_session():
     sa2, _ = run_deal(SMALL, seed=2)
     assert sa1.session_id != sa2.session_id
     assert not np.array_equal(sa1.delta, sa2.delta)
+
+
+def test_deal_hash_budget(monkeypatch):
+    """Per party, the seed OTs' pads are two derivations, one stream for the
+    send batch and one for the receive batch, each of both branches of 2*tau
+    seed-sized instances; laOT and laAND keep 6B and 3B hash calls per output
+    (both parties together), B the bucket."""
+    derivations = Counter()
+
+    def counted_expand(key, out_bits):
+        # key: dealer seed (16 bytes), direction, first index, nb
+        derivations[threading.get_ident(), key[16], out_bits] += 1
+        return expand(key, out_bits)
+
+    monkeypatch.setattr(base_ot, "expand", counted_expand)
+    cfg = DealerConfig.for_gates(20, 5, 3, kappa=16, psi=8)
+    reset_hash_calls()
+    run_deal(cfg, seed=5)
+    stream = 2 * (2 * tau_for(cfg.kappa)) * SEED_BITS
+    parties = {ident for ident, _, _ in derivations}
+    assert len(parties) == 2
+    assert derivations == {(ident, d, stream): 1 for ident in parties for d in (0, 1)}
+    outputs = 2 * cfg.n_and  # two directions of aOTs, two owners of aANDs
+    assert hash_calls("laot") == 6 * cfg.bucket * outputs
+    assert hash_calls("laand") == 3 * cfg.bucket * outputs
 
 
 def test_save_load_round_trip(tmp_path):

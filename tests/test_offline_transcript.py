@@ -23,8 +23,8 @@ EXPECTED = {
     A: [
         ('HELLO', 'abd32c5befcc0cc03b94fe87e748a2c00ea33e6c9e1e25e5d7872ca5aad43bc3'),
         ('OT_SETUP', 'e3286f0cc0a6204d7548bd96bba39e1d96924a218b48ca2664633d54cdb3037e'),
-        ('OT_MASKED0', '5a424b73bceeb4f6bdeca9dfba0f7882a8994aebb40615f32869bed8cfa6c304'),
-        ('OT_MASKED1', 'befa08cf5932fafe79c7ad8b89cd3f2ec4b2f42c1beade4e6afd0de93054d70a'),
+        ('OT_MASKED0', '1c512f2c0de7b5521a75b590eeaa2464bd8c62889ddcde0880e99a7e73bd5c1b'),
+        ('OT_MASKED1', '2b146b4fed8a1d077d0849b64ddfde81815b0c38be0248962dbc81e1be87ca6b'),
         ('OT_MASKED1', '22193e97e86f49cba4f24bb4966cd1f56c63a4593ef6dcf423d43b4e312e8dcf'),
         ('LABIT_PAIRING', '6950c32f34d6a630d7dd5095d222f90a7b0c9d449a39a3f12b77ad658e27134e'),
         ('LABIT_D', '694daf7b3c99d710d577550700b8ad8a74d3c9f1f41574808b69ae0c7548cd69'),
@@ -62,8 +62,8 @@ EXPECTED = {
     ],
     B: [
         ('HELLO', '6f3a29f81540750c330b02b65b46781ab9fd82919cd2beabb0a4e2aba070ce5d'),
-        ('OT_MASKED0', '709ca25484aadaf19b85a1c4c46e9f25b066d3b2bf39ee35be6f03545380d857'),
-        ('OT_MASKED1', '9bd164194de8ae2696d6b4236ebe8fcc2bd9f790382c8d36fb38b4fbcdca41f0'),
+        ('OT_MASKED0', 'c8b90dfbc40471b7b39b8ae277e6f201db3a7a2b4e523bd1a8c5b3252a089ae2'),
+        ('OT_MASKED1', '3a8437bd95d6859f84e9e62c84ee058c31b1878a7c0a50dfdd7e4630db2f6df7'),
         ('OT_MASKED1', 'c4cba7bc6e13a9a07f61da3163adb353653efed026296162176b7a2966dc312f'),
         ('LABIT_PAIRING', '643516040e98deec984d7315cac2eba65eef90da2713f0be4ff0500d3bdac5ec'),
         ('LABIT_D', 'c071d1ec9e5b2099db0b0cab7fda650bf29022168f14fa42345665aeb40724fc'),

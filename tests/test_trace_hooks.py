@@ -37,7 +37,8 @@ json.dump({"spans": {k: v["offline"][0] for k, v in tracer.summary().items()},
 """
 
 SPANS = ("aot_proto.laot", "aot_proto.combine", "aand_proto.laand",
-         "aand_proto.combine", "bitlinalg.transpose", "bitlinalg.matmul")
+         "aand_proto.combine", "bitlinalg.transpose", "bitlinalg.matmul",
+         "ro_suite.expand")
 
 
 def test_spans_install_and_record_a_deal():
