@@ -16,7 +16,7 @@ import functools
 from typing import NamedTuple
 
 from .bitlinalg import BitVec
-from .circuit import Circuit, CircuitHeader, Gate
+from .circuit import AND, EQW, GATE_KINDS, INV, XOR, Circuit, CircuitHeader
 
 # ---------------------------------------------------------------------------
 # Software tower arithmetic on small ints. GF(4) lives in 2 bits as a1*u+a0
@@ -161,40 +161,44 @@ def _tower() -> _TowerMaps:
 
 class _Net:
     def __init__(self, n_inputs: int):
-        self.gates = []
+        self.table = []  # flat: kind, first input, second input, output per gate
         self.next = n_inputs
+        self.programs = {}  # (matrix rows, input width) -> its XOR program
 
-    def _emit(self, kind, ins) -> int:
+    def _emit(self, kind: int, a: int, b: int) -> int:
         w = self.next
         self.next += 1
-        self.gates.append(Gate(kind, ins, w))
+        self.table += (kind, a, b, w)
         return w
 
     def xor(self, a: int, b: int) -> int:
-        return self._emit("XOR", (a, b))
+        return self._emit(XOR, a, b)
 
     def and_(self, a: int, b: int) -> int:
-        return self._emit("AND", (a, b))
+        return self._emit(AND, a, b)
 
     def inv(self, a: int) -> int:
-        return self._emit("INV", (a,))
+        return self._emit(INV, a, a)
 
     def eqw(self, a: int) -> int:
-        return self._emit("EQW", (a,))
+        return self._emit(EQW, a, a)
 
     def xor_vec(self, a, b):
         return tuple(self.xor(x, y) for x, y in zip(a, b))
 
 
-def _linear_layer(net, rows, bits):
-    """XOR network computing out_i = parity(rows[i] & bits).
+def _xor_program(rows, width: int):
+    """XOR program computing out_i = parity(rows[i] & bits) for `width`
+    input bits.
 
     Greedy pair sharing: repeatedly materialize the input pair that appears
     in the most rows as one gate, then rewrite the rows over the new signal.
     Cuts the gate count well below one-chain-per-row on dense matrices.
+    Returns the gates as pairs of signal indices, where signal width + t is
+    gate t's output, and each row's signal.
     """
     masks = list(rows)
-    sigs = list(bits)
+    pairs = []
     while True:
         counts = {}
         for m in masks:
@@ -207,15 +211,25 @@ def _linear_layer(net, rows, bits):
             break
         i, j = min(counts, key=lambda k: (-counts[k], k))
         pair = (1 << i) | (1 << j)
-        fresh = 1 << len(sigs)
-        sigs.append(net.xor(sigs[i], sigs[j]))
+        fresh = 1 << (width + len(pairs))
+        pairs.append((i, j))
         masks = [(m ^ pair) | fresh if m & pair == pair else m for m in masks]
-    out = []
-    for m in masks:
-        if m == 0:
-            raise RuntimeError("zero row in a linear layer")
-        out.append(sigs[m.bit_length() - 1])
-    return tuple(out)
+    if 0 in masks:
+        raise RuntimeError("zero row in a linear layer")
+    return tuple(pairs), tuple(m.bit_length() - 1 for m in masks)
+
+
+def _linear_layer(net, rows, bits):
+    """XOR network computing out_i = parity(rows[i] & bits). Each matrix's
+    program is derived once per netlist and replayed on every call."""
+    key = (tuple(rows), len(bits))
+    if key not in net.programs:
+        net.programs[key] = _xor_program(*key)
+    pairs, outs = net.programs[key]
+    sigs = list(bits)
+    for i, j in pairs:
+        sigs.append(net.xor(sigs[i], sigs[j]))
+    return tuple(sigs[k] for k in outs)
 
 
 def _g4_mul(net, a, b):
@@ -359,18 +373,18 @@ def _build_netlist() -> _Net:
 @functools.lru_cache(maxsize=None)
 def generate_aes_circuit() -> Circuit:
     net = _build_netlist()
-    header = CircuitHeader(len(net.gates), net.next, 128, 128, 128,
+    header = CircuitHeader(len(net.table) // 4, net.next, 128, 128, 128,
                            ("both",) * 128)
-    return Circuit(header, net.gates)
+    return Circuit(header, net.table)
 
 
 def to_bristol(circuit: Circuit) -> str:
     h = circuit.header
     iv = f"2 {h.inputs_a} {h.inputs_b}" if h.inputs_b else f"1 {h.inputs_a}"
     lines = [f"{h.n_gates} {h.n_wires}", iv, f"1 {h.n_outputs}", ""]
-    for g in circuit.gates:
-        ins = " ".join(str(w) for w in g.ins)
-        lines.append(f"{len(g.ins)} 1 {ins} {g.out} {g.kind}")
+    lines += [f"1 1 {a} {out} {GATE_KINDS[kind]}" if kind in (INV, EQW)
+              else f"2 1 {a} {b} {out} {GATE_KINDS[kind]}"
+              for kind, a, b, out in zip(*circuit.table.T.tolist())]
     return "\n".join(lines) + "\n"
 
 

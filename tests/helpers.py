@@ -1,5 +1,6 @@
 """Shared test fixtures: a per-record reference view of authenticated bits,
-an honest in-memory dealer, random circuits, and two-party run plumbing.
+an honest in-memory dealer, random circuits, a per-line Bristol reader, and
+two-party run plumbing.
 
 The engine keeps authenticated bits as uint8 rows (`macbits.abit_proto.Rows`).
 The record types below are the tests' reference: one frozen object per bit,
@@ -20,13 +21,16 @@ import hashlib
 import random
 import socket
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from macbits.abit_proto import Rows
 from macbits.bitlinalg import BitVec, random_rows
-from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, CircuitHeader, Gate
+from macbits.circuit import (DEST_A, DEST_B, DEST_BOTH, GATE_KINDS, MAX_WIRES, Circuit,
+                             CircuitHeader, Gate)
 from macbits.dealer import DealerConfig, MaterialStore
+from macbits.errors import ParseError
 from macbits.ro_suite import ro_hash
 from macbits.transport import (MsgType, Role, Swap, TcpChannel, memory_pair, run_pair,
                                run_sides)
@@ -320,27 +324,140 @@ def random_circuit(rng: random.Random, n_gates: int, inputs_a: int = 4,
                    kinds=("XOR", "AND", "INV", "EQW")) -> Circuit:
     """A valid random circuit; every gate reads wires defined before it."""
     n_in = inputs_a + inputs_b
-    gates = []
+    rows = []  # the gate table: kind, first input, second input, output
     wire = n_in
     for _ in range(n_gates):
         kind = rng.choice(kinds)
-        if kind in ("INV", "EQW"):
-            ins = (rng.randrange(wire),)
-        else:
-            ins = (rng.randrange(wire), rng.randrange(wire))
-        gates.append(Gate(kind, ins, wire))
+        a = rng.randrange(wire)
+        b = a if kind in ("INV", "EQW") else rng.randrange(wire)
+        rows.append((GATE_KINDS.index(kind), a, b, wire))
         wire += 1
     if n_outputs is None:
         n_outputs = min(8, n_gates)
     header = CircuitHeader(n_gates=n_gates, n_wires=wire, inputs_a=inputs_a,
                            inputs_b=inputs_b, n_outputs=n_outputs,
                            output_dest=("both",) * n_outputs)
-    return Circuit(header, gates)
+    return Circuit(header, rows)
 
 
 def random_inputs(circuit: Circuit, rng: random.Random):
     return (BitVec.random(circuit.header.inputs_a, rng),
             BitVec.random(circuit.header.inputs_b, rng))
+
+
+# ---------------------------------------------------------------------------
+# the per-line Bristol reader: the differential reference for the array parser
+
+_REF_ARITY = {"XOR": 2, "AND": 2, "INV": 1, "EQW": 1}
+
+
+def reference_from_text(text: str):
+    """(CircuitHeader, tuple of Gates) for ASCII Bristol text, read one line
+    and one gate at a time and checked gate by gate against the set of wires
+    made so far; raises ParseError where `Circuit.from_text` must."""
+    if not text.isascii():
+        raise ParseError("non-ASCII text")
+    header, gates = _reference_parse(text)
+    _reference_validate(header, gates)
+    return header, gates
+
+
+def _reference_parse(text: str):
+    lines = text.splitlines()
+    head = list(islice(((n, toks) for n, toks in enumerate(map(str.split, lines), 1)
+                        if toks), 3))
+    if not head:
+        raise ParseError("empty circuit file")
+    lineno, nums = head[0]
+    try:
+        vals = [int(t) for t in nums]
+        if len(vals) != 2:
+            raise ParseError(f"line {lineno}: expected 'n_gates n_wires'")
+        if min(vals) < 0:
+            raise ParseError(f"line {lineno}: negative count or width")
+        n_gates, n_wires = vals
+        if len(head) < 2:
+            raise ParseError("missing input declaration line")
+        lineno, nums = head[1]
+        io_vals = [int(t) for t in nums]
+        old_style = (len(io_vals) == 3 and len(head) > 2
+                     and not head[2][1][-1].lstrip("-").isdigit())
+        if not old_style:
+            if not io_vals or len(io_vals) != io_vals[0] + 1:
+                raise ParseError(f"line {lineno}: malformed input value list")
+            if len(io_vals) not in (2, 3):
+                raise ParseError(f"line {lineno}: expected one or two input values")
+        if min(io_vals) < 0:
+            raise ParseError(f"line {lineno}: negative count or width")
+        if old_style:
+            inputs_a, inputs_b, n_outputs = io_vals
+        else:
+            inputs_a, inputs_b = io_vals[1], (io_vals[2] if len(io_vals) == 3 else 0)
+            if len(head) < 3:
+                raise ParseError("missing output declaration line")
+            lineno, nums = head[2]
+            out_vals = [int(t) for t in nums]
+            if not out_vals or len(out_vals) != out_vals[0] + 1:
+                raise ParseError(f"line {lineno}: malformed output value list")
+            if min(out_vals) < 0:
+                raise ParseError(f"line {lineno}: negative count or width")
+            n_outputs = sum(out_vals[1:])
+        gates = []
+        for lineno, line in enumerate(lines[lineno:], lineno + 1):  # after the header
+            toks = line.split()
+            if not toks:
+                continue
+            if len(toks) < 4:
+                raise ParseError(f"line {lineno}: truncated gate")
+            kind = toks[-1].upper()
+            if kind == "EQ":
+                kind = "EQW"
+            if kind not in _REF_ARITY:
+                raise ParseError(f"line {lineno}: unsupported gate {toks[-1]!r}")
+            nums = toks[:-1]
+            n_in, n_out, *wires = map(int, nums)
+            if n_out != 1 or len(wires) != n_in + 1:
+                raise ParseError(f"line {lineno}: bad gate wire counts")
+            if n_in != _REF_ARITY[kind]:
+                raise ParseError(f"line {lineno}: {kind} takes {_REF_ARITY[kind]} inputs")
+            if len(gates) == n_gates:
+                raise ParseError(f"line {lineno}: more gates than declared")
+            gates.append(Gate(kind, tuple(wires[:-1]), wires[-1]))
+    except ParseError:
+        raise
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected integers, got {nums!r}") from None
+    if len(gates) != n_gates:
+        raise ParseError(f"expected {n_gates} gates, file has {len(gates)}")
+    header = CircuitHeader(n_gates, n_wires, inputs_a, inputs_b, n_outputs,
+                           (DEST_BOTH,) * min(n_outputs, n_gates))
+    return header, tuple(gates)
+
+
+def _reference_validate(header: CircuitHeader, gates) -> None:
+    n_in, n_wires = header.n_inputs, header.n_wires
+    if n_in + header.n_outputs > n_wires:
+        raise ParseError("wire count below inputs plus outputs")
+    made = set()
+    for g in gates:
+        for w in g.ins:
+            if not 0 <= w < n_wires:
+                raise ParseError(f"input wire {w} out of range")
+            if w >= n_in and w not in made:
+                raise ParseError(f"wire {w} used before assignment")
+        if not 0 <= g.out < n_wires:
+            raise ParseError(f"output wire {g.out} out of range")
+        if g.out < n_in or g.out in made:
+            raise ParseError(f"wire {g.out} assigned twice")
+        made.add(g.out)
+    for w in range(n_wires - header.n_outputs, n_wires):  # stops at the first gap
+        if w not in made:
+            raise ParseError(f"output wire {w} never assigned")
+    if n_wires != n_in + len(gates):
+        raise ParseError(f"header claims {n_wires} wires, inputs and gates make "
+                         f"{n_in + len(gates)}")
+    if n_wires >= MAX_WIRES:
+        raise ParseError(f"{n_wires} wires, the limit is {MAX_WIRES - 1}")
 
 
 # ---------------------------------------------------------------------------

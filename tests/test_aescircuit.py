@@ -1,9 +1,11 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aes_oracle import KNOWN_VECTORS, aes128_encrypt
@@ -13,6 +15,10 @@ from macbits.bitlinalg import BitVec
 from macbits.circuit import Circuit, plain_eval
 
 ROOT = Path(__file__).resolve().parents[1]
+# SHA-256 of the netlist's Bristol text (1,073,162 bytes), and of its parsed
+# schedule: every level_indices array in order, as little-endian int64.
+NETLIST_SHA256 = "40ee99184d3609ec37a28da86d21bad6b9da0525d2115a868df47133df541cd6"
+SCHEDULE_SHA256 = "38eb7f04e20e4051384c6883a6e706681d2ff6c0ea3c6d609e2240009508ad97"
 
 
 def encrypt_via_circuit(circuit, key: bytes, pt: bytes) -> bytes:
@@ -58,6 +64,27 @@ def test_bristol_round_trip():
     assert back.gates == c.gates
     key, pt, ct = KNOWN_VECTORS[0]
     assert encrypt_via_circuit(back, key, pt) == ct
+
+
+def test_netlist_bytes_are_pinned():
+    """The same bytes on a build and on a rebuild after the cache is
+    cleared: nothing a build keeps outlives it."""
+    digests = []
+    for _ in range(2):
+        text = to_bristol(generate_aes_circuit())
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+        generate_aes_circuit.cache_clear()
+    assert digests == [NETLIST_SHA256] * 2
+
+
+def test_schedule_of_the_parsed_netlist_is_pinned():
+    c = Circuit.from_text(to_bristol(generate_aes_circuit()))
+    digest = hashlib.sha256()
+    for ands, steps in c.level_indices:
+        for arr in (*(ands or ()), *(a for step in steps for a in step)):
+            digest.update(np.asarray(arr, dtype="<i8").tobytes())
+    assert len(c.level_indices) == 41
+    assert digest.hexdigest() == SCHEDULE_SHA256
 
 
 def test_block_packing():

@@ -1,11 +1,12 @@
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit, random_inputs
+from helpers import random_circuit, random_inputs, reference_from_text
 from macbits.aescircuit import to_bristol
 from macbits.bitlinalg import BitVec
 from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, plain_eval
@@ -33,7 +34,13 @@ def ref(a0, a1, b0, b1):
     return (a0 ^ a1) ^ (b0 & b1)
 
 
-@pytest.mark.parametrize("text", [OLD_STYLE, NEW_STYLE])
+@pytest.mark.parametrize("text", [
+    OLD_STYLE,
+    NEW_STYLE,
+    NEW_STYLE.replace(" ", "\t"),
+    OLD_STYLE.replace("\n", "\r\n"),
+    NEW_STYLE.replace("\n2 1", "\n\n  \n2 1"),
+])
 def test_parse_both_header_styles(text):
     c = Circuit.from_text(text)
     h = c.header
@@ -88,6 +95,8 @@ def test_inv_eqw_and_eq_alias():
     ("1 7\n2 2 1\n2 2 0 1 4 XOR\n", "bad gate wire counts"),
     ("1 4\n2 -1 3\n1 1\n2 1 0 1 3 XOR\n", "line 2: negative"),
     ("1 3\n2 1 1\n1 -5\n2 1 0 1 2 AND\n", "line 3: negative"),
+    ("1 3\n2 1 1\n1 1\n2 1 0 1 \u0662 AND\n", "line 4: non-ASCII byte 0xd9"),
+    ("1 7\r\n2 2 1\r\n\r\n2 1 0 1 4 NAND\r\n", "line 4: unsupported gate"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ParseError) as e:
@@ -120,6 +129,106 @@ def test_from_file(tmp_path):
     p.write_text(OLD_STYLE)
     c = Circuit.from_file(p)
     assert c.header.n_gates == 3
+
+
+def test_non_ascii_is_refused_alike_from_text_and_file(tmp_path):
+    text = "1 3\n2 1 1\n1 1\n2 1 0 1 \u0662 AND\n"
+    p = tmp_path / "c.txt"
+    p.write_text(text, encoding="utf-8")
+    errors = []
+    for parse in (lambda: Circuit.from_text(text), lambda: Circuit.from_file(p)):
+        with pytest.raises(ParseError) as e:
+            parse()
+        errors.append(str(e.value))
+    assert errors == ["line 4: non-ASCII byte 0xd9"] * 2
+
+
+# Pieces a mutation splices in: whitespace and line breaks of every kind
+# str.split and str.splitlines know in ASCII, kinds in any case, integers
+# int() reads in unusual spellings, stray letters, a non-ASCII digit and a
+# lone surrogate, which no encoding but surrogatepass writes.
+_SPACES = (" ", "  ", "\t", "\x1f", " \t ")
+_BREAKS = ("\n", "\r\n", "\r", "\n\n", "\n \n", "\x0b", "\x0c", "\x1c", "\x1e", "\t\r\n")
+_SPLICES = _SPACES + _BREAKS + ("0", "1", "5", "-", "+", "_", "x", "Z", "\u0662", "\ud800")
+_TOKENS = ("0", "1", "2", "3", "4", "5", "6", "7", "8", "-1", "-0", "+2", "007", "1_0",
+           "2__0", "99999999999999999999", "00000000000000000000003", "-99999999999999999999",
+           "XOR", "AND", "INV", "EQW", "EQ", "xor", "and", "inv", "eqw", "eq", "Xor",
+           "NAND", "EQWX", "X", "x1", "1x", "")
+_SAME_KIND = {"XOR": ("xor", "Xor"), "AND": ("and", "aNd"), "INV": ("inv",),
+              "EQW": ("eqw", "EQ", "eq")}
+
+
+def _respell(tok: str, rng: random.Random) -> str:
+    """The same token as int() or the kind table reads it."""
+    if tok.isdigit():
+        return rng.choice(("+", "0", "00000000000000000000", "+0")) + tok
+    return rng.choice(_SAME_KIND.get(tok.upper(), (tok,)))
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(6)
+        if op == 0:  # splice in a piece
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(_SPLICES) + text[i:]
+        elif op == 1 and text:  # delete a few characters
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        elif op in (2, 3, 4):  # replace or respell a token, or respell a whitespace run
+            runs = list(re.finditer(r"[ \n]+" if op == 4 else r"\S+", text))
+            if runs:
+                m = rng.choice(runs)
+                if op == 2:
+                    new = rng.choice(_TOKENS)
+                elif op == 3:
+                    new = _respell(m.group(), rng)
+                else:
+                    new = rng.choice(_BREAKS if "\n" in m.group() else _SPACES)
+                text = text[:m.start()] + new + text[m.end():]
+        else:  # duplicate, drop or swap lines
+            lines = text.split("\n")
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            choice = rng.randrange(3)
+            if choice == 0:
+                lines.insert(i, lines[j])
+            elif choice == 1:
+                del lines[i]
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+def _array_parse(text):
+    c = Circuit.from_text(text)
+    from_bytes = Circuit.from_text(text.encode("utf-8"))
+    assert (from_bytes.header, from_bytes.gates) == (c.header, c.gates)
+    return c.header, c.gates
+
+
+def test_parser_agrees_with_the_per_line_reference():
+    """A few thousand mutants of small Bristol texts: the array parser gives
+    the per-line reader's header and gates, or both raise ParseError. No
+    other exception may escape either."""
+    rng = random.Random(2026)
+    bases = [OLD_STYLE, NEW_STYLE, "2 4\n1 1 2\n1 1 0 2 INV\n1 1 1 3 EQ\n",
+             "1 3\n1 2\n1 1\n2 1 0 1 2 AND\n"]
+    bases += [to_bristol(random_circuit(rng, n, 2, 2, n_outputs=min(2, n)))
+              for n in (1, 4, 9)]
+    accepted = 0
+    for _ in range(3000):
+        text = _mutate(rng, rng.choice(bases))
+        want = _outcome(reference_from_text, text)
+        assert _outcome(_array_parse, text) == want, text
+        accepted += want is not ParseError
+    assert 500 < accepted < 2500  # both outcomes are well exercised
 
 
 def test_output_destinations():
