@@ -8,8 +8,15 @@ its key L. Only branch 1 crosses the wire, once, masked under the expansion
 of s1, so a receiver holding s_c computes L xor c*offset.
 
 Messages, seeds and the long strings are packed uint8 rows in
-`bitlinalg`'s byte order: a batch of n instances of ell-bit strings is one
-(n, ceil(ell/8)) array, laid out as the OT_MASKED1 frame carries it.
+`bitlinalg`'s byte order: n instances of ell-bit strings are one
+(n, ceil(ell/8)) array.
+
+The long strings cross in batches along ell (`ot_batches`): equal,
+byte-aligned slices of at most BATCH_BITS bits, one OT_MASKED1 frame each,
+the last batch taking the rest. Batch k of an instance is the expansion of
+its seed and k (`_batch_rows`), so the one set of seed OTs serves every
+batch, and the receiver hands each batch on as it arrives
+(`extend_ot_receive`'s consume), never holding the whole strings.
 
 Every transfer here is a protocol side, a generator run by
 `transport.run_sides`, so both owners' extensions can run side by side. A
@@ -39,6 +46,10 @@ from .ro_suite import KAPPA_DEFAULT, expand, pad_rows
 from .transport import MsgType, Recv, Send
 
 SEED_BITS = KAPPA_DEFAULT
+# The most bits of each long string that one OT_MASKED1 frame carries: it
+# bounds the columns a party holds at once, and an aes128 deal's 208,928
+# bits cross in four 12 MB frames, each large enough to be sent full-duplex.
+BATCH_BITS = 1 << 16
 
 
 class DealerOt:
@@ -117,44 +128,80 @@ class DealerOt:
         return frames[c, np.arange(n)] ^ pads
 
 
+def ot_batches(n_bits: int) -> list:
+    """The batches an n_bits-bit extension crosses in, as (first bit, bits)
+    pairs: about n_bits / BATCH_BITS slices of at most BATCH_BITS bits (a
+    multiple of 8), all of one whole-byte width but the last, which takes
+    what is left; one empty batch if n_bits is 0."""
+    n = max(1, -(-n_bits // BATCH_BITS))
+    width = 8 * max(1, -(-n_bits // (8 * n)))
+    return [(b0, min(width, n_bits - b0)) for b0 in range(0, n_bits, width)] or [(0, 0)]
+
+
+def batch_bytes(b0: int, bits: int) -> slice:
+    """The bytes of a packed row that hold bits b0 to b0 + bits of a batch."""
+    return slice(b0 // 8, (b0 + bits + 7) // 8)
+
+
+def _batch_rows(seeds: np.ndarray, k: int) -> np.ndarray:
+    """The rows whose `pad_rows` expansions are batch k of each seed's long
+    string: the seed, then k as 4 bytes, big-endian."""
+    index = np.frombuffer(k.to_bytes(4, "big"), np.uint8)
+    return np.concatenate((seeds, np.broadcast_to(index, (len(seeds), 4))), axis=1)
+
+
 def extend_ot_send(backend, offset: np.ndarray, n_bits: int, count: int, rng):
     """Correlated OT, as a protocol side: instance k offers (L_k, L_k xor
     offset) for a packed n_bits-bit offset row, where L_k is the expansion of
-    its branch-0 seed. Sends the seed OTs, then one OT_MASKED1 frame holding
-    every masked branch 1, and returns the keys L_k as a (count,
-    ceil(n_bits/8)) array."""
+    its branch-0 seed. Sends the seed OTs, then one OT_MASKED1 frame per
+    batch (`ot_batches`), each holding that batch of every masked branch 1,
+    and returns the keys L_k as a (count, ceil(n_bits/8)) array."""
     seeds = random_rows(2 * count, SEED_BITS, rng).reshape(count, 2, SEED_BITS // 8)
     yield from backend.send(seeds)
-    keys = pad_rows("otx", seeds[:, 0], n_bits)
-    # not bound to a name here, so the frame is freed once it is sent
-    yield Send((MsgType.OT_MASKED1, _masked_branch_one(seeds[:, 1], keys, offset, n_bits)))
+    keys = np.empty((count, (n_bits + 7) // 8), np.uint8)
+    for k, (b0, bits) in enumerate(ot_batches(n_bits)):
+        # not bound to a name here, so each frame is freed once it is sent
+        yield Send((MsgType.OT_MASKED1, _masked_branch_one(seeds, keys, offset, k, b0, bits)))
     return keys
 
 
-def _masked_branch_one(seeds1, keys, offset, n_bits: int) -> bytearray:
-    """The OT_MASKED1 payload: per instance, L_k xor offset masked under the
-    expansion of its branch-1 seed. The pads go into the frame's buffer a
-    few rows at a time."""
-    count, nb = keys.shape
-    frame = bytearray(count * nb)
-    masked = np.frombuffer(frame, np.uint8).reshape(count, nb)
-    for k in range(0, count, 64):
-        masked[k : k + 64] = pad_rows("otx", seeds1[k : k + 64], n_bits)
-    masked ^= keys
-    masked ^= offset
+def _masked_branch_one(seeds, keys, offset, k: int, b0: int, bits: int) -> bytearray:
+    """Batch k's OT_MASKED1 payload, bits b0 to b0 + bits of each instance:
+    L_k xor offset masked under the expansion of its branch-1 seed. The
+    batch's keys are expanded straight into their columns of keys, and the
+    pads into the frame's buffer."""
+    cols = batch_bytes(b0, bits)
+    pad_rows("otx", _batch_rows(seeds[:, 0], k), bits, out=keys[:, cols])
+    frame = bytearray(len(keys) * (cols.stop - cols.start))
+    masked = np.frombuffer(frame, np.uint8).reshape(len(keys), -1)
+    pad_rows("otx", _batch_rows(seeds[:, 1], k), bits, out=masked)
+    masked ^= keys[:, cols]
+    masked ^= offset[cols]
     return frame
 
 
-def extend_ot_receive(backend, choices, n_bits: int):
+def extend_ot_receive(backend, choices, n_bits: int, consume) -> None:
     """The receiving side: L_k xor c_k*offset per instance, the chosen seed
-    s_c's expansion xor c_k times the instance's row of the branch-1 frame,
-    as a (len(choices), ceil(n_bits/8)) array. The whole frame is parsed
-    before a choice bit picks its rows, so a set pad bit aborts whatever the
-    choices are."""
+    s_c's expansion xor c_k times the instance's row of the branch-1 frames.
+    Each batch goes to consume(b0, bits, cols) as it arrives, cols holding
+    bits b0 to b0 + bits of every instance as a (len(choices),
+    ceil(bits/8)) array, so the receiver holds one batch at a time. Each
+    batch's frame is parsed whole before a choice bit picks its rows, so a
+    set pad bit aborts whatever the choices are."""
     seeds = yield from backend.receive(choices, SEED_BITS)
     n = len(choices)
-    (frame,) = yield Recv((MsgType.OT_MASKED1, (n_bits + 7) // 8 * n))
-    frame = unpack_rows(frame, n, n_bits)
-    macs = pad_rows("otx", seeds, n_bits)
-    np.bitwise_xor(macs, frame, out=macs, where=np.asarray(choices, bool)[:, None])
-    return macs
+    picked = np.asarray(choices, bool)[:, None]
+    for k, (b0, bits) in enumerate(ot_batches(n_bits)):
+        # nothing here is bound to a name, so a batch is freed before the
+        # next one is read
+        consume(b0, bits, _unmasked_batch(
+            seeds, picked, (yield Recv((MsgType.OT_MASKED1, (bits + 7) // 8 * n)))[0], k, bits))
+
+
+def _unmasked_batch(seeds, picked, frame, k: int, bits: int) -> np.ndarray:
+    """Batch k of each chosen long string: the expansion of its chosen seed,
+    xor its row of the batch's OT_MASKED1 frame where the choice bit is set."""
+    frame = unpack_rows(frame, len(seeds), bits)
+    cols = pad_rows("otx", _batch_rows(seeds, k), bits)
+    np.bitwise_xor(cols, frame, out=cols, where=picked)
+    return cols

@@ -15,6 +15,8 @@ a BitVec per row. Bits and rows from the peer are read through
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,9 +27,11 @@ from .errors import ProtocolError, UsageError
 # a block's matrix bits as its table index; the widest column chunk it works
 # on, and the bytes of tables it builds at once.
 _FR_COLS = 6
-_FR_WEIGHTS = 1 << np.arange(_FR_COLS, dtype=np.intp)
 _FR_CHUNK = 6 << 10
 _FR_TABLES = 1 << 20
+# Each thread's buffer for those tables, kept between calls so that their
+# pages stay mapped: a fresh megabyte a call cost a few hundred page faults.
+_FR_BUFFER = threading.local()
 # The three masked swaps of an 8x8 bit-block transpose on uint64 words whose
 # bit 8r + c is entry (r, c) of the block.
 _SWAPS = tuple((np.uint64(s), np.uint64(m)) for s, m in
@@ -190,7 +194,11 @@ def mat_vec_mul_batch(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
     n_blocks = full + (rest > 0)
     bits = np.zeros((len(m), n_blocks * _FR_COLS), np.uint8)
     bits[:, :n] = np.unpackbits(m, axis=1, count=n, bitorder="little")
-    picks = (bits.reshape(len(m), n_blocks, _FR_COLS) @ _FR_WEIGHTS).T.copy()
+    blocked = bits.reshape(len(m), n_blocks, _FR_COLS)
+    picks = blocked[:, :, 0].copy()
+    for i in range(1, _FR_COLS):
+        picks |= blocked[:, :, i] << i
+    picks = picks.T.astype(np.intp)
     n_chunks = max(1, -(-w // _FR_CHUNK))
     chunk = max(1, -(-w // n_chunks))
     per = max(1, _FR_TABLES // ((1 << _FR_COLS) * chunk))
@@ -201,8 +209,11 @@ def mat_vec_mul_batch(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
         tail[0, :rest] = cols[_FR_COLS * full :]
         groups.append((full, tail))
     out = np.zeros((len(m), w), np.uint8)
-    # entry 0 of every table is never written, so it stays zero
-    tables = np.zeros((min(per, n_blocks), 1 << _FR_COLS, chunk), np.uint8)
+    if not hasattr(_FR_BUFFER, "tables"):
+        _FR_BUFFER.tables = np.empty(_FR_TABLES, np.uint8)
+    shape = (min(per, n_blocks), 1 << _FR_COLS, chunk)
+    tables = _FR_BUFFER.tables[: math.prod(shape)].reshape(shape)
+    tables[:, 0] = 0  # entry 0 of every table is never written after this
     for c0 in range(0, w, chunk):
         dst = out[:, c0 : c0 + chunk]
         for b0, group in groups:

@@ -13,14 +13,21 @@ side by side: first both `produce_abits` sides, then the laAND sides of both
 owners with the laOT sides of both directions. Every side yields one flight
 at a time; in each round both parties compute their own sides' payloads at
 once, then exchange them in one of `run_sides`' three modes: a small round
-sends before it reads; a round above `transport.DUPLEX_MIN` (the aBit OT
-corrections) sends on a second thread while it reads; in between Alice sends
+sends before it reads; a round above `transport.DUPLEX_MIN` (a batch of aBit
+OT corrections) sends on a second thread while it reads; in between Alice sends
 all of hers before she reads and Bob reads before he sends. So neither
 blocks sending a large frame to a peer that is itself sending. Frames go out
 in side order, Alice's bits or Alice's direction first on both parties. The
 hello, the combiners and the deferred-MAC flush with the global-key
 commitments stay one at a time, in the same order on both parties, so the
 MAC accumulators chain alike.
+
+The aBit sides cross their OT corrections in batches of at most
+`base_ot.BATCH_BITS` bits per column, one frame per batch, and the key
+holder turns each batch into key rows as it arrives. So while the aBits are
+made a party holds its own bits' key columns, 2*tau bits per bit it owns
+(about 49 MB per AES block), and a few batch-sized buffers: a deal's peak
+memory grows with its demand by about that much, not by three times it.
 
 From the aBit pipeline's transpose on, every
 authenticated bit is a row of a uint8 array (a MAC-side row is the MAC's

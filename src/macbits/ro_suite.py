@@ -112,21 +112,21 @@ def hash_rows(tag: str, rows: np.ndarray) -> np.ndarray:
     return np.frombuffer(out, np.uint8).reshape(n, DIGEST_BYTES)
 
 
-def pad_rows(tag: str, rows: np.ndarray, n_bits: int) -> np.ndarray:
+def pad_rows(tag: str, rows: np.ndarray, n_bits: int, out: np.ndarray = None) -> np.ndarray:
     """Per row, the packed n_bits-bit pad SHAKE-128(tag-prefix || row), as a
-    (len(rows), ceil(n_bits/8)) uint8 array with zero pad bits: one XOF call
-    per row. The length-prefixed tag keeps the pads of distinct tags apart,
-    and from `expand`'s output as long as tag is not "prg", which no caller
-    uses. Counted as one call per row under tag, plus ceil(n_bits/256) "prg"
-    blocks per row.
+    (len(rows), ceil(n_bits/8)) uint8 array with zero pad bits, written into
+    out if given (an array of that shape, such as a column slice of a wider
+    one): one XOF call per row. The length-prefixed tag keeps the pads of
+    distinct tags apart, and from `expand`'s output as long as tag is not
+    "prg", which no caller uses. Counted as one call per row under tag, plus
+    ceil(n_bits/256) "prg" blocks per row.
 
     The pads are joined about 32 KiB at a time and copied into the result,
     so no second copy of the whole result is ever held.
     """
     n, w = rows.shape
     nb = (n_bits + 7) // 8
-    pads = np.empty((n, nb), np.uint8)
-    flat = memoryview(pads.reshape(-1))  # already 1-D bytes: a cast fails on zero sizes
+    pads = np.empty((n, nb), np.uint8) if out is None else out
     raw = rows.tobytes()
     head = _tag_prefix(tag)
     shake = hashlib.shake_128
@@ -134,8 +134,9 @@ def pad_rows(tag: str, rows: np.ndarray, n_bits: int) -> np.ndarray:
     per_chunk = max(1, _PAD_CHUNK // max(nb, 1))
     for k0 in range(0, n, per_chunk):
         k1 = min(n, k0 + per_chunk)
-        flat[k0 * nb : k1 * nb] = b"".join(
-            [shake(head + raw[i : i + w]).digest(nb) for i in starts[k0:k1]])
+        pads[k0:k1] = np.frombuffer(
+            b"".join([shake(head + raw[i : i + w]).digest(nb) for i in starts[k0:k1]]),
+            np.uint8).reshape(k1 - k0, nb)
     with _counter_lock:
         _hash_calls[tag] += n
         _hash_calls["prg"] += n * -(-n_bits // 256)

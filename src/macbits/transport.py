@@ -352,27 +352,34 @@ def run_sides(ch: Channel, role: Role, *sides) -> list:
     only Alice's goes out before its sender reads. A side that yields
     anything else is a UsageError; a peer whose flights do not line up
     shows as a frame of the wrong type or size (ProtocolError).
+
+    Within a round, the sides that were handed frames resume first, so what
+    they read is dropped before the other sides build their frames.
     """
     results = [None] * len(sides)
     replies = [None] * len(sides)
     live = list(range(len(sides)))
     while live:
-        frames, wanted, still = [], [], []
-        for i in live:
+        steps = {}
+        for i in sorted(live, key=lambda i: replies[i] is None):
             try:
-                step = sides[i].send(replies[i])
+                steps[i] = sides[i].send(replies[i])
             except StopIteration as done:
                 results[i] = done.value
+            replies[i] = None
+        frames, wanted, still = [], [], []
+        for i in live:
+            if i not in steps:
                 continue
+            step = steps[i]
             if not isinstance(step, Swap):
                 raise UsageError(f"a side yielded {type(step).__name__}, not Send, Recv or Swap")
-            replies[i] = None
             still.append(i)
             if step.frames:
                 frames += step.frames
             if step.wants:
                 wanted.append((i, step.wants))
-        live, step = still, None
+        live, steps, step = still, None, None
         out = sum(len(payload) for _, payload in frames)
         if wanted and out > DUPLEX_MIN:
             _duplex_flight(ch, frames, wanted, replies)

@@ -25,7 +25,8 @@ from itertools import islice
 
 import numpy as np
 
-from macbits.abit_proto import Rows
+from macbits.abit_proto import Rows, labit_receiver
+from macbits.base_ot import batch_bytes, extend_ot_receive
 from macbits.bitlinalg import BitVec, random_rows
 from macbits.circuit import (DEST_A, DEST_B, DEST_BOTH, GATE_KINDS, MAX_WIRES, Circuit,
                              CircuitHeader, Gate)
@@ -505,6 +506,33 @@ def seeded(backend, mint: bool, side):
     return (yield from side)
 
 
+def gathering(n: int, n_bits: int):
+    """A consume for `extend_ot_receive` or `labit_receiver` that joins the
+    batches it is handed: (consume, the (n, ceil(n_bits/8)) array it fills)."""
+    rows = np.empty((n, (n_bits + 7) // 8), np.uint8)
+
+    def consume(b0, bits, cols):
+        rows[:, batch_bytes(b0, bits)] = cols
+
+    return consume, rows
+
+
+def ot_receive_all(backend, choices, n_bits: int):
+    """`extend_ot_receive`, returning every instance's whole n_bits-bit
+    string as one (len(choices), ceil(n_bits/8)) array."""
+    consume, rows = gathering(len(choices), n_bits)
+    yield from extend_ot_receive(backend, choices, n_bits, consume)
+    return rows
+
+
+def labit_receive_all(tau: int, ell: int, kappa: int, rng, backend):
+    """`labit_receiver`, returning (y_i, N_i): the surviving choice bits and
+    their whole columns as one (tau, ceil(ell/8)) array."""
+    consume, rows = gathering(tau, ell)
+    ys = yield from labit_receiver(tau, ell, kappa, rng, backend, consume)
+    return ys, rows
+
+
 def ref_pad(tag: str, row: bytes, n_bits: int) -> bytes:
     """The reference `pad_rows` pad of one row: n_bits bits of SHAKE-128 of
     the 2-byte big-endian tag length, the tag and the row, packed in
@@ -720,10 +748,11 @@ def reconstruct_pair(a, b) -> int:
 
 
 def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
-                          ell: int = 4, kappa: int = 16) -> int:
+                          ell: int = 4, kappa: int = 16, batch: int = 0) -> int:
     """Sender uses a wrong offset in OT i for i < m (distinct offsets, so
-    colliding pairs cannot cancel); survive means the pairing check passed."""
-    from macbits.abit_proto import labit_receiver, labit_sender
+    colliding pairs cannot cancel) in one batch of the extension, the first
+    unless told otherwise; survive means the pairing check passed."""
+    from macbits.abit_proto import labit_sender
     from macbits.base_ot import DealerOt
     from macbits.errors import ProtocolAbort
 
@@ -731,8 +760,8 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
 
     def tamper(flight, msg_type, payload):
         # offset k + 1 (< 2**ell) on OT k's branch 1; flight 0 holds the
-        # seed OTs' own OT_MASKED1, flight 1 the correction frame
-        if (flight, msg_type) != (1, MsgType.OT_MASKED1):
+        # seed OTs' own OT_MASKED1, flight 1 + b batch b's correction frame
+        if (flight, msg_type) != (1 + batch, MsgType.OT_MASKED1):
             return payload
         m1 = np.frombuffer(payload, np.uint8).reshape(2 * tau, -1).copy()
         m1[:m, 0] ^= np.arange(1, m + 1, dtype=np.uint8)
@@ -758,7 +787,7 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
         run_side(cb, Role.BOB, backend.setup(mint=False))
         for _ in range(trials):
             try:
-                run_side(cb, Role.BOB, labit_receiver(tau, ell, kappa, rng, backend))
+                run_side(cb, Role.BOB, labit_receive_all(tau, ell, kappa, rng, backend))
             except ProtocolAbort:
                 pass
 

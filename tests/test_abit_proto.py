@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (AuthBitKey, AuthBitMac, closing_pair, const_key, const_mac, delta_vec,
-                     key_half, labit_cheat_survivals, mac_half, run_side, run_two, seeded,
-                     verify_abit)
-from macbits.abit_proto import (amplify_keys_with, amplify_macs_with,
-                                labit_receiver, labit_sender,
+                     key_half, labit_cheat_survivals, labit_receive_all, mac_half,
+                     ot_receive_all, run_side, run_two, seeded, verify_abit)
+from macbits import base_ot
+from macbits.abit_proto import (amplify_keys_with, amplify_macs_with, labit_sender,
                                 labit_to_wabit_keys, labit_to_wabit_macs,
                                 produce_abits, tau_for, wabit_amplify_mac_side)
-from macbits.base_ot import DealerOt, extend_ot_receive
+from macbits.base_ot import DealerOt
 from macbits.bitlinalg import BitVec, pack_bits, random_rows
 from macbits.eq_box import eq_respond_side, value_digest
 from macbits.errors import ProtocolAbort, ProtocolError, UsageError
@@ -89,8 +90,8 @@ def run_labit(tau, ell, seed=0, kappa=16):
     ot_a, ot_b = DealerOt(rng_a), DealerOt()
     return run_two(
         lambda a: run_side(a, A, seeded(ot_a, True, labit_sender(tau, ell, kappa, rng_a, ot_a))),
-        lambda b: run_side(b, B, seeded(ot_b, False, labit_receiver(tau, ell, kappa, rng_b,
-                                                                    ot_b))),
+        lambda b: run_side(b, B, seeded(ot_b, False, labit_receive_all(tau, ell, kappa, rng_b,
+                                                                       ot_b))),
         timeout=30)
 
 
@@ -122,7 +123,7 @@ def test_labit_wrong_d_announcement_aborts():
         ys = [rng_b.getrandbits(1) for _ in range(t)]
         ot_b = DealerOt()
         yield from ot_b.setup(mint=False)
-        macs = yield from extend_ot_receive(ot_b, ys, ell)
+        macs = yield from ot_receive_all(ot_b, ys, ell)
         part = np.arange(t, dtype=np.uint32) ^ 1  # pairs (0, 1), (2, 3), ...
         reps = range(0, t, 2)
         d = [ys[i] ^ ys[part[i]] for i in reps]
@@ -332,3 +333,103 @@ def test_produce_abits_rejects_zero():
         with pytest.raises(UsageError, match="count must be positive"):
             run_side(a, A, produce_abits(a, Role.ALICE, Role.ALICE, 0, 16, random.Random(0),
                                          DealerOt(random.Random(0))))
+
+
+# ---------------------------------------------------------------------------
+# the extension in batches
+
+
+def test_cheat_in_one_later_batch_survives_at_two_to_the_minus_m(monkeypatch):
+    """ell = 24 crosses in three 8-bit batches. A sender that puts m distinct
+    offsets into the last batch's correction frame only still survives the
+    one pair check over all batches at 2^-m."""
+    monkeypatch.setattr(base_ot, "BATCH_BITS", 8)
+    assert base_ot.ot_batches(24) == [(0, 8), (8, 8), (16, 8)]
+    trials = 10 ** 4
+    for m in (1, 2, 3):
+        rate = labit_cheat_survivals(m, trials, seed=2005 + m, ell=24, batch=2) / trials
+        want = 2.0 ** -m
+        assert abs(rate - want) <= 3 * math.sqrt(want * (1 - want) / trials), (m, rate)
+
+
+def test_every_correction_crosses_before_the_pairing(monkeypatch):
+    """Driven by hand over three batches of ell = 44 bits (16, 16, 12): the
+    sender yields all its correction frames before its first read, and the
+    receiver, fed those frames, sends nothing until it has read the last
+    one; then it sends the pairing and d. An owner that knew them could
+    put one wrong offset on both columns of a pair with d = 0, and no pair
+    check would see it."""
+    monkeypatch.setattr(base_ot, "BATCH_BITS", 16)
+    tau, ell, kappa = 4, 44, 16
+    assert base_ot.ot_batches(ell) == [(0, 16), (16, 16), (32, 12)]
+    ot = DealerOt(random.Random(1))
+    sender = seeded(ot, True, labit_sender(tau, ell, kappa, random.Random(2), ot))
+    flights, step = [], sender.send(None)
+    while not step.wants:
+        flights.append(step.frames)
+        step = sender.send(None)
+    assert [t for t, _ in step.wants] == [MsgType.LABIT_PAIRING, MsgType.LABIT_D]
+    assert [[t for t, _ in f] for f in flights] == [
+        [MsgType.OT_SETUP], [MsgType.OT_MASKED0, MsgType.OT_MASKED1]] + [[MsgType.OT_MASKED1]] * 3
+    assert [len(f[0][1]) for f in flights[2:]] == [2 * tau * 2] * 3
+
+    rx_ot = DealerOt()
+    receiver = seeded(rx_ot, False, labit_receive_all(tau, ell, kappa, random.Random(3), rx_ot))
+    queue = [frame for f in flights for frame in f]
+    step = receiver.send(None)
+    while queue:
+        assert not step.frames
+        reply = []
+        for t, n in step.wants:
+            got_t, payload = queue.pop(0)
+            assert (got_t, len(payload)) == (t, n)
+            reply.append(payload)
+        step = receiver.send(reply)
+    assert [t for t, _ in step.frames] == [MsgType.LABIT_PAIRING, MsgType.LABIT_D]
+
+
+@pytest.mark.parametrize("ell", [44, 61])
+def test_batched_extension_keeps_the_relation(monkeypatch, ell):
+    """Over several batches, the last not a whole byte, each surviving
+    column still satisfies N_i == L_i xor y_i * Gamma, and produce_abits'
+    key holder, amplifying each batch as it arrives, ends with keys that
+    match the owner's MACs."""
+    monkeypatch.setattr(base_ot, "BATCH_BITS", 16)
+    assert len(base_ot.ot_batches(ell)) >= 3
+    (gamma, keys), (ys, macs) = run_labit(4, ell)
+    for l, y, n in zip(keys, ys, macs):
+        assert np.array_equal(n, l ^ gamma * y)
+    batch_mac, (gk, batch_key), _ = run_produce(ell, 16, seed=6)
+    for i in range(ell):
+        assert verify_abit(mac_half(batch_mac[i]), key_half(batch_key[i]), gk)
+
+
+def test_memory_is_bounded_by_the_batch(monkeypatch):
+    """At kappa = 128 and 2^13-bit batches, going from 4 to 8 batches of ell
+    adds to the traced peak little more than the owner's added key columns
+    (2*tau*dell/8 bytes, the owner's L) and the added output rows: every
+    other buffer is one batch wide. Holding the whole correction frames, as
+    one batch of ell would, adds about three times the column bytes."""
+    monkeypatch.setattr(base_ot, "BATCH_BITS", 1 << 13)
+    kappa = 128
+
+    def traced_peak(ell):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_produce(ell, kappa, seed=7)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    small, large = 4 << 13, 8 << 13
+    assert len(base_ot.ot_batches(small)) == 4 and len(base_ot.ot_batches(large)) == 8
+    grown = traced_peak(large) - traced_peak(small)
+    dell = large - small
+    columns = 2 * tau_for(kappa) * dell // 8
+    rows = dell * (kappa // 8 + 1) + dell * kappa // 8
+    assert grown <= 1.25 * (columns + rows), (grown, columns, rows)

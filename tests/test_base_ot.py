@@ -4,10 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (closing_pair, counting_pair, dealer_pads, ref_pad, rewrite_sends, run_side,
-                     run_two, seeded)
+from helpers import (closing_pair, counting_pair, dealer_pads, ot_receive_all, ref_pad,
+                     rewrite_sends, run_side, run_two, seeded)
 from macbits import base_ot
-from macbits.base_ot import SEED_BITS, DealerOt, extend_ot_receive, extend_ot_send
+from macbits.base_ot import SEED_BITS, DealerOt, extend_ot_send
 from macbits.bitlinalg import random_rows
 from macbits.errors import ProtocolError, UsageError
 from macbits.ro_suite import expand, hash_calls
@@ -52,17 +52,18 @@ def run_extended(offset, n_bits, choices, rewrite=None):
         keys, got = run_pair(
             lambda: run_side(a, A, seeded(backend, True,
                                           rewrite_sends(sender, rewrite) if rewrite else sender)),
-            lambda: run_side(b, B, seeded(ot_b, False, extend_ot_receive(ot_b, choices, n_bits))),
+            lambda: run_side(b, B, seeded(ot_b, False, ot_receive_all(ot_b, choices, n_bits))),
             timeout=60, channels=(a, b))
     return keys, got, backend.pairs, a.sent
 
 
-def assert_one_correction_frame(sent, count, n_bits):
-    """The seed OTs' frames, then one OT_MASKED1 frame of count*ceil(n/8) bytes."""
+def assert_correction_frames(sent, count, *batch_bits):
+    """The seed OTs' frames, then one OT_MASKED1 frame of count*ceil(n/8)
+    bytes per batch of n bits."""
     seed = count * SEED_BITS // 8
     assert [(t, len(p)) for t, p in sent] == [
         (MsgType.OT_SETUP, 16), (MsgType.OT_MASKED0, seed), (MsgType.OT_MASKED1, seed),
-        (MsgType.OT_MASKED1, count * ((n_bits + 7) // 8))]
+        *((MsgType.OT_MASKED1, count * ((n + 7) // 8)) for n in batch_bits)]
 
 
 def test_choice_zero_selects_first():
@@ -138,18 +139,26 @@ def test_extended_ot_kappa_sized():
         return (np.frombuffer(payload, np.uint8).reshape(e.shape) ^ e).tobytes()
 
     keys, got, seeds, sent = run_extended(offset, SEED_BITS, choices, add_e)
-    assert [k.tobytes() for k in keys] == [ref_pad("otx", s0, SEED_BITS) for s0 in seeds[:, 0]]
+    # one batch: each key is the expansion of its seed and batch index 0
+    assert [k.tobytes() for k in keys] == [ref_pad("otx", s0.tobytes() + bytes(4), SEED_BITS)
+                                           for s0 in seeds[:, 0]]
     assert np.array_equal(got, keys ^ (offset ^ e) * np.array(choices, np.uint8)[:, None])
     assert np.array_equal(got[3], keys[3] ^ offset)  # an untouched row with c = 1
-    assert_one_correction_frame(sent, 8, SEED_BITS)
+    assert_correction_frames(sent, 8, SEED_BITS)
 
 
 def test_extended_ot_long_messages():
+    # 2**16 + 3 bits cross in two byte-aligned batches of 4,097 and 4,096
+    # bytes; batch k of a key is the expansion of its seed and k
     n = (1 << 16) + 3
     offset = random_rows(1, n, random.Random(5))[0]
-    keys, got, _, sent = run_extended(offset, n, [0, 1])
+    keys, got, seeds, sent = run_extended(offset, n, [0, 1])
     assert np.array_equal(got, [keys[0], keys[1] ^ offset])
-    assert_one_correction_frame(sent, 2, n)
+    assert base_ot.ot_batches(n) == [(0, 32776), (32776, 32763)]
+    assert_correction_frames(sent, 2, 32776, 32763)
+    for key, s0 in zip(keys, seeds[:, 0]):
+        assert key.tobytes() == b"".join(ref_pad("otx", s0.tobytes() + k.to_bytes(4, "big"), bits)
+                                         for k, bits in enumerate((32776, 32763)))
 
 
 def test_correction_pad_bit_refused_whatever_the_choices():

@@ -1,25 +1,32 @@
+import os
 import random
+import re
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import (closing_pair, consumed, counting_pair, random_circuit, random_inputs,
-                     run_side, run_two)
+from helpers import (closing_pair, consumed, counting_pair, eval_two, flip_pair, random_circuit,
+                     random_inputs, run_side, run_two)
 from macbits import base_ot
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import random_rows
 from macbits.dealer import (DealerConfig, MaterialStore, deal,
                             flush_accumulators, verify_stores)
-from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort,
+from macbits.circuit import plain_eval
+from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort, ProtocolError,
                             UsageError)
 from macbits.ro_suite import MacAccumulator, expand, hash_calls, reset_hash_calls
 from macbits.runtime_2pc import Runtime
 from macbits.transport import MsgType, Role, run_pair
 
 A, B = Role.ALICE, Role.BOB
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_config_validation():
@@ -164,6 +171,88 @@ def test_offline_byte_budget():
     eq = [(m, len(p)) for ch in (a, b) for m, p in ch.sent if m in size]
     assert all(n == size[m] for m, n in eq)
     assert Counter(m for m, _ in eq) == {m: 6 for m in size}
+
+
+def test_multi_batch_deal(monkeypatch):
+    """With 32-bit batches, each owner's 113 or 111 bits (not whole bytes)
+    cross in four correction frames after one seed-OT batch. Per owner there
+    is one pairing, one d, one pair-check EQ and one matrix, and the key
+    holder sends nothing between the owner's first and last correction
+    frame but its own corrections. The stores verify."""
+    monkeypatch.setattr(base_ot, "BATCH_BITS", 32)
+    demand = {r: SMALL.abit_demand(r) for r in (A, B)}
+    assert demand == {A: 113, B: 111}
+    batches = {r: base_ot.ot_batches(n) for r, n in demand.items()}
+    assert [len(b) for b in batches.values()] == [4, 4]
+    with closing_pair(counting_pair(timeout=60.0)) as (a, b):
+        sa, sb = run_pair(lambda: deal(a, A, SMALL, random.Random(3)),
+                          lambda: deal(b, B, SMALL, random.Random(4)),
+                          timeout=60, channels=(a, b))
+    assert verify_stores(sa, sb) > 0
+
+    t = 2 * tau_for(SMALL.kappa)
+    for owner, ch in ((A, a), (B, b)):
+        names = Counter(m.name for m, _ in ch.sent)
+        assert names["OT_MASKED0"] == names["LABIT_PAIRING"] == names["LABIT_D"] == 1
+        assert names["AMPLIFY_MATRIX"] == 1
+        ot = [len(p) for m, p in ch.sent if m is MsgType.OT_MASKED1]
+        assert ot == [t * SEED_BITS // 8] + [t * ((n + 7) // 8) for _, n in batches[owner]]
+    assert sum(m is MsgType.EQ_COMMIT for ch in (a, b) for m, _ in ch.sent) == 6
+
+    for holder in (a, b):
+        # the owner's corrections are the second to fifth OT_MASKED1 the
+        # key holder reads; between them it sends only its own corrections
+        reads = [i for i, (op, m) in enumerate(holder.log)
+                 if (op, m) == ("recv", MsgType.OT_MASKED1)]
+        first, last = reads[1], reads[-1]
+        assert len(reads) == 5
+        assert {m for op, m in holder.log[first:last] if op == "send"} <= {MsgType.OT_MASKED1}
+
+
+def test_multi_batch_offline_tamper_sweep(monkeypatch):
+    """A deal of four batches per owner: either party flips the first bit,
+    the last bit or a seeded random bit of each OT_MASKED1 frame it sends,
+    the seed OTs' and every batch's. Each run aborts the deal, or leaves
+    stores that verify and evaluate the circuit correctly."""
+    monkeypatch.setattr(base_ot, "BATCH_BITS", 64)
+    rng = random.Random(1011)
+    c = random_circuit(rng, 24)
+    h = c.header
+    cfg = DealerConfig.for_gates(c.n_and, h.inputs_a, h.inputs_b, kappa=16, psi=8)
+    assert all(len(base_ot.ot_batches(cfg.abit_demand(r))) >= 3 for r in (A, B))
+    xa, xb = random_inputs(c, rng)
+    want = plain_eval(c, xa, xb)
+
+    def run_deal_on(pair):
+        with closing_pair(pair) as (a, b):
+            return run_pair(lambda: deal(a, A, cfg, random.Random(1)),
+                            lambda: deal(b, B, cfg, random.Random(2)),
+                            timeout=60, channels=(a, b))
+
+    honest = counting_pair(timeout=60.0)
+    run_deal_on(honest)
+    runs = Counter()
+    for cheater, ch in zip((A, B), honest):
+        frames = [(k, p) for k, (m, p) in enumerate(ch.sent) if m is MsgType.OT_MASKED1]
+        assert len(frames) >= 4
+        for k, payload in frames:
+            n, pick = 8 * len(payload), random.Random(f"{cheater}/{k}")
+            for bit in sorted({0, n - 1, pick.randrange(n)}):
+                where = f"{cheater} flips bit {bit} of frame {k}"
+                try:
+                    sa, sb = run_deal_on(flip_pair(cheater, k, bit))
+                except (ProtocolAbort, ProtocolError):
+                    runs["aborted"] += 1
+                    continue
+                try:
+                    verify_stores(sa, sb)
+                except ProtocolAbort as e:
+                    raise AssertionError(f"{where}: {e}") from e
+                out_a, out_b, _, _ = eval_two(c, sa, sb, xa, xb)
+                assert out_a == out_b == want, where
+                runs["survived"] += 1
+    # a flipped row whose choice bit is 0 goes unseen, and harms nothing
+    assert runs["aborted"] > 0 and runs["survived"] > 0, runs
 
 
 def test_deal_is_deterministic(tmp_path):
@@ -328,3 +417,20 @@ def test_flush_detects_divergence():
             lambda a: run_side(a, A, flush_accumulators(absorb_all(from_a), MacAccumulator())),
             lambda b: run_side(b, B, flush_accumulators(MacAccumulator(), absorb_all(seen_b))),
             timeout=10)
+
+
+def test_deal_memory_script():
+    """scripts/deal_memory.py deals one AES block's material between two
+    forked processes and prints each party's deal time and peak memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "deal_memory.py"),
+                           "--blocks", "1"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1 AES block(s): 7200 ANDs, 208928 aBits per owner, B=4"
+    for name, line in zip(("alice", "bob"), lines[1:]):
+        got = re.fullmatch(rf"{name}: deal [0-9.]+ s, ru_maxrss ([0-9.]+) MiB before the deal, "
+                           r"([0-9.]+) MiB after; 7328 aBits, 7200 aANDs", line)
+        assert got and float(got[2]) > float(got[1]), line

@@ -24,10 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (OracleDealer, bit_rows, closing_pair, counting_pair, flip_pair,
-                     oracle_store_pair, random_circuit, random_inputs, run_side, seeded)
+                     labit_receive_all, oracle_store_pair, random_circuit, random_inputs,
+                     run_side, seeded)
 from macbits.aand_proto import laand_key_side, laand_mac_side
-from macbits.abit_proto import (labit_receiver, labit_sender, tau_for,
-                                wabit_amplify_key_side, wabit_amplify_mac_side)
+from macbits.abit_proto import (labit_sender, tau_for, wabit_amplify_key_side,
+                                wabit_amplify_mac_side)
 from macbits.aot_proto import laot_receiver, laot_sender
 from macbits.base_ot import DealerOt
 from macbits.bitlinalg import random_rows
@@ -85,7 +86,7 @@ def _labit_sender(ch):
 
 def _labit_receiver(ch):
     ot = DealerOt()
-    return seeded(ot, False, labit_receiver(3, 24, KAPPA, random.Random(6), ot))
+    return seeded(ot, False, labit_receive_all(3, 24, KAPPA, random.Random(6), ot))
 
 
 # name -> (step under test, its honest peer, first inbound type, abort tag)

@@ -25,24 +25,24 @@ EXPECTED = {
         ('OT_SETUP', 'e3286f0cc0a6204d7548bd96bba39e1d96924a218b48ca2664633d54cdb3037e'),
         ('OT_MASKED0', '1c512f2c0de7b5521a75b590eeaa2464bd8c62889ddcde0880e99a7e73bd5c1b'),
         ('OT_MASKED1', '2b146b4fed8a1d077d0849b64ddfde81815b0c38be0248962dbc81e1be87ca6b'),
-        ('OT_MASKED1', '22193e97e86f49cba4f24bb4966cd1f56c63a4593ef6dcf423d43b4e312e8dcf'),
-        ('LABIT_PAIRING', '6950c32f34d6a630d7dd5095d222f90a7b0c9d449a39a3f12b77ad658e27134e'),
-        ('LABIT_D', '694daf7b3c99d710d577550700b8ad8a74d3c9f1f41574808b69ae0c7548cd69'),
-        ('EQ_COMMIT', '9ef2d85d29b231d87805f7d533570052c34866f179ada3f84e5ab096afe7dc94'),
-        ('EQ_VALUE', '1e0e57fb821bf9bfa80bc10ab904a082b018fafd84e160079d1e9677de02d034'),
-        ('EQ_OPEN', '14761234b6a7af351700b8ff31681facb4325f85006ecfcbced0c8ff3def6e19'),
-        ('AMPLIFY_MATRIX', '6a87dccdb8372ffaf3b3552823c717957fc1f785fd88abacca46557e99842adb'),
+        ('OT_MASKED1', 'fa77a5bc747982dbdbb916a38567712cedab4c43363081263ab2b8b53509f506'),
+        ('LABIT_PAIRING', '966934dd05beb683b17758923d7b6754f32f715a7b87dd891741e6040c06b60b'),
+        ('LABIT_D', '68ad859512b68f186b7de3b28329e62a383d0aea8375b368dcb3bda83a18a12f'),
+        ('EQ_COMMIT', '075fdf67252774dfc8a41f068653f0bf4f6497d14cf294abbe21d7bcf36c03ca'),
+        ('EQ_VALUE', 'cecf63a02ff6f37dc2584443af7df88d3d713202f1b10cd87002ce10291226be'),
+        ('EQ_OPEN', 'e4f704df475127ec5c313d95580c6d726666f9de02f0e05dd8de001e178e4209'),
+        ('AMPLIFY_MATRIX', '1c3107299effe321ad5fa5cb11c176d019d68dbdd03bda2df24b93dd7539ebd4'),
         ('LAAND_D', '6c13fbf4cbab1c051b575f8576cb416bf88b3aba61026d2fd9b9bd13d17490ca'),
-        ('LAOT_X0', 'a256113d366a3c991796f7e5406e1c00219c7d793243517d295449f84f2ff543'),
-        ('LAOT_X1', '217da0e55f36d9115577d6b428cb42e242fef7d351965ac982a2ae8aaee0286a'),
-        ('LAAND_U', 'a297e0cca53d35a1ef36b297f95ce7892949be22f086cac9663f6f8ce99265a0'),
-        ('LAOT_D', '4fb3d13f110ab0cbf0860757497aad9d3e0733c7b3bbab61e75aacc260855b17'),
-        ('EQ_COMMIT', 'b4d3c97cfef84aed47414ed847d6ccc24b96d84d188031054a87ef9625ce07ed'),
-        ('LAOT_I0', '75e04243424fd768d45269f34c9825d72aee2eb4a6d271d32e8bb4011e3cef70'),
-        ('LAOT_I1', '49d8ad28625d0c991e3791bbdf2f69bfa82103d07586bd62d8ae959f852df5f9'),
-        ('EQ_VALUE', 'a1791a6de92ba5bc6214dcfa2a0ab98861593668c6cde84e12136b542e43ae49'),
+        ('LAOT_X0', '6667af159798f14c01af491b3876317aae1c95d4014bdfc354bd2b202fd00085'),
+        ('LAOT_X1', '8dfb92b7c946583b636d2c46f9cd00939d732a2935d546213724b39ef8e13d46'),
+        ('LAAND_U', 'b0535dcfa128c628a29ad7d8d05dbcc8a4568ca876b3831b976c628a6a4ecc40'),
+        ('LAOT_D', '4a7cb6ce112cab4092b737fa0a1e9e7fc80e5fb11873f47eb02e77a6ed4735ed'),
+        ('EQ_COMMIT', 'bbe9e9feb025ebd28499a231be11497dd9bf9641e7349fcfc2f7c77dd4ba7573'),
+        ('LAOT_I0', '509260d0d277b67abf37ba8a28e04a183b508c64801ba865447294e589a86da7'),
+        ('LAOT_I1', 'fc23f65f5a2126b9fc947c31a1a2f4043c1f5c33a5ed1dcee276f0598a80f1fa'),
+        ('EQ_VALUE', '948a4aa141e968c90efc856b02fba7f36c3e86e1ac1fdbb9dda571ccc77fcc3c'),
         ('EQ_COMMIT', 'e7d1b3ab30f0d9115c3ba363418cf5a680b3e41aea7b7c92cd308b843f0144a6'),
-        ('EQ_OPEN', '64ca81bf619798d65c45c074cb38ff722cfb1d38c76d23316454c40cd4a588d2'),
+        ('EQ_OPEN', '20a1f395cfd969c0588350b98663f519de73800d7d349fc5ccfc089290cb8c79'),
         ('EQ_VALUE', '705b8faefe9239d1abbeeee60ed4ce9538288fbbde1ac83251c310e7f4c1b718'),
         ('EQ_OPEN', '966cd35df846ac161d95fc9d17f3b1a77406ea3e92eeb44ae75716d0084d1fb4'),
         ('COMB_PERM', '957b4464fd2de3923b9cf1cf7703186c9897c40e23d6e775a735dd7071afb062'),
@@ -57,52 +57,52 @@ EXPECTED = {
         ('COMB_D', 'fd55744b2763bbbfa827ae2ed37a4c1fd52fe01615ce1d6392d6fb74e911743a'),
         ('COMB_D', 'dd351cfa5ae52796dba27b7938e2d7aa3c1c1f5027b85ec4763740f0b07c21ff'),
         ('COMB_PERM', '20c7207e9dc6404b2f2a32d35a00bcad76b3324f34875db6455b15efe756f3fd'),
-        ('RT_ACC_FLUSH', '0bf10e0241e13beae1bdb9fc9c05ad0d12b3ad70dc800ba245c3dc8d4976b9e0'),
-        ('GK_COMMIT', 'dbbe2fb84a44690b743891375cbedcee6d26b278fe59a1ec4bff60cb574c7554'),
+        ('RT_ACC_FLUSH', 'aaf177a6d22d5b2cb8e1110a74fd9721896533e3155f6d29ce6bbbdba932c05a'),
+        ('GK_COMMIT', 'b531cf6bf1c7fb95f534f62d55ca3535804120fe9d592036dfc5d816e5522f17'),
     ],
     B: [
         ('HELLO', '6f3a29f81540750c330b02b65b46781ab9fd82919cd2beabb0a4e2aba070ce5d'),
-        ('OT_MASKED0', 'c8b90dfbc40471b7b39b8ae277e6f201db3a7a2b4e523bd1a8c5b3252a089ae2'),
-        ('OT_MASKED1', '3a8437bd95d6859f84e9e62c84ee058c31b1878a7c0a50dfdd7e4630db2f6df7'),
-        ('OT_MASKED1', 'c4cba7bc6e13a9a07f61da3163adb353653efed026296162176b7a2966dc312f'),
-        ('LABIT_PAIRING', '643516040e98deec984d7315cac2eba65eef90da2713f0be4ff0500d3bdac5ec'),
-        ('LABIT_D', 'c071d1ec9e5b2099db0b0cab7fda650bf29022168f14fa42345665aeb40724fc'),
-        ('EQ_COMMIT', '48dc532c1a00b4c3aae8e47e087b43fd13d8d8be6786ff725867cc70712cd1cd'),
-        ('EQ_VALUE', '27880cac1c2604e8ee831a4e79c344fe11aaac1b016d8d18f2ac966ec1682693'),
-        ('EQ_OPEN', '416b8893e0fc9e66fc4f7d9b7f5a13551a6264e0154e89bf1eeac8318166b8ad'),
-        ('AMPLIFY_MATRIX', '6921904f149c56377699e348a4d6a8804d85612037289e73fb2e0b04a556d09f'),
-        ('LAAND_D', 'c6f1ce78f73442d6a77033825be3a99aa7ba2ad6b96848c61d1913daf74f7f91'),
-        ('LAOT_X0', '3a3177f801d3506a5eefea25f124d6f291cf4615ef5094bd875f3486375319c5'),
-        ('LAOT_X1', '4dc729bb5e7ec6545ce391ba9240f2f84fc389af91b0568889eb32777df884cf'),
-        ('LAAND_U', 'e157b9d3f0709a83a3a0899771e610b92233625df33dbf7ae73bb7e1ad6b635c'),
-        ('LAOT_D', '4170a63ba835eac16b440f085b9ef955449be375ebf2b6cdd2ac15142c492063'),
-        ('EQ_COMMIT', 'e19e8a1b64533ed503470215ab776f2d7a659e9c3e4621464cb26fa16b66e5a1'),
-        ('LAOT_I0', '362a658579e4b6c3292b5e2ed34fe1f06ccf8e040c8ad66f48e1bfc1674d6e85'),
-        ('LAOT_I1', '9109debe7ab9df6414048ce2d4861a4710248a3f09711450cc55e6eea935d129'),
-        ('EQ_VALUE', '1b350a77b887e3842dc13ae342e81d85082aaf871a86d0d9d986ef573a3c275f'),
+        ('OT_MASKED0', '03384143ebc11745161230ac186bf599a777f3f316e5a38e05db1151b6c9a497'),
+        ('OT_MASKED1', 'c6d44a3e5f31c0a1706f034e4d82fd59f30a42d7635e0e36a2f150457fbaf6aa'),
+        ('OT_MASKED1', '47d3044aa8ea725c98464c23377c37f0c0d929248cce3f665e0b58f35faab0f3'),
+        ('LABIT_PAIRING', '420a59700cea3c1e689adba5e4c048cde437bb63aa0e1c341f24022ed0298dfd'),
+        ('LABIT_D', 'fa9c94cd1ab164686ea34b7693aa620f2944cc798560dc1cf90e9accc24cf70a'),
+        ('EQ_COMMIT', 'a23c59b8d4d034d5b33899621b321cf3a59f07ad74c2804b22480b8db06725ab'),
+        ('EQ_VALUE', '3875457305380c5ee5a1657852826103300bdc524896536eacd793e3be73546d'),
+        ('EQ_OPEN', 'c3af5a4d20675da636bbc629dc00b0ba90ebc3744cb787fa0510d11915f4af17'),
+        ('AMPLIFY_MATRIX', '02a15d6e6699ab8fe0b2b37c30d7ad1261ab234ac13d0fa7f012dacec17aa367'),
+        ('LAAND_D', '36c6f6b5b48a6cbff1d242ff16f773b01c81ed88743de9fa503566d436487863'),
+        ('LAOT_X0', '76cb2bcca5d0b05181294795ac263f063bd94b2b0774774a57288574e19adde6'),
+        ('LAOT_X1', '54922c7d50cb65311ff1de5041e6f35f819383ac94c62ff5c949f51fa11e3e05'),
+        ('LAAND_U', '8d947dc6cf4eda949a770108dddf5fc1a9f40e54d571d1d112ea621fa291dcd8'),
+        ('LAOT_D', 'ed542e57ba748329768de8c4a3b389ab3304ed249e756820d1ca8a855d7a3416'),
+        ('EQ_COMMIT', '7eedc5791aeb62dff6a90a6c216da38f292d928dc09d0bdd8f9de311a55ce2de'),
+        ('LAOT_I0', 'afdc83219c2a37fcb20c4746407409d32fbea38c74404c198fc38232d16a8421'),
+        ('LAOT_I1', 'ee208341e588dc4ffd8ee4467e0464c23e9760b552ea6931609e7446e1974e42'),
+        ('EQ_VALUE', '4482c74adf245d029bcea2ac8dac88ac66534585d14b3471a7fc244ee7661d22'),
         ('EQ_COMMIT', '58d24c9f62ec63b618beee1cba4f25b78b6eb7cbc96311d5232c65ef191d163b'),
-        ('EQ_OPEN', 'dbe66688574c9cbb28d189eb52776feb6c996e4d8097870f15817459ae580d9b'),
+        ('EQ_OPEN', 'c673ed2b0b8bf52c412fa81211d420b83cbe46b8be4fb929323f7ed9bcb3b2b6'),
         ('EQ_VALUE', 'e1766cff39cd367d5a1903c804a05e0c6c56dc7beac21f2a1b9712c5af973bb8'),
         ('EQ_OPEN', '5080fab36ade4b777a95737ed65d89da7633a556a3b5834bb5b9974a2d6cda52'),
         ('COMB_PERM', '7ee794975488069e02927dc00f143c755e0da9aa61ff275ec455d7022a1865e5'),
-        ('COMB_D', '3c55bd11db283fcc21a1d8a5e8c07a3eb43930844cfd0e90533ae13f4ac3bea2'),
-        ('COMB_D', '78b8d679faa80de2dea6459cb414352953e003fe1e129e87d18fc2f49ec40006'),
-        ('COMB_D', '8901d21e3e146ac69218d876ab084f60f226e0afbfeda4981ac3ee9a6c5578e1'),
-        ('COMB_D', '6e87db7786e2f8fc236be855ddef46e688c30c7e284f88f81cd591fa928a71e2'),
-        ('COMB_D', '15d29ac05bf43e00720a84cd26553bb2b095c92c48dddd1ae0fac7879b197ad5'),
+        ('COMB_D', 'e7f3c559aca6edf477dfa6da685bb4aaecd15613f95585b4f143578f60234cbb'),
+        ('COMB_D', 'f9de8a4875c3a9a5853d484658ee1b6dc30159bbe13fc858384a730e38d5706d'),
+        ('COMB_D', 'c605e6906b46c1a1e1fbbcff18a0bcc74cf73054d6e0d6eb414e47132e695181'),
+        ('COMB_D', 'bbe44cbcaa489cf7dfd0604dfa73d50edb106fe587d22cf0958a3fa183aa2674'),
+        ('COMB_D', 'c0ba3e84a45c143967acf4005f480298d9aad1f8c456001859da7cbd7bf2e1f8'),
         ('COMB_PERM', '8058b1ca626694fb32098f9f8d9bc8937a14a2f39b6770163f70933e4b26dad5'),
-        ('COMB_D', '3d6a031e58c50c860366d45e101b0749d12bc5b8a8ec4722e8b239bbe55b57cd'),
-        ('COMB_D', '348b4399842170bccf4fc4551f68707d6fde4889311c8ba880591c526f87623f'),
-        ('COMB_D', 'ae220c490bbb6406cd04f649bdf9cfb3618e03a870898c16d4c8801ccccaa6f2'),
-        ('COMB_D', '3ffce3dc8a1d84a83ab5e240e1bb75faf22a30270cd2fbbe3302d7772b81ffd8'),
-        ('COMB_D', 'cb2c31ec1f6ba5c47178a3fa7ac33b9b803eace7e8f2a2989038041ba1048ad4'),
-        ('RT_ACC_FLUSH', 'efd2469aec6695dd08dfd3266de98065d19c70c2f1f18fb288856e07cad051e6'),
-        ('GK_COMMIT', '35ca7d6f9ec109671c895f8baad331921ae3d87aca76a7fa3352a7d8acc37f6c'),
+        ('COMB_D', '4e645006915c803eaa16648fde68e015c0124afdcea58c2a06db5d1a5d00d49c'),
+        ('COMB_D', '0088c28198128fc34273119058b2741c897c5cc118fece97763e276a50f04420'),
+        ('COMB_D', '19f0c69e1601b724dd0e1864c1a3d385ce66ff855696b96d4165e86594d2a91b'),
+        ('COMB_D', 'e62ae1effb68e37415d9e5c01aab910e5c580746a80bb1e34c33b20a96554830'),
+        ('COMB_D', '38304330bfe172c8c3d2849ebefae7f7f6a42df7a51ecef00f022b269f6a92ca'),
+        ('RT_ACC_FLUSH', 'dc1430fb6bb9da7444288735f91723505967c44952ef2e73ac7e05d7e4052a0e'),
+        ('GK_COMMIT', '4d36d99b7426aa45dc7c349d58778a5aa5195799d13b52a0897765957474caf0'),
     ],
 }
 EXPECTED_STORES = {
-    A: "56799c43612de2f128155899ac52e5bd8589fefc65a8429f8e39adeb5ba89012",
-    B: "ee15f5cb4a0bd7e14150de75838e080205f482764a294709a6347fad02cb81e0",
+    A: "8deec70aaa1810b1d5ea6afbe382cb417bb20ebfe41d8fecc0f9139e33902f83",
+    B: "96ea7622d29f99555057508568d9ffdf47b4734b7b5456f58d055c2772cd8b10",
 }
 # MsgType -> (frames, bytes with headers) per party. They are the totals of
 # the one-owner-at-a-time schedule: running the sides side by side moves

@@ -21,28 +21,28 @@ A, B = Role.ALICE, Role.BOB
 
 EXPECTED = {
     A: [
-        ('HELLO', '6dad1bf3b09c6ca9cff5000dffd1d68440e670d8a02b7aaedbada33fa039260a'),
+        ('HELLO', 'dc2614c5603092c798bb84a63f4bc84d4cb80bd071762ac966d88c55bdb5214b'),
         ('RT_ANNOUNCE_BATCH', 'dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8'),
-        ('RT_REVEAL_BATCH', '649ce13d188bd8f33533be5614328ae8108749a8b24edf8729b6684e0e217ef8'),
-        ('RT_REVEAL_BATCH', '3d2a71c6e5432b0897ddf91da42518591b8e466528cd4ec6b3ea85caf5066f5e'),
-        ('RT_REVEAL_BATCH', 'd023c3e72a85004dad154b8c94e7aad2d8f2adb16ef194c7f71084cd81945711'),
-        ('RT_REVEAL_BATCH', 'ab32284785e2bd3791f63b483717d7ae523e5f5b28e6137ec6558f6bbfacc7b4'),
-        ('RT_REVEAL_BATCH', '0f4570b7744dea14cb2d967871fe1129414db89e15ad26255fef24f2699a00f5'),
-        ('RT_REVEAL_BATCH', '09aa597060b08e1c037a51e32cfb47f4f314ee4b8031ce8d3b3f56f43ea95929'),
-        ('RT_ACC_FLUSH', 'c08525165a41ff308ea146c1fc1e53113d0eed72beccc04bf353bd585ca2abcc'),
-        ('RT_OUTPUT', '284d42c4cd1738c43cf5eaefa4a0addf3f95d195a8b556d099be8e91a7a0fb07'),
+        ('RT_REVEAL_BATCH', '8d361e9de38103aad3a32c71fa47720bdc8b405daadfa8a65a15fe43cf12f911'),
+        ('RT_REVEAL_BATCH', 'b936c58bc18f85838ac3707172897ae32b387f0d6b239973c7c3ad594592b3d9'),
+        ('RT_REVEAL_BATCH', '7ea34e7a8cf060f85d1b5f0424dcf94b33a04ce6d630863a7a8403efba88091f'),
+        ('RT_REVEAL_BATCH', '45808bec8c24fac8e4f48f0e99338ac02945670edb28f4ac44eee42f1c93655e'),
+        ('RT_REVEAL_BATCH', 'ff82f05a384e1b5a3f068e8786fd6511549be20a5d2bf29538ba04502734b33b'),
+        ('RT_REVEAL_BATCH', 'f3ddddf2d8832102525f7dff44ab8ba9eef925f5b83260c6886929c88effabb1'),
+        ('RT_ACC_FLUSH', 'eb3dd3355137801d29de9b9d8a51ebf4fa3de2e608610047510797c7b2af853c'),
+        ('RT_OUTPUT', '4e2bf230ecc851f94f1fcae734522ace6f8962f10a548ca52557f4f6761e068e'),
     ],
     B: [
-        ('HELLO', 'ce60c95ff16eb7d21c4e9cc0a9e5acca19f5be8e60538d8661e818f117ce1e14'),
-        ('RT_ANNOUNCE_BATCH', 'e52d9c508c502347344d8c07ad91cbd6068afc75ff6292f062a09ca381c89e71'),
-        ('RT_REVEAL_BATCH', '018fa95c8ba1a873cd6d5ae9d415c11b6cbce59e2b7f7df032324e603c37a391'),
-        ('RT_REVEAL_BATCH', '3f32bfca554ace1b435777706967fc3cabbeab7d8d5872aae61461cb694d05ed'),
-        ('RT_REVEAL_BATCH', '34d59172c3abb47ce24823977d47e30629850b52f464153f764b8a7fea58ff28'),
-        ('RT_REVEAL_BATCH', 'dc087fb08c039e877e74dde255a8490b591200dc9ef4acf0797a4df243e20e26'),
-        ('RT_REVEAL_BATCH', '4915046ce77a7894b052ac8f6abe8bb160d8b86726d5f5e5e44a240def08b694'),
-        ('RT_REVEAL_BATCH', '08dc6a1a955ff0fca0a047e27264c5c090bd2f3b98d64dcc4deb43cb770b4c0d'),
-        ('RT_ACC_FLUSH', '5c94300f7fab6ea87cb2753dd736214628ec0c3fa819d58b751a67df8e91d6a7'),
-        ('RT_OUTPUT', '4a1032ddd022172d7ec95bbec932d91399fdb169e929da08a08ed4bf4066b405'),
+        ('HELLO', 'fec31f0b331f45a3139bfdf6bba155a1843202867d5b2edb362adc5ce36ac97f'),
+        ('RT_ANNOUNCE_BATCH', 'e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db'),
+        ('RT_REVEAL_BATCH', 'b1709ac5b3a1e14838eb12713b5d6228aeb02249aafbdc9a9e42f1132e98bf64'),
+        ('RT_REVEAL_BATCH', '5133fb11bf817a31013281ec63bb8c5ce637ad3af916a1acd45f05d4b99f1b87'),
+        ('RT_REVEAL_BATCH', '2ef91b2a98cc67294e8171f3cae68ad416ca5827e5c99307f307b3707c5b0675'),
+        ('RT_REVEAL_BATCH', '5449942fb711b32b6c092dce3531a3c60435e56bf9d4a0047a4b414918b92dff'),
+        ('RT_REVEAL_BATCH', 'e68f9fc5f6eba583210b29e59f8b222da00179ba7551ccd02139af8a64465884'),
+        ('RT_REVEAL_BATCH', '67848a207e8e22e685bc2b4d62e9587487176d384bd2c819a01bb413e1c57213'),
+        ('RT_ACC_FLUSH', 'e4633ea32c08d4e8a9df5d45387edacfb8d8fb0e9b4e6a978bc4ae6b9ed1bf01'),
+        ('RT_OUTPUT', 'e6ea48eee19c56f734b43f347b6a995d5c5afb625ce24bede271d0abcc8f37db'),
     ],
 }
 # MsgType -> (frames, bytes with headers) per party; they do not depend on
