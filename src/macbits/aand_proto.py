@@ -11,8 +11,9 @@ Generation and combining are protocol sides (`transport.run_sides`) that
 read kappa off their rows and take the global key as a (kappa/8,) uint8
 row; like laOT's, they take an unused `ch` first (see `aot_proto`).
 
-Cost per leaky instance: 3 hash calls (2 key side, 1 MAC side), with the key
-side reusing its first digest as the equality-check reference.
+Cost per leaky instance: 3 row hashes (`ro_suite.hash_rows`, 32-byte
+BLAKE2b; 2 key side, 1 MAC side), with the key side reusing its first digest
+as the equality-check reference.
 """
 
 from __future__ import annotations

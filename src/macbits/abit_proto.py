@@ -143,7 +143,7 @@ def _fold_pairs(value, cols: np.ndarray, pairs: np.ndarray, offset=None, d=None)
         both = cols[pairs[k : k + 64]]
         folded = both[:, 0] ^ both[:, 1]
         if offset is not None:
-            np.bitwise_xor(folded, offset, out=folded, where=d[k : k + 64, None].astype(bool))
+            folded[d[k : k + 64].astype(bool)] ^= offset
         value.update(folded)
 
 

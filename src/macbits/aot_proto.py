@@ -15,14 +15,16 @@ bindings take an unused `ch` first only because `perfbench/spans.py` counts
 their arguments by position, until the program owns its spans.
 
 Everything here works on uint8 rows (`abit_proto.Rows`): a batch is hashed
-one row at a time, but masked, XORed, permuted and folded as whole arrays,
-and a quad batch is a Rows of x0, x1 | kc, kz on the sender and c, z | kx0,
-kx1 on the receiver, the store's layout.
+one call per row (`ro_suite.hash_rows`), but masked, XORed, permuted and
+folded as whole arrays, and a quad batch is a Rows of x0, x1 | kc, kz on the
+sender and c, z | kx0, kx1 on the receiver, the store's layout.
 
 A LAOT_X0/X1 row is byte-aligned: branch b carries the sender's stored MAC
 row for x_b (kappa/8 MAC bytes, then the bit byte) and then the pad
-t_{x_b}, kappa/4 + 1 bytes masked whole under the expansion of K_c xor
-b*Delta. The receiver refuses a bit byte other than 0 or 1 as it refuses a
+t_{x_b}, kappa/4 + 1 bytes masked whole under the (kappa/4 + 1)-byte row
+hash of K_c xor b*Delta: BLAKE2b up to kappa = 248, SHAKE-128 at kappa =
+256, where the pad is 65 bytes. The LAOT_I0/I1 pads are kappa/8-byte row
+hashes. The receiver refuses a bit byte other than 0 or 1 as it refuses a
 wrong MAC.
 
 Per leaky instance the generator spends 6 hash calls (4 sender, 2 receiver),
@@ -40,7 +42,7 @@ from .abit_proto import Rows
 from .bitlinalg import pack_bits, random_permutation, random_rows, unpack_bits, unpack_rows
 from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
-from .ro_suite import MacAccumulator, pad_rows
+from .ro_suite import MacAccumulator, hash_rows
 from .transport import MsgType, Recv, Send
 
 
@@ -66,15 +68,15 @@ def laot_sender(ch, x0s, x1s, kcs, krs, delta: np.ndarray, rng):
     pads = random_rows(2 * ell, kappa, rng).reshape(ell, 2, kb)
     xs = np.stack((x0s, x1s))
     payloads = np.concatenate((xs, pads[np.arange(ell), xs[:, :, -1]]), axis=2)
-    b0 = payloads[0] ^ pad_rows("laot/x", kcs, 8 * (2 * kb + 1))
-    b1 = payloads[1] ^ pad_rows("laot/x", kcs ^ delta, 8 * (2 * kb + 1))
+    b0 = payloads[0] ^ hash_rows("laot/x", kcs, 2 * kb + 1)
+    b1 = payloads[1] ^ hash_rows("laot/x", kcs ^ delta, 2 * kb + 1)
     yield Send((MsgType.LAOT_X0, b0.tobytes()), (MsgType.LAOT_X1, b1.tobytes()))
 
     (raw_d,) = yield Recv((MsgType.LAOT_D, (ell + 7) // 8))
     ds = unpack_bits(raw_d, ell)
     kz = krs ^ ds[:, None] * delta
-    yield Send((MsgType.LAOT_I0, (pad_rows("laot/i", kz, kappa) ^ pads[:, 1]).tobytes()),
-               (MsgType.LAOT_I1, (pad_rows("laot/i", kz ^ delta, kappa) ^ pads[:, 0]).tobytes()))
+    yield Send((MsgType.LAOT_I0, (hash_rows("laot/i", kz, kb) ^ pads[:, 1]).tobytes()),
+               (MsgType.LAOT_I1, (hash_rows("laot/i", kz ^ delta, kb) ^ pads[:, 0]).tobytes()))
 
     if not (yield from eq_commit_side(value_digest(2 * kappa * ell, pads), kappa, rng)):
         raise ProtocolAbort("laot", "pad pair check failed")
@@ -95,7 +97,7 @@ def laot_receiver(ch, cs, rs, kx0s, kx1s, delta: np.ndarray):
     f = np.stack([unpack_rows(raw, ell, 8 * pb) for raw in
                   (yield Recv((MsgType.LAOT_X0, pb * ell), (MsgType.LAOT_X1, pb * ell)))])
     c = cs[:, -1]
-    blob = f[c, rows] ^ pad_rows("laot/x", cs[:, :-1], 8 * pb)
+    blob = f[c, rows] ^ hash_rows("laot/x", cs[:, :-1], pb)
     xb, t_first = blob[:, kb], blob[:, kb + 1 :]
     # a bit byte other than 0 or 1 fails like a wrong MAC
     if not ((xb < 2).all() and np.array_equal(
@@ -110,7 +112,7 @@ def laot_receiver(ch, cs, rs, kx0s, kx1s, delta: np.ndarray):
     z = rs.copy()
     z[:, -1] ^= ds
     zb = z[:, -1]
-    t_other = g[zb, rows] ^ pad_rows("laot/i", z[:, :-1], kappa)
+    t_other = g[zb, rows] ^ hash_rows("laot/i", z[:, :-1], kb)
     pads = np.where(zb[:, None, None], np.stack((t_other, t_first), axis=1),
                     np.stack((t_first, t_other), axis=1))
     if not (yield from eq_respond_side(value_digest(2 * kappa * ell, pads), kappa)):

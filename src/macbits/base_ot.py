@@ -190,7 +190,7 @@ def extend_ot_receive(backend, choices, n_bits: int, consume) -> None:
     set pad bit aborts whatever the choices are."""
     seeds = yield from backend.receive(choices, SEED_BITS)
     n = len(choices)
-    picked = np.asarray(choices, bool)[:, None]
+    picked = np.flatnonzero(np.asarray(choices, bool))
     for k, (b0, bits) in enumerate(ot_batches(n_bits)):
         # nothing here is bound to a name, so a batch is freed before the
         # next one is read
@@ -200,8 +200,11 @@ def extend_ot_receive(backend, choices, n_bits: int, consume) -> None:
 
 def _unmasked_batch(seeds, picked, frame, k: int, bits: int) -> np.ndarray:
     """Batch k of each chosen long string: the expansion of its chosen seed,
-    xor its row of the batch's OT_MASKED1 frame where the choice bit is set."""
+    xor its row of the batch's OT_MASKED1 frame for the rows picked (the
+    indices whose choice bit is set), 64 rows at a time."""
     frame = unpack_rows(frame, len(seeds), bits)
     cols = pad_rows("otx", _batch_rows(seeds, k), bits)
-    np.bitwise_xor(cols, frame, out=cols, where=picked)
+    for k0 in range(0, len(picked), 64):
+        rows = picked[k0 : k0 + 64]
+        cols[rows] ^= frame[rows]
     return cols

@@ -1,9 +1,11 @@
 """Domain-separated hashing, PRG expansion, and MAC accumulators with the
 digest exchange (a protocol side) that checks them.
 
-Hashing and commitment use SHA-256; the PRG and the per-row pads of
-`pad_rows` use SHAKE-128, one XOF call per seed or row. Every call is keyed
-by an explicit domain tag, prepended with a length prefix so distinct (tag,
+Hashes, commitments and digest streams use SHA-256. The per-row hashes of
+`hash_rows` use BLAKE2b, whose digest can be up to 64 bytes long, and
+SHAKE-128 for longer ones. The PRG and the long per-row pads of `pad_rows`
+use SHAKE-128. Each seed or row costs one call. Every call is keyed by an
+explicit domain tag, prepended with a length prefix so distinct (tag,
 input) pairs can never collide as byte streams. A process-global counter
 records calls per tag; the cost-accounting tests assert exact per-instance
 hash budgets from it.
@@ -34,7 +36,8 @@ def _tag_prefix(tag: str) -> bytes:
 
 
 _PRG_PREFIX = _tag_prefix("prg")
-_PAD_CHUNK = 32 * 1024  # bytes of pads `pad_rows` joins per copy
+_ROW_CHUNK = 32 * 1024  # bytes of prefixed rows, or of digests, per chunk
+_BLAKE2B_MAX = 64  # the longest BLAKE2b digest, in bytes
 
 _counter_lock = threading.Lock()
 _hash_calls: Counter = Counter()
@@ -98,45 +101,69 @@ def expand(seed, out_bits: int) -> bytes:
     return out
 
 
-def hash_rows(tag: str, rows: np.ndarray) -> np.ndarray:
-    """ro_hash(tag, row) for each row of a 2-D uint8 array, as an (n, 32)
-    uint8 array; counted as one call per row."""
+def _digest_rows(tag: str, rows: np.ndarray, out: np.ndarray, digest) -> None:
+    """Fill out, an (len(rows), nb) uint8 array, with digest(tag-prefix ||
+    row) per row, where digest maps a list of byte strings to a list of
+    nb-byte digests.
+
+    A chunk of about 32 KiB of prefixed rows is built as one uint8 array and
+    split into byte strings by one `V`-dtype tolist(), and the chunk's
+    digests are joined and copied into out, so no second copy of the whole
+    result is ever held.
+    """
     n, w = rows.shape
-    raw = np.ascontiguousarray(rows).tobytes()
-    head = _tag_prefix(tag)
-    sha = hashlib.sha256
-    starts = range(0, n * w, w) if w else [0] * n  # an empty row is hashed too
-    out = b"".join([sha(head + raw[i : i + w]).digest() for i in starts])
+    nb = out.shape[1]
+    head = np.frombuffer(_tag_prefix(tag), np.uint8)
+    width = head.size + w  # never 0, so an empty row is hashed too
+    step = max(1, _ROW_CHUNK // max(width, nb))
+    buf = np.empty((min(n, step), width), np.uint8)
+    buf[:, : head.size] = head
+    for k0 in range(0, n, step):
+        part = buf[: min(step, n - k0)]
+        part[:, head.size :] = rows[k0 : k0 + len(part)]
+        digests = digest(part.view(f"V{width}").ravel().tolist())
+        out[k0 : k0 + len(part)] = np.frombuffer(b"".join(digests), np.uint8).reshape(len(part), nb)
+
+
+def _shake_digests(nb: int):
+    """The `_digest_rows` digest of nb bytes of SHAKE-128 per string."""
+    shake = hashlib.shake_128
+    return lambda xs: [shake(x).digest(nb) for x in xs]
+
+
+def hash_rows(tag: str, rows: np.ndarray, nbytes: int = DIGEST_BYTES) -> np.ndarray:
+    """Per row of a 2-D uint8 array, an nbytes-byte digest of the
+    length-prefixed tag and the row, as a (len(rows), nbytes) uint8 array:
+    BLAKE2b with digest_size=nbytes up to its 64 bytes, SHAKE-128 past them.
+    One call per row either way, counted under tag; no "prg" blocks."""
+    if nbytes < 1:
+        raise UsageError("a row hash needs at least one byte")
+    if nbytes <= _BLAKE2B_MAX:
+        blake = hashlib.blake2b
+        digest = lambda xs: [blake(x, digest_size=nbytes).digest() for x in xs]
+    else:
+        digest = _shake_digests(nbytes)
+    out = np.empty((len(rows), nbytes), np.uint8)
+    _digest_rows(tag, rows, out, digest)
     with _counter_lock:
-        _hash_calls[tag] += n
-    return np.frombuffer(out, np.uint8).reshape(n, DIGEST_BYTES)
+        _hash_calls[tag] += len(rows)
+    return out
 
 
 def pad_rows(tag: str, rows: np.ndarray, n_bits: int, out: np.ndarray = None) -> np.ndarray:
     """Per row, the packed n_bits-bit pad SHAKE-128(tag-prefix || row), as a
     (len(rows), ceil(n_bits/8)) uint8 array with zero pad bits, written into
     out if given (an array of that shape, such as a column slice of a wider
-    one): one XOF call per row. The length-prefixed tag keeps the pads of
-    distinct tags apart, and from `expand`'s output as long as tag is not
-    "prg", which no caller uses. Counted as one call per row under tag, plus
-    ceil(n_bits/256) "prg" blocks per row.
-
-    The pads are joined about 32 KiB at a time and copied into the result,
-    so no second copy of the whole result is ever held.
+    one): one XOF call per row, for pads longer than `hash_rows` serves
+    best. The length-prefixed tag keeps the pads of distinct tags apart, and
+    from `expand`'s output as long as tag is not "prg", which no caller
+    uses. Counted as one call per row under tag, plus ceil(n_bits/256)
+    "prg" blocks per row.
     """
-    n, w = rows.shape
+    n = len(rows)
     nb = (n_bits + 7) // 8
     pads = np.empty((n, nb), np.uint8) if out is None else out
-    raw = rows.tobytes()
-    head = _tag_prefix(tag)
-    shake = hashlib.shake_128
-    starts = range(0, n * w, w) if w else [0] * n  # an empty row is padded too
-    per_chunk = max(1, _PAD_CHUNK // max(nb, 1))
-    for k0 in range(0, n, per_chunk):
-        k1 = min(n, k0 + per_chunk)
-        pads[k0:k1] = np.frombuffer(
-            b"".join([shake(head + raw[i : i + w]).digest(nb) for i in starts[k0:k1]]),
-            np.uint8).reshape(k1 - k0, nb)
+    _digest_rows(tag, rows, pads, _shake_digests(nb))
     with _counter_lock:
         _hash_calls[tag] += n
         _hash_calls["prg"] += n * -(-n_bits // 256)

@@ -543,6 +543,17 @@ def ref_pad(tag: str, row: bytes, n_bits: int) -> bytes:
     return (out & ((1 << n_bits) - 1)).to_bytes((n_bits + 7) // 8, "little")
 
 
+def ref_row_hash(tag: str, row: bytes, nbytes: int) -> bytes:
+    """The reference `hash_rows` digest of one row: of the 2-byte big-endian
+    tag length, the tag and the row, the nbytes-byte BLAKE2b digest up to 64
+    bytes and nbytes bytes of SHAKE-128 past them."""
+    t = tag.encode()
+    data = len(t).to_bytes(2, "big") + t + bytes(row)
+    if nbytes <= 64:
+        return hashlib.blake2b(data, digest_size=nbytes).digest()
+    return hashlib.shake_128(data).digest(nbytes)
+
+
 def dealer_pads(seed: bytes, sender_minted: bool, first: int, n: int, nb: int) -> list:
     """The reference `DealerOt` pads of one batch of n instances, as n pairs
     (branch 0, branch 1) of nb-byte strings: consecutive slices of one

@@ -90,6 +90,7 @@ def test_laand_hash_budget():
     reset_hash_calls()
     run_laand(50, seed=5)
     assert hash_calls("laand") == 3 * 50  # 1 holder + 2 key side
+    assert hash_calls("prg") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,13 @@ def test_laot_rejects_ragged_batches():
 
 
 def test_laot_hash_budget():
+    # the pads are short row hashes, not XOF output: no PRG blocks
     reset_hash_calls()
     run_laot(50, seed=7)
     assert hash_calls("laot") == 6 * 50
     assert hash_calls("laot/x") == 3 * 50  # 2 sender + 1 receiver
     assert hash_calls("laot/i") == 3 * 50  # 2 sender + 1 receiver
+    assert hash_calls("prg") == 0
 
 
 # ---------------------------------------------------------------------------

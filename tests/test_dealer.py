@@ -105,6 +105,16 @@ def test_deal_produces_verified_material():
     assert checked == (8 + 4 * 3 + 5 * 3) + (6 + 4 * 3 + 5 * 3)
 
 
+def test_deal_at_the_widest_mac():
+    """kappa = 256, the widest DealerConfig takes: laOT's branch pads are
+    2 * 32 + 1 = 65 bytes there, one past BLAKE2b's longest digest, so
+    `hash_rows` makes them with SHAKE-128. The stores verify."""
+    cfg = DealerConfig.for_gates(3, 5, 3, kappa=256, psi=8)
+    sa, sb = run_deal(cfg, seed=5)
+    assert sa.kappa == sb.kappa == 256
+    assert verify_stores(sa, sb) == (8 + 4 * 3 + 5 * 3) + (6 + 4 * 3 + 5 * 3)
+
+
 @pytest.mark.parametrize("cfg", [DealerConfig.for_gates(0, 5, 0, kappa=16, psi=8),
                                  DealerConfig.for_gates(0, kappa=16, psi=8)],
                          ids=["alice-inputs-only", "empty"])

@@ -33,16 +33,16 @@ EXPECTED = {
         ('EQ_OPEN', 'e4f704df475127ec5c313d95580c6d726666f9de02f0e05dd8de001e178e4209'),
         ('AMPLIFY_MATRIX', '1c3107299effe321ad5fa5cb11c176d019d68dbdd03bda2df24b93dd7539ebd4'),
         ('LAAND_D', '6c13fbf4cbab1c051b575f8576cb416bf88b3aba61026d2fd9b9bd13d17490ca'),
-        ('LAOT_X0', '6667af159798f14c01af491b3876317aae1c95d4014bdfc354bd2b202fd00085'),
-        ('LAOT_X1', '8dfb92b7c946583b636d2c46f9cd00939d732a2935d546213724b39ef8e13d46'),
-        ('LAAND_U', 'b0535dcfa128c628a29ad7d8d05dbcc8a4568ca876b3831b976c628a6a4ecc40'),
+        ('LAOT_X0', 'bde387b01c07b894781e1716118d406c56aa267c9fbd1994feed8beb0d526eda'),
+        ('LAOT_X1', '0515e6fb99943aa416980c47ad3bfd07db10e3ec64d2dfe11c6bec3d50abc18d'),
+        ('LAAND_U', 'ce70dc8fa1eb7b8b7ce4b78134bd5c43ad04b03fc0203b37453031098249004f'),
         ('LAOT_D', '4a7cb6ce112cab4092b737fa0a1e9e7fc80e5fb11873f47eb02e77a6ed4735ed'),
-        ('EQ_COMMIT', 'bbe9e9feb025ebd28499a231be11497dd9bf9641e7349fcfc2f7c77dd4ba7573'),
-        ('LAOT_I0', '509260d0d277b67abf37ba8a28e04a183b508c64801ba865447294e589a86da7'),
-        ('LAOT_I1', 'fc23f65f5a2126b9fc947c31a1a2f4043c1f5c33a5ed1dcee276f0598a80f1fa'),
-        ('EQ_VALUE', '948a4aa141e968c90efc856b02fba7f36c3e86e1ac1fdbb9dda571ccc77fcc3c'),
+        ('EQ_COMMIT', '179c47181e62a7273cbcd4305c46cedc931258ac0e27cb1a31b13c3426b891e8'),
+        ('LAOT_I0', '00aa5c90e885b3afd8aaac5b2bfe737267770a27e64c1141e4cc52d1af7dc65f'),
+        ('LAOT_I1', '6ff0f350cd5b2ec8ec28b51ad235a95f0dbc872f28b4a820a73199f6ac4ba82c'),
+        ('EQ_VALUE', 'a93972d01843b5c1c4fb1349fd3b932d720fe93b3fb4ac3d02d85063e2a4db97'),
         ('EQ_COMMIT', 'e7d1b3ab30f0d9115c3ba363418cf5a680b3e41aea7b7c92cd308b843f0144a6'),
-        ('EQ_OPEN', '20a1f395cfd969c0588350b98663f519de73800d7d349fc5ccfc089290cb8c79'),
+        ('EQ_OPEN', '7cf89cbf0a0fe5b897ef3e6ea4eceded38062afd21c2c33567900c75e118165a'),
         ('EQ_VALUE', '705b8faefe9239d1abbeeee60ed4ce9538288fbbde1ac83251c310e7f4c1b718'),
         ('EQ_OPEN', '966cd35df846ac161d95fc9d17f3b1a77406ea3e92eeb44ae75716d0084d1fb4'),
         ('COMB_PERM', '957b4464fd2de3923b9cf1cf7703186c9897c40e23d6e775a735dd7071afb062'),
@@ -72,16 +72,16 @@ EXPECTED = {
         ('EQ_OPEN', 'c3af5a4d20675da636bbc629dc00b0ba90ebc3744cb787fa0510d11915f4af17'),
         ('AMPLIFY_MATRIX', '02a15d6e6699ab8fe0b2b37c30d7ad1261ab234ac13d0fa7f012dacec17aa367'),
         ('LAAND_D', '36c6f6b5b48a6cbff1d242ff16f773b01c81ed88743de9fa503566d436487863'),
-        ('LAOT_X0', '76cb2bcca5d0b05181294795ac263f063bd94b2b0774774a57288574e19adde6'),
-        ('LAOT_X1', '54922c7d50cb65311ff1de5041e6f35f819383ac94c62ff5c949f51fa11e3e05'),
-        ('LAAND_U', '8d947dc6cf4eda949a770108dddf5fc1a9f40e54d571d1d112ea621fa291dcd8'),
+        ('LAOT_X0', 'b79637a6ca6e68619ae720eec385e80ab6c2d61e45d3ba0002c4428b84b66002'),
+        ('LAOT_X1', '898151cd2e72b014b2e5e7993bad343500c0d781741a8bb4898dc3ca3d5008a0'),
+        ('LAAND_U', '5c6b08701ace5ba4d8389fa9489d5b1d94f22bbb57f448a2cea763e62b251e27'),
         ('LAOT_D', 'ed542e57ba748329768de8c4a3b389ab3304ed249e756820d1ca8a855d7a3416'),
-        ('EQ_COMMIT', '7eedc5791aeb62dff6a90a6c216da38f292d928dc09d0bdd8f9de311a55ce2de'),
-        ('LAOT_I0', 'afdc83219c2a37fcb20c4746407409d32fbea38c74404c198fc38232d16a8421'),
-        ('LAOT_I1', 'ee208341e588dc4ffd8ee4467e0464c23e9760b552ea6931609e7446e1974e42'),
-        ('EQ_VALUE', '4482c74adf245d029bcea2ac8dac88ac66534585d14b3471a7fc244ee7661d22'),
+        ('EQ_COMMIT', 'e0c7b7f2005189a5c5a3cfbaaa32e6456ac5f2ca72bf95528e48e644ae3b668c'),
+        ('LAOT_I0', '866f95bd95abc8115555b8a4cf01c2b90550c361596cc036ef61623634f80a2f'),
+        ('LAOT_I1', '6df89bf2a8782930150be4a9a05aa1d0ae7ffa19bf929f758512f96cab8cb14d'),
+        ('EQ_VALUE', 'e0a300292bec3824a1d9a043769c39e71e102d3c17b71d3093a4c172e32f9f7d'),
         ('EQ_COMMIT', '58d24c9f62ec63b618beee1cba4f25b78b6eb7cbc96311d5232c65ef191d163b'),
-        ('EQ_OPEN', 'c673ed2b0b8bf52c412fa81211d420b83cbe46b8be4fb929323f7ed9bcb3b2b6'),
+        ('EQ_OPEN', '570f95967247a59834c60d1ac08293458417258c460be0e93ea94e063a7899a5'),
         ('EQ_VALUE', 'e1766cff39cd367d5a1903c804a05e0c6c56dc7beac21f2a1b9712c5af973bb8'),
         ('EQ_OPEN', '5080fab36ade4b777a95737ed65d89da7633a556a3b5834bb5b9974a2d6cda52'),
         ('COMB_PERM', '7ee794975488069e02927dc00f143c755e0da9aa61ff275ec455d7022a1865e5'),

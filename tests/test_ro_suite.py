@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import eval_two, oracle_store_pair, random_circuit, random_inputs, ref_pad
+from helpers import (eval_two, oracle_store_pair, random_circuit, random_inputs, ref_pad,
+                     ref_row_hash)
 from macbits.bitlinalg import random_rows, unpack_bits
 from macbits.errors import UsageError
 from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, expand, hash_calls, hash_rows,
@@ -106,9 +107,37 @@ def test_empty_inputs_hash_and_pad(n, w, n_bits):
     assert pads.shape == (n, (n_bits + 7) // 8)
     assert [p.tobytes() for p in pads] == [ref_pad("t", r, n_bits) for r in rows]
     assert digests.shape == (n, DIGEST_BYTES)
-    assert [d.tobytes() for d in digests] == [ro_hash("t", r) for r in rows]
+    assert [d.tobytes() for d in digests] == [ref_row_hash("t", r, DIGEST_BYTES) for r in rows]
     assert (hash_calls("t") - before[0], hash_calls("prg") - before[1]) == (
-        3 * n, n * -(-n_bits // 256))
+        2 * n, n * -(-n_bits // 256))
+
+
+@pytest.mark.parametrize("nbytes", [1, 16, 32, 33, 64, 65])
+def test_hash_rows_match_reference(nbytes):
+    # BLAKE2b up to its 64-byte digest, SHAKE-128 past it: one call per row
+    # under tag either way, and no PRG blocks; a chunk boundary falls
+    # between rows, and a row slice that is not contiguous hashes as a copy
+    rows = random_rows(3000, 8 * 21, random.Random(nbytes))
+    before = hash_calls("t"), hash_calls("prg")
+    digests = hash_rows("t", rows[:, 1:-4], nbytes)
+    assert (hash_calls("t") - before[0], hash_calls("prg") - before[1]) == (3000, 0)
+    assert digests.shape == (3000, nbytes)
+    assert [d.tobytes() for d in digests] == [ref_row_hash("t", r, nbytes) for r in rows[:, 1:-4]]
+
+
+@pytest.mark.parametrize("n,w", [(0, 5), (3, 0)], ids=["no-rows", "zero-width-rows"])
+@pytest.mark.parametrize("nbytes", [1, 64, 65])
+def test_hash_rows_of_empty_inputs(n, w, nbytes):
+    rows = random_rows(n, 8 * w, random.Random(6)).reshape(n, w)
+    digests = hash_rows("t", rows, nbytes)
+    assert digests.shape == (n, nbytes)
+    assert [d.tobytes() for d in digests] == [ref_row_hash("t", r, nbytes) for r in rows]
+
+
+@pytest.mark.parametrize("nbytes", [0, -1])
+def test_hash_rows_refuse_an_empty_digest(nbytes):
+    with pytest.raises(UsageError):
+        hash_rows("t", random_rows(2, 64, random.Random(7)), nbytes)
 
 
 def test_pad_rows_fill_one_array():
