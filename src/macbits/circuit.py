@@ -146,6 +146,40 @@ class Circuit:
                 levels[level][1].append((a[lo:hi], second[lo:hi], out[lo:hi]))
         return tuple((ands, tuple(steps)) for ands, steps in levels)
 
+    @cached_property
+    def row_schedule(self) -> tuple:
+        """`level_indices` for an evaluator whose wire rows follow the
+        schedule: (rows, levels), with wire w in row rows[w].
+
+        Input wires keep rows 0..n_inputs-1 and the constant wires rows
+        n_wires and n_wires + 1; gate outputs take the rows between in
+        schedule order, per level its ANDs, then each free step. So every
+        group's outputs fill one slice of rows. `levels` is `level_indices`
+        over rows: per level the ANDs' (input rows as an (n, 2) array, first
+        output row) or None, then the steps as (first input rows, second
+        input rows, slice of output rows)."""
+        h = self.header
+        groups = []
+        for ands, steps in self.level_indices:
+            if ands is not None:
+                groups.append(ands[1])
+            groups += [out for _, _, out in steps]
+        rows = np.arange(h.n_wires + 2)
+        if groups:
+            rows[np.concatenate(groups)] = np.arange(h.n_inputs, h.n_wires)
+        levels, at = [], h.n_inputs
+        for ands, steps in self.level_indices:
+            if ands is not None:
+                ins, outs = ands
+                ands = (rows[ins], at)
+                at += len(outs)
+            row_steps = []
+            for a, b, out in steps:
+                row_steps.append((rows[a], rows[b], slice(at, at + len(out))))
+                at += len(out)
+            levels.append((ands, tuple(row_steps)))
+        return rows, tuple(levels)
+
     @property
     def n_and(self) -> int:
         return sum(len(ands[1]) for ands, _ in self.level_indices if ands is not None)

@@ -95,12 +95,20 @@ def cmd_deal(args) -> int:
     return EXIT_OK
 
 
+def _read(load, what: str, path: str):
+    """load(path); a file that cannot be read is a usage error naming it."""
+    try:
+        return load(path)
+    except OSError as e:
+        raise UsageError(f"cannot read {what} {path}: {e.strerror or e}") from None
+
+
 def cmd_eval(args) -> int:
     role = _parse_role(args.role)
-    store = MaterialStore.load(args.material)
+    store = _read(MaterialStore.load, "material", args.material)
     if store.role is not role:
         raise UsageError("material store was dealt for the other role")
-    circuit = Circuit.from_file(args.circuit)
+    circuit = _read(Circuit.from_file, "circuit", args.circuit)
     n_mine = (circuit.header.inputs_a if role is Role.ALICE
               else circuit.header.inputs_b)
     try:

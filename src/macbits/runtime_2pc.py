@@ -2,17 +2,23 @@
 
 Wire values are additively shared; each party's share bit is authenticated
 toward the peer (MAC under the peer's global key). A party keeps its wires
-in two uint8 arrays with one row per wire, laid out like the material store
-rows: WM holds its own half as the MAC's kappa/8 bytes followed by one byte
-for the bit, so a row XOR moves bit and MAC together, and WK holds its key
-on the peer's half. Two rows past the circuit's wires hold the public
-constants 0 and 1 (Alice's half carries the 1), so every free gate is a
-row XOR. The circuit's one schedule, `Circuit.level_indices`, drives the
-evaluation: each level's AND gates run as one batch of array operations
-over gathered rows and one level's slice of the store, then that level's
-free gates, one array XOR per dependency step. An AND gate burns two
-triples, two OT quads, and two fresh bits, and each party reveals five bits
-per gate, all in one round per level in which both parties send at once:
+in one uint8 table with one row per wire, 2*kappa/8 + 1 bytes wide: its own
+half as the MAC's kappa/8 bytes and one byte for the bit, laid out like the
+material store's MAC rows, then its key on the peer's half, laid out like
+the store's key rows. So one row XOR moves bit, MAC and key together. The
+rows follow the circuit's one schedule, `Circuit.level_indices`: input
+wires keep rows 0..n_inputs-1, gate outputs take the next rows in schedule
+order (per level its ANDs, then each free step), and two rows past them
+hold the public constants 0 and 1 (Alice's half carries the 1), so every
+free gate is a row XOR. `Circuit.row_schedule` holds the wire-to-row map
+and the schedule over rows, computed once per circuit. Each level's AND
+gates run as one batch of array operations over gathered rows and one
+level's slice of the store, writing their outputs into one slice of rows;
+then each of that level's free-gate steps is two row gathers and one XOR
+into the step's slice of rows. Outputs are read through the map. An AND
+gate burns two triples, two OT quads, and two fresh bits, and each party
+reveals five bits per gate, all in one round per level in which both
+parties send at once:
 
   d     = c ^ y          my y under the choice bit c of my quad as receiver
   f, g  = a ^ x, b ^ y   my x and y under my triple (a, b, a & b)
@@ -36,13 +42,15 @@ revealed bits, its output rows and its flush digest.
 
 The hello, the input round, the levels' rounds, the flush and the output
 round form one protocol side, which `evaluate` runs with
-`transport.run_sides`. Its parameters come from the store: kappa, psi, the
-session id and the global key this party holds, a (kappa/8,) row like a key
-row; the channel only carries the frames. After the hello every round is
-symmetric, both parties' frames crossing at once, so both run the same
-code; Bob's input announcement goes out in the flight of his hello. Before
-the hello, `evaluate` checks that the store holds the material the circuit
-burns, and fails with OutOfMaterial if it is too small.
+`transport.run_sides`; an AND level's round is yielded by that side itself,
+between the plain code of `_and_open` and `_and_close`. Its parameters come
+from the store: kappa, psi, the session id and the global key this party
+holds, a (kappa/8,) row like a key row; the channel only carries the
+frames. After the hello every round is symmetric, both parties' frames
+crossing at once, so both run the same code; Bob's input announcement goes
+out in the flight of his hello. Before the hello, `evaluate` checks that
+the store holds the material the circuit burns, and fails with
+OutOfMaterial if it is too small.
 """
 
 from __future__ import annotations
@@ -57,6 +65,32 @@ from .dealer import DealerConfig, MaterialStore
 from .errors import OutOfMaterial, ProtocolAbort, UsageError
 from .ro_suite import MacAccumulator, flush_accumulators
 from .transport import Channel, MsgType, Role, Send, Swap, perform_hello, run_sides
+
+
+def _term_codes() -> np.ndarray:
+    """The four output terms of an AND gate, as codes into `Runtime._terms`,
+    for every pair of reveals: column 32 * m + p holds them for my five
+    reveal bits m and the peer's five p, bit i of each being reveal i (d, f,
+    g, f_x, h).
+
+    Four full rows per gate complete its output: x, y and the receiver
+    quad's c, each kept or cleared per half by a bit, and a constant; each
+    code is 2 * (the MAC half's bit) + (the key half's bit). The MAC half
+    adds the local product's g*x ^ f*y ^ (f&g), d'*x (my share of my cross
+    term is r ^ d'*x) and f_x'*c ^ h' (my share of the peer's is
+    z ^ f_x'*c ^ h'); the key half adds my keys on the same terms of the
+    peer's share: g'*x', d*x', f'*y', f_x*c', (f'&g') ^ h."""
+    m, p = np.divmod(np.arange(1024), 32)
+    d, f, g, fx, h = m >> np.arange(5)[:, None] & 1
+    pd, pf, pg, pfx, ph = p >> np.arange(5)[:, None] & 1
+    return np.array([(g ^ pd) << 1 | (pg ^ d),
+                     f << 1 | pf,
+                     pfx << 1 | fx,
+                     ((f & g) ^ ph) << 1 | ((pf & pg) ^ h) | 4], np.uint8)
+
+
+_TERM_CODES = _term_codes()
+
 
 @dataclass
 class RuntimeStats:
@@ -85,6 +119,16 @@ class Runtime:
         self.stats = RuntimeStats()
         self._sent = MacAccumulator()
         self._expect = MacAccumulator()
+        # Full rows an AND gate's output terms are taken from, by a code 2m + k
+        # of two bits: 0..3 are masks that keep the MAC half (with the bit)
+        # if m and the key half if k; 4..7 are constants, bit m and key
+        # k * delta.
+        kb = self.kappa // 8
+        self._terms = np.zeros((8, 2 * kb + 1), np.uint8)
+        self._terms[[2, 3], :kb + 1] = 0xFF
+        self._terms[[1, 3], kb + 1:] = 0xFF
+        self._terms[[6, 7], kb] = 1
+        self._terms[[5, 7], kb + 1:] = self._delta
 
     # -- session ------------------------------------------------------------
 
@@ -105,73 +149,83 @@ class Runtime:
 
     # -- batched AND level ----------------------------------------------------
 
-    def _and_level(self, wm, wk, ins, outs):
-        """Evaluate one AND level: gate i is ins[i, 0] & ins[i, 1] -> outs[i]."""
-        n = len(outs)
+    def _and_open(self, w, ins, o0):
+        """The local half of one AND level, gate i being ins[i, 0] & ins[i, 1]
+        into row o0 + i: burns the level's material, writes the output rows'
+        local terms, and returns (the packed bits this party reveals,
+        gate-major, and the state `_and_close` needs).
+
+        The level works on full rows like the wire table's, one (n, row)
+        array per kind of value, so each step is one XOR over contiguous
+        bytes: the inputs x and y, then the material, each row pairing the
+        MAC half of a value of mine with my key half on the peer's matching
+        value: the receiver quad (c, z), the triple (a, b, z), the sender
+        quad (x0, x1) and the fresh bit r."""
+        n = len(ins)
+        kb = self.kappa // 8
         st = self.store
-        tm, _ = st.take("aands_mine", n)       # x, y, z
-        _, tk = st.take("aands_theirs", n)     # kx, ky, kz
         qs, qsk = st.take("aots_sender", n)    # x0, x1 | kc, kz
         qr, qrk = st.take("aots_receiver", n)  # c, z | kx0, kx1
+        tm, _ = st.take("aands_mine", n)
+        _, tk = st.take("aands_theirs", n)
         rm, _ = st.take("abits_mine", n)
         _, rk = st.take("abits_theirs", n)
         self.stats.and_gates += n
         self.stats.levels.append(n)
-        xy, kxy = wm[ins], wk[ins]
-        x, y, kx, ky = xy[:, 0], xy[:, 1], kxy[:, 0], kxy[:, 1]
-        delta = self._delta
+        v = np.empty((10, n, 2 * kb + 1), np.uint8)
+        w.take(ins.T, axis=0, out=v[:2])
+        at = 2
+        for macs, keys in ((qr, qsk), (tm, tk), (qs, qrk), (rm, rk)):
+            end = at + macs.shape[1]
+            v[at:end, :, :kb + 1] = macs.swapaxes(0, 1)
+            v[at:end, :, kb + 1:] = keys.swapaxes(0, 1)
+            at = end
+        x, y, c, zq, _, _, z, x0, x1, r = v
 
-        # my reveals per gate: d, f_loc, g_loc, f_x, h = r ^ x0, and my keys
-        # on the peer's same five reveals
-        mine = np.empty((n, 5, x.shape[1]), np.uint8)
-        np.bitwise_xor(qr[:, 0], y, out=mine[:, 0])
-        np.bitwise_xor(tm[:, :2], xy, out=mine[:, 1:3])
-        np.bitwise_xor(qs[:, 0], qs[:, 1], out=mine[:, 3])
-        mine[:, 3] ^= x
-        np.bitwise_xor(rm[:, 0], qs[:, 0], out=mine[:, 4])
-        theirs = np.empty((n, 5, kx.shape[1]), np.uint8)
-        np.bitwise_xor(qsk[:, 0], ky, out=theirs[:, 0])
-        np.bitwise_xor(tk[:, :2], kxy, out=theirs[:, 1:3])
-        np.bitwise_xor(qrk[:, 0], qrk[:, 1], out=theirs[:, 3])
-        theirs[:, 3] ^= kx
-        np.bitwise_xor(rk[:, 0], qrk[:, 0], out=theirs[:, 4])
+        # my reveals d, f, g, f_x, h = r ^ x0 on the MAC half, and my keys on
+        # the peer's same five reveals on the key half
+        rv = np.empty((5, n, 2 * kb + 1), np.uint8)
+        np.bitwise_xor(c, y, out=rv[0])
+        np.bitwise_xor(v[4:6], v[:2], out=rv[1:3])  # a ^ x, b ^ y
+        np.bitwise_xor(x0, x1, out=rv[3])
+        rv[3] ^= x
+        np.bitwise_xor(r, x0, out=rv[4])
+        # the output terms that need no reveal: z ^ r ^ the receiver quad's z
+        # on the MAC half, my keys on the peer's matching values on the key
+        # half
+        out = w[o0:o0 + n]
+        np.bitwise_xor(z, r, out=out)
+        out ^= zq
+        return pack_bits(rv[:, :, kb].T.ravel()), (v, rv)
 
-        # Both parties' 5n reveals cross at once, gate-major in one frame
-        # each way. Their MACs are absorbed in one call per side: my own
-        # MAC||bit rows, and the MACs the peer's bits must carry (key ^
-        # delta*bit).
-        flat = mine.reshape(5 * n, -1)
-        (payload,) = yield Swap([(MsgType.RT_REVEAL_BATCH, pack_bits(flat[:, -1]))],
-                                [(MsgType.RT_REVEAL_BATCH, (5 * n + 7) // 8)])
-        self._sent = self._sent.absorb(flat[:, :-1])
-        bits = unpack_bits(payload, 5 * n).reshape(n, 5)
-        macs = theirs ^ bits[:, :, None] * delta
-        self._expect = self._expect.absorb(macs.reshape(5 * n, -1))
+    def _and_close(self, w, o0, state, payload):
+        """The rest of an AND level once the peer's reveals are in."""
+        v, rv = state
+        n = rv.shape[1]
+        kb = self.kappa // 8
+        bits = unpack_bits(payload, 5 * n).reshape(n, 5).T
+        # One absorb per chain, gate-major: my own MACs, and the MACs the
+        # peer's bits must carry, key ^ delta*bit (rows 4 and 5 of `_terms`
+        # hold 0 and delta on the key half).
+        self._sent = self._sent.absorb(rv[:, :, :kb].transpose(1, 0, 2).reshape(5 * n, kb))
+        expect = rv ^ self._terms.take(bits + 4, axis=0)
+        self._expect = self._expect.absorb(
+            expect[:, :, kb + 1:].transpose(1, 0, 2).reshape(5 * n, kb))
         self.stats.bits_revealed += 5 * n
         self.stats.bits_expected += 5 * n
-        d, f, g, fx, h = mine[:, :, -1].T
-        pd, pf, pg, pfx, ph = bits.T
-
-        # z ^ f*y ^ g*x ^ (f&g) for the local product; r ^ d'*x, my share of
-        # my cross term; and qr.z ^ f_x'*c ^ h', my share of the peer's
-        out = tm[:, 2] ^ rm[:, 0] ^ qr[:, 1]
-        out ^= f[:, None] * y
-        out ^= (g ^ pd)[:, None] * x
-        out ^= pfx[:, None] * qr[:, 0]
-        out[:, -1] ^= (f & g) ^ ph
-        wm[outs] = out
-        out = tk[:, 2] ^ rk[:, 0] ^ qsk[:, 1]
-        out ^= pf[:, None] * ky
-        out ^= (pg ^ d)[:, None] * kx
-        out ^= fx[:, None] * qsk[:, 0]
-        out ^= ((pf & pg) ^ h)[:, None] * delta
-        wk[outs] = out
+        mine = np.packbits(rv[:, :, kb], axis=0, bitorder="little")[0]
+        peer = np.packbits(bits, axis=0, bitorder="little")[0]
+        code = _TERM_CODES.take(mine.astype(np.intp) << 5 | peer, axis=1)
+        terms = self._terms.take(code, axis=0)
+        terms[:3] &= v[:3]
+        w[o0:o0 + n] ^= np.bitwise_xor.reduce(terms, axis=0)
 
     # -- circuit driver -------------------------------------------------------
 
-    def _input_phase(self, wm, wk, circuit, my_inputs: BitVec):
+    def _input_phase(self, w, circuit, my_inputs: BitVec):
         """Both parties announce their masked inputs in one round."""
         h = circuit.header
+        kb = self.kappa // 8
         a, b = slice(0, h.inputs_a), slice(h.inputs_a, h.n_inputs)
         me, peer = (a, b) if self.role is Role.ALICE else (b, a)
         n, pn = me.stop - me.start, peer.stop - peer.start
@@ -181,33 +235,34 @@ class Runtime:
             ms = macs[:, 0, -1] ^ np.array(my_inputs.bits(), np.uint8)
             frames.append((MsgType.RT_ANNOUNCE_BATCH, pack_bits(ms)))
             self.stats.input_bits_sent += n
-            wm[me] = macs[:, 0]
-            wk[me] = ms[:, None] * self._delta
+            w[me, :kb + 1] = macs[:, 0]
+            w[me, kb + 1:] = ms[:, None] * self._delta
         if pn:
             _, keys = self.store.take("abits_theirs", pn)
             (payload,) = yield Swap(frames, [(MsgType.RT_ANNOUNCE_BATCH, (pn + 7) // 8)])
             self.stats.input_bits_received += pn
-            wm[peer, -1] = unpack_bits(payload, pn)  # zero MAC
-            wk[peer] = keys[:, 0]
+            w[peer, kb] = unpack_bits(payload, pn)  # zero MAC
+            w[peer, kb + 1:] = keys[:, 0]
         elif frames:
             yield Send(*frames)
 
-    def _output_phase(self, wm, wk, circuit):
+    def _output_phase(self, w, circuit):
         """Flush, then reveal each output wire's bit||MAC to its receivers:
         both parties' RT_OUTPUT frames cross in one round. Returns the bits
         destined to this party."""
         yield from self._flush()
+        kb = self.kappa // 8
         mine, peer = (DEST_A, DEST_B) if self.role is Role.ALICE else (DEST_B, DEST_A)
         dest = circuit.header.output_dest
-        wires = circuit.output_wires
-        send = [w for w, d in zip(wires, dest) if d in (peer, DEST_BOTH)]
-        get = [w for w, d in zip(wires, dest) if d in (mine, DEST_BOTH)]
+        rows = circuit.row_schedule[0][circuit.output_wires].tolist()
+        send = [r for r, d in zip(rows, dest) if d in (peer, DEST_BOTH)]
+        get = [r for r, d in zip(rows, dest) if d in (mine, DEST_BOTH)]
         frames = []
         if send:
-            rows = wm[send]
-            bits = np.unpackbits(rows[:, :-1], axis=1, bitorder="little")
+            mb = w[send, :kb + 1]
+            bits = np.unpackbits(mb[:, :-1], axis=1, bitorder="little")
             frames.append((MsgType.RT_OUTPUT,
-                           pack_bits(np.concatenate((rows[:, -1:], bits), axis=1))))
+                           pack_bits(np.concatenate((mb[:, -1:], bits), axis=1))))
             self.stats.output_reveals_sent += len(send)
         got = BitVec(0)
         if get:
@@ -216,10 +271,10 @@ class Runtime:
             bits = unpack_bits(payload, n * width).reshape(n, -1)
             b = bits[:, 0]
             macs = np.packbits(bits[:, 1:], axis=1, bitorder="little")
-            if not np.array_equal(macs, wk[get] ^ b[:, None] * self._delta):
+            if not np.array_equal(macs, w[get, kb + 1:] ^ b[:, None] * self._delta):
                 raise ProtocolAbort("output", "MAC check failed")
             self.stats.output_reveals_received += n
-            got = BitVec.from_bytes(n, pack_bits(wm[get, -1] ^ b))
+            got = BitVec.from_bytes(n, pack_bits(w[get, kb] ^ b))
         elif frames:
             yield Send(*frames)
         return got
@@ -240,21 +295,26 @@ class Runtime:
 
     def _online(self, circuit: Circuit, my_inputs: BitVec):
         """The online phase as one protocol side: hello, inputs, every level,
-        flush and outputs."""
+        flush and outputs. An AND level's round is yielded here, between the
+        plain code of `_and_open` and `_and_close`."""
         yield from self._hello()
         h = circuit.header
         kb = self.kappa // 8
-        wm = np.zeros((h.n_wires + 2, kb + 1), np.uint8)
-        wk = np.zeros((h.n_wires + 2, kb), np.uint8)
+        _, levels = circuit.row_schedule
+        w = np.zeros((h.n_wires + 2, 2 * kb + 1), np.uint8)
         if self.role is Role.ALICE:  # the constant-1 wire
-            wm[h.n_wires + 1, -1] = 1
+            w[h.n_wires + 1, kb] = 1
         else:
-            wk[h.n_wires + 1] = self._delta
-        yield from self._input_phase(wm, wk, circuit, my_inputs)
-        for ands, steps in circuit.level_indices:
+            w[h.n_wires + 1, kb + 1:] = self._delta
+        yield from self._input_phase(w, circuit, my_inputs)
+        for ands, steps in levels:
             if ands is not None:
-                yield from self._and_level(wm, wk, *ands)
+                ins, o0 = ands
+                reveal, state = self._and_open(w, ins, o0)
+                (payload,) = yield Swap(
+                    [(MsgType.RT_REVEAL_BATCH, reveal)],
+                    [(MsgType.RT_REVEAL_BATCH, (5 * len(ins) + 7) // 8)])
+                self._and_close(w, o0, state, payload)
             for a, b, out in steps:
-                wm[out] = wm[a] ^ wm[b]
-                wk[out] = wk[a] ^ wk[b]
-        return (yield from self._output_phase(wm, wk, circuit))
+                np.bitwise_xor(w.take(a, axis=0), w.take(b, axis=0), out=w[out])
+        return (yield from self._output_phase(w, circuit))

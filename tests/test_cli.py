@@ -192,6 +192,21 @@ def test_eval_rejects_truncated_or_relabelled_store(dealt, tmp_path, capsys):
         assert err.startswith("usage error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("which", ["material", "circuit"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_eval_unreadable_file_is_a_usage_error(dealt, toy_file, tmp_path, capsys,
+                                               which, kind):
+    bad = tmp_path / "nothing-here" if kind == "missing" else tmp_path
+    files = {"material": dealt[0], "circuit": toy_file, which: str(bad)}
+    rc = cli_main(["eval", "--role", "A", "--circuit", files["circuit"],
+                   "--material", files["material"], "--input", "03",
+                   "--peer", "127.0.0.1:1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read {which} {bad}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad_input", ["zz", "0102", ""])
 def test_eval_rejects_bad_input(dealt, toy_file, bad_input):
     pa, _ = dealt

@@ -9,8 +9,9 @@ from helpers import (OracleDealer, TamperPlan, closing_pair, consumed, count_rev
                      random_inputs, tamper_pair)
 from macbits.aescircuit import bits_to_block, block_to_bits, generate_aes_circuit
 from macbits.bitlinalg import BitVec
-from macbits.circuit import DEST_A, DEST_B, DEST_BOTH, Circuit, plain_eval
-from macbits.dealer import DealerConfig
+from macbits.circuit import (AND, DEST_A, DEST_B, DEST_BOTH, EQW, INV, Circuit,
+                             CircuitHeader, plain_eval)
+from macbits.dealer import DealerConfig, MaterialStore
 from macbits.errors import (OutOfMaterial, ProtocolAbort, TransportError,
                             UsageError)
 from macbits.ro_suite import hash_calls
@@ -114,6 +115,90 @@ def test_routed_outputs():
     assert rt_a.stats.output_reveals_sent == 1
     assert rt_a.stats.output_reveals_received == 1
     assert rt_b.stats.output_reveals_sent == 1
+
+
+def routed_tail_circuit(rng):
+    """A random circuit whose outputs end in: an input wire copied by EQW, an
+    AND output that a later AND output also reads, and an INV chain on that
+    AND; each output goes to A, B or both at random."""
+    body = random_circuit(rng, rng.randrange(20, 60), n_outputs=1)
+    h = body.header
+    rows = body.table.tolist()
+    wire = h.n_wires
+    tail = [(EQW, rng.randrange(h.n_inputs), None),
+            (AND, rng.randrange(wire), rng.randrange(wire)),
+            (AND, wire + 1, rng.randrange(wire)),
+            (INV, wire + 2, None), (INV, wire + 3, None), (INV, wire + 4, None)]
+    for kind, a, b in tail:
+        rows.append((kind, a, a if b is None else b, wire))
+        wire += 1
+    dests = [DEST_A, DEST_B, DEST_BOTH] + [rng.choice((DEST_A, DEST_B, DEST_BOTH))
+                                           for _ in tail[3:]]
+    rng.shuffle(dests)
+    header = CircuitHeader(len(rows), wire, h.inputs_a, h.inputs_b, len(tail),
+                           tuple(dests))
+    return Circuit(header, rows)
+
+
+def test_routed_outputs_match_cleartext_on_random_circuits():
+    rng = random.Random(29)
+    for _ in range(8):
+        c = routed_tail_circuit(rng)
+        sa, sb = oracle_store_pair(c, rng)
+        xa, xb = random_inputs(c, rng)
+        want = plain_eval(c, xa, xb).bits()
+        dest = c.header.output_dest
+        out_a, out_b, _, _ = eval_two(c, sa, sb, xa, xb)
+        assert out_a.bits() == [v for v, d in zip(want, dest) if d in (DEST_A, DEST_BOTH)]
+        assert out_b.bits() == [v for v, d in zip(want, dest) if d in (DEST_B, DEST_BOTH)]
+
+
+@pytest.mark.parametrize("make", [lambda rng: random_circuit(rng, 80),
+                                  routed_tail_circuit,
+                                  lambda rng: generate_aes_circuit()])
+def test_wire_rows_follow_the_schedule(make):
+    c = make(random.Random(30))
+    h = c.header
+    rows, levels = c.row_schedule
+    assert sorted(rows.tolist()) == list(range(h.n_wires + 2))
+    assert rows[:h.n_inputs].tolist() == list(range(h.n_inputs))
+    assert rows[h.n_wires:].tolist() == [h.n_wires, h.n_wires + 1]
+    at = h.n_inputs
+    assert len(levels) == len(c.level_indices)
+    for (ands, steps), (row_ands, row_steps) in zip(c.level_indices, levels):
+        assert (ands is None) == (row_ands is None)
+        if ands is not None:
+            ins, outs = ands
+            assert row_ands[1] == at
+            assert rows[ins].tolist() == row_ands[0].tolist()
+            assert rows[outs].tolist() == list(range(at, at + len(outs)))
+            at += len(outs)
+        assert len(steps) == len(row_steps)
+        for (a, b, outs), (ra, rb, out) in zip(steps, row_steps):
+            assert rows[a].tolist() == ra.tolist() and rows[b].tolist() == rb.tolist()
+            assert rows[outs].tolist() == list(range(at, at + len(outs)))
+            assert (out.start, out.stop) == (at, at + len(outs))
+            at = out.stop
+    assert at == h.n_wires
+
+
+def replay_store(store):
+    """A fresh copy of a store: the same records, every cursor at the start."""
+    return MaterialStore(store.role, store.kappa, store.psi, store.session_id,
+                         store.gk_commit, store.delta,
+                         *(getattr(store, name) for name in MaterialStore.STREAMS))
+
+
+def test_two_circuits_then_a_replay_of_the_first():
+    rng = random.Random(31)
+    first, second = (random_circuit(rng, 60) for _ in range(2))
+    inputs = [random_inputs(c, rng) for c in (first, second)]
+    stores = [oracle_store_pair(c, rng) for c in (first, second)]
+    fresh = [replay_store(s) for s in stores[0]]
+    for c, (sa, sb), (xa, xb) in zip((first, second, first), (*stores, fresh),
+                                     (*inputs, inputs[0])):
+        out_a, out_b, _, _ = eval_two(c, sa, sb, xa, xb)
+        assert out_a == out_b == plain_eval(c, xa, xb)
 
 
 # ---------------------------------------------------------------------------
