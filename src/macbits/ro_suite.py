@@ -172,6 +172,10 @@ def pad_rows(tag: str, rows: np.ndarray, n_bits: int, out: np.ndarray = None) ->
     return pads
 
 
+_ACC_ROUND_HASH = hashlib.sha256(_tag_prefix("acc/round"))
+_COUNT = struct.Struct(">Q")
+
+
 @dataclass(frozen=True)
 class MacAccumulator:
     """Chained digest of a sequence of revealed MACs.
@@ -187,12 +191,25 @@ class MacAccumulator:
     def absorb(self, macs: np.ndarray) -> "MacAccumulator":
         """Chain one round, given as a uint8 array with one MAC per row, with
         a single hash over (state, MAC count, the rows as one buffer); an
-        empty round leaves the accumulator unchanged."""
+        empty round leaves the accumulator unchanged.
+
+        The hash is `ro_hash("acc/round", state, count, rows)`, fed from a
+        copy of one SHA-256 that has hashed the tag already, with the rows
+        read in place when they are contiguous."""
         n = len(macs)
         if not n:
             return self
-        state = ro_hash("acc/round", self.state, struct.pack(">Q", n), macs)
-        return MacAccumulator(state, self.count + n)
+        h = _ACC_ROUND_HASH.copy()
+        h.update(self.state)
+        h.update(_COUNT.pack(n))
+        h.update(macs if macs.flags.c_contiguous else np.ascontiguousarray(macs))
+        with _counter_lock:
+            _hash_calls["acc/round"] += 1
+        # built past the frozen dataclass's __init__, which costs about as
+        # much as the hash of a small round
+        acc = object.__new__(MacAccumulator)
+        acc.__dict__.update(state=h.digest(), count=self.count + n)
+        return acc
 
     def digest(self) -> bytes:
         return self.state

@@ -12,13 +12,17 @@ order (per level its ANDs, then each free step), and two rows past them
 hold the public constants 0 and 1 (Alice's half carries the 1), so every
 free gate is a row XOR. `Circuit.row_schedule` holds the wire-to-row map
 and the schedule over rows, computed once per circuit. Each level's AND
-gates run as one batch of array operations over gathered rows and one
-level's slice of the store, writing their outputs into one slice of rows;
-then each of that level's free-gate steps is two row gathers and one XOR
-into the step's slice of rows. Outputs are read through the map. An AND
-gate burns two triples, two OT quads, and two fresh bits, and each party
-reveals five bits per gate, all in one round per level in which both
-parties send at once:
+gates run as one batch of array operations over gathered rows, writing
+their outputs into one slice of rows; then each of that level's free-gate
+steps is two row gathers and one XOR into the step's slice of rows.
+Outputs are read through the map. An AND gate burns two triples, two OT
+quads, and two fresh bits. Right after the input round, `_stage` takes
+each stream's records for all of the circuit's AND gates in one call and
+lays them out once, field by field, as full rows in schedule order, with
+what needs no wire already combined (c, a, b, x0 ^ x1, r ^ x0 and the
+output constant); a level reads its slice, so no level takes material.
+Each party reveals five bits per gate, all in one round per level in which
+both parties send at once:
 
   d     = c ^ y          my y under the choice bit c of my quad as receiver
   f, g  = a ^ x, b ^ y   my x and y under my triple (a, b, a & b)
@@ -90,6 +94,25 @@ def _term_codes() -> np.ndarray:
 
 
 _TERM_CODES = _term_codes()
+# a gate's column of _TERM_CODES from its reveal bits, 32 * mine + peer's
+_MINE, _PEER = 32 << np.arange(5), 1 << np.arange(5)
+# An AND level gathers each gate's inputs x, y as y, x, y, x: the wires that
+# the staged c, a, b and x0 ^ x1 are XORed with to make d, f, g and f_x.
+_YXYX = np.array([1, 0, 1, 0])
+
+
+def _rows(a):
+    """a, whose last axis must be contiguous, with each row along that axis
+    as one void element: numpy copies such a row several times faster than
+    its bytes."""
+    return a.view(f"V{a.shape[-1]}")[..., 0]
+
+
+def _gate_major(fields):
+    """A (5, n, width) view of a level's reveal rows as one contiguous
+    (5 * n, width) uint8 array, gate-major: the order of the revealed bits."""
+    width = fields.shape[-1]
+    return np.ascontiguousarray(_rows(fields).T).view(np.uint8).reshape(-1, width)
 
 
 @dataclass
@@ -129,6 +152,8 @@ class Runtime:
         self._terms[[1, 3], kb + 1:] = 0xFF
         self._terms[[6, 7], kb] = 1
         self._terms[[5, 7], kb + 1:] = self._delta
+        # my key on a peer's bit b, less its MAC: b * delta, by b
+        self._bit_keys = self._terms[[4, 5], kb + 1:]
 
     # -- session ------------------------------------------------------------
 
@@ -149,75 +174,78 @@ class Runtime:
 
     # -- batched AND level ----------------------------------------------------
 
-    def _and_open(self, w, ins, o0):
-        """The local half of one AND level, gate i being ins[i, 0] & ins[i, 1]
-        into row o0 + i: burns the level's material, writes the output rows'
-        local terms, and returns (the packed bits this party reveals,
-        gate-major, and the state `_and_close` needs).
-
-        The level works on full rows like the wire table's, one (n, row)
-        array per kind of value, so each step is one XOR over contiguous
-        bytes: the inputs x and y, then the material, each row pairing the
-        MAC half of a value of mine with my key half on the peer's matching
-        value: the receiver quad (c, z), the triple (a, b, z), the sender
-        quad (x0, x1) and the fresh bit r."""
-        n = len(ins)
+    def _stage(self, n):
+        """Burn the material of the circuit's n AND gates, the records its
+        levels use in schedule order, and lay it out once as a (6, n, row)
+        array: per field one full row per gate, like the wire table's, each
+        pairing the MAC half of a value of mine with my key half on the
+        peer's matching value. The fields combine what needs no wire: the
+        receiver quad's c, the triple's a and b, the sender quad's x0 ^ x1,
+        the fresh bit's r ^ x0, and the output constant z ^ r ^ the receiver
+        quad's z."""
         kb = self.kappa // 8
         st = self.store
         qs, qsk = st.take("aots_sender", n)    # x0, x1 | kc, kz
         qr, qrk = st.take("aots_receiver", n)  # c, z | kx0, kx1
-        tm, _ = st.take("aands_mine", n)
+        tm, _ = st.take("aands_mine", n)       # a, b, z
         _, tk = st.take("aands_theirs", n)
-        rm, _ = st.take("abits_mine", n)
+        rm, _ = st.take("abits_mine", n)       # r
         _, rk = st.take("abits_theirs", n)
+        # the records' rows as c, a, b, x0, r, z, x1, the receiver quad's z
+        m = np.empty((8, n, 2 * kb + 1), np.uint8)
+        for half, (cz, t, x, r) in ((m[:, :, :kb + 1], (qr, tm, qs, rm)),
+                                    (m[:, :, kb + 1:], (qsk, tk, qrk, rk))):
+            half = _rows(half)
+            for k, (rec, i) in enumerate(((cz, 0), (t, 0), (t, 1), (x, 0),
+                                          (r, 0), (t, 2), (x, 1), (cz, 1))):
+                half[k] = _rows(rec)[:, i]
+        m[5] ^= m[4]  # z ^ r, then ^ the receiver quad's z
+        m[5] ^= m[7]
+        m[4] ^= m[3]  # r ^ x0, before x0 becomes x0 ^ x1
+        m[3] ^= m[6]
+        return m[:6]
+
+    def _and_open(self, w, ins, o0, mat):
+        """The local half of one AND level, gate i being ins[i, 0] & ins[i, 1]
+        into row o0 + i with its staged material mat[:, i]: writes the output
+        rows' local terms and returns (the packed bits this party reveals,
+        gate-major, and the state `_and_close` needs). The material was
+        burned once, after the input round (`_stage`).
+
+        My reveals d, f, g, f_x are the staged c, a, b, x0 ^ x1 XORed with my
+        y, x, y, x, and h = r ^ x0 is staged, on the MAC half; on the key half
+        are my keys on the peer's same five reveals. So one gather and one
+        XOR make the first four, and two copies make h and the output
+        rows."""
+        n = len(ins)
+        kb = self.kappa // 8
         self.stats.and_gates += n
         self.stats.levels.append(n)
-        v = np.empty((10, n, 2 * kb + 1), np.uint8)
-        w.take(ins.T, axis=0, out=v[:2])
-        at = 2
-        for macs, keys in ((qr, qsk), (tm, tk), (qs, qrk), (rm, rk)):
-            end = at + macs.shape[1]
-            v[at:end, :, :kb + 1] = macs.swapaxes(0, 1)
-            v[at:end, :, kb + 1:] = keys.swapaxes(0, 1)
-            at = end
-        x, y, c, zq, _, _, z, x0, x1, r = v
-
-        # my reveals d, f, g, f_x, h = r ^ x0 on the MAC half, and my keys on
-        # the peer's same five reveals on the key half
+        yx = w.take(ins.T[_YXYX], axis=0)
         rv = np.empty((5, n, 2 * kb + 1), np.uint8)
-        np.bitwise_xor(c, y, out=rv[0])
-        np.bitwise_xor(v[4:6], v[:2], out=rv[1:3])  # a ^ x, b ^ y
-        np.bitwise_xor(x0, x1, out=rv[3])
-        rv[3] ^= x
-        np.bitwise_xor(r, x0, out=rv[4])
-        # the output terms that need no reveal: z ^ r ^ the receiver quad's z
-        # on the MAC half, my keys on the peer's matching values on the key
-        # half
-        out = w[o0:o0 + n]
-        np.bitwise_xor(z, r, out=out)
-        out ^= zq
-        return pack_bits(rv[:, :, kb].T.ravel()), (v, rv)
+        np.bitwise_xor(mat[:4], yx, out=rv[:4])
+        rv[4] = mat[4]
+        w[o0:o0 + n] = mat[5]
+        return pack_bits(rv[:, :, kb].T.ravel()), (yx, mat[0], rv)
 
     def _and_close(self, w, o0, state, payload):
         """The rest of an AND level once the peer's reveals are in."""
-        v, rv = state
+        yx, c, rv = state
         n = rv.shape[1]
         kb = self.kappa // 8
-        bits = unpack_bits(payload, 5 * n).reshape(n, 5).T
+        bits = unpack_bits(payload, 5 * n).reshape(n, 5)
         # One absorb per chain, gate-major: my own MACs, and the MACs the
-        # peer's bits must carry, key ^ delta*bit (rows 4 and 5 of `_terms`
-        # hold 0 and delta on the key half).
-        self._sent = self._sent.absorb(rv[:, :, :kb].transpose(1, 0, 2).reshape(5 * n, kb))
-        expect = rv ^ self._terms.take(bits + 4, axis=0)
-        self._expect = self._expect.absorb(
-            expect[:, :, kb + 1:].transpose(1, 0, 2).reshape(5 * n, kb))
+        # peer's bits must carry, key ^ delta*bit.
+        self._sent = self._sent.absorb(_gate_major(rv[:, :, :kb]))
+        expect = _gate_major(rv[:, :, kb + 1:])
+        expect ^= self._bit_keys.take(bits.ravel(), axis=0)
+        self._expect = self._expect.absorb(expect)
         self.stats.bits_revealed += 5 * n
         self.stats.bits_expected += 5 * n
-        mine = np.packbits(rv[:, :, kb], axis=0, bitorder="little")[0]
-        peer = np.packbits(bits, axis=0, bitorder="little")[0]
-        code = _TERM_CODES.take(mine.astype(np.intp) << 5 | peer, axis=1)
+        code = _TERM_CODES.take(_MINE @ rv[:, :, kb] + bits @ _PEER, axis=1)
         terms = self._terms.take(code, axis=0)
-        terms[:3] &= v[:3]
+        terms[:2] &= yx[1:3]  # x, y
+        terms[2] &= c
         w[o0:o0 + n] ^= np.bitwise_xor.reduce(terms, axis=0)
 
     # -- circuit driver -------------------------------------------------------
@@ -307,10 +335,13 @@ class Runtime:
         else:
             w[h.n_wires + 1, kb + 1:] = self._delta
         yield from self._input_phase(w, circuit, my_inputs)
+        mat = self._stage(circuit.n_and)
+        g = 0
         for ands, steps in levels:
             if ands is not None:
                 ins, o0 = ands
-                reveal, state = self._and_open(w, ins, o0)
+                reveal, state = self._and_open(w, ins, o0, mat[:, g:g + len(ins)])
+                g += len(ins)
                 (payload,) = yield Swap(
                     [(MsgType.RT_REVEAL_BATCH, reveal)],
                     [(MsgType.RT_REVEAL_BATCH, (5 * len(ins) + 7) // 8)])

@@ -1,4 +1,9 @@
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,7 @@ from macbits.runtime_2pc import Runtime
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
+ROOT = Path(__file__).resolve().parent.parent
 
 AND_1 = Circuit.from_text("1 3\n1 1 1\n2 1 0 1 2 AND\n")
 XOR_1 = Circuit.from_text("1 3\n1 1 1\n2 1 0 1 2 XOR\n")
@@ -240,6 +246,70 @@ def test_per_and_material_consumption():
         assert used["aots_receiver"] == n_and
         assert used["abits_mine"] == mine + n_and
         assert used["abits_theirs"] == (h.n_inputs - mine) + n_and
+
+
+def cut_store(store, counts):
+    """A copy of a store holding the first counts[name] records of each
+    stream, every cursor at the start."""
+    return MaterialStore(store.role, store.kappa, store.psi, store.session_id,
+                         store.gk_commit, store.delta,
+                         *((m[:counts[name]], k[:counts[name]])
+                           for name in MaterialStore.STREAMS
+                           for m, k in [getattr(store, name)]))
+
+
+def test_staging_burns_the_records_the_levels_use():
+    """The AND material is burned at once, after the input round: stores
+    with surplus records in every stream send the same frames and give the
+    same outputs as the same stores cut to the circuit's exact need, and
+    keep the surplus."""
+    rng = random.Random(41)
+    c = random_circuit(rng, 80)
+    assert sum(ands is not None for ands, _ in c.level_indices) > 1
+    h = c.header
+    need = DealerConfig.for_gates(c.n_and, h.inputs_a, h.inputs_b)
+    surplus = oracle_store_pair(c, rng, slack=5)
+    exact = [cut_store(s, need.records(s.role)) for s in surplus]
+    xa, xb = random_inputs(c, rng)
+    runs = []
+    for sa, sb in (surplus, exact):
+        with closing_pair(counting_pair(timeout=60.0)) as (ca, cb):
+            rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
+            outs = run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
+                            timeout=60, channels=(ca, cb))
+        runs.append((outs, ca.sent, cb.sent))
+    assert runs[0] == runs[1]
+    out_a, out_b = runs[0][0]
+    assert out_a == out_b == plain_eval(c, xa, xb)
+    for big, cut in zip(surplus, exact):
+        for name, n in need.records(big.role).items():
+            assert cut.remaining(name) == 0
+            assert big.remaining(name) == len(getattr(big, name)[0]) - n > 0
+
+
+def test_and_levels_take_no_material(monkeypatch):
+    """Past the input round a party takes each stream's AND records in one
+    call, however many levels the circuit has."""
+    rng = random.Random(42)
+    c = random_circuit(rng, 120)
+    assert sum(ands is not None for ands, _ in c.level_indices) > 2
+    calls = {A: [], B: []}
+    take = MaterialStore.take
+
+    def counted(store, name, n):
+        calls[store.role].append((name, n))
+        return take(store, name, n)
+
+    monkeypatch.setattr(MaterialStore, "take", counted)
+    sa, sb = oracle_store_pair(c, rng)
+    xa, xb = random_inputs(c, rng)
+    out_a, _, _, _ = eval_two(c, sa, sb, xa, xb)
+    assert out_a == plain_eval(c, xa, xb)
+    h = c.header
+    for role, mine, theirs in ((A, h.inputs_a, h.inputs_b), (B, h.inputs_b, h.inputs_a)):
+        assert calls[role][:2] == [("abits_mine", mine), ("abits_theirs", theirs)]
+        assert sorted(calls[role][2:]) == sorted((name, c.n_and)
+                                                 for name in MaterialStore.STREAMS)
 
 
 def test_xor_only_circuit_consumes_no_and_material():
@@ -478,3 +548,23 @@ def test_failed_flush_reveals_no_output(mode):
     sent = [t for t, _ in ca.sent]
     assert MsgType.RT_ACC_FLUSH in sent
     assert MsgType.RT_OUTPUT not in sent
+
+
+def test_online_replay_script(tmp_path):
+    """scripts/online_replay.py records a two-party evaluation of a small
+    circuit, then times Alice's evaluation against a replay of Bob's frames."""
+    path = tmp_path / "and3.txt"
+    path.write_text("3 7\n2 2 1\n2 1 0 2 4 AND\n2 1 1 3 5 AND\n2 1 4 5 6 AND\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "online_replay.py"),
+                           "--circuit", str(path), "--runs", "2"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"{path}: 3 AND gates in 2 levels; Alice reads 6 frames, sends 6"
+    assert re.fullmatch(r"evaluate: median [0-9.]+ ms, fastest [0-9.]+ ms over 2 runs",
+                        lines[1]), lines[1]
+    for name, line in zip(("_and_open", "_and_close"), lines[2:], strict=True):
+        assert re.fullmatch(rf"{name}: median [0-9.]+ ms per evaluation", line), line
