@@ -7,9 +7,11 @@ against the standard FIPS-197 vector before anything downstream trusts it.
 import argparse
 import sys
 
+import numpy as np
+
 from macbits.aescircuit import (bits_to_block, block_to_bits,
                                 generate_aes_circuit, to_bristol)
-from macbits.circuit import Circuit, plain_eval
+from macbits.circuit import GATE_KINDS, Circuit, plain_eval
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -26,11 +28,10 @@ def main() -> int:
     circuit = generate_aes_circuit()
     with open(args.out, "w") as f:
         f.write(to_bristol(circuit))
-    counts = {}
-    for g in circuit.gates:
-        counts[g.kind] = counts.get(g.kind, 0) + 1
+    counts = np.bincount(circuit.table[:, 0], minlength=len(GATE_KINDS))
+    kinds = sorted((k, n) for k, n in zip(GATE_KINDS, counts.tolist()) if n)
     print(f"{args.out}: {circuit.header.n_gates} gates "
-          f"({', '.join(f'{k} {v}' for k, v in sorted(counts.items()))}), "
+          f"({', '.join(f'{k} {n}' for k, n in kinds)}), "
           f"{circuit.header.n_wires} wires")
 
     if args.check:

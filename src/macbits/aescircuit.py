@@ -13,145 +13,23 @@ matching BitVec.from_bytes, so whole blocks convert with from_bytes/to_bytes.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 from .bitlinalg import BitVec
 from .circuit import AND, EQW, GATE_KINDS, INV, XOR, Circuit, CircuitHeader
 
-# ---------------------------------------------------------------------------
-# Software tower arithmetic on small ints. GF(4) lives in 2 bits as a1*u+a0
-# with u^2 = u+1; GF(16) in 4 bits as b1*Z+b0 with Z^2 = Z+u; GF(256) in
-# 8 bits as c1*Y+c0 with Y^2 = Y+lambda. Used to derive the constants the
-# gate builder needs, never at evaluation time.
-
-
-def _mul4(a: int, b: int) -> int:
-    a0, a1, b0, b1 = a & 1, a >> 1, b & 1, b >> 1
-    p, q = a1 & b1, a0 & b0
-    t = (a0 ^ a1) & (b0 ^ b1)
-    return ((t ^ q) << 1) | (q ^ p)
-
-
-def _mul4_u(a: int) -> int:
-    a0, a1 = a & 1, a >> 1
-    return ((a0 ^ a1) << 1) | a1
-
-
-def _mul16(a: int, b: int) -> int:
-    al, ah, bl, bh = a & 3, a >> 2, b & 3, b >> 2
-    p, q = _mul4(ah, bh), _mul4(al, bl)
-    t = _mul4(al ^ ah, bl ^ bh)
-    return ((t ^ q) << 2) | (q ^ _mul4_u(p))
-
-
-def _mul256(a: int, b: int, lam: int) -> int:
-    al, ah, bl, bh = a & 15, a >> 4, b & 15, b >> 4
-    p, q = _mul16(ah, bh), _mul16(al, bl)
-    t = _mul16(al ^ ah, bl ^ bh)
-    return ((t ^ q) << 4) | (q ^ _mul16(lam, p))
-
-
-def _pow256(a: int, e: int, lam: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _mul256(r, a, lam)
-        a = _mul256(a, a, lam)
-        e >>= 1
-    return r
-
-
-def _inv256(a: int, lam: int) -> int:
-    if a == 0:
-        return 0
-    return next(e for e in range(1, 256) if _mul256(a, e, lam) == 1)
-
-
-def _find_lambda() -> int:
-    # Y^2+Y+lam splits iff lam is of the form y^2+y; take the first that isn't.
-    images = {_mul16(y, y) ^ y for y in range(16)}
-    return next(l for l in range(16) if l not in images)
-
-
-def _find_thetas(lam: int):
-    # Roots of the byte-field modulus x^8+x^4+x^3+x+1 inside the tower.
-    roots = []
-    for cand in range(2, 256):
-        v = (_pow256(cand, 8, lam) ^ _pow256(cand, 4, lam)
-             ^ _pow256(cand, 3, lam) ^ cand ^ 1)
-        if v == 0:
-            roots.append(cand)
-    if not roots:
-        raise RuntimeError("no root of the byte-field modulus in the tower")
-    return roots
-
-
-def _mat_inv8(rows):
-    a = list(rows)
-    inv = [1 << i for i in range(8)]
-    for col in range(8):
-        piv = next((r for r in range(col, 8) if a[r] >> col & 1), None)
-        if piv is None:
-            raise RuntimeError("singular basis-change matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        for r in range(8):
-            if r != col and a[r] >> col & 1:
-                a[r] ^= a[col]
-                inv[r] ^= inv[col]
-    return inv
-
-
-def _mat_mul8(a_rows, b_rows):
-    out = []
-    for ra in a_rows:
-        acc = 0
-        for k in range(8):
-            if ra >> k & 1:
-                acc ^= b_rows[k]
-        out.append(acc)
-    return out
-
-
-def _apply_rows_int(rows, x: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        out |= ((row & x).bit_count() & 1) << i
-    return out
-
-
-def _sbox_soft(x: int, lam: int, m_rows, am_rows) -> int:
-    return _apply_rows_int(am_rows, _inv256(_apply_rows_int(m_rows, x), lam)) ^ 0x63
-
-
-class _TowerMaps(NamedTuple):
-    lam: int
-    m_rows: tuple
-    am_rows: tuple
-
-
-@functools.lru_cache(maxsize=None)
-def _tower() -> _TowerMaps:
-    lam = _find_lambda()
-    aff = tuple(
-        sum(1 << (j % 8) for j in (i, i + 4, i + 5, i + 6, i + 7))
-        for i in range(8))
-    # any conjugate root gives a valid basis change; take the sparsest pair
-    best = None
-    for theta in _find_thetas(lam):
-        cols = [_pow256(theta, j, lam) for j in range(8)]
-        m_rows = tuple(
-            sum(((cols[j] >> i) & 1) << j for j in range(8)) for i in range(8))
-        am_rows = tuple(_mat_mul8(aff, _mat_inv8(m_rows)))
-        cost = sum(r.bit_count() for r in m_rows + am_rows)
-        if best is None or cost < best[0]:
-            best = (cost, m_rows, am_rows)
-    _, m_rows, am_rows = best
-    # spot-check the substitution path against three fixed table entries
-    for x, s in ((0x00, 0x63), (0x53, 0xED), (0xFF, 0x16)):
-        if _sbox_soft(x, lam, m_rows, am_rows) != s:
-            raise RuntimeError("tower S-box disagrees with the byte table")
-    return _TowerMaps(lam, m_rows, am_rows)
+# The tower: GF(4) holds a1*u + a0 in 2 bits with u^2 = u + 1, GF(16) holds
+# b1*Z + b0 in 4 bits with Z^2 = Z + u, and GF(256) holds c1*Y + c0 in 8 bits
+# with Y^2 = Y + lambda, lambda = 8 (that is u*Z). Each matrix below is a
+# tuple of row masks, output bit i = parity(row i & input), inputs low bit
+# first. _M_ROWS takes an AES byte into the tower: its column j is theta^j,
+# theta = 0x7A being the root of x^8 + x^4 + x^3 + x + 1 whose pair of
+# matrices has the fewest ones. _AM_ROWS takes a tower element back and
+# applies the S-box's affine map without its constant 0x63. _LAMBDA_ROWS
+# multiplies a GF(16) element by lambda. tests/test_aescircuit.py checks the
+# S-box they give on all 256 bytes.
+_M_ROWS = (5, 194, 36, 202, 162, 114, 126, 160)
+_AM_ROWS = (53, 7, 3, 117, 57, 60, 208, 84)
+_LAMBDA_ROWS = (12, 4, 10, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +149,20 @@ def _g16_inv(net, a):
     return _g4_mul(net, net.xor_vec(al, ah), ninv) + _g4_mul(net, ah, ninv)
 
 
-def _g16_mul_const(net, k: int, a):
-    rows = [sum(((_mul16(k, 1 << j) >> i) & 1) << j for j in range(4))
-            for i in range(4)]
-    return _linear_layer(net, rows, a)
-
-
-def _g256_inv(net, c, lam: int):
+def _g256_inv(net, c):
     cl, ch = c[:4], c[4:]
     n = net.xor_vec(
-        net.xor_vec(_g16_mul_const(net, lam, _g16_sq(net, ch)),
+        net.xor_vec(_linear_layer(net, _LAMBDA_ROWS, _g16_sq(net, ch)),
                     _g16_mul(net, ch, cl)),
         _g16_sq(net, cl))
     e = _g16_inv(net, n)
     return _g16_mul(net, net.xor_vec(cl, ch), e) + _g16_mul(net, ch, e)
 
 
-def _sbox_gates(net, byte, tw: _TowerMaps):
-    t = _linear_layer(net, tw.m_rows, byte)
-    ti = _g256_inv(net, t, tw.lam)
-    s = list(_linear_layer(net, tw.am_rows, ti))
+def _sbox_gates(net, byte):
+    t = _linear_layer(net, _M_ROWS, byte)
+    ti = _g256_inv(net, t)
+    s = list(_linear_layer(net, _AM_ROWS, ti))
     for i in (0, 1, 5, 6):  # 0x63 has bits 0, 1, 5, 6 set
         s[i] = net.inv(s[i])
     return tuple(s)
@@ -327,14 +199,14 @@ def _xor_const_byte(net, byte, k: int):
     return tuple(net.inv(b) if k >> i & 1 else b for i, b in enumerate(byte))
 
 
-def _expand_key(net, key_bytes, tw):
+def _expand_key(net, key_bytes):
     words = [tuple(key_bytes[4 * i : 4 * i + 4]) for i in range(4)]
     rcon = 1
     for i in range(4, 44):
         prev = words[i - 1]
         if i % 4 == 0:
             rot = (prev[1], prev[2], prev[3], prev[0])
-            sub = tuple(_sbox_gates(net, b, tw) for b in rot)
+            sub = tuple(_sbox_gates(net, b) for b in rot)
             temp = (_xor_const_byte(net, sub[0], rcon),) + sub[1:]
             rcon = _xtime_int(rcon)
         else:
@@ -346,20 +218,19 @@ def _expand_key(net, key_bytes, tw):
 
 
 def _build_netlist() -> _Net:
-    tw = _tower()
     net = _Net(256)
     key_bytes = [tuple(range(8 * i, 8 * i + 8)) for i in range(16)]
     pt_bytes = [tuple(range(128 + 8 * i, 128 + 8 * i + 8)) for i in range(16)]
-    rks = _expand_key(net, key_bytes, tw)
+    rks = _expand_key(net, key_bytes)
     state = [net.xor_vec(pt_bytes[i], rks[0][i]) for i in range(16)]
     for rnd in range(1, 10):
-        state = [_sbox_gates(net, b, tw) for b in state]
+        state = [_sbox_gates(net, b) for b in state]
         state = _shift_rows(state)
         mixed = []
         for c in range(4):
             mixed.extend(_mix_column(net, state[4 * c : 4 * c + 4]))
         state = [net.xor_vec(mixed[i], rks[rnd][i]) for i in range(16)]
-    state = [_sbox_gates(net, b, tw) for b in state]
+    state = [_sbox_gates(net, b) for b in state]
     state = _shift_rows(state)
     state = [net.xor_vec(state[i], rks[10][i]) for i in range(16)]
     # copy the ciphertext onto the last wires so outputs sit where the

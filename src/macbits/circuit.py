@@ -12,8 +12,9 @@ input (the first again for INV and EQW) and output. The parser fills it from
 the gate lines in one pass of array operations, and `Circuit.gates` lists
 the same gates as (kind, inputs, output) tuples.
 
-The one schedule is `Circuit.level_indices`: per AND level, the level's ANDs
-and then its free gates in dependency steps, as numpy index arrays.
+The one schedule is `Circuit.row_schedule`: wires renumbered as rows in
+schedule order, and per AND level the level's ANDs and then its free gates
+in dependency steps, as numpy arrays of rows.
 """
 
 from __future__ import annotations
@@ -93,24 +94,30 @@ class Circuit:
 
     @cached_property
     def gates(self) -> tuple:
-        """The gate table as Gate tuples, in file order."""
+        """The gate table as Gate tuples, in file order. Outside the tests,
+        only the benchmark's circuit helpers read it."""
         return tuple(Gate(GATE_KINDS[k], (a, b) if _ARITY[k] == 2 else (a,), o)
                      for k, a, b, o in self.table.tolist())
 
     @cached_property
-    def level_indices(self) -> tuple:
-        """The online schedule as numpy index arrays, for an evaluator that
-        keeps its wires as array rows: one entry per AND depth k = 0..D.
+    def row_schedule(self) -> tuple:
+        """The online schedule, for an evaluator that keeps its wires as array
+        rows: (rows, levels), with wire w in row rows[w] and one entry of
+        `levels` per AND depth k = 0..D.
 
         An AND sits one level above its deepest input; XOR, INV and EQW stay
         at their deepest input's level, one step after their latest input
-        made by a free gate of that level, so no step reads a wire written in
-        the same step. Per level: the ANDs' (inputs as an (n, 2) array,
-        outputs), or None for a level without ANDs, then the free gates' steps
-        as (first inputs, second inputs, outputs), each in file order. Every
-        free gate is an XOR of two wires: EQW's second input is the
-        constant-0 wire `n_wires` and INV's the constant-1 wire
-        `n_wires + 1`."""
+        made by a free gate of that level, so no step reads a row written in
+        the same step. Input wires keep rows 0..n_inputs-1, and the constant
+        wires n_wires (value 0) and n_wires + 1 (value 1) keep theirs; gate
+        outputs take the rows between in schedule order, per level its ANDs,
+        then each free step, each group in file order. So every group's
+        outputs fill one slice of rows. Per level: the ANDs' (input
+        rows as an (n, 2) array, first output row), or None for a level
+        without ANDs, then the free gates' steps as (first input rows,
+        second input rows, slice of output rows). Every free gate is an XOR
+        of two rows: EQW's second input is the constant-0 wire and INV's the
+        constant-1 wire."""
         h = self.header
         kind, a, b, out = self.table.T
         # A wire's key is level * big for an input or an AND output, and
@@ -132,57 +139,26 @@ class Circuit:
             key[o] = (k // big + 1) * big if is_and else k + 1
         keys = np.array(key[:-1], dtype=np.int64)[made]
         second = np.select([kind == EQW, kind == INV], [h.n_wires, h.n_wires + 1], b)
-        # Sorted stably by key, each group is one slice in file order.
+        # Sorted stably by key, the gates are in row order and each group is
+        # one slice.
         order = np.argsort(keys, kind="stable")
-        keys, a, b, second, out = (x[order] for x in (keys, a, b, second, out))
-        pairs = np.column_stack((a, b))
+        rows = np.arange(h.n_wires + 2)
+        rows[out[order]] = np.arange(h.n_inputs, h.n_wires)
+        keys, a, second = keys[order], rows[a[order]], rows[second[order]]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         levels = [[None, []] for _ in range(int(keys.max(initial=0)) // big + 1)]
         for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(keys)]):
             level, step = divmod(int(keys[lo]), big)
+            at = h.n_inputs + lo
             if step == 0:
-                levels[level][0] = (pairs[lo:hi], out[lo:hi])
+                levels[level][0] = (np.column_stack((a[lo:hi], second[lo:hi])), at)
             else:
-                levels[level][1].append((a[lo:hi], second[lo:hi], out[lo:hi]))
-        return tuple((ands, tuple(steps)) for ands, steps in levels)
+                levels[level][1].append((a[lo:hi], second[lo:hi], slice(at, h.n_inputs + hi)))
+        return rows, tuple((ands, tuple(steps)) for ands, steps in levels)
 
     @cached_property
-    def row_schedule(self) -> tuple:
-        """`level_indices` for an evaluator whose wire rows follow the
-        schedule: (rows, levels), with wire w in row rows[w].
-
-        Input wires keep rows 0..n_inputs-1 and the constant wires rows
-        n_wires and n_wires + 1; gate outputs take the rows between in
-        schedule order, per level its ANDs, then each free step. So every
-        group's outputs fill one slice of rows. `levels` is `level_indices`
-        over rows: per level the ANDs' (input rows as an (n, 2) array, first
-        output row) or None, then the steps as (first input rows, second
-        input rows, slice of output rows)."""
-        h = self.header
-        groups = []
-        for ands, steps in self.level_indices:
-            if ands is not None:
-                groups.append(ands[1])
-            groups += [out for _, _, out in steps]
-        rows = np.arange(h.n_wires + 2)
-        if groups:
-            rows[np.concatenate(groups)] = np.arange(h.n_inputs, h.n_wires)
-        levels, at = [], h.n_inputs
-        for ands, steps in self.level_indices:
-            if ands is not None:
-                ins, outs = ands
-                ands = (rows[ins], at)
-                at += len(outs)
-            row_steps = []
-            for a, b, out in steps:
-                row_steps.append((rows[a], rows[b], slice(at, at + len(out))))
-                at += len(out)
-            levels.append((ands, tuple(row_steps)))
-        return rows, tuple(levels)
-
-    @property
     def n_and(self) -> int:
-        return sum(len(ands[1]) for ands, _ in self.level_indices if ands is not None)
+        return int(np.count_nonzero(self.table[:, 0] == AND))
 
     @property
     def output_wires(self) -> range:

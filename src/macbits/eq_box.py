@@ -30,9 +30,10 @@ def _commitment(kappa: int, x, r: bytes) -> bytes:
 
 
 def value_stream(n_bits: int, *parts):
-    """The counted `eq/value` hash of an n_bits-bit packed value, fed parts
-    now and the rest with update(): a value may arrive a chunk at a time."""
-    return ro_stream("eq/value", struct.pack(">I", n_bits), *parts)
+    """The counted `eq/value` hash of an n_bits-bit packed value, n_bits
+    prefixed as 8 bytes big-endian, fed parts now and the rest with
+    update(): a value may arrive a chunk at a time."""
+    return ro_stream("eq/value", struct.pack(">Q", n_bits), *parts)
 
 
 def value_digest(n_bits: int, packed) -> bytes:

@@ -6,15 +6,15 @@ in one uint8 table with one row per wire, 2*kappa/8 + 1 bytes wide: its own
 half as the MAC's kappa/8 bytes and one byte for the bit, laid out like the
 material store's MAC rows, then its key on the peer's half, laid out like
 the store's key rows. So one row XOR moves bit, MAC and key together. The
-rows follow the circuit's one schedule, `Circuit.level_indices`: input
-wires keep rows 0..n_inputs-1, gate outputs take the next rows in schedule
-order (per level its ANDs, then each free step), and two rows past them
-hold the public constants 0 and 1 (Alice's half carries the 1), so every
-free gate is a row XOR. `Circuit.row_schedule` holds the wire-to-row map
-and the schedule over rows, computed once per circuit. Each level's AND
-gates run as one batch of array operations over gathered rows, writing
-their outputs into one slice of rows; then each of that level's free-gate
-steps is two row gathers and one XOR into the step's slice of rows.
+rows follow the circuit's one schedule, `Circuit.row_schedule`, which holds
+the wire-to-row map and the schedule over rows, computed once per circuit:
+input wires keep rows 0..n_inputs-1, gate outputs take the next rows in
+schedule order (per level its ANDs, then each free step), and two rows past
+them hold the public constants 0 and 1 (Alice's half carries the 1), so
+every free gate is a row XOR. Each level's AND gates run as one batch of
+array operations over gathered rows, writing their outputs into one slice
+of rows; then each of that level's free-gate steps is two row gathers and
+one XOR into the step's slice of rows.
 Outputs are read through the map. An AND gate burns two triples, two OT
 quads, and two fresh bits. Right after the input round, `_stage` takes
 each stream's records for all of the circuit's AND gates in one call and

@@ -662,7 +662,7 @@ def reveal_frame_bits(circuit: Circuit) -> list:
     """The bit count of each RT_REVEAL_BATCH frame a party sends, in order:
     per AND level of n gates each party sends one frame of 5n bits. A frame's
     bytes are padded, so its length alone does not tell."""
-    return [5 * len(ands[1]) for ands, _ in circuit.level_indices if ands is not None]
+    return [5 * len(ands[0]) for ands, _ in circuit.row_schedule[1] if ands is not None]
 
 
 def output_rows(circuit: Circuit, role: Role) -> int:

@@ -11,8 +11,8 @@ from helpers import (AuthBitKey, AuthBitMac, closing_pair, const_key, const_mac,
                      key_half, labit_cheat_survivals, labit_receive_all, mac_half,
                      ot_receive_all, run_side, run_two, seeded, verify_abit)
 from macbits import base_ot
-from macbits.abit_proto import (amplify_keys_with, amplify_macs_with, labit_sender,
-                                labit_to_wabit_keys, labit_to_wabit_macs,
+from macbits.abit_proto import (amplify_keys_with, amplify_macs_with, labit_receiver,
+                                labit_sender, labit_to_wabit_keys, labit_to_wabit_macs,
                                 produce_abits, tau_for, wabit_amplify_mac_side)
 from macbits.base_ot import DealerOt
 from macbits.bitlinalg import BitVec, pack_bits, random_rows
@@ -386,6 +386,20 @@ def test_every_correction_crosses_before_the_pairing(monkeypatch):
             reply.append(payload)
         step = receiver.send(reply)
     assert [t for t, _ in step.frames] == [MsgType.LABIT_PAIRING, MsgType.LABIT_D]
+
+
+def test_key_holder_starts_a_pair_check_past_two_to_the_32_bits():
+    """At kappa = 128 (tau = 939), ell = 4,573,979 aBits per owner, the
+    smallest deal shape (157,719 ANDs) whose folded pair-check value has
+    2^32 bits or more. The key holder gets to its first read, before any
+    ell-sized array exists."""
+    tau, ell, kappa = tau_for(128), 4_573_979, 128
+    assert 8 * tau * ((ell + 7) // 8) >= 1 << 32
+    ot = DealerOt(random.Random(1))
+    next(ot.setup(True))  # the seed is drawn before its frame goes out
+    receiver = labit_receiver(tau, ell, kappa, random.Random(2), ot, lambda *batch: None)
+    step = receiver.send(None)
+    assert list(step.wants) == [(MsgType.OT_MASKED0, 32 * tau), (MsgType.OT_MASKED1, 32 * tau)]
 
 
 @pytest.mark.parametrize("ell", [44, 61])

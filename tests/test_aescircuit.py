@@ -8,15 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aes_oracle import KNOWN_VECTORS, aes128_encrypt
-from macbits.aescircuit import (bits_to_block, block_to_bits,
+from aes_oracle import KNOWN_VECTORS, SBOX, aes128_encrypt
+from macbits.aescircuit import (_Net, _sbox_gates, bits_to_block, block_to_bits,
                                 generate_aes_circuit, to_bristol)
 from macbits.bitlinalg import BitVec
-from macbits.circuit import Circuit, plain_eval
+from macbits.circuit import Circuit, CircuitHeader, plain_eval
 
 ROOT = Path(__file__).resolve().parents[1]
 # SHA-256 of the netlist's Bristol text (1,073,162 bytes), and of its parsed
-# schedule: every level_indices array in order, as little-endian int64.
+# schedule: every array of `row_schedule`'s levels in order, mapped back from
+# rows to wires, as little-endian int64 (per level the ANDs' input pairs and
+# outputs, then per step its two inputs and its outputs).
 NETLIST_SHA256 = "40ee99184d3609ec37a28da86d21bad6b9da0525d2115a868df47133df541cd6"
 SCHEDULE_SHA256 = "38eb7f04e20e4051384c6883a6e706681d2ff6c0ea3c6d609e2240009508ad97"
 
@@ -36,10 +38,23 @@ def test_shape():
 
 def test_and_levels():
     c = generate_aes_circuit()
-    widths = [len(ands[1]) for ands, _ in c.level_indices if ands is not None]
+    widths = [len(ands[0]) for ands, _ in c.row_schedule[1] if ands is not None]
     assert len(widths) == 40
     assert max(widths) == 360
     assert sum(widths) == c.n_and == 7200
+
+
+def test_sbox_matches_the_table():
+    """The S-box alone, built on 8 input wires, against FIPS-197's table on
+    all 256 bytes."""
+    net = _Net(8)
+    for w in _sbox_gates(net, tuple(range(8))):
+        net.eqw(w)
+    c = Circuit(CircuitHeader(len(net.table) // 4, net.next, 8, 0, 8, ("both",) * 8),
+                net.table)
+    assert c.n_and == 36
+    for x in range(256):
+        assert plain_eval(c, BitVec(8, x), BitVec(0)).to_bytes() == bytes([SBOX[x]])
 
 
 @pytest.mark.parametrize("key,pt,ct", KNOWN_VECTORS)
@@ -79,11 +94,17 @@ def test_netlist_bytes_are_pinned():
 
 def test_schedule_of_the_parsed_netlist_is_pinned():
     c = Circuit.from_text(to_bristol(generate_aes_circuit()))
+    rows, levels = c.row_schedule
+    wire = np.argsort(rows)
     digest = hashlib.sha256()
-    for ands, steps in c.level_indices:
-        for arr in (*(ands or ()), *(a for step in steps for a in step)):
+    for ands, steps in levels:
+        arrays = [wire[x] for step in steps for x in step]
+        if ands is not None:
+            ins, o0 = ands
+            arrays[:0] = [wire[ins], wire[o0:o0 + len(ins)]]
+        for arr in arrays:
             digest.update(np.asarray(arr, dtype="<i8").tobytes())
-    assert len(c.level_indices) == 41
+    assert len(levels) == 41
     assert digest.hexdigest() == SCHEDULE_SHA256
 
 

@@ -253,10 +253,13 @@ def test_levels_schedule_each_gate_once_after_its_inputs(seed, n_gates):
     level = dict.fromkeys(range(h.n_inputs), 0)  # wire made so far -> its level
     step = {}  # wire made by a free gate -> its step within its level
     scheduled = []
-    for k, (ands, steps) in enumerate(c.level_indices):
+    rows, levels = c.row_schedule
+    wire = np.argsort(rows)  # the wire in each row
+    for k, (ands, steps) in enumerate(levels):
         assert (ands is None) == (k == 0)
         if ands is not None:
-            ins, outs = ands
+            ins, o0 = ands
+            ins, outs = wire[ins], wire[o0:o0 + len(ins)]
             for (a, b), out in zip(ins.tolist(), outs.tolist()):
                 g = gate_of[out]
                 assert g.kind == "AND" and g.ins == (a, b)
@@ -264,7 +267,8 @@ def test_levels_schedule_each_gate_once_after_its_inputs(seed, n_gates):
                 assert max(level[w] for w in g.ins) == k - 1
             level.update(dict.fromkeys(outs.tolist(), k))
             scheduled.append(outs.tolist())
-        for s, (a, b, outs) in enumerate(steps):
+        for s, rows_of_step in enumerate(steps):
+            a, b, outs = (wire[x] for x in rows_of_step)
             for a_w, b_w, out in zip(a.tolist(), b.tolist(), outs.tolist()):
                 g = gate_of[out]
                 assert g.kind != "AND"
@@ -284,25 +288,26 @@ def test_levels_schedule_each_gate_once_after_its_inputs(seed, n_gates):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 150))
-def test_level_indices_evaluate_like_plain_eval(seed, n_gates):
-    """Running the index arrays with free gates as XORs against the two
-    constant wires, one array operation per AND level and per step,
-    computes what plain_eval computes; no step reads its own outputs."""
+def test_row_schedule_evaluates_like_plain_eval(seed, n_gates):
+    """Running the schedule on a table of rows, with free gates as XORs
+    against the two constant rows, one array operation per AND level and per
+    step, computes what plain_eval computes; no step reads its own outputs."""
     rng = random.Random(seed)
     c = random_circuit(rng, n_gates)
     xa, xb = random_inputs(c, rng)
     h = c.header
+    rows, levels = c.row_schedule
     w = np.zeros(h.n_wires + 2, np.uint8)
     w[h.n_wires + 1] = 1
     w[:h.n_inputs] = xa.bits() + xb.bits()
-    for ands, steps in c.level_indices:
+    for ands, steps in levels:
         if ands is not None:
-            ins, outs = ands
-            w[outs] = w[ins[:, 0]] & w[ins[:, 1]]
+            ins, o0 = ands
+            w[o0:o0 + len(ins)] = w[ins[:, 0]] & w[ins[:, 1]]
         for a, b, out in steps:
-            assert not set(out) & (set(a) | set(b))
+            assert not set(range(out.start, out.stop)) & (set(a) | set(b))
             w[out] = w[a] ^ w[b]
-    assert w[list(c.output_wires)].tolist() == plain_eval(c, xa, xb).bits()
+    assert w[rows[list(c.output_wires)]].tolist() == plain_eval(c, xa, xb).bits()
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,14 +317,16 @@ def test_bristol_text_round_trips(seed, n_gates, inputs_a, inputs_b):
     c = random_circuit(random.Random(seed), n_gates, inputs_a, inputs_b)
     back = Circuit.from_text(to_bristol(c))
     assert back.gates == c.gates and back.header == c.header
-    assert len(back.level_indices) == len(c.level_indices)
-    for (ands1, steps1), (ands2, steps2) in zip(back.level_indices, c.level_indices):
+    (rows1, levels1), (rows2, levels2) = back.row_schedule, c.row_schedule
+    assert np.array_equal(rows1, rows2)
+    assert len(levels1) == len(levels2)
+    for (ands1, steps1), (ands2, steps2) in zip(levels1, levels2):
         assert (ands1 is None) == (ands2 is None)
-        for x, y in zip(ands1 or (), ands2 or ()):
-            assert np.array_equal(x, y)
+        if ands1 is not None:
+            assert np.array_equal(ands1[0], ands2[0]) and ands1[1] == ands2[1]
         assert len(steps1) == len(steps2)
-        for st1, st2 in zip(steps1, steps2):
-            assert all(np.array_equal(x, y) for x, y in zip(st1, st2))
+        for (a1, b1, out1), (a2, b2, out2) in zip(steps1, steps2):
+            assert np.array_equal(a1, a2) and np.array_equal(b1, b2) and out1 == out2
 
 
 @settings(max_examples=30, deadline=None)

@@ -45,7 +45,7 @@ def test_commitment_deterministic():
 
 
 def digest(v: BitVec) -> bytes:
-    return ro_hash("eq/value", struct.pack(">I", v.n), v.to_bytes())
+    return ro_hash("eq/value", struct.pack(">Q", v.n), v.to_bytes())
 
 
 def test_value_stream_matches_value_digest():

@@ -28,23 +28,23 @@ EXPECTED = {
         ('OT_MASKED1', 'fa77a5bc747982dbdbb916a38567712cedab4c43363081263ab2b8b53509f506'),
         ('LABIT_PAIRING', '966934dd05beb683b17758923d7b6754f32f715a7b87dd891741e6040c06b60b'),
         ('LABIT_D', '68ad859512b68f186b7de3b28329e62a383d0aea8375b368dcb3bda83a18a12f'),
-        ('EQ_COMMIT', '075fdf67252774dfc8a41f068653f0bf4f6497d14cf294abbe21d7bcf36c03ca'),
-        ('EQ_VALUE', 'cecf63a02ff6f37dc2584443af7df88d3d713202f1b10cd87002ce10291226be'),
-        ('EQ_OPEN', 'e4f704df475127ec5c313d95580c6d726666f9de02f0e05dd8de001e178e4209'),
+        ('EQ_COMMIT', 'b3ab899cea6805a444746fb770bab3ab9fe1861d4c84dd6d3b47a8395eaafe7b'),
+        ('EQ_VALUE', '04103512cea70e895a5fc8224711342addf75e6b384c036671064c2eaefc2949'),
+        ('EQ_OPEN', '2394ac7ff467a6e72197a9500dc4b824b3815271dfa3f9d3642ace6ff2d3cea4'),
         ('AMPLIFY_MATRIX', '1c3107299effe321ad5fa5cb11c176d019d68dbdd03bda2df24b93dd7539ebd4'),
         ('LAAND_D', '6c13fbf4cbab1c051b575f8576cb416bf88b3aba61026d2fd9b9bd13d17490ca'),
         ('LAOT_X0', 'bde387b01c07b894781e1716118d406c56aa267c9fbd1994feed8beb0d526eda'),
         ('LAOT_X1', '0515e6fb99943aa416980c47ad3bfd07db10e3ec64d2dfe11c6bec3d50abc18d'),
         ('LAAND_U', 'ce70dc8fa1eb7b8b7ce4b78134bd5c43ad04b03fc0203b37453031098249004f'),
         ('LAOT_D', '4a7cb6ce112cab4092b737fa0a1e9e7fc80e5fb11873f47eb02e77a6ed4735ed'),
-        ('EQ_COMMIT', '179c47181e62a7273cbcd4305c46cedc931258ac0e27cb1a31b13c3426b891e8'),
+        ('EQ_COMMIT', '54a54322d38b6dc33f2529f031867f6270cd620a7eb1d4788825b4ed57229a3b'),
         ('LAOT_I0', '00aa5c90e885b3afd8aaac5b2bfe737267770a27e64c1141e4cc52d1af7dc65f'),
         ('LAOT_I1', '6ff0f350cd5b2ec8ec28b51ad235a95f0dbc872f28b4a820a73199f6ac4ba82c'),
-        ('EQ_VALUE', 'a93972d01843b5c1c4fb1349fd3b932d720fe93b3fb4ac3d02d85063e2a4db97'),
-        ('EQ_COMMIT', 'e7d1b3ab30f0d9115c3ba363418cf5a680b3e41aea7b7c92cd308b843f0144a6'),
-        ('EQ_OPEN', '7cf89cbf0a0fe5b897ef3e6ea4eceded38062afd21c2c33567900c75e118165a'),
-        ('EQ_VALUE', '705b8faefe9239d1abbeeee60ed4ce9538288fbbde1ac83251c310e7f4c1b718'),
-        ('EQ_OPEN', '966cd35df846ac161d95fc9d17f3b1a77406ea3e92eeb44ae75716d0084d1fb4'),
+        ('EQ_VALUE', '2ce5f78c6bbb28677a3bca99fd860cc2324d9e070d4dfd31202f71f9a69fc5ef'),
+        ('EQ_COMMIT', 'd221376432ef59330101923a67d884b81c0c25afaf7492ebe392cc8e7f09b6f0'),
+        ('EQ_OPEN', '1eb6e11c7e1806002f550e62129ab7d01cdd0fc651e724d1af05602e5c38d784'),
+        ('EQ_VALUE', '844a8402f9c3075a90201e767627a1012346459f4aec85d0f27f755cb83b1efd'),
+        ('EQ_OPEN', '360fae3cfb7c8ec967b41c00bf4c899cf3ac8eafd1343d8971dd85551e3cf3ee'),
         ('COMB_PERM', '957b4464fd2de3923b9cf1cf7703186c9897c40e23d6e775a735dd7071afb062'),
         ('COMB_D', 'cd4693b569b84e98d1378635ab620cffc96a8f935688c63184897f3e3b619dfb'),
         ('COMB_D', '16494bfcf7b2975c42dd37d7e4c5bf44fb06561e67678a0df7bffef814032667'),
@@ -67,23 +67,23 @@ EXPECTED = {
         ('OT_MASKED1', '47d3044aa8ea725c98464c23377c37f0c0d929248cce3f665e0b58f35faab0f3'),
         ('LABIT_PAIRING', '420a59700cea3c1e689adba5e4c048cde437bb63aa0e1c341f24022ed0298dfd'),
         ('LABIT_D', 'fa9c94cd1ab164686ea34b7693aa620f2944cc798560dc1cf90e9accc24cf70a'),
-        ('EQ_COMMIT', 'a23c59b8d4d034d5b33899621b321cf3a59f07ad74c2804b22480b8db06725ab'),
-        ('EQ_VALUE', '3875457305380c5ee5a1657852826103300bdc524896536eacd793e3be73546d'),
-        ('EQ_OPEN', 'c3af5a4d20675da636bbc629dc00b0ba90ebc3744cb787fa0510d11915f4af17'),
+        ('EQ_COMMIT', 'bc567b23a2b8d27b5266543024da66ac8d574cda8e2495f53e0c38705747ac45'),
+        ('EQ_VALUE', '4e3b45c07d5bb0893b9e6f48777862d4b683c683bfd6b5c43f6801193c1b05d8'),
+        ('EQ_OPEN', 'a1a1e6530276feb0230807f6c8c92ec67eeb6810cc0a7b94657d343792774b94'),
         ('AMPLIFY_MATRIX', '02a15d6e6699ab8fe0b2b37c30d7ad1261ab234ac13d0fa7f012dacec17aa367'),
         ('LAAND_D', '36c6f6b5b48a6cbff1d242ff16f773b01c81ed88743de9fa503566d436487863'),
         ('LAOT_X0', 'b79637a6ca6e68619ae720eec385e80ab6c2d61e45d3ba0002c4428b84b66002'),
         ('LAOT_X1', '898151cd2e72b014b2e5e7993bad343500c0d781741a8bb4898dc3ca3d5008a0'),
         ('LAAND_U', '5c6b08701ace5ba4d8389fa9489d5b1d94f22bbb57f448a2cea763e62b251e27'),
         ('LAOT_D', 'ed542e57ba748329768de8c4a3b389ab3304ed249e756820d1ca8a855d7a3416'),
-        ('EQ_COMMIT', 'e0c7b7f2005189a5c5a3cfbaaa32e6456ac5f2ca72bf95528e48e644ae3b668c'),
+        ('EQ_COMMIT', 'fbcc064fa381c1655c83f6d2c95bccf4a97ac8aff3784f821e133f48bb8ff242'),
         ('LAOT_I0', '866f95bd95abc8115555b8a4cf01c2b90550c361596cc036ef61623634f80a2f'),
         ('LAOT_I1', '6df89bf2a8782930150be4a9a05aa1d0ae7ffa19bf929f758512f96cab8cb14d'),
-        ('EQ_VALUE', 'e0a300292bec3824a1d9a043769c39e71e102d3c17b71d3093a4c172e32f9f7d'),
-        ('EQ_COMMIT', '58d24c9f62ec63b618beee1cba4f25b78b6eb7cbc96311d5232c65ef191d163b'),
-        ('EQ_OPEN', '570f95967247a59834c60d1ac08293458417258c460be0e93ea94e063a7899a5'),
-        ('EQ_VALUE', 'e1766cff39cd367d5a1903c804a05e0c6c56dc7beac21f2a1b9712c5af973bb8'),
-        ('EQ_OPEN', '5080fab36ade4b777a95737ed65d89da7633a556a3b5834bb5b9974a2d6cda52'),
+        ('EQ_VALUE', '8d3c9c1f1c2dcb926ca5aee7f31b403432fe86743fa6710f8e180a321623ca65'),
+        ('EQ_COMMIT', 'db8c62a63269a7e5e8c384f1aa930ce6efa46898238adecaeb43656d739e0459'),
+        ('EQ_OPEN', 'b9fa2040d5902f543685fb9a645388afe918ed878e339ae4062690488fedcde2'),
+        ('EQ_VALUE', 'f5bb643de28c85cdadd522b81e4c1b58dfee562d165330cda800e470d5c19b4e'),
+        ('EQ_OPEN', 'cd32a1093540dc2c204352da05ea6534df59e3584e476a74b6ec5c072f41eb40'),
         ('COMB_PERM', '7ee794975488069e02927dc00f143c755e0da9aa61ff275ec455d7022a1865e5'),
         ('COMB_D', 'e7f3c559aca6edf477dfa6da685bb4aaecd15613f95585b4f143578f60234cbb'),
         ('COMB_D', 'f9de8a4875c3a9a5853d484658ee1b6dc30159bbe13fc858384a730e38d5706d'),

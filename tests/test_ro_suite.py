@@ -258,7 +258,7 @@ def test_online_phase_absorbs_once_per_reveal_round():
     for seed in (11, 12, 13):
         rng = random.Random(seed)
         c = random_circuit(rng, 120)
-        n_levels = sum(1 for ands, _ in c.level_indices if ands is not None)
+        n_levels = sum(1 for ands, _ in c.row_schedule[1] if ands is not None)
         assert n_levels > 1
         sa, sb = oracle_store_pair(c, rng)
         xa, xb = random_inputs(c, rng)

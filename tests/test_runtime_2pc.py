@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helpers
@@ -89,7 +90,7 @@ def test_one_and_batch_per_level():
         sa, sb = oracle_store_pair(c, rng)
         xa, xb = random_inputs(c, rng)
         out_a, out_b, rt_a, rt_b = eval_two(c, sa, sb, xa, xb)
-        want = [len(ands[1]) for ands, _ in c.level_indices if ands is not None]
+        want = [len(ands[0]) for ands, _ in c.row_schedule[1] if ands is not None]
         assert len(want) > 1
         assert rt_a.stats.levels == rt_b.stats.levels == want
         assert out_a == out_b == plain_eval(c, xa, xb)
@@ -163,28 +164,33 @@ def test_routed_outputs_match_cleartext_on_random_circuits():
                                   routed_tail_circuit,
                                   lambda rng: generate_aes_circuit()])
 def test_wire_rows_follow_the_schedule(make):
+    """Inputs and the two constants keep their rows; every group of the
+    schedule fills the next slice of rows, each row the output of the gate
+    whose input rows the group lists, in file order."""
     c = make(random.Random(30))
     h = c.header
     rows, levels = c.row_schedule
     assert sorted(rows.tolist()) == list(range(h.n_wires + 2))
     assert rows[:h.n_inputs].tolist() == list(range(h.n_inputs))
     assert rows[h.n_wires:].tolist() == [h.n_wires, h.n_wires + 1]
-    at = h.n_inputs
-    assert len(levels) == len(c.level_indices)
-    for (ands, steps), (row_ands, row_steps) in zip(c.level_indices, levels):
-        assert (ands is None) == (row_ands is None)
+    kind, a, b, out = c.table.T
+    second = rows[np.select([kind == EQW, kind == INV], [h.n_wires, h.n_wires + 1], b)]
+    gate = np.full(h.n_wires + 2, -1)
+    gate[rows[out]] = np.arange(h.n_gates)  # the gate that fills each row
+    groups = []  # (is AND, first input rows, second input rows, output rows)
+    for ands, steps in levels:
         if ands is not None:
-            ins, outs = ands
-            assert row_ands[1] == at
-            assert rows[ins].tolist() == row_ands[0].tolist()
-            assert rows[outs].tolist() == list(range(at, at + len(outs)))
-            at += len(outs)
-        assert len(steps) == len(row_steps)
-        for (a, b, outs), (ra, rb, out) in zip(steps, row_steps):
-            assert rows[a].tolist() == ra.tolist() and rows[b].tolist() == rb.tolist()
-            assert rows[outs].tolist() == list(range(at, at + len(outs)))
-            assert (out.start, out.stop) == (at, at + len(outs))
-            at = out.stop
+            ins, o0 = ands
+            groups.append((True, ins[:, 0], ins[:, 1], slice(o0, o0 + len(ins))))
+        groups += [(False, *step) for step in steps]
+    at = h.n_inputs
+    for is_and, ra, rb, sl in groups:
+        g = gate[sl]
+        assert sl.start == at < sl.stop
+        assert g.tolist() == sorted(g.tolist())
+        assert ((kind[g] == AND) == is_and).all()
+        assert rows[a[g]].tolist() == ra.tolist() and second[g].tolist() == rb.tolist()
+        at = sl.stop
     assert at == h.n_wires
 
 
@@ -265,7 +271,7 @@ def test_staging_burns_the_records_the_levels_use():
     keep the surplus."""
     rng = random.Random(41)
     c = random_circuit(rng, 80)
-    assert sum(ands is not None for ands, _ in c.level_indices) > 1
+    assert sum(ands is not None for ands, _ in c.row_schedule[1]) > 1
     h = c.header
     need = DealerConfig.for_gates(c.n_and, h.inputs_a, h.inputs_b)
     surplus = oracle_store_pair(c, rng, slack=5)
@@ -292,7 +298,7 @@ def test_and_levels_take_no_material(monkeypatch):
     call, however many levels the circuit has."""
     rng = random.Random(42)
     c = random_circuit(rng, 120)
-    assert sum(ands is not None for ands, _ in c.level_indices) > 2
+    assert sum(ands is not None for ands, _ in c.row_schedule[1]) > 2
     calls = {A: [], B: []}
     take = MaterialStore.take
 
@@ -363,7 +369,7 @@ def test_online_flights_follow_and_depth():
     flight. The benchmark's online_flights is their sum, 2 * depth + 7."""
     rng = random.Random(19)
     c = random_circuit(rng, 60)
-    depth = sum(ands is not None for ands, _ in c.level_indices)
+    depth = sum(ands is not None for ands, _ in c.row_schedule[1])
     assert depth > 1 and set(c.header.output_dest) == {DEST_BOTH}
     sa, sb = oracle_store_pair(c, rng)
     xa, xb = random_inputs(c, rng)
