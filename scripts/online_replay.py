@@ -10,8 +10,11 @@ recording every frame Alice reads and sends. Then it runs Alice's
 her store, over a channel that serves Bob's recorded frames in order, and
 checks that each run sends the recorded frames and returns the recorded
 outputs. So the timings hold no peer and no link: only Alice's own work.
-It prints the median and fastest evaluation and the median per-evaluation
-totals of `Runtime._and_open` and `Runtime._and_close`.
+It prints the bytes Alice sent in the recorded evaluation, frame headers
+included, and her flights (runs of sends, each begun by her first send or
+by a send after a read), then the median and fastest evaluation and the
+median per-evaluation totals of `Runtime._and_open` and
+`Runtime._and_close`.
 """
 
 import argparse
@@ -26,27 +29,36 @@ from macbits.bitlinalg import BitVec
 from macbits.circuit import Circuit
 from macbits.dealer import DealerConfig, MaterialStore, deal
 from macbits.runtime_2pc import Runtime
-from macbits.transport import Channel, Role, TcpChannel, run_pair
+from macbits.transport import FRAME_HEADER_BYTES, Channel, Role, TcpChannel, run_pair
 
 A, B = Role.ALICE, Role.BOB
 
 
 class RecordingChannel(TcpChannel):
-    """A TcpChannel that keeps every frame it sends and reads, in order."""
+    """A TcpChannel that keeps every frame it sends and reads, in order, and
+    whether each frame was sent or read, in `ops`."""
 
     def __init__(self, sock, timeout):
         super().__init__(sock, timeout)
         self.sent = []
         self.read = []
+        self.ops = []
 
     def _send_frame(self, msg_type, payload):
         self.sent.append((msg_type, bytes(payload)))
+        self.ops.append("send")
         super()._send_frame(msg_type, payload)
 
     def _recv_frame(self):
         msg = super()._recv_frame()
         self.read.append(msg)
+        self.ops.append("recv")
         return msg
+
+    def flights(self) -> int:
+        """The runs of sends in `ops`."""
+        return sum(op == "send" and (i == 0 or self.ops[i - 1] == "recv")
+                   for i, op in enumerate(self.ops))
 
 
 class ReplayChannel(Channel):
@@ -113,6 +125,7 @@ def main() -> int:
         for ch in chs:
             ch.sent.clear()
             ch.read.clear()
+            ch.ops.clear()
         rt_a, rt_b = Runtime(chs[0], A, fresh(sa)), Runtime(chs[1], B, fresh(sb))
         want, _ = run_pair(lambda: rt_a.evaluate(circuit, xa),
                            lambda: rt_b.evaluate(circuit, xb),
@@ -123,6 +136,8 @@ def main() -> int:
     peer, sent = chs[0].read, chs[0].sent
     print(f"{name}: {circuit.n_and} AND gates in {len(rt_a.stats.levels)} levels; "
           f"Alice reads {len(peer)} frames, sends {len(sent)}")
+    print(f"Alice sends {sum(FRAME_HEADER_BYTES + len(p) for _, p in sent)} bytes "
+          f"in {chs[0].flights()} flights")
 
     totals = {"_and_open": 0.0, "_and_close": 0.0}
     per_run = {k: [] for k in totals}

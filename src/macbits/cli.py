@@ -14,12 +14,13 @@ import json
 import math
 import os
 import random
+import re
 import secrets
 import sys
 import time
 
 from .bitlinalg import BitVec
-from .circuit import Circuit
+from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
 from .dealer import DealerConfig, MaterialStore, deal
 from .errors import (OutOfMaterial, ParseError, ProtocolAbort, ProtocolError,
                      TransportError, UsageError)
@@ -44,9 +45,27 @@ def _parse_role(s: str) -> Role:
 
 def _parse_addr(s: str):
     host, sep, port = s.rpartition(":")
-    if not sep or not port.isdigit() or int(port) > 65535:
+    if not sep or not re.fullmatch(r"[0-9]{1,5}", port) or int(port) > 65535:
         raise UsageError(f"bad address {s!r}, want HOST:PORT with a port in 0-65535")
     return host or "127.0.0.1", int(port)
+
+
+_OUTPUT_RUN = re.compile(rf"({DEST_A}|{DEST_B}|{DEST_BOTH}):([0-9]{{1,18}})")
+
+
+def _parse_outputs(spec: str, n_outputs: int) -> tuple:
+    """--outputs SPEC: comma-separated DEST:COUNT runs over the output wires
+    in order, DEST being A, B or both, with counts summing to n_outputs."""
+    runs = []
+    for item in spec.split(","):
+        m = _OUTPUT_RUN.fullmatch(item)
+        if m is None:
+            raise UsageError(f"bad --outputs run {item!r}, want A:N, B:N or both:N")
+        runs.append((m[1], int(m[2])))
+    total = sum(n for _, n in runs)
+    if total != n_outputs:
+        raise UsageError(f"--outputs covers {total} output wires, the circuit has {n_outputs}")
+    return tuple(d for d, n in runs for _ in range(n))
 
 
 def _make_rng(seed):
@@ -109,6 +128,9 @@ def cmd_eval(args) -> int:
     if store.role is not role:
         raise UsageError("material store was dealt for the other role")
     circuit = _read(Circuit.from_file, "circuit", args.circuit)
+    if args.outputs is not None:
+        circuit = circuit.with_output_dest(
+            _parse_outputs(args.outputs, circuit.header.n_outputs))
     n_mine = (circuit.header.inputs_a if role is Role.ALICE
               else circuit.header.inputs_b)
     try:
@@ -219,6 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--input", required=True, help="this party's input, hex")
     e.add_argument("--peer", required=True, metavar="HOST:PORT",
                    help="role A listens here, role B connects")
+    e.add_argument("--outputs", metavar="SPEC",
+                   help="who learns each output wire, as runs over the wires in order: "
+                        "DEST:COUNT,... with DEST one of A, B, both (default: both for all)")
     e.add_argument("--json", action="store_true")
     e.set_defaults(fn=cmd_eval)
 

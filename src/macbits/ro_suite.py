@@ -215,10 +215,24 @@ class MacAccumulator:
         return self.state
 
 
+FLUSH_BYTES = _COUNT.size + DIGEST_BYTES
+
+
+def flush_payload(acc: MacAccumulator) -> bytes:
+    """An accumulator as an RT_ACC_FLUSH payload: its count, then its state."""
+    return _COUNT.pack(acc.count) + acc.state
+
+
+def check_flush(theirs, expect: MacAccumulator) -> None:
+    """The peer's RT_ACC_FLUSH payload must equal what I expected of its
+    reveals."""
+    if theirs != flush_payload(expect):
+        raise ProtocolAbort("flush", "deferred check failed")
+
+
 def flush_accumulators(sent: MacAccumulator, expect: MacAccumulator):
     """Exchange deferred-MAC digests, as a protocol side: my sent chain must
     equal what the peer expected of my reveals, and vice versa."""
-    mine = struct.pack(">Q", sent.count) + sent.state
-    (theirs,) = yield Swap([(MsgType.RT_ACC_FLUSH, mine)], [(MsgType.RT_ACC_FLUSH, len(mine))])
-    if theirs != struct.pack(">Q", expect.count) + expect.state:
-        raise ProtocolAbort("flush", "deferred check failed")
+    (theirs,) = yield Swap([(MsgType.RT_ACC_FLUSH, flush_payload(sent))],
+                           [(MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
+    check_flush(theirs, expect)

@@ -38,23 +38,35 @@ term is added after the round, next to the local product's g * x, as
 on its g' * x' as (g' ^ d) * kx.
 
 A level's reveals are gate-major. Every announced bit's MAC is deferred
-into running accumulators, one absorb per level on each side (my sent
-MACs, and the MACs I expect of the peer's bits); the chains are compared
-once before any output is revealed, and output MACs themselves are checked
-immediately. So a cheating peer acts only through bytes it sends: its
-revealed bits, its output rows and its flush digest.
+into running accumulators, one absorb per level on each side: my sent MACs
+in `_and_open`, and the MACs I expect of the peer's bits in `_and_close`.
+So my sent chain is complete once the last AND level is open, and its
+flush digest (RT_ACC_FLUSH) goes out in that level's flight, after the
+reveals; the peer's digest is checked after that level's `_and_close`,
+before any output is revealed. A circuit without AND gates flushes in a
+round of its own. An output wire's bit is revealed with no MAC of its own:
+a party's RT_OUTPUT frame is the packed bits it sends, then one kappa/8-byte
+digest of their MACs in frame order (`output_digest`), which the receiver
+recomputes from its keys. A changed output bit passes only if the sender
+guesses the global key or the digest, so with probability at most
+2^(1 - kappa). So a cheating peer acts only through bytes it sends: its
+revealed bits, its flush digest, and its output bits and their digest.
 
 The hello, the input round, the levels' rounds, the flush and the output
 round form one protocol side, which `evaluate` runs with
 `transport.run_sides`; an AND level's round is yielded by that side itself,
-between the plain code of `_and_open` and `_and_close`. Its parameters come
-from the store: kappa, psi, the session id and the global key this party
-holds, a (kappa/8,) row like a key row; the channel only carries the
-frames. After the hello every round is symmetric, both parties' frames
-crossing at once, so both run the same code; Bob's input announcement goes
-out in the flight of his hello. Before the hello, `evaluate` checks that
-the store holds the material the circuit burns, and fails with
-OutOfMaterial if it is too small.
+between the plain code of `_and_open` and `_and_close`. With outputs going
+both ways, an evaluation of AND depth D takes 2 * D + 5 flights, the two
+parties' together: Alice flies her hello, her inputs, one flight per AND
+level and her outputs, and Bob his hello with his inputs, one flight per
+level and his outputs. Its parameters come from the store: kappa, psi, the
+session id and the global key this party holds, a (kappa/8,) row like a
+key row; the channel only carries the frames. After the hello every round
+is symmetric, both parties' frames crossing at once, so both run the same
+code; Bob's input announcement goes out in the flight of his hello. Before
+the hello, `evaluate` checks that the store holds the material the circuit
+burns, and fails with OutOfMaterial if it is too small, and builds the
+circuit's schedule, so the peer does not wait on it.
 """
 
 from __future__ import annotations
@@ -67,7 +79,8 @@ from .bitlinalg import BitVec, pack_bits, unpack_bits
 from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
 from .dealer import DealerConfig, MaterialStore
 from .errors import OutOfMaterial, ProtocolAbort, UsageError
-from .ro_suite import MacAccumulator, flush_accumulators
+from .ro_suite import (FLUSH_BYTES, MacAccumulator, check_flush, flush_accumulators,
+                       flush_payload, ro_hash)
 from .transport import Channel, MsgType, Role, Send, Swap, perform_hello, run_sides
 
 
@@ -99,6 +112,12 @@ _MINE, _PEER = 32 << np.arange(5), 1 << np.arange(5)
 # An AND level gathers each gate's inputs x, y as y, x, y, x: the wires that
 # the staged c, a, b and x0 ^ x1 are XORed with to make d, f, g and f_x.
 _YXYX = np.array([1, 0, 1, 0])
+
+
+def output_digest(macs: np.ndarray) -> bytes:
+    """The RT_OUTPUT digest of output MACs, one kappa/8-byte row each in
+    frame order: the first kappa/8 bytes of their "rt/out" hash."""
+    return ro_hash("rt/out", macs)[:macs.shape[1]]
 
 
 def _rows(a):
@@ -166,8 +185,8 @@ class Runtime:
 
     # -- reveal plumbing ------------------------------------------------------
 
-    def _flush(self):
-        yield from flush_accumulators(self._sent, self._expect)
+    def _flush_passed(self):
+        """Start both chains afresh once a flush has passed."""
         self._sent = MacAccumulator()
         self._expect = MacAccumulator()
         self.stats.flushes += 1
@@ -226,6 +245,10 @@ class Runtime:
         np.bitwise_xor(mat[:4], yx, out=rv[:4])
         rv[4] = mat[4]
         w[o0:o0 + n] = mat[5]
+        # my sent chain, gate-major, is complete before the reveals go out,
+        # so the last level's flight can carry its flush
+        self._sent = self._sent.absorb(_gate_major(rv[:, :, :kb]))
+        self.stats.bits_revealed += 5 * n
         return pack_bits(rv[:, :, kb].T.ravel()), (yx, mat[0], rv)
 
     def _and_close(self, w, o0, state, payload):
@@ -234,13 +257,10 @@ class Runtime:
         n = rv.shape[1]
         kb = self.kappa // 8
         bits = unpack_bits(payload, 5 * n).reshape(n, 5)
-        # One absorb per chain, gate-major: my own MACs, and the MACs the
-        # peer's bits must carry, key ^ delta*bit.
-        self._sent = self._sent.absorb(_gate_major(rv[:, :, :kb]))
+        # gate-major, the MACs the peer's bits must carry: key ^ delta*bit
         expect = _gate_major(rv[:, :, kb + 1:])
         expect ^= self._bit_keys.take(bits.ravel(), axis=0)
         self._expect = self._expect.absorb(expect)
-        self.stats.bits_revealed += 5 * n
         self.stats.bits_expected += 5 * n
         code = _TERM_CODES.take(_MINE @ rv[:, :, kb] + bits @ _PEER, axis=1)
         terms = self._terms.take(code, axis=0)
@@ -275,10 +295,10 @@ class Runtime:
             yield Send(*frames)
 
     def _output_phase(self, w, circuit):
-        """Flush, then reveal each output wire's bit||MAC to its receivers:
-        both parties' RT_OUTPUT frames cross in one round. Returns the bits
-        destined to this party."""
-        yield from self._flush()
+        """Reveal each output wire's bit to its receivers, followed by one
+        digest of those bits' MACs (`output_digest`): both parties'
+        RT_OUTPUT frames cross in one round. Returns the bits destined to
+        this party."""
         kb = self.kappa // 8
         mine, peer = (DEST_A, DEST_B) if self.role is Role.ALICE else (DEST_B, DEST_A)
         dest = circuit.header.output_dest
@@ -288,19 +308,15 @@ class Runtime:
         frames = []
         if send:
             mb = w[send, :kb + 1]
-            bits = np.unpackbits(mb[:, :-1], axis=1, bitorder="little")
-            frames.append((MsgType.RT_OUTPUT,
-                           pack_bits(np.concatenate((mb[:, -1:], bits), axis=1))))
+            frames.append((MsgType.RT_OUTPUT, pack_bits(mb[:, -1]) + output_digest(mb[:, :-1])))
             self.stats.output_reveals_sent += len(send)
         got = BitVec(0)
         if get:
-            n, width = len(get), 1 + self.kappa
-            (payload,) = yield Swap(frames, [(MsgType.RT_OUTPUT, (n * width + 7) // 8)])
-            bits = unpack_bits(payload, n * width).reshape(n, -1)
-            b = bits[:, 0]
-            macs = np.packbits(bits[:, 1:], axis=1, bitorder="little")
-            if not np.array_equal(macs, w[get, kb + 1:] ^ b[:, None] * self._delta):
-                raise ProtocolAbort("output", "MAC check failed")
+            n, nb = len(get), (len(get) + 7) // 8
+            (payload,) = yield Swap(frames, [(MsgType.RT_OUTPUT, nb + kb)])
+            b = unpack_bits(payload[:nb], n)
+            if payload[nb:] != output_digest(w[get, kb + 1:] ^ self._bit_keys.take(b, axis=0)):
+                raise ProtocolAbort("output", "MAC digest check failed")
             self.stats.output_reveals_received += n
             got = BitVec.from_bytes(n, pack_bits(w[get, kb] ^ b))
         elif frames:
@@ -318,6 +334,7 @@ class Runtime:
             left = self.store.remaining(name)
             if left < n:
                 raise OutOfMaterial(f"{name}: {n} records needed, {left} left")
+        circuit.row_schedule  # built and cached before the hello, not while the peer waits
         (out,) = run_sides(self.ch, self.role, self._online(circuit, my_inputs))
         return out
 
@@ -342,10 +359,22 @@ class Runtime:
                 ins, o0 = ands
                 reveal, state = self._and_open(w, ins, o0, mat[:, g:g + len(ins)])
                 g += len(ins)
-                (payload,) = yield Swap(
-                    [(MsgType.RT_REVEAL_BATCH, reveal)],
-                    [(MsgType.RT_REVEAL_BATCH, (5 * len(ins) + 7) // 8)])
-                self._and_close(w, o0, state, payload)
+                nb = (5 * len(ins) + 7) // 8
+                if g < circuit.n_and:
+                    (payload,) = yield Swap([(MsgType.RT_REVEAL_BATCH, reveal)],
+                                            [(MsgType.RT_REVEAL_BATCH, nb)])
+                    self._and_close(w, o0, state, payload)
+                else:  # the last AND level's flight carries the flush
+                    payload, theirs = yield Swap(
+                        [(MsgType.RT_REVEAL_BATCH, reveal),
+                         (MsgType.RT_ACC_FLUSH, flush_payload(self._sent))],
+                        [(MsgType.RT_REVEAL_BATCH, nb), (MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
+                    self._and_close(w, o0, state, payload)
+                    check_flush(theirs, self._expect)
+                    self._flush_passed()
             for a, b, out in steps:
                 np.bitwise_xor(w.take(a, axis=0), w.take(b, axis=0), out=w[out])
+        if not circuit.n_and:
+            yield from flush_accumulators(self._sent, self._expect)
+            self._flush_passed()
         return (yield from self._output_phase(w, circuit))

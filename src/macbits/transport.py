@@ -136,6 +136,10 @@ class Channel:
 _FRAME_HEADER = struct.Struct(">BI")
 # Frames up to this size go out in one send call, header and payload joined.
 _JOIN_BELOW = 1 << 16
+# Once its header has come, a frame's payload must arrive within the channel
+# timeout plus its size at this rate, in bytes per second, so a peer that
+# trickles a frame cannot keep it open without bound.
+MIN_FRAME_RATE = 64 << 10
 
 
 class TcpChannel(Channel):
@@ -161,8 +165,10 @@ class TcpChannel(Channel):
         except OSError as e:
             raise TransportError(f"send failed: {e}") from None
 
-    def _recv_exact(self, n: int) -> bytearray:
-        """n bytes read straight into one buffer."""
+    def _recv_exact(self, n: int, deadline: float = None) -> bytearray:
+        """n bytes read straight into one buffer; a TransportError if a read
+        returns past deadline, a `time.monotonic()` value, with bytes still
+        to come."""
         buf = bytearray(n)
         view = memoryview(buf)
         got = 0
@@ -176,13 +182,18 @@ class TcpChannel(Channel):
             if not k:
                 raise TransportError("peer closed the connection")
             got += k
+            if deadline is not None and got < n and time.monotonic() > deadline:
+                raise TransportError(f"a {n}-byte frame ran past its deadline")
         view.release()
         return buf
 
     def _recv_frame(self) -> Message:
         with self._recv_lock:
             t, n = _FRAME_HEADER.unpack(self._recv_exact(FRAME_HEADER_BYTES))
-            payload = self._recv_exact(n) if n else b""
+            timeout = self._sock.gettimeout()
+            deadline = (None if timeout is None
+                        else time.monotonic() + timeout + n / MIN_FRAME_RATE)
+            payload = self._recv_exact(n, deadline) if n else b""
         try:
             mt = MsgType(t)
         except ValueError:

@@ -666,15 +666,17 @@ def reveal_frame_bits(circuit: Circuit) -> list:
 
 
 def output_rows(circuit: Circuit, role: Role) -> int:
-    """How many output wires `role` reveals to the peer: the rows, of 1 + kappa
-    bits each (the bit, then the MAC), of the RT_OUTPUT frame it sends."""
+    """How many output wires `role` reveals to the peer: the packed bits that
+    open the RT_OUTPUT frame it sends, before the kappa/8-byte digest of
+    their MACs."""
     peer = DEST_B if role is Role.ALICE else DEST_A
     return sum(d in (peer, DEST_BOTH) for d in circuit.header.output_dest)
 
 
 def count_reveal_sites(circuit: Circuit, role: Role) -> int:
     """How many MAC-carrying reveals `role` performs on this circuit: the bits
-    of its RT_REVEAL_BATCH frames, then its RT_OUTPUT rows."""
+    of its RT_REVEAL_BATCH frames, then the output bits of its RT_OUTPUT
+    frame."""
     return sum(reveal_frame_bits(circuit)) + output_rows(circuit, role)
 
 
@@ -682,17 +684,18 @@ class TamperChannel(CountingChannel):
     """An online endpoint that logs what it sends, like CountingChannel, and
     cheats by the TamperPlan `plan` (honest when it is None). Sites are
     numbered in the order the runtime reveals: the bits of its RT_REVEAL_BATCH
-    frames, then the rows of its RT_OUTPUT frame. "bit" flips the revealed
-    bit. "mac" flips an output row's first MAC bit; an AND reveal's MAC is
-    deferred and never crosses the wire, so at AND site s "mac" flips bit
-    s % 256 of the chain state in the RT_ACC_FLUSH frame."""
+    frames, then the output bits of its RT_OUTPUT frame. "bit" flips the
+    revealed bit. No reveal's own MAC crosses the wire: at AND site s "mac"
+    flips bit s % 256 of the chain state in the RT_ACC_FLUSH frame, and at
+    output site s bit s % kappa of the digest that follows the output bits
+    in the RT_OUTPUT frame."""
 
     def __init__(self, sock, timeout, plan, circuit: Circuit, role: Role, kappa: int):
         super().__init__(sock, timeout)
         self.plan = plan
         self._frames = iter(reveal_frame_bits(circuit))
         self._rows = output_rows(circuit, role)
-        self._row_bits = 1 + kappa
+        self._kappa = kappa
         self._site = 0  # the first site of the next frame
 
     def _send_frame(self, msg_type, payload):
@@ -712,8 +715,8 @@ class TamperChannel(CountingChannel):
         if msg_type is MsgType.RT_ACC_FLUSH:
             # past the 8-byte count, into the 32-byte chain state
             return 64 + self.plan.site % 256 if mac and site < 0 else None
-        if msg_type is MsgType.RT_OUTPUT:
-            return site * self._row_bits + mac if 0 <= site < self._rows else None
+        if msg_type is MsgType.RT_OUTPUT and 0 <= site < self._rows:
+            return 8 * ((self._rows + 7) // 8) + site % self._kappa if mac else site
         return None
 
 

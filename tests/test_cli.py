@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from aes_oracle import KNOWN_VECTORS
 from helpers import free_port
+from macbits.aescircuit import generate_aes_circuit, to_bristol
 from macbits.cli import main as cli_main
 from macbits.dealer import MaterialStore
 from macbits.transport import run_pair
@@ -161,6 +163,43 @@ def test_deal_and_eval_over_tcp(tmp_path):
         assert row["output_bits"] == 1
 
 
+def test_eval_routes_aes_outputs_to_bob(tmp_path):
+    """`eval --outputs B:128` on both sides: Bob prints the FIPS-197
+    ciphertext of Alice's key and his plaintext, and Alice prints no bits."""
+    key, pt, ct = KNOWN_VECTORS[0]
+    circ = tmp_path / "aes.txt"
+    circ.write_text(to_bristol(generate_aes_circuit()))
+    pa, pb = str(tmp_path / "a.store"), str(tmp_path / "b.store")
+    deal_args = ["--gates", "7200", "--inputs", "128", "--kappa", "32", "--psi", "8"]
+    port = free_port()
+    procs = [_spawn(["deal", "--role", "A", "--listen", f"127.0.0.1:{port}",
+                     "--out", pa, "--seed", "1", *deal_args]),
+             _spawn(["deal", "--role", "B", "--connect", f"127.0.0.1:{port}",
+                     "--out", pb, "--seed", "2", *deal_args])]
+    outs = [p.communicate(timeout=300) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], outs
+    port = free_port()
+    procs = [_spawn(["eval", "--role", role, "--circuit", str(circ), "--material", path,
+                     "--input", block.hex(), "--peer", f"127.0.0.1:{port}",
+                     "--outputs", "B:128", "--json"])
+             for role, path, block in (("A", pa, key), ("B", pb, pt))]
+    outs = [p.communicate(timeout=300) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], outs
+    alice, bob = (json.loads(out) for out, _ in outs)
+    assert (alice["output_bits"], alice["output_hex"]) == (0, "")
+    assert (bob["output_bits"], bob["output_hex"]) == (128, ct.hex())
+
+
+@pytest.mark.parametrize("spec", ["B:2", "A:0", "B", "X:1", "B:1,", "b:1", "B:-1", "B:\u00b9"])
+def test_eval_rejects_bad_output_spec(dealt, toy_file, capsys, spec):
+    # the toy circuit has one output wire; refused before any connection
+    pa, _ = dealt
+    rc = cli_main(["eval", "--role", "A", "--circuit", toy_file, "--material", pa,
+                   "--input", "03", "--peer", "127.0.0.1:1", "--outputs", spec])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 def test_eval_rejects_wrong_role_store(dealt):
     _, pb = dealt
     rc = cli_main(["eval", "--role", "A", "--circuit", "unused.txt",
@@ -233,6 +272,15 @@ def test_eval_rejects_bad_peer_address(dealt, toy_file):
     rc = cli_main(["eval", "--role", "A", "--circuit", toy_file,
                    "--material", pa, "--input", "03", "--peer", "nohost"])
     assert rc == 3
+
+
+def test_eval_rejects_a_port_of_non_ascii_digits(dealt, toy_file, capsys):
+    # "\u00b2".isdigit() holds, but int() refuses it
+    pa, _ = dealt
+    rc = cli_main(["eval", "--role", "A", "--circuit", toy_file,
+                   "--material", pa, "--input", "03", "--peer", "127.0.0.1:\u00b2"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("usage error: bad address")
 
 
 def test_eval_mismatched_stores_abort(dealt, toy_file, tmp_path):

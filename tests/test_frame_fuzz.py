@@ -223,11 +223,14 @@ def test_a_set_pad_bit_is_protocol_error(msg_type, nth):
     not fill that byte: Bob refuses it. The matrix has tau = 118 bits per
     row. Alice's first OT_MASKED1 holds the seed OTs' 128-bit rows; her
     second is the aBit correction frame, whose rows of ell = 110 bits Bob
-    parses before his choice bits pick any."""
+    parses before his choice bits pick any. RT_OUTPUT ends in the digest of
+    its output bits' MACs, so there the flipped pad bit is the top bit of
+    the byte that packs the circuit's one output bit."""
     run = _evaluate if msg_type.name.startswith("RT_") else _deal
     with closing_pair(counting_pair(timeout=30.0)) as (a, b):
         run(a, b)
     k = [i for i, (t, _) in enumerate(a.sent) if t == msg_type][nth]
-    with closing_pair(flip_pair(A, k, -1, timeout=30.0)) as (a, b):
+    bit = 7 if msg_type is MsgType.RT_OUTPUT else -1
+    with closing_pair(flip_pair(A, k, bit, timeout=30.0)) as (a, b):
         with pytest.raises(ProtocolError, match="pad bit"):
             run(a, b)

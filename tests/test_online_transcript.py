@@ -30,7 +30,7 @@ EXPECTED = {
         ('RT_REVEAL_BATCH', 'ff82f05a384e1b5a3f068e8786fd6511549be20a5d2bf29538ba04502734b33b'),
         ('RT_REVEAL_BATCH', 'f3ddddf2d8832102525f7dff44ab8ba9eef925f5b83260c6886929c88effabb1'),
         ('RT_ACC_FLUSH', 'eb3dd3355137801d29de9b9d8a51ebf4fa3de2e608610047510797c7b2af853c'),
-        ('RT_OUTPUT', '4e2bf230ecc851f94f1fcae734522ace6f8962f10a548ca52557f4f6761e068e'),
+        ('RT_OUTPUT', 'd7658b6337246c68731f33ad487c7ccb24af00b3e325c008e1acd3228a83327e'),
     ],
     B: [
         ('HELLO', 'fec31f0b331f45a3139bfdf6bba155a1843202867d5b2edb362adc5ce36ac97f'),
@@ -42,16 +42,16 @@ EXPECTED = {
         ('RT_REVEAL_BATCH', 'e68f9fc5f6eba583210b29e59f8b222da00179ba7551ccd02139af8a64465884'),
         ('RT_REVEAL_BATCH', '67848a207e8e22e685bc2b4d62e9587487176d384bd2c819a01bb413e1c57213'),
         ('RT_ACC_FLUSH', 'e4633ea32c08d4e8a9df5d45387edacfb8d8fb0e9b4e6a978bc4ae6b9ed1bf01'),
-        ('RT_OUTPUT', 'e6ea48eee19c56f734b43f347b6a995d5c5afb625ce24bede271d0abcc8f37db'),
+        ('RT_OUTPUT', '24a6bc2ffdce04359d792df0c248efd57f9886ea0aca41d78fe2ced145f37b6e'),
     ],
 }
 # MsgType -> (frames, bytes with headers) per party; they do not depend on
 # the dealt material.
 TOTALS = {
     A: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
-        'RT_OUTPUT': (1, 70), 'RT_REVEAL_BATCH': (6, 70)},
+        'RT_OUTPUT': (1, 22), 'RT_REVEAL_BATCH': (6, 70)},
     B: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
-        'RT_OUTPUT': (1, 70), 'RT_REVEAL_BATCH': (6, 70)},
+        'RT_OUTPUT': (1, 22), 'RT_REVEAL_BATCH': (6, 70)},
 }
 
 

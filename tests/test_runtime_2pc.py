@@ -1,6 +1,7 @@
 import os
 import random
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 import helpers
 from aes_oracle import KNOWN_VECTORS
 from helpers import (OracleDealer, TamperPlan, closing_pair, consumed, count_reveal_sites,
-                     counting_pair, eval_two, oracle_store_pair, random_circuit,
+                     counting_pair, eval_two, flip_pair, oracle_store_pair, random_circuit,
                      random_inputs, tamper_pair)
+from macbits import runtime_2pc
 from macbits.aescircuit import bits_to_block, block_to_bits, generate_aes_circuit
 from macbits.bitlinalg import BitVec
 from macbits.circuit import (AND, DEST_A, DEST_B, DEST_BOTH, EQW, INV, Circuit,
@@ -20,9 +22,9 @@ from macbits.circuit import (AND, DEST_A, DEST_B, DEST_BOTH, EQW, INV, Circuit,
 from macbits.dealer import DealerConfig, MaterialStore
 from macbits.errors import (OutOfMaterial, ProtocolAbort, TransportError,
                             UsageError)
-from macbits.ro_suite import hash_calls
-from macbits.runtime_2pc import Runtime
-from macbits.transport import MsgType, Role, memory_pair, run_pair
+from macbits.ro_suite import hash_calls, ro_hash
+from macbits.runtime_2pc import Runtime, output_digest
+from macbits.transport import MsgType, Role, TcpChannel, memory_pair, run_pair
 
 A, B = Role.ALICE, Role.BOB
 ROOT = Path(__file__).resolve().parent.parent
@@ -346,7 +348,8 @@ def test_exact_wire_bytes_follow_level_schedule():
     levels = rt_a.stats.levels
     h = c.header
     hello = 25 + 32  # fixed hello fields, then the material commitment
-    out_bytes = (h.n_outputs * (1 + 16) + 7) // 8  # all outputs go both ways
+    # all outputs go both ways, as packed bits, then a kappa/8-byte digest
+    out_bytes = (h.n_outputs + 7) // 8 + 16 // 8
 
     pay_a = (hello + (h.inputs_a + 7) // 8
              + sum((5 * n + 7) // 8 for n in levels)
@@ -365,8 +368,9 @@ def test_exact_wire_bytes_follow_level_schedule():
 def test_online_flights_follow_and_depth():
     """Both parties' reveals of an AND level cross in one exchange. With
     outputs going both ways, Alice flies her hello, her inputs, one flight
-    per AND level, the flush and her outputs; Bob's inputs ride in his hello
-    flight. The benchmark's online_flights is their sum, 2 * depth + 7."""
+    per AND level and her outputs; Bob's inputs ride in his hello flight,
+    and each party's flush in its last AND level's flight. The benchmark's
+    online_flights is their sum, 2 * depth + 5."""
     rng = random.Random(19)
     c = random_circuit(rng, 60)
     depth = sum(ands is not None for ands, _ in c.row_schedule[1])
@@ -378,7 +382,7 @@ def test_online_flights_follow_and_depth():
         out_a, out_b = run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
                                 timeout=60, channels=(ca, cb))
     assert out_a == out_b == plain_eval(c, xa, xb)
-    assert (ca.flights, cb.flights) == (depth + 4, depth + 3)
+    assert (ca.flights, cb.flights) == (depth + 3, depth + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +476,43 @@ def test_handshake_rejects_foreign_session():
         eval_two(AND_1, sa, sb, BitVec(1, 1), BitVec(1, 1), timeout=10)
 
 
+def test_schedule_is_cached_before_the_hello():
+    """`evaluate` builds the circuit's schedule before its hello goes out,
+    so a first evaluation does not build it while the peer waits."""
+
+    class HelloWatch(TcpChannel):
+        def __init__(self, sock, circuit):
+            super().__init__(sock, 20.0)
+            self.circuit, self.cached = circuit, []
+
+        def _send_frame(self, msg_type, payload):
+            if msg_type is MsgType.HELLO:
+                self.cached.append("row_schedule" in vars(self.circuit))
+            super()._send_frame(msg_type, payload)
+
+    rng = random.Random(21)
+    c = random_circuit(rng, 40)
+    sa, sb = oracle_store_pair(c, rng)
+    xa, xb = random_inputs(c, rng)
+    # each party reads its own copy, unscheduled until its evaluate
+    ca, cb = (HelloWatch(s, Circuit(c.header, c.table)) for s in socket.socketpair())
+    with closing_pair((ca, cb)):
+        out_a, out_b = run_pair(lambda: Runtime(ca, A, sa).evaluate(ca.circuit, xa),
+                                lambda: Runtime(cb, B, sb).evaluate(cb.circuit, xb),
+                                timeout=20, channels=(ca, cb))
+    assert out_a == out_b == plain_eval(c, xa, xb)
+    assert ca.cached == cb.cached == [True]
+
+
 # ---------------------------------------------------------------------------
 # fault injection
 
 
 def test_reveal_site_census():
     """The sites the tamper sweep numbers are the bits an honest run reveals:
-    its RT_REVEAL_BATCH bits (5n per AND level of n gates, one frame) and its
-    RT_OUTPUT rows of 1 + kappa bits."""
+    its RT_REVEAL_BATCH bits (5n per AND level of n gates, one frame) and the
+    output bits of its RT_OUTPUT frame, which a kappa/8-byte digest
+    follows."""
     rng = random.Random(14)
     c = random_circuit(rng, 30, n_outputs=8)
     assert c.n_and > 0 and c.header.output_dest == (DEST_BOTH,) * 8
@@ -495,9 +528,10 @@ def test_reveal_site_census():
             reveals = [p for t, p in ch.sent if t is MsgType.RT_REVEAL_BATCH]
             bits = [5 * n for n in rt.stats.levels]
             assert [len(p) for p in reveals] == [(b + 7) // 8 for b in bits]
-            rows = sum(8 * len(p) // (1 + sa.kappa) for t, p in ch.sent
-                       if t is MsgType.RT_OUTPUT)
-            assert rows == rt.stats.output_reveals_sent
+            outputs = [p for t, p in ch.sent if t is MsgType.RT_OUTPUT]
+            rows = rt.stats.output_reveals_sent
+            assert [len(p) for p in outputs] == ([(rows + 7) // 8 + sa.kappa // 8]
+                                                 if rows else [])
             assert sum(bits) + rows == count_reveal_sites(circuit, rt.role)
     assert count_reveal_sites(c, A) == 5 * c.n_and + 8
     assert count_reveal_sites(routed, A) == 5 * c.n_and
@@ -556,9 +590,99 @@ def test_failed_flush_reveals_no_output(mode):
     assert MsgType.RT_OUTPUT not in sent
 
 
+def _output_frame_index(circuit, cheater, xa, xb):
+    """The index, among the frames `cheater` sends, of its RT_OUTPUT frame,
+    and that frame's payload, in an honest run."""
+    sa, sb = oracle_store_pair(circuit, random.Random(22))
+    with closing_pair(counting_pair(timeout=20.0)) as (ca, cb):
+        run_pair(lambda: Runtime(ca, A, sa).evaluate(circuit, xa),
+                 lambda: Runtime(cb, B, sb).evaluate(circuit, xb),
+                 timeout=20, channels=(ca, cb))
+    sent = (ca if cheater is A else cb).sent
+    (k,) = [k for k, (t, _) in enumerate(sent) if t is MsgType.RT_OUTPUT]
+    return k, sent[k][1]
+
+
+@pytest.mark.parametrize("dest", [(DEST_BOTH,) * 3, (DEST_B,) * 3, (DEST_A, DEST_BOTH, DEST_A)],
+                         ids=["both", "to-B", "mixed"])
+def test_any_output_bit_or_digest_bit_flip_aborts(dest):
+    """A cheater flips one bit of its RT_OUTPUT frame, any output bit or any
+    bit of the kappa/8-byte digest after them: the honest party aborts in
+    the output phase. A party that sends no outputs has no frame to flip."""
+    rng = random.Random(23)
+    c = random_circuit(rng, 30, n_outputs=3).with_output_dest(dest)
+    xa, xb = random_inputs(c, rng)
+    kb = 16 // 8  # oracle stores are dealt at kappa = 16
+    for cheater in (A, B):
+        peer_dest = DEST_B if cheater is A else DEST_A
+        n = sum(d in (peer_dest, DEST_BOTH) for d in dest)
+        if not n:
+            continue
+        k, payload = _output_frame_index(c, cheater, xa, xb)
+        nb = (n + 7) // 8
+        assert len(payload) == nb + kb
+        for bit in [*range(n), *range(8 * nb, 8 * (nb + kb))]:
+            sa, sb = oracle_store_pair(c, random.Random(22))
+            ca, cb = flip_pair(cheater, k, bit, timeout=20.0)
+            with closing_pair((ca, cb)), pytest.raises(ProtocolAbort) as e:
+                run_pair(lambda: Runtime(ca, A, sa).evaluate(c, xa),
+                         lambda: Runtime(cb, B, sb).evaluate(c, xb),
+                         timeout=20, channels=(ca, cb))
+            assert e.value.phase == "output", (cheater, bit)
+
+
+def test_outputs_to_bob_are_alices_bits_and_one_digest(monkeypatch):
+    """With every output routed to Bob, Alice's RT_OUTPUT frame is the
+    packed bits of her shares of the outputs, then the digest of their MACs,
+    which Bob recomputes from his keys; Bob sends no RT_OUTPUT frame."""
+    rng = random.Random(24)
+    c = random_circuit(rng, 40, n_outputs=12).with_output_dest([DEST_B] * 12)
+    sa, sb = oracle_store_pair(c, rng)
+    xa, xb = random_inputs(c, rng)
+    digested = []
+    digest = runtime_2pc.output_digest
+
+    def recorded(macs):
+        digested.append(macs.copy())
+        return digest(macs)
+
+    monkeypatch.setattr(runtime_2pc, "output_digest", recorded)
+    with closing_pair(counting_pair(timeout=20.0)) as (ca, cb):
+        out_a, out_b = run_pair(lambda: Runtime(ca, A, sa).evaluate(c, xa),
+                                lambda: Runtime(cb, B, sb).evaluate(c, xb),
+                                timeout=20, channels=(ca, cb))
+    assert out_a.n == 0 and out_b == plain_eval(c, xa, xb)
+    assert MsgType.RT_OUTPUT not in [t for t, _ in cb.sent]
+    (frame,) = [p for t, p in ca.sent if t is MsgType.RT_OUTPUT]
+    # Alice's MACs on her bits, then the MACs Bob expects of the bits he read
+    mine, expected = digested
+    assert mine.shape == (12, 2) and np.array_equal(mine, expected)
+    nb = (12 + 7) // 8  # the packed bits, then a kappa/8 = 2-byte digest
+    assert len(frame) == nb + 2
+    assert frame[nb:] == ro_hash("rt/out", mine)[:2]
+
+
+def test_output_forgery_rate_at_reduced_kappa():
+    """At kappa = 8 a cheater flips its one output bit b and guesses the
+    1-byte digest: the receiver, who now expects the MAC key ^ (b ^ 1) *
+    delta, accepts at a rate within 3 sigma of 2^-8."""
+    trials = 10 ** 5
+    rng = np.random.default_rng(1011)
+    delta, key, guess = rng.integers(0, 256, (3, trials), dtype=np.uint8)
+    bit = rng.integers(0, 2, trials, dtype=np.uint8)
+    expected = (key ^ (bit ^ 1) * delta).reshape(trials, 1, 1)
+    hits = sum(output_digest(e)[0] == g for e, g in zip(expected, guess.tolist()))
+    rate, want = hits / trials, 2.0 ** -8
+    assert abs(rate - want) <= 3 * (want * (1 - want) / trials) ** 0.5, rate
+
+
 def test_online_replay_script(tmp_path):
     """scripts/online_replay.py records a two-party evaluation of a small
-    circuit, then times Alice's evaluation against a replay of Bob's frames."""
+    circuit, then times Alice's evaluation against a replay of Bob's frames.
+    Alice sends her hello (62 bytes with its header), her inputs (6), two
+    levels' reveals (7, 6), the flush (45) in the last level's flight, and
+    one output bit with its 16-byte digest (22): 148 bytes in depth + 3 = 5
+    flights."""
     path = tmp_path / "and3.txt"
     path.write_text("3 7\n2 2 1\n2 1 0 2 4 AND\n2 1 1 3 5 AND\n2 1 4 5 6 AND\n")
     env = dict(os.environ)
@@ -570,7 +694,8 @@ def test_online_replay_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == f"{path}: 3 AND gates in 2 levels; Alice reads 6 frames, sends 6"
+    assert lines[1] == "Alice sends 148 bytes in 5 flights"
     assert re.fullmatch(r"evaluate: median [0-9.]+ ms, fastest [0-9.]+ ms over 2 runs",
-                        lines[1]), lines[1]
-    for name, line in zip(("_and_open", "_and_close"), lines[2:], strict=True):
+                        lines[2]), lines[2]
+    for name, line in zip(("_and_open", "_and_close"), lines[3:], strict=True):
         assert re.fullmatch(rf"{name}: median [0-9.]+ ms per evaluation", line), line

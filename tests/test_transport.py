@@ -1,6 +1,8 @@
 import ast
 import pathlib
 import random
+import socket
+import struct
 import threading
 import time
 
@@ -69,6 +71,66 @@ def test_recv_timeout():
     with closing_pair(memory_pair(timeout=0.05)) as (_, b):
         with pytest.raises(TransportError, match="timed out"):
             b.recv(MsgType.EQ_VALUE)
+
+
+def _send_frame_slowly(sock, payload, pieces, gap_s, stop, give_up_s):
+    """Send a frame's header at once, then its payload in `pieces` equal
+    parts gap_s apart; hang up once stop is set or give_up_s have passed."""
+    end = time.monotonic() + give_up_s
+    try:
+        sock.sendall(struct.pack(">BI", MsgType.EQ_VALUE, len(payload)))
+        step = len(payload) // pieces
+        for k in range(pieces):
+            if stop.wait(gap_s) or time.monotonic() > end:
+                break
+            sock.sendall(payload[k * step:(k + 1) * step])
+    except OSError:
+        pass
+    finally:
+        sock.close()
+
+
+def test_trickled_frame_fails_at_its_deadline():
+    """A peer announces a 1,000-byte frame, then sends one byte every 0.15 s,
+    each within the 0.2 s timeout. The reader gives up at the frame's
+    deadline, 0.2 s plus 1,000 bytes at MIN_FRAME_RATE, not 150 s later. The
+    peer hangs up after 3 s in any case, which the reader would see as a
+    closed connection."""
+    s1, s2 = socket.socketpair()
+    reader, stop = TcpChannel(s1, 0.2), threading.Event()
+    t = threading.Thread(target=_send_frame_slowly,
+                         args=(s2, bytes(1000), 1000, 0.15, stop, 3.0))
+    t0 = time.monotonic()
+    t.start()
+    try:
+        with pytest.raises(TransportError, match="deadline"):
+            reader.recv(MsgType.EQ_VALUE, 1000)
+        assert time.monotonic() - t0 < 2
+    finally:
+        stop.set()
+        reader.close()
+        t.join(5)
+    assert not t.is_alive()
+
+
+def test_steady_frame_slower_than_the_timeout_arrives_whole():
+    """A 64 KiB frame sent in 16 pieces 20 ms apart takes longer than the
+    0.2 s timeout, but at about 200 KiB/s it keeps above MIN_FRAME_RATE, so
+    its deadline does not cut it."""
+    s1, s2 = socket.socketpair()
+    reader, stop = TcpChannel(s1, 0.2), threading.Event()
+    payload = bytes(range(256)) * 256
+    t = threading.Thread(target=_send_frame_slowly, args=(s2, payload, 16, 0.02, stop, 10.0))
+    t0 = time.monotonic()
+    t.start()
+    try:
+        assert reader.recv(MsgType.EQ_VALUE, len(payload)) == payload
+        assert time.monotonic() - t0 > 0.2
+    finally:
+        stop.set()
+        reader.close()
+        t.join(5)
+    assert not t.is_alive()
 
 
 def test_stats_count_frames_and_bytes(pair):
