@@ -10,10 +10,11 @@ recording every frame Alice reads and sends. Then it runs Alice's
 her store, over a channel that serves Bob's recorded frames in order, and
 checks that each run sends the recorded frames and returns the recorded
 outputs. So the timings hold no peer and no link: only Alice's own work.
-It prints the bytes Alice sent in the recorded evaluation, frame headers
-included, and her flights (runs of sends, each begun by her first send or
-by a send after a read), then the median and fastest evaluation and the
-median per-evaluation totals of `Runtime._and_open` and
+It prints the bytes each party sent in the recorded evaluation, frame
+headers included, and its flights (runs of sends, each begun by its first
+send or by a send after a read): their sums are the benchmark's
+online_bytes and online_flights. Then it prints the median and fastest
+evaluation and the median per-evaluation totals of `Runtime._and_open` and
 `Runtime._and_close`.
 """
 
@@ -136,8 +137,9 @@ def main() -> int:
     peer, sent = chs[0].read, chs[0].sent
     print(f"{name}: {circuit.n_and} AND gates in {len(rt_a.stats.levels)} levels; "
           f"Alice reads {len(peer)} frames, sends {len(sent)}")
-    print(f"Alice sends {sum(FRAME_HEADER_BYTES + len(p) for _, p in sent)} bytes "
-          f"in {chs[0].flights()} flights")
+    for who, ch in (("Alice", chs[0]), ("Bob", chs[1])):
+        print(f"{who} sends {sum(FRAME_HEADER_BYTES + len(p) for _, p in ch.sent)} bytes "
+              f"in {ch.flights()} flights")
 
     totals = {"_and_open": 0.0, "_and_close": 0.0}
     per_run = {k: [] for k in totals}

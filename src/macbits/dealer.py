@@ -9,18 +9,19 @@ Each party's bits are authenticated under the other party's key, so the
 two owners' pipelines are independent, and so are the two owners' leaky
 triples and the two directions' leaky quads. Every exchange of deal() is a
 protocol side run by `transport.run_sides`, and the independent ones run
-side by side: first both `produce_abits` sides, then the laAND sides of both
-owners with the laOT sides of both directions. Every side yields one flight
-at a time; in each round both parties compute their own sides' payloads at
-once, then exchange them in one of `run_sides`' three modes: a small round
-sends before it reads; a round above `transport.DUPLEX_MIN` (a batch of aBit
+side by side: first the hello with the OT dealer's seed, then both
+`produce_abits` sides, then the laAND sides of both owners with the laOT
+sides of both directions. Every side yields one flight at a time; in each
+round both parties compute their own sides' payloads at once, then
+exchange them in one of `run_sides`' three modes: a small round sends
+before it reads; a round above `transport.DUPLEX_MIN` (a batch of aBit
 OT corrections) sends on a second thread while it reads; in between Alice sends
 all of hers before she reads and Bob reads before he sends. So neither
 blocks sending a large frame to a peer that is itself sending. Frames go out
 in side order, Alice's bits or Alice's direction first on both parties. The
-hello, the combiners and the deferred-MAC flush with the global-key
-commitments stay one at a time, in the same order on both parties, so the
-MAC accumulators chain alike.
+combiners and the deferred-MAC flush with the global-key commitments stay
+one at a time, in the same order on both parties, so the MAC accumulators
+chain alike.
 
 The aBit sides cross their OT corrections in batches of at most
 `base_ot.BATCH_BITS` bits per column, one frame per batch, and the key
@@ -251,16 +252,16 @@ class MaterialStore:
 
 def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     """Run the full offline phase; returns this party's store (not saved)."""
-    ((sid, _),) = run_sides(ch, role, perform_hello(role, cfg.kappa, cfg.psi, rng=rng))
     backend = DealerOt(rng)
     kb = cfg.kappa // 8
 
     # Both owners' aBits side by side. Alice mints the OT dealer seed first,
-    # so that both directions can send seed OTs in the same flight.
+    # so that both directions can send seed OTs in the same flight; it rides
+    # in her hello's flight, drawn after her session id.
     demand = {owner: cfg.abit_demand(owner) for owner in (Role.ALICE, Role.BOB)}
     owners = [owner for owner, n in demand.items() if n]
-    if owners:
-        run_sides(ch, role, backend.setup(mint=role is Role.ALICE))
+    setup = [backend.setup(mint=role is Role.ALICE)] if owners else []
+    (sid, _), *_ = run_sides(ch, role, perform_hello(role, cfg.kappa, cfg.psi, rng=rng), *setup)
     made = run_sides(ch, role, *(produce_abits(ch, role, owner, demand[owner], cfg.kappa,
                                                rng, backend) for owner in owners))
     # Per owner: the MAC rows of its bits if I own them, else my key rows.

@@ -15,12 +15,17 @@ every free gate is a row XOR. Each level's AND gates run as one batch of
 array operations over gathered rows, writing their outputs into one slice
 of rows; then each of that level's free-gate steps is two row gathers and
 one XOR into the step's slice of rows.
-Outputs are read through the map. An AND gate burns two triples, two OT
-quads, and two fresh bits. Right after the input round, `_stage` takes
-each stream's records for all of the circuit's AND gates in one call and
-lays them out once, field by field, as full rows in schedule order, with
-what needs no wire already combined (c, a, b, x0 ^ x1, r ^ x0 and the
-output constant); a level reads its slice, so no level takes material.
+Outputs are read through the map. The owner of an input wire takes its
+input bit as its share, with the MAC of a fresh aBit r, and announces the
+masked bit m = r ^ input; the peer takes 0 with a zero MAC, and r's key
+plus m * delta as its key. So a party's bits and MACs never wait for the
+peer's announcement, only its keys on the peer's input wires do. An AND
+gate burns two triples, two OT quads, and two fresh bits. Right after the
+inputs are shared, `_stage` takes each stream's records for all of the
+circuit's AND gates in one call and lays them out once, field by field, as
+full rows in schedule order, with what needs no wire already combined (c,
+a, b, x0 ^ x1, r ^ x0 and the output constant); a level reads its slice,
+so no level takes material.
 Each party reveals five bits per gate, all in one round per level in which
 both parties send at once:
 
@@ -43,30 +48,41 @@ in `_and_open`, and the MACs I expect of the peer's bits in `_and_close`.
 So my sent chain is complete once the last AND level is open, and its
 flush digest (RT_ACC_FLUSH) goes out in that level's flight, after the
 reveals; the peer's digest is checked after that level's `_and_close`,
-before any output is revealed. A circuit without AND gates flushes in a
-round of its own. An output wire's bit is revealed with no MAC of its own:
-a party's RT_OUTPUT frame is the packed bits it sends, then one kappa/8-byte
-digest of their MACs in frame order (`output_digest`), which the receiver
-recomputes from its keys. A changed output bit passes only if the sender
+before any output is revealed. A circuit without AND gates flushes in the
+one round it has before the outputs. An output wire's bit is revealed with
+no MAC of its own: a party's RT_OUTPUT frame is the packed bits it sends,
+then one kappa/8-byte digest of their MACs in frame order
+(`output_digest`), which the receiver recomputes from its keys. A changed output bit passes only if the sender
 guesses the global key or the digest, so with probability at most
 2^(1 - kappa). So a cheating peer acts only through bytes it sends: its
 revealed bits, its flush digest, and its output bits and their digest.
 
-The hello, the input round, the levels' rounds, the flush and the output
-round form one protocol side, which `evaluate` runs with
-`transport.run_sides`; an AND level's round is yielded by that side itself,
-between the plain code of `_and_open` and `_and_close`. With outputs going
-both ways, an evaluation of AND depth D takes 2 * D + 5 flights, the two
-parties' together: Alice flies her hello, her inputs, one flight per AND
-level and her outputs, and Bob his hello with his inputs, one flight per
-level and his outputs. Its parameters come from the store: kappa, psi, the
-session id and the global key this party holds, a (kappa/8,) row like a
-key row; the channel only carries the frames. After the hello every round
-is symmetric, both parties' frames crossing at once, so both run the same
-code; Bob's input announcement goes out in the flight of his hello. Before
-the hello, `evaluate` checks that the store holds the material the circuit
-burns, and fails with OutOfMaterial if it is too small, and builds the
-circuit's schedule, so the peer does not wait on it.
+The hello, the input announcements and the evaluation are three protocol
+sides, which `evaluate` runs side by side with `transport.run_sides`, so
+their first flights go out as one. Both parties' HELLO, RT_ANNOUNCE_BATCH
+and first AND level's reveals (with the flush if that level is the last;
+a circuit without AND gates sends the flush alone) cross in one round: the
+hello needs no answer, since both parties read the session id and the
+material commitment from their stores, and the level's reveals need no
+announcement. `run_sides` resumes the three in that order, so each party
+first checks the peer's hello (`_hello`), then adds m * delta for each
+announced m to its keys on the peer's input wires (`_input_phase`), and
+then redoes what read those keys before the round, level 0's free steps
+and the first level's gathered key halves (`_rekey`), before it closes
+the level. Every round is symmetric, both parties' frames crossing at
+once, so both run the same code; an AND level's round is yielded by the
+evaluation side itself, between the plain code of `_and_open` and
+`_and_close`. So with outputs going both ways an evaluation of AND depth
+D >= 1 takes D + 1 flights per party, 2 * D + 2 in all, and one of depth 0
+takes 2 per party. What a party sends before it has checked the hello is
+its announcement and the first level's reveals, each masked by one-time
+material; the MAC checks stay deferred to the flush and the output digest.
+The parameters come from the store: kappa, psi, the session id and the
+global key this party holds, a (kappa/8,) row like a key row; the channel
+only carries the frames. Before the first round, `evaluate` checks that
+the store holds the material the circuit burns, and fails with
+OutOfMaterial if it is too small, and builds the circuit's schedule, so
+the peer does not wait on it.
 """
 
 from __future__ import annotations
@@ -81,7 +97,7 @@ from .dealer import DealerConfig, MaterialStore
 from .errors import OutOfMaterial, ProtocolAbort, UsageError
 from .ro_suite import (FLUSH_BYTES, MacAccumulator, check_flush, flush_accumulators,
                        flush_payload, ro_hash)
-from .transport import Channel, MsgType, Role, Send, Swap, perform_hello, run_sides
+from .transport import Channel, MsgType, Role, Send, Swap, check_hello, hello_frame, run_sides
 
 
 def _term_codes() -> np.ndarray:
@@ -177,10 +193,14 @@ class Runtime:
     # -- session ------------------------------------------------------------
 
     def _hello(self):
-        _, peer_commit = yield from perform_hello(
-            self.role, self.kappa, self.store.psi,
-            session_id=self.store.session_id, extra=self.store.gk_commit)
-        if peer_commit != self.store.gk_commit:
+        """The hello as a protocol side of one round: both parties read the
+        session id and the material commitment from their stores, so their
+        hellos cross."""
+        st = self.store
+        (payload,) = yield Swap(
+            [hello_frame(self.role, self.kappa, st.psi, st.session_id, st.gk_commit)],
+            [(MsgType.HELLO, None)])
+        if check_hello(payload, self.role, self.kappa, st.psi, st.session_id) != st.gk_commit:
             raise ProtocolAbort("hello", "material commitment mismatch")
 
     # -- reveal plumbing ------------------------------------------------------
@@ -229,7 +249,7 @@ class Runtime:
         into row o0 + i with its staged material mat[:, i]: writes the output
         rows' local terms and returns (the packed bits this party reveals,
         gate-major, and the state `_and_close` needs). The material was
-        burned once, after the input round (`_stage`).
+        burned once, right after the inputs were shared (`_stage`).
 
         My reveals d, f, g, f_x are the staged c, a, b, x0 ^ x1 XORed with my
         y, x, y, x, and h = r ^ x0 is staged, on the MAC half; on the key half
@@ -271,7 +291,14 @@ class Runtime:
     # -- circuit driver -------------------------------------------------------
 
     def _input_phase(self, w, circuit, my_inputs: BitVec):
-        """Both parties announce their masked inputs in one round."""
+        """Both parties announce their masked inputs in one round.
+
+        The owner of an input wire announces m = r ^ x, its input bit x under
+        a fresh aBit r, and takes x = r ^ m as its share, with r's MAC; the
+        peer's key on it is the peer's key on r plus m * delta. The peer
+        takes 0 with a zero MAC, on which the owner's key is 0. So a party's
+        bits and MACs are in the table before the round; the peer's
+        announcement completes only my keys on its input wires."""
         h = circuit.header
         kb = self.kappa // 8
         a, b = slice(0, h.inputs_a), slice(h.inputs_a, h.n_inputs)
@@ -280,19 +307,33 @@ class Runtime:
         frames = []
         if n:
             macs, _ = self.store.take("abits_mine", n)
-            ms = macs[:, 0, -1] ^ np.array(my_inputs.bits(), np.uint8)
-            frames.append((MsgType.RT_ANNOUNCE_BATCH, pack_bits(ms)))
+            x = np.array(my_inputs.bits(), np.uint8)
+            frames.append((MsgType.RT_ANNOUNCE_BATCH, pack_bits(macs[:, 0, -1] ^ x)))
             self.stats.input_bits_sent += n
-            w[me, :kb + 1] = macs[:, 0]
-            w[me, kb + 1:] = ms[:, None] * self._delta
+            w[me, :kb] = macs[:, 0, :kb]
+            w[me, kb] = x
         if pn:
             _, keys = self.store.take("abits_theirs", pn)
+            w[peer, kb + 1:] = keys[:, 0]
             (payload,) = yield Swap(frames, [(MsgType.RT_ANNOUNCE_BATCH, (pn + 7) // 8)])
             self.stats.input_bits_received += pn
-            w[peer, kb] = unpack_bits(payload, pn)  # zero MAC
-            w[peer, kb + 1:] = keys[:, 0]
+            w[peer, kb + 1:] ^= self._bit_keys.take(unpack_bits(payload, pn), axis=0)
         elif frames:
             yield Send(*frames)
+
+    def _rekey(self, w, steps, ins, state):
+        """Redo, once the first round is in, what read my keys on the peer's
+        input wires before its announcement completed them: level 0's free
+        steps `steps`, and the key halves that the first AND level's
+        `_and_open` (gates `ins`, returning `state`) gathered and XORed into
+        its reveal rows."""
+        kb = self.kappa // 8
+        for a, b, out in steps:
+            np.bitwise_xor(w.take(a, axis=0), w.take(b, axis=0), out=w[out])
+        yx, _, rv = state
+        fix = w.take(ins.T[_YXYX], axis=0)[:, :, kb + 1:] ^ yx[:, :, kb + 1:]
+        yx[:, :, kb + 1:] ^= fix
+        rv[:4, :, kb + 1:] ^= fix
 
     def _output_phase(self, w, circuit):
         """Reveal each output wire's bit to its receivers, followed by one
@@ -335,46 +376,53 @@ class Runtime:
             if left < n:
                 raise OutOfMaterial(f"{name}: {n} records needed, {left} left")
         circuit.row_schedule  # built and cached before the hello, not while the peer waits
-        (out,) = run_sides(self.ch, self.role, self._online(circuit, my_inputs))
-        return out
-
-    def _online(self, circuit: Circuit, my_inputs: BitVec):
-        """The online phase as one protocol side: hello, inputs, every level,
-        flush and outputs. An AND level's round is yielded here, between the
-        plain code of `_and_open` and `_and_close`."""
-        yield from self._hello()
-        h = circuit.header
         kb = self.kappa // 8
-        _, levels = circuit.row_schedule
         w = np.zeros((h.n_wires + 2, 2 * kb + 1), np.uint8)
         if self.role is Role.ALICE:  # the constant-1 wire
             w[h.n_wires + 1, kb] = 1
         else:
             w[h.n_wires + 1, kb + 1:] = self._delta
-        yield from self._input_phase(w, circuit, my_inputs)
+        # run_sides resumes the sides handed frames in this order, so in the
+        # first round the hello is checked, then my keys on the peer's inputs
+        # are completed, and only then is the first AND level closed
+        _, _, out = run_sides(self.ch, self.role, self._hello(),
+                              self._input_phase(w, circuit, my_inputs),
+                              self._online(w, circuit))
+        return out
+
+    def _online(self, w, circuit: Circuit):
+        """The evaluation as a protocol side: one round per AND level, the
+        last carrying the flush, then the output round; a circuit without
+        AND gates flushes in its first round, before its free gates. That
+        first round is also the hello's and the input announcements', whose
+        sides `_hello` and `_input_phase` run beside this one. An AND
+        level's round is yielded here, between the plain code of `_and_open`
+        and `_and_close`."""
+        _, levels = circuit.row_schedule
         mat = self._stage(circuit.n_and)
         g = 0
-        for ands, steps in levels:
+        for k, (ands, steps) in enumerate(levels):
             if ands is not None:
                 ins, o0 = ands
                 reveal, state = self._and_open(w, ins, o0, mat[:, g:g + len(ins)])
                 g += len(ins)
                 nb = (5 * len(ins) + 7) // 8
+                frames = [(MsgType.RT_REVEAL_BATCH, reveal)]
                 if g < circuit.n_and:
-                    (payload,) = yield Swap([(MsgType.RT_REVEAL_BATCH, reveal)],
-                                            [(MsgType.RT_REVEAL_BATCH, nb)])
-                    self._and_close(w, o0, state, payload)
+                    got = yield Swap(frames, [(MsgType.RT_REVEAL_BATCH, nb)])
                 else:  # the last AND level's flight carries the flush
-                    payload, theirs = yield Swap(
-                        [(MsgType.RT_REVEAL_BATCH, reveal),
-                         (MsgType.RT_ACC_FLUSH, flush_payload(self._sent))],
-                        [(MsgType.RT_REVEAL_BATCH, nb), (MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
-                    self._and_close(w, o0, state, payload)
-                    check_flush(theirs, self._expect)
+                    frames.append((MsgType.RT_ACC_FLUSH, flush_payload(self._sent)))
+                    got = yield Swap(frames, [(MsgType.RT_REVEAL_BATCH, nb),
+                                              (MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
+                if k == 1:  # levels[0] has no AND gates, so this was the first round
+                    self._rekey(w, levels[0][1], ins, state)
+                self._and_close(w, o0, state, got[0])
+                if g == circuit.n_and:
+                    check_flush(got[1], self._expect)
                     self._flush_passed()
+            elif not circuit.n_and:  # its free gates then read complete keys
+                yield from flush_accumulators(self._sent, self._expect)
+                self._flush_passed()
             for a, b, out in steps:
                 np.bitwise_xor(w.take(a, axis=0), w.take(b, axis=0), out=w[out])
-        if not circuit.n_and:
-            yield from flush_accumulators(self._sent, self._expect)
-            self._flush_passed()
         return (yield from self._output_phase(w, circuit))

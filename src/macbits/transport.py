@@ -7,8 +7,9 @@ protocol code parses only payloads of the length it expects. A channel
 counts frames and bytes per direction; the online phase asserts its exact
 communication footprint from these counters. A channel is only that
 pipe and holds no session state: `perform_hello` takes the role, kappa and
-psi as arguments and returns the agreed session id, and protocol sides take
-kappa and each global key as plain arguments.
+psi as arguments and returns the agreed session id, `check_hello` checks a
+peer's hello against them, and protocol sides take kappa and each global key
+as plain arguments.
 
 Every exchange with the peer, offline and online, is a protocol side: a
 generator that yields once per flight, `Send(frames)` to send, `Recv(wants)`
@@ -270,25 +271,16 @@ def _unpack_hello(payload: bytes):
     return version, Role(role_v), kappa, psi, sid, payload[_HELLO.size:]
 
 
-def perform_hello(role: Role, kappa: int, psi: int, session_id: bytes = None,
-                  extra: bytes = b"", rng=None):
-    """Two-step session handshake, as a protocol side. Alice speaks first and
-    fixes the session id when Bob passes none, so Bob reads her hello before
-    he answers. Any parameter disagreement aborts before protocol traffic.
-    Returns (session_id, peer_extra)."""
-    if role is Role.ALICE:
-        if session_id is None:
-            if rng is None:
-                raise UsageError("alice needs a session id or an rng to mint one")
-            session_id = rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "little")
-        yield Send((MsgType.HELLO, _pack_hello(role, kappa, psi, session_id, extra)))
-    (payload,) = yield Recv((MsgType.HELLO, None))
+def hello_frame(role: Role, kappa: int, psi: int, session_id: bytes, extra: bytes = b""):
+    """A HELLO frame, as one (MsgType, payload) entry of a flight."""
+    return MsgType.HELLO, _pack_hello(role, kappa, psi, session_id, extra)
+
+
+def check_hello(payload: bytes, role: Role, kappa: int, psi: int, session_id: bytes) -> bytes:
+    """The peer's extra from its HELLO payload, which must name the other
+    role, this protocol version, kappa, psi and session_id; any disagreement
+    is a ProtocolError."""
     version, prole, pk, pp, psid, pextra = _unpack_hello(payload)
-    if role is Role.BOB:
-        if session_id is not None and psid != session_id:
-            raise ProtocolError("session id mismatch")
-        session_id = psid
-        yield Send((MsgType.HELLO, _pack_hello(role, kappa, psi, session_id, extra)))
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"protocol version mismatch: {version}")
     if prole == role:
@@ -297,7 +289,31 @@ def perform_hello(role: Role, kappa: int, psi: int, session_id: bytes = None,
         raise ProtocolError(f"parameter mismatch: peer has kappa={pk}, psi={pp}")
     if psid != session_id:
         raise ProtocolError("session id mismatch")
-    return session_id, pextra
+    return pextra
+
+
+def perform_hello(role: Role, kappa: int, psi: int, session_id: bytes = None,
+                  extra: bytes = b"", rng=None):
+    """Two-step session handshake, as a protocol side. Alice speaks first and
+    fixes the session id when Bob passes none, so Bob reads her hello before
+    he answers. Any parameter disagreement aborts before protocol traffic.
+    Returns (session_id, peer_extra). Parties that both hold the session id
+    can instead swap `hello_frame`s in one round and `check_hello` the
+    peer's."""
+    if role is Role.ALICE:
+        if session_id is None:
+            if rng is None:
+                raise UsageError("alice needs a session id or an rng to mint one")
+            session_id = rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "little")
+        yield Send(hello_frame(role, kappa, psi, session_id, extra))
+    (payload,) = yield Recv((MsgType.HELLO, None))
+    if role is Role.BOB:
+        psid = _unpack_hello(payload)[4]
+        if session_id is not None and psid != session_id:
+            raise ProtocolError("session id mismatch")
+        session_id = psid
+        yield Send(hello_frame(role, kappa, psi, session_id, extra))
+    return session_id, check_hello(payload, role, kappa, psi, session_id)
 
 
 class Swap:
@@ -364,8 +380,10 @@ def run_sides(ch: Channel, role: Role, *sides) -> list:
     anything else is a UsageError; a peer whose flights do not line up
     shows as a frame of the wrong type or size (ProtocolError).
 
-    Within a round, the sides that were handed frames resume first, so what
-    they read is dropped before the other sides build their frames.
+    Within a round, the sides that were handed frames resume first, in side
+    order, so what they read is dropped before the other sides build their
+    frames, and a side may rely on the sides before it having taken their
+    frames in.
     """
     results = [None] * len(sides)
     replies = [None] * len(sides)

@@ -23,26 +23,26 @@ EXPECTED = {
     A: [
         ('HELLO', 'dc2614c5603092c798bb84a63f4bc84d4cb80bd071762ac966d88c55bdb5214b'),
         ('RT_ANNOUNCE_BATCH', 'dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8'),
-        ('RT_REVEAL_BATCH', '8d361e9de38103aad3a32c71fa47720bdc8b405daadfa8a65a15fe43cf12f911'),
-        ('RT_REVEAL_BATCH', 'b936c58bc18f85838ac3707172897ae32b387f0d6b239973c7c3ad594592b3d9'),
-        ('RT_REVEAL_BATCH', '7ea34e7a8cf060f85d1b5f0424dcf94b33a04ce6d630863a7a8403efba88091f'),
-        ('RT_REVEAL_BATCH', '45808bec8c24fac8e4f48f0e99338ac02945670edb28f4ac44eee42f1c93655e'),
-        ('RT_REVEAL_BATCH', 'ff82f05a384e1b5a3f068e8786fd6511549be20a5d2bf29538ba04502734b33b'),
-        ('RT_REVEAL_BATCH', 'f3ddddf2d8832102525f7dff44ab8ba9eef925f5b83260c6886929c88effabb1'),
-        ('RT_ACC_FLUSH', 'eb3dd3355137801d29de9b9d8a51ebf4fa3de2e608610047510797c7b2af853c'),
-        ('RT_OUTPUT', 'd7658b6337246c68731f33ad487c7ccb24af00b3e325c008e1acd3228a83327e'),
+        ('RT_REVEAL_BATCH', 'bfc40c6f0e04d9d05b62557e4530076cf58ba710f9b04ed11eb1b57eba6cf360'),
+        ('RT_REVEAL_BATCH', 'ff2003c6638f143d00db84664ceeb1a2b6b555cafee803f4bb893f472c6ef00a'),
+        ('RT_REVEAL_BATCH', 'ee0f38439630851e8ee6b46e75a83e3644df6ac837385cf051e6c2433f519d29'),
+        ('RT_REVEAL_BATCH', '56e12411e9a33cb869c88a92e98da1696c7ee1e6b8403d7516c4c79e5b14e5f2'),
+        ('RT_REVEAL_BATCH', '60a76d1d5b05ec3c3fb3b079f44352f12111bee342e9c75423057b7d556045f5'),
+        ('RT_REVEAL_BATCH', '5c6037e17112ad2502ced33a32a65e1df780e7996de2b65aff08f47c4c58a3d0'),
+        ('RT_ACC_FLUSH', '5aae8d06082989133751cb012df035007353f6a44fd9097fed70f3a3b0461287'),
+        ('RT_OUTPUT', '74aba2d5625dda63b064c56531743bd7ff161c2577b41efb75ecf0180b146b65'),
     ],
     B: [
         ('HELLO', 'fec31f0b331f45a3139bfdf6bba155a1843202867d5b2edb362adc5ce36ac97f'),
         ('RT_ANNOUNCE_BATCH', 'e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db'),
-        ('RT_REVEAL_BATCH', 'b1709ac5b3a1e14838eb12713b5d6228aeb02249aafbdc9a9e42f1132e98bf64'),
-        ('RT_REVEAL_BATCH', '5133fb11bf817a31013281ec63bb8c5ce637ad3af916a1acd45f05d4b99f1b87'),
-        ('RT_REVEAL_BATCH', '2ef91b2a98cc67294e8171f3cae68ad416ca5827e5c99307f307b3707c5b0675'),
-        ('RT_REVEAL_BATCH', '5449942fb711b32b6c092dce3531a3c60435e56bf9d4a0047a4b414918b92dff'),
-        ('RT_REVEAL_BATCH', 'e68f9fc5f6eba583210b29e59f8b222da00179ba7551ccd02139af8a64465884'),
-        ('RT_REVEAL_BATCH', '67848a207e8e22e685bc2b4d62e9587487176d384bd2c819a01bb413e1c57213'),
-        ('RT_ACC_FLUSH', 'e4633ea32c08d4e8a9df5d45387edacfb8d8fb0e9b4e6a978bc4ae6b9ed1bf01'),
-        ('RT_OUTPUT', '24a6bc2ffdce04359d792df0c248efd57f9886ea0aca41d78fe2ced145f37b6e'),
+        ('RT_REVEAL_BATCH', 'c90f19c680323b4a8726c66ce72057058e215126f7ad7e515ca4b7c0a5d6b957'),
+        ('RT_REVEAL_BATCH', '5f7e2eda2448602e8529d4a3efdc665082ffdc76282d847be10c71decce62192'),
+        ('RT_REVEAL_BATCH', '9935e2155c36e85d17911b013b0cecd90b4acb7360f1039f3a562e34d1637d5b'),
+        ('RT_REVEAL_BATCH', 'f37c861ff7174c6e8c3887a528aa3baf95f997398167bbcdf45841dc27d8252d'),
+        ('RT_REVEAL_BATCH', 'e17b96f2baa3b0cb34a3578b7956b2e2a50373f0964679c20c2a02a952509c02'),
+        ('RT_REVEAL_BATCH', '9037f92bc91fdcc764a89d9144c341d887ffc83351cc8cf0530555c89920a47d'),
+        ('RT_ACC_FLUSH', 'c0e6aa0f01ef111ca626012fd29f7fcb429a3d7bbff8e6fc02b2f03d92a4e7ba'),
+        ('RT_OUTPUT', 'a48d230d75ed4fecdf6669272861a4fa221f9871c5359bb57c307cd15930044e'),
     ],
 }
 # MsgType -> (frames, bytes with headers) per party; they do not depend on

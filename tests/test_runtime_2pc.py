@@ -4,6 +4,7 @@ import re
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -267,7 +268,7 @@ def cut_store(store, counts):
 
 
 def test_staging_burns_the_records_the_levels_use():
-    """The AND material is burned at once, after the input round: stores
+    """The AND material is burned at once, once the inputs are shared: stores
     with surplus records in every stream send the same frames and give the
     same outputs as the same stores cut to the circuit's exact need, and
     keep the surplus."""
@@ -296,7 +297,7 @@ def test_staging_burns_the_records_the_levels_use():
 
 
 def test_and_levels_take_no_material(monkeypatch):
-    """Past the input round a party takes each stream's AND records in one
+    """Past its inputs a party takes each stream's AND records in one
     call, however many levels the circuit has."""
     rng = random.Random(42)
     c = random_circuit(rng, 120)
@@ -366,23 +367,34 @@ def test_exact_wire_bytes_follow_level_schedule():
 
 
 def test_online_flights_follow_and_depth():
-    """Both parties' reveals of an AND level cross in one exchange. With
-    outputs going both ways, Alice flies her hello, her inputs, one flight
-    per AND level and her outputs; Bob's inputs ride in his hello flight,
-    and each party's flush in its last AND level's flight. The benchmark's
-    online_flights is their sum, 2 * depth + 5."""
+    """Both parties' reveals of an AND level cross in one exchange, and so
+    do the first level's with both hellos and both input announcements:
+    with outputs going both ways each party flies one flight per AND level
+    and one with its outputs, and its flush rides in its last AND level's
+    flight. A circuit without AND gates swaps hellos, inputs and flush in a
+    flight of its own. The benchmark's online_flights is their sum,
+    2 * depth + 2 (4 at depth 0)."""
     rng = random.Random(19)
-    c = random_circuit(rng, 60)
-    depth = sum(ands is not None for ands, _ in c.row_schedule[1])
-    assert depth > 1 and set(c.header.output_dest) == {DEST_BOTH}
-    sa, sb = oracle_store_pair(c, rng)
-    xa, xb = random_inputs(c, rng)
-    with closing_pair(counting_pair(timeout=60.0)) as (ca, cb):
-        rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
-        out_a, out_b = run_pair(lambda: rt_a.evaluate(c, xa), lambda: rt_b.evaluate(c, xb),
-                                timeout=60, channels=(ca, cb))
-    assert out_a == out_b == plain_eval(c, xa, xb)
-    assert (ca.flights, cb.flights) == (depth + 3, depth + 2)
+    deep = random_circuit(rng, 60)
+    free = random_circuit(rng, 20, kinds=("XOR", "INV", "EQW"))
+    for depth, c in ((3, deep), (1, AND_1), (0, free)):
+        assert sum(ands is not None for ands, _ in c.row_schedule[1]) == depth
+        assert set(c.header.output_dest) == {DEST_BOTH}
+        sa, sb = oracle_store_pair(c, rng)
+        xa, xb = random_inputs(c, rng)
+        with closing_pair(counting_pair(timeout=60.0)) as (ca, cb):
+            rt_a, rt_b = Runtime(ca, A, sa), Runtime(cb, B, sb)
+            out_a, out_b = run_pair(lambda: rt_a.evaluate(c, xa),
+                                    lambda: rt_b.evaluate(c, xb),
+                                    timeout=60, channels=(ca, cb))
+        assert out_a == out_b == plain_eval(c, xa, xb)
+        assert (ca.flights, cb.flights) == (max(depth, 1) + 1,) * 2, depth
+        first = ["HELLO", "RT_ANNOUNCE_BATCH"] + ["RT_REVEAL_BATCH"] * (depth > 0)
+        if depth < 2:
+            first.append("RT_ACC_FLUSH")
+        for ch in (ca, cb):
+            ops = [op for op, _ in ch.log]
+            assert [m.name for _, m in ch.log[:ops.index("recv")]] == first, depth
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +476,73 @@ def test_handshake_rejects_commit_mismatch():
     sb.gk_commit = bytes(32)
     with pytest.raises(ProtocolAbort):
         eval_two(AND_1, sa, sb, BitVec(1, 1), BitVec(1, 1), timeout=10)
+
+
+def test_both_parties_refuse_a_foreign_commitment():
+    """The hellos cross in the first round, with the first level's reveals:
+    with one commitment bit flipped, each party refuses the other's hello
+    itself (phase "hello"), and neither sends an output."""
+    rng = random.Random(22)
+    c = random_circuit(rng, 40)
+    sa, sb = oracle_store_pair(c, rng)
+    sb.gk_commit = bytes([sb.gk_commit[0] ^ 1]) + sb.gk_commit[1:]
+    xa, xb = random_inputs(c, rng)
+    errors = {}
+
+    def evaluate(ch, role, store, x):
+        try:
+            Runtime(ch, role, store).evaluate(c, x)
+        except Exception as e:  # noqa: BLE001 - checked below
+            errors[role] = e
+
+    with closing_pair(counting_pair(timeout=10.0)) as (ca, cb):
+        threads = [threading.Thread(target=evaluate, args=args, daemon=True)
+                   for args in ((ca, A, sa, xa), (cb, B, sb, xb))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+            assert not t.is_alive()
+        sent = [[m for m, _ in ch.sent] for ch in (ca, cb)]
+    assert {r: (type(e), e.phase) for r, e in errors.items()} == \
+        {A: (ProtocolAbort, "hello"), B: (ProtocolAbort, "hello")}
+    for frames in sent:
+        assert MsgType.HELLO in frames and MsgType.RT_OUTPUT not in frames
+
+
+# Alice's wires 0, 1 and Bob's 2, 3; the outputs are 2 & 0 (an AND level),
+# 1 ^ 3 ^ 2 (XORs only) and a copy of Bob's input wire 3
+ROUTED = Circuit.from_text("4 8\n2 2 3\n"
+                           "2 1 1 3 4 XOR\n2 1 0 2 5 AND\n2 1 4 2 6 XOR\n1 1 3 7 EQW\n")
+
+
+def test_input_wires_through_free_gates_to_outputs():
+    """Input wires that reach outputs through free gates only, or straight
+    through a copy, open to their plain values."""
+    rng = random.Random(23)
+    for v in range(16):
+        xa, xb = BitVec.from_bits([v & 1, v >> 1 & 1]), BitVec.from_bits([v >> 2 & 1, v >> 3])
+        sa, sb = oracle_store_pair(ROUTED, rng)
+        out_a, out_b, _, _ = eval_two(ROUTED, sa, sb, xa, xb, timeout=20)
+        assert out_a == out_b == plain_eval(ROUTED, xa, xb), v
+
+
+@pytest.mark.parametrize("cheater", [A, B], ids=["alice-wire-1-via-xors", "bob-wire-3-copied"])
+def test_a_flipped_announcement_aborts_at_the_output_digest(cheater):
+    """A party that flips the announced masked bit of its second input wire
+    (frame 1, bit 1, after its hello) leaves the peer's key on that wire
+    off by delta. The wire reaches an output through free gates only, so no
+    AND level's flush sees it, and the peer refuses the output's digest."""
+    rng = random.Random(24)
+    sa, sb = oracle_store_pair(ROUTED, rng)
+    xa, xb = random_inputs(ROUTED, rng)
+    with closing_pair(flip_pair(cheater, 1, 1, timeout=20.0)) as (ca, cb):
+        with pytest.raises(ProtocolAbort) as e:
+            run_pair(lambda: Runtime(ca, A, sa).evaluate(ROUTED, xa),
+                     lambda: Runtime(cb, B, sb).evaluate(ROUTED, xb),
+                     timeout=20, channels=(ca, cb))
+        assert ({A: ca, B: cb}[cheater].sent[1][0]) is MsgType.RT_ANNOUNCE_BATCH
+    assert e.value.phase == "output"
 
 
 def test_handshake_rejects_foreign_session():
@@ -679,10 +758,10 @@ def test_output_forgery_rate_at_reduced_kappa():
 def test_online_replay_script(tmp_path):
     """scripts/online_replay.py records a two-party evaluation of a small
     circuit, then times Alice's evaluation against a replay of Bob's frames.
-    Alice sends her hello (62 bytes with its header), her inputs (6), two
-    levels' reveals (7, 6), the flush (45) in the last level's flight, and
-    one output bit with its 16-byte digest (22): 148 bytes in depth + 3 = 5
-    flights."""
+    Each party sends its hello (62 bytes with its header), its inputs (6)
+    and the first level's reveals (7) in one flight, the second level's
+    reveals (6) with the flush (45) in the next, and one output bit with its
+    16-byte digest (22) in the last: 148 bytes in depth + 1 = 3 flights."""
     path = tmp_path / "and3.txt"
     path.write_text("3 7\n2 2 1\n2 1 0 2 4 AND\n2 1 1 3 5 AND\n2 1 4 5 6 AND\n")
     env = dict(os.environ)
@@ -694,8 +773,9 @@ def test_online_replay_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == f"{path}: 3 AND gates in 2 levels; Alice reads 6 frames, sends 6"
-    assert lines[1] == "Alice sends 148 bytes in 5 flights"
+    assert lines[1] == "Alice sends 148 bytes in 3 flights"
+    assert lines[2] == "Bob sends 148 bytes in 3 flights"
     assert re.fullmatch(r"evaluate: median [0-9.]+ ms, fastest [0-9.]+ ms over 2 runs",
-                        lines[2]), lines[2]
-    for name, line in zip(("_and_open", "_and_close"), lines[3:], strict=True):
+                        lines[3]), lines[3]
+    for name, line in zip(("_and_open", "_and_close"), lines[4:], strict=True):
         assert re.fullmatch(rf"{name}: median [0-9.]+ ms per evaluation", line), line
