@@ -27,7 +27,8 @@ frame on its way out (the tests do so with `helpers.rewrite_sends`).
 The seed OTs come from a backend with `send(pairs)` and
 `receive(choices, n_bits)` sides. The one backend, `DealerOt`, is a
 deliberately insecure trusted-dealer stand-in for lab use: one endpoint
-mints a seed and sends it to the peer in the clear, and both derive every
+mints a seed and sends it to the peer in the clear (XORed with the
+session id, which binds the pads to the session), and both derive every
 batch's transfer pads, both branches of every instance, from one `expand`
 stream of it. It is correct as an OT (the honest receiver unmasks only its
 chosen branch) and exercises the real framing, but offers no privacy
@@ -76,17 +77,20 @@ class DealerOt:
         self._ctr = {True: 0, False: 0}
         self.instances = 0
 
-    def setup(self, mint: bool):
+    def setup(self, mint: bool, session_id: bytes = bytes(16)):
         """Agree on the dealer seed before either direction sends: the
-        minting endpoint sends it, the other receives it."""
+        minting endpoint sends it XORed with its 16-byte session id, the
+        other receives it and XORs its own session id back out. So two
+        endpoints that hold different session ids derive different pads,
+        and their deal fails its checks."""
         if mint:
             if self._rng is None:
                 raise UsageError("the minting endpoint needs an rng for the dealer seed")
             self._seed, self._minted = self._rng.getrandbits(128).to_bytes(16, "little"), True
-            yield Send((MsgType.OT_SETUP, self._seed))
+            yield Send((MsgType.OT_SETUP, bytes(a ^ b for a, b in zip(self._seed, session_id))))
         else:
             (seed,) = yield Recv((MsgType.OT_SETUP, 16))
-            self._seed = bytes(seed)
+            self._seed = bytes(a ^ b for a, b in zip(seed, session_id))
 
     def _pads(self, sender_minted: bool, n: int, nb: int) -> np.ndarray:
         """The nb-byte pads of both branches of the direction's next n

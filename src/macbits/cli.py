@@ -140,6 +140,8 @@ def cmd_eval(args) -> int:
     if len(blob) != (n_mine + 7) // 8:
         raise UsageError(f"this party supplies {n_mine} input bits "
                          f"({(n_mine + 7) // 8} hex-encoded bytes)")
+    if int.from_bytes(blob, "little") >> n_mine:
+        raise UsageError(f"--input sets a bit past this party's {n_mine} input bits")
     my_inputs = BitVec.from_bytes(n_mine, blob)
     host, port = _parse_addr(args.peer)
     ch = tcp_listen(host, port) if role is Role.ALICE else tcp_connect(host, port)

@@ -9,9 +9,11 @@ Each party's bits are authenticated under the other party's key, so the
 two owners' pipelines are independent, and so are the two owners' leaky
 triples and the two directions' leaky quads. Every exchange of deal() is a
 protocol side run by `transport.run_sides`, and the independent ones run
-side by side: first the hello with the OT dealer's seed, then both
-`produce_abits` sides, then the laAND sides of both owners with the laOT
-sides of both directions. Every side yields one flight at a time; in each
+side by side: first `transport.hello`, the one-round hello the online
+phase runs too, beside the OT dealer's seed, so both parties' HELLOs cross
+in one round and Alice's seed rides with hers; then both `produce_abits`
+sides, then the laAND sides of both owners with the laOT sides of both
+directions. Every side yields one flight at a time; in each
 round both parties compute their own sides' payloads at once, then
 exchange them in one of `run_sides`' three modes: a small round sends
 before it reads; a round above `transport.DUPLEX_MIN` (a batch of aBit
@@ -62,10 +64,10 @@ from .abit_proto import Rows, produce_abits
 from .aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
                         laot_receiver, laot_sender)
 from .base_ot import DealerOt
-from .errors import OutOfMaterial, ParseError, ProtocolAbort, UsageError
+from .errors import OutOfMaterial, ParseError, ProtocolAbort, ProtocolError, UsageError
 from .ro_suite import (DIGEST_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
                        flush_accumulators, ro_hash)
-from .transport import Channel, MsgType, Role, Swap, perform_hello, run_sides
+from .transport import SESSION_ID_BYTES, Channel, MsgType, Role, Swap, hello, run_sides
 
 MAGIC = b"MACBITS\x00"
 STORE_VERSION = 2
@@ -255,13 +257,26 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     backend = DealerOt(rng)
     kb = cfg.kappa // 8
 
-    # Both owners' aBits side by side. Alice mints the OT dealer seed first,
-    # so that both directions can send seed OTs in the same flight; it rides
-    # in her hello's flight, drawn after her session id.
+    # Alice mints the session id; Bob's hello carries zeros in its place and
+    # he takes hers. Both hellos cross in one round. Alice's OT dealer seed,
+    # which she mints next, rides in her hello's flight under her session
+    # id, so that both owners' aBits can send seed OTs in the same flight,
+    # and a session id changed on its way to Bob fails the deal. Each party
+    # checks the peer's hello when that round ends, before it builds an OT
+    # frame; Bob then reads the seed, which has already come.
     demand = {owner: cfg.abit_demand(owner) for owner in (Role.ALICE, Role.BOB)}
     owners = [owner for owner, n in demand.items() if n]
-    setup = [backend.setup(mint=role is Role.ALICE)] if owners else []
-    (sid, _), *_ = run_sides(ch, role, perform_hello(role, cfg.kappa, cfg.psi, rng=rng), *setup)
+    alice = role is Role.ALICE
+    sid = (rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "little")
+           if alice else bytes(SESSION_ID_BYTES))
+    setup = [backend.setup(True, sid)] if owners and alice else []
+    (peer_sid, _), *_ = run_sides(ch, role, hello(role, cfg.kappa, cfg.psi, sid), *setup)
+    if not alice:
+        sid = peer_sid
+        if owners:
+            run_sides(ch, role, backend.setup(False, sid))
+    elif peer_sid != bytes(SESSION_ID_BYTES):
+        raise ProtocolError("session id mismatch")
     made = run_sides(ch, role, *(produce_abits(ch, role, owner, demand[owner], cfg.kappa,
                                                rng, backend) for owner in owners))
     # Per owner: the MAC rows of its bits if I own them, else my key rows.

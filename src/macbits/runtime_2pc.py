@@ -60,29 +60,30 @@ revealed bits, its flush digest, and its output bits and their digest.
 The hello, the input announcements and the evaluation are three protocol
 sides, which `evaluate` runs side by side with `transport.run_sides`, so
 their first flights go out as one. Both parties' HELLO, RT_ANNOUNCE_BATCH
-and first AND level's reveals (with the flush if that level is the last;
-a circuit without AND gates sends the flush alone) cross in one round: the
-hello needs no answer, since both parties read the session id and the
-material commitment from their stores, and the level's reveals need no
-announcement. `run_sides` resumes the three in that order, so each party
-first checks the peer's hello (`_hello`), then adds m * delta for each
-announced m to its keys on the peer's input wires (`_input_phase`), and
-then redoes what read those keys before the round, level 0's free steps
-and the first level's gathered key halves (`_rekey`), before it closes
-the level. Every round is symmetric, both parties' frames crossing at
-once, so both run the same code; an AND level's round is yielded by the
-evaluation side itself, between the plain code of `_and_open` and
-`_and_close`. So with outputs going both ways an evaluation of AND depth
-D >= 1 takes D + 1 flights per party, 2 * D + 2 in all, and one of depth 0
-takes 2 per party. What a party sends before it has checked the hello is
-its announcement and the first level's reveals, each masked by one-time
-material; the MAC checks stay deferred to the flush and the output digest.
-The parameters come from the store: kappa, psi, the session id and the
-global key this party holds, a (kappa/8,) row like a key row; the channel
-only carries the frames. Before the first round, `evaluate` checks that
-the store holds the material the circuit burns, and fails with
-OutOfMaterial if it is too small, and builds the circuit's schedule, so
-the peer does not wait on it.
+and first AND level's reveals (with the flush if that level is the last; a
+circuit without AND gates sends the flush alone) cross in one round: the
+hello is `transport.hello`, the one-round hello the deal runs too, with
+the session id and the material commitment read from the store, and the
+level's reveals need no announcement. `run_sides` resumes the three in
+that order, so each party first checks the peer's hello (`_hello`: the
+session id and the commitment, once `hello` has checked the parameters),
+then adds m * delta for each announced m to its keys on the peer's input
+wires (`_input_phase`), and then redoes what read those keys before the
+round, level 0's free steps and the first level's gathered key halves
+(`_rekey`), before it closes the level. Every round is symmetric, both
+parties' frames crossing at once, so both run the same code; an AND
+level's round is yielded by the evaluation side itself, between the plain
+code of `_and_open` and `_and_close`. So with outputs going both ways an
+evaluation of AND depth D >= 1 takes D + 1 flights per party, 2 * D + 2 in
+all, and one of depth 0 takes 2 per party. What a party sends before it
+has checked the hello is its announcement and the first level's reveals,
+each masked by one-time material; the MAC checks stay deferred to the
+flush and the output digest. The parameters come from the store: kappa,
+psi, the session id and the global key this party holds, a (kappa/8,) row
+like a key row; the channel only carries the frames. Before the first
+round, `evaluate` checks that the store holds the material the circuit
+burns, and fails with OutOfMaterial if it is too small, and builds the
+circuit's schedule, so the peer does not wait on it.
 """
 
 from __future__ import annotations
@@ -94,10 +95,10 @@ import numpy as np
 from .bitlinalg import BitVec, pack_bits, unpack_bits
 from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
 from .dealer import DealerConfig, MaterialStore
-from .errors import OutOfMaterial, ProtocolAbort, UsageError
+from .errors import OutOfMaterial, ProtocolAbort, ProtocolError, UsageError
 from .ro_suite import (FLUSH_BYTES, MacAccumulator, check_flush, flush_accumulators,
                        flush_payload, ro_hash)
-from .transport import Channel, MsgType, Role, Send, Swap, check_hello, hello_frame, run_sides
+from .transport import Channel, MsgType, Role, Send, Swap, hello, run_sides
 
 
 def _term_codes() -> np.ndarray:
@@ -193,23 +194,15 @@ class Runtime:
     # -- session ------------------------------------------------------------
 
     def _hello(self):
-        """The hello as a protocol side of one round: both parties read the
-        session id and the material commitment from their stores, so their
-        hellos cross."""
+        """`transport.hello` with the store's parameters and material
+        commitment as its extra; the peer must name the same session id and
+        commitment."""
         st = self.store
-        (payload,) = yield Swap(
-            [hello_frame(self.role, self.kappa, st.psi, st.session_id, st.gk_commit)],
-            [(MsgType.HELLO, None)])
-        if check_hello(payload, self.role, self.kappa, st.psi, st.session_id) != st.gk_commit:
+        sid, commit = yield from hello(self.role, self.kappa, st.psi, st.session_id, st.gk_commit)
+        if sid != st.session_id:
+            raise ProtocolError("session id mismatch")
+        if commit != st.gk_commit:
             raise ProtocolAbort("hello", "material commitment mismatch")
-
-    # -- reveal plumbing ------------------------------------------------------
-
-    def _flush_passed(self):
-        """Start both chains afresh once a flush has passed."""
-        self._sent = MacAccumulator()
-        self._expect = MacAccumulator()
-        self.stats.flushes += 1
 
     # -- batched AND level ----------------------------------------------------
 
@@ -419,10 +412,10 @@ class Runtime:
                 self._and_close(w, o0, state, got[0])
                 if g == circuit.n_and:
                     check_flush(got[1], self._expect)
-                    self._flush_passed()
+                    self.stats.flushes += 1
             elif not circuit.n_and:  # its free gates then read complete keys
                 yield from flush_accumulators(self._sent, self._expect)
-                self._flush_passed()
+                self.stats.flushes += 1
             for a, b, out in steps:
                 np.bitwise_xor(w.take(a, axis=0), w.take(b, axis=0), out=w[out])
         return (yield from self._output_phase(w, circuit))

@@ -6,10 +6,11 @@ length, payload. `Channel.recv` checks each frame's type and size, so
 protocol code parses only payloads of the length it expects. A channel
 counts frames and bytes per direction; the online phase asserts its exact
 communication footprint from these counters. A channel is only that
-pipe and holds no session state: `perform_hello` takes the role, kappa and
-psi as arguments and returns the agreed session id, `check_hello` checks a
-peer's hello against them, and protocol sides take kappa and each global key
-as plain arguments.
+pipe and holds no session state: `hello`, the one session handshake of
+both phases, takes the role, kappa, psi and session id as arguments, swaps
+HELLOs in one round and returns the peer's session id for its caller to
+check, and protocol sides take kappa and each global key as plain
+arguments.
 
 Every exchange with the peer, offline and online, is a protocol side: a
 generator that yields once per flight, `Send(frames)` to send, `Recv(wants)`
@@ -252,68 +253,33 @@ def tcp_connect(host: str, port: int, timeout: float = 120.0, retry_for: float =
 _HELLO = struct.Struct(f">HBHH{SESSION_ID_BYTES}sH")
 
 
-def _pack_hello(role: Role, kappa: int, psi: int, session_id: bytes, extra: bytes) -> bytes:
+def hello(role: Role, kappa: int, psi: int, session_id: bytes, extra: bytes = b""):
+    """The session hello, as a protocol side of one round: both parties'
+    HELLOs cross, and each party checks that the peer's names the other
+    role, this protocol version, kappa and psi. Any disagreement is a
+    ProtocolError, raised before the side's caller builds another frame.
+    Returns the peer's (session_id, extra), which the caller checks, as
+    only it knows what to expect."""
     if len(session_id) != SESSION_ID_BYTES:
         raise UsageError("session id must be 16 bytes")
     if len(extra) > 0xFFFF:
         raise UsageError("hello extra too large")
-    return _HELLO.pack(PROTOCOL_VERSION, role.value, kappa, psi, session_id, len(extra)) + extra
-
-
-def _unpack_hello(payload: bytes):
+    mine = _HELLO.pack(PROTOCOL_VERSION, role.value, kappa, psi, session_id, len(extra)) + extra
+    (payload,) = yield Swap([(MsgType.HELLO, mine)], [(MsgType.HELLO, None)])
     if len(payload) < _HELLO.size:
         raise ProtocolError(f"hello too short: {len(payload)} bytes")
-    version, role_v, kappa, psi, sid, elen = _HELLO.unpack_from(payload)
+    version, prole, pk, pp, psid, elen = _HELLO.unpack_from(payload)
     if len(payload) != _HELLO.size + elen:
         raise ProtocolError(f"hello length {len(payload)} does not match its extra length {elen}")
-    if role_v not in (r.value for r in Role):
-        raise ProtocolError(f"hello names unknown role {role_v}")
-    return version, Role(role_v), kappa, psi, sid, payload[_HELLO.size:]
-
-
-def hello_frame(role: Role, kappa: int, psi: int, session_id: bytes, extra: bytes = b""):
-    """A HELLO frame, as one (MsgType, payload) entry of a flight."""
-    return MsgType.HELLO, _pack_hello(role, kappa, psi, session_id, extra)
-
-
-def check_hello(payload: bytes, role: Role, kappa: int, psi: int, session_id: bytes) -> bytes:
-    """The peer's extra from its HELLO payload, which must name the other
-    role, this protocol version, kappa, psi and session_id; any disagreement
-    is a ProtocolError."""
-    version, prole, pk, pp, psid, pextra = _unpack_hello(payload)
+    if prole not in (r.value for r in Role):
+        raise ProtocolError(f"hello names unknown role {prole}")
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"protocol version mismatch: {version}")
-    if prole == role:
+    if prole == role.value:
         raise ProtocolError("both endpoints claim the same role")
     if (pk, pp) != (kappa, psi):
         raise ProtocolError(f"parameter mismatch: peer has kappa={pk}, psi={pp}")
-    if psid != session_id:
-        raise ProtocolError("session id mismatch")
-    return pextra
-
-
-def perform_hello(role: Role, kappa: int, psi: int, session_id: bytes = None,
-                  extra: bytes = b"", rng=None):
-    """Two-step session handshake, as a protocol side. Alice speaks first and
-    fixes the session id when Bob passes none, so Bob reads her hello before
-    he answers. Any parameter disagreement aborts before protocol traffic.
-    Returns (session_id, peer_extra). Parties that both hold the session id
-    can instead swap `hello_frame`s in one round and `check_hello` the
-    peer's."""
-    if role is Role.ALICE:
-        if session_id is None:
-            if rng is None:
-                raise UsageError("alice needs a session id or an rng to mint one")
-            session_id = rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "little")
-        yield Send(hello_frame(role, kappa, psi, session_id, extra))
-    (payload,) = yield Recv((MsgType.HELLO, None))
-    if role is Role.BOB:
-        psid = _unpack_hello(payload)[4]
-        if session_id is not None and psid != session_id:
-            raise ProtocolError("session id mismatch")
-        session_id = psid
-        yield Send(hello_frame(role, kappa, psi, session_id, extra))
-    return session_id, check_hello(payload, role, kappa, psi, session_id)
+    return psid, payload[_HELLO.size:]
 
 
 class Swap:

@@ -246,7 +246,7 @@ def test_eval_unreadable_file_is_a_usage_error(dealt, toy_file, tmp_path, capsys
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("bad_input", ["zz", "0102", ""])
+@pytest.mark.parametrize("bad_input", ["zz", "0102", "", "ff"])
 def test_eval_rejects_bad_input(dealt, toy_file, bad_input):
     pa, _ = dealt
     rc = cli_main(["eval", "--role", "A", "--circuit", toy_file,

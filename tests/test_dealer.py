@@ -281,6 +281,54 @@ def test_deal_fresh_seed_fresh_session():
     assert not np.array_equal(sa1.delta, sa2.delta)
 
 
+def test_deal_hello_takes_one_round():
+    """Both parties' HELLOs cross in the deal's first round: Bob sends his
+    before he reads Alice's, and takes her session id."""
+    with closing_pair(counting_pair(timeout=60.0)) as (a, b):
+        sa, sb = run_pair(lambda: deal(a, A, SMALL, random.Random(1)),
+                          lambda: deal(b, B, SMALL, random.Random(2)),
+                          timeout=60, channels=(a, b))
+    assert b.log[0] == ("send", MsgType.HELLO)
+    assert [m for m, _ in a.sent[:2]] == [MsgType.HELLO, MsgType.OT_SETUP]
+    assert sa.session_id == sb.session_id
+
+
+@pytest.mark.parametrize("bob_cfg", [DealerConfig.for_gates(3, 5, 3, kappa=24, psi=8),
+                                     DealerConfig.for_gates(3, 5, 3, kappa=16, psi=9)],
+                         ids=["kappa", "psi"])
+def test_deal_hello_mismatch_aborts_before_ot(bob_cfg):
+    """Parties that disagree on kappa or psi both raise ProtocolError when
+    the hellos' round ends, each having sent only its first flight."""
+    def caught(fn):
+        try:
+            fn()
+        except ProtocolError as e:
+            return e
+
+    with closing_pair(counting_pair(timeout=60.0)) as (a, b):
+        ea, eb = run_pair(lambda: caught(lambda: deal(a, A, SMALL, random.Random(1))),
+                          lambda: caught(lambda: deal(b, B, bob_cfg, random.Random(2))),
+                          timeout=60)
+    assert "parameter mismatch" in str(ea) and "parameter mismatch" in str(eb)
+    assert [m for m, _ in a.sent] == [MsgType.HELLO, MsgType.OT_SETUP]
+    assert [m for m, _ in b.sent] == [MsgType.HELLO]
+
+
+@pytest.mark.parametrize("cheater", [A, B], ids=["alice", "bob"])
+def test_deal_fails_on_a_changed_session_id(cheater):
+    """A bit flipped in the session id of a party's HELLO fails the deal.
+    Bob learns Alice's id from her hello alone, and her dealer seed crosses
+    XORed with it, so he would derive other pads; Bob's hello must name no
+    id."""
+    sid_bit = 8 * 7  # past version, role, kappa and psi
+    with closing_pair(flip_pair(cheater, 0, sid_bit)) as (a, b):
+        with pytest.raises((ProtocolAbort, ProtocolError)):
+            run_pair(lambda: deal(a, A, SMALL, random.Random(1)),
+                     lambda: deal(b, B, SMALL, random.Random(2)),
+                     timeout=60, channels=(a, b))
+    assert a.sent[0][0] is b.sent[0][0] is MsgType.HELLO
+
+
 def test_deal_hash_budget(monkeypatch):
     """Per party, the seed OTs' pads are two derivations, one stream for the
     send batch and one for the receive batch, each of both branches of 2*tau

@@ -16,8 +16,8 @@ from macbits.aot_proto import laot_receiver, laot_sender
 from macbits.eq_box import eq_commit_side, eq_respond_side
 from macbits.errors import ProtocolError, TransportError, UsageError
 from macbits.transport import (FRAME_HEADER_BYTES, SEND_FIRST_MAX, MsgType, Recv, Role, Send,
-                               Swap, TcpChannel, _pack_hello, memory_pair, perform_hello,
-                               run_pair, run_sides, tcp_connect, tcp_listen)
+                               Swap, TcpChannel, hello, memory_pair, run_pair, run_sides,
+                               tcp_connect, tcp_listen)
 
 
 @pytest.fixture
@@ -211,22 +211,25 @@ def test_tcp_disconnect_mid_protocol():
     t.join(10)
 
 
+SID = bytes(range(16))
+
+
 def test_hello_agrees(pair):
+    # one round: each party learns the session id the peer named
     a, b = pair
-    rng = random.Random(1)
     (sid_a, _), (sid_b, _) = run_pair(
-        lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 128, 40, rng=rng)),
-        lambda: run_side(b, Role.BOB, perform_hello(Role.BOB, 128, 40)))
-    assert sid_a == sid_b
+        lambda: run_side(a, Role.ALICE, hello(Role.ALICE, 128, 40, SID)),
+        lambda: run_side(b, Role.BOB, hello(Role.BOB, 128, 40, bytes(16))))
+    assert (sid_a, sid_b) == (bytes(16), SID)
+    assert (a.stats.frames_sent, b.stats.frames_sent) == (1, 1)
 
 
 def test_hello_leaves_the_channel_as_it_was(pair):
     # the agreed parameters are the hello's result, not channel state
     a, b = pair
     before = dict(vars(a)), dict(vars(b))
-    rng = random.Random(5)
-    run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng)),
-             lambda: run_side(b, Role.BOB, perform_hello(Role.BOB, 16, 8)))
+    run_pair(lambda: run_side(a, Role.ALICE, hello(Role.ALICE, 16, 8, SID)),
+             lambda: run_side(b, Role.BOB, hello(Role.BOB, 16, 8, SID)))
     assert (vars(a), vars(b)) == before
 
 
@@ -309,32 +312,30 @@ def test_protocol_code_has_no_tamper_hooks():
 
 def test_hello_carries_extra(pair):
     a, b = pair
-    rng = random.Random(2)
     (_, ea), (_, eb) = run_pair(
-        lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng, extra=b"A!")),
-        lambda: run_side(b, Role.BOB, perform_hello(Role.BOB, 16, 8, extra=b"B!")))
+        lambda: run_side(a, Role.ALICE, hello(Role.ALICE, 16, 8, SID, extra=b"A!")),
+        lambda: run_side(b, Role.BOB, hello(Role.BOB, 16, 8, SID, extra=b"B!")))
     assert ea == b"B!" and eb == b"A!"
 
 
 def test_hello_parameter_mismatch_aborts(pair):
     a, b = pair
-    rng = random.Random(3)
-    with pytest.raises(ProtocolError):
-        run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 128, 40, rng=rng)),
-                 lambda: run_side(b, Role.BOB, perform_hello(Role.BOB, 64, 40)),
+    with pytest.raises(ProtocolError, match="parameter mismatch"):
+        run_pair(lambda: run_side(a, Role.ALICE, hello(Role.ALICE, 128, 40, SID)),
+                 lambda: run_side(b, Role.BOB, hello(Role.BOB, 64, 40, SID)),
                  channels=(a, b))
 
 
 def test_hello_same_role_aborts(pair):
     a, b = pair
-    rng = random.Random(4)
-    with pytest.raises(ProtocolError):
-        run_pair(lambda: run_side(a, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng)),
-                 lambda: run_side(b, Role.ALICE, perform_hello(Role.ALICE, 16, 8, rng=rng)),
+    with pytest.raises(ProtocolError, match="same role"):
+        run_pair(lambda: run_side(a, Role.ALICE, hello(Role.ALICE, 16, 8, SID)),
+                 lambda: run_side(b, Role.ALICE, hello(Role.ALICE, 16, 8, SID)),
                  channels=(a, b))
 
 
-GOOD_HELLO = _pack_hello(Role.ALICE, 16, 8, bytes(16), b"extra")
+# the payload of Alice's HELLO, as her hello side's one flight builds it
+((_, GOOD_HELLO),) = next(hello(Role.ALICE, 16, 8, bytes(16), b"extra")).frames
 
 
 @pytest.mark.parametrize("payload", [
@@ -347,7 +348,7 @@ def test_malformed_hello_is_protocol_error(pair, payload):
     a, b = pair
     a.send(MsgType.HELLO, payload)
     with pytest.raises(ProtocolError):
-        run_side(b, Role.BOB, perform_hello(Role.BOB, 16, 8))
+        run_side(b, Role.BOB, hello(Role.BOB, 16, 8, bytes(16)))
 
 
 def test_run_pair_propagates_failure():
@@ -442,13 +443,16 @@ def test_every_protocol_recv_passes_its_size():
     """Protocol code talks to the peer only through `run_sides`: outside
     transport.py's flight helpers no call sends or reads a frame. Every frame
     but HELLO has a size the receiver knows, so every Recv or Swap names it
-    and Channel.recv checks it."""
+    and Channel.recv checks it. HELLO is named in transport.py alone, whose
+    `hello` is the one handshake of both phases."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "macbits"
     # the other calls named send: resuming a side, and the seed-OT side
     not_channels = {"sides[i]", "backend"}
-    flight_calls, sized = [], set()
+    flight_calls, sized, hellos = [], set(), []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
+        hellos += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and ast.unparse(node) == "MsgType.HELLO"]
         helpers = {node for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                    and path.name == "transport.py" and fn.name in ("_send_flight", "_read_flight")
                    for node in ast.walk(fn)}
@@ -481,6 +485,7 @@ def test_every_protocol_recv_passes_its_size():
     assert sorted(flight_calls) == ["ch.recv(msg_type, nbytes)", "ch.send(msg_type, payload)"]
     # and the walk saw every frame type the protocol reads
     assert sized == {t.name for t in MsgType} - {"HELLO"}
+    assert hellos and all(h.startswith("transport.py:") for h in hellos), hellos
 
 
 # ---------------------------------------------------------------------------
