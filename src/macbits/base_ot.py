@@ -26,15 +26,14 @@ frame on its way out (the tests do so with `helpers.rewrite_sends`).
 
 The seed OTs come from a backend with `send(pairs)` and
 `receive(choices, n_bits)` sides. The one backend, `DealerOt`, is a
-deliberately insecure trusted-dealer stand-in for lab use: one endpoint
-mints a seed and sends it to the peer in the clear (XORed with the
-session id, which binds the pads to the session), and both derive every
-batch's transfer pads, both branches of every instance, from one `expand`
-stream of it. It is correct as an OT (the honest receiver unmasks only its
-chosen branch) and exercises the real framing, but offers no privacy
-against a curious endpoint: the receiver derives the unchosen branch's pad
-as easily as its own. A hardened base OT can replace it behind the same
-interface.
+deliberately insecure trusted-dealer stand-in for lab use: both endpoints
+derive every batch's transfer pads, both branches of every instance, from
+one `expand` stream keyed by the public session id and the sending role, so
+a session id changed on its way fails the deal's checks. It is correct as
+an OT (the honest receiver unmasks only its chosen branch) and exercises
+the real framing, but offers no privacy at all: anyone who knows the
+session id derives either branch's pad. A hardened base OT can replace it
+behind the same interface.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bitlinalg import random_rows, unpack_rows
-from .errors import UsageError
 from .ro_suite import KAPPA_DEFAULT, expand, pad_rows
-from .transport import MsgType, Recv, Send
+from .transport import MsgType, Recv, Role, Send
 
 SEED_BITS = KAPPA_DEFAULT
 # The most bits of each long string that one OT_MASKED1 frame carries: it
@@ -54,57 +52,26 @@ BATCH_BITS = 1 << 16
 
 
 class DealerOt:
-    """Insecure shared-seed OT backend (test dealer).
+    """Insecure session-keyed OT backend (test dealer) for one sending
+    direction: the one that `sender` sends in. Both endpoints build it with
+    the same session id and sender and must perform the same batch
+    sequence; the sender calls `send`, the other endpoint `receive`.
 
-    `setup` must run first, on both endpoints: the minting endpoint (which
-    needs `rng`) sends the dealer seed, the other receives it. `send` and
-    `receive` raise `UsageError` before that. Each sending direction
-    derives its pads from the seed under its own label and with its own
-    instance counter, one stream per batch. So the two directions may run
-    side by side, and within one direction both sides must perform the same
-    batch sequence.
-
-    `setup`, `send` and `receive` are protocol sides (see
-    `transport.run_sides`): the channel they run on is the driver's, so the
-    backend holds none.
+    `send` and `receive` are protocol sides (see `transport.run_sides`):
+    the channel they run on is the driver's, so the backend holds none.
     """
 
-    def __init__(self, rng=None):
-        self._rng = rng
-        self._seed = None
-        self._minted = False
-        # instances sent so far, keyed by "the sender minted the seed"
-        self._ctr = {True: 0, False: 0}
+    def __init__(self, session_id: bytes, sender: Role):
+        self._key = session_id + bytes([sender.value])
         self.instances = 0
 
-    def setup(self, mint: bool, session_id: bytes = bytes(16)):
-        """Agree on the dealer seed before either direction sends: the
-        minting endpoint sends it XORed with its 16-byte session id, the
-        other receives it and XORs its own session id back out. So two
-        endpoints that hold different session ids derive different pads,
-        and their deal fails its checks."""
-        if mint:
-            if self._rng is None:
-                raise UsageError("the minting endpoint needs an rng for the dealer seed")
-            self._seed, self._minted = self._rng.getrandbits(128).to_bytes(16, "little"), True
-            yield Send((MsgType.OT_SETUP, bytes(a ^ b for a, b in zip(self._seed, session_id))))
-        else:
-            (seed,) = yield Recv((MsgType.OT_SETUP, 16))
-            self._seed = bytes(a ^ b for a, b in zip(seed, session_id))
-
-    def _pads(self, sender_minted: bool, n: int, nb: int) -> np.ndarray:
-        """The nb-byte pads of both branches of the direction's next n
-        instances, an (n, 2, nb) array: one `expand` stream of 16*n*nb bits
-        keyed by seed || direction || the first instance's index (8 bytes,
-        big-endian) || nb (8 bytes, big-endian). Advances the direction's
-        counter."""
-        if self._seed is None:
-            raise UsageError("DealerOt.setup must run before send or receive")
-        first = self._ctr[sender_minted]
-        self._ctr[sender_minted] += n
+    def _pads(self, n: int, nb: int) -> np.ndarray:
+        """The nb-byte pads of both branches of the next n instances, an (n,
+        2, nb) array: one `expand` stream of 16*n*nb bits keyed by session
+        id || the sender's role byte || the first instance's index (8
+        bytes, big-endian) || nb (8 bytes, big-endian)."""
+        key = self._key + self.instances.to_bytes(8, "big") + nb.to_bytes(8, "big")
         self.instances += n
-        key = (self._seed + bytes([sender_minted]) + first.to_bytes(8, "big")
-               + nb.to_bytes(8, "big"))
         return np.frombuffer(expand(key, 16 * n * nb), np.uint8).reshape(n, 2, nb)
 
     def send(self, pairs):
@@ -112,7 +79,7 @@ class DealerOt:
         instances' two w-byte messages; the receiver learns one per choice
         bit."""
         n, _, nb = pairs.shape
-        masked = pairs ^ self._pads(self._minted, n, nb)
+        masked = pairs ^ self._pads(n, nb)
         if n:
             yield Send((MsgType.OT_MASKED0, masked[:, 0].tobytes()),
                        (MsgType.OT_MASKED1, masked[:, 1].tobytes()))
@@ -124,7 +91,7 @@ class DealerOt:
         nb = (n_bits + 7) // 8
         c = np.asarray(choices, np.uint8) & 1
         n = len(c)
-        pads = self._pads(not self._minted, n, nb)[np.arange(n), c]
+        pads = self._pads(n, nb)[np.arange(n), c]
         if not n:
             return pads
         got = yield Recv((MsgType.OT_MASKED0, nb * n), (MsgType.OT_MASKED1, nb * n))

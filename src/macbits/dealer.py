@@ -9,13 +9,12 @@ Each party's bits are authenticated under the other party's key, so the
 two owners' pipelines are independent, and so are the two owners' leaky
 triples and the two directions' leaky quads. Every exchange of deal() is a
 protocol side run by `transport.run_sides`, and the independent ones run
-side by side: first `transport.hello`, the one-round hello the online
-phase runs too, beside the OT dealer's seed, so both parties' HELLOs cross
-in one round and Alice's seed rides with hers; then both `produce_abits`
-sides, then the laAND sides of both owners with the laOT sides of both
-directions. Every side yields one flight at a time; in each
-round both parties compute their own sides' payloads at once, then
-exchange them in one of `run_sides`' three modes: a small round sends
+side by side: first `transport.hello` alone, the one-round hello the
+online phase runs too; then both `produce_abits` sides, each owner's seed
+OTs keyed by the session id (`base_ot.DealerOt`); then the laAND sides of
+both owners with the laOT sides of both directions. Every side yields one
+flight at a time; in each round both parties compute their own sides'
+payloads at once, then exchange them in one of `run_sides`' three modes: a small round sends
 before it reads; a round above `transport.DUPLEX_MIN` (a batch of aBit
 OT corrections) sends on a second thread while it reads; in between Alice sends
 all of hers before she reads and Bob reads before he sends. So neither
@@ -23,7 +22,8 @@ blocks sending a large frame to a peer that is itself sending. Frames go out
 in side order, Alice's bits or Alice's direction first on both parties. The
 combiners and the deferred-MAC flush with the global-key commitments stay
 one at a time, in the same order on both parties, so the MAC accumulators
-chain alike.
+chain alike; both chains start from a digest of the session id, so the
+flush refuses two ids even in a deal that makes no aBit.
 
 The aBit sides cross their OT corrections in batches of at most
 `base_ot.BATCH_BITS` bits per column, one frame per batch, and the key
@@ -47,8 +47,8 @@ A deal is sized by the circuit's shape, `DealerConfig`. Every secure triple
 eats 3 owner bits per leaky instance and every secure quadruple 2 sender
 bits and 2 receiver bits, so at bucket size B an owner's demand is one fresh
 bit per own input wire plus n_and * (1 + 7B). The store never persists the
-peer's global key, only a joint commitment digest both parties can
-recompute and compare at online startup.
+peer's global key, only a joint digest of both parties' commitments to
+their global keys, which the two parties compare at online startup.
 """
 
 from __future__ import annotations
@@ -254,31 +254,26 @@ class MaterialStore:
 
 def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     """Run the full offline phase; returns this party's store (not saved)."""
-    backend = DealerOt(rng)
     kb = cfg.kappa // 8
 
     # Alice mints the session id; Bob's hello carries zeros in its place and
-    # he takes hers. Both hellos cross in one round. Alice's OT dealer seed,
-    # which she mints next, rides in her hello's flight under her session
-    # id, so that both owners' aBits can send seed OTs in the same flight,
-    # and a session id changed on its way to Bob fails the deal. Each party
-    # checks the peer's hello when that round ends, before it builds an OT
-    # frame; Bob then reads the seed, which has already come.
+    # he takes hers. Both hellos cross in one round, and each party checks
+    # the peer's when that round ends, before it builds an OT frame. Each
+    # owner's seed OTs are keyed by the id, so an id changed on its way to
+    # Bob gives him other pads, which the aBit checks refuse; and the deal's
+    # MAC chains start from it, so the flush refuses it when no aBit is made.
     demand = {owner: cfg.abit_demand(owner) for owner in (Role.ALICE, Role.BOB)}
     owners = [owner for owner, n in demand.items() if n]
     alice = role is Role.ALICE
     sid = (rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(SESSION_ID_BYTES, "little")
            if alice else bytes(SESSION_ID_BYTES))
-    setup = [backend.setup(True, sid)] if owners and alice else []
-    (peer_sid, _), *_ = run_sides(ch, role, hello(role, cfg.kappa, cfg.psi, sid), *setup)
+    ((peer_sid, _),) = run_sides(ch, role, hello(role, cfg.kappa, cfg.psi, sid))
     if not alice:
         sid = peer_sid
-        if owners:
-            run_sides(ch, role, backend.setup(False, sid))
     elif peer_sid != bytes(SESSION_ID_BYTES):
         raise ProtocolError("session id mismatch")
     made = run_sides(ch, role, *(produce_abits(ch, role, owner, demand[owner], cfg.kappa,
-                                               rng, backend) for owner in owners))
+                                               rng, DealerOt(sid, owner)) for owner in owners))
     # Per owner: the MAC rows of its bits if I own them, else my key rows.
     abits = {owner: np.empty((0, kb + (role is owner)), np.uint8) for owner in demand}
     gks = {}
@@ -324,8 +319,7 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
             else:
                 sides.append(laot_receiver(ch, *receiver_bits, *sender_bits, gk_of(sender)))
 
-    sent_acc = MacAccumulator()
-    expect_acc = MacAccumulator()
+    sent_acc = expect_acc = MacAccumulator(ro_hash("deal/acc", sid))
     aands = {Role.ALICE: (), Role.BOB: ()}
     aots = {Role.ALICE: (), Role.BOB: ()}
     bkt = cfg.bucket

@@ -17,7 +17,6 @@ import hashlib
 import struct
 import threading
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,17 +175,20 @@ _ACC_ROUND_HASH = hashlib.sha256(_tag_prefix("acc/round"))
 _COUNT = struct.Struct(">Q")
 
 
-@dataclass(frozen=True)
 class MacAccumulator:
     """Chained digest of a sequence of revealed MACs.
 
     Both sides of a reveal feed what they believe the MACs are, one call per
-    reveal round; equal rounds in equal order give equal states. Starts at
-    the all-zero digest.
+    reveal round; equal rounds in equal order from equal starting states
+    give equal states. Starts at the given state, the all-zero digest by
+    default.
     """
 
-    state: bytes = bytes(DIGEST_BYTES)
-    count: int = 0
+    __slots__ = ("state", "count")
+
+    def __init__(self, state: bytes = bytes(DIGEST_BYTES), count: int = 0):
+        self.state = state
+        self.count = count
 
     def absorb(self, macs: np.ndarray) -> "MacAccumulator":
         """Chain one round, given as a uint8 array with one MAC per row, with
@@ -205,14 +207,7 @@ class MacAccumulator:
         h.update(macs if macs.flags.c_contiguous else np.ascontiguousarray(macs))
         with _counter_lock:
             _hash_calls["acc/round"] += 1
-        # built past the frozen dataclass's __init__, which costs about as
-        # much as the hash of a small round
-        acc = object.__new__(MacAccumulator)
-        acc.__dict__.update(state=h.digest(), count=self.count + n)
-        return acc
-
-    def digest(self) -> bytes:
-        return self.state
+        return MacAccumulator(h.digest(), self.count + n)
 
 
 FLUSH_BYTES = _COUNT.size + DIGEST_BYTES

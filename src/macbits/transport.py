@@ -60,13 +60,13 @@ class MsgType(enum.IntEnum):
     EQ_COMMIT = 2
     EQ_VALUE = 3
     EQ_OPEN = 4
-    OT_SETUP = 5
+    # 5 is a retired wire value; leave it unassigned
     OT_MASKED0 = 6
     OT_MASKED1 = 7
     LABIT_PAIRING = 8
     LABIT_D = 9
     AMPLIFY_MATRIX = 10
-    # 11 and 12 are retired wire values; leave them unassigned
+    # 11 and 12 are retired wire values too
     LAOT_X0 = 13
     LAOT_X1 = 14
     LAOT_D = 15

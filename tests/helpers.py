@@ -498,14 +498,6 @@ def flip_bit(msg_type, i: int):
     return fn
 
 
-def seeded(backend, mint: bool, side):
-    """One protocol side: the backend's dealer seed setup, as `dealer.deal`
-    runs it first (the minting endpoint sends the seed, the other receives
-    it), then `side`; returns side's result."""
-    yield from backend.setup(mint)
-    return (yield from side)
-
-
 def gathering(n: int, n_bits: int):
     """A consume for `extend_ot_receive` or `labit_receiver` that joins the
     batches it is handed: (consume, the (n, ceil(n_bits/8)) array it fills)."""
@@ -554,13 +546,14 @@ def ref_row_hash(tag: str, row: bytes, nbytes: int) -> bytes:
     return hashlib.shake_128(data).digest(nbytes)
 
 
-def dealer_pads(seed: bytes, sender_minted: bool, first: int, n: int, nb: int) -> list:
+def dealer_pads(session_id: bytes, sender, first: int, n: int, nb: int) -> list:
     """The reference `DealerOt` pads of one batch of n instances, as n pairs
     (branch 0, branch 1) of nb-byte strings: consecutive slices of one
     SHAKE-128 stream of the 2-byte big-endian length of the tag "prg", the
-    tag, the seed, the direction byte, the batch's first instance index and
-    nb (each 8 bytes, big-endian)."""
-    key = seed + bytes([sender_minted]) + first.to_bytes(8, "big") + nb.to_bytes(8, "big")
+    tag, the session id, the sender's role byte, the batch's first instance
+    index and nb (each 8 bytes, big-endian)."""
+    key = (session_id + bytes([sender.value]) + first.to_bytes(8, "big")
+           + nb.to_bytes(8, "big"))
     stream = hashlib.shake_128(b"\x00\x03prg" + key).digest(2 * n * nb)
     return [(stream[2 * k * nb : (2 * k + 1) * nb], stream[(2 * k + 1) * nb : (2 * k + 2) * nb])
             for k in range(n)]
@@ -781,10 +774,13 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
         m1[:m, 0] ^= np.arange(1, m + 1, dtype=np.uint8)
         return m1.tobytes()
 
+    # the session id takes the sender rng's first draw, so the trials draw
+    # what they drew when a dealer seed took it
+    rng = random.Random(seed)
+    sid = rng.getrandbits(128).to_bytes(16, "little")
+
     def sender():
-        rng = random.Random(seed)
-        backend = DealerOt(rng)
-        run_side(ca, Role.ALICE, backend.setup(mint=True))
+        backend = DealerOt(sid, Role.ALICE)
         wins = 0
         for _ in range(trials):
             try:
@@ -796,12 +792,11 @@ def labit_cheat_survivals(m: int, trials: int, seed: int, tau: int = 4,
         return wins
 
     def receiver():
-        rng = random.Random(seed + 1)
-        backend = DealerOt()
-        run_side(cb, Role.BOB, backend.setup(mint=False))
+        rng_b = random.Random(seed + 1)
+        backend = DealerOt(sid, Role.ALICE)
         for _ in range(trials):
             try:
-                run_side(cb, Role.BOB, labit_receive_all(tau, ell, kappa, rng, backend))
+                run_side(cb, Role.BOB, labit_receive_all(tau, ell, kappa, rng_b, backend))
             except ProtocolAbort:
                 pass
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (AuthBitKey, AuthBitMac, closing_pair, const_key, const_mac, delta_vec,
                      key_half, labit_cheat_survivals, labit_receive_all, mac_half,
-                     ot_receive_all, run_side, run_two, seeded, verify_abit)
+                     ot_receive_all, run_side, run_two, verify_abit)
 from macbits import base_ot
 from macbits.abit_proto import (amplify_keys_with, amplify_macs_with, labit_receiver,
                                 labit_sender, labit_to_wabit_keys, labit_to_wabit_macs,
@@ -21,6 +21,7 @@ from macbits.errors import ProtocolAbort, ProtocolError, UsageError
 from macbits.transport import MsgType, Role, Send, memory_pair
 
 A, B = Role.ALICE, Role.BOB
+SID = bytes(range(16))
 
 
 def test_tau_sizing():
@@ -87,11 +88,10 @@ def test_verify_rejects_wrong_mac():
 
 def run_labit(tau, ell, seed=0, kappa=16):
     rng_a, rng_b = random.Random(seed), random.Random(seed + 1)
-    ot_a, ot_b = DealerOt(rng_a), DealerOt()
+    ot_a, ot_b = DealerOt(SID, A), DealerOt(SID, A)
     return run_two(
-        lambda a: run_side(a, A, seeded(ot_a, True, labit_sender(tau, ell, kappa, rng_a, ot_a))),
-        lambda b: run_side(b, B, seeded(ot_b, False, labit_receive_all(tau, ell, kappa, rng_b,
-                                                                       ot_b))),
+        lambda a: run_side(a, A, labit_sender(tau, ell, kappa, rng_a, ot_a)),
+        lambda b: run_side(b, B, labit_receive_all(tau, ell, kappa, rng_b, ot_b)),
         timeout=30)
 
 
@@ -121,8 +121,7 @@ def test_labit_wrong_d_announcement_aborts():
     def lying_receiver():
         t = 2 * tau
         ys = [rng_b.getrandbits(1) for _ in range(t)]
-        ot_b = DealerOt()
-        yield from ot_b.setup(mint=False)
+        ot_b = DealerOt(SID, A)
         macs = yield from ot_receive_all(ot_b, ys, ell)
         part = np.arange(t, dtype=np.uint32) ^ 1  # pairs (0, 1), (2, 3), ...
         reps = range(0, t, 2)
@@ -134,11 +133,31 @@ def test_labit_wrong_d_announcement_aborts():
                               for i in reps])
         return (yield from eq_respond_side(value_digest(folded.n, folded.to_bytes()), kappa))
 
-    ot_a = DealerOt(random.Random(10))
+    ot_a = DealerOt(SID, A)
     with pytest.raises(ProtocolAbort):
-        run_two(lambda a: run_side(a, A, seeded(ot_a, True, labit_sender(
-                    tau, ell, kappa, random.Random(10), ot_a))),
+        run_two(lambda a: run_side(a, A, labit_sender(tau, ell, kappa, random.Random(10), ot_a)),
                 lambda b: run_side(b, B, lying_receiver()), timeout=30)
+
+
+def test_labit_fails_across_session_ids():
+    """Endpoints whose backends hold session ids one bit apart derive other
+    seed-OT pads: the receiver's columns are no longer the sender's keys
+    xor y_i * Gamma, and the pair check fails on both sides."""
+    tau, ell, kappa = 4, 16, 16
+    other = bytes([SID[0] ^ 1]) + SID[1:]
+
+    def caught(side, ch, role):
+        try:
+            run_side(ch, role, side)
+        except ProtocolAbort as e:
+            return e
+
+    ea, eb = run_two(
+        lambda a: caught(labit_sender(tau, ell, kappa, random.Random(0), DealerOt(SID, A)), a, A),
+        lambda b: caught(labit_receive_all(tau, ell, kappa, random.Random(1),
+                                           DealerOt(other, A)), b, B),
+        timeout=30)
+    assert ea.phase == eb.phase == "labit"
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +303,9 @@ def run_produce(count, psi, owner=Role.ALICE, seed=0):
     backends = {}
 
     def party(ch, role, rng):
-        backend = DealerOt(rng)
+        backend = DealerOt(SID, owner)
         backends[role] = backend
-        return run_side(ch, role, seeded(backend, role is Role.ALICE,
-                                         produce_abits(ch, role, owner, count, psi, rng, backend)))
+        return run_side(ch, role, produce_abits(ch, role, owner, count, psi, rng, backend))
 
     got_a, got_b = run_two(lambda a: party(a, Role.ALICE, rng_a),
                            lambda b: party(b, Role.BOB, rng_b),
@@ -328,11 +346,10 @@ def test_produce_abits_owner_bob():
 
 
 def test_produce_abits_rejects_zero():
-    # the backend is not set up, which would also raise UsageError
     with closing_pair(memory_pair()) as (a, _):
         with pytest.raises(UsageError, match="count must be positive"):
             run_side(a, A, produce_abits(a, Role.ALICE, Role.ALICE, 0, 16, random.Random(0),
-                                         DealerOt(random.Random(0))))
+                                         DealerOt(SID, A)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +379,17 @@ def test_every_correction_crosses_before_the_pairing(monkeypatch):
     monkeypatch.setattr(base_ot, "BATCH_BITS", 16)
     tau, ell, kappa = 4, 44, 16
     assert base_ot.ot_batches(ell) == [(0, 16), (16, 16), (32, 12)]
-    ot = DealerOt(random.Random(1))
-    sender = seeded(ot, True, labit_sender(tau, ell, kappa, random.Random(2), ot))
+    sender = labit_sender(tau, ell, kappa, random.Random(2), DealerOt(SID, A))
     flights, step = [], sender.send(None)
     while not step.wants:
         flights.append(step.frames)
         step = sender.send(None)
     assert [t for t, _ in step.wants] == [MsgType.LABIT_PAIRING, MsgType.LABIT_D]
     assert [[t for t, _ in f] for f in flights] == [
-        [MsgType.OT_SETUP], [MsgType.OT_MASKED0, MsgType.OT_MASKED1]] + [[MsgType.OT_MASKED1]] * 3
-    assert [len(f[0][1]) for f in flights[2:]] == [2 * tau * 2] * 3
+        [MsgType.OT_MASKED0, MsgType.OT_MASKED1]] + [[MsgType.OT_MASKED1]] * 3
+    assert [len(f[0][1]) for f in flights[1:]] == [2 * tau * 2] * 3
 
-    rx_ot = DealerOt()
-    receiver = seeded(rx_ot, False, labit_receive_all(tau, ell, kappa, random.Random(3), rx_ot))
+    receiver = labit_receive_all(tau, ell, kappa, random.Random(3), DealerOt(SID, A))
     queue = [frame for f in flights for frame in f]
     step = receiver.send(None)
     while queue:
@@ -395,9 +410,8 @@ def test_key_holder_starts_a_pair_check_past_two_to_the_32_bits():
     ell-sized array exists."""
     tau, ell, kappa = tau_for(128), 4_573_979, 128
     assert 8 * tau * ((ell + 7) // 8) >= 1 << 32
-    ot = DealerOt(random.Random(1))
-    next(ot.setup(True))  # the seed is drawn before its frame goes out
-    receiver = labit_receiver(tau, ell, kappa, random.Random(2), ot, lambda *batch: None)
+    receiver = labit_receiver(tau, ell, kappa, random.Random(2), DealerOt(SID, A),
+                              lambda *batch: None)
     step = receiver.send(None)
     assert list(step.wants) == [(MsgType.OT_MASKED0, 32 * tau), (MsgType.OT_MASKED1, 32 * tau)]
 

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from helpers import (closing_pair, counting_pair, dealer_pads, ot_receive_all, ref_pad,
-                     rewrite_sends, run_side, run_two, seeded)
+                     rewrite_sends, run_side, run_two)
 from macbits import base_ot
 from macbits.base_ot import SEED_BITS, DealerOt, extend_ot_send
 from macbits.bitlinalg import random_rows
-from macbits.errors import ProtocolError, UsageError
+from macbits.errors import ProtocolError
 from macbits.ro_suite import expand, hash_calls
 from macbits.transport import MsgType, Role, memory_pair, run_pair, run_sides
 
 A, B = Role.ALICE, Role.BOB
+SID = bytes(range(16))
 
 
 def message_pairs(n, n_bytes, rng):
@@ -26,9 +27,9 @@ def chosen(pairs, choices):
 
 
 def run_ot(pairs, choices, n_bits):
-    ot_a, ot_b = DealerOt(random.Random(0)), DealerOt()
-    _, got = run_two(lambda a: run_side(a, A, seeded(ot_a, True, ot_a.send(pairs))),
-                     lambda b: run_side(b, B, seeded(ot_b, False, ot_b.receive(choices, n_bits))),
+    ot_a, ot_b = DealerOt(SID, A), DealerOt(SID, A)
+    _, got = run_two(lambda a: run_side(a, A, ot_a.send(pairs)),
+                     lambda b: run_side(b, B, ot_b.receive(choices, n_bits)),
                      timeout=30)
     return got
 
@@ -46,13 +47,15 @@ def run_extended(offset, n_bits, choices, rewrite=None):
     frames (see `helpers.rewrite_sends`). Returns (sender keys, received
     messages, seed pairs, frames the sender sent)."""
     rng = random.Random(0)
-    backend, ot_b = RecordingOt(rng), DealerOt()
+    # the session id takes the rng's first draw, so the statistical tests'
+    # trials draw what they drew when a dealer seed took it
+    sid = rng.getrandbits(128).to_bytes(16, "little")
+    backend, ot_b = RecordingOt(sid, A), DealerOt(sid, A)
     sender = extend_ot_send(backend, offset, n_bits, len(choices), rng)
     with closing_pair(counting_pair(timeout=60.0)) as (a, b):
         keys, got = run_pair(
-            lambda: run_side(a, A, seeded(backend, True,
-                                          rewrite_sends(sender, rewrite) if rewrite else sender)),
-            lambda: run_side(b, B, seeded(ot_b, False, ot_receive_all(ot_b, choices, n_bits))),
+            lambda: run_side(a, A, rewrite_sends(sender, rewrite) if rewrite else sender),
+            lambda: run_side(b, B, ot_receive_all(ot_b, choices, n_bits)),
             timeout=60, channels=(a, b))
     return keys, got, backend.pairs, a.sent
 
@@ -62,7 +65,7 @@ def assert_correction_frames(sent, count, *batch_bits):
     bytes per batch of n bits."""
     seed = count * SEED_BITS // 8
     assert [(t, len(p)) for t, p in sent] == [
-        (MsgType.OT_SETUP, 16), (MsgType.OT_MASKED0, seed), (MsgType.OT_MASKED1, seed),
+        (MsgType.OT_MASKED0, seed), (MsgType.OT_MASKED1, seed),
         *((MsgType.OT_MASKED1, count * ((n + 7) // 8)) for n in batch_bits)]
 
 
@@ -88,11 +91,10 @@ def test_640_seed_ots_under_a_second():
     rng = random.Random(2)
     pairs = message_pairs(640, SEED_BITS // 8, rng)
     choices = [rng.getrandbits(1) for _ in range(640)]
-    ot_a, ot_b = DealerOt(rng), DealerOt()
+    ot_a, ot_b = DealerOt(SID, A), DealerOt(SID, A)
     t0 = time.time()
-    _, got = run_two(lambda a: run_side(a, A, seeded(ot_a, True, ot_a.send(pairs))),
-                     lambda b: run_side(b, B, seeded(ot_b, False,
-                                                     ot_b.receive(choices, SEED_BITS))),
+    _, got = run_two(lambda a: run_side(a, A, ot_a.send(pairs)),
+                     lambda b: run_side(b, B, ot_b.receive(choices, SEED_BITS)),
                      timeout=30)
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -106,14 +108,12 @@ def test_batch_sequencing_across_calls():
     c1 = [rng.getrandbits(1) for _ in range(5)]
     c2 = [rng.getrandbits(1) for _ in range(7)]
     def send(a):
-        be = DealerOt(rng)
-        run_side(a, A, be.setup(mint=True))
+        be = DealerOt(SID, A)
         run_side(a, A, be.send(p1))
         run_side(a, A, be.send(p2))
 
     def recv(b):
-        be = DealerOt()
-        run_side(b, B, be.setup(mint=False))
+        be = DealerOt(SID, A)
         return run_side(b, B, be.receive(c1, 8)), run_side(b, B, be.receive(c2, 8))
 
     _, (g1, g2) = run_two(send, recv, timeout=30)
@@ -184,8 +184,9 @@ def test_nonchosen_message_guess_rate():
 
 
 def test_both_directions_side_by_side():
-    # both endpoints send seed OTs in the same flight: each direction keeps
-    # its own pads and counter, so a second batch stays aligned too
+    # both endpoints send seed OTs in the same flight: each direction has
+    # its own backend, keyed by its sender's role, so a second batch stays
+    # aligned too
     rng = random.Random(8)
 
     def batch(n):
@@ -193,17 +194,15 @@ def test_both_directions_side_by_side():
 
     (pa, ca), (pb, cb), (pa2, ca2) = batch(6), batch(5), batch(3)
     def alice(a):
-        be = DealerOt(random.Random(0))
-        run_side(a, A, be.setup(mint=True))
-        _, got = run_sides(a, A, be.send(pa), be.receive(cb, 8))
-        run_side(a, A, be.send(pa2))
+        tx, rx = DealerOt(SID, A), DealerOt(SID, B)
+        _, got = run_sides(a, A, tx.send(pa), rx.receive(cb, 8))
+        run_side(a, A, tx.send(pa2))
         return got
 
     def bob(b):
-        be = DealerOt(random.Random(1))
-        run_side(b, B, be.setup(mint=False))
-        got, _ = run_sides(b, B, be.receive(ca, 8), be.send(pb))
-        return got, run_side(b, B, be.receive(ca2, 8))
+        tx, rx = DealerOt(SID, B), DealerOt(SID, A)
+        got, _ = run_sides(b, B, rx.receive(ca, 8), tx.send(pb))
+        return got, run_side(b, B, rx.receive(ca2, 8))
 
     got_a, (got_b, got_b2) = run_two(alice, bob, timeout=30)
     assert np.array_equal(got_a, chosen(pb, cb))
@@ -211,12 +210,14 @@ def test_both_directions_side_by_side():
     assert np.array_equal(got_b2, chosen(pa2, ca2))
 
 
-@pytest.mark.parametrize("mint", [True, False])
-def test_batched_pads_follow_the_per_batch_stream(mint, monkeypatch):
-    # Two batches each way on one backend. Zero pairs go out as the send
-    # pads themselves, and all-zero frames come back as the chosen branch's
-    # receive pads. Each batch derives both branches' pads of all its
-    # instances with one expand call.
+@pytest.mark.parametrize("sender", [A, B], ids=["alice", "bob"])
+def test_batched_pads_follow_the_per_batch_stream(sender, monkeypatch):
+    # Two batches of one direction, sent by one backend and received by
+    # another built alike. Zero pairs go out as the send pads themselves,
+    # and all-zero frames come back as the chosen branch's receive pads;
+    # both are the reference stream of the session id, the sender's role
+    # byte, the batch's first index and nb. Each batch derives both
+    # branches' pads of all its instances with one expand call.
     calls = []
 
     def counted_expand(seed, out_bits):
@@ -224,17 +225,10 @@ def test_batched_pads_follow_the_per_batch_stream(mint, monkeypatch):
         return expand(seed, out_bits)
 
     monkeypatch.setattr(base_ot, "expand", counted_expand)
+    tx, rx = DealerOt(SID, sender), DealerOt(SID, sender)
+    nb = 40
+    rng = random.Random(1)
     with closing_pair(memory_pair(timeout=5.0)) as (a, b):
-        be = DealerOt(random.Random(0))
-        if mint:
-            run_side(a, A, be.setup(mint=True))
-            seed = bytes(b.recv(MsgType.OT_SETUP, 16))
-        else:
-            seed = bytes(range(16))
-            b.send(MsgType.OT_SETUP, seed)
-            run_side(a, A, be.setup(mint=False))
-        nb = 40
-        rng = random.Random(1)
 
         def counted(side):
             calls.clear()
@@ -246,41 +240,28 @@ def test_batched_pads_follow_the_per_batch_stream(mint, monkeypatch):
             # one call of 16*n*nb bits: 1,920 and 3,200, neither a whole
             # number of 256-bit blocks
             one_stream = ([16 * n * nb], -(-16 * n * nb // 256))
-            _, *cost = counted(be.send(np.zeros((n, 2, nb), np.uint8)))
+            pads = dealer_pads(SID, sender, first, n, nb)
+            _, *cost = counted(tx.send(np.zeros((n, 2, nb), np.uint8)))
             assert tuple(cost) == one_stream
-            pads = dealer_pads(seed, mint, first, n, nb)
             for branch, t in enumerate((MsgType.OT_MASKED0, MsgType.OT_MASKED1)):
                 assert bytes(b.recv(t, n * nb)) == b"".join(p[branch] for p in pads)
 
             choices = [rng.getrandbits(1) for _ in range(n)]
             b.send(MsgType.OT_MASKED0, bytes(n * nb))
             b.send(MsgType.OT_MASKED1, bytes(n * nb))
-            got, *cost = counted(be.receive(choices, 8 * nb - 3))
+            got, *cost = counted(rx.receive(choices, 8 * nb - 3))
             assert tuple(cost) == one_stream
-            pads = dealer_pads(seed, not mint, first, n, nb)
             assert [row.tobytes() for row in got] == [p[c] for p, c in zip(pads, choices)]
-        assert be.instances == 16
+    assert tx.instances == rx.instances == 8
 
 
 def test_zero_instances_send_no_frame():
-    ot_a, ot_b = DealerOt(random.Random(0)), DealerOt()
+    ot_a, ot_b = DealerOt(SID, A), DealerOt(SID, A)
     with closing_pair(counting_pair(timeout=5.0)) as (a, b):
         _, got = run_pair(
-            lambda: run_side(a, A, seeded(ot_a, True, ot_a.send(np.zeros((0, 2, 4), np.uint8)))),
-            lambda: run_side(b, B, seeded(ot_b, False, ot_b.receive([], 32))),
+            lambda: run_side(a, A, ot_a.send(np.zeros((0, 2, 4), np.uint8))),
+            lambda: run_side(b, B, ot_b.receive([], 32)),
             timeout=5, channels=(a, b))
     assert got.shape == (0, 4)
-    assert [t for t, _ in a.sent] == [MsgType.OT_SETUP] and b.sent == []
+    assert a.sent == b.sent == []
     assert ot_a.instances == ot_b.instances == 0
-
-
-def test_send_and_receive_need_setup():
-    be = DealerOt(random.Random(0))
-    with closing_pair(memory_pair(timeout=1.0)) as (a, b):
-        b.send(MsgType.OT_MASKED0, bytes(2))
-        b.send(MsgType.OT_MASKED1, bytes(2))
-        with pytest.raises(UsageError):
-            run_side(a, A, be.send(message_pairs(2, 1, random.Random(1))))
-        with pytest.raises(UsageError):
-            run_side(a, A, be.receive([0, 1], 8))
-    assert (a.stats.frames_sent, a.stats.frames_received) == (0, 0)

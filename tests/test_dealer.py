@@ -171,10 +171,9 @@ def test_offline_byte_budget():
     seed = t * SEED_BITS // 8
     for owner, ch in ((A, a), (B, b)):
         ot = [(m, len(p)) for m, p in ch.sent if m.name.startswith("OT_")]
-        setup = [(MsgType.OT_SETUP, 16)] if owner is A else []
         ext = t * ((cfg.abit_demand(owner) + 7) // 8)
-        assert ot == setup + [(MsgType.OT_MASKED0, seed), (MsgType.OT_MASKED1, seed),
-                              (MsgType.OT_MASKED1, ext)]
+        assert ot == [(MsgType.OT_MASKED0, seed), (MsgType.OT_MASKED1, seed),
+                      (MsgType.OT_MASKED1, ext)]
 
     size = {MsgType.EQ_COMMIT: kappa // 8, MsgType.EQ_VALUE: 32,
             MsgType.EQ_OPEN: 32 + kappa // 8}
@@ -282,14 +281,15 @@ def test_deal_fresh_seed_fresh_session():
 
 
 def test_deal_hello_takes_one_round():
-    """Both parties' HELLOs cross in the deal's first round: Bob sends his
-    before he reads Alice's, and takes her session id."""
+    """Both parties' HELLOs cross in the deal's first round, alone: Bob
+    sends his before he reads Alice's, and takes her session id."""
     with closing_pair(counting_pair(timeout=60.0)) as (a, b):
         sa, sb = run_pair(lambda: deal(a, A, SMALL, random.Random(1)),
                           lambda: deal(b, B, SMALL, random.Random(2)),
                           timeout=60, channels=(a, b))
     assert b.log[0] == ("send", MsgType.HELLO)
-    assert [m for m, _ in a.sent[:2]] == [MsgType.HELLO, MsgType.OT_SETUP]
+    for ch in (a, b):
+        assert ch.log[:2] == [("send", MsgType.HELLO), ("recv", MsgType.HELLO)]
     assert sa.session_id == sb.session_id
 
 
@@ -310,15 +310,14 @@ def test_deal_hello_mismatch_aborts_before_ot(bob_cfg):
                           lambda: caught(lambda: deal(b, B, bob_cfg, random.Random(2))),
                           timeout=60)
     assert "parameter mismatch" in str(ea) and "parameter mismatch" in str(eb)
-    assert [m for m, _ in a.sent] == [MsgType.HELLO, MsgType.OT_SETUP]
-    assert [m for m, _ in b.sent] == [MsgType.HELLO]
+    assert [m for m, _ in a.sent] == [m for m, _ in b.sent] == [MsgType.HELLO]
 
 
 @pytest.mark.parametrize("cheater", [A, B], ids=["alice", "bob"])
 def test_deal_fails_on_a_changed_session_id(cheater):
     """A bit flipped in the session id of a party's HELLO fails the deal.
-    Bob learns Alice's id from her hello alone, and her dealer seed crosses
-    XORed with it, so he would derive other pads; Bob's hello must name no
+    Bob learns Alice's id from her hello alone, and every seed-OT pad is
+    keyed by it, so he would derive other pads; Bob's hello must name no
     id."""
     sid_bit = 8 * 7  # past version, role, kappa and psi
     with closing_pair(flip_pair(cheater, 0, sid_bit)) as (a, b):
@@ -329,15 +328,35 @@ def test_deal_fails_on_a_changed_session_id(cheater):
     assert a.sent[0][0] is b.sent[0][0] is MsgType.HELLO
 
 
+def test_empty_deal_fails_on_a_changed_session_id():
+    """A deal that makes no aBit still binds its session id: both parties'
+    MAC chains start from a digest of the id they hold, so a bit flipped in
+    Alice's HELLO id fails the deal's flush on both parties."""
+    cfg = DealerConfig.for_gates(0)
+    assert cfg.abit_demand(A) == cfg.abit_demand(B) == 0
+
+    def caught(fn):
+        try:
+            fn()
+        except ProtocolAbort as e:
+            return e
+
+    with closing_pair(flip_pair(A, 0, 8 * 7)) as (a, b):  # past version, role, kappa, psi
+        ea, eb = run_pair(lambda: caught(lambda: deal(a, A, cfg, random.Random(1))),
+                          lambda: caught(lambda: deal(b, B, cfg, random.Random(2))),
+                          timeout=60, channels=(a, b))
+    assert ea.phase == eb.phase == "flush"
+
+
 def test_deal_hash_budget(monkeypatch):
     """Per party, the seed OTs' pads are two derivations, one stream for the
-    send batch and one for the receive batch, each of both branches of 2*tau
-    seed-sized instances; laOT and laAND keep 6B and 3B hash calls per output
+    send batch (its own role byte) and one for the receive batch (the
+    peer's), each of both branches of 2*tau seed-sized instances; laOT and laAND keep 6B and 3B hash calls per output
     (both parties together), B the bucket."""
     derivations = Counter()
 
     def counted_expand(key, out_bits):
-        # key: dealer seed (16 bytes), direction, first index, nb
+        # key: session id (16 bytes), the sender's role byte, first index, nb
         derivations[threading.get_ident(), key[16], out_bits] += 1
         return expand(key, out_bits)
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from helpers import (OracleDealer, bit_rows, closing_pair, counting_pair, flip_pair,
                      labit_receive_all, oracle_store_pair, random_circuit, random_inputs,
-                     run_side, seeded)
+                     run_side)
 from macbits.aand_proto import laand_key_side, laand_mac_side
 from macbits.abit_proto import (labit_sender, tau_for, wabit_amplify_key_side,
                                 wabit_amplify_mac_side)
@@ -66,27 +66,26 @@ def _keys(pairs):
     return bit_rows([k for _, k in pairs], KAPPA)
 
 
-# The DealerOt steps run the dealer seed setup first, as `dealer.deal` does,
-# so the receiving endpoint's first inbound frame is OT_SETUP.
+# Both endpoints of a DealerOt step key their pads by one session id, as
+# `dealer.deal` does with the id of its hello.
+_SID = bytes(range(16))
+
+
 def _ot_send(ch):
-    ot = DealerOt(random.Random(4))
-    return seeded(ot, True, ot.send(random_rows(2 * ELL, KAPPA, random.Random(11))
-                                    .reshape(ELL, 2, KAPPA // 8)))
+    return DealerOt(_SID, A).send(random_rows(2 * ELL, KAPPA, random.Random(11))
+                                  .reshape(ELL, 2, KAPPA // 8))
 
 
 def _ot_receive(ch):
-    ot = DealerOt()
-    return seeded(ot, False, ot.receive([i & 1 for i in range(ELL)], KAPPA))
+    return DealerOt(_SID, A).receive([i & 1 for i in range(ELL)], KAPPA)
 
 
 def _labit_sender(ch):
-    ot = DealerOt(random.Random(5))
-    return seeded(ot, True, labit_sender(3, 24, KAPPA, random.Random(5), ot))
+    return labit_sender(3, 24, KAPPA, random.Random(5), DealerOt(_SID, A))
 
 
 def _labit_receiver(ch):
-    ot = DealerOt()
-    return seeded(ot, False, labit_receive_all(3, 24, KAPPA, random.Random(6), ot))
+    return labit_receive_all(3, 24, KAPPA, random.Random(6), DealerOt(_SID, A))
 
 
 # name -> (step under test, its honest peer, first inbound type, abort tag)
@@ -125,7 +124,7 @@ STEPS = {
         lambda ch: eq_respond_side(_EQ, KAPPA),
         lambda ch: eq_commit_side(_EQ, KAPPA, random.Random(10)),
         MsgType.EQ_COMMIT, None),
-    "DealerOt.receive": (_ot_receive, _ot_send, MsgType.OT_SETUP, None),
+    "DealerOt.receive": (_ot_receive, _ot_send, MsgType.OT_MASKED0, None),
 }
 
 

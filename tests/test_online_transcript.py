@@ -21,28 +21,28 @@ A, B = Role.ALICE, Role.BOB
 
 EXPECTED = {
     A: [
-        ('HELLO', 'dc2614c5603092c798bb84a63f4bc84d4cb80bd071762ac966d88c55bdb5214b'),
-        ('RT_ANNOUNCE_BATCH', 'dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8'),
-        ('RT_REVEAL_BATCH', 'bfc40c6f0e04d9d05b62557e4530076cf58ba710f9b04ed11eb1b57eba6cf360'),
-        ('RT_REVEAL_BATCH', 'ff2003c6638f143d00db84664ceeb1a2b6b555cafee803f4bb893f472c6ef00a'),
-        ('RT_REVEAL_BATCH', 'ee0f38439630851e8ee6b46e75a83e3644df6ac837385cf051e6c2433f519d29'),
-        ('RT_REVEAL_BATCH', '56e12411e9a33cb869c88a92e98da1696c7ee1e6b8403d7516c4c79e5b14e5f2'),
-        ('RT_REVEAL_BATCH', '60a76d1d5b05ec3c3fb3b079f44352f12111bee342e9c75423057b7d556045f5'),
-        ('RT_REVEAL_BATCH', '5c6037e17112ad2502ced33a32a65e1df780e7996de2b65aff08f47c4c58a3d0'),
-        ('RT_ACC_FLUSH', '5aae8d06082989133751cb012df035007353f6a44fd9097fed70f3a3b0461287'),
-        ('RT_OUTPUT', '74aba2d5625dda63b064c56531743bd7ff161c2577b41efb75ecf0180b146b65'),
+        ('HELLO', '6fabaeb94d697a60d5d173cf0955413ba2fa37a64b13333c3e6a90d680d312ad'),
+        ('RT_ANNOUNCE_BATCH', '1f18d650d205d71d934c3646ff5fac1c096ba52eba4cf758b865364f4167d3cd'),
+        ('RT_REVEAL_BATCH', 'cca0d64fea20310929df9b2acbef8d17801925b2ebd62acffc385d29e5394cf8'),
+        ('RT_REVEAL_BATCH', 'df7adf2554018eb08c52743019b6b6697bb35d52fc878a0425e7d03ce48896f2'),
+        ('RT_REVEAL_BATCH', 'a66b40dcba29683e4d7c3d7aa4ef2e64cd96e5c9591beee934dfc01536d21f90'),
+        ('RT_REVEAL_BATCH', '30e38ef19c682f77f995a3bb5fcead713b596ca35d2130abf05696b4998e431d'),
+        ('RT_REVEAL_BATCH', '3cf6a9203e384bf9656e01569ee1a22dad9b03e563ae3b5fcaff20e8e4086651'),
+        ('RT_REVEAL_BATCH', '0fb03959f2e2abba6a4d42f2e1ab6ce4578e1f7a419ea0731b61705f4adb05f4'),
+        ('RT_ACC_FLUSH', '479410984f6fb158ba2a6a1037dc9a34ff90a80cc24e1a8374e2fd5dd2ab798c'),
+        ('RT_OUTPUT', 'ea466e26a5ede4b40718f6615bb2a315a44aecc418104c1909ecd78c6d69b0aa'),
     ],
     B: [
-        ('HELLO', 'fec31f0b331f45a3139bfdf6bba155a1843202867d5b2edb362adc5ce36ac97f'),
+        ('HELLO', 'ea579a989137e8e82ccbbac5ddddeebad3ee09ca309e2fd3b05f9c95fdc874dd'),
         ('RT_ANNOUNCE_BATCH', 'e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db'),
-        ('RT_REVEAL_BATCH', 'c90f19c680323b4a8726c66ce72057058e215126f7ad7e515ca4b7c0a5d6b957'),
-        ('RT_REVEAL_BATCH', '5f7e2eda2448602e8529d4a3efdc665082ffdc76282d847be10c71decce62192'),
-        ('RT_REVEAL_BATCH', '9935e2155c36e85d17911b013b0cecd90b4acb7360f1039f3a562e34d1637d5b'),
-        ('RT_REVEAL_BATCH', 'f37c861ff7174c6e8c3887a528aa3baf95f997398167bbcdf45841dc27d8252d'),
-        ('RT_REVEAL_BATCH', 'e17b96f2baa3b0cb34a3578b7956b2e2a50373f0964679c20c2a02a952509c02'),
-        ('RT_REVEAL_BATCH', '9037f92bc91fdcc764a89d9144c341d887ffc83351cc8cf0530555c89920a47d'),
-        ('RT_ACC_FLUSH', 'c0e6aa0f01ef111ca626012fd29f7fcb429a3d7bbff8e6fc02b2f03d92a4e7ba'),
-        ('RT_OUTPUT', 'a48d230d75ed4fecdf6669272861a4fa221f9871c5359bb57c307cd15930044e'),
+        ('RT_REVEAL_BATCH', 'd86116a0b0c3889ce55a2a4f32ef6b694aec9dac7a37f9106cdbbc4db8e2db9a'),
+        ('RT_REVEAL_BATCH', 'afc3bf6ee4e34254c3503cb1524017f21fc1ec9a534e6ab5aef4f051b3b7a3a0'),
+        ('RT_REVEAL_BATCH', '500bc273019ff37bea91fe5a9a8f62c7cd251a4653ac9587b395350a82542271'),
+        ('RT_REVEAL_BATCH', '2a5274001805b41bb5a1d05627d6691eddd0b250ea19b8628effaa5e0b77cb8e'),
+        ('RT_REVEAL_BATCH', '26e79681db0af86bffad013ad484b43aefeffcc31978c668b1031bc2a52a2f1e'),
+        ('RT_REVEAL_BATCH', '33b67cb5385ceddad93d0ee960679041613bed34b8b4a5e6362fe7539ba2d3ce'),
+        ('RT_ACC_FLUSH', '7cfc97e1430355cfe7d570008d96b94e72ab9b7b3d4e668e28cdfc61f5e8689e'),
+        ('RT_OUTPUT', '92f57faadc77add880e8acbc2b378ea6a49e2002f64bee7fdd8a415a64e1ca35'),
     ],
 }
 # MsgType -> (frames, bytes with headers) per party; they do not depend on

@@ -53,6 +53,18 @@ def test_mismatched_type_is_protocol_error(pair):
         b.recv(MsgType.EQ_OPEN)
 
 
+@pytest.mark.parametrize("t", [0, 5, 11, 12, 27, 255])
+def test_unknown_message_type_is_protocol_error(t):
+    """A raw frame whose type byte names no MsgType is refused with the type
+    it carried. 5, 11 and 12 are retired wire values and stay unassigned."""
+    assert t not in {m.value for m in MsgType}
+    s1, s2 = socket.socketpair()
+    with closing_pair((TcpChannel(s1, 5.0), TcpChannel(s2, 5.0))) as (reader, _):
+        s2.sendall(struct.pack(">BI", t, 2) + b"xy")
+        with pytest.raises(ProtocolError, match=f"^unknown message type {t}$"):
+            reader.recv(MsgType.EQ_VALUE)
+
+
 def test_send_after_close(pair):
     a, _ = pair
     a.close()
