@@ -9,7 +9,8 @@ pinned to its own CPU when there are two. Per party it prints the deal's
 wall seconds and the process's peak resident set (`ru_maxrss`) before and
 after the deal: the first is the interpreter, numpy and macbits, which the
 parties share with this process through the fork; the second is what a
-deal of N blocks needs on top of it.
+deal of N blocks needs on top of it, and what its store holds: the aBits
+that mask its input wires and one Beaver triple per AND gate.
 """
 
 import argparse
@@ -44,7 +45,7 @@ def party(role: Role, sock: socket.socket, cfg: DealerConfig, seed: int) -> dict
     finally:
         ch.close()
     return {"deal_s": deal_s, "rss_before_mib": before, "maxrss_mib": maxrss_mib(),
-            "abits": store.remaining("abits_mine"), "aands": store.remaining("aands_mine")}
+            "abits": store.remaining("abits_mine"), "triples": store.remaining("triples")}
 
 
 def fork_party(role: Role, mine: socket.socket, theirs: socket.socket, cfg, seed):
@@ -98,7 +99,7 @@ def main() -> int:
         print(f"{role.name.lower()}: deal {got['deal_s']:.3f} s, ru_maxrss "
               f"{got['rss_before_mib']:.1f} MiB before the deal, "
               f"{got['maxrss_mib']:.1f} MiB after; {got['abits']} aBits, "
-              f"{got['aands']} aANDs")
+              f"{got['triples']} triples")
     return 1 if failed else 0
 
 

@@ -1,7 +1,7 @@
 """Cross-check a dealt material store pair.
 
-Loads both parties' store files and verifies every MAC relation, triple
-product, and OT quad against the two global keys. This inspects both
+Loads both parties' store files and verifies every MAC relation against
+the two global keys and every Beaver triple's product. This inspects both
 parties' secrets at once, so it is a bench/debug tool only; a deployment
 never holds both files on one machine.
 """
@@ -39,9 +39,7 @@ def main() -> int:
     for s, path in pairs:
         print(f"{path}: role {s.role.name}, kappa={s.kappa}, psi={s.psi}, "
               f"abits={s.remaining('abits_mine')}, "
-              f"aands={s.remaining('aands_mine')}, "
-              f"aots={s.remaining('aots_sender')}+"
-              f"{s.remaining('aots_receiver')}")
+              f"triples={s.remaining('triples')}")
     print(f"ok: {checked} relations verified, session "
           f"{sa.session_id.hex()}")
     return 0

@@ -1,7 +1,8 @@
 """Actively secure two-party computation on MAC-authenticated bits.
 
-An offline dealer phase stretches a handful of seed OTs into a store of
-authenticated bits, AND triples, and OT quadruples; the online phase then
+An offline dealer phase stretches a handful of seed OTs into authenticated
+bits, AND triples and OT quadruples, and stores input bits and one Beaver
+triple per AND gate made from them; the online phase then
 evaluates any Boolean circuit one AND level at a time, deferring MAC
 verification into accumulators checked before any output is released.
 """

@@ -106,8 +106,7 @@ def cmd_deal(args) -> int:
         "role": str(role),
         "gates": args.gates,
         "abits": store.remaining("abits_mine"),
-        "aands": store.remaining("aands_mine"),
-        "aots": store.remaining("aots_sender") + store.remaining("aots_receiver"),
+        "triples": store.remaining("triples"),
         "seconds": round(elapsed, 3),
     }, f"dealt material for {args.gates} AND gates -> {args.out} "
        f"({elapsed:.1f}s)")

@@ -2,8 +2,9 @@
 
 deal() runs the whole offline phase on one channel: a handshake, the
 authenticated-bit pipeline for each bit owner, then triple and quadruple
-generation with bucketed combining, all under the two session global keys
-born in the pipeline.
+generation with bucketed combining, and last one Beaver triple per AND gate
+folded from them, all under the two session global keys born in the
+pipeline.
 
 Each party's bits are authenticated under the other party's key, so the
 two owners' pipelines are independent, and so are the two owners' leaky
@@ -23,7 +24,10 @@ in side order, Alice's bits or Alice's direction first on both parties. The
 combiners and the deferred-MAC flush with the global-key commitments stay
 one at a time, in the same order on both parties, so the MAC accumulators
 chain alike; both chains start from a digest of the session id, so the
-flush refuses two ids even in a deal that makes no aBit.
+flush refuses two ids even in a deal that makes no aBit. The flush's round
+also carries the three bits per AND gate that each party opens to fold the
+gate's triples, quads and fresh bit into one Beaver triple
+(`_flush_and_commit`), and their MACs join the chains it compares.
 
 The aBit sides cross their OT corrections in batches of at most
 `base_ot.BATCH_BITS` bits per column, one frame per batch, and the key
@@ -35,18 +39,22 @@ memory grows with its demand by about that much, not by three times it.
 From the aBit pipeline's transpose on, every
 authenticated bit is a row of a uint8 array (a MAC-side row is the MAC's
 kappa/8 bytes, then one byte for the bit; a key row is kappa/8 bytes): the
-per-owner pools are array slices, laOT, laAND and the combiners hash and XOR
-whole arrays, and their outputs are the six streams of each party's
-MaterialStore, which the online phase slices one AND level at a time through
-monotone cursors. A global key is a (kappa/8,) uint8 row too, like a key
-row, and the session parameters travel as arguments, not on the channel. A
-store file (version 2) is a 64-byte header, the global key, the six record
-counts, and each stream's MAC rows then key rows as raw bytes.
+per-owner pools are array slices, laOT, laAND, the combiners and the
+conversion to Beaver triples hash and XOR whole arrays, and what they leave
+is the three streams of each party's MaterialStore: the aBits of its input
+wires, its keys on the peer's, and one Beaver triple per AND gate, which
+the online phase takes through monotone cursors. A global key is a
+(kappa/8,) uint8 row too, like a key row, and the session parameters travel
+as arguments, not on the channel. A store file (version 3) is a 64-byte
+header, the global key, the three record counts, a "store/body" digest of
+everything after the header but itself, and each stream's MAC rows then key
+rows as raw bytes.
 
 A deal is sized by the circuit's shape, `DealerConfig`. Every secure triple
 eats 3 owner bits per leaky instance and every secure quadruple 2 sender
-bits and 2 receiver bits, so at bucket size B an owner's demand is one fresh
-bit per own input wire plus n_and * (1 + 7B). The store never persists the
+bits and 2 receiver bits, and each Beaver triple one fresh bit, so at bucket
+size B an owner's demand is one bit per own input wire plus
+n_and * (1 + 7B). The store never persists the
 peer's global key, only a joint digest of both parties' commitments to
 their global keys, which the two parties compare at online startup.
 """
@@ -64,13 +72,14 @@ from .abit_proto import Rows, produce_abits
 from .aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
                         laot_receiver, laot_sender)
 from .base_ot import DealerOt
+from .bitlinalg import pack_bits, unpack_bits
 from .errors import OutOfMaterial, ParseError, ProtocolAbort, ProtocolError, UsageError
-from .ro_suite import (DIGEST_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
-                       flush_accumulators, ro_hash)
+from .ro_suite import (DIGEST_BYTES, FLUSH_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
+                       check_flush, flush_accumulators, flush_payload, ro_hash, ro_stream)
 from .transport import SESSION_ID_BYTES, Channel, MsgType, Role, Swap, hello, run_sides
 
 MAGIC = b"MACBITS\x00"
-STORE_VERSION = 2
+STORE_VERSION = 3
 HEADER_BYTES = 64
 
 
@@ -80,9 +89,10 @@ class DealerConfig:
     inputs_a, inputs_b input wires, at MAC length kappa and statistical
     security psi.
 
-    Each AND gate burns, per party, one fresh bit, one triple of its own and
-    one of the peer's, and one quad in each direction; each input wire burns
-    one fresh bit of its owner's (the mask). `records` writes that recipe
+    Each AND gate burns, per party, one Beaver triple, which the deal makes
+    from one fresh bit, one triple of its own and one of the peer's, and one
+    quad in each direction; each input wire burns one fresh bit of its
+    owner's (the mask). `records` writes the store's side of that recipe
     down. Triples and quads are bucketed alike: `bucket` leaky instances per
     output, bucket_B if given, else derived from psi and n_and.
     """
@@ -116,16 +126,15 @@ class DealerConfig:
 
     def records(self, role: Role) -> dict:
         """Records per stream of role's store."""
-        recs = dict.fromkeys(MaterialStore.STREAMS, self.n_and)
         inputs = {Role.ALICE: self.inputs_a, Role.BOB: self.inputs_b}
-        recs["abits_mine"] += inputs[role]
-        recs["abits_theirs"] += inputs[role.other]
-        return recs
+        return {"abits_mine": inputs[role], "abits_theirs": inputs[role.other],
+                "triples": self.n_and}
 
     def abit_demand(self, owner: Role) -> int:
-        """owner's bits a deal makes: its fresh bits, then per AND gate 3
-        per leaky triple and 2 per leaky quad as sender and as receiver."""
-        return self.records(owner)["abits_mine"] + 7 * self.bucket * self.n_and
+        """owner's bits a deal makes: one per input wire, then per AND gate
+        a fresh bit, 3 per leaky triple and 2 per leaky quad as sender and
+        as receiver."""
+        return self.records(owner)["abits_mine"] + self.n_and * (1 + 7 * self.bucket)
 
 
 class MaterialStore:
@@ -139,30 +148,23 @@ class MaterialStore:
     global key this party holds on the peer's bits, a (kappa/8,) row.
     """
 
-    STREAMS = ("abits_mine", "abits_theirs", "aands_mine", "aands_theirs",
-               "aots_sender", "aots_receiver")
+    STREAMS = ("abits_mine", "abits_theirs", "triples")
     WIDTHS = {
         "abits_mine": (1, 0),     # bit
         "abits_theirs": (0, 1),   # key
-        "aands_mine": (3, 0),     # x, y, z
-        "aands_theirs": (0, 3),   # kx, ky, kz
-        "aots_sender": (2, 2),    # x0, x1 | kc, kz
-        "aots_receiver": (2, 2),  # c, z | kx0, kx1
+        "triples": (3, 3),        # u, v, w | ku, kv, kw
     }
 
     def __init__(self, role: Role, kappa: int, psi: int, session_id: bytes,
                  gk_commit: bytes, delta: np.ndarray,
-                 abits_mine=(), abits_theirs=(), aands_mine=(),
-                 aands_theirs=(), aots_sender=(), aots_receiver=()):
+                 abits_mine=(), abits_theirs=(), triples=()):
         self.role = role
         self.kappa = kappa
         self.psi = psi
         self.session_id = session_id
         self.gk_commit = gk_commit
         self.delta = delta
-        given = (abits_mine, abits_theirs, aands_mine, aands_theirs,
-                 aots_sender, aots_receiver)
-        for name, stream in zip(self.STREAMS, given):
+        for name, stream in zip(self.STREAMS, (abits_mine, abits_theirs, triples)):
             setattr(self, name, tuple(stream) or self._rows(name, 0, b""))
         self._cursors = {name: 0 for name in self.STREAMS}
 
@@ -198,19 +200,28 @@ class MaterialStore:
         return hdr
 
     def save(self, path):
-        counts = struct.pack(">6Q", *(len(getattr(self, n)[0]) for n in self.STREAMS))
+        """Write the header, then the global key, the record counts, the
+        body's digest and each stream's MAC rows then key rows. The digest
+        is the "store/body" hash of everything after the header but itself."""
+        counts = struct.pack(f">{len(self.STREAMS)}Q",
+                             *(len(getattr(self, n)[0]) for n in self.STREAMS))
+        body = [np.ascontiguousarray(rows) for n in self.STREAMS for rows in getattr(self, n)]
+        digest = ro_stream("store/body", self.delta, counts)
+        for rows in body:
+            digest.update(rows)
         with open(path, "wb") as fh:
             fh.write(self.header_bytes())
             fh.write(self.delta.tobytes())
             fh.write(counts)
-            for name in self.STREAMS:
-                for rows in getattr(self, name):
-                    fh.write(rows.tobytes())
+            fh.write(digest.digest())
+            for rows in body:
+                fh.write(rows.tobytes())
 
     @classmethod
     def load(cls, path) -> "MaterialStore":
         """Read a store file; its arrays are read-only views of the file's
-        bytes. Malformed files raise ParseError."""
+        bytes. Malformed files raise ParseError, a body that does not match
+        its digest before any array is built."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if len(blob) < HEADER_BYTES:
@@ -233,15 +244,22 @@ class MaterialStore:
         role = Role(role_v)
         kb = kappa // 8
         counts_at = HEADER_BYTES + kb
-        off = counts_at + 48
+        digest_at = counts_at + 8 * len(cls.STREAMS)
+        off = digest_at + DIGEST_BYTES
         if len(blob) < off:
             raise ParseError("material file too short for its record counts")
-        delta = np.frombuffer(blob, np.uint8, kb, HEADER_BYTES)
-        counts = struct.unpack(">6Q", blob[counts_at:off])
+        counts = struct.unpack(f">{len(cls.STREAMS)}Q", blob[counts_at:digest_at])
         sizes = [n * (wm * (kb + 1) + wk * kb)
                  for n, (wm, wk) in zip(counts, map(cls.WIDTHS.get, cls.STREAMS))]
         if len(blob) - off != sum(sizes):
             raise ParseError("material body length does not match its record counts")
+        view = memoryview(blob)
+        digest = ro_stream("store/body")
+        digest.update(view[HEADER_BYTES:digest_at])
+        digest.update(view[off:])
+        if digest.digest() != blob[digest_at:off]:
+            raise ParseError("material body does not match its digest")
+        delta = np.frombuffer(blob, np.uint8, kb, HEADER_BYTES)
         store = cls(role, kappa, psi, sid, commit, delta)
         for name, n, size in zip(cls.STREAMS, counts, sizes):
             macs, keys = store._rows(name, n, blob, off)
@@ -335,27 +353,82 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
             ((combined, expect_acc),) = run_sides(ch, role, side)
         (aots if is_aot else aands)[owner] = combined
 
+    recs = cfg.records(role)
+    inputs = take(role, recs["abits_mine"]), take(role.other, recs["abits_theirs"])
     my_delta = gk_of(role.other)
     my_commit = ro_hash("gkc", sid, bytes([role.value]), my_delta)
-    (peer_commit,) = run_sides(ch, role, _flush_and_commit(sent_acc, expect_acc, my_commit))
+    # per AND gate, my records and my keys on the peer's same records: my
+    # triple, my quad as sender, my quad as receiver and my fresh bit
+    mine = theirs = None
+    if cfg.n_and:
+        mine = (aands[role].macs, aots[role].macs, aots[role.other].macs,
+                take(role, cfg.n_and))
+        theirs = (aands[role.other].keys, aots[role.other].keys, aots[role].keys,
+                  take(role.other, cfg.n_and))
+    ((triples, peer_commit),) = run_sides(ch, role, _flush_and_commit(
+        sent_acc, expect_acc, my_commit, mine, theirs, my_delta))
     commits = {role: my_commit, role.other: peer_commit}
     gk_commit = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
-
-    recs = cfg.records(role)
-    return MaterialStore(
-        role, cfg.kappa, cfg.psi, sid, gk_commit, my_delta,
-        Rows.of_macs(take(role, recs["abits_mine"])[:, None]),
-        Rows.of_keys(take(role.other, recs["abits_theirs"])[:, None]),
-        aands[role], aands[role.other], aots[role], aots[role.other])
+    return MaterialStore(role, cfg.kappa, cfg.psi, sid, gk_commit, my_delta,
+                         Rows.of_macs(inputs[0][:, None]), Rows.of_keys(inputs[1][:, None]),
+                         triples)
 
 
-def _flush_and_commit(sent: MacAccumulator, expect: MacAccumulator, commit: bytes):
+def _opened(t, s, q, r):
+    """The three bits a party opens per AND gate, as (n, 3) rows: d = c_r ^ b,
+    e = x0 ^ x1 ^ a and h = r ^ x0, from its triple t (a, b, c), its quad s
+    (x0, x1) as sender, its quad q (c_r, z_r) as receiver and its fresh bit
+    r. On MAC rows of its own records, or alike on the peer's key rows of
+    them."""
+    x0 = s[:, 0]
+    return np.stack((q[:, 0] ^ t[:, 1], x0 ^ s[:, 1] ^ t[:, 0], r ^ x0), axis=1)
+
+
+def _product_share(t, q, r, d, e):
+    """w less its public h: c ^ r ^ d*a ^ z_r ^ e*c_r, from the records of
+    `_opened` and the other party's opened d and e. On MAC rows or key rows
+    alike."""
+    return t[:, 2] ^ r ^ d[:, None] * t[:, 0] ^ q[:, 1] ^ e[:, None] * q[:, 0]
+
+
+def _flush_and_commit(sent: MacAccumulator, expect: MacAccumulator, commit: bytes,
+                      mine, theirs, delta: np.ndarray):
     """The deferred-MAC flush, then the global-key commitments, as one
     protocol side: this party's commitment goes out only once the flush has
-    passed. Returns the peer's commitment."""
-    yield from flush_accumulators(sent, expect)
-    (theirs,) = yield Swap([(MsgType.GK_COMMIT, commit)], [(MsgType.GK_COMMIT, DIGEST_BYTES)])
-    return theirs
+    passed. Returns (the Beaver triples as Rows, the peer's commitment).
+
+    With AND gates the flush round carries, before the flush, the bits each
+    party opens per gate (`_opened` of `mine`; `theirs` holds my keys on the
+    peer's same records, delta the global key I hold), one BEAVER_OPEN frame,
+    and their MACs join the chains the flush compares. They fold each gate's
+    material into one authenticated Beaver triple u = a, v = b, w = c ^ r ^
+    d'*a ^ z_r ^ e'*c_r ^ h', primes marking the peer's opened bits: the
+    peer's share of a*b' is z_r' ^ e*c_r' ^ h and mine r ^ d'*a, so w_A ^ w_B
+    = (u_A ^ u_B) * (v_A ^ v_B). The public h' moves my bit, and my key on
+    the peer's w by h * delta."""
+    if mine is None:
+        yield from flush_accumulators(sent, expect)
+        triples = ()
+    else:
+        opened, keys = _opened(*mine), _opened(*theirs)
+        n, kb = keys.shape[0], delta.size
+        sent = sent.absorb(opened[..., :kb].reshape(-1, kb))
+        bits = opened[..., kb]
+        got, flush = yield Swap(
+            [(MsgType.BEAVER_OPEN, pack_bits(bits.ravel())),
+             (MsgType.RT_ACC_FLUSH, flush_payload(sent))],
+            [(MsgType.BEAVER_OPEN, (3 * n + 7) // 8), (MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
+        peer = unpack_bits(got, 3 * n).reshape(n, 3)
+        check_flush(flush, expect.absorb((keys ^ peer[..., None] * delta).reshape(-1, kb)))
+        (t, _, q, r), (kt, _, kq, kr) = mine, theirs
+        w = _product_share(t, q, r, peer[:, 0], peer[:, 1])
+        w[:, kb] ^= peer[:, 2]
+        kw = _product_share(kt, kq, kr, bits[:, 0], bits[:, 1]) ^ bits[:, 2:] * delta
+        triples = Rows(np.stack((t[:, 0], t[:, 1], w), axis=1),
+                       np.stack((kt[:, 0], kt[:, 1], kw), axis=1))
+    (peer_commit,) = yield Swap([(MsgType.GK_COMMIT, commit)],
+                                [(MsgType.GK_COMMIT, DIGEST_BYTES)])
+    return triples, peer_commit
 
 
 def _macs_hold(macs, keys, delta) -> bool:
@@ -365,9 +438,9 @@ def _macs_hold(macs, keys, delta) -> bool:
 
 def verify_stores(store_a: MaterialStore, store_b: MaterialStore) -> int:
     """Full-scan cross check of two parties' stores; returns the number of
-    relations verified (per record: one per MAC, plus a triple's product and
-    a quad's choice). Test and tooling aid: a deployment never holds both
-    stores in one process."""
+    relations verified (one per MAC, and one product per Beaver triple).
+    Test and tooling aid: a deployment never holds both stores in one
+    process."""
     if store_a.role is not Role.ALICE or store_b.role is not Role.BOB:
         raise UsageError("pass the stores in (alice, bob) order")
     for name in ("kappa", "psi", "session_id", "gk_commit"):
@@ -382,20 +455,12 @@ def verify_stores(store_a: MaterialStore, store_b: MaterialStore) -> int:
         checked += n
 
     for mac_store, key_store in ((store_a, store_b), (store_b, store_a)):
-        gk = key_store.delta  # authenticates mac_store's bits
-        gk_recv = mac_store.delta  # authenticates the receiver's bits
-        (am, _), (_, ak) = mac_store.abits_mine, key_store.abits_theirs
-        (tm, _), (_, tk) = mac_store.aands_mine, key_store.aands_theirs
-        (xs, kcz), (cz, kxs) = mac_store.aots_sender, key_store.aots_receiver
-        for what, mine, theirs in (("abit", am, ak), ("aand", tm, tk), ("aot", xs, cz)):
-            if len(mine) != len(theirs):
+        for what, (macs, _), (_, keys) in (
+                ("abit", mac_store.abits_mine, key_store.abits_theirs),
+                ("triple", mac_store.triples, key_store.triples)):
+            if len(macs) != len(keys):
                 raise ProtocolAbort("material", f"{what} stream lengths disagree")
-        need(_macs_hold(am, ak, gk), "abit", len(am))
-        x, y, z = (tm[:, i, -1] for i in range(3))
-        need(np.array_equal(z, x & y), "triple product", len(tm))
-        need(_macs_hold(tm, tk, gk), "triple MAC", 3 * len(tm))
-        x0, x1, c, z = xs[:, 0, -1], xs[:, 1, -1], cz[:, 0, -1], cz[:, 1, -1]
-        need(np.array_equal(z, (c & (x0 ^ x1)) ^ x0), "quad choice", len(xs))
-        need(_macs_hold(xs, kxs, gk), "quad x0/x1 MAC", 2 * len(xs))
-        need(_macs_hold(cz, kcz, gk_recv), "quad c/z MAC", 2 * len(xs))
+            need(_macs_hold(macs, keys, key_store.delta), f"{what} MAC", macs[..., 0].size)
+    u, v, w = (store_a.triples[0][..., -1] ^ store_b.triples[0][..., -1]).T
+    need(np.array_equal(w, u & v), "triple product", len(w))
     return checked

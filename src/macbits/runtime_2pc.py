@@ -20,27 +20,19 @@ input bit as its share, with the MAC of a fresh aBit r, and announces the
 masked bit m = r ^ input; the peer takes 0 with a zero MAC, and r's key
 plus m * delta as its key. So a party's bits and MACs never wait for the
 peer's announcement, only its keys on the peer's input wires do. An AND
-gate burns two triples, two OT quads, and two fresh bits. Right after the
-inputs are shared, `_stage` takes each stream's records for all of the
-circuit's AND gates in one call and lays them out once, field by field, as
-full rows in schedule order, with what needs no wire already combined (c,
-a, b, x0 ^ x1, r ^ x0 and the output constant); a level reads its slice,
-so no level takes material.
-Each party reveals five bits per gate, all in one round per level in which
-both parties send at once:
-
-  d     = c ^ y          my y under the choice bit c of my quad as receiver
-  f, g  = a ^ x, b ^ y   my x and y under my triple (a, b, a & b)
-  f_x   = x0 ^ x1 ^ x    my x under my quad (x0, x1) as sender
-  h     = r ^ x0         my fresh bit r under that quad's x0
-
-None needs a bit of the peer's, which is what lets the two reveals cross.
-For the cross term x * y' (x mine, y' the peer's), my share is r ^ d' * x
-with d' the peer's reveal, and the peer's share is z' ^ f_x * c' ^ h from
-its quad (c', z' = x_c'); they add up to x * (c' ^ d') = x * y'. The d' * x
-term is added after the round, next to the local product's g * x, as
-(g ^ d') * x; on the key side, my key on the peer's d * x' joins the key
-on its g' * x' as (g' ^ d) * kx.
+gate burns one Beaver triple per party, the store's "triples" record: my
+shares u, v, w of u * v = w, their MACs, and my keys on the peer's shares,
+which the deal folded from the gate's triples, quads and fresh bits. Right
+after the inputs are shared, `_stage` takes the triples of all of the
+circuit's AND gates in one call and lays them out once as full rows in
+schedule order; a level reads its slice, so no level takes material.
+For a gate x * y each party reveals two bits, f = u ^ x and g = v ^ y, all
+in one round per level in which both parties send at once; neither needs a
+bit of the peer's, which is what lets the two reveals cross. With F and G
+the sums of both parties' f and g, x * y = w ^ F * v ^ G * u ^ F * G, so
+each party's output row is its w ^ F * v ^ G * u, MAC and key half alike,
+and the public F * G joins it as a constant (Alice's bit, Bob's key F * G *
+delta).
 
 A level's reveals are gate-major. Every announced bit's MAC is deferred
 into running accumulators, one absorb per level on each side: my sent MACs
@@ -101,54 +93,10 @@ from .ro_suite import (FLUSH_BYTES, MacAccumulator, check_flush, flush_accumulat
 from .transport import Channel, MsgType, Role, Send, Swap, hello, run_sides
 
 
-def _term_codes() -> np.ndarray:
-    """The four output terms of an AND gate, as codes into `Runtime._terms`,
-    for every pair of reveals: column 32 * m + p holds them for my five
-    reveal bits m and the peer's five p, bit i of each being reveal i (d, f,
-    g, f_x, h).
-
-    Four full rows per gate complete its output: x, y and the receiver
-    quad's c, each kept or cleared per half by a bit, and a constant; each
-    code is 2 * (the MAC half's bit) + (the key half's bit). The MAC half
-    adds the local product's g*x ^ f*y ^ (f&g), d'*x (my share of my cross
-    term is r ^ d'*x) and f_x'*c ^ h' (my share of the peer's is
-    z ^ f_x'*c ^ h'); the key half adds my keys on the same terms of the
-    peer's share: g'*x', d*x', f'*y', f_x*c', (f'&g') ^ h."""
-    m, p = np.divmod(np.arange(1024), 32)
-    d, f, g, fx, h = m >> np.arange(5)[:, None] & 1
-    pd, pf, pg, pfx, ph = p >> np.arange(5)[:, None] & 1
-    return np.array([(g ^ pd) << 1 | (pg ^ d),
-                     f << 1 | pf,
-                     pfx << 1 | fx,
-                     ((f & g) ^ ph) << 1 | ((pf & pg) ^ h) | 4], np.uint8)
-
-
-_TERM_CODES = _term_codes()
-# a gate's column of _TERM_CODES from its reveal bits, 32 * mine + peer's
-_MINE, _PEER = 32 << np.arange(5), 1 << np.arange(5)
-# An AND level gathers each gate's inputs x, y as y, x, y, x: the wires that
-# the staged c, a, b and x0 ^ x1 are XORed with to make d, f, g and f_x.
-_YXYX = np.array([1, 0, 1, 0])
-
-
 def output_digest(macs: np.ndarray) -> bytes:
     """The RT_OUTPUT digest of output MACs, one kappa/8-byte row each in
     frame order: the first kappa/8 bytes of their "rt/out" hash."""
     return ro_hash("rt/out", macs)[:macs.shape[1]]
-
-
-def _rows(a):
-    """a, whose last axis must be contiguous, with each row along that axis
-    as one void element: numpy copies such a row several times faster than
-    its bytes."""
-    return a.view(f"V{a.shape[-1]}")[..., 0]
-
-
-def _gate_major(fields):
-    """A (5, n, width) view of a level's reveal rows as one contiguous
-    (5 * n, width) uint8 array, gate-major: the order of the revealed bits."""
-    width = fields.shape[-1]
-    return np.ascontiguousarray(_rows(fields).T).view(np.uint8).reshape(-1, width)
 
 
 @dataclass
@@ -178,18 +126,17 @@ class Runtime:
         self.stats = RuntimeStats()
         self._sent = MacAccumulator()
         self._expect = MacAccumulator()
-        # Full rows an AND gate's output terms are taken from, by a code 2m + k
-        # of two bits: 0..3 are masks that keep the MAC half (with the bit)
-        # if m and the key half if k; 4..7 are constants, bit m and key
-        # k * delta.
         kb = self.kappa // 8
-        self._terms = np.zeros((8, 2 * kb + 1), np.uint8)
-        self._terms[[2, 3], :kb + 1] = 0xFF
-        self._terms[[1, 3], kb + 1:] = 0xFF
-        self._terms[[6, 7], kb] = 1
-        self._terms[[5, 7], kb + 1:] = self._delta
         # my key on a peer's bit b, less its MAC: b * delta, by b
-        self._bit_keys = self._terms[[4, 5], kb + 1:]
+        self._bit_keys = np.zeros((2, kb), np.uint8)
+        self._bit_keys[1] = self._delta
+        # the public constant b as a full row, by b: Alice's half carries
+        # the bit, Bob's key on it is b * delta
+        self._consts = np.zeros((2, 2 * kb + 1), np.uint8)
+        if role is Role.ALICE:
+            self._consts[1, kb] = 1
+        else:
+            self._consts[1, kb + 1:] = self._delta
 
     # -- session ------------------------------------------------------------
 
@@ -207,79 +154,56 @@ class Runtime:
     # -- batched AND level ----------------------------------------------------
 
     def _stage(self, n):
-        """Burn the material of the circuit's n AND gates, the records its
-        levels use in schedule order, and lay it out once as a (6, n, row)
-        array: per field one full row per gate, like the wire table's, each
-        pairing the MAC half of a value of mine with my key half on the
-        peer's matching value. The fields combine what needs no wire: the
-        receiver quad's c, the triple's a and b, the sender quad's x0 ^ x1,
-        the fresh bit's r ^ x0, and the output constant z ^ r ^ the receiver
-        quad's z."""
+        """Burn the Beaver triples of the circuit's n AND gates, the records
+        its levels use in schedule order, and lay them out once as an (n, 3,
+        row) array: per gate u, v and w as full rows, like the wire table's,
+        each pairing the MAC half of my share with my key half on the
+        peer's."""
         kb = self.kappa // 8
-        st = self.store
-        qs, qsk = st.take("aots_sender", n)    # x0, x1 | kc, kz
-        qr, qrk = st.take("aots_receiver", n)  # c, z | kx0, kx1
-        tm, _ = st.take("aands_mine", n)       # a, b, z
-        _, tk = st.take("aands_theirs", n)
-        rm, _ = st.take("abits_mine", n)       # r
-        _, rk = st.take("abits_theirs", n)
-        # the records' rows as c, a, b, x0, r, z, x1, the receiver quad's z
-        m = np.empty((8, n, 2 * kb + 1), np.uint8)
-        for half, (cz, t, x, r) in ((m[:, :, :kb + 1], (qr, tm, qs, rm)),
-                                    (m[:, :, kb + 1:], (qsk, tk, qrk, rk))):
-            half = _rows(half)
-            for k, (rec, i) in enumerate(((cz, 0), (t, 0), (t, 1), (x, 0),
-                                          (r, 0), (t, 2), (x, 1), (cz, 1))):
-                half[k] = _rows(rec)[:, i]
-        m[5] ^= m[4]  # z ^ r, then ^ the receiver quad's z
-        m[5] ^= m[7]
-        m[4] ^= m[3]  # r ^ x0, before x0 becomes x0 ^ x1
-        m[3] ^= m[6]
-        return m[:6]
+        macs, keys = self.store.take("triples", n)
+        mat = np.empty((n, 3, 2 * kb + 1), np.uint8)
+        mat[..., :kb + 1] = macs
+        mat[..., kb + 1:] = keys
+        return mat
 
     def _and_open(self, w, ins, o0, mat):
         """The local half of one AND level, gate i being ins[i, 0] & ins[i, 1]
-        into row o0 + i with its staged material mat[:, i]: writes the output
-        rows' local terms and returns (the packed bits this party reveals,
-        gate-major, and the state `_and_close` needs). The material was
-        burned once, right after the inputs were shared (`_stage`).
+        into row o0 + i with its staged triple mat[i]: returns (the packed
+        bits this party reveals, gate-major, and the state `_and_close`
+        needs). The triples were burned once, right after the inputs were
+        shared (`_stage`).
 
-        My reveals d, f, g, f_x are the staged c, a, b, x0 ^ x1 XORed with my
-        y, x, y, x, and h = r ^ x0 is staged, on the MAC half; on the key half
-        are my keys on the peer's same five reveals. So one gather and one
-        XOR make the first four, and two copies make h and the output
-        rows."""
+        My reveals f = u ^ x and g = v ^ y are one gather and one XOR of full
+        rows: on the MAC half my bits and their MACs, on the key half my keys
+        on the peer's same reveals."""
         n = len(ins)
         kb = self.kappa // 8
         self.stats.and_gates += n
         self.stats.levels.append(n)
-        yx = w.take(ins.T[_YXYX], axis=0)
-        rv = np.empty((5, n, 2 * kb + 1), np.uint8)
-        np.bitwise_xor(mat[:4], yx, out=rv[:4])
-        rv[4] = mat[4]
-        w[o0:o0 + n] = mat[5]
-        # my sent chain, gate-major, is complete before the reveals go out,
-        # so the last level's flight can carry its flush
-        self._sent = self._sent.absorb(_gate_major(rv[:, :, :kb]))
-        self.stats.bits_revealed += 5 * n
-        return pack_bits(rv[:, :, kb].T.ravel()), (yx, mat[0], rv)
+        rv = np.bitwise_xor(mat[:, :2], w.take(ins, axis=0))
+        # my sent chain is complete before the reveals go out, so the last
+        # level's flight can carry its flush
+        self._sent = self._sent.absorb(rv[..., :kb].reshape(-1, kb))
+        self.stats.bits_revealed += 2 * n
+        return pack_bits(rv[..., kb].ravel()), (mat, rv)
 
     def _and_close(self, w, o0, state, payload):
-        """The rest of an AND level once the peer's reveals are in."""
-        yx, c, rv = state
-        n = rv.shape[1]
+        """The rest of an AND level once the peer's reveals are in: with F and
+        G the opened u ^ x and v ^ y, each output row is w ^ F*v ^ G*u plus
+        the public constant F*G."""
+        mat, rv = state
+        n = len(rv)
         kb = self.kappa // 8
-        bits = unpack_bits(payload, 5 * n).reshape(n, 5)
+        bits = unpack_bits(payload, 2 * n).reshape(n, 2)
         # gate-major, the MACs the peer's bits must carry: key ^ delta*bit
-        expect = _gate_major(rv[:, :, kb + 1:])
-        expect ^= self._bit_keys.take(bits.ravel(), axis=0)
-        self._expect = self._expect.absorb(expect)
-        self.stats.bits_expected += 5 * n
-        code = _TERM_CODES.take(_MINE @ rv[:, :, kb] + bits @ _PEER, axis=1)
-        terms = self._terms.take(code, axis=0)
-        terms[:2] &= yx[1:3]  # x, y
-        terms[2] &= c
-        w[o0:o0 + n] ^= np.bitwise_xor.reduce(terms, axis=0)
+        self._expect = self._expect.absorb(
+            (rv[..., kb + 1:] ^ self._bit_keys.take(bits, axis=0)).reshape(-1, kb))
+        self.stats.bits_expected += 2 * n
+        f, g = (rv[..., kb] ^ bits).T
+        out = mat[:, 2] ^ self._consts.take(f & g, axis=0)
+        out ^= mat[:, 1] * f[:, None]
+        out ^= mat[:, 0] * g[:, None]
+        w[o0:o0 + n] = out
 
     # -- circuit driver -------------------------------------------------------
 
@@ -317,16 +241,13 @@ class Runtime:
     def _rekey(self, w, steps, ins, state):
         """Redo, once the first round is in, what read my keys on the peer's
         input wires before its announcement completed them: level 0's free
-        steps `steps`, and the key halves that the first AND level's
-        `_and_open` (gates `ins`, returning `state`) gathered and XORed into
-        its reveal rows."""
-        kb = self.kappa // 8
+        steps `steps`, and the reveal rows of the first AND level's
+        `_and_open` (gates `ins`, returning `state`), whose MAC halves come
+        out the same."""
         for a, b, out in steps:
             np.bitwise_xor(w.take(a, axis=0), w.take(b, axis=0), out=w[out])
-        yx, _, rv = state
-        fix = w.take(ins.T[_YXYX], axis=0)[:, :, kb + 1:] ^ yx[:, :, kb + 1:]
-        yx[:, :, kb + 1:] ^= fix
-        rv[:4, :, kb + 1:] ^= fix
+        mat, rv = state
+        np.bitwise_xor(mat[:, :2], w.take(ins, axis=0), out=rv)
 
     def _output_phase(self, w, circuit):
         """Reveal each output wire's bit to its receivers, followed by one
@@ -371,10 +292,7 @@ class Runtime:
         circuit.row_schedule  # built and cached before the hello, not while the peer waits
         kb = self.kappa // 8
         w = np.zeros((h.n_wires + 2, 2 * kb + 1), np.uint8)
-        if self.role is Role.ALICE:  # the constant-1 wire
-            w[h.n_wires + 1, kb] = 1
-        else:
-            w[h.n_wires + 1, kb + 1:] = self._delta
+        w[h.n_wires + 1] = self._consts[1]
         # run_sides resumes the sides handed frames in this order, so in the
         # first round the hello is checked, then my keys on the peer's inputs
         # are completed, and only then is the first AND level closed
@@ -397,9 +315,9 @@ class Runtime:
         for k, (ands, steps) in enumerate(levels):
             if ands is not None:
                 ins, o0 = ands
-                reveal, state = self._and_open(w, ins, o0, mat[:, g:g + len(ins)])
+                reveal, state = self._and_open(w, ins, o0, mat[g:g + len(ins)])
                 g += len(ins)
-                nb = (5 * len(ins) + 7) // 8
+                nb = (2 * len(ins) + 7) // 8
                 frames = [(MsgType.RT_REVEAL_BATCH, reveal)]
                 if g < circuit.n_and:
                     got = yield Swap(frames, [(MsgType.RT_REVEAL_BATCH, nb)])

@@ -81,6 +81,7 @@ class MsgType(enum.IntEnum):
     RT_REVEAL_BATCH = 24
     RT_ACC_FLUSH = 25
     RT_OUTPUT = 26
+    BEAVER_OPEN = 27
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,19 @@ class QuadReceiver:
     kx1: AuthBitKey
 
 
+@dataclass(frozen=True)
+class BeaverShare:
+    """One party's Beaver triple: its shares u, v, w, then its keys on the
+    peer's shares, the store's "triples" record."""
+
+    u: AuthBitMac
+    v: AuthBitMac
+    w: AuthBitMac
+    ku: AuthBitKey
+    kv: AuthBitKey
+    kw: AuthBitKey
+
+
 def _halves(record):
     return (record,) if isinstance(record, (AuthBitMac, AuthBitKey)) else vars(record).values()
 
@@ -259,15 +272,26 @@ class OracleDealer:
         return (QuadSender(x0, x1, kc, kz),
                 QuadReceiver(c, z, kx0, kx1))
 
+    def beaver(self) -> dict:
+        """Both parties' BeaverShare of one triple, by role, born clean:
+        w_A ^ w_B = (u_A ^ u_B) & (v_A ^ v_B)."""
+        A, B = Role.ALICE, Role.BOB
+        u, v = ({r: self.abit(r) for r in (A, B)} for _ in range(2))
+        w = {A: self.abit(A)}
+        product = (u[A][0].bit ^ u[B][0].bit) & (v[A][0].bit ^ v[B][0].bit)
+        w[B] = self.abit_with(B, product ^ w[A][0].bit)
+        return {r: BeaverShare(u[r][0], v[r][0], w[r][0], u[r.other][1], v[r.other][1],
+                               w[r.other][1]) for r in (A, B)}
+
     def store_pair(self, cfg: DealerConfig):
         """Stores shaped exactly like deal() would produce for cfg, minus
-        the bucketing (records are born clean)."""
+        the bucketing and the conversion (Beaver triples are born clean)."""
         return self.stores(cfg.psi, cfg.records(Role.ALICE))
 
     def stores(self, psi: int, counts: dict):
         """Both parties' stores, Alice's holding counts[name] records of
         each stream; Bob's mirror hers (his abits_mine are her
-        abits_theirs, his aots_sender her aots_receiver, and so on)."""
+        abits_theirs, and both hold the same number of triples)."""
         sid = bytes(self.rng.getrandbits(8) for _ in range(16))
         commits = {}
         for r in (Role.ALICE, Role.BOB):
@@ -282,18 +306,9 @@ class OracleDealer:
                 m, k = self.abit(owner)
                 records[owner]["abits_mine"].append(m)
                 records[owner.other]["abits_theirs"].append(k)
-        for owner, n in ((Role.ALICE, counts["aands_mine"]),
-                         (Role.BOB, counts["aands_theirs"])):
-            for _ in range(n):
-                tm, tk = self.triple(owner)
-                records[owner]["aands_mine"].append(tm)
-                records[owner.other]["aands_theirs"].append(tk)
-        for sender, n in ((Role.ALICE, counts["aots_sender"]),
-                          (Role.BOB, counts["aots_receiver"])):
-            for _ in range(n):
-                qs, qr = self.quad(sender)
-                records[sender]["aots_sender"].append(qs)
-                records[sender.other]["aots_receiver"].append(qr)
+        for _ in range(counts["triples"]):
+            for r, share in self.beaver().items():
+                records[r]["triples"].append(share)
         return tuple(MaterialStore(r, self.kappa, psi, sid, joint, self.delta[r.other],
                                    *(to_rows(records[r][name], self.kappa) if records[r][name]
                                      else () for name in MaterialStore.STREAMS))
@@ -653,9 +668,9 @@ class TamperPlan:
 
 def reveal_frame_bits(circuit: Circuit) -> list:
     """The bit count of each RT_REVEAL_BATCH frame a party sends, in order:
-    per AND level of n gates each party sends one frame of 5n bits. A frame's
+    per AND level of n gates each party sends one frame of 2n bits. A frame's
     bytes are padded, so its length alone does not tell."""
-    return [5 * len(ands[0]) for ands, _ in circuit.row_schedule[1] if ands is not None]
+    return [2 * len(ands[0]) for ands, _ in circuit.row_schedule[1] if ands is not None]
 
 
 def output_rows(circuit: Circuit, role: Role) -> int:

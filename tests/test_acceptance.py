@@ -320,20 +320,23 @@ def test_cost_accounting():
     xa, xb = random_inputs(c, rng)
     eval_two(c, sa, sb, xa, xb)
     h = c.header
+    cfg = DealerConfig.for_gates(c.n_and, h.inputs_a, h.inputs_b, kappa=16, psi=8)
     per_and_ok = True
-    for store, mine in ((sa, h.inputs_a), (sb, h.inputs_b)):
+    # online: one Beaver triple per AND gate; the deal burned 2 bits + 2
+    # triples + 2 quads per AND gate per party to make it
+    for store, owner, mine in ((sa, A, h.inputs_a), (sb, B, h.inputs_b)):
         used = consumed(store)
         per_and_ok = per_and_ok and (
-            used["aots_sender"] == used["aots_receiver"] == c.n_and
-            and used["aands_mine"] == used["aands_theirs"] == c.n_and
-            and used["abits_mine"] == mine + c.n_and
-            and used["abits_theirs"] == (h.n_inputs - mine) + c.n_and)
+            used["triples"] == c.n_and
+            and used["abits_mine"] == mine
+            and used["abits_theirs"] == h.n_inputs - mine
+            and cfg.abit_demand(owner) == mine + c.n_and * (1 + 7 * cfg.bucket))
 
     report("cost accounting",
            per_aot == 6 * bucket and per_aand == 3 * bucket and per_and_ok,
            f"hashes per bucketed OT {per_aot:.0f} (=6B), per bucketed AND "
            f"{per_aand:.0f} (=3B) at B={bucket}; online consumption per AND "
-           f"gate = 2 bits + 2 ANDs + 2 OTs per party")
+           f"gate = 1 Beaver triple per party, dealt from 2 bits + 2 ANDs + 2 OTs")
 
 
 def _row(half) -> np.ndarray:

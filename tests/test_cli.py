@@ -142,7 +142,7 @@ def test_deal_and_eval_over_tcp(tmp_path):
     for out, _ in outs:
         row = json.loads(out)
         assert row["abits"] > 0
-        assert row["aands"] >= 1
+        assert row["triples"] >= 1
     assert MaterialStore.load(pa).session_id == MaterialStore.load(pb).session_id
 
     # both inputs 11: output (a0^a1)^(b0&b1) = 0^1 = 1

@@ -10,17 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (closing_pair, consumed, counting_pair, eval_two, flip_pair, random_circuit,
-                     random_inputs, run_side, run_two)
+from helpers import (OracleDealer, bit_rows, closing_pair, consumed, counting_pair, eval_two,
+                     flip_pair, random_circuit, random_inputs, run_side, run_two, to_rows)
 from macbits import base_ot
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import random_rows
-from macbits.dealer import (DealerConfig, MaterialStore, deal,
+from macbits.dealer import (DealerConfig, MaterialStore, _flush_and_commit, deal,
                             flush_accumulators, verify_stores)
 from macbits.circuit import plain_eval
 from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort, ProtocolError,
-                            UsageError)
+                            TransportError, UsageError)
 from macbits.ro_suite import MacAccumulator, expand, hash_calls, reset_hash_calls
 from macbits.runtime_2pc import Runtime
 from macbits.transport import MsgType, Role, run_pair
@@ -49,9 +49,8 @@ def test_config_validation():
 def test_for_gates_counts():
     cfg = DealerConfig.for_gates(100, 16, 8, kappa=16, psi=8)
     assert cfg == DealerConfig(n_and=100, inputs_a=16, inputs_b=8, kappa=16, psi=8)
-    rest = {"aands_mine": 100, "aands_theirs": 100, "aots_sender": 100, "aots_receiver": 100}
-    assert cfg.records(A) == {"abits_mine": 116, "abits_theirs": 108, **rest}
-    assert cfg.records(B) == {"abits_mine": 108, "abits_theirs": 116, **rest}
+    assert cfg.records(A) == {"abits_mine": 16, "abits_theirs": 8, "triples": 100}
+    assert cfg.records(B) == {"abits_mine": 8, "abits_theirs": 16, "triples": 100}
 
 
 def test_bucket():
@@ -100,9 +99,11 @@ def test_deal_produces_verified_material():
     for store in (sa, sb):
         assert {name: store.remaining(name) for name in MaterialStore.STREAMS} \
             == SMALL.records(store.role)
-    assert (len(sa.abits_mine[0]), len(sb.abits_mine[0])) == (8, 6)
+    assert (len(sa.abits_mine[0]), len(sb.abits_mine[0])) == (5, 3)
     checked = verify_stores(sa, sb)
-    assert checked == (8 + 4 * 3 + 5 * 3) + (6 + 4 * 3 + 5 * 3)
+    # each party's input aBits and the MACs of its 3 * 3 triple shares, and
+    # 3 products
+    assert checked == (5 + 9) + (3 + 9) + 3
 
 
 def test_deal_at_the_widest_mac():
@@ -112,7 +113,7 @@ def test_deal_at_the_widest_mac():
     cfg = DealerConfig.for_gates(3, 5, 3, kappa=256, psi=8)
     sa, sb = run_deal(cfg, seed=5)
     assert sa.kappa == sb.kappa == 256
-    assert verify_stores(sa, sb) == (8 + 4 * 3 + 5 * 3) + (6 + 4 * 3 + 5 * 3)
+    assert verify_stores(sa, sb) == (5 + 9) + (3 + 9) + 3
 
 
 @pytest.mark.parametrize("cfg", [DealerConfig.for_gates(0, 5, 0, kappa=16, psi=8),
@@ -421,31 +422,28 @@ def test_load_rejects_truncated_or_relabelled_store(tmp_path):
 
 def test_cursors_and_exhaustion():
     sa, sb = run_deal(SMALL, seed=4)
-    for _ in range(8):
+    for _ in range(5):
         sa.take("abits_mine", 1)
-    assert consumed(sa)["abits_mine"] == 8
+    assert consumed(sa)["abits_mine"] == 5
     assert sa.remaining("abits_mine") == 0
     with pytest.raises(OutOfMaterial):
         sa.take("abits_mine", 1)
     with pytest.raises(OutOfMaterial):
-        sb.take("abits_mine", 7)  # 6 dealt: a short take consumes nothing
-    assert sb.remaining("abits_mine") == 6
-    # streams are per owner/direction
-    x01, kcz = sb.take("aots_sender", 1)
-    assert consumed(sb)["aots_sender"] == 1
-    assert x01.shape == (1, 2, 3) and kcz.shape == (1, 2, 2)  # x0, x1 | kc, kz
-    cz, kx01 = sa.take("aots_receiver", 1)  # same direction, receiver half
-    assert cz.shape == (1, 2, 3) and kx01.shape == (1, 2, 2)  # c, z | kx0, kx1
+        sb.take("abits_mine", 4)  # 3 dealt: a short take consumes nothing
+    assert sb.remaining("abits_mine") == 3
+    uvw, kuvw = sb.take("triples", 1)
+    assert consumed(sb)["triples"] == 1
+    assert uvw.shape == (1, 3, 3) and kuvw.shape == (1, 3, 2)  # u, v, w | ku, kv, kw
     # slices of the same rows
-    assert np.array_equal(x01, sb.aots_sender[0][:1])
-    assert np.array_equal(kx01, sa.aots_receiver[1][:1])
+    assert np.array_equal(uvw, sb.triples[0][:1])
+    assert np.array_equal(kuvw, sb.triples[1][:1])
 
 
 def test_take_from_empty_stream():
     store = MaterialStore(A, 16, 8, bytes(16), bytes(32),
                           None)
     with pytest.raises(OutOfMaterial):
-        store.take("aands_mine", 1)
+        store.take("triples", 1)
 
 
 def test_verify_stores_argument_order():
@@ -461,6 +459,109 @@ def test_verify_stores_catches_corruption():
     sb.abits_theirs = (sb.abits_theirs[0], keys)
     with pytest.raises(ProtocolAbort):
         verify_stores(sa, sb)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["u", "v", "w"])
+def test_verify_stores_refuses_one_bad_triple_mac(field):
+    sa, sb = run_deal(SMALL, seed=7)
+    macs = sb.triples[0].copy()
+    macs[1, field, 0] ^= 1  # bit 0 of the MAC on Bob's share, second gate
+    sb.triples = (macs, sb.triples[1])
+    with pytest.raises(ProtocolAbort, match="triple MAC"):
+        verify_stores(sa, sb)
+
+
+def test_verify_stores_refuses_a_broken_product():
+    """Alice's w bit flipped on one gate, with its MAC moved by the global
+    key Bob holds, so that every MAC holds: the product does not."""
+    sa, sb = run_deal(SMALL, seed=8)
+    macs = sa.triples[0].copy()
+    macs[2, 2, -1] ^= 1
+    macs[2, 2, :-1] ^= sb.delta
+    sa.triples = (macs, sa.triples[1])
+    with pytest.raises(ProtocolAbort, match="triple product"):
+        verify_stores(sa, sb)
+
+
+def test_conversion_makes_beaver_triples_at_kappa_8():
+    """The deal's last round folds each AND gate's material into one Beaver
+    triple. Over random clean material at kappa = 8 (the aAND triples of
+    both owners, the aOT quads of both directions and a fresh bit per party
+    and gate): every gate's w_A ^ w_B is (u_A ^ u_B) & (v_A ^ v_B), with u
+    and v each party's a and b; every MAC holds; and evaluations on the
+    triples open every AND gate to x & y."""
+    kappa = 8
+    rng = random.Random(1017)
+    c = random_circuit(rng, 240, inputs_a=6, inputs_b=6)
+    n, h = c.n_and, c.header
+    od = OracleDealer(kappa, rng)
+    trip = {r: [od.triple(r) for _ in range(n)] for r in (A, B)}
+    quad = {r: [od.quad(r) for _ in range(n)] for r in (A, B)}  # r the sender
+    fresh = {r: [od.abit(r) for _ in range(n)] for r in (A, B)}
+
+    def rows(records, half):
+        return getattr(to_rows(records, kappa), half)
+
+    def convert(ch, role):
+        peer = role.other
+        mine = (rows([t for t, _ in trip[role]], "macs"),
+                rows([s for s, _ in quad[role]], "macs"),
+                rows([q for _, q in quad[peer]], "macs"),
+                bit_rows([m for m, _ in fresh[role]], kappa))
+        theirs = (rows([k for _, k in trip[peer]], "keys"),
+                  rows([q for _, q in quad[peer]], "keys"),
+                  rows([s for s, _ in quad[role]], "keys"),
+                  bit_rows([k for _, k in fresh[peer]], kappa))
+        acc = MacAccumulator()
+        return run_side(ch, role, _flush_and_commit(acc, acc, bytes(32), mine, theirs,
+                                                    od.delta[peer]))
+
+    (ta, _), (tb, _) = run_two(lambda ch: convert(ch, A), lambda ch: convert(ch, B))
+    for role, t in ((A, ta), (B, tb)):
+        assert t.macs.shape == (n, 3, 2) and t.keys.shape == (n, 3, 1)
+        assert t.macs[:, :2, -1].tolist() == [[x.x.bit, x.y.bit] for x, _ in trip[role]]
+    u, v, w = (ta.macs[..., -1] ^ tb.macs[..., -1]).T
+    assert np.array_equal(w, u & v) and 0 < w.sum() < n
+    for _ in range(4):
+        sa, sb = od.stores(8, {"abits_mine": h.inputs_a, "abits_theirs": h.inputs_b,
+                               "triples": 0})
+        sa.triples, sb.triples = tuple(ta), tuple(tb)
+        assert verify_stores(sa, sb) == h.n_inputs + 2 * 3 * n + n
+        xa, xb = random_inputs(c, rng)
+        out_a, out_b, _, _ = eval_two(c, sa, sb, xa, xb)
+        assert out_a == out_b == plain_eval(c, xa, xb)
+
+
+@pytest.mark.parametrize("cheater", [A, B], ids=["alice", "bob"])
+def test_a_flipped_beaver_open_bit_fails_the_flush(cheater):
+    """Any of the 3 * n_and bits a party opens in its BEAVER_OPEN frame,
+    flipped on the wire, fails the deal on both parties: the MACs its peer
+    expects of it no longer chain to its flush digest, so the peer aborts in
+    phase "flush" and sends no commitment, and the party whose frame was
+    changed, though its own flush check passes, gets none and no store."""
+    with closing_pair(counting_pair(timeout=60.0)) as (a, b):
+        run_pair(lambda: deal(a, A, SMALL, random.Random(1)),
+                 lambda: deal(b, B, SMALL, random.Random(2)),
+                 timeout=60, channels=(a, b))
+    sent = [m for m, _ in (a if cheater is A else b).sent]
+    k = sent.index(MsgType.BEAVER_OPEN)
+    assert sent[k + 1:] == [MsgType.RT_ACC_FLUSH, MsgType.GK_COMMIT]
+
+    def side(ch, role, seed):
+        try:
+            return deal(ch, role, SMALL, random.Random(seed))
+        except (ProtocolAbort, TransportError) as e:
+            ch.close()  # unblocks the peer, as run_pair does on a failure
+            return e
+
+    for bit in range(3 * SMALL.n_and):
+        with closing_pair(flip_pair(cheater, k, bit)) as (a, b):
+            ea, eb = run_pair(lambda: side(a, A, 1), lambda: side(b, B, 2),
+                              timeout=60, channels=(a, b))
+            honest, flipped = (eb, ea) if cheater is A else (ea, eb)
+            assert isinstance(honest, ProtocolAbort) and honest.phase == "flush", bit
+            assert type(flipped) is TransportError, bit
+            assert MsgType.GK_COMMIT not in [m for m, _ in (b if cheater is A else a).sent]
 
 
 # ---------------------------------------------------------------------------
@@ -509,5 +610,5 @@ def test_deal_memory_script():
     assert lines[0] == "1 AES block(s): 7200 ANDs, 208928 aBits per owner, B=4"
     for name, line in zip(("alice", "bob"), lines[1:]):
         got = re.fullmatch(rf"{name}: deal [0-9.]+ s, ru_maxrss ([0-9.]+) MiB before the deal, "
-                           r"([0-9.]+) MiB after; 7328 aBits, 7200 aANDs", line)
+                           r"([0-9.]+) MiB after; 128 aBits, 7200 triples", line)
         assert got and float(got[2]) > float(got[1]), line

@@ -193,7 +193,8 @@ def test_labit_sender_rejects_an_invalid_pairing(part):
 # its pad bits past n zero
 
 PAD_DEAL = DealerConfig.for_gates(3, 2, 2, kappa=KAPPA, psi=8)
-PAD_CIRCUIT = random_circuit(random.Random(12), 12, inputs_a=3, inputs_b=3, n_outputs=1)
+# 17 gates: its first AND level has 5 gates, so 10 reveal bits leave pad bits
+PAD_CIRCUIT = random_circuit(random.Random(12), 17, inputs_a=3, inputs_b=3, n_outputs=1)
 PAD_INPUTS = random_inputs(PAD_CIRCUIT, random.Random(13))
 
 
@@ -213,7 +214,7 @@ def _evaluate(a, b):
 
 @pytest.mark.parametrize("msg_type, nth", [pytest.param(t, nth, id=t.name) for t, nth in (
     (MsgType.LABIT_D, 0), (MsgType.LAAND_D, 0), (MsgType.LAOT_D, 0), (MsgType.COMB_D, 0),
-    (MsgType.AMPLIFY_MATRIX, 0), (MsgType.OT_MASKED1, 1),
+    (MsgType.AMPLIFY_MATRIX, 0), (MsgType.OT_MASKED1, 1), (MsgType.BEAVER_OPEN, 0),
     (MsgType.RT_ANNOUNCE_BATCH, 0), (MsgType.RT_REVEAL_BATCH, 0), (MsgType.RT_OUTPUT, 0),
 )])
 def test_a_set_pad_bit_is_protocol_error(msg_type, nth):

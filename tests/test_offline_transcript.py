@@ -56,7 +56,8 @@ EXPECTED = {
         ('COMB_D', '0d2ab77afc13a0bcd6b773dc65197f6e07746652170f512c08d1934fe5b0d6cf'),
         ('COMB_D', 'f594560eed2199c8a6bc97308665ef794b6574baec992a4f1a542ce37633ee60'),
         ('COMB_PERM', '957b4464fd2de3923b9cf1cf7703186c9897c40e23d6e775a735dd7071afb062'),
-        ('RT_ACC_FLUSH', '6683243aa94bdab00df60a8a70cc9a8af5865542fa9e3c129cb31b400ad003cf'),
+        ('BEAVER_OPEN', 'fa90fecb2c95c4400b7430e0733ac9fc7f9894a2a33c5b10547a8812a80acb5d'),
+        ('RT_ACC_FLUSH', '3e5cf5e211ae635d3ba729ca5b8c6eaa162f4ea518c7ce0aa78b374817f3dbe7'),
         ('GK_COMMIT', '32669ced1fa6b0ddc84056eae30d74cd85d692cb6c30199e170e9cd88f0cdce5'),
     ],
     B: [
@@ -95,25 +96,28 @@ EXPECTED = {
         ('COMB_D', 'c6917a435280459e606b5771306d4b1f908e5573e4e8179cbcddbca9a7209e1a'),
         ('COMB_D', '9e9b526bbd5d00ad149d6913217b0c03999cd6d9410280e643505c4d5c021e12'),
         ('COMB_D', '9f57fbd0737414ea20eafaa73bede7b78a90f480a2ed665be96f5fac136164fe'),
-        ('RT_ACC_FLUSH', '752e4f3eae5392bc175ff8b885d7d53b8d3cde6f34f33e145866a153af5cfebf'),
+        ('BEAVER_OPEN', '034a6bcb49037acca93eab77892fa7862d0ccd69b2a9a6ba2a399f0f88f58edb'),
+        ('RT_ACC_FLUSH', '62ed85b4f5bd652c3b4f23e8df057f4ff33bc065d4853cae4bc39e1ac21cfcf5'),
         ('GK_COMMIT', '4d36d99b7426aa45dc7c349d58778a5aa5195799d13b52a0897765957474caf0'),
     ],
 }
 EXPECTED_STORES = {
-    A: "b8724f6eb01319579bd40fadedc1c9fdc1116d040ab134c9885259d4252f34d6",
-    B: "c9e4238cafddf26e7d24889d8961d572ea20c32e0f0f5c6a6b8ac1210ed67f4d",
+    A: "80981d100268375510ee249c0ca15e9d5b3946a408598d5cc47c69e99460255c",
+    B: "fe3b96990123b50181ef2e11f6f70eaf189064627ebd4f88fee87df9827a5463",
 }
 # MsgType -> (frames, bytes with headers) per party. They are the totals of
 # the one-owner-at-a-time schedule: running the sides side by side moves
 # frames, it adds none.
 TOTALS = {
-    A: {'AMPLIFY_MATRIX': (1, 15109), 'COMB_D': (10, 430), 'COMB_PERM': (2, 14410),
+    A: {'AMPLIFY_MATRIX': (1, 15109), 'BEAVER_OPEN': (1, 118), 'COMB_D': (10, 430),
+        'COMB_PERM': (2, 14410),
         'EQ_COMMIT': (3, 63), 'EQ_OPEN': (3, 159), 'EQ_VALUE': (3, 111), 'GK_COMMIT': (1, 37),
         'HELLO': (1, 30), 'LAAND_D': (1, 230), 'LAAND_U': (1, 57605), 'LABIT_D': (1, 123),
         'LABIT_PAIRING': (1, 7517), 'LAOT_D': (1, 230), 'LAOT_I0': (1, 28805),
         'LAOT_I1': (1, 28805), 'LAOT_X0': (1, 59405), 'LAOT_X1': (1, 59405),
         'OT_MASKED0': (1, 30053), 'OT_MASKED1': (2, 3061150), 'RT_ACC_FLUSH': (1, 45)},
-    B: {'AMPLIFY_MATRIX': (1, 15109), 'COMB_D': (10, 430), 'COMB_PERM': (2, 14410),
+    B: {'AMPLIFY_MATRIX': (1, 15109), 'BEAVER_OPEN': (1, 118), 'COMB_D': (10, 430),
+        'COMB_PERM': (2, 14410),
         'EQ_COMMIT': (3, 63), 'EQ_OPEN': (3, 159), 'EQ_VALUE': (3, 111), 'GK_COMMIT': (1, 37),
         'HELLO': (1, 30), 'LAAND_D': (1, 230), 'LAAND_U': (1, 57605), 'LABIT_D': (1, 123),
         'LABIT_PAIRING': (1, 7517), 'LAOT_D': (1, 230), 'LAOT_I0': (1, 28805),

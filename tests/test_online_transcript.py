@@ -23,35 +23,35 @@ EXPECTED = {
     A: [
         ('HELLO', '6fabaeb94d697a60d5d173cf0955413ba2fa37a64b13333c3e6a90d680d312ad'),
         ('RT_ANNOUNCE_BATCH', '1f18d650d205d71d934c3646ff5fac1c096ba52eba4cf758b865364f4167d3cd'),
-        ('RT_REVEAL_BATCH', 'cca0d64fea20310929df9b2acbef8d17801925b2ebd62acffc385d29e5394cf8'),
-        ('RT_REVEAL_BATCH', 'df7adf2554018eb08c52743019b6b6697bb35d52fc878a0425e7d03ce48896f2'),
-        ('RT_REVEAL_BATCH', 'a66b40dcba29683e4d7c3d7aa4ef2e64cd96e5c9591beee934dfc01536d21f90'),
-        ('RT_REVEAL_BATCH', '30e38ef19c682f77f995a3bb5fcead713b596ca35d2130abf05696b4998e431d'),
-        ('RT_REVEAL_BATCH', '3cf6a9203e384bf9656e01569ee1a22dad9b03e563ae3b5fcaff20e8e4086651'),
-        ('RT_REVEAL_BATCH', '0fb03959f2e2abba6a4d42f2e1ab6ce4578e1f7a419ea0731b61705f4adb05f4'),
-        ('RT_ACC_FLUSH', '479410984f6fb158ba2a6a1037dc9a34ff90a80cc24e1a8374e2fd5dd2ab798c'),
-        ('RT_OUTPUT', 'ea466e26a5ede4b40718f6615bb2a315a44aecc418104c1909ecd78c6d69b0aa'),
+        ('RT_REVEAL_BATCH', '516d272cb31ead733c4bac1c3ecdc346948258b4afae52d605d4f03fb7c09e3b'),
+        ('RT_REVEAL_BATCH', '32674b6efc87a0c2f15e7b05f7fcefb1e725cd316d153e30cd0c62bfa17509b8'),
+        ('RT_REVEAL_BATCH', 'c5e3e535a3440338558a9f070848ff1a4e5eb75d651d8b52755d98aa88894e44'),
+        ('RT_REVEAL_BATCH', 'a6d4654fe12d36e633d1cb0516ebff8bccb1a8e4a74d6f96f20117dbeb4961fa'),
+        ('RT_REVEAL_BATCH', '7c5bd2d144fdde498406edcb9fe60ce65b0dfa5f2dd7a7617f505e3d46d68bdb'),
+        ('RT_REVEAL_BATCH', 'dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8'),
+        ('RT_ACC_FLUSH', '255454a67a022279e505907ab63b004074d86a9f149c8403eb3918b8241e1b98'),
+        ('RT_OUTPUT', 'b1f764cfa2ec507c3db3b1a50a2dc2c44b70a5ff05c95ac9acf06f3d7133a1a2'),
     ],
     B: [
         ('HELLO', 'ea579a989137e8e82ccbbac5ddddeebad3ee09ca309e2fd3b05f9c95fdc874dd'),
         ('RT_ANNOUNCE_BATCH', 'e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db'),
-        ('RT_REVEAL_BATCH', 'd86116a0b0c3889ce55a2a4f32ef6b694aec9dac7a37f9106cdbbc4db8e2db9a'),
-        ('RT_REVEAL_BATCH', 'afc3bf6ee4e34254c3503cb1524017f21fc1ec9a534e6ab5aef4f051b3b7a3a0'),
-        ('RT_REVEAL_BATCH', '500bc273019ff37bea91fe5a9a8f62c7cd251a4653ac9587b395350a82542271'),
-        ('RT_REVEAL_BATCH', '2a5274001805b41bb5a1d05627d6691eddd0b250ea19b8628effaa5e0b77cb8e'),
-        ('RT_REVEAL_BATCH', '26e79681db0af86bffad013ad484b43aefeffcc31978c668b1031bc2a52a2f1e'),
-        ('RT_REVEAL_BATCH', '33b67cb5385ceddad93d0ee960679041613bed34b8b4a5e6362fe7539ba2d3ce'),
-        ('RT_ACC_FLUSH', '7cfc97e1430355cfe7d570008d96b94e72ab9b7b3d4e668e28cdfc61f5e8689e'),
-        ('RT_OUTPUT', '92f57faadc77add880e8acbc2b378ea6a49e2002f64bee7fdd8a415a64e1ca35'),
+        ('RT_REVEAL_BATCH', '8bbbd92a94033296bdfce22840cee7f4fcbd7513f9266a0ab9faab3f4c8dacba'),
+        ('RT_REVEAL_BATCH', 'e0cd8a88dcbc7ac6ac0e7d56bc71ee09851d959af6a18621c9c7c7f8099e5c27'),
+        ('RT_REVEAL_BATCH', '54fdbd3560e04808c58974bd9fc790521906c55adc07ac47c2949a7c2badefca'),
+        ('RT_REVEAL_BATCH', '70987475c71cd31ab828489be2599b5cf183c88df5b772019d2b04c9e83aba8b'),
+        ('RT_REVEAL_BATCH', 'c19a797fa1fd590cd2e5b42d1cf5f246e29b91684e2f87404b81dc345c7a56a0'),
+        ('RT_REVEAL_BATCH', 'dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986'),
+        ('RT_ACC_FLUSH', '4faac9169fd894a7c35b71287ace65d027c8fcf6155fcefeca8a4e170476286f'),
+        ('RT_OUTPUT', '33bf827f1207d07cd9c38108563911d71d6980d9b6934c7c153949e74178944a'),
     ],
 }
 # MsgType -> (frames, bytes with headers) per party; they do not depend on
 # the dealt material.
 TOTALS = {
     A: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
-        'RT_OUTPUT': (1, 22), 'RT_REVEAL_BATCH': (6, 70)},
+        'RT_OUTPUT': (1, 22), 'RT_REVEAL_BATCH': (6, 46)},
     B: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
-        'RT_OUTPUT': (1, 22), 'RT_REVEAL_BATCH': (6, 70)},
+        'RT_OUTPUT': (1, 22), 'RT_REVEAL_BATCH': (6, 46)},
 }
 
 

@@ -228,9 +228,9 @@ def test_announced_bit_schedule():
     xa, xb = random_inputs(c, rng)
     _, _, rt_a, rt_b = eval_two(c, sa, sb, xa, xb)
     for rt in (rt_a, rt_b):
-        # five announced bits per AND gate per party, ten total
-        assert rt.stats.bits_revealed == 5 * c.n_and
-        assert rt.stats.bits_expected == 5 * c.n_and
+        # two announced bits per AND gate per party, four total
+        assert rt.stats.bits_revealed == 2 * c.n_and
+        assert rt.stats.bits_expected == 2 * c.n_and
         assert sum(rt.stats.levels) == c.n_and
         assert rt.stats.flushes == 1
     assert rt_a.stats.levels == rt_b.stats.levels
@@ -249,12 +249,9 @@ def test_per_and_material_consumption():
     h = c.header
     for store, mine in ((sa, h.inputs_a), (sb, h.inputs_b)):
         used = consumed(store)
-        assert used["aands_mine"] == n_and
-        assert used["aands_theirs"] == n_and
-        assert used["aots_sender"] == n_and
-        assert used["aots_receiver"] == n_and
-        assert used["abits_mine"] == mine + n_and
-        assert used["abits_theirs"] == (h.n_inputs - mine) + n_and
+        assert used["triples"] == n_and
+        assert used["abits_mine"] == mine
+        assert used["abits_theirs"] == h.n_inputs - mine
 
 
 def cut_store(store, counts):
@@ -297,8 +294,8 @@ def test_staging_burns_the_records_the_levels_use():
 
 
 def test_and_levels_take_no_material(monkeypatch):
-    """Past its inputs a party takes each stream's AND records in one
-    call, however many levels the circuit has."""
+    """Past its inputs a party takes its AND gates' triples in one call,
+    however many levels the circuit has."""
     rng = random.Random(42)
     c = random_circuit(rng, 120)
     assert sum(ands is not None for ands, _ in c.row_schedule[1]) > 2
@@ -317,8 +314,7 @@ def test_and_levels_take_no_material(monkeypatch):
     h = c.header
     for role, mine, theirs in ((A, h.inputs_a, h.inputs_b), (B, h.inputs_b, h.inputs_a)):
         assert calls[role][:2] == [("abits_mine", mine), ("abits_theirs", theirs)]
-        assert sorted(calls[role][2:]) == sorted((name, c.n_and)
-                                                 for name in MaterialStore.STREAMS)
+        assert calls[role][2:] == [("triples", c.n_and)]
 
 
 def test_xor_only_circuit_consumes_no_and_material():
@@ -329,8 +325,7 @@ def test_xor_only_circuit_consumes_no_and_material():
     out_a, _, _, _ = eval_two(c, sa, sb, xa, xb)
     assert out_a == plain_eval(c, xa, xb)
     used = consumed(sa)
-    assert used["aands_mine"] == used["aands_theirs"] == 0
-    assert used["aots_sender"] == used["aots_receiver"] == 0
+    assert used["triples"] == 0
     assert used["abits_mine"] == c.header.inputs_a
 
 
@@ -353,13 +348,13 @@ def test_exact_wire_bytes_follow_level_schedule():
     out_bytes = (h.n_outputs + 7) // 8 + 16 // 8
 
     pay_a = (hello + (h.inputs_a + 7) // 8
-             + sum((5 * n + 7) // 8 for n in levels)
+             + sum((2 * n + 7) // 8 for n in levels)
              + 40 + out_bytes)
     frames_a = 1 + 1 + len(levels) + 1 + 1
     assert ca.stats.bytes_sent == pay_a + 5 * frames_a
 
     pay_b = (hello + (h.inputs_b + 7) // 8
-             + sum((5 * n + 7) // 8 for n in levels)
+             + sum((2 * n + 7) // 8 for n in levels)
              + 40 + out_bytes)
     frames_b = 1 + 1 + len(levels) + 1 + 1
     assert cb.stats.bytes_sent == pay_b + 5 * frames_b
@@ -589,7 +584,7 @@ def test_schedule_is_cached_before_the_hello():
 
 def test_reveal_site_census():
     """The sites the tamper sweep numbers are the bits an honest run reveals:
-    its RT_REVEAL_BATCH bits (5n per AND level of n gates, one frame) and the
+    its RT_REVEAL_BATCH bits (2n per AND level of n gates, one frame) and the
     output bits of its RT_OUTPUT frame, which a kappa/8-byte digest
     follows."""
     rng = random.Random(14)
@@ -605,16 +600,16 @@ def test_reveal_site_census():
                      timeout=60, channels=(ca, cb))
         for ch, rt in ((ca, rt_a), (cb, rt_b)):
             reveals = [p for t, p in ch.sent if t is MsgType.RT_REVEAL_BATCH]
-            bits = [5 * n for n in rt.stats.levels]
+            bits = [2 * n for n in rt.stats.levels]
             assert [len(p) for p in reveals] == [(b + 7) // 8 for b in bits]
             outputs = [p for t, p in ch.sent if t is MsgType.RT_OUTPUT]
             rows = rt.stats.output_reveals_sent
             assert [len(p) for p in outputs] == ([(rows + 7) // 8 + sa.kappa // 8]
                                                  if rows else [])
             assert sum(bits) + rows == count_reveal_sites(circuit, rt.role)
-    assert count_reveal_sites(c, A) == 5 * c.n_and + 8
-    assert count_reveal_sites(routed, A) == 5 * c.n_and
-    assert count_reveal_sites(routed, B) == 5 * c.n_and + 8
+    assert count_reveal_sites(c, A) == 2 * c.n_and + 8
+    assert count_reveal_sites(routed, A) == 2 * c.n_and
+    assert count_reveal_sites(routed, B) == 2 * c.n_and + 8
 
 
 @pytest.mark.parametrize("mode", ["bit", "mac"])
@@ -626,7 +621,7 @@ def test_single_site_tamper_sample_is_caught(mode, cheater):
     n_sites = count_reveal_sites(c, cheater)
     xa, xb = random_inputs(c, rng)
     # first reveal, last AND reveal, first output reveal
-    for site in (0, 5 * c.n_and - 1, 5 * c.n_and):
+    for site in (0, 2 * c.n_and - 1, 2 * c.n_and):
         sa, sb = oracle_store_pair(c, random.Random(16))
         plan = TamperPlan(site, mode)
         kw = {"tamper_a": plan} if cheater is A else {"tamper_b": plan}
@@ -759,9 +754,9 @@ def test_online_replay_script(tmp_path):
     """scripts/online_replay.py records a two-party evaluation of a small
     circuit, then times Alice's evaluation against a replay of Bob's frames.
     Each party sends its hello (62 bytes with its header), its inputs (6)
-    and the first level's reveals (7) in one flight, the second level's
+    and the first level's reveals (6) in one flight, the second level's
     reveals (6) with the flush (45) in the next, and one output bit with its
-    16-byte digest (22) in the last: 148 bytes in depth + 1 = 3 flights."""
+    16-byte digest (22) in the last: 147 bytes in depth + 1 = 3 flights."""
     path = tmp_path / "and3.txt"
     path.write_text("3 7\n2 2 1\n2 1 0 2 4 AND\n2 1 1 3 5 AND\n2 1 4 5 6 AND\n")
     env = dict(os.environ)
@@ -773,8 +768,8 @@ def test_online_replay_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == f"{path}: 3 AND gates in 2 levels; Alice reads 6 frames, sends 6"
-    assert lines[1] == "Alice sends 148 bytes in 3 flights"
-    assert lines[2] == "Bob sends 148 bytes in 3 flights"
+    assert lines[1] == "Alice sends 147 bytes in 3 flights"
+    assert lines[2] == "Bob sends 147 bytes in 3 flights"
     assert re.fullmatch(r"evaluate: median [0-9.]+ ms, fastest [0-9.]+ ms over 2 runs",
                         lines[3]), lines[3]
     for name, line in zip(("_and_open", "_and_close"), lines[4:], strict=True):

@@ -2,9 +2,11 @@
 dealt pair of them.
 
 `MaterialStore.load` may return a store or raise ParseError, nothing else,
-whatever the bytes; it checks the body length against the six record counts
-before it builds any array, so a count near 2**64 costs no allocation larger
-than the file; and the arrays it returns are read-only.
+whatever the bytes; it checks the body length against the three record
+counts, and everything after the header against its digest, before it
+builds any array, so a count near 2**64 costs no allocation larger than the
+file and a changed body byte fails at load; and the arrays it returns are
+read-only.
 """
 
 import os
@@ -23,12 +25,15 @@ from hypothesis import strategies as st
 from helpers import OracleDealer
 from macbits.dealer import HEADER_BYTES, MaterialStore
 from macbits.errors import ParseError
+from macbits.ro_suite import DIGEST_BYTES, ro_hash
 
 ROOT = Path(__file__).resolve().parents[1]
 KAPPA = 16
 # Alice's record count per stream; a store file may hold any counts
-COUNTS = dict(zip(MaterialStore.STREAMS, (5, 4, 3, 2, 2, 3)))
-COUNTS_AT = HEADER_BYTES + KAPPA // 8  # six big-endian u64 counts follow
+COUNTS = dict(zip(MaterialStore.STREAMS, (5, 4, 3)))
+COUNTS_AT = HEADER_BYTES + KAPPA // 8  # three big-endian u64 counts follow
+DIGEST_AT = COUNTS_AT + 8 * 3  # then the digest, then the body
+BODY_AT = DIGEST_AT + DIGEST_BYTES
 
 STORES = OracleDealer(KAPPA, random.Random(5)).stores(8, COUNTS)
 
@@ -56,6 +61,13 @@ def _load(work: Path, blob: bytes):
         return None, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _redigest(blob: bytes) -> bytes:
+    """blob with the digest that `save` would write for its other bytes, so
+    that a mutation reaches the checks past the digest."""
+    digest = ro_hash("store/body", blob[HEADER_BYTES:DIGEST_AT], blob[BODY_AT:])
+    return blob[:DIGEST_AT] + digest + blob[BODY_AT:]
 
 
 def _check(work: Path, blob: bytes):
@@ -94,14 +106,14 @@ def test_extended_store_is_parse_error(work, good, tail):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5),
+@given(st.integers(0, 2),
        st.one_of(st.integers(2**64 - 2**16, 2**64 - 1),
                  st.integers(2**63 - 16, 2**63 + 16),
                  st.integers(0, 2**64 - 1),
                  st.integers(0, 64)))
 def test_mutated_count_is_parse_error_or_consistent(work, good, i, count):
     at = COUNTS_AT + 8 * i
-    blob = good[:at] + struct.pack(">Q", count) + good[at + 8:]
+    blob = _redigest(good[:at] + struct.pack(">Q", count) + good[at + 8:])
     store = _check(work, blob)
     if store is not None:
         # only a count that keeps the body length may load
@@ -137,11 +149,29 @@ def test_reserved_byte_or_zero_psi_is_parse_error(work, good, at, value):
 
 def test_bit_byte_above_one_is_parse_error(work, good):
     # the first record of abits_mine is its MAC bytes, then its bit byte
-    at = COUNTS_AT + 48 + KAPPA // 8
+    at = BODY_AT + KAPPA // 8
     assert good[at] in (0, 1)
     blob = bytearray(good)
     blob[at] = 2
-    assert _check(work, bytes(blob)) is None
+    assert _check(work, _redigest(bytes(blob))) is None
+
+
+def test_flipped_body_byte_fails_at_load(work, good):
+    """One flipped byte past the header, in the global key, the digest or
+    a stream's rows, fails `load` on the digest; the body bytes flipped
+    here are MAC or key bytes, which load without it. (A flipped count
+    fails on the body length first.)"""
+    # the first MAC byte of abits_mine and of triples, and the last key byte
+    body = [BODY_AT, BODY_AT + 5 * (KAPPA // 8 + 1) + 4 * KAPPA // 8, len(good) - 1]
+    path = work / "flipped.store"
+    for at in [HEADER_BYTES, DIGEST_AT, *body]:
+        blob = bytearray(good)
+        blob[at] ^= 0x10
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match="digest"):
+            MaterialStore.load(path)
+        if at in body:
+            assert _check(work, _redigest(bytes(blob))) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_mismatched_type_is_protocol_error(pair):
         b.recv(MsgType.EQ_OPEN)
 
 
-@pytest.mark.parametrize("t", [0, 5, 11, 12, 27, 255])
+@pytest.mark.parametrize("t", [0, 5, 11, 12, 28, 255])
 def test_unknown_message_type_is_protocol_error(t):
     """A raw frame whose type byte names no MsgType is refused with the type
     it carried. 5, 11 and 12 are retired wire values and stay unassigned."""
