@@ -6,7 +6,8 @@ for a fresh blind r and then proves z = xy with one digest comparison; the
 proof is leaky because a garbled challenge digest passes exactly when x = 0,
 so a cheating key side (one that rewrites its LAAND_U frame; the sides here
 play only the honest party) buys one x bit per garbled instance at abort risk.
-Bucketed combining with a MAC-side permutation washes that leakage out.
+Bucketed combining with a MAC-side permutation washes that leakage out; it
+reveals y + y' per fold, all in one frame (`aot_proto.bucket_combine`).
 Generation and combining are protocol sides (`transport.run_sides`) that
 read kappa off their rows and take the global key as a (kappa/8,) uint8
 row; like laOT's, they take an unused `ch` first (see `aot_proto`).
@@ -25,7 +26,7 @@ from .aot_proto import bucket_combine
 from .bitlinalg import pack_bits, unpack_bits, unpack_rows
 from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
-from .ro_suite import DIGEST_BYTES, MacAccumulator, hash_rows
+from .ro_suite import DIGEST_BYTES, hash_rows
 from .transport import MsgType, Recv, Send
 
 
@@ -98,14 +99,12 @@ def _triple_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 1] ^ b[:, 1]
 
 
-def aand_combine_mac(ch, triples: Rows, bucket: int, rng, acc: MacAccumulator):
+def aand_combine_mac(ch, triples: Rows, bucket: int, rng):
     """The MAC side samples the bucketing (its bits are the ones the leak
-    targets) and reveals d = y + y' per fold, MACs deferred into `acc`."""
-    return bucket_combine(triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
-                          rng=rng)
+    targets) and reveals d = y + y' per fold, MACs deferred."""
+    return bucket_combine(triples, bucket, fold_triples, _triple_d, "aand-comb", rng=rng)
 
 
-def aand_combine_key(ch, triples: Rows, bucket: int, delta: np.ndarray,
-                     acc: MacAccumulator):
-    return bucket_combine(triples, bucket, acc, fold_triples, _triple_d, "aand-comb",
+def aand_combine_key(ch, triples: Rows, bucket: int, delta: np.ndarray):
+    return bucket_combine(triples, bucket, fold_triples, _triple_d, "aand-comb",
                           delta=delta)

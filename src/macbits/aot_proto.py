@@ -4,13 +4,14 @@ A quadruple binds four authenticated bits (x0, x1 at the sender; c, z at the
 receiver) by z = x_c. Generation transfers the receiver's branch under pads
 derived from the receiver's choice-bit key, which is exactly what makes it
 leaky: a sender can garble one branch and learn c from whether the receiver
-survives. Such a sender is a peer that rewrites bytes of the LAOT_X1 frame
-it sends; the sides here play only the honest party. Combining B leaky
-quads under a random bucketing leaves the output correlation clean unless
-an entire bucket was leaky; `bucket_combine` does that bucketing for aAND
-triples too. Generation and combining are protocol sides
-(`transport.run_sides`). A global key is a plain (kappa/8,) uint8 row, and
-kappa is read off it. No side reads the channel: laOT and the combiner
+survives. Such a sender is a peer that rewrites bytes of the LAOT_X1 frame it
+sends; the sides here play only the honest party. Combining B leaky quads
+under a random bucketing leaves the output correlation clean unless an entire
+bucket was leaky; `bucket_combine` does that bucketing for aAND triples too,
+in two rounds: the permutation, then every fold's reveals in one frame, whose
+MACs the caller checks at its flush. Generation and combining are protocol
+sides (`transport.run_sides`). A global key is a plain (kappa/8,) uint8 row,
+and kappa is read off it. No side reads the channel: laOT and the combiner
 bindings take an unused `ch` first only because `perfbench/spans.py` counts
 their arguments by position, until the program owns its spans.
 
@@ -42,7 +43,7 @@ from .abit_proto import Rows
 from .bitlinalg import pack_bits, random_permutation, random_rows, unpack_bits, unpack_rows
 from .eq_box import eq_commit_side, eq_respond_side, value_digest
 from .errors import ProtocolAbort, UsageError
-from .ro_suite import MacAccumulator, hash_rows
+from .ro_suite import hash_rows
 from .transport import MsgType, Recv, Send
 
 
@@ -147,21 +148,20 @@ def fold_quads_receiver(acc: Rows, nxt: Rows, d: np.ndarray) -> Rows:
     return Rows(_xor_scaled(acc.macs, nxt.macs, d), _xor_first(acc.keys, nxt.keys))
 
 
-def bucket_combine(items: Rows, bucket: int, acc: MacAccumulator, fold, opened,
-                   where: str, *, rng=None, delta: np.ndarray = None):
+def bucket_combine(items: Rows, bucket: int, fold, opened, where: str, *, rng=None,
+                   delta: np.ndarray = None):
     """Cut-and-choose bucketing shared by aOT quads and aAND triples, as a
-    protocol side.
-
-    The side given `rng` samples the bucketing permutation and sends it; the
-    other side receives it and aborts (tagged `where`) on a non-permutation.
-    Each bucket is then folded left to right, `fold(cur, nxt, d) -> Rows`,
-    one COMB_D frame per round. `opened(a, b)` XORs the rows a round opens:
-    the MAC side (no `delta`) announces their bits as the round's d and
-    absorbs their MACs into `acc` in one call; the key side absorbs the MACs
-    it expects, opened key rows ^ d*delta, instead. Returns (combined, acc).
+    protocol side of two rounds: the side given `rng` sends the bucketing
+    permutation, which the other side checks (a non-permutation aborts,
+    tagged `where`); then the MAC side (no `delta`) folds each bucket left
+    to right, `fold(cur, nxt, d) -> Rows` with d the bits of the rows
+    `opened(cur, nxt)` XORs, and sends all (B-1)*n_out of them in one COMB_D
+    frame, fold-major, which the key side reads to fold alike. Returns
+    (combined, the opened bits' MAC rows in frame order), on the key side
+    the MACs it expects, opened key rows ^ d*delta, for a flush to check.
     """
     n = len(items)
-    if bucket < 2 or n % bucket:
+    if bucket < 2 or not n or n % bucket:
         raise UsageError("item count must be a positive multiple of the bucket size")
     n_out = n // bucket
     if rng is not None:
@@ -173,20 +173,24 @@ def bucket_combine(items: Rows, bucket: int, acc: MacAccumulator, fold, opened,
         if not np.array_equal(np.sort(perm), np.arange(n)):
             raise ProtocolAbort(where, "peer sent a non-permutation")
     macs, keys = (a[perm].reshape(n_out, bucket, *a.shape[1:]) for a in items)
-    cur = Rows(macs[:, 0], keys[:, 0])
+    if delta is not None:
+        (raw,) = yield Recv((MsgType.COMB_D, ((bucket - 1) * n_out + 7) // 8))
+        ds = unpack_bits(raw, (bucket - 1) * n_out).reshape(bucket - 1, n_out)
+    cur, rows = Rows(macs[:, 0], keys[:, 0]), []
     for r in range(1, bucket):
         nxt = Rows(macs[:, r], keys[:, r])
         if delta is None:
-            rows = opened(cur.macs, nxt.macs)
-            ds = rows[:, -1]
-            yield Send((MsgType.COMB_D, pack_bits(ds)))
-            acc = acc.absorb(rows[:, :-1])
+            rows.append(opened(cur.macs, nxt.macs))
+            d = rows[-1][:, -1]
         else:
-            (raw,) = yield Recv((MsgType.COMB_D, (n_out + 7) // 8))
-            ds = unpack_bits(raw, n_out)
-            acc = acc.absorb(opened(cur.keys, nxt.keys) ^ ds[:, None] * delta)
-        cur = fold(cur, nxt, ds)
-    return cur, acc
+            d = ds[r - 1]
+            rows.append(opened(cur.keys, nxt.keys) ^ d[:, None] * delta)
+        cur = fold(cur, nxt, d)
+    rows = np.concatenate(rows)
+    if delta is None:
+        yield Send((MsgType.COMB_D, pack_bits(rows[:, -1])))
+        rows = rows[:, :-1]
+    return cur, rows
 
 
 def _quad_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,14 +198,13 @@ def _quad_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] ^ a[:, 1] ^ b[:, 0] ^ b[:, 1]
 
 
-def aot_combine_sender(ch, quads: Rows, bucket: int, acc: MacAccumulator):
-    """The sender reveals d = x0+x1+x0'+x1' per fold, MACs deferred into `acc`."""
-    return bucket_combine(quads, bucket, acc, fold_quads_sender, _quad_d, "aot-comb")
+def aot_combine_sender(ch, quads: Rows, bucket: int):
+    """The sender reveals d = x0+x1+x0'+x1' per fold, MACs deferred."""
+    return bucket_combine(quads, bucket, fold_quads_sender, _quad_d, "aot-comb")
 
 
-def aot_combine_receiver(ch, quads: Rows, bucket: int, delta: np.ndarray, rng,
-                         acc: MacAccumulator):
-    """The receiver samples the bucketing and checks the sender's d reveals
+def aot_combine_receiver(ch, quads: Rows, bucket: int, delta: np.ndarray, rng):
+    """The receiver samples the bucketing and expects the sender's d reveals
     under delta, the global key on the sender's bits."""
-    return bucket_combine(quads, bucket, acc, fold_quads_receiver, _quad_d, "aot-comb",
+    return bucket_combine(quads, bucket, fold_quads_receiver, _quad_d, "aot-comb",
                           rng=rng, delta=delta)

@@ -6,28 +6,24 @@ generation with bucketed combining, and last one Beaver triple per AND gate
 folded from them, all under the two session global keys born in the
 pipeline.
 
-Each party's bits are authenticated under the other party's key, so the
-two owners' pipelines are independent, and so are the two owners' leaky
-triples and the two directions' leaky quads. Every exchange of deal() is a
-protocol side run by `transport.run_sides`, and the independent ones run
-side by side: first `transport.hello` alone, the one-round hello the
-online phase runs too; then both `produce_abits` sides, each owner's seed
-OTs keyed by the session id (`base_ot.DealerOt`); then the laAND sides of
-both owners with the laOT sides of both directions. Every side yields one
-flight at a time; in each round both parties compute their own sides'
-payloads at once, then exchange them in one of `run_sides`' three modes: a small round sends
-before it reads; a round above `transport.DUPLEX_MIN` (a batch of aBit
-OT corrections) sends on a second thread while it reads; in between Alice sends
-all of hers before she reads and Bob reads before he sends. So neither
-blocks sending a large frame to a peer that is itself sending. Frames go out
-in side order, Alice's bits or Alice's direction first on both parties. The
-combiners and the deferred-MAC flush with the global-key commitments stay
-one at a time, in the same order on both parties, so the MAC accumulators
-chain alike; both chains start from a digest of the session id, so the
-flush refuses two ids even in a deal that makes no aBit. The flush's round
-also carries the three bits per AND gate that each party opens to fold the
-gate's triples, quads and fresh bit into one Beaver triple
-(`_flush_and_commit`), and their MACs join the chains it compares.
+Each party's bits are authenticated under the other party's key, so the two
+owners' pipelines are independent, and so are the two owners' triples and
+the two directions' quads. Every exchange of deal() is a protocol side run
+by `transport.run_sides`, and the independent ones run side by side, in
+four calls: `transport.hello`, the one-round hello the online phase runs
+too; both `produce_abits` sides, each owner's seed OTs keyed by the session
+id (`base_ot.DealerOt`); four material sides, each owner's laAND and each
+direction's laOT, each followed by its bucketed combining; and the flush
+(`_flush_and_commit`). Every side yields one flight at a time, and each
+round's frames cross in one of `run_sides`' three modes (a batch of aBit OT
+corrections in its duplex mode), so neither party blocks sending a large
+frame to a peer that is itself sending. Frames go out in side order,
+Alice's bits or Alice's direction first on both parties. A combiner reveals
+its bits in one frame and leaves their MACs to the flush, whose round also
+carries the three bits per AND gate that each party opens to fold the
+gate's triples, quads and fresh bit into one Beaver triple; each of a
+party's two MAC chains absorbs its share of them in one call, and the
+global-key commitments follow.
 
 The aBit sides cross their OT corrections in batches of at most
 `base_ot.BATCH_BITS` bits per column, one frame per batch, and the key
@@ -292,9 +288,10 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         raise ProtocolError("session id mismatch")
     made = run_sides(ch, role, *(produce_abits(ch, role, owner, demand[owner], cfg.kappa,
                                                rng, DealerOt(sid, owner)) for owner in owners))
-    # Per owner: the MAC rows of its bits if I own them, else my key rows.
+    # Per owner: the MAC rows of its bits if I own them, else my key rows,
+    # and the global key I hold on its bits, all zero if I hold none.
     abits = {owner: np.empty((0, kb + (role is owner)), np.uint8) for owner in demand}
-    gks = {}
+    gks = dict.fromkeys(demand, np.zeros(kb, np.uint8))
     for owner, rows in zip(owners, made):
         if role is owner:
             abits[owner] = rows
@@ -310,52 +307,42 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         taken[owner] = pos + n
         return abits[owner][pos : pos + n]
 
-    def gk_of(owner) -> np.ndarray:
-        """The global key on owner's bits; all zero if owner has none."""
-        return gks[owner] if owner in gks else np.zeros(kb, np.uint8)
-
-    # The leaky triples of both owners and the leaky quads of both directions
-    # run side by side, B*n_and leaky instances each. The combiners then run
-    # one at a time, in this same order on both parties, so the deferred-MAC
-    # accumulators chain alike.
-    sides = []
+    # Four sides, in this order on both parties: Alice's triples, Bob's,
+    # the quads from Alice to Bob and from Bob to Alice. Each combines its
+    # B*n_and leaky instances once they have passed their EQ check, under
+    # the bucketing of the party whose bits the leak targets.
+    sides, bkt = [], cfg.bucket
     if cfg.n_and:
-        leaky = cfg.bucket * cfg.n_and
+        leaky = bkt * cfg.n_and
         for owner in (Role.ALICE, Role.BOB):
             xs, ys, rs = take(owner, leaky), take(owner, leaky), take(owner, leaky)
             if role is owner:
-                sides.append(laand_mac_side(ch, xs, ys, rs, rng))
+                sides.append(_then(ch, laand_mac_side(ch, xs, ys, rs, rng),
+                                   aand_combine_mac, bkt, rng))
             else:
-                sides.append(laand_key_side(ch, xs, ys, rs, gk_of(owner)))
+                sides.append(_then(ch, laand_key_side(ch, xs, ys, rs, gks[owner]),
+                                   aand_combine_key, bkt, gks[owner]))
         for sender in (Role.ALICE, Role.BOB):
             # the sender's x0, x1, then the receiver's c, r
             sender_bits = take(sender, leaky), take(sender, leaky)
             receiver_bits = take(sender.other, leaky), take(sender.other, leaky)
             if role is sender:
-                sides.append(laot_sender(ch, *sender_bits, *receiver_bits,
-                                         gk_of(sender.other), rng))
+                sides.append(_then(ch, laot_sender(ch, *sender_bits, *receiver_bits,
+                                                   gks[sender.other], rng),
+                                   aot_combine_sender, bkt))
             else:
-                sides.append(laot_receiver(ch, *receiver_bits, *sender_bits, gk_of(sender)))
-
-    sent_acc = expect_acc = MacAccumulator(ro_hash("deal/acc", sid))
-    aands = {Role.ALICE: (), Role.BOB: ()}
-    aots = {Role.ALICE: (), Role.BOB: ()}
-    bkt = cfg.bucket
-    jobs = [(is_aot, owner) for is_aot in (False, True) for owner in (Role.ALICE, Role.BOB)]
-    for (is_aot, owner), items in zip(jobs, run_sides(ch, role, *sides)):
-        if role is owner:
-            side = (aot_combine_sender(ch, items, bkt, sent_acc) if is_aot
-                    else aand_combine_mac(ch, items, bkt, rng, sent_acc))
-            ((combined, sent_acc),) = run_sides(ch, role, side)
-        else:
-            side = (aot_combine_receiver(ch, items, bkt, gk_of(owner), rng, expect_acc)
-                    if is_aot else aand_combine_key(ch, items, bkt, gk_of(owner), expect_acc))
-            ((combined, expect_acc),) = run_sides(ch, role, side)
-        (aots if is_aot else aands)[owner] = combined
+                sides.append(_then(ch, laot_receiver(ch, *receiver_bits, *sender_bits,
+                                                     gks[sender]),
+                                   aot_combine_receiver, bkt, gks[sender], rng))
+    aands, aots, sent, expect = {}, {}, [], []
+    jobs = [(pool, owner) for pool in (aands, aots) for owner in (Role.ALICE, Role.BOB)]
+    for (pool, owner), (combined, macs) in zip(jobs, run_sides(ch, role, *sides)):
+        pool[owner] = combined
+        (sent if role is owner else expect).append(macs)
 
     recs = cfg.records(role)
     inputs = take(role, recs["abits_mine"]), take(role.other, recs["abits_theirs"])
-    my_delta = gk_of(role.other)
+    my_delta = gks[role.other]
     my_commit = ro_hash("gkc", sid, bytes([role.value]), my_delta)
     # per AND gate, my records and my keys on the peer's same records: my
     # triple, my quad as sender, my quad as receiver and my fresh bit
@@ -366,7 +353,7 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
         theirs = (aands[role.other].keys, aots[role.other].keys, aots[role].keys,
                   take(role.other, cfg.n_and))
     ((triples, peer_commit),) = run_sides(ch, role, _flush_and_commit(
-        sent_acc, expect_acc, my_commit, mine, theirs, my_delta))
+        sid, sent, expect, my_commit, mine, theirs, my_delta))
     commits = {role: my_commit, role.other: peer_commit}
     gk_commit = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
     return MaterialStore(role, cfg.kappa, cfg.psi, sid, gk_commit, my_delta,
@@ -391,35 +378,46 @@ def _product_share(t, q, r, d, e):
     return t[:, 2] ^ r ^ d[:, None] * t[:, 0] ^ q[:, 1] ^ e[:, None] * q[:, 0]
 
 
-def _flush_and_commit(sent: MacAccumulator, expect: MacAccumulator, commit: bytes,
-                      mine, theirs, delta: np.ndarray):
+def _then(ch, side, combine, *args):
+    """A protocol side: `side`, then `combine(ch, items, *args)` of its items."""
+    items = yield from side
+    return (yield from combine(ch, items, *args))
+
+
+def _flush_and_commit(sid: bytes, sent: list, expect: list, commit: bytes, mine, theirs,
+                      delta: np.ndarray):
     """The deferred-MAC flush, then the global-key commitments, as one
     protocol side: this party's commitment goes out only once the flush has
     passed. Returns (the Beaver triples as Rows, the peer's commitment).
 
-    With AND gates the flush round carries, before the flush, the bits each
-    party opens per gate (`_opened` of `mine`; `theirs` holds my keys on the
-    peer's same records, delta the global key I hold), one BEAVER_OPEN frame,
-    and their MACs join the chains the flush compares. They fold each gate's
+    Both MAC chains start from a digest of the session id sid; `sent` lists
+    the MAC rows of the bits I revealed in combining and `expect` those I
+    expect of the peer's, in side order. With AND gates the flush round
+    carries, before the flush, the bits each party opens per gate (`_opened`
+    of `mine`; `theirs` holds my keys on the peer's same records, delta the
+    global key I hold), one BEAVER_OPEN frame, and each chain absorbs their
+    MACs after the combiners' rows, in one call. They fold each gate's
     material into one authenticated Beaver triple u = a, v = b, w = c ^ r ^
     d'*a ^ z_r ^ e'*c_r ^ h', primes marking the peer's opened bits: the
     peer's share of a*b' is z_r' ^ e*c_r' ^ h and mine r ^ d'*a, so w_A ^ w_B
     = (u_A ^ u_B) * (v_A ^ v_B). The public h' moves my bit, and my key on
     the peer's w by h * delta."""
+    start = MacAccumulator(ro_hash("deal/acc", sid))
     if mine is None:
-        yield from flush_accumulators(sent, expect)
+        yield from flush_accumulators(start, start)
         triples = ()
     else:
         opened, keys = _opened(*mine), _opened(*theirs)
         n, kb = keys.shape[0], delta.size
-        sent = sent.absorb(opened[..., :kb].reshape(-1, kb))
+        sent = start.absorb(np.concatenate([*sent, opened[..., :kb].reshape(-1, kb)]))
         bits = opened[..., kb]
         got, flush = yield Swap(
             [(MsgType.BEAVER_OPEN, pack_bits(bits.ravel())),
              (MsgType.RT_ACC_FLUSH, flush_payload(sent))],
             [(MsgType.BEAVER_OPEN, (3 * n + 7) // 8), (MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
         peer = unpack_bits(got, 3 * n).reshape(n, 3)
-        check_flush(flush, expect.absorb((keys ^ peer[..., None] * delta).reshape(-1, kb)))
+        expect = [*expect, (keys ^ peer[..., None] * delta).reshape(-1, kb)]
+        check_flush(flush, start.absorb(np.concatenate(expect)))
         (t, _, q, r), (kt, _, kq, kr) = mine, theirs
         w = _product_share(t, q, r, peer[:, 0], peer[:, 1])
         w[:, kb] ^= peer[:, 2]

@@ -9,7 +9,7 @@ from helpers import (OracleDealer, TripleKey, TripleMac, bit_rows, closing_pair,
 from macbits.aand_proto import (aand_combine_key, aand_combine_mac, fold_triples,
                                 laand_key_side, laand_mac_side)
 from macbits.errors import ProtocolAbort, UsageError
-from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
+from macbits.ro_suite import hash_calls, reset_hash_calls
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 KAPPA = 16
@@ -126,12 +126,11 @@ def run_combine(n, bucket, seed=0):
     macs = to_rows([p[0] for p in pairs], KAPPA)
     keys = to_rows([p[1] for p in pairs], KAPPA)
     rng_a = random.Random(seed + 1)
-    (out_m, acc_m), (out_k, acc_k) = run_two(
-        lambda a: run_side(a, A, aand_combine_mac(a, macs, bucket, rng_a, MacAccumulator())),
-        lambda b: run_side(b, B, aand_combine_key(b, keys, bucket, od.delta[A],
-                                                  MacAccumulator())),
+    (out_m, macs_m), (out_k, macs_k) = run_two(
+        lambda a: run_side(a, A, aand_combine_mac(a, macs, bucket, rng_a)),
+        lambda b: run_side(b, B, aand_combine_key(b, keys, bucket, od.delta[A])),
         timeout=30)
-    return od, out_m, out_k, acc_m, acc_k
+    return od, out_m, out_k, macs_m, macs_k
 
 
 def test_combine_outputs_clean_triples():
@@ -142,9 +141,10 @@ def test_combine_outputs_clean_triples():
 
 
 def test_combine_accumulators_agree():
-    _, _, _, acc_m, acc_k = run_combine(10, 2, seed=2)
-    assert acc_m.count == acc_k.count == 5
-    assert acc_m.state == acc_k.state
+    # both sides return the same deferred MAC rows for the flush
+    _, _, _, macs_m, macs_k = run_combine(10, 2, seed=2)
+    assert len(macs_m) == len(macs_k) == 5
+    assert np.array_equal(macs_m, macs_k)
 
 
 def test_combine_rejects_non_permutation():
@@ -157,8 +157,7 @@ def test_combine_rejects_non_permutation():
 
     with pytest.raises(ProtocolAbort):
         run_two(bad_peer,
-                lambda b: run_side(b, B, aand_combine_key(b, keys, 2, od.delta[A],
-                                                          MacAccumulator())),
+                lambda b: run_side(b, B, aand_combine_key(b, keys, 2, od.delta[A])),
                 timeout=10)
 
 
@@ -168,7 +167,8 @@ def test_combine_validates_bucketing():
     macs = [od.triple(A)[0] for _ in range(5)]
     with closing_pair(memory_pair()) as (a, _):
         with pytest.raises(UsageError):
-            run_side(a, A, aand_combine_mac(a, to_rows(macs, KAPPA), 2, rng, MacAccumulator()))
+            run_side(a, A, aand_combine_mac(a, to_rows(macs, KAPPA), 2, rng))
         with pytest.raises(UsageError):
-            run_side(a, A, aand_combine_mac(a, to_rows(macs[:4], KAPPA), 1, rng,
-                                            MacAccumulator()))
+            run_side(a, A, aand_combine_mac(a, to_rows(macs[:4], KAPPA), 1, rng))
+        with pytest.raises(UsageError):
+            run_side(a, A, aand_combine_mac(a, to_rows(macs[:0], KAPPA), 2, rng))

@@ -30,7 +30,7 @@ from macbits.dealer import DealerConfig, deal, verify_stores
 from macbits.errors import ProtocolAbort, ProtocolError
 from macbits.leakage_lab import (alpha_prime, bucket_fail_mc,
                                  bucket_fail_prob, span_fail_rate)
-from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
+from macbits.ro_suite import hash_calls, reset_hash_calls
 from macbits.runtime_2pc import Runtime
 from macbits.transport import MsgType, Role, run_pair
 
@@ -286,9 +286,9 @@ def test_cost_accounting():
                                               od.delta[A])),
         timeout=30)
     (out_s, _), (out_r, _) = run_two(
-        lambda ca: run_side(ca, A, aot_combine_sender(ca, quads_s, bucket, MacAccumulator())),
+        lambda ca: run_side(ca, A, aot_combine_sender(ca, quads_s, bucket)),
         lambda cb: run_side(cb, B, aot_combine_receiver(cb, quads_r, bucket, od.delta[A],
-                                                     random.Random(2), MacAccumulator())),
+                                                     random.Random(2))),
         timeout=30)
     assert len(out_s) == n_out
     per_aot = hash_calls("laot") / n_out
@@ -307,10 +307,8 @@ def test_cost_accounting():
                                                od.delta[A])),
         timeout=30)
     (out_m, _), (out_k, _) = run_two(
-        lambda ca: run_side(ca, A, aand_combine_mac(ca, macs, bucket, random.Random(4),
-                                                 MacAccumulator())),
-        lambda cb: run_side(cb, B, aand_combine_key(cb, keys, bucket, od.delta[A],
-                                                 MacAccumulator())),
+        lambda ca: run_side(ca, A, aand_combine_mac(ca, macs, bucket, random.Random(4))),
+        lambda cb: run_side(cb, B, aand_combine_key(cb, keys, bucket, od.delta[A])),
         timeout=30)
     assert len(out_m) == n_out
     per_aand = hash_calls("laand") / n_out

@@ -10,7 +10,7 @@ from macbits.aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_
                                fold_quads_receiver, fold_quads_sender, laot_receiver,
                                laot_sender)
 from macbits.errors import ProtocolAbort, UsageError
-from macbits.ro_suite import MacAccumulator, hash_calls, reset_hash_calls
+from macbits.ro_suite import hash_calls, reset_hash_calls
 from macbits.transport import MsgType, Role, memory_pair, run_pair
 
 KAPPA = 16
@@ -149,12 +149,11 @@ def run_combine(n, bucket, seed=0):
     quads_s = to_rows([p[0] for p in pairs], KAPPA)
     quads_r = to_rows([p[1] for p in pairs], KAPPA)
     rng_b = random.Random(seed + 1)
-    (out_s, acc_s), (out_r, acc_r) = run_two(
-        lambda a: run_side(a, A, aot_combine_sender(a, quads_s, bucket, MacAccumulator())),
-        lambda b: run_side(b, B, aot_combine_receiver(b, quads_r, bucket, od.delta[A], rng_b,
-                                                      MacAccumulator())),
+    (out_s, macs_s), (out_r, macs_r) = run_two(
+        lambda a: run_side(a, A, aot_combine_sender(a, quads_s, bucket)),
+        lambda b: run_side(b, B, aot_combine_receiver(b, quads_r, bucket, od.delta[A], rng_b)),
         timeout=30)
-    return od, out_s, out_r, acc_s, acc_r
+    return od, out_s, out_r, macs_s, macs_r
 
 
 def test_combine_outputs_clean_quads():
@@ -165,10 +164,11 @@ def test_combine_outputs_clean_quads():
 
 
 def test_combine_accumulators_agree():
-    # d reveals are deferred: both sides absorb the same MAC sequence
-    _, _, _, acc_s, acc_r = run_combine(10, 2, seed=2)
-    assert acc_s.count == acc_r.count == 5
-    assert acc_s.state == acc_r.state
+    # d reveals are deferred: both sides return the same MAC rows, which
+    # their accumulators absorb at the flush
+    _, _, _, macs_s, macs_r = run_combine(10, 2, seed=2)
+    assert len(macs_s) == len(macs_r) == 5
+    assert np.array_equal(macs_s, macs_r)
 
 
 def test_combine_rejects_non_permutation():
@@ -180,7 +180,7 @@ def test_combine_rejects_non_permutation():
         b.send(MsgType.COMB_PERM, b"".join(p.to_bytes(4, "big") for p in perm))
 
     with pytest.raises(ProtocolAbort):
-        run_two(lambda a: run_side(a, A, aot_combine_sender(a, quads, 2, MacAccumulator())),
+        run_two(lambda a: run_side(a, A, aot_combine_sender(a, quads, 2)),
                 bad_peer, timeout=10)
 
 
@@ -190,8 +190,8 @@ def test_combine_validates_bucketing():
     quads = [od.quad(A)[0] for _ in range(5)]
     with closing_pair(memory_pair()) as (a, _):
         with pytest.raises(UsageError):
-            run_side(a, A, aot_combine_sender(a, to_rows(quads, KAPPA), 2,
-                                              MacAccumulator()))  # 5 % 2 != 0
+            run_side(a, A, aot_combine_sender(a, to_rows(quads, KAPPA), 2))  # 5 % 2 != 0
         with pytest.raises(UsageError):
-            run_side(a, A, aot_combine_sender(a, to_rows(quads[:4], KAPPA), 1,
-                                              MacAccumulator()))
+            run_side(a, A, aot_combine_sender(a, to_rows(quads[:4], KAPPA), 1))
+        with pytest.raises(UsageError):
+            run_side(a, A, aot_combine_sender(a, to_rows(quads[:0], KAPPA), 2))

@@ -1,10 +1,10 @@
 """The bucket combiners: array folds against the per-record reference, and
 malformed combiner frames.
 
-The combiners fold uint8 rows, one array XOR per round. For random buckets
+The combiners fold uint8 rows, one array XOR per fold. For random buckets
 they must give, row for row, what the per-record reference fold in
-helpers.py gives for the same permutation, and both sides' accumulators must
-agree with the reference's opened MACs.
+helpers.py gives for the same permutation, and the opened MACs both sides
+return for the flush must be the reference's, round after round.
 
 Whatever bytes the peer puts in COMB_PERM or COMB_D, the checking side of
 the aOT and aAND combiners either combines or raises ProtocolError or
@@ -26,7 +26,6 @@ from macbits.aand_proto import aand_combine_key, aand_combine_mac
 from macbits.aot_proto import aot_combine_receiver, aot_combine_sender
 from macbits.bitlinalg import random_permutation
 from macbits.errors import ProtocolAbort, ProtocolError
-from macbits.ro_suite import MacAccumulator
 from macbits.transport import MsgType, Role, memory_pair
 
 KAPPA = 16
@@ -42,22 +41,14 @@ _TRIPLE_KEYS = to_rows([_OD.triple(A)[1] for _ in range(N)], KAPPA)
 # array folds against the record reference
 
 
-def _reference_acc(rounds) -> MacAccumulator:
-    acc = MacAccumulator()
-    for macs in rounds:
-        acc = acc.absorb(macs)
-    return acc
-
-
-def _check_against_reference(pairs, bucket, out, accs, perm_seed, folds, reveal):
+def _check_against_reference(pairs, bucket, out, opened, perm_seed, folds, reveal):
     perm = random_permutation(len(pairs), random.Random(perm_seed))
     want, rounds = reference_combine(pairs, perm, bucket, folds, reveal)
     for side, got in enumerate(out):
         ref = to_rows([p[side] for p in want], KAPPA)
         assert np.array_equal(got.macs, ref.macs) and np.array_equal(got.keys, ref.keys)
-    want_acc = _reference_acc(rounds)
-    for acc in accs:
-        assert (acc.state, acc.count) == (want_acc.state, want_acc.count)
+    for macs in opened:
+        assert np.array_equal(macs, np.concatenate(rounds))
 
 
 def _quad_reveal(a, b):
@@ -76,25 +67,24 @@ def test_array_fold_matches_record_reference(bucket, n_out, seed):
     n = bucket * n_out
 
     quads = [od.quad(A) for _ in range(n)]
-    (out_s, acc_s), (out_r, acc_r) = run_two(
+    (out_s, macs_s), (out_r, macs_r) = run_two(
         lambda a: run_side(a, A, aot_combine_sender(a, to_rows([q[0] for q in quads], KAPPA),
-                                                    bucket, MacAccumulator())),
+                                                    bucket)),
         lambda b: run_side(b, B, aot_combine_receiver(b, to_rows([q[1] for q in quads], KAPPA),
                                                       bucket, od.delta[A],
-                                                      random.Random(seed + 1), MacAccumulator())),
+                                                      random.Random(seed + 1))),
         timeout=30)
-    _check_against_reference(quads, bucket, (out_s, out_r), (acc_s, acc_r), seed + 1,
+    _check_against_reference(quads, bucket, (out_s, out_r), (macs_s, macs_r), seed + 1,
                              (fold_sender, fold_receiver), _quad_reveal)
 
     triples = [od.triple(A) for _ in range(n)]
-    (out_m, acc_m), (out_k, acc_k) = run_two(
+    (out_m, macs_m), (out_k, macs_k) = run_two(
         lambda a: run_side(a, A, aand_combine_mac(a, to_rows([t[0] for t in triples], KAPPA),
-                                                  bucket, random.Random(seed + 2),
-                                                  MacAccumulator())),
+                                                  bucket, random.Random(seed + 2))),
         lambda b: run_side(b, B, aand_combine_key(b, to_rows([t[1] for t in triples], KAPPA),
-                                                  bucket, od.delta[A], MacAccumulator())),
+                                                  bucket, od.delta[A])),
         timeout=30)
-    _check_against_reference(triples, bucket, (out_m, out_k), (acc_m, acc_k), seed + 2,
+    _check_against_reference(triples, bucket, (out_m, out_k), (macs_m, macs_k), seed + 2,
                              (fold_triple_mac, fold_triple_key), _triple_reveal)
 
 
@@ -133,13 +123,13 @@ def _combines(frames, check, where) -> bool:
         for msg_type, payload in frames:
             peer.send(msg_type, payload)
         try:
-            out, acc = run_side(mine, A, check(mine))
+            out, macs = run_side(mine, A, check(mine))
         except ProtocolError:
             return False
         except ProtocolAbort as e:
             assert e.phase == where
             return False
-    assert len(out) == N // BUCKET and acc.count == N // BUCKET
+    assert len(out) == len(macs) == N // BUCKET
     return True
 
 
@@ -148,7 +138,7 @@ def _combines(frames, check, where) -> bool:
 def test_aot_sender_checks_permutation(perm):
     senders = to_rows([q[0] for q in _QUADS], KAPPA)
     ok = _combines([(MsgType.COMB_PERM, perm)],
-                   lambda ch: aot_combine_sender(ch, senders, BUCKET, MacAccumulator()),
+                   lambda ch: aot_combine_sender(ch, senders, BUCKET),
                    "aot-comb")
     assert ok == _is_perm(perm)
 
@@ -159,7 +149,7 @@ def test_aot_receiver_checks_reveals(d):
     receivers = to_rows([q[1] for q in _QUADS], KAPPA)
     ok = _combines([(MsgType.COMB_D, d)],
                    lambda ch: aot_combine_receiver(ch, receivers, BUCKET, _OD.delta[A],
-                                                   random.Random(1), MacAccumulator()),
+                                                   random.Random(1)),
                    "aot-comb")
     assert ok == _is_reveal(d)
 
@@ -168,7 +158,6 @@ def test_aot_receiver_checks_reveals(d):
 @given(perm=perm_frames, d=d_frames)
 def test_aand_key_side_checks_permutation_and_reveals(perm, d):
     ok = _combines([(MsgType.COMB_PERM, perm), (MsgType.COMB_D, d)],
-                   lambda ch: aand_combine_key(ch, _TRIPLE_KEYS, BUCKET, _OD.delta[A],
-                                               MacAccumulator()),
+                   lambda ch: aand_combine_key(ch, _TRIPLE_KEYS, BUCKET, _OD.delta[A]),
                    "aand-comb")
     assert ok == (_is_perm(perm) and _is_reveal(d))

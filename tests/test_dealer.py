@@ -372,6 +372,28 @@ def test_deal_hash_budget(monkeypatch):
     outputs = 2 * cfg.n_and  # two directions of aOTs, two owners of aANDs
     assert hash_calls("laot") == 6 * cfg.bucket * outputs
     assert hash_calls("laand") == 3 * cfg.bucket * outputs
+    # the deferred MACs: one absorb per chain per party, at the flush
+    assert hash_calls("acc/round") == 4
+
+
+def test_combining_takes_two_frames_per_combiner():
+    """At 32 AND gates (B = 8) each party sends one COMB_PERM for each of
+    the two combiners whose bucketing it samples (the peer's quads and its
+    own triples) and one COMB_D for each whose bits it reveals, all
+    (B - 1) * n_and of them in one frame; and the deal's flights stay
+    pinned per party."""
+    cfg = DealerConfig.for_gates(32, 4, 4)
+    assert cfg.bucket == 8
+    with closing_pair(counting_pair(timeout=60.0)) as (a, b):
+        sa, sb = run_pair(lambda: deal(a, A, cfg, random.Random(1)),
+                          lambda: deal(b, B, cfg, random.Random(2)),
+                          timeout=60, channels=(a, b))
+    assert verify_stores(sa, sb) > 0
+    for ch in (a, b):
+        sent = Counter(m for m, _ in ch.sent)
+        assert sent[MsgType.COMB_PERM] == sent[MsgType.COMB_D] == 2
+        assert {len(p) for m, p in ch.sent if m is MsgType.COMB_D} == {7 * 32 // 8}
+    assert (a.flights, b.flights) == (18, 16)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -512,8 +534,7 @@ def test_conversion_makes_beaver_triples_at_kappa_8():
                   rows([q for _, q in quad[peer]], "keys"),
                   rows([s for s, _ in quad[role]], "keys"),
                   bit_rows([k for _, k in fresh[peer]], kappa))
-        acc = MacAccumulator()
-        return run_side(ch, role, _flush_and_commit(acc, acc, bytes(32), mine, theirs,
+        return run_side(ch, role, _flush_and_commit(bytes(16), [], [], bytes(32), mine, theirs,
                                                     od.delta[peer]))
 
     (ta, _), (tb, _) = run_two(lambda ch: convert(ch, A), lambda ch: convert(ch, B))

@@ -43,21 +43,13 @@ EXPECTED = {
         ('EQ_COMMIT', 'a97652a7db44a76e24cd9e4c253134d8b1164378b7bdcad3780e2aa350878e6d'),
         ('EQ_OPEN', '69d140d9e36e10bdb962f8824b3b37f96cb72dcbeca1f2b94bf0501f62c1e750'),
         ('EQ_VALUE', '844a8402f9c3075a90201e767627a1012346459f4aec85d0f27f755cb83b1efd'),
-        ('EQ_OPEN', '109447e8fee256cd16ac8b646929e7684d50c3e67ab881600b2a2fceafa8e05c'),
         ('COMB_PERM', '9a4df2a2eceea90863d89bd2d78e7aaca3d45377935aff3bd8c32fee194074df'),
-        ('COMB_D', 'c8c84188381ff450ad2555b6423329f2907cb340cac9bc5f7dbc955abff4835f'),
-        ('COMB_D', 'e8381f15ba2cc071cad9336c77b2bccc32ed2684a760cd96b9e6bac2984317e3'),
-        ('COMB_D', '56126b899fd1010092c0cb7ac56475b5dd1ff5c19d34a50182a2b7f149d82804'),
-        ('COMB_D', 'f6f1a585a7a9c45d3fb3614d450db9fa38219610874a3c485e209539b9808b79'),
-        ('COMB_D', 'c0f78c6a51d9c144e59c3a9218498ba0ac235f8a700670dbeabbcf6c465ec048'),
-        ('COMB_D', '98d020eeb6ac57c16f7e5add45122b95a24a76ced58cfb1645ea1eb0e1992997'),
-        ('COMB_D', 'dbefce9ee3fb661faa296b253b801fb7bbd4170b7f85fa7f2b4a8986061a8228'),
-        ('COMB_D', '0568a6cd13b707ff7a4798687d6e33d2dceb511fd5fc2e63c7c62d1a09ce1a93'),
-        ('COMB_D', '0d2ab77afc13a0bcd6b773dc65197f6e07746652170f512c08d1934fe5b0d6cf'),
-        ('COMB_D', 'f594560eed2199c8a6bc97308665ef794b6574baec992a4f1a542ce37633ee60'),
+        ('EQ_OPEN', '109447e8fee256cd16ac8b646929e7684d50c3e67ab881600b2a2fceafa8e05c'),
+        ('COMB_D', 'cf1d4f851cc37a0992d7b77909e9a0ef939fce3410586572ee2d8de479dc336e'),
         ('COMB_PERM', '957b4464fd2de3923b9cf1cf7703186c9897c40e23d6e775a735dd7071afb062'),
+        ('COMB_D', '097adb747abeb488f69f95d0f114cceb80a163c35ce5470e378ac742109442d7'),
         ('BEAVER_OPEN', 'fa90fecb2c95c4400b7430e0733ac9fc7f9894a2a33c5b10547a8812a80acb5d'),
-        ('RT_ACC_FLUSH', '3e5cf5e211ae635d3ba729ca5b8c6eaa162f4ea518c7ce0aa78b374817f3dbe7'),
+        ('RT_ACC_FLUSH', 'f70b34ed51c04a48e5caf0370e8631f2dbb2323661c8e5a658da494008027a4b'),
         ('GK_COMMIT', '32669ced1fa6b0ddc84056eae30d74cd85d692cb6c30199e170e9cd88f0cdce5'),
     ],
     B: [
@@ -83,21 +75,13 @@ EXPECTED = {
         ('EQ_COMMIT', 'db8c62a63269a7e5e8c384f1aa930ce6efa46898238adecaeb43656d739e0459'),
         ('EQ_OPEN', '8cd94914458ce5b079d0d4a3282bc7f444fb943f2f5ff5fb2cc32c3fca90e515'),
         ('EQ_VALUE', '00be90b22b42146ec5c08092601ca6428dde7273580ddbc27591e408148b3bf9'),
-        ('EQ_OPEN', 'cd32a1093540dc2c204352da05ea6534df59e3584e476a74b6ec5c072f41eb40'),
         ('COMB_PERM', '7ee794975488069e02927dc00f143c755e0da9aa61ff275ec455d7022a1865e5'),
-        ('COMB_D', 'e7f3c559aca6edf477dfa6da685bb4aaecd15613f95585b4f143578f60234cbb'),
-        ('COMB_D', 'f9de8a4875c3a9a5853d484658ee1b6dc30159bbe13fc858384a730e38d5706d'),
-        ('COMB_D', 'c605e6906b46c1a1e1fbbcff18a0bcc74cf73054d6e0d6eb414e47132e695181'),
-        ('COMB_D', 'bbe44cbcaa489cf7dfd0604dfa73d50edb106fe587d22cf0958a3fa183aa2674'),
-        ('COMB_D', 'c0ba3e84a45c143967acf4005f480298d9aad1f8c456001859da7cbd7bf2e1f8'),
+        ('EQ_OPEN', 'cd32a1093540dc2c204352da05ea6534df59e3584e476a74b6ec5c072f41eb40'),
+        ('COMB_D', '7f1c6f7b8e3e7244a663462bba19e937808a50d8f72e5f971e696308003322b3'),
         ('COMB_PERM', '8058b1ca626694fb32098f9f8d9bc8937a14a2f39b6770163f70933e4b26dad5'),
-        ('COMB_D', '267434de937b7ef332d3587d770fc94e28d3d43c9b35207b9175b8cca1a3bf0f'),
-        ('COMB_D', '4badb71f6c39d43aa013409931efc769432ef29df226d5899bab5597502fc001'),
-        ('COMB_D', 'c6917a435280459e606b5771306d4b1f908e5573e4e8179cbcddbca9a7209e1a'),
-        ('COMB_D', '9e9b526bbd5d00ad149d6913217b0c03999cd6d9410280e643505c4d5c021e12'),
-        ('COMB_D', '9f57fbd0737414ea20eafaa73bede7b78a90f480a2ed665be96f5fac136164fe'),
+        ('COMB_D', 'c35727f85fff233ade9c668f8cd95221fea84eac7206b05b91e0db8a6d41364e'),
         ('BEAVER_OPEN', '034a6bcb49037acca93eab77892fa7862d0ccd69b2a9a6ba2a399f0f88f58edb'),
-        ('RT_ACC_FLUSH', '62ed85b4f5bd652c3b4f23e8df057f4ff33bc065d4853cae4bc39e1ac21cfcf5'),
+        ('RT_ACC_FLUSH', '6f19e93c4c36bd7685c3b0b8c4ac81096d89b870f62bc52ff356c1e6e1121a5d'),
         ('GK_COMMIT', '4d36d99b7426aa45dc7c349d58778a5aa5195799d13b52a0897765957474caf0'),
     ],
 }
@@ -105,18 +89,19 @@ EXPECTED_STORES = {
     A: "80981d100268375510ee249c0ca15e9d5b3946a408598d5cc47c69e99460255c",
     B: "fe3b96990123b50181ef2e11f6f70eaf189064627ebd4f88fee87df9827a5463",
 }
-# MsgType -> (frames, bytes with headers) per party. They are the totals of
-# the one-owner-at-a-time schedule: running the sides side by side moves
+# MsgType -> (frames, bytes with headers) per party. Each combiner sends its
+# bucketing in one COMB_PERM and all its (B - 1) * n_and reveal bits in one
+# COMB_D, so a party sends two of each; running the sides side by side moves
 # frames, it adds none.
 TOTALS = {
-    A: {'AMPLIFY_MATRIX': (1, 15109), 'BEAVER_OPEN': (1, 118), 'COMB_D': (10, 430),
+    A: {'AMPLIFY_MATRIX': (1, 15109), 'BEAVER_OPEN': (1, 118), 'COMB_D': (2, 386),
         'COMB_PERM': (2, 14410),
         'EQ_COMMIT': (3, 63), 'EQ_OPEN': (3, 159), 'EQ_VALUE': (3, 111), 'GK_COMMIT': (1, 37),
         'HELLO': (1, 30), 'LAAND_D': (1, 230), 'LAAND_U': (1, 57605), 'LABIT_D': (1, 123),
         'LABIT_PAIRING': (1, 7517), 'LAOT_D': (1, 230), 'LAOT_I0': (1, 28805),
         'LAOT_I1': (1, 28805), 'LAOT_X0': (1, 59405), 'LAOT_X1': (1, 59405),
         'OT_MASKED0': (1, 30053), 'OT_MASKED1': (2, 3061150), 'RT_ACC_FLUSH': (1, 45)},
-    B: {'AMPLIFY_MATRIX': (1, 15109), 'BEAVER_OPEN': (1, 118), 'COMB_D': (10, 430),
+    B: {'AMPLIFY_MATRIX': (1, 15109), 'BEAVER_OPEN': (1, 118), 'COMB_D': (2, 386),
         'COMB_PERM': (2, 14410),
         'EQ_COMMIT': (3, 63), 'EQ_OPEN': (3, 159), 'EQ_VALUE': (3, 111), 'GK_COMMIT': (1, 37),
         'HELLO': (1, 30), 'LAAND_D': (1, 230), 'LAAND_U': (1, 57605), 'LABIT_D': (1, 123),
