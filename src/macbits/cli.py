@@ -87,8 +87,7 @@ def cmd_deal(args) -> int:
     if not os.path.isdir(out_dir):
         raise UsageError(f"{out_dir} is not a directory")
     cfg = DealerConfig.for_gates(args.gates, args.inputs, args.inputs,
-                                 kappa=args.kappa, psi=args.psi,
-                                 bucket_B=args.bucket)
+                                 kappa=args.kappa, psi=args.psi)
     rng = _make_rng(args.seed)
     if args.listen:
         ch = tcp_listen(*_parse_addr(args.listen))
@@ -227,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input wires per party to provision (default 128)")
     d.add_argument("--psi", type=int, default=40)
     d.add_argument("--kappa", type=int, default=128)
-    d.add_argument("--bucket", type=int, default=None,
-                   help="bucket size override (default: derived from psi and --gates)")
     d.add_argument("--out", required=True)
     d.add_argument("--force", action="store_true")
     d.add_argument("--seed", type=int, default=None)

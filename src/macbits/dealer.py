@@ -14,16 +14,17 @@ four calls: `transport.hello`, the one-round hello the online phase runs
 too; both `produce_abits` sides, each owner's seed OTs keyed by the session
 id (`base_ot.DealerOt`); four material sides, each owner's laAND and each
 direction's laOT, each followed by its bucketed combining; and the flush
-(`_flush_and_commit`). Every side yields one flight at a time, and each
-round's frames cross in one of `run_sides`' three modes (a batch of aBit OT
-corrections in its duplex mode), so neither party blocks sending a large
-frame to a peer that is itself sending. Frames go out in side order,
+(`_flush`), the deal's last round. Every side yields one flight at a time,
+and each round's frames cross in one of `run_sides`' three modes (a batch of
+aBit OT corrections in its duplex mode), so neither party blocks sending a
+large frame to a peer that is itself sending. Frames go out in side order,
 Alice's bits or Alice's direction first on both parties. A combiner reveals
 its bits in one frame and leaves their MACs to the flush, whose round also
 carries the three bits per AND gate that each party opens to fold the
 gate's triples, quads and fresh bit into one Beaver triple; each of a
-party's two MAC chains absorbs its share of them in one call, and the
-global-key commitments follow.
+party's two MAC chains absorbs its share of them in one call. The deal ends
+there; nothing the peer cannot check, such as a hash of a global key, leaves
+a party.
 
 The aBit sides cross their OT corrections in batches of at most
 `base_ot.BATCH_BITS` bits per column, one frame per batch, and the key
@@ -51,8 +52,12 @@ eats 3 owner bits per leaky instance and every secure quadruple 2 sender
 bits and 2 receiver bits, and each Beaver triple one fresh bit, so at bucket
 size B an owner's demand is one bit per own input wire plus
 n_and * (1 + 7B). The store never persists the
-peer's global key, only a joint digest of both parties' commitments to
-their global keys, which the two parties compare at online startup.
+peer's global key. Its 32-byte tag, `gk_commit`, is ro_hash("deal/tag",
+Alice's flush payload, Bob's), which each party holds once its own flush
+check passes and which the two compare at online startup. The payloads
+chain every MAC the deal revealed, so the tag binds the material; without
+AND gates it binds only the session id. A party whose check passed keeps
+its store even if the peer's failed, and the online hello cannot start.
 """
 
 from __future__ import annotations
@@ -70,8 +75,8 @@ from .aot_proto import (aot_combine_receiver, aot_combine_sender, bucket_size,
 from .base_ot import DealerOt
 from .bitlinalg import pack_bits, unpack_bits
 from .errors import OutOfMaterial, ParseError, ProtocolAbort, ProtocolError, UsageError
-from .ro_suite import (DIGEST_BYTES, FLUSH_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator,
-                       check_flush, flush_accumulators, flush_payload, ro_hash, ro_stream)
+from .ro_suite import (DIGEST_BYTES, KAPPA_DEFAULT, PSI_DEFAULT, MacAccumulator, check_flush,
+                       flush_accumulators, ro_hash, ro_stream)
 from .transport import SESSION_ID_BYTES, Channel, MsgType, Role, Swap, hello, run_sides
 
 MAGIC = b"MACBITS\x00"
@@ -343,7 +348,6 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
     recs = cfg.records(role)
     inputs = take(role, recs["abits_mine"]), take(role.other, recs["abits_theirs"])
     my_delta = gks[role.other]
-    my_commit = ro_hash("gkc", sid, bytes([role.value]), my_delta)
     # per AND gate, my records and my keys on the peer's same records: my
     # triple, my quad as sender, my quad as receiver and my fresh bit
     mine = theirs = None
@@ -352,11 +356,10 @@ def deal(ch: Channel, role: Role, cfg: DealerConfig, rng) -> MaterialStore:
                 take(role, cfg.n_and))
         theirs = (aands[role.other].keys, aots[role.other].keys, aots[role].keys,
                   take(role.other, cfg.n_and))
-    ((triples, peer_commit),) = run_sides(ch, role, _flush_and_commit(
-        sid, sent, expect, my_commit, mine, theirs, my_delta))
-    commits = {role: my_commit, role.other: peer_commit}
-    gk_commit = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
-    return MaterialStore(role, cfg.kappa, cfg.psi, sid, gk_commit, my_delta,
+    ((triples, *flushes),) = run_sides(ch, role, _flush(sid, sent, expect, mine, theirs,
+                                                       my_delta))
+    tag = ro_hash("deal/tag", *(flushes if alice else flushes[::-1]))
+    return MaterialStore(role, cfg.kappa, cfg.psi, sid, tag, my_delta,
                          Rows.of_macs(inputs[0][:, None]), Rows.of_keys(inputs[1][:, None]),
                          triples)
 
@@ -384,11 +387,10 @@ def _then(ch, side, combine, *args):
     return (yield from combine(ch, items, *args))
 
 
-def _flush_and_commit(sid: bytes, sent: list, expect: list, commit: bytes, mine, theirs,
-                      delta: np.ndarray):
-    """The deferred-MAC flush, then the global-key commitments, as one
-    protocol side: this party's commitment goes out only once the flush has
-    passed. Returns (the Beaver triples as Rows, the peer's commitment).
+def _flush(sid: bytes, sent: list, expect: list, mine, theirs, delta: np.ndarray):
+    """The deferred-MAC flush, the deal's last round, as one protocol side.
+    Returns (the Beaver triples as Rows, my flush payload, the peer's), once
+    the peer's has passed my check.
 
     Both MAC chains start from a digest of the session id sid; `sent` lists
     the MAC rows of the bits I revealed in combining and `expect` those I
@@ -405,28 +407,24 @@ def _flush_and_commit(sid: bytes, sent: list, expect: list, commit: bytes, mine,
     start = MacAccumulator(ro_hash("deal/acc", sid))
     if mine is None:
         yield from flush_accumulators(start, start)
-        triples = ()
-    else:
-        opened, keys = _opened(*mine), _opened(*theirs)
-        n, kb = keys.shape[0], delta.size
-        sent = start.absorb(np.concatenate([*sent, opened[..., :kb].reshape(-1, kb)]))
-        bits = opened[..., kb]
-        got, flush = yield Swap(
-            [(MsgType.BEAVER_OPEN, pack_bits(bits.ravel())),
-             (MsgType.RT_ACC_FLUSH, flush_payload(sent))],
-            [(MsgType.BEAVER_OPEN, (3 * n + 7) // 8), (MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
-        peer = unpack_bits(got, 3 * n).reshape(n, 3)
-        expect = [*expect, (keys ^ peer[..., None] * delta).reshape(-1, kb)]
-        check_flush(flush, start.absorb(np.concatenate(expect)))
-        (t, _, q, r), (kt, _, kq, kr) = mine, theirs
-        w = _product_share(t, q, r, peer[:, 0], peer[:, 1])
-        w[:, kb] ^= peer[:, 2]
-        kw = _product_share(kt, kq, kr, bits[:, 0], bits[:, 1]) ^ bits[:, 2:] * delta
-        triples = Rows(np.stack((t[:, 0], t[:, 1], w), axis=1),
-                       np.stack((kt[:, 0], kt[:, 1], kw), axis=1))
-    (peer_commit,) = yield Swap([(MsgType.GK_COMMIT, commit)],
-                                [(MsgType.GK_COMMIT, DIGEST_BYTES)])
-    return triples, peer_commit
+        return (), start.state, start.state
+    opened, keys = _opened(*mine), _opened(*theirs)
+    n, kb = keys.shape[0], delta.size
+    sent = start.absorb(np.concatenate([*sent, opened[..., :kb].reshape(-1, kb)]))
+    bits = opened[..., kb]
+    got, flush = yield Swap(
+        [(MsgType.BEAVER_OPEN, pack_bits(bits.ravel())), (MsgType.RT_ACC_FLUSH, sent.state)],
+        [(MsgType.BEAVER_OPEN, (3 * n + 7) // 8), (MsgType.RT_ACC_FLUSH, DIGEST_BYTES)])
+    peer = unpack_bits(got, 3 * n).reshape(n, 3)
+    expect = [*expect, (keys ^ peer[..., None] * delta).reshape(-1, kb)]
+    check_flush(flush, start.absorb(np.concatenate(expect)))
+    (t, _, q, r), (kt, _, kq, kr) = mine, theirs
+    w = _product_share(t, q, r, peer[:, 0], peer[:, 1])
+    w[:, kb] ^= peer[:, 2]
+    kw = _product_share(kt, kq, kr, bits[:, 0], bits[:, 1]) ^ bits[:, 2:] * delta
+    triples = Rows(np.stack((t[:, 0], t[:, 1], w), axis=1),
+                   np.stack((kt[:, 0], kt[:, 1], kw), axis=1))
+    return triples, sent.state, flush
 
 
 def _macs_hold(macs, keys, delta) -> bool:

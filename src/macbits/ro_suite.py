@@ -180,15 +180,15 @@ class MacAccumulator:
 
     Both sides of a reveal feed what they believe the MACs are, one call per
     reveal round; equal rounds in equal order from equal starting states
-    give equal states. Starts at the given state, the all-zero digest by
-    default.
+    give equal states. Each round's row count is hashed into the state, so
+    the state alone binds how many MACs, in how many rounds, it absorbed.
+    Starts at the given state, the all-zero digest by default.
     """
 
-    __slots__ = ("state", "count")
+    __slots__ = ("state",)
 
-    def __init__(self, state: bytes = bytes(DIGEST_BYTES), count: int = 0):
+    def __init__(self, state: bytes = bytes(DIGEST_BYTES)):
         self.state = state
-        self.count = count
 
     def absorb(self, macs: np.ndarray) -> "MacAccumulator":
         """Chain one round, given as a uint8 array with one MAC per row, with
@@ -207,27 +207,19 @@ class MacAccumulator:
         h.update(macs if macs.flags.c_contiguous else np.ascontiguousarray(macs))
         with _counter_lock:
             _hash_calls["acc/round"] += 1
-        return MacAccumulator(h.digest(), self.count + n)
-
-
-FLUSH_BYTES = _COUNT.size + DIGEST_BYTES
-
-
-def flush_payload(acc: MacAccumulator) -> bytes:
-    """An accumulator as an RT_ACC_FLUSH payload: its count, then its state."""
-    return _COUNT.pack(acc.count) + acc.state
+        return MacAccumulator(h.digest())
 
 
 def check_flush(theirs, expect: MacAccumulator) -> None:
-    """The peer's RT_ACC_FLUSH payload must equal what I expected of its
-    reveals."""
-    if theirs != flush_payload(expect):
+    """The peer's RT_ACC_FLUSH payload, its chain state, must equal what I
+    expected of its reveals."""
+    if theirs != expect.state:
         raise ProtocolAbort("flush", "deferred check failed")
 
 
 def flush_accumulators(sent: MacAccumulator, expect: MacAccumulator):
     """Exchange deferred-MAC digests, as a protocol side: my sent chain must
     equal what the peer expected of my reveals, and vice versa."""
-    (theirs,) = yield Swap([(MsgType.RT_ACC_FLUSH, flush_payload(sent))],
-                           [(MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
+    (theirs,) = yield Swap([(MsgType.RT_ACC_FLUSH, sent.state)],
+                           [(MsgType.RT_ACC_FLUSH, DIGEST_BYTES)])
     check_flush(theirs, expect)

@@ -38,8 +38,8 @@ A level's reveals are gate-major. Every announced bit's MAC is deferred
 into running accumulators, one absorb per level on each side: my sent MACs
 in `_and_open`, and the MACs I expect of the peer's bits in `_and_close`.
 So my sent chain is complete once the last AND level is open, and its
-flush digest (RT_ACC_FLUSH) goes out in that level's flight, after the
-reveals; the peer's digest is checked after that level's `_and_close`,
+flush digest (RT_ACC_FLUSH, the chain's 32-byte state) goes out in that
+level's flight, after the reveals; the peer's digest is checked after that level's `_and_close`,
 before any output is revealed. A circuit without AND gates flushes in the
 one round it has before the outputs. An output wire's bit is revealed with
 no MAC of its own: a party's RT_OUTPUT frame is the packed bits it sends,
@@ -55,10 +55,11 @@ their first flights go out as one. Both parties' HELLO, RT_ANNOUNCE_BATCH
 and first AND level's reveals (with the flush if that level is the last; a
 circuit without AND gates sends the flush alone) cross in one round: the
 hello is `transport.hello`, the one-round hello the deal runs too, with
-the session id and the material commitment read from the store, and the
-level's reveals need no announcement. `run_sides` resumes the three in
+the session id and the deal's tag read from the store (`gk_commit`, a
+digest of both parties' deal flushes), and the level's reveals need no
+announcement. `run_sides` resumes the three in
 that order, so each party first checks the peer's hello (`_hello`: the
-session id and the commitment, once `hello` has checked the parameters),
+session id and the tag, once `hello` has checked the parameters),
 then adds m * delta for each announced m to its keys on the peer's input
 wires (`_input_phase`), and then redoes what read those keys before the
 round, level 0's free steps and the first level's gathered key halves
@@ -88,8 +89,8 @@ from .bitlinalg import BitVec, pack_bits, unpack_bits
 from .circuit import DEST_A, DEST_B, DEST_BOTH, Circuit
 from .dealer import DealerConfig, MaterialStore
 from .errors import OutOfMaterial, ProtocolAbort, ProtocolError, UsageError
-from .ro_suite import (FLUSH_BYTES, MacAccumulator, check_flush, flush_accumulators,
-                       flush_payload, ro_hash)
+from .ro_suite import (DIGEST_BYTES, MacAccumulator, check_flush, flush_accumulators,
+                       ro_hash)
 from .transport import Channel, MsgType, Role, Send, Swap, hello, run_sides
 
 
@@ -141,15 +142,14 @@ class Runtime:
     # -- session ------------------------------------------------------------
 
     def _hello(self):
-        """`transport.hello` with the store's parameters and material
-        commitment as its extra; the peer must name the same session id and
-        commitment."""
+        """`transport.hello` with the store's parameters and the deal's tag
+        as its extra; the peer must name the same session id and tag."""
         st = self.store
         sid, commit = yield from hello(self.role, self.kappa, st.psi, st.session_id, st.gk_commit)
         if sid != st.session_id:
             raise ProtocolError("session id mismatch")
         if commit != st.gk_commit:
-            raise ProtocolAbort("hello", "material commitment mismatch")
+            raise ProtocolAbort("hello", "deal tag mismatch")
 
     # -- batched AND level ----------------------------------------------------
 
@@ -322,9 +322,9 @@ class Runtime:
                 if g < circuit.n_and:
                     got = yield Swap(frames, [(MsgType.RT_REVEAL_BATCH, nb)])
                 else:  # the last AND level's flight carries the flush
-                    frames.append((MsgType.RT_ACC_FLUSH, flush_payload(self._sent)))
+                    frames.append((MsgType.RT_ACC_FLUSH, self._sent.state))
                     got = yield Swap(frames, [(MsgType.RT_REVEAL_BATCH, nb),
-                                              (MsgType.RT_ACC_FLUSH, FLUSH_BYTES)])
+                                              (MsgType.RT_ACC_FLUSH, DIGEST_BYTES)])
                 if k == 1:  # levels[0] has no AND gates, so this was the first round
                     self._rekey(w, levels[0][1], ins, state)
                 self._and_close(w, o0, state, got[0])

@@ -76,7 +76,7 @@ class MsgType(enum.IntEnum):
     COMB_D = 19
     LAAND_D = 20
     LAAND_U = 21
-    GK_COMMIT = 22
+    # 22 is retired as well
     RT_ANNOUNCE_BATCH = 23
     RT_REVEAL_BATCH = 24
     RT_ACC_FLUSH = 25

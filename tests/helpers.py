@@ -293,10 +293,7 @@ class OracleDealer:
         each stream; Bob's mirror hers (his abits_mine are her
         abits_theirs, and both hold the same number of triples)."""
         sid = bytes(self.rng.getrandbits(8) for _ in range(16))
-        commits = {}
-        for r in (Role.ALICE, Role.BOB):
-            commits[r] = ro_hash("gkc", sid, bytes([r.value]), self.delta[r.other])
-        joint = ro_hash("gkc/joint", commits[Role.ALICE], commits[Role.BOB])
+        tag = ro_hash("deal/tag", sid)  # a deal's tag digests its flushes
         records = {r: {name: [] for name in MaterialStore.STREAMS}
                    for r in (Role.ALICE, Role.BOB)}
 
@@ -309,7 +306,7 @@ class OracleDealer:
         for _ in range(counts["triples"]):
             for r, share in self.beaver().items():
                 records[r]["triples"].append(share)
-        return tuple(MaterialStore(r, self.kappa, psi, sid, joint, self.delta[r.other],
+        return tuple(MaterialStore(r, self.kappa, psi, sid, tag, self.delta[r.other],
                                    *(to_rows(records[r][name], self.kappa) if records[r][name]
                                      else () for name in MaterialStore.STREAMS))
                      for r in (Role.ALICE, Role.BOB))

@@ -26,7 +26,7 @@ DEEP = "20 24\n2 2 1\n" + "2 1 0 2 4 AND\n" + "".join(
     f"2 1 {w - 1} 1 {w} AND\n" for w in range(5, 24))
 
 TINY_DEAL = ["--gates", "1", "--inputs", "2", "--kappa", "16",
-             "--psi", "3", "--bucket", "2"]
+             "--psi", "3"]
 
 
 def deal_pair(out_a, out_b, seed_a, seed_b):
@@ -78,8 +78,7 @@ def test_deal_rejects_bad_address(tmp_path, addr):
     assert rc == 3
 
 
-@pytest.mark.parametrize("flag", [("--bucket", "1"), ("--psi", "70000")],
-                         ids=["bucket-1", "psi-70000"])
+@pytest.mark.parametrize("flag", [("--psi", "70000")], ids=["psi-70000"])
 def test_deal_rejects_bad_bucket(tmp_path, flag):
     rc = cli_main(["deal", "--role", "A", "--listen", "127.0.0.1:1",
                    "--gates", "1", *flag, "--out", str(tmp_path / "x")])

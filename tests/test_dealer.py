@@ -16,7 +16,7 @@ from macbits import base_ot
 from macbits.abit_proto import tau_for
 from macbits.base_ot import SEED_BITS
 from macbits.bitlinalg import random_rows
-from macbits.dealer import (DealerConfig, MaterialStore, _flush_and_commit, deal,
+from macbits.dealer import (DealerConfig, MaterialStore, _flush, deal,
                             flush_accumulators, verify_stores)
 from macbits.circuit import plain_eval
 from macbits.errors import (OutOfMaterial, ParseError, ProtocolAbort, ProtocolError,
@@ -106,6 +106,27 @@ def test_deal_produces_verified_material():
     assert checked == (5 + 9) + (3 + 9) + 3
 
 
+def test_deal_tag_binds_the_material():
+    """Two deals with Alice's seed, so her session id, and two Bob seeds:
+    each deal's stores share a tag, but Alice's store of one and Bob's of
+    the other, though they name the same session id, are refused at the
+    online hello, because each tag digests its deal's flushes, which chain
+    the MACs the deal revealed."""
+    rng = random.Random(4)
+    c = random_circuit(rng, 20, inputs_a=5, inputs_b=3)
+    cfg = DealerConfig.for_gates(c.n_and, 5, 3, kappa=16, psi=8)
+    assert cfg.n_and > 0
+    (sa, sb), (sa2, sb2) = [run_two(lambda a: deal(a, A, cfg, random.Random(1)),
+                                    lambda b: deal(b, B, cfg, random.Random(seed)), timeout=60)
+                            for seed in (2, 3)]
+    assert sa.session_id == sb2.session_id == sa2.session_id
+    assert sa.gk_commit == sb.gk_commit != sb2.gk_commit == sa2.gk_commit
+    xa, xb = random_inputs(c, rng)
+    with pytest.raises(ProtocolAbort) as e:
+        eval_two(c, sa, sb2, xa, xb)
+    assert e.value.phase == "hello"
+
+
 def test_deal_at_the_widest_mac():
     """kappa = 256, the widest DealerConfig takes: laOT's branch pads are
     2 * 32 + 1 = 65 bytes there, one past BLAKE2b's longest digest, so
@@ -121,7 +142,7 @@ def test_deal_at_the_widest_mac():
                          ids=["alice-inputs-only", "empty"])
 def test_deal_edge_shapes(cfg):
     """No AND gate: Bob owning no bit runs one produce_abits side, and an
-    empty shape is the hello, the flush and the commitments only."""
+    empty shape is the hello and the flush only."""
     with closing_pair(counting_pair(timeout=60.0)) as (a, b):
         sa, sb = run_pair(lambda: deal(a, A, cfg, random.Random(1)),
                           lambda: deal(b, B, cfg, random.Random(2)),
@@ -137,7 +158,7 @@ def test_deal_edge_shapes(cfg):
         assert [m.name for m, _ in b.sent].count("OT_MASKED1") == 0
         assert [m.name for m, _ in a.sent].count("OT_MASKED1") == 2
     else:
-        assert sent == {"HELLO", "RT_ACC_FLUSH", "GK_COMMIT"}
+        assert sent == {"HELLO", "RT_ACC_FLUSH"}
 
 
 def test_deal_for_a_circuit_is_used_up_by_one_evaluation():
@@ -393,7 +414,7 @@ def test_combining_takes_two_frames_per_combiner():
         sent = Counter(m for m, _ in ch.sent)
         assert sent[MsgType.COMB_PERM] == sent[MsgType.COMB_D] == 2
         assert {len(p) for m, p in ch.sent if m is MsgType.COMB_D} == {7 * 32 // 8}
-    assert (a.flights, b.flights) == (18, 16)
+    assert (a.flights, b.flights) == (17, 15)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -534,10 +555,9 @@ def test_conversion_makes_beaver_triples_at_kappa_8():
                   rows([q for _, q in quad[peer]], "keys"),
                   rows([s for s, _ in quad[role]], "keys"),
                   bit_rows([k for _, k in fresh[peer]], kappa))
-        return run_side(ch, role, _flush_and_commit(bytes(16), [], [], bytes(32), mine, theirs,
-                                                    od.delta[peer]))
+        return run_side(ch, role, _flush(bytes(16), [], [], mine, theirs, od.delta[peer]))
 
-    (ta, _), (tb, _) = run_two(lambda ch: convert(ch, A), lambda ch: convert(ch, B))
+    (ta, _, _), (tb, _, _) = run_two(lambda ch: convert(ch, A), lambda ch: convert(ch, B))
     for role, t in ((A, ta), (B, tb)):
         assert t.macs.shape == (n, 3, 2) and t.keys.shape == (n, 3, 1)
         assert t.macs[:, :2, -1].tolist() == [[x.x.bit, x.y.bit] for x, _ in trip[role]]
@@ -556,17 +576,18 @@ def test_conversion_makes_beaver_triples_at_kappa_8():
 @pytest.mark.parametrize("cheater", [A, B], ids=["alice", "bob"])
 def test_a_flipped_beaver_open_bit_fails_the_flush(cheater):
     """Any of the 3 * n_and bits a party opens in its BEAVER_OPEN frame,
-    flipped on the wire, fails the deal on both parties: the MACs its peer
+    flipped on the wire, fails the deal for its peer: the MACs the peer
     expects of it no longer chain to its flush digest, so the peer aborts in
-    phase "flush" and sends no commitment, and the party whose frame was
-    changed, though its own flush check passes, gets none and no store."""
+    phase "flush". The flush is the deal's last round, so the party whose
+    frame was changed, its own flush check passing, returns a store; with
+    no store on the other side, no online hello can start from it."""
     with closing_pair(counting_pair(timeout=60.0)) as (a, b):
         run_pair(lambda: deal(a, A, SMALL, random.Random(1)),
                  lambda: deal(b, B, SMALL, random.Random(2)),
                  timeout=60, channels=(a, b))
     sent = [m for m, _ in (a if cheater is A else b).sent]
     k = sent.index(MsgType.BEAVER_OPEN)
-    assert sent[k + 1:] == [MsgType.RT_ACC_FLUSH, MsgType.GK_COMMIT]
+    assert sent[k + 1:] == [MsgType.RT_ACC_FLUSH]
 
     def side(ch, role, seed):
         try:
@@ -581,8 +602,7 @@ def test_a_flipped_beaver_open_bit_fails_the_flush(cheater):
                               timeout=60, channels=(a, b))
             honest, flipped = (eb, ea) if cheater is A else (ea, eb)
             assert isinstance(honest, ProtocolAbort) and honest.phase == "flush", bit
-            assert type(flipped) is TransportError, bit
-            assert MsgType.GK_COMMIT not in [m for m, _ in (b if cheater is A else a).sent]
+            assert isinstance(flipped, MaterialStore) and flipped.role is cheater, bit
 
 
 # ---------------------------------------------------------------------------

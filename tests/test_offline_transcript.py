@@ -49,8 +49,7 @@ EXPECTED = {
         ('COMB_PERM', '957b4464fd2de3923b9cf1cf7703186c9897c40e23d6e775a735dd7071afb062'),
         ('COMB_D', '097adb747abeb488f69f95d0f114cceb80a163c35ce5470e378ac742109442d7'),
         ('BEAVER_OPEN', 'fa90fecb2c95c4400b7430e0733ac9fc7f9894a2a33c5b10547a8812a80acb5d'),
-        ('RT_ACC_FLUSH', 'f70b34ed51c04a48e5caf0370e8631f2dbb2323661c8e5a658da494008027a4b'),
-        ('GK_COMMIT', '32669ced1fa6b0ddc84056eae30d74cd85d692cb6c30199e170e9cd88f0cdce5'),
+        ('RT_ACC_FLUSH', 'b7f92d5d42c2ff04d2994fc80d018f1e53625ce28bd98ab5080684f6c3b2deaf'),
     ],
     B: [
         ('HELLO', 'c6cd0662c55273033e22eb4ee27b31a0446612ec6e3bcf35971654bd23a88360'),
@@ -81,13 +80,12 @@ EXPECTED = {
         ('COMB_PERM', '8058b1ca626694fb32098f9f8d9bc8937a14a2f39b6770163f70933e4b26dad5'),
         ('COMB_D', 'c35727f85fff233ade9c668f8cd95221fea84eac7206b05b91e0db8a6d41364e'),
         ('BEAVER_OPEN', '034a6bcb49037acca93eab77892fa7862d0ccd69b2a9a6ba2a399f0f88f58edb'),
-        ('RT_ACC_FLUSH', '6f19e93c4c36bd7685c3b0b8c4ac81096d89b870f62bc52ff356c1e6e1121a5d'),
-        ('GK_COMMIT', '4d36d99b7426aa45dc7c349d58778a5aa5195799d13b52a0897765957474caf0'),
+        ('RT_ACC_FLUSH', '1bdde62e5842b1d00c30452e433c48bcb9c523bfe60d4d8c20a9979d790f0ab5'),
     ],
 }
 EXPECTED_STORES = {
-    A: "80981d100268375510ee249c0ca15e9d5b3946a408598d5cc47c69e99460255c",
-    B: "fe3b96990123b50181ef2e11f6f70eaf189064627ebd4f88fee87df9827a5463",
+    A: "cfa4a70a5b196431fda3ced1da1162ff663ce6f8b48b6fe90f07332028548bba",
+    B: "f30ffb6ed7051ede0a737c9b0129ea17aec8836d46527f75ef4a07db4fb70f44",
 }
 # MsgType -> (frames, bytes with headers) per party. Each combiner sends its
 # bucketing in one COMB_PERM and all its (B - 1) * n_and reveal bits in one
@@ -96,18 +94,18 @@ EXPECTED_STORES = {
 TOTALS = {
     A: {'AMPLIFY_MATRIX': (1, 15109), 'BEAVER_OPEN': (1, 118), 'COMB_D': (2, 386),
         'COMB_PERM': (2, 14410),
-        'EQ_COMMIT': (3, 63), 'EQ_OPEN': (3, 159), 'EQ_VALUE': (3, 111), 'GK_COMMIT': (1, 37),
+        'EQ_COMMIT': (3, 63), 'EQ_OPEN': (3, 159), 'EQ_VALUE': (3, 111),
         'HELLO': (1, 30), 'LAAND_D': (1, 230), 'LAAND_U': (1, 57605), 'LABIT_D': (1, 123),
         'LABIT_PAIRING': (1, 7517), 'LAOT_D': (1, 230), 'LAOT_I0': (1, 28805),
         'LAOT_I1': (1, 28805), 'LAOT_X0': (1, 59405), 'LAOT_X1': (1, 59405),
-        'OT_MASKED0': (1, 30053), 'OT_MASKED1': (2, 3061150), 'RT_ACC_FLUSH': (1, 45)},
+        'OT_MASKED0': (1, 30053), 'OT_MASKED1': (2, 3061150), 'RT_ACC_FLUSH': (1, 37)},
     B: {'AMPLIFY_MATRIX': (1, 15109), 'BEAVER_OPEN': (1, 118), 'COMB_D': (2, 386),
         'COMB_PERM': (2, 14410),
-        'EQ_COMMIT': (3, 63), 'EQ_OPEN': (3, 159), 'EQ_VALUE': (3, 111), 'GK_COMMIT': (1, 37),
+        'EQ_COMMIT': (3, 63), 'EQ_OPEN': (3, 159), 'EQ_VALUE': (3, 111),
         'HELLO': (1, 30), 'LAAND_D': (1, 230), 'LAAND_U': (1, 57605), 'LABIT_D': (1, 123),
         'LABIT_PAIRING': (1, 7517), 'LAOT_D': (1, 230), 'LAOT_I0': (1, 28805),
         'LAOT_I1': (1, 28805), 'LAOT_X0': (1, 59405), 'LAOT_X1': (1, 59405),
-        'OT_MASKED0': (1, 30053), 'OT_MASKED1': (2, 3061150), 'RT_ACC_FLUSH': (1, 45)},
+        'OT_MASKED0': (1, 30053), 'OT_MASKED1': (2, 3061150), 'RT_ACC_FLUSH': (1, 37)},
 }
 
 

@@ -21,7 +21,7 @@ A, B = Role.ALICE, Role.BOB
 
 EXPECTED = {
     A: [
-        ('HELLO', '6fabaeb94d697a60d5d173cf0955413ba2fa37a64b13333c3e6a90d680d312ad'),
+        ('HELLO', '5e7b51337de8244e8efce939a5b1fb1c74c8d3ea78ebac19e3afab0e2136bc26'),
         ('RT_ANNOUNCE_BATCH', '1f18d650d205d71d934c3646ff5fac1c096ba52eba4cf758b865364f4167d3cd'),
         ('RT_REVEAL_BATCH', '516d272cb31ead733c4bac1c3ecdc346948258b4afae52d605d4f03fb7c09e3b'),
         ('RT_REVEAL_BATCH', '32674b6efc87a0c2f15e7b05f7fcefb1e725cd316d153e30cd0c62bfa17509b8'),
@@ -29,11 +29,11 @@ EXPECTED = {
         ('RT_REVEAL_BATCH', 'a6d4654fe12d36e633d1cb0516ebff8bccb1a8e4a74d6f96f20117dbeb4961fa'),
         ('RT_REVEAL_BATCH', '7c5bd2d144fdde498406edcb9fe60ce65b0dfa5f2dd7a7617f505e3d46d68bdb'),
         ('RT_REVEAL_BATCH', 'dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8'),
-        ('RT_ACC_FLUSH', '255454a67a022279e505907ab63b004074d86a9f149c8403eb3918b8241e1b98'),
+        ('RT_ACC_FLUSH', '3e80d4d512796dbba401157dc97d7d567ce9d01e6aeb525f33ceda62a4e9f5ec'),
         ('RT_OUTPUT', 'b1f764cfa2ec507c3db3b1a50a2dc2c44b70a5ff05c95ac9acf06f3d7133a1a2'),
     ],
     B: [
-        ('HELLO', 'ea579a989137e8e82ccbbac5ddddeebad3ee09ca309e2fd3b05f9c95fdc874dd'),
+        ('HELLO', '8577f8360c89d207647a14c59a09c578dfa3b971b3e14bda2504355689355768'),
         ('RT_ANNOUNCE_BATCH', 'e77b9a9ae9e30b0dbdb6f510a264ef9de781501d7b6b92ae89eb059c5ab743db'),
         ('RT_REVEAL_BATCH', '8bbbd92a94033296bdfce22840cee7f4fcbd7513f9266a0ab9faab3f4c8dacba'),
         ('RT_REVEAL_BATCH', 'e0cd8a88dcbc7ac6ac0e7d56bc71ee09851d959af6a18621c9c7c7f8099e5c27'),
@@ -41,16 +41,16 @@ EXPECTED = {
         ('RT_REVEAL_BATCH', '70987475c71cd31ab828489be2599b5cf183c88df5b772019d2b04c9e83aba8b'),
         ('RT_REVEAL_BATCH', 'c19a797fa1fd590cd2e5b42d1cf5f246e29b91684e2f87404b81dc345c7a56a0'),
         ('RT_REVEAL_BATCH', 'dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986'),
-        ('RT_ACC_FLUSH', '4faac9169fd894a7c35b71287ace65d027c8fcf6155fcefeca8a4e170476286f'),
+        ('RT_ACC_FLUSH', 'c965f02444cb772c1564b4301d324ec22117fe3296538641500707171e260f73'),
         ('RT_OUTPUT', '33bf827f1207d07cd9c38108563911d71d6980d9b6934c7c153949e74178944a'),
     ],
 }
 # MsgType -> (frames, bytes with headers) per party; they do not depend on
 # the dealt material.
 TOTALS = {
-    A: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
+    A: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 37), 'RT_ANNOUNCE_BATCH': (1, 6),
         'RT_OUTPUT': (1, 22), 'RT_REVEAL_BATCH': (6, 46)},
-    B: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 45), 'RT_ANNOUNCE_BATCH': (1, 6),
+    B: {'HELLO': (1, 62), 'RT_ACC_FLUSH': (1, 37), 'RT_ANNOUNCE_BATCH': (1, 6),
         'RT_OUTPUT': (1, 22), 'RT_REVEAL_BATCH': (6, 46)},
 }
 

@@ -8,9 +8,9 @@ import pytest
 from helpers import (eval_two, oracle_store_pair, random_circuit, random_inputs, ref_pad,
                      ref_row_hash)
 from macbits.bitlinalg import random_rows, unpack_bits
-from macbits.errors import UsageError
-from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, expand, hash_calls, hash_rows,
-                              pad_rows, reset_hash_calls, ro_hash)
+from macbits.errors import ProtocolAbort, UsageError
+from macbits.ro_suite import (DIGEST_BYTES, MacAccumulator, check_flush, expand, hash_calls,
+                              hash_rows, pad_rows, reset_hash_calls, ro_hash)
 
 
 def test_ro_hash_deterministic():
@@ -155,7 +155,7 @@ def test_pad_rows_fill_one_array():
 
 def test_accumulator_initial_state_zero():
     assert MacAccumulator().state == bytes(DIGEST_BYTES)
-    assert MacAccumulator().count == 0
+    assert MacAccumulator.__slots__ == ("state",)
 
 
 def test_accumulator_deterministic():
@@ -163,8 +163,7 @@ def test_accumulator_deterministic():
     a = b = MacAccumulator()
     for m in macs:
         a, b = a.absorb(m[None]), b.absorb(m[None])
-    assert (a.state, a.count) == (b.state, b.count)
-    assert a.count == 20
+    assert a.state == b.state != MacAccumulator().state
 
 
 def test_accumulator_order_sensitive():
@@ -199,7 +198,6 @@ def test_accumulator_round_distinguishes_single_bit():
     a = MacAccumulator().absorb(macs)
     macs[4, 2] ^= 1 << 1  # bit 17
     b = MacAccumulator().absorb(macs)
-    assert a.count == b.count == 10
     assert a.state != b.state
 
 
@@ -207,7 +205,7 @@ def test_accumulator_empty_round_is_identity():
     acc = MacAccumulator().absorb(np.array([[5, 0]], np.uint8))
     before = hash_calls("acc/")
     same = acc.absorb(np.empty((0, 2), np.uint8))
-    assert (same.state, same.count) == (acc.state, acc.count)
+    assert same.state == acc.state
     assert hash_calls("acc/") == before
 
 
@@ -227,7 +225,7 @@ def test_accumulator_round_hashes_rows_as_one_buffer():
     acc = MacAccumulator().absorb(macs)
     want = ro_hash("acc/round", bytes(DIGEST_BYTES), (7).to_bytes(8, "big"),
                    *(m.tobytes() for m in macs))
-    assert (acc.state, acc.count) == (want, 7)
+    assert acc.state == want
     bits = np.array([[b] for b in (1, 0, 1, 1, 0, 0, 1)], np.uint8)
     rows = np.concatenate((macs, bits), axis=1)
     assert MacAccumulator().absorb(rows[:, :-1]).state == acc.state
@@ -244,10 +242,23 @@ def test_accumulator_round_reads_a_strided_mac_half():
     acc = MacAccumulator().absorb(macs)
     want = ro_hash("acc/round", bytes(DIGEST_BYTES), (20).to_bytes(8, "big"),
                    *(m.tobytes() for m in macs))
-    assert (acc.state, acc.count) == (want, 20)
+    assert acc.state == want
     assert MacAccumulator().absorb(macs.copy()).state == acc.state
-    more, want_more = acc.absorb(macs[:3]), MacAccumulator(want, 20).absorb(macs[:3])
-    assert (more.state, more.count) == (want_more.state, want_more.count)
+    assert acc.absorb(macs[:3]).state == MacAccumulator(want).absorb(macs[:3]).state
+
+
+def test_accumulator_state_binds_the_rounds():
+    """The same MACs absorbed as one round or as two give different states,
+    because each round hashes its row count into the chain; so a flush of
+    one refuses the other."""
+    macs = random_rows(6, 128, random.Random(14))
+    one = MacAccumulator().absorb(macs)
+    two = MacAccumulator().absorb(macs[:2]).absorb(macs[2:])
+    assert one.state != two.state
+    check_flush(one.state, one)
+    with pytest.raises(ProtocolAbort) as e:
+        check_flush(two.state, one)
+    assert e.value.phase == "flush"
 
 
 def test_online_phase_absorbs_once_per_reveal_round():

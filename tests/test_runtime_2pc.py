@@ -343,19 +343,19 @@ def test_exact_wire_bytes_follow_level_schedule():
 
     levels = rt_a.stats.levels
     h = c.header
-    hello = 25 + 32  # fixed hello fields, then the material commitment
+    hello = 25 + 32  # fixed hello fields, then the deal's tag
     # all outputs go both ways, as packed bits, then a kappa/8-byte digest
     out_bytes = (h.n_outputs + 7) // 8 + 16 // 8
 
     pay_a = (hello + (h.inputs_a + 7) // 8
              + sum((2 * n + 7) // 8 for n in levels)
-             + 40 + out_bytes)
+             + 32 + out_bytes)
     frames_a = 1 + 1 + len(levels) + 1 + 1
     assert ca.stats.bytes_sent == pay_a + 5 * frames_a
 
     pay_b = (hello + (h.inputs_b + 7) // 8
              + sum((2 * n + 7) // 8 for n in levels)
-             + 40 + out_bytes)
+             + 32 + out_bytes)
     frames_b = 1 + 1 + len(levels) + 1 + 1
     assert cb.stats.bytes_sent == pay_b + 5 * frames_b
     assert ca.stats.bytes_sent == cb.stats.bytes_received
@@ -755,8 +755,8 @@ def test_online_replay_script(tmp_path):
     circuit, then times Alice's evaluation against a replay of Bob's frames.
     Each party sends its hello (62 bytes with its header), its inputs (6)
     and the first level's reveals (6) in one flight, the second level's
-    reveals (6) with the flush (45) in the next, and one output bit with its
-    16-byte digest (22) in the last: 147 bytes in depth + 1 = 3 flights."""
+    reveals (6) with the flush (37) in the next, and one output bit with its
+    16-byte digest (22) in the last: 139 bytes in depth + 1 = 3 flights."""
     path = tmp_path / "and3.txt"
     path.write_text("3 7\n2 2 1\n2 1 0 2 4 AND\n2 1 1 3 5 AND\n2 1 4 5 6 AND\n")
     env = dict(os.environ)
@@ -768,8 +768,8 @@ def test_online_replay_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == f"{path}: 3 AND gates in 2 levels; Alice reads 6 frames, sends 6"
-    assert lines[1] == "Alice sends 147 bytes in 3 flights"
-    assert lines[2] == "Bob sends 147 bytes in 3 flights"
+    assert lines[1] == "Alice sends 139 bytes in 3 flights"
+    assert lines[2] == "Bob sends 139 bytes in 3 flights"
     assert re.fullmatch(r"evaluate: median [0-9.]+ ms, fastest [0-9.]+ ms over 2 runs",
                         lines[3]), lines[3]
     for name, line in zip(("_and_open", "_and_close"), lines[4:], strict=True):
